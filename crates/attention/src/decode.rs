@@ -1,14 +1,20 @@
 //! Paged decode attention kernel (`TQ = 1`, §3.1 and §3.6).
 //!
-//! One query row attends a page table through the [`PagePool`]. Dense heads may be
+//! The query rows of one GQA group attend a page table through the [`PagePool`],
+//! page by page through the shared block routine. Dense heads may be
 //! restricted to a selected subset of physical pages (the dynamic sparsity of
 //! Figure 4(d): "a dense attention kernel with shorter page tables", §3.2);
 //! streaming heads iterate their resident sink+local pages, which *is* their whole
 //! page table ("streaming heads are treated as dynamic sparse heads with index table
 //! only containing the sink and local pages", §3.6).
+//!
+//! Pages are folded in the order given and that order is part of the result:
+//! the same pages in another order agree to rounding, not to the bit (see
+//! `block.rs`).
 
-use lserve_kvcache::{DenseHeadCache, PagePool, StreamingHeadCache};
-use lserve_tensor::OnlineSoftmax;
+use lserve_kvcache::{DenseHeadCache, PageId, PagePool, StreamingHeadCache};
+
+use crate::block::{finish_rows, fold_block, KvBlock, RowState};
 
 /// Work counters for one decode-attention call (one head, one step).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,12 +36,108 @@ impl DecodeStats {
     }
 }
 
+/// Attends the `d`-long rows of `queries` (one GQA group: they share the KV
+/// head) to `pages` in order, writing one output row each into `out`. Counters
+/// are per query head, so a page visited for the group counts once per row, as
+/// do the `table_pages` a dense kernel over the full history would visit.
+///
+/// # Panics
+///
+/// Panics if `queries`/`out` are not the same whole number of `d`-long rows, if
+/// `d` is not the pages' head dimension, or if a page is not hot.
+fn attend_pages(
+    pool: &PagePool,
+    pages: impl Iterator<Item = PageId>,
+    table_pages: usize,
+    d: usize,
+    queries: &[f32],
+    scale: f32,
+    out: &mut [f32],
+) -> DecodeStats {
+    assert_eq!(out.len(), queries.len(), "group output mismatch");
+    assert_eq!(queries.len() % d, 0, "ragged query group");
+    let mut rows = vec![RowState::EMPTY; queries.len() / d];
+    let group = rows.len() as u64;
+    out.fill(0.0);
+    let mut stats = DecodeStats {
+        pages_total: group * table_pages as u64,
+        ..DecodeStats::default()
+    };
+    for id in pages {
+        // Residency precondition of the tiered KV memory: only hot
+        // (device-resident) pages may feed the kernel — a cold page must be
+        // promoted by the executor's residency pass before decode runs
+        // (streaming windows are never demoted while the sequence runs, but a
+        // swapped-in sequence must have been fully promoted too).
+        assert!(
+            pool.is_hot(id),
+            "decode kernel read of cold page {id:?}: promote before attending"
+        );
+        let page = pool.page(id);
+        assert_eq!(page.head_dim(), d, "query dimension mismatch");
+        let block = KvBlock {
+            keys: page.key_lanes(),
+            values: page.value_rows(),
+        };
+        fold_block(d, queries, scale, block, None, &mut rows, out);
+        stats.pages_visited += group;
+        stats.tokens_visited += group * page.len() as u64;
+    }
+    finish_rows(d, &rows, out);
+    stats
+}
+
+/// Decode attention of one GQA group against a dense head: see
+/// [`decode_dense_head`], which is the group of one.
+pub(crate) fn decode_dense_group(
+    pool: &PagePool,
+    cache: &DenseHeadCache,
+    d: usize,
+    queries: &[f32],
+    scale: f32,
+    selected_pages: Option<&[usize]>,
+    out: &mut [f32],
+) -> DecodeStats {
+    let table = cache.page_table();
+    match selected_pages {
+        Some(sel) => {
+            let pages = sel.iter().map(|&p| {
+                assert!(
+                    p < table.len(),
+                    "selected page {p} out of range ({})",
+                    table.len()
+                );
+                table[p]
+            });
+            attend_pages(pool, pages, table.len(), d, queries, scale, out)
+        }
+        None => {
+            let pages = table.iter().copied();
+            attend_pages(pool, pages, table.len(), d, queries, scale, out)
+        }
+    }
+}
+
+/// Decode attention of one GQA group against a streaming head: see
+/// [`decode_streaming_head`], which is the group of one.
+pub(crate) fn decode_streaming_group(
+    pool: &PagePool,
+    cache: &StreamingHeadCache,
+    d: usize,
+    queries: &[f32],
+    scale: f32,
+    out: &mut [f32],
+) -> DecodeStats {
+    let pages = cache.page_table(pool).into_iter().map(|(_, id)| id);
+    let full_pages = pool.config().pages_for(cache.tokens());
+    attend_pages(pool, pages, full_pages, d, queries, scale, out)
+}
+
 /// Decode attention for a dense head.
 ///
 /// `selected_pages`, when given, lists indices into `cache.page_table()` to visit
-/// (the shorter page table produced by the page selector); `None` means dense
-/// attention over the full history. The visiting order does not affect the output
-/// (online softmax is order-invariant).
+/// (the shorter page table produced by the page selector), in visiting order;
+/// `None` means dense attention over the full history.
 ///
 /// # Panics
 ///
@@ -48,51 +150,9 @@ pub fn decode_dense_head(
     scale: f32,
     selected_pages: Option<&[usize]>,
 ) -> (Vec<f32>, DecodeStats) {
-    let table = cache.page_table();
-    let mut acc = OnlineSoftmax::new(q.len());
-    let mut stats = DecodeStats {
-        pages_total: table.len() as u64,
-        ..DecodeStats::default()
-    };
-    let mut visit = |page_idx: usize| {
-        // Residency precondition of the tiered KV memory: only hot
-        // (device-resident) pages may feed the kernel — a cold page must be
-        // promoted by the executor's residency pass before decode runs.
-        assert!(
-            pool.is_hot(table[page_idx]),
-            "decode kernel read of cold page {:?} (page {page_idx}): promote before attending",
-            table[page_idx]
-        );
-        let page = pool.page(table[page_idx]);
-        assert_eq!(page.head_dim(), q.len(), "query dimension mismatch");
-        stats.pages_visited += 1;
-        for t in 0..page.len() {
-            let mut s = 0.0f32;
-            for (a, b) in q.iter().zip(page.key_row(t)) {
-                s += a * b;
-            }
-            acc.update(s * scale, page.value_row(t));
-            stats.tokens_visited += 1;
-        }
-    };
-    match selected_pages {
-        Some(sel) => {
-            for &p in sel {
-                assert!(
-                    p < table.len(),
-                    "selected page {p} out of range ({})",
-                    table.len()
-                );
-                visit(p);
-            }
-        }
-        None => {
-            for p in 0..table.len() {
-                visit(p);
-            }
-        }
-    }
-    (acc.finish(), stats)
+    let mut out = vec![0.0; q.len()];
+    let stats = decode_dense_group(pool, cache, q.len(), q, scale, selected_pages, &mut out);
+    (out, stats)
 }
 
 /// Decode attention for a streaming head: visits exactly the resident sink and local
@@ -107,34 +167,9 @@ pub fn decode_streaming_head(
     q: &[f32],
     scale: f32,
 ) -> (Vec<f32>, DecodeStats) {
-    let table = cache.page_table(pool);
-    let full_pages = pool.config().pages_for(cache.tokens());
-    let mut acc = OnlineSoftmax::new(q.len());
-    let mut stats = DecodeStats {
-        pages_total: full_pages as u64,
-        ..DecodeStats::default()
-    };
-    for (_, id) in table {
-        // Streaming windows are working sets and never demoted while the
-        // sequence runs, but a swapped-in sequence must have been fully
-        // promoted before decoding — enforce the same residency precondition.
-        assert!(
-            pool.is_hot(id),
-            "streaming decode read of cold page {id:?}: promote before attending"
-        );
-        let page = pool.page(id);
-        assert_eq!(page.head_dim(), q.len(), "query dimension mismatch");
-        stats.pages_visited += 1;
-        for t in 0..page.len() {
-            let mut s = 0.0f32;
-            for (a, b) in q.iter().zip(page.key_row(t)) {
-                s += a * b;
-            }
-            acc.update(s * scale, page.value_row(t));
-            stats.tokens_visited += 1;
-        }
-    }
-    (acc.finish(), stats)
+    let mut out = vec![0.0; q.len()];
+    let stats = decode_streaming_group(pool, cache, q.len(), q, scale, &mut out);
+    (out, stats)
 }
 
 #[cfg(test)]
@@ -192,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn selection_order_does_not_matter() {
+    fn selection_order_matters_only_to_rounding() {
         let cfg = PagingConfig::new(4, 4, KvPrecision::Fp16);
         let mut pool = PagePool::new(cfg, 64, 4);
         let mut cache = DenseHeadCache::new();
@@ -206,6 +241,9 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-5);
         }
+        // The same order again is the same bits.
+        let (c, _) = decode_dense_head(&pool, &cache, &q, 0.5, Some(&[0, 2, 4]));
+        assert_eq!(a, c);
     }
 
     #[test]

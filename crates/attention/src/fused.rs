@@ -12,8 +12,8 @@ use lserve_tensor::Matrix;
 use crate::decode::DecodeStats;
 use crate::dynamic::build_dynamic_prefill_mask;
 use crate::parallel::{run_decode_shard, run_sharded, BalanceStats, DecodeShard};
-use crate::pattern::{DensePattern, StreamingPattern};
-use crate::prefill::{prefill_attention, PrefillStats};
+use crate::pattern::{BlockPattern, DensePattern, StreamingPattern};
+use crate::prefill::{prefill_head, KeyTiles, PrefillStats};
 
 /// Static classification of one KV head (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,13 +99,21 @@ pub fn fused_prefill_layer(
     (out, dense, stream)
 }
 
-/// One query head's unit of prefill work inside the sharded layer kernel.
-struct PrefillShard {
-    h: usize,
+/// One KV head's keys and values as the prefill kernel reads them, built once
+/// and shared by the query heads of its group.
+struct PrefillKv {
     kind: HeadKind,
+    keys: KeyTiles,
+    values: Matrix,
+    /// Row-major keys, which only the dynamic mask of a dense head reads.
+    key_rows: Option<Matrix>,
+}
+
+/// One query head's unit of prefill work inside the sharded layer kernel.
+struct PrefillShard<'a> {
+    h: usize,
     qh: Matrix,
-    kh: Matrix,
-    vh: Matrix,
+    kv: &'a PrefillKv,
     out: Matrix,
     stats: PrefillStats,
 }
@@ -145,7 +153,16 @@ pub fn fused_prefill_layer_threads(
     let streaming = StreamingPattern::new(cfg.sink_blocks, cfg.local_blocks);
     let nt = n.div_ceil(cfg.tile) as u64;
     let causal_tiles = nt * (nt + 1) / 2;
-    let mut shards: Vec<PrefillShard> = Vec::with_capacity(cfg.num_q_heads);
+    let kv_heads: Vec<PrefillKv> = (0..cfg.num_kv_heads)
+        .map(|kv| PrefillKv {
+            kind: kinds[kv],
+            keys: KeyTiles::new(k, kv * d, d, cfg.tile),
+            values: head_slice(v, kv, d),
+            key_rows: (kinds[kv] == HeadKind::Dense && dynamic_keep.is_some())
+                .then(|| head_slice(k, kv, d)),
+        })
+        .collect();
+    let mut shards: Vec<PrefillShard<'_>> = Vec::with_capacity(cfg.num_q_heads);
     let mut costs: Vec<u64> = Vec::with_capacity(cfg.num_q_heads);
     for h in 0..cfg.num_q_heads {
         let kv = cfg.kv_head_of(h);
@@ -163,52 +180,42 @@ pub fn fused_prefill_layer_threads(
         costs.push(cost.max(1));
         shards.push(PrefillShard {
             h,
-            kind: kinds[kv],
             qh: head_slice(q, h, d),
-            kh: head_slice(k, kv, d),
-            vh: head_slice(v, kv, d),
+            kv: &kv_heads[kv],
             out: Matrix::zeros(0, 0),
             stats: PrefillStats::default(),
         });
     }
 
     let balance = run_sharded(threads, &costs, &mut shards, |s| {
-        let (oh, stats) = match s.kind {
-            HeadKind::Dense => match dynamic_keep {
-                None => prefill_attention(
-                    &s.qh,
-                    &s.kh,
-                    &s.vh,
-                    cfg.scale(),
-                    cfg.tile,
-                    cfg.tile,
-                    &DensePattern,
-                ),
-                Some(keep) => {
-                    let mask =
-                        build_dynamic_prefill_mask(&s.qh, &s.kh, cfg.tile, keep, cfg.sink_blocks);
-                    prefill_attention(&s.qh, &s.kh, &s.vh, cfg.scale(), cfg.tile, cfg.tile, &mask)
-                }
-            },
-            HeadKind::Streaming => prefill_attention(
+        let attend = |pattern: &dyn BlockPattern| {
+            prefill_head(
                 &s.qh,
-                &s.kh,
-                &s.vh,
+                &s.kv.keys,
+                &s.kv.values,
                 cfg.scale(),
                 cfg.tile,
-                cfg.tile,
-                &streaming,
-            ),
+                pattern,
+            )
         };
-        s.out = oh;
-        s.stats = stats;
+        (s.out, s.stats) = match (s.kv.kind, &s.kv.key_rows) {
+            (HeadKind::Streaming, _) => attend(&streaming),
+            (HeadKind::Dense, None) => attend(&DensePattern),
+            (HeadKind::Dense, Some(kh)) => attend(&build_dynamic_prefill_mask(
+                &s.qh,
+                kh,
+                cfg.tile,
+                dynamic_keep.expect("row-major keys are kept for the dynamic mask only"),
+                cfg.sink_blocks,
+            )),
+        };
     });
 
     let mut out = Matrix::zeros(n, cfg.num_q_heads * d);
     let mut dense_stats = PrefillStats::default();
     let mut stream_stats = PrefillStats::default();
     for s in &shards {
-        let agg = match s.kind {
+        let agg = match s.kv.kind {
             HeadKind::Dense => &mut dense_stats,
             HeadKind::Streaming => &mut stream_stats,
         };
@@ -452,6 +459,42 @@ mod tests {
                 assert_eq!(balance.shards, c.num_q_heads as u64);
                 assert!(balance.workers <= threads);
             }
+        }
+    }
+
+    #[test]
+    fn shared_kv_heads_give_the_bits_of_per_head_copies() {
+        use crate::prefill::prefill_attention;
+        let c = LayerAttnConfig {
+            head_dim: 32,
+            tile: 8,
+            ..cfg()
+        };
+        let mut g = SeededGaussian::new(61);
+        let n = 45;
+        let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
+        let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
+        let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
+        let kinds = [HeadKind::Dense, HeadKind::Streaming];
+        let (out, _, _) = fused_prefill_layer(&q, &k, &v, &c, &kinds);
+        let streaming = StreamingPattern::new(c.sink_blocks, c.local_blocks);
+        for h in 0..c.num_q_heads {
+            let kv = c.kv_head_of(h);
+            let pattern: &dyn BlockPattern = match kinds[kv] {
+                HeadKind::Dense => &DensePattern,
+                HeadKind::Streaming => &streaming,
+            };
+            let (want, _) = prefill_attention(
+                &head_slice(&q, h, c.head_dim),
+                &head_slice(&k, kv, c.head_dim),
+                &head_slice(&v, kv, c.head_dim),
+                c.scale(),
+                c.tile,
+                c.tile,
+                pattern,
+            );
+            let got = head_slice(&out, h, c.head_dim);
+            assert_eq!(got.max_abs_diff(&want), 0.0, "head {h}");
         }
     }
 

@@ -10,12 +10,15 @@
 //!   exactly the blocks that need computing (dense causal, streaming Λ, arbitrary
 //!   block masks, selected pages), replacing in-loop branching by offset arithmetic.
 //! * [`reference`] — naive dense causal attention used as ground truth by every test.
-//! * [`prefill`] — the tiled prefill kernel: online softmax across visited tiles,
+//! * `block` (private) — the one block routine under both kernels: a block of keys
+//!   and values folded into the running softmax state of a group of query rows, with
+//!   lanes across d-major keys; bit-identical to the one-key-at-a-time loop.
+//! * [`prefill`] — the tiled prefill kernel: the block routine across visited tiles,
 //!   with per-call [`prefill::PrefillStats`] counting visited vs. total tiles (the
 //!   quantity the cost model converts to GPU time).
-//! * [`decode`] — the paged decode kernel: one query row against a page table,
-//!   optionally restricted to selected pages, reading (de)quantized pages through the
-//!   [`lserve_kvcache::PagePool`].
+//! * [`decode`] — the paged decode kernel: a GQA group's query rows against a page
+//!   table, optionally restricted to selected pages, reading (de)quantized pages
+//!   through the [`lserve_kvcache::PagePool`].
 //! * [`dynamic`] — MInference-style query-aware prefill block masks (§4.3): the
 //!   Eq. 2 min/max bound lifted to tiles, feeding [`pattern::MaskPattern`].
 //! * [`fused`] — the layer-level hybrid kernel of §3.6: dense and streaming heads
@@ -26,6 +29,7 @@
 //!   work stealing (std only), bit-identical to serial execution at every thread
 //!   count.
 
+mod block;
 pub mod decode;
 pub mod dynamic;
 pub mod fused;

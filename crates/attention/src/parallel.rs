@@ -36,7 +36,7 @@ use std::time::Instant;
 
 use lserve_kvcache::{HeadCache, PagePool};
 
-use crate::decode::{decode_dense_head, decode_streaming_head, DecodeStats};
+use crate::decode::{decode_dense_group, decode_streaming_group, DecodeStats};
 
 /// Measured and estimated balance of one parallel phase.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -389,37 +389,29 @@ pub struct DecodeShard<'a> {
     pub streaming: DecodeStats,
 }
 
-/// Executes one decode shard: every query head of the group runs the matching
-/// single-head kernel, and the results land in the shard's output slice.
+/// Executes one decode shard: the group's query rows attend the KV head's
+/// pages together (each page is looked up and loaded once for the group), and
+/// the results land in the shard's output slice.
 ///
 /// # Panics
 ///
 /// Panics if `queries`/`out` lengths disagree or are not a multiple of
 /// `head_dim`, or on the underlying kernels' shape checks.
 pub fn run_decode_shard(pool: &PagePool, shard: &mut DecodeShard<'_>) {
-    let d = shard.head_dim;
-    assert_eq!(
-        shard.out.len(),
-        shard.queries.len(),
-        "shard output mismatch"
-    );
-    assert_eq!(shard.queries.len() % d, 0, "ragged query group");
-    let group = shard.queries.len() / d;
-    for g in 0..group {
-        let q = &shard.queries[g * d..(g + 1) * d];
-        let oh = match shard.head {
-            HeadCache::Dense(c) => {
-                let (oh, stats) = decode_dense_head(pool, c, q, shard.scale, shard.selection);
-                shard.dense.accumulate(stats);
-                oh
-            }
-            HeadCache::Streaming(c) => {
-                let (oh, stats) = decode_streaming_head(pool, c, q, shard.scale);
-                shard.streaming.accumulate(stats);
-                oh
-            }
-        };
-        shard.out[g * d..(g + 1) * d].copy_from_slice(&oh);
+    let (d, q, scale) = (shard.head_dim, shard.queries, shard.scale);
+    match shard.head {
+        HeadCache::Dense(c) => shard.dense.accumulate(decode_dense_group(
+            pool,
+            c,
+            d,
+            q,
+            scale,
+            shard.selection,
+            shard.out,
+        )),
+        HeadCache::Streaming(c) => shard
+            .streaming
+            .accumulate(decode_streaming_group(pool, c, d, q, scale, shard.out)),
     }
 }
 

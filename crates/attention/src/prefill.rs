@@ -1,12 +1,16 @@
 //! Tiled block-sparse prefill attention kernel (§3.1, §3.4).
 //!
 //! The kernel walks the KV dimension tile-by-tile using a [`BlockPattern`] iterator
-//! and folds each visited tile into per-query-row online softmax accumulators, so a
-//! skipped tile costs nothing — exactly how the CUDA kernel shortens its sequential
-//! loop. Outputs are bit-for-bit independent of the visiting order.
+//! and folds each visited tile into the query tile's running softmax rows through
+//! the shared block routine, so a skipped tile costs nothing — exactly how the CUDA
+//! kernel shortens its sequential loop. Tiles are folded in the order the pattern
+//! yields them and that order is part of the result: a fixed order gives fixed
+//! bits, a different order agrees to rounding only (see `block.rs`).
 
-use lserve_tensor::{Matrix, OnlineSoftmax};
+use lserve_kvcache::{key_lane_offset, KEY_LANES};
+use lserve_tensor::Matrix;
 
+use crate::block::{finish_rows, fold_block, KvBlock, RowState};
 use crate::pattern::{BlockDecision, BlockPattern};
 
 /// Work counters for one prefill call.
@@ -36,6 +40,46 @@ impl PrefillStats {
             return f64::INFINITY;
         }
         self.tiles_total_causal as f64 / self.tiles_visited as f64
+    }
+}
+
+/// One head's keys regrouped for the block routine: K tile by K tile, each tile
+/// d-major in lane groups like a KV page. Built once per KV head and shared by
+/// every query head of its group.
+#[derive(Debug)]
+pub(crate) struct KeyTiles {
+    data: Vec<f32>,
+    /// Floats per tile: `d` dimensions of `tk` slots padded to whole lane groups.
+    tile_len: usize,
+    d: usize,
+    tk: usize,
+    n: usize,
+}
+
+impl KeyTiles {
+    /// Regroups columns `col..col + d` of the `n`-row `k` into tiles of `tk` keys.
+    pub fn new(k: &Matrix, col: usize, d: usize, tk: usize) -> Self {
+        assert!(tk > 0, "tile sizes must be positive");
+        let n = k.rows();
+        let tile_len = d * tk.next_multiple_of(KEY_LANES);
+        let mut data = vec![0.0f32; n.div_ceil(tk) * tile_len];
+        for j in 0..n {
+            let tile = &mut data[j / tk * tile_len..];
+            for (i, &x) in k.row(j)[col..col + d].iter().enumerate() {
+                tile[key_lane_offset(d, j % tk, i)] = x;
+            }
+        }
+        Self {
+            data,
+            tile_len,
+            d,
+            tk,
+            n,
+        }
+    }
+
+    fn tile(&self, kb: usize) -> &[f32] {
+        &self.data[kb * self.tile_len..(kb + 1) * self.tile_len]
     }
 }
 
@@ -73,49 +117,63 @@ pub fn prefill_attention(
     tk: usize,
     pattern: &dyn BlockPattern,
 ) -> (Matrix, PrefillStats) {
+    assert_eq!(k.rows(), q.rows(), "K rows mismatch");
+    assert_eq!(k.cols(), q.cols(), "K dim mismatch");
+    let keys = KeyTiles::new(k, 0, k.cols(), tk);
+    prefill_head(q, &keys, v, scale, tq, pattern)
+}
+
+/// [`prefill_attention`] on keys already regrouped into K tiles.
+pub(crate) fn prefill_head(
+    q: &Matrix,
+    keys: &KeyTiles,
+    v: &Matrix,
+    scale: f32,
+    tq: usize,
+    pattern: &dyn BlockPattern,
+) -> (Matrix, PrefillStats) {
     let n = q.rows();
     let d = q.cols();
-    assert!(tq > 0 && tk > 0, "tile sizes must be positive");
-    assert_eq!(k.rows(), n, "K rows mismatch");
+    let tk = keys.tk;
+    assert!(tq > 0, "tile sizes must be positive");
+    assert_eq!(keys.n, n, "K rows mismatch");
     assert_eq!(v.rows(), n, "V rows mismatch");
-    assert_eq!(k.cols(), d, "K dim mismatch");
+    assert_eq!(keys.d, d, "K dim mismatch");
     assert_eq!(v.cols(), d, "V dim mismatch");
 
-    let num_qt = n.div_ceil(tq);
     let mut out = Matrix::zeros(n, d);
     let mut stats = PrefillStats::default();
+    let mut rows = Vec::with_capacity(tq);
 
-    for qt in 0..num_qt {
+    for qt in 0..n.div_ceil(tq) {
         let q_start = qt * tq;
         let q_end = ((qt + 1) * tq).min(n);
-        let mut accs: Vec<OnlineSoftmax> =
-            (q_start..q_end).map(|_| OnlineSoftmax::new(d)).collect();
+        let tile = q_start * d..q_end * d;
+        rows.clear();
+        rows.resize(q_end - q_start, RowState::EMPTY);
 
         // The §3.4 iterator: only visited blocks, offsets derived from block index.
         for (kb, decision) in pattern.blocks_for_tile(qt, tq, tk, n) {
             stats.tiles_visited += 1;
             let k_start = kb * tk;
             let k_end = ((kb + 1) * tk).min(n);
-            for (qi_local, acc) in accs.iter_mut().enumerate() {
-                let qi = q_start + qi_local;
-                let q_row = q.row(qi);
-                for kj in k_start..k_end {
-                    if decision == BlockDecision::Causal && kj > qi {
-                        continue; // elementwise mask only on the diagonal tile
-                    }
-                    let mut s = 0.0f32;
-                    let k_row = k.row(kj);
-                    for (a, b) in q_row.iter().zip(k_row) {
-                        s += a * b;
-                    }
-                    acc.update(s * scale, v.row(kj));
-                }
-            }
+            let block = KvBlock {
+                keys: keys.tile(kb),
+                values: &v.as_slice()[k_start * d..k_end * d],
+            };
+            // Elementwise mask only on the diagonal tile.
+            let causal = (decision == BlockDecision::Causal).then_some((q_start, k_start));
+            fold_block(
+                d,
+                &q.as_slice()[tile.clone()],
+                scale,
+                block,
+                causal,
+                &mut rows,
+                &mut out.as_mut_slice()[tile.clone()],
+            );
         }
-        for (qi_local, acc) in accs.into_iter().enumerate() {
-            let o = acc.finish();
-            out.row_mut(q_start + qi_local).copy_from_slice(&o);
-        }
+        finish_rows(d, &rows, &mut out.as_mut_slice()[tile]);
     }
     let (_, total) = crate::pattern::DensePattern.tile_counts(tq, tk, n);
     stats.tiles_total_causal = total;

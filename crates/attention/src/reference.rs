@@ -64,6 +64,105 @@ where
     scores.matmul(v)
 }
 
+/// The kernels as they were before the block routine: one key at a time, one
+/// dependent add chain per score, an [`OnlineSoftmax`] per query row. Slow and
+/// obviously in order — the bits [`crate::block`] must reproduce exactly.
+#[cfg(test)]
+pub(crate) mod scalar {
+    use lserve_kvcache::{DenseHeadCache, PageId, PagePool, StreamingHeadCache};
+    use lserve_tensor::{Matrix, OnlineSoftmax};
+
+    use crate::pattern::{BlockDecision, BlockPattern};
+
+    fn fold_key(acc: &mut OnlineSoftmax, q: &[f32], key: &[f32], value: &[f32], scale: f32) {
+        let mut s = 0.0f32;
+        for (a, b) in q.iter().zip(key) {
+            s += a * b;
+        }
+        acc.update(s * scale, value);
+    }
+
+    fn attend_pages(
+        pool: &PagePool,
+        pages: impl Iterator<Item = PageId>,
+        q: &[f32],
+        scale: f32,
+    ) -> Vec<f32> {
+        let mut acc = OnlineSoftmax::new(q.len());
+        for id in pages {
+            let page = pool.page(id);
+            for t in 0..page.len() {
+                fold_key(&mut acc, q, &page.key_row(t), page.value_row(t), scale);
+            }
+        }
+        acc.finish()
+    }
+
+    /// One query row against a dense head's full or selected page table.
+    pub fn decode_dense_head(
+        pool: &PagePool,
+        cache: &DenseHeadCache,
+        q: &[f32],
+        scale: f32,
+        selected_pages: Option<&[usize]>,
+    ) -> Vec<f32> {
+        let table = cache.page_table();
+        match selected_pages {
+            Some(sel) => attend_pages(pool, sel.iter().map(|&p| table[p]), q, scale),
+            None => attend_pages(pool, table.iter().copied(), q, scale),
+        }
+    }
+
+    /// One query row against a streaming head's resident pages.
+    pub fn decode_streaming_head(
+        pool: &PagePool,
+        cache: &StreamingHeadCache,
+        q: &[f32],
+        scale: f32,
+    ) -> Vec<f32> {
+        let pages = cache.page_table(pool).into_iter().map(|(_, id)| id);
+        attend_pages(pool, pages, q, scale)
+    }
+
+    /// Block-sparse prefill for one head, row by row and key by key.
+    pub fn prefill_attention(
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        scale: f32,
+        tq: usize,
+        tk: usize,
+        pattern: &dyn BlockPattern,
+    ) -> Matrix {
+        let (n, d) = q.shape();
+        let mut out = Matrix::zeros(n, d);
+        for qt in 0..n.div_ceil(tq) {
+            let q_start = qt * tq;
+            let q_end = ((qt + 1) * tq).min(n);
+            let mut accs: Vec<OnlineSoftmax> =
+                (q_start..q_end).map(|_| OnlineSoftmax::new(d)).collect();
+            for (kb, decision) in pattern.blocks_for_tile(qt, tq, tk, n) {
+                let k_start = kb * tk;
+                let k_end = ((kb + 1) * tk).min(n);
+                for (qi_local, acc) in accs.iter_mut().enumerate() {
+                    let qi = q_start + qi_local;
+                    for kj in k_start..k_end {
+                        if decision == BlockDecision::Causal && kj > qi {
+                            continue; // elementwise mask only on the diagonal tile
+                        }
+                        fold_key(acc, q.row(qi), k.row(kj), v.row(kj), scale);
+                    }
+                }
+            }
+            for (qi_local, acc) in accs.into_iter().enumerate() {
+                out.row_mut(q_start + qi_local)
+                    .copy_from_slice(&acc.finish());
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -123,7 +123,7 @@ impl DenseHeadCache {
     /// Panics if `t >= tokens()`.
     pub fn key(&self, pool: &PagePool, t: usize) -> Vec<f32> {
         let np = pool.config().physical_page_size();
-        pool.page(self.pages[t / np]).key_row(t % np).to_vec()
+        pool.page(self.pages[t / np]).key_row(t % np)
     }
 
     /// Reads the (dequantized) value row of global token `t`.

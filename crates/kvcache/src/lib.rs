@@ -48,7 +48,10 @@ pub use copy_engine::{
 };
 pub use dense::DenseHeadCache;
 pub use layer::{HeadCache, LayerKvCache};
-pub use pool::{tier_config_from_env, KvPage, PageId, PagePool, Residency, TierConfig};
+pub use pool::{
+    key_lane_offset, tier_config_from_env, KvPage, PageId, PagePool, Residency, TierConfig,
+    KEY_LANES,
+};
 pub use stats::{
     nvme_ledger_units, transfer_cost_tokens, LogicalPageStats, TierStats, HOST_TRANSFER_SPEEDUP,
     NVME_TRANSFER_SPEEDUP,

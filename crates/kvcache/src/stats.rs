@@ -117,6 +117,12 @@ impl LogicalPageStats {
         }
     }
 
+    /// Statistics with the given bounds over `tokens` keys (a page gathering
+    /// one logical sub-page out of its side-by-side store).
+    pub(crate) fn from_bounds(kmin: Vec<f32>, kmax: Vec<f32>, tokens: usize) -> Self {
+        Self { kmin, kmax, tokens }
+    }
+
     /// Folds one key row into the min/max bounds.
     ///
     /// # Panics

@@ -19,4 +19,4 @@ pub mod precision;
 pub mod tensor;
 
 pub use precision::KvPrecision;
-pub use tensor::{dequantize_group, quantize_group, QuantParams, QuantizedTensor};
+pub use tensor::{dequantize_group, quantize_codes, quantize_group, QuantParams, QuantizedTensor};

@@ -13,17 +13,29 @@ pub struct QuantParams {
     pub zero: f32,
 }
 
-/// Quantizes one group of values at the given precision.
+impl QuantParams {
+    /// The value `code` stands for: `zero + code * scale`.
+    #[inline]
+    pub fn dequantize(self, code: u8) -> f32 {
+        self.zero + code as f32 * self.scale
+    }
+}
+
+/// Quantizes one group of values at the given precision without allocating:
+/// the group's [`QuantParams`] plus its codes in element order (unpacked, one
+/// per input element), for callers that write them into storage of their own.
 ///
 /// Uses asymmetric min/max quantization: code 0 maps to the group minimum, the top
-/// code to the maximum. Returns one code per input element (unpacked, one byte each)
-/// plus the group's [`QuantParams`].
+/// code to the maximum.
 ///
 /// # Panics
 ///
 /// Panics if `precision` is [`KvPrecision::Fp16`] (nothing to quantize) or `xs` is
 /// empty.
-pub fn quantize_group(xs: &[f32], precision: KvPrecision) -> (Vec<u8>, QuantParams) {
+pub fn quantize_codes(
+    xs: &[f32],
+    precision: KvPrecision,
+) -> (QuantParams, impl Iterator<Item = u8> + '_) {
     let levels = precision
         .levels()
         .expect("quantize_group requires an integer precision") as f32;
@@ -31,23 +43,27 @@ pub fn quantize_group(xs: &[f32], precision: KvPrecision) -> (Vec<u8>, QuantPara
     let min = xs.iter().copied().fold(f32::INFINITY, f32::min);
     let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let scale = if max > min { (max - min) / levels } else { 1.0 };
-    let params = QuantParams { scale, zero: min };
-    let codes = xs
-        .iter()
-        .map(|&x| {
-            let q = ((x - min) / scale).round();
-            q.clamp(0.0, levels) as u8
-        })
-        .collect();
-    (codes, params)
+    let codes = xs.iter().map(move |&x| {
+        let q = ((x - min) / scale).round();
+        q.clamp(0.0, levels) as u8
+    });
+    (QuantParams { scale, zero: min }, codes)
+}
+
+/// [`quantize_codes`] collected: one code per input element plus the group's
+/// [`QuantParams`].
+///
+/// # Panics
+///
+/// As [`quantize_codes`].
+pub fn quantize_group(xs: &[f32], precision: KvPrecision) -> (Vec<u8>, QuantParams) {
+    let (params, codes) = quantize_codes(xs, precision);
+    (codes.collect(), params)
 }
 
 /// Dequantizes a group of codes back to `f32`.
 pub fn dequantize_group(codes: &[u8], params: QuantParams) -> Vec<f32> {
-    codes
-        .iter()
-        .map(|&c| params.zero + c as f32 * params.scale)
-        .collect()
+    codes.iter().map(|&c| params.dequantize(c)).collect()
 }
 
 /// A `(tokens x dim)` block quantized row-wise (one group per token row), with INT4

@@ -15,18 +15,17 @@ use lserve_kvcache::{DenseHeadCache, PagePool};
 pub fn logical_scores(pool: &PagePool, cache: &DenseHeadCache, queries: &[&[f32]]) -> Vec<f32> {
     assert!(!queries.is_empty(), "need at least one query row");
     let g = pool.config().logical_per_physical();
-    let mut out = Vec::with_capacity(cache.num_pages() * g);
-    for &id in cache.page_table() {
+    let mut out = vec![f32::NEG_INFINITY; cache.num_pages() * g];
+    let mut scores = vec![0.0f32; g];
+    for (&id, best) in cache.page_table().iter().zip(out.chunks_mut(g)) {
         let page = pool.page(id);
-        for stats in page.logical_stats_all() {
-            let mut best = f32::NEG_INFINITY;
-            for q in queries {
-                let s = stats.importance(q);
-                if s > best {
-                    best = s;
+        for q in queries {
+            page.logical_importance(q, &mut scores);
+            for (b, &s) in best.iter_mut().zip(&scores) {
+                if s > *b {
+                    *b = s;
                 }
             }
-            out.push(best);
         }
     }
     out
@@ -60,32 +59,16 @@ pub fn physical_scores_flat(
     queries: &[&[f32]],
 ) -> Vec<f32> {
     assert!(!queries.is_empty(), "need at least one query row");
-    let mut out = Vec::with_capacity(cache.num_pages());
-    for &id in cache.page_table() {
-        let page = pool.page(id);
-        let mut merged: Option<lserve_kvcache::LogicalPageStats> = None;
-        for stats in page.logical_stats_all() {
-            if stats.is_empty() {
-                continue;
-            }
-            match &mut merged {
-                Some(m) => m.merge(stats),
-                None => merged = Some(stats.clone()),
-            }
-        }
-        let score = match merged {
-            Some(m) => {
-                let mut best = f32::NEG_INFINITY;
-                for q in queries {
-                    best = best.max(m.importance(q));
-                }
-                best
-            }
-            None => f32::NEG_INFINITY,
-        };
-        out.push(score);
-    }
-    out
+    cache
+        .page_table()
+        .iter()
+        .map(|&id| {
+            let page = pool.page(id);
+            queries.iter().fold(f32::NEG_INFINITY, |best, q| {
+                best.max(page.merged_importance(q))
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -90,10 +90,15 @@ fn requests() -> Vec<RequestSpec> {
         .collect()
 }
 
-/// Runs the serving stack on the seeded tiny model and renders one line per
-/// request: `req <id> prompt_len=<n>: <generated tokens>`.
+/// Runs the serving stack on the seeded tiny model (head_dim 8).
 fn run_case(cfg: EngineConfig) -> String {
-    let weights = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 71));
+    run_case_on(&ModelConfig::tiny(), cfg)
+}
+
+/// Runs the serving stack on seeded weights for `model` and renders one line
+/// per request: `req <id> prompt_len=<n>: <generated tokens>`.
+fn run_case_on(model: &ModelConfig, cfg: EngineConfig) -> String {
+    let weights = Arc::new(ModelWeights::random(model, 71));
     let exec = Arc::new(ModelExecutor::new(weights, cfg));
     let mut scfg = SchedulerConfig::new(4096);
     scfg.chunk_tokens = 8;
@@ -132,6 +137,19 @@ fn golden_lserve_fp16_mixed_heads() {
 fn golden_lserve_int4_mixed_heads() {
     let cfg = small_scale(EngineConfig::lserve(), KvPrecision::Int4);
     check_golden("lserve_int4_mixed_heads", &run_case(cfg));
+}
+
+/// The INT4 case at head_dim 32 (the benchmark model's): the tiny model's
+/// head_dim 8 would not reach an attention kernel instantiated per head_dim.
+#[test]
+fn golden_lserve_int4_head_dim32() {
+    let model = ModelConfig {
+        name: "tiny-d32".into(),
+        head_dim: 32,
+        ..ModelConfig::tiny()
+    };
+    let cfg = small_scale(EngineConfig::lserve(), KvPrecision::Int4);
+    check_golden("lserve_int4_head_dim32", &run_case_on(&model, cfg));
 }
 
 /// Dense FP16 baseline: every head dense, no selection — the reference policy.
