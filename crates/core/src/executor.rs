@@ -28,7 +28,8 @@ use lserve_attention::{
 };
 use lserve_costmodel::Topology;
 use lserve_kvcache::{
-    HeadCache, LayerKvCache, MigrationMode, PagePool, StreamingWindow, HOST_TRANSFER_SPEEDUP,
+    HeadCache, LayerKvCache, MigrationMode, PageId, PagePool, StreamingWindow,
+    HOST_TRANSFER_SPEEDUP,
 };
 use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention};
 use lserve_model::ModelWeights;
@@ -111,6 +112,17 @@ impl SelectorBox {
             SelectorBox::Flat(s) => s.stale_pages(k),
             SelectorBox::Hierarchical(s) => s.stale_pages(k),
         }
+    }
+
+    /// The selection chunk that last picked `page`: the key an exchange gives
+    /// pages up by, lowest first. A page the selector has not ranked yet
+    /// sorts last.
+    fn last_selected(&self, page: usize) -> u64 {
+        let chunk = match self {
+            SelectorBox::Flat(s) => s.last_selected_chunk(page),
+            SelectorBox::Hierarchical(s) => s.last_selected_chunk(page),
+        };
+        chunk.unwrap_or(u64::MAX)
     }
 
     /// The decode step at which this head's next fresh scoring lands — the
@@ -203,6 +215,18 @@ impl SequenceState {
     /// heads.
     pub fn resident_pages(&self) -> usize {
         self.layers.iter().map(|l| l.resident_pages()).sum()
+    }
+
+    /// Every pool page this sequence references, across all layers and heads.
+    pub fn page_ids(&self, pool: &PagePool) -> Vec<PageId> {
+        let heads = self.layers.iter();
+        let heads = heads.flat_map(|l| (0..l.num_heads()).map(move |h| l.head(h)));
+        heads
+            .flat_map(|head| match head {
+                HeadCache::Dense(c) => c.page_table().to_vec(),
+                HeadCache::Streaming(c) => c.page_table(pool).into_iter().map(|p| p.1).collect(),
+            })
+            .collect()
     }
 
     /// Swap-out: demotes every sole-owned hot page this sequence holds to the
@@ -600,6 +624,50 @@ impl ModelExecutor {
         })
     }
 
+    /// Free hot pages one more token of `state` can claim: the pages its
+    /// append allocates plus the promotions its residency pass cannot pay for
+    /// by exchange. A head read whole (streaming window, or dense history
+    /// within the budget) needs a slot for each page that holds none; a
+    /// selecting head promotes at most a budget of pages and can exchange one
+    /// of its own sole-owned slot-holding pages for each, so it needs slots
+    /// only while it holds fewer of those than a budget. Reserve this much
+    /// and the step cannot fail, short of a bounded host refusing a demotion.
+    pub fn step_page_demand(&self, state: &SequenceState, pool: &PagePool) -> usize {
+        let mut need = state.pages_needed_for_next_token(pool);
+        if pool.total_in_use() == pool.in_use() && pool.in_flight_transfers() == 0 {
+            return need; // nothing below the hot tier or on its way there
+        }
+        let np = pool.config().physical_page_size();
+        let budget = state
+            .sparsity
+            .effective_budget(self.cfg.dynamic_budget, state.tokens_processed);
+        for (layer, selectors) in state.layers.iter().zip(&state.selectors) {
+            for (kv, selector) in selectors.iter().enumerate() {
+                need += match (layer.head(kv), selector, budget) {
+                    (HeadCache::Dense(c), Some(_), Some(b)) if c.tokens() + 1 > b => {
+                        // The most pages one selection reads, so the most it
+                        // promotes; each exchangeable page pays for one.
+                        let mut unpaid = (b / np).max(lserve_selector::MAX_FORCED_PAGES);
+                        let mut slotless = 0;
+                        for &id in c.page_table() {
+                            if !pool.holds_slot(id) {
+                                slotless += 1;
+                            } else if pool.refcount(id) == 1 {
+                                unpaid -= 1;
+                                if unpaid == 0 {
+                                    break;
+                                }
+                            }
+                        }
+                        slotless.min(unpaid)
+                    }
+                    (head, ..) => head.swap_in_demand(pool),
+                };
+            }
+        }
+        need
+    }
+
     /// Runs dynamic page selection for every dense head of layer `l` (§3.5),
     /// returning the per-KV-head selections plus the selector's sparsity-aware
     /// cost hints (estimated visited tokens per selected head) that feed the
@@ -673,7 +741,12 @@ impl ModelExecutor {
     ///    promoted back before the kernel runs, satisfying the kernels'
     ///    hot-residency precondition. The accounted fetch units are returned
     ///    per KV head so the LPT shard costing can charge the fetch to the
-    ///    shard that caused it.
+    ///    shard that caused it. A promotion takes a free hot slot only while
+    ///    more are free than `reserved` — the slots this batch's appends and
+    ///    unexchangeable promotions still need (see
+    ///    [`ModelExecutor::step_page_demand`]) — and otherwise pays for its
+    ///    slot by **exchange** ([`ModelExecutor::exchange_out`]): one modeled
+    ///    transfer each way, zero net hot pages.
     ///
     /// Migrations move data, never mutate it, so outputs are bit-identical to
     /// the always-resident baseline — and, because the async copy engine only
@@ -695,9 +768,10 @@ impl ModelExecutor {
     ///
     /// # Errors
     ///
-    /// Returns [`OutOfPagesError`] when a required promotion cannot fit the
-    /// hot tier; the scheduler treats this like any other out-of-memory decode
-    /// failure (release and replay).
+    /// Returns [`OutOfPagesError`] when a required promotion finds neither a
+    /// free hot slot nor a page of this sequence to exchange for one; the
+    /// scheduler treats this like any other out-of-memory decode failure
+    /// (release and replay).
     fn apply_residency(
         &self,
         state: &mut SequenceState,
@@ -705,85 +779,135 @@ impl ModelExecutor {
         l: usize,
         selections: &[Option<Vec<usize>>],
         fresh: &[bool],
-    ) -> Result<Vec<u64>, OutOfPagesError> {
-        let mut delta = MigrationDelta::default();
-        let result = self.residency_pass(state, pool, l, selections, fresh, &mut delta);
-        state.stats.add_migration(&delta);
-        result
-    }
-
-    /// The body of [`ModelExecutor::apply_residency`], accumulating all
-    /// migration traffic into `delta` so the wrapper commits it exactly once.
-    fn residency_pass(
-        &self,
-        state: &mut SequenceState,
-        pool: &mut PagePool,
-        l: usize,
-        selections: &[Option<Vec<usize>>],
-        fresh: &[bool],
-        delta: &mut MigrationDelta,
+        reserved: &mut usize,
     ) -> Result<Vec<u64>, OutOfPagesError> {
         let sync = pool.migration_mode() == MigrationMode::Sync;
+        let mut delta = MigrationDelta::default();
         let mut fetch_units = vec![0u64; selections.len()];
-        for (kv, selection) in selections.iter().enumerate() {
-            let Some(sel) = selection else {
-                // No selection this step: the kernel reads this head's whole
-                // page table (full-history dense attention, or a streaming
-                // window), so every page must be readable first. Non-resident
-                // pages appear here only on sequences seeded from a prefix
-                // snapshot captured after demotion — the common case is a
-                // no-op scan.
-                let head = state.layers[l].head(kv);
-                match head.ensure_resident(pool) {
-                    Some((p, u, unhidden)) => {
-                        delta.pages_promoted += p;
-                        delta.token_units += u;
-                        delta.unhidden_units += unhidden;
-                        fetch_units[kv] += unhidden;
-                    }
-                    None => return Err(OutOfPagesError),
-                }
-                continue;
-            };
-            let HeadCache::Dense(cache) = state.layers[l].head(kv) else {
-                continue;
-            };
-            let table = cache.page_table();
-            if let (Some(k), true) = (self.cfg.demote_after_chunks, fresh[kv]) {
-                if let Some(selector) = state.selectors[l][kv].as_ref() {
-                    for p in selector.stale_pages(k) {
-                        // Never demote the append target (the table's final
-                        // page) or anything the current selection reads.
-                        if p + 1 >= table.len() || sel.contains(&p) {
-                            continue;
-                        }
-                        if let Some(u) = pool.demote(table[p]) {
-                            delta.pages_demoted += 1;
-                            delta.token_units += u;
-                            if sync {
-                                // A synchronous demote stalls for the whole
-                                // copy; the engine hides it behind compute.
-                                delta.unhidden_units += u;
+        let result = 'pass: {
+            for (kv, selection) in selections.iter().enumerate() {
+                let Some(sel) = selection else {
+                    // No selection this step: the kernel reads this head's
+                    // whole page table (full-history dense attention, or a
+                    // streaming window), so every page must be readable
+                    // first. Non-resident pages appear here only on sequences
+                    // seeded from a prefix snapshot captured after demotion —
+                    // the common case is a no-op scan.
+                    let Some((p, u, unhidden)) = state.layers[l].head(kv).ensure_resident(pool)
+                    else {
+                        break 'pass Err(OutOfPagesError);
+                    };
+                    *reserved = reserved.saturating_sub(p as usize);
+                    delta.pages_promoted += p;
+                    delta.token_units += u;
+                    delta.unhidden_units += unhidden;
+                    fetch_units[kv] += unhidden;
+                    continue;
+                };
+                let HeadCache::Dense(cache) = state.layers[l].head(kv) else {
+                    continue;
+                };
+                let table = cache.page_table();
+                if let (Some(k), true) = (self.cfg.demote_after_chunks, fresh[kv]) {
+                    if let Some(selector) = state.selectors[l][kv].as_ref() {
+                        for p in selector.stale_pages(k) {
+                            // Never demote the append target (the table's
+                            // final page) or anything the current selection
+                            // reads.
+                            if p + 1 >= table.len() || sel.contains(&p) {
+                                continue;
+                            }
+                            if let Some(u) = pool.demote(table[p]) {
+                                delta.add_demotion(u, sync);
                             }
                         }
                     }
                 }
-            }
-            for &p in sel {
-                match pool.ensure_hot(table[p]) {
-                    Some((u, unhidden)) => {
-                        if u > 0 {
-                            delta.pages_promoted += 1;
-                        }
-                        delta.token_units += u;
-                        delta.unhidden_units += unhidden;
-                        fetch_units[kv] += unhidden;
+                for &p in sel {
+                    let id = table[p];
+                    let mut moved = None;
+                    if pool.holds_slot(id) || pool.free_pages() > *reserved {
+                        moved = pool.ensure_hot(id);
                     }
-                    None => return Err(OutOfPagesError),
+                    if moved.is_none() {
+                        match Self::exchange_out(state, pool, l, selections, kv) {
+                            Some((head, out, units)) => {
+                                delta.add_demotion(units, sync);
+                                pool.tracer().instant(
+                                    "exchange",
+                                    "kvcache",
+                                    lane::COPY,
+                                    1,
+                                    &[
+                                        ("layer", l as u64),
+                                        ("head", head as u64),
+                                        ("page_out", out.index() as u64),
+                                        ("page_in", id.index() as u64),
+                                    ],
+                                );
+                            }
+                            // Nothing to exchange: the slot, if one is free,
+                            // is one this promotion had reserved.
+                            None => *reserved = reserved.saturating_sub(1),
+                        }
+                        moved = pool.ensure_hot(id);
+                    }
+                    let Some((u, unhidden)) = moved else {
+                        break 'pass Err(OutOfPagesError);
+                    };
+                    if u > 0 {
+                        delta.pages_promoted += 1;
+                    }
+                    delta.token_units += u;
+                    delta.unhidden_units += unhidden;
+                    fetch_units[kv] += unhidden;
                 }
             }
+            Ok(fetch_units)
+        };
+        state.stats.add_migration(&delta);
+        result
+    }
+
+    /// Promotion by exchange: frees one hot slot for a page that head `kv` of
+    /// layer `l` selected, by demoting one of the same sequence's own pages
+    /// that no kernel reads this step — `kv`'s own first, then the layer's
+    /// other dense heads', each longest unselected first (the selector's
+    /// last-use order; oldest page on ties, unranked pages last). Never a
+    /// page in this step's selections, a table's final page (the append
+    /// target), a head read whole, or a co-owned page ([`PagePool::demote`]
+    /// refuses those: a batch peer may be about to read it). Returns `(head,
+    /// page, transfer units)` given up, or `None` when nothing is
+    /// exchangeable.
+    fn exchange_out(
+        state: &SequenceState,
+        pool: &mut PagePool,
+        l: usize,
+        selections: &[Option<Vec<usize>>],
+        kv: usize,
+    ) -> Option<(usize, PageId, u64)> {
+        let heads = std::iter::once(kv).chain((0..selections.len()).filter(|&h| h != kv));
+        for head in heads {
+            let (Some(sel), HeadCache::Dense(cache), Some(selector)) = (
+                selections[head].as_ref(),
+                state.layers[l].head(head),
+                state.selectors[l][head].as_ref(),
+            ) else {
+                continue;
+            };
+            let table = cache.page_table();
+            let stalest = (0..table.len().saturating_sub(1))
+                .filter(|p| {
+                    !sel.contains(p) && pool.holds_slot(table[*p]) && pool.refcount(table[*p]) == 1
+                })
+                .min_by_key(|&p| selector.last_selected(p));
+            if let Some(p) = stalest {
+                // Sole-owned and holding a slot: only a full bounded host
+                // with no nvme below it refuses, and it refuses every page.
+                return pool.demote(table[p]).map(|units| (head, table[p], units));
+            }
         }
-        Ok(fetch_units)
+        None
     }
 
     /// Transfers issued per head per step: only the single most recently
@@ -813,13 +937,15 @@ impl ModelExecutor {
     /// a genuinely free hot slot ([`PagePool::prefetch`] never evicts), and
     /// are tallied as `prefetch_wasted` in [`lserve_kvcache::MigrationStats`].
     /// `budget` is the sequence's remaining step-wide allowance
-    /// ([`Self::PREFETCH_PER_SEQ`]), decremented across layers.
+    /// ([`Self::PREFETCH_PER_SEQ`]), decremented across layers; `reserved`
+    /// free slots are left for the batch's own appends and promotions.
     fn issue_prefetches(
         &self,
         state: &mut SequenceState,
         pool: &mut PagePool,
         l: usize,
         budget: &mut usize,
+        reserved: usize,
     ) {
         let next_step = state.decode_step_idx + 1;
         for kv in 0..state.selectors[l].len() {
@@ -838,7 +964,11 @@ impl ModelExecutor {
             let table = cache.page_table();
             let mut issued = 0;
             for p in selector.prefetch_candidates(Self::PREFETCH_RECENCY_WINDOW) {
-                if issued >= Self::PREFETCH_PER_HEAD || *budget == 0 {
+                // Speculation never takes a slot the batch has reserved.
+                if issued >= Self::PREFETCH_PER_HEAD
+                    || *budget == 0
+                    || pool.free_pages() <= reserved
+                {
                     break;
                 }
                 // Never the append target (the table's final page).
@@ -978,6 +1108,27 @@ impl ModelExecutor {
         plan: &mut ShardingPlan,
         exec_stats: &mut ParallelExecStats,
     ) -> Vec<Result<DecodeOutput, OutOfPagesError>> {
+        let reserved = batch
+            .iter()
+            .map(|(state, _)| self.step_page_demand(state, pool))
+            .sum();
+        self.decode_batch_reserved(pool, batch, threads, plan, exec_stats, reserved)
+    }
+
+    /// [`ModelExecutor::decode_batch_sharded`] for a caller that has just
+    /// computed the batch's [`ModelExecutor::step_page_demand`] to check it
+    /// against the pool (the scheduler): `reserved` is that sum, the free hot
+    /// slots this step's appends and unexchangeable promotions still need.
+    /// Exchangeable promotions and prefetches leave them alone.
+    pub(crate) fn decode_batch_reserved(
+        &self,
+        pool: &mut PagePool,
+        batch: &mut [(&mut SequenceState, u32)],
+        threads: usize,
+        plan: &mut ShardingPlan,
+        exec_stats: &mut ParallelExecStats,
+        mut reserved: usize,
+    ) -> Vec<Result<DecodeOutput, OutOfPagesError>> {
         for (state, _) in batch.iter() {
             assert!(state.tokens_processed > 0, "decode before prefill");
         }
@@ -1010,6 +1161,7 @@ impl ModelExecutor {
                     continue;
                 };
                 let acts = pre_attention(model, lw, x, positions[i], &self.rope);
+                let appended = state.layers[l].pages_needed_for_next_token(pool);
                 if !state.layers[l].append_token(pool, acts.k.row(0), acts.v.row(0), d) {
                     xs[i] = None;
                     selections.push(Vec::new());
@@ -1017,6 +1169,7 @@ impl ModelExecutor {
                     fetch_units.push(Vec::new());
                     continue;
                 }
+                reserved = reserved.saturating_sub(appended);
                 let q_row = acts.q.row(0).to_vec();
                 let (sel, hint, fresh) = self.select_pages(state, pool, l, &q_row);
                 if tracer.is_enabled() {
@@ -1034,12 +1187,12 @@ impl ModelExecutor {
                 }
                 // Residency pass: demote selector-stale pages, promote any
                 // cold page the selection wants, before the kernels read.
-                match self.apply_residency(state, pool, l, &sel, &fresh) {
+                match self.apply_residency(state, pool, l, &sel, &fresh, &mut reserved) {
                     Ok(fetch) => fetch_units.push(fetch),
                     Err(_) => {
-                        // A required promotion did not fit the hot tier; the
-                        // sequence fails this step like any other OOM and the
-                        // serving layer replays it.
+                        // A required promotion found no slot and nothing
+                        // to exchange; the sequence fails this step like any
+                        // other OOM and the serving layer replays it.
                         xs[i] = None;
                         selections.push(Vec::new());
                         cost_hints.push(Vec::new());
@@ -1053,7 +1206,7 @@ impl ModelExecutor {
                 // Overlap window: promotions issued above ride the rest of
                 // this step's compute; prefetches below start a step early.
                 if pool.migration_mode() == MigrationMode::Async {
-                    self.issue_prefetches(state, pool, l, &mut prefetch_budget[i]);
+                    self.issue_prefetches(state, pool, l, &mut prefetch_budget[i], reserved);
                 }
             }
             // The serial phase costs one clock tick per live batch token.
@@ -1378,6 +1531,7 @@ fn decode_shard_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lserve_kvcache::{Residency, TierConfig};
     use lserve_model::{greedy_next_token, ModelConfig};
 
     fn tiny_weights() -> Arc<ModelWeights> {
@@ -1597,6 +1751,254 @@ mod tests {
         assert_eq!(got, want, "demotion changed the logits");
         assert!(demoted > 0, "stale pages must actually demote");
         assert!(peak_cold > 0, "cold tier must hold the demoted pages");
+    }
+
+    /// The exchange tests' engine: 8-token pages, a four-page selection
+    /// budget, a fresh scoring every other step.
+    fn exchange_cfg(demote_after_chunks: Option<usize>) -> EngineConfig {
+        EngineConfig {
+            paging: lserve_kvcache::PagingConfig::new(8, 4, lserve_quant::KvPrecision::Fp16),
+            dynamic_budget: Some(32),
+            reuse_interval: 2,
+            demote_after_chunks,
+            ..EngineConfig::lserve_fp16()
+        }
+    }
+
+    /// The tiny model with four KV heads, so that a layer has dense peers.
+    fn wide_weights() -> Arc<ModelWeights> {
+        let model = ModelConfig {
+            num_q_heads: 8,
+            num_kv_heads: 4,
+            ..ModelConfig::tiny()
+        };
+        Arc::new(ModelWeights::random(&model, 42))
+    }
+
+    /// A sequence 24 decode steps past a 40-token prompt: every dense head is
+    /// past its budget and its selector has a last-use history.
+    fn past_budget(exec: &ModelExecutor, pool: &mut PagePool) -> (SequenceState, u32) {
+        let mut s = exec.new_sequence();
+        let prompt: Vec<u32> = (0..40).map(|i| (i * 7 % 90) as u32).collect();
+        let mut next = greedy_next_token(&exec.prefill(&mut s, pool, &prompt).unwrap().logits);
+        for _ in 0..24 {
+            next = greedy_next_token(&exec.decode_step(&mut s, pool, next).unwrap().logits);
+        }
+        (s, next)
+    }
+
+    /// A layer with two dense heads, as `(layer, head, peer)`.
+    fn dense_pair(exec: &ModelExecutor) -> (usize, usize, usize) {
+        exec.head_kinds()
+            .iter()
+            .enumerate()
+            .find_map(|(l, kinds)| {
+                let mut dense = (0..kinds.len()).filter(|&h| kinds[h] == HeadKind::Dense);
+                Some((l, dense.next()?, dense.next()?))
+            })
+            .expect("a layer with two dense heads")
+    }
+
+    /// Selections that read the first and the last page of every dense head
+    /// of layer `l` (streaming heads are read whole).
+    fn first_and_last(s: &SequenceState, l: usize) -> Vec<Option<Vec<usize>>> {
+        (0..s.layers[l].num_heads())
+            .map(|h| match s.layers[l].head(h) {
+                HeadCache::Dense(c) => Some(vec![0, c.num_pages() - 1]),
+                HeadCache::Streaming(_) => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn exchange_gives_up_the_stalest_page_no_kernel_reads() {
+        let cfg = exchange_cfg(None);
+        let w = wide_weights();
+        let mut pool = PagePool::new(cfg.paging, 4096, w.config.head_dim);
+        let exec = ModelExecutor::new(w, cfg);
+        let (s, _) = past_budget(&exec, &mut pool);
+        let (l, kv, peer) = dense_pair(&exec);
+        let mut selections = first_and_last(&s, l);
+        let table = s.layers[l].head(kv).as_dense().page_table().to_vec();
+        let selector = s.selectors[l][kv].as_ref().unwrap();
+
+        // Its own head first, and there the page unselected the longest.
+        let stalest = (1..=24)
+            .rev()
+            .map(|k| selector.stale_pages(k))
+            .find_map(|stale| {
+                let eligible: Vec<PageId> = stale
+                    .into_iter()
+                    .filter(|&p| p != 0 && p + 1 < table.len())
+                    .map(|p| table[p])
+                    .collect();
+                (!eligible.is_empty()).then_some(eligible)
+            })
+            .expect("a head past its budget has unselected pages");
+        let (head, out, units) =
+            ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).unwrap();
+        assert_eq!(head, kv);
+        assert!(stalest.contains(&out), "{out:?} is not among {stalest:?}");
+        assert_eq!(pool.residency(out), Residency::Cold);
+        assert_eq!(units, 8, "one page of token-units");
+
+        // Never a co-owned page: with every candidate but one shared, that one.
+        let candidates: Vec<PageId> = table[1..table.len() - 1]
+            .iter()
+            .copied()
+            .filter(|&id| id != out)
+            .collect();
+        for &id in &candidates[1..] {
+            pool.retain(id);
+        }
+        let (head, sole, _) =
+            ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).unwrap();
+        assert_eq!((head, sole), (kv, candidates[0]));
+        for &id in &candidates[1..] {
+            pool.free(id);
+        }
+
+        // Never a selected page, and another head's only when its own has
+        // nothing left: with all of `kv` selected, the peer gives one up.
+        selections[kv] = Some((0..table.len()).collect());
+        let (head, lent, _) =
+            ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).unwrap();
+        assert_eq!(head, peer);
+        let peer_table = s.layers[l].head(peer).as_dense().page_table();
+        let lent_at = peer_table.iter().position(|&id| id == lent).unwrap();
+        assert!(lent_at != 0 && lent_at + 1 < peer_table.len());
+
+        // Exhaust the layer: no peer gave up a page a kernel reads or an
+        // append writes, streaming heads and other layers were never touched.
+        while ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).is_some() {}
+        for (h, selection) in selections.iter().enumerate().filter(|&(h, _)| h != kv) {
+            match (s.layers[l].head(h), selection) {
+                (HeadCache::Dense(c), Some(sel)) => {
+                    for (p, &id) in c.page_table().iter().enumerate() {
+                        let read = sel.contains(&p) || p + 1 == c.num_pages();
+                        assert!(pool.is_hot(id) || !read, "head {h} page {p}");
+                    }
+                }
+                (head, _) => assert_eq!(head.cold_pages(&pool), 0, "head {h} is read whole"),
+            }
+        }
+        for other in (0..s.layers.len()).filter(|&o| o != l) {
+            assert_eq!(s.layers[other].cold_pages(&pool), 0);
+        }
+    }
+
+    #[test]
+    fn residency_fails_only_when_nothing_is_exchangeable() {
+        let cfg = exchange_cfg(None);
+        let w = wide_weights();
+        let mut pool = PagePool::new(cfg.paging, 4096, w.config.head_dim);
+        let exec = ModelExecutor::new(w, cfg);
+        let (mut s, _) = past_budget(&exec, &mut pool);
+        let (l, kv, _) = dense_pair(&exec);
+        let mut selections = first_and_last(&s, l);
+        let fresh = vec![false; selections.len()];
+
+        // One cold page selected, and not one free hot slot.
+        let wanted = s.layers[l].head(kv).as_dense().page_table()[1];
+        pool.demote(wanted).unwrap();
+        selections[kv].as_mut().unwrap().insert(1, 1);
+        while pool.allocate().is_some() {}
+        let hot = pool.in_use();
+
+        // Every page co-owned: nothing to exchange, the pass fails clean.
+        s.retain_pages(&mut pool);
+        let failed = exec.apply_residency(&mut s, &mut pool, l, &selections, &fresh, &mut 0);
+        assert_eq!(failed, Err(OutOfPagesError));
+        assert_eq!(pool.residency(wanted), Residency::Cold);
+        assert_eq!(s.stats().pages_demoted + s.stats().pages_promoted, 0);
+
+        // Sole-owned again: one transfer each way, zero net hot pages.
+        s.clone().release(&mut pool);
+        let fetched = exec
+            .apply_residency(&mut s, &mut pool, l, &selections, &fresh, &mut 0)
+            .unwrap();
+        assert!(pool.is_hot(wanted));
+        assert_eq!(pool.in_use(), hot);
+        assert_eq!((s.stats().pages_demoted, s.stats().pages_promoted), (1, 1));
+        assert_eq!(s.stats().migrated_token_units, 16);
+        assert_eq!(fetched[kv], 8, "the promotion stalls its own shard");
+    }
+
+    /// A hot tier with exactly the reserved pages free before every step —
+    /// each promotion has to exchange — emits the logits of the
+    /// always-resident run, bit for bit, under either migration engine and
+    /// with or without a bounded host over an nvme tier.
+    #[test]
+    fn exchange_is_bit_identical_to_the_always_resident_run() {
+        let w = wide_weights();
+        let run = |tight: Option<(MigrationMode, TierConfig)>| {
+            let cfg = exchange_cfg(tight.map(|_| 2));
+            let exec = ModelExecutor::new(Arc::clone(&w), cfg.clone());
+            let (mode, tiers) = tight.unwrap_or_default();
+            let mut pool =
+                PagePool::new_with_tiers(cfg.paging, 4096, w.config.head_dim, mode, tiers);
+            let tracer = Tracer::ring(1 << 16);
+            pool.set_tracer(tracer.clone());
+            let (mut s, mut next) = past_budget(&exec, &mut pool);
+            let mut demoted = 0;
+            if tight.is_some() {
+                // Every other page starts cold, so selections keep finding some.
+                for layer in &s.layers {
+                    for h in (0..layer.num_heads()).filter(|&h| !layer.head(h).is_streaming()) {
+                        for &id in layer
+                            .head(h)
+                            .as_dense()
+                            .page_table()
+                            .iter()
+                            .skip(1)
+                            .step_by(2)
+                        {
+                            demoted += u64::from(pool.demote(id).is_some());
+                        }
+                    }
+                }
+            }
+            let mut fillers = Vec::new();
+            let mut bits: Vec<Vec<u32>> = Vec::new();
+            for _ in 0..40 {
+                // Allocating lands in-flight demotions, which moves the
+                // demand: settle on the fixed point.
+                loop {
+                    let need = exec.step_page_demand(&s, &pool);
+                    if tight.is_some() && pool.free_pages() > need {
+                        fillers.push(pool.allocate().unwrap());
+                    } else if pool.free_pages() < need {
+                        pool.free(fillers.pop().unwrap());
+                    } else {
+                        break;
+                    }
+                }
+                let out = exec.decode_step(&mut s, &mut pool, next).unwrap();
+                next = greedy_next_token(&out.logits);
+                bits.push(out.logits.iter().map(|x| x.to_bits()).collect());
+            }
+            let (events, _) = tracer.drain();
+            let exchanges = events.iter().filter(|e| e.name == "exchange").count();
+            // Sweeps and exchanges alike went through `add_migration`.
+            assert_eq!(
+                s.stats().pages_demoted + demoted,
+                pool.tier_stats().pages_demoted
+            );
+            (bits, exchanges)
+        };
+        let (want, none) = run(None);
+        assert_eq!(none, 0, "an always-resident run never exchanges");
+        let bounded = TierConfig {
+            host_pages: 6,
+            nvme: true,
+        };
+        for mode in [MigrationMode::Sync, MigrationMode::Async] {
+            for tiers in [TierConfig::default(), bounded] {
+                let (got, exchanges) = run(Some((mode, tiers)));
+                assert!(exchanges > 0, "{mode:?} {tiers:?}: nothing exchanged");
+                assert_eq!(got, want, "{mode:?} {tiers:?}: logits diverged");
+            }
+        }
     }
 
     #[test]

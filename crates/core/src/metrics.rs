@@ -125,6 +125,7 @@ impl ServingReport {
             ("cancelled", Json::from(self.cancelled.len() as u64)),
             ("rejected", Json::from(self.rejections.len() as u64)),
             ("preemptions", Json::from(self.preemptions)),
+            ("unclean_replays", Json::from(self.unclean_replays)),
             ("peak_running", Json::from(self.peak_running)),
             ("mean_running", Json::from(self.mean_running())),
             ("peak_hot_pages", Json::from(self.peak_pages)),

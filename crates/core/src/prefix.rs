@@ -22,7 +22,9 @@
 //! partly-cold snapshot promotes pages through the executor's residency pass
 //! the first time a selection (or full-history read) touches them.
 
-use lserve_kvcache::PagePool;
+use std::collections::HashSet;
+
+use lserve_kvcache::{PageId, PagePool};
 use lserve_prefixcache::PrefixPages;
 
 use crate::executor::SequenceState;
@@ -52,6 +54,19 @@ impl CachedPrefix {
     /// Prefix length in tokens.
     pub fn tokens(&self) -> usize {
         self.state.context_len()
+    }
+
+    /// True when this snapshot is the only thing keeping a page of `owned`
+    /// (one sequence's page set) from moving down-tier: the page holds a hot
+    /// slot and has exactly two owners, that sequence and this snapshot. A
+    /// snapshot whose pages all have a third owner — a live sequence seeded
+    /// from it, another entry over the same pages — pins nothing of its own:
+    /// evicting it would relieve nothing.
+    pub fn pins(&self, owned: &HashSet<PageId>, pool: &PagePool) -> bool {
+        self.state
+            .page_ids(pool)
+            .iter()
+            .any(|id| owned.contains(id) && pool.refcount(*id) == 2 && pool.holds_slot(*id))
     }
 
     /// Creates a new sequence continuing from this prefix: clones the snapshot

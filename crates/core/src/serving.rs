@@ -69,12 +69,12 @@
 //! across chunk sizes, pool pressures, KV precisions, preemption policies, and
 //! decode worker-thread counts.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use lserve_kvcache::{
-    migration_from_env, tier_config_from_env, MigrationMode, PagePool, TierConfig,
+    migration_from_env, tier_config_from_env, MigrationMode, PageId, PagePool, TierConfig,
 };
 use lserve_model::{greedy_next_token, ModelConfig, ModelWeights};
 use lserve_prefixcache::{PrefixCache, PrefixCacheStats};
@@ -846,6 +846,10 @@ pub struct ServingReport {
     pub peak_pages: usize,
     /// Total preemption events across the run.
     pub preemptions: u64,
+    /// Preemptions no victim choice made: a feed or decode step failed
+    /// part-way (its reservation fell short) and the sequence was dropped
+    /// and replayed from scratch. Zero is the work-conserving invariant.
+    pub unclean_replays: u64,
     /// Per-request latency metrics for completed requests, sorted by request
     /// id on completion.
     pub request_metrics: Vec<RequestMetrics>,
@@ -1992,10 +1996,13 @@ impl Scheduler {
             // A swapped-out victim resumes by promotion, not by re-feeding:
             // its exact hot demand is its cold page count plus its own
             // demotions still in flight on the copy engine (forcing one frees
-            // a slot but lands a new cold page — net-zero supply). Evict idle
+            // a slot but lands a new cold page — net-zero supply), plus the
+            // pages its next token appends — resumed short of those, it
+            // would be preempted again before taking a step. Evict idle
             // cached prefixes first, exactly like fresh admission does.
             if let Some(parked) = &front.swap {
-                let need = parked.state.swap_in_demand(&self.pool);
+                let need = parked.state.swap_in_demand(&self.pool)
+                    + parked.state.pages_needed_for_next_token(&self.pool);
                 while need > self.pool.free_pages() {
                     if !self.evict_prefix_one() {
                         break;
@@ -2003,10 +2010,13 @@ impl Scheduler {
                 }
                 if need > self.pool.free_pages() {
                     // With nothing running, no future completion will free hot
-                    // pages — spill the swap-parked states (including this
-                    // one) back to replay so admission can always make
-                    // progress, then retry.
-                    if self.running.is_empty() && self.spill_swapped_queue() {
+                    // pages — spill a swap-parked state that holds some, or,
+                    // when none does, this one (its swap-in can never fit),
+                    // so admission always makes progress; then retry.
+                    if self.running.is_empty() {
+                        if !self.spill_swapped_queue(need) {
+                            self.spill_parked(0);
+                        }
                         continue;
                     }
                     break; // wait for hot pages to free up
@@ -2113,7 +2123,7 @@ impl Scheduler {
                 // Swap-parked states can pin shared prefix pages the eviction
                 // loop cannot free; with nothing running, spilling them back
                 // to replay is the only way admission can make progress.
-                if self.running.is_empty() && self.spill_swapped_queue() {
+                if self.running.is_empty() && self.spill_swapped_queue(need) {
                     continue;
                 }
                 break; // wait for running sequences to finish or be preempted
@@ -2264,10 +2274,7 @@ impl Scheduler {
         if prompt.len() < chunk || absorbed < chunk {
             return;
         }
-        let mut key: Vec<u32> = prompt[..prompt.len().min(absorbed)].to_vec();
-        if absorbed > prompt.len() {
-            key.extend(&generated[..absorbed - prompt.len()]);
-        }
+        let key = absorbed_stream(prompt, generated, state);
         debug_assert_eq!(key.len(), absorbed);
         if self.prefix.is_cached(&key) {
             return;
@@ -2359,13 +2366,13 @@ impl Scheduler {
                     if self.evict_prefix_one() {
                         continue;
                     }
-                    if self.make_room_below(my_key) {
+                    // A swap-parked state may pin the very prefix pages the
+                    // eviction loop needs: finish that victim's relief
+                    // before preempting another.
+                    if self.spill_swapped_queue(need) {
                         continue;
                     }
-                    // Swap-parked states may pin the very prefix pages the
-                    // eviction loop needs; spill them to replay (what Replay
-                    // freed at preemption time) before giving up.
-                    if !self.spill_swapped_queue() {
+                    if !self.make_room_below(my_key) {
                         break;
                     }
                 }
@@ -2422,19 +2429,17 @@ impl Scheduler {
             let cont_id = self.running[i].core.spec.id;
             let mut cont_fed = 0u64;
             while budget > 0 && self.running[i].fed < self.running[i].feed_len() {
-                let need = self.running[i]
-                    .state
-                    .pages_needed_for_next_token(&self.pool);
+                let need = exec.step_page_demand(&self.running[i].state, &self.pool);
                 if need > self.pool.free_pages() {
                     if self.evict_prefix_one() {
                         continue;
                     }
-                    if self.make_room_below(my_key) {
+                    // Unpin prefix pages held by swap-parked peers before
+                    // preempting another or stalling the feed.
+                    if self.spill_swapped_queue(need) {
                         continue;
                     }
-                    // Unpin prefix pages held by swap-parked peers (degrading
-                    // them to replay) before stalling the feed.
-                    if self.spill_swapped_queue() {
+                    if self.make_room_below(my_key) {
                         continue;
                     }
                     break; // wait for a later iteration
@@ -2443,12 +2448,13 @@ impl Scheduler {
                 let t = self.running[i].feed_token(fed_pos);
                 let mut one = [(&mut self.running[i].state, t)];
                 let result = exec
-                    .decode_batch_sharded(
+                    .decode_batch_reserved(
                         &mut self.pool,
                         &mut one,
                         self.scfg.decode_threads,
                         &mut self.plan,
                         &mut self.report.parallel,
+                        need,
                     )
                     .pop()
                     .expect("one result per input sequence");
@@ -2468,10 +2474,12 @@ impl Scheduler {
                         }
                     }
                     Err(_) => {
-                        // Exact reservation should prevent this; self-preempt to
-                        // discard the partially-written token and replay later.
-                        // Always the replay path: the state is unclean and must
-                        // not be parked for swap-resume.
+                        // `step_page_demand` was reserved above, so only an
+                        // exchange whose demotion a full bounded host (no nvme
+                        // below it) refused reaches this arm. Self-preempt to
+                        // discard the partially-written token; always by
+                        // replay: an unclean state must not be parked.
+                        self.report.unclean_replays += 1;
                         self.preempt_index_replay(i);
                         break;
                     }
@@ -2497,27 +2505,28 @@ impl Scheduler {
     /// cost- and class-chosen victim until demand fits, then run the batched
     /// decode step.
     fn decode_phase(&mut self, now: u64) {
-        loop {
+        let exec = Arc::clone(&self.exec);
+        let reserved = loop {
             let demand: usize = self
                 .running
                 .iter()
                 .filter(|s| s.last_token.is_some())
-                .map(|s| s.state.pages_needed_for_next_token(&self.pool))
+                .map(|s| exec.step_page_demand(&s.state, &self.pool))
                 .sum();
             if demand <= self.pool.free_pages() {
-                break;
+                break demand;
             }
             // Cached-but-idle prefixes go first; preemption is the last resort.
             if self.evict_prefix_one() {
                 continue;
             }
             if self.running.len() <= 1 {
-                // Before truncating the lone sequence, spill swap-parked
-                // states back to replay: releasing their pages unpins any
-                // prefix-cache entries they co-own — exactly what the Replay
-                // policy would already have freed at preemption time — and
-                // keeps bounded-memory truncation policy-independent.
-                if self.spill_swapped_queue() {
+                // Before truncating the lone sequence, get swap-parked
+                // states that still hold hot pages out of the hot tier —
+                // what the Replay policy would already have freed at
+                // preemption time — which keeps bounded-memory truncation
+                // policy-independent.
+                if self.spill_swapped_queue(demand) {
                     continue;
                 }
                 // Then reclaim every page the cache still holds exclusively.
@@ -2545,9 +2554,8 @@ impl Scheduler {
                 .pick_victim(Some(best))
                 .expect("more than one running sequence with unique ranks");
             self.preempt_index(victim);
-        }
+        };
         // Batched decode: one token for every sequence whose feed is complete.
-        let exec = Arc::clone(&self.exec);
         let mut batch_idx: Vec<usize> = Vec::new();
         let mut batch: Vec<(&mut SequenceState, u32)> = Vec::new();
         for (i, seq) in self.running.iter_mut().enumerate() {
@@ -2559,12 +2567,13 @@ impl Scheduler {
         if batch.is_empty() {
             return;
         }
-        let results = exec.decode_batch_sharded(
+        let results = exec.decode_batch_reserved(
             &mut self.pool,
             &mut batch,
             self.scfg.decode_threads,
             &mut self.plan,
             &mut self.report.parallel,
+            reserved,
         );
         drop(batch);
         // Walk results in reverse index order so removals (completion, fallback
@@ -2578,9 +2587,11 @@ impl Scheduler {
                     self.emit_token(i, next, now);
                 }
                 Err(_) => {
-                    // Reservation makes this unreachable in practice; keep the
-                    // conservative fallback anyway. Replay, never swap: the
-                    // failed step left the state partially written.
+                    // The batch's `step_page_demand` was reserved above and
+                    // the executor spends free slots only within it: only an
+                    // exchange a full bounded host (no nvme) refused reaches
+                    // this arm. Replay, never swap: the state is unclean.
+                    self.report.unclean_replays += 1;
                     self.preempt_index_replay(i);
                 }
             }
@@ -2861,9 +2872,13 @@ impl Scheduler {
     /// [`Scheduler::preempt_index_replay`] and releases the pages instead.
     /// A partially refused swap-out still parks: every page that did move is
     /// a hot slot relieved, and the remainder stays hot for a cheap resume.
+    /// A victim that holds no page yet has nothing to swap either, and
+    /// requeues as the fresh admission it still is.
     fn preempt_index_swap(&mut self, i: usize) {
         let (moved, _) = self.running[i].state.demote_resident(&mut self.pool);
-        if moved == 0 && self.running[i].state.sole_owned_hot_pages(&self.pool) > 0 {
+        let state = &self.running[i].state;
+        if moved == 0 && (state.resident_pages() == 0 || state.sole_owned_hot_pages(&self.pool) > 0)
+        {
             self.preempt_index_replay(i);
             return;
         }
@@ -2902,49 +2917,79 @@ impl Scheduler {
         });
     }
 
-    /// Last-resort pressure relief under [`PreemptionPolicy::Swap`]: spills
-    /// every swap-parked state in the queue. With the prefix cache on, the
-    /// spill is *partial*: the parked state's completed prefix is donated
-    /// into the cache first, then the state is released — its sole-owned
-    /// cold/nvme pages drop, but the prefix seed (the pages a re-admission
-    /// can share) survives in the tree, so the request replays only the
-    /// suffix past its deepest cache hit instead of degrading all the way
-    /// to a full replay. Without the prefix cache it is the historical full
-    /// spill: everything released, resume by complete re-feed.
-    ///
-    /// Either way this drops the parked states' references on shared prefix
-    /// pages, so the eviction loop regains everything the Replay policy
-    /// would have freed at preemption time — a donated entry sole-owning
-    /// its pages is exactly what [`Scheduler::evict_prefix_one`] can spill
-    /// down-tier or evict under further pressure. Returns `true` if any
-    /// state was spilled.
-    fn spill_swapped_queue(&mut self) -> bool {
-        let mut any = false;
-        for qi in 0..self.queue.len() {
-            let Some(mut swap) = self.queue[qi].swap.take() else {
-                continue;
-            };
-            // Donate before releasing. The borrow dance: donation needs
-            // `&mut self` (cache + pool), so lift the key material out of
-            // the queue entry and put it back after.
-            let prompt = std::mem::take(&mut self.queue[qi].core.prompt);
-            let generated = std::mem::take(&mut self.queue[qi].generated);
+    /// Last-resort pressure relief under [`PreemptionPolicy::Swap`], for a
+    /// caller short of `need` pages: spills the worst-ranked swap-parked
+    /// state whose spill relieves that shortage — one that still holds hot
+    /// pages (kept hot by a co-owner or a refused demotion), or any parked
+    /// state when it is the bounded hierarchy's total that is short. A state
+    /// parked entirely below the hot tier frees no hot slot and is left to
+    /// resume by promotion. Returns `false` when `need` already fits or no
+    /// such state is parked; callers loop over their eviction ladder, so
+    /// states go one at a time and only until the demand fits.
+    fn spill_swapped_queue(&mut self, need: usize) -> bool {
+        if !self.admission_blocked(need) {
+            return false;
+        }
+        let total_short = need > self.tier_free_total();
+        let victim = self.queue.iter().rposition(|q| {
+            q.swap.as_ref().is_some_and(|s| {
+                total_short || s.state.resident_pages() > s.state.swap_in_demand(&self.pool)
+            })
+        });
+        let Some(qi) = victim else {
+            return false;
+        };
+        self.spill_parked(qi);
+        true
+    }
+
+    /// Gets the swap-parked queue entry `qi` out of the hot tier. What pins a
+    /// parked state's pages hot is mostly the prefix cache — the prefixes this
+    /// very sequence donated co-own them, and the pool demotes no co-owned
+    /// page — so the cache lets go first: each cached prefix of the state's
+    /// token stream that is the last other owner of one of its hot pages
+    /// ([`CachedPrefix::pins`]) is evicted, deepest first, the pages demote,
+    /// and the state stays parked intact (it donates again at its next
+    /// donation point). A prefix someone else holds too — a shared system
+    /// prompt a live request was seeded from — stays cached: evicting it
+    /// would free nothing. Only a state still holding hot pages after that
+    /// (shared with a live sequence, or a full bounded host refused) degrades
+    /// to a replay: its completed prefix is donated, so only the suffix past
+    /// its deepest cache hit is re-fed, then it is released — what Replay
+    /// would have freed at preemption time.
+    fn spill_parked(&mut self, qi: usize) {
+        let mut swap = self.queue[qi].swap.take().expect("a swap-parked entry");
+        // The cache and the pool need `&mut self`, so lift the key material
+        // out of the queue entry and put it back after.
+        let prompt = std::mem::take(&mut self.queue[qi].core.prompt);
+        let generated = std::mem::take(&mut self.queue[qi].generated);
+        let id = self.queue[qi].core.spec.id;
+        let absorbed = absorbed_stream(&prompt, &generated, &swap.state);
+        let owned: HashSet<PageId> = swap.state.page_ids(&self.pool).into_iter().collect();
+        let evicted = self
+            .prefix
+            .evict_prefixes_of(&mut self.pool, &absorbed, |v, pool| v.pins(&owned, pool));
+        self.report.prefix_evictions += evicted as u64;
+        let parked = evicted > 0 && {
+            swap.state.demote_resident(&mut self.pool);
+            swap.state.resident_pages() == swap.state.swap_in_demand(&self.pool)
+        };
+        if !parked {
             if self.queue[qi].core.spec.sparsity.is_empty() {
                 self.donate_tokens(&prompt, &generated, &swap.state);
             }
             swap.state.release(&mut self.pool);
-            self.queue[qi].core.prompt = prompt;
-            self.queue[qi].generated = generated;
-            self.scfg.tracer.instant(
-                "swap.spill",
-                "scheduler",
-                lane::SCHEDULER,
-                self.queue[qi].core.spec.id,
-                &[],
-            );
-            any = true;
         }
-        any
+        self.scfg.tracer.instant(
+            if parked { "swap.unpin" } else { "swap.spill" },
+            "scheduler",
+            lane::SCHEDULER,
+            id,
+            &[("evicted", evicted as u64)],
+        );
+        self.queue[qi].core.prompt = prompt;
+        self.queue[qi].generated = generated;
+        self.queue[qi].swap = parked.then_some(swap);
     }
 
     /// Inserts a request into the queue, keeping it sorted by scheduling rank
@@ -2959,6 +3004,18 @@ impl Scheduler {
             .unwrap_or(self.queue.len());
         self.queue.insert(pos, q);
     }
+}
+
+/// The token stream a clean state has absorbed: `prompt ++ generated`,
+/// truncated to `state.context_len()` — the key its snapshot is cached under.
+fn absorbed_stream(prompt: &[u32], generated: &[u32], state: &SequenceState) -> Vec<u32> {
+    let absorbed = state.context_len();
+    prompt
+        .iter()
+        .chain(generated)
+        .take(absorbed)
+        .copied()
+        .collect()
 }
 
 /// Multi-sequence serving engine over one shared page pool.
@@ -3565,8 +3622,98 @@ mod tests {
                     swap.hidden_transfer_tokens > 0,
                     "overlapped resume transfers must be hidden"
                 );
-                assert!(swap.migration_overlap_ratio() > 0.5);
+                // This pool holds one sequence, so the scene has one right
+                // schedule: the victim goes out once, every unit of that
+                // hidden behind the survivor's decode steps, and comes back
+                // once the survivor is done — when its next step fits and
+                // nothing is left running to hide the swap-in behind. A
+                // second preemption is a resume taken before its step fit (5
+                // of them bought the 0.83 overlap this scene once reported);
+                // any other split of the units is a swap-out that stalled.
+                assert_eq!(swap.preemptions, 1);
+                assert_eq!(swap.pages_promoted, swap.pages_demoted);
+                let one_way = lserve_kvcache::transfer_cost_tokens(
+                    swap.pages_demoted * cfg.paging.physical_page_size() as u64,
+                );
+                assert_eq!(swap.hidden_transfer_tokens, one_way, "swap-out hidden");
+                assert_eq!(swap.migration_stall_tokens, one_way, "swap-in not");
             }
+        }
+    }
+
+    /// The work-conserving invariant on a tiny copy of the benchmark's
+    /// overcommitted scene — twelve unshared prompts into a pool of 2.5
+    /// sequences over a bounded host and nvme, selection-driven demotion on:
+    /// no step fails part-way, nothing a parked victim computed is thrown
+    /// away, and every output equals its solo run, cache off and on.
+    #[test]
+    fn overcommit_recomputes_nothing_and_never_replays_unclean() {
+        let w = weights();
+        let mut cfg = EngineConfig::lserve_fp16();
+        cfg.paging = lserve_kvcache::PagingConfig::new(8, 4, lserve_quant::KvPrecision::Fp16);
+        cfg.prefill_tile = 8;
+        cfg.dynamic_budget = Some(32);
+        cfg.reuse_interval = 2;
+        cfg.demote_after_chunks = Some(2);
+        let exec = Arc::new(ModelExecutor::new(Arc::clone(&w), cfg.clone()));
+        let specs: Vec<RequestSpec> = (0..12u64)
+            .map(|i| {
+                let len = 96 + 12 * (i as usize % 4);
+                let prompt = (0..len).map(|t| ((t * 7 + i as usize * 13) % 90) as u32);
+                RequestSpec::new(i, prompt.collect()).max_new_tokens(24)
+            })
+            .collect();
+        let one = sequence_pages_estimate(&cfg, &w.config, 96 + 36 + 24);
+        let floor: usize = specs
+            .iter()
+            .map(|r| r.prompt.len() + r.max_new_tokens)
+            .sum();
+
+        let solo: Vec<Vec<u32>> = specs
+            .iter()
+            .map(|r| {
+                let mut scfg = SchedulerConfig::new(4 * one);
+                scfg.chunk_tokens = 16;
+                scfg.host_pages = 0;
+                scfg.nvme = false;
+                let mut sched = Scheduler::new(Arc::clone(&exec), scfg);
+                sched.submit(r.clone());
+                sched.run_to_completion(100_000).completed.remove(0).1
+            })
+            .collect();
+
+        for prefix_cache in [false, true] {
+            let mut scfg = SchedulerConfig::new(one * 5 / 2);
+            scfg.chunk_tokens = 16;
+            scfg.max_batch = 64;
+            scfg.admission = AdmissionPolicy::FirstChunk;
+            scfg.prefix_cache = prefix_cache;
+            scfg.preemption = PreemptionPolicy::Swap;
+            scfg.migration = MigrationMode::Async;
+            scfg.host_pages = 2 * one;
+            scfg.nvme = true;
+            let mut sched = Scheduler::new(Arc::clone(&exec), scfg);
+            let handles: Vec<RequestHandle> =
+                specs.iter().map(|r| sched.submit(r.clone())).collect();
+            let r = sched.run_to_completion(100_000);
+            let outputs: Vec<Vec<u32>> = r.completed.iter().map(|(_, t)| t.clone()).collect();
+            assert_eq!(
+                outputs, solo,
+                "cache {prefix_cache}: outputs differ from solo runs"
+            );
+            for h in &handles {
+                let terminal = h.drain_events().iter().filter(|e| e.is_terminal()).count();
+                assert_eq!(terminal, 1, "cache {prefix_cache}: request {}", h.id());
+            }
+            assert!(r.preemptions > 0, "cache {prefix_cache}: no pressure");
+            assert_eq!(r.unclean_replays, 0, "cache {prefix_cache}");
+            assert!(
+                sched.work_tokens() as f64 <= 1.15 * floor as f64,
+                "cache {prefix_cache}: {} work tokens for a floor of {floor}",
+                sched.work_tokens()
+            );
+            sched.flush_prefix_cache();
+            assert_eq!(sched.pool_in_use() + sched.pool_cold_in_use(), 0);
         }
     }
 
@@ -3694,6 +3841,71 @@ mod tests {
         sched.flush_prefix_cache();
         assert_eq!(sched.pool_in_use(), 0);
         assert_eq!(sched.pool_cold_in_use(), 0);
+    }
+
+    #[test]
+    fn spilling_a_parked_victim_keeps_the_prefix_a_live_request_shares() {
+        // Two requests over one 32-token system prompt. Request 1 donates it
+        // and keeps running; request 2 is seeded from it, donates two anchors
+        // of its own, and is swapped out and spilled. The cache lets go of
+        // what pins the victim's pages and nothing else: its private anchors
+        // go, the shared entries — which request 1 is still reading, so that
+        // evicting them would free no page — stay.
+        let w = weights();
+        let mut cfg = EngineConfig::lserve_fp16();
+        cfg.paging = lserve_kvcache::PagingConfig::new(8, 4, lserve_quant::KvPrecision::Fp16);
+        cfg.prefill_tile = 8;
+        let exec = Arc::new(ModelExecutor::new(Arc::clone(&w), cfg));
+        let prompt = |tail: usize| -> Vec<u32> {
+            let own = (0..32).map(|t| (40 + (t * 5 + tail) % 50) as u32);
+            (0..32u32).chain(own).collect()
+        };
+        let specs = [
+            RequestSpec::new(1, prompt(0)).max_new_tokens(40),
+            RequestSpec::new(2, prompt(7)).max_new_tokens(8),
+        ];
+        let run = |prefix_cache: bool, drive: &dyn Fn(&mut Scheduler)| {
+            let mut scfg = SchedulerConfig::new(4096);
+            scfg.chunk_tokens = 16;
+            scfg.prefix_cache = prefix_cache;
+            scfg.preemption = PreemptionPolicy::Swap;
+            let mut sched = Scheduler::new(Arc::clone(&exec), scfg);
+            drive(&mut sched);
+            let r = sched.run_to_completion(10_000);
+            assert_eq!(r.unclean_replays, 0);
+            sched.flush_prefix_cache();
+            assert_eq!((sched.pool_in_use(), sched.pool_cold_in_use()), (0, 0));
+            r.completed
+        };
+        let solo = run(false, &|sched| {
+            for spec in &specs {
+                sched.submit(spec.clone());
+            }
+        });
+        let shared = run(true, &|sched| {
+            sched.submit(specs[0].clone());
+            while !sched.prefix.is_cached(&specs[0].prompt[..32]) {
+                sched.step();
+            }
+            sched.submit(specs[1].clone());
+            while !sched.prefix.is_cached(&specs[1].prompt) {
+                sched.step();
+            }
+            assert!(sched.prefix.stats().hits > 0, "request 2 was seeded");
+            let victim = sched.running.iter().position(|s| s.core.spec.id == 2);
+            sched.preempt_index(victim.expect("request 2 is running"));
+            assert_eq!(sched.running(), 1, "request 1 runs on");
+            let parked = sched.queue.iter().position(|q| q.swap.is_some());
+            sched.spill_parked(parked.expect("request 2 is parked"));
+            for depth in [16, 32] {
+                assert!(
+                    sched.prefix.is_cached(&specs[0].prompt[..depth]),
+                    "the shared {depth}-token prefix was evicted"
+                );
+            }
+            assert!(!sched.prefix.is_cached(&specs[1].prompt[..48]));
+        });
+        assert_eq!(shared, solo);
     }
 
     #[test]

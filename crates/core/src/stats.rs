@@ -62,6 +62,18 @@ pub struct MigrationDelta {
     pub unhidden_units: u64,
 }
 
+impl MigrationDelta {
+    /// Counts one page demoted at `units`. A synchronous demote stalls for
+    /// the whole copy; the engine hides it behind compute.
+    pub fn add_demotion(&mut self, units: u64, sync: bool) {
+        self.pages_demoted += 1;
+        self.token_units += units;
+        if sync {
+            self.unhidden_units += units;
+        }
+    }
+}
+
 impl EngineStats {
     /// Folds one layer's prefill counters in.
     pub fn add_prefill(&mut self, dense: PrefillStats, streaming: PrefillStats) {

@@ -1,6 +1,6 @@
 //! Page table of a dense (retrieval) head: full KV history with `K_stats`.
 
-use crate::{MigrationDir, PageId, PagePool, Residency};
+use crate::{PageId, PagePool, Residency};
 
 /// The KV history of one dense head: a page table over the full context, every page
 /// carrying key statistics for dynamic page selection (Figure 5, "Dense Head Pages").
@@ -230,15 +230,7 @@ impl DenseHeadCache {
     pub fn swap_in_demand(&self, pool: &PagePool) -> usize {
         self.pages
             .iter()
-            .filter(|&&id| {
-                matches!(
-                    pool.residency(id),
-                    Residency::Cold
-                        | Residency::Migrating(MigrationDir::ToCold)
-                        | Residency::Nvme
-                        | Residency::MigratingNvme(_)
-                )
-            })
+            .filter(|&&id| !pool.holds_slot(id))
             .count()
     }
 

@@ -948,6 +948,22 @@ impl PagePool {
         )
     }
 
+    /// True when the page holds a hot slot of its own that is not on its way
+    /// out: `Hot`, or inbound. Reading such a page takes nothing from
+    /// [`PagePool::free_pages`]; reading any other does — a page below the hot
+    /// tier needs a slot, and a page draining out holds one that
+    /// `free_pages` already counts as free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is not allocated.
+    pub fn holds_slot(&self, id: PageId) -> bool {
+        matches!(
+            self.residency(id),
+            Residency::Hot | Residency::Migrating(MigrationDir::ToHot)
+        )
+    }
+
     /// Moves a hot page to the cold (host) tier, freeing one hot slot without
     /// losing the page's contents. Returns the modeled transfer cost in
     /// token-units (see [`crate::stats::transfer_cost_tokens`]).

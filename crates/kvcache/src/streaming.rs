@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use crate::{MigrationDir, PageId, PagePool, Residency};
+use crate::{PageId, PagePool, Residency};
 
 /// Λ-mask geometry of a streaming head, in *pages*.
 ///
@@ -300,15 +300,7 @@ impl StreamingHeadCache {
     /// outbound transfers still in flight.
     pub fn swap_in_demand(&self, pool: &PagePool) -> usize {
         self.retained_ids()
-            .filter(|&id| {
-                matches!(
-                    pool.residency(id),
-                    Residency::Cold
-                        | Residency::Migrating(MigrationDir::ToCold)
-                        | Residency::Nvme
-                        | Residency::MigratingNvme(_)
-                )
-            })
+            .filter(|&id| !pool.holds_slot(id))
             .count()
     }
 

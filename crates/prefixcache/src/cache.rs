@@ -289,6 +289,31 @@ impl<V: PrefixPages> PrefixCache<V> {
         None
     }
 
+    /// Walks the cached prefixes of `tokens`, deepest first, and evicts those
+    /// `pins` says yes to, returning how many went: the cache letting go of
+    /// what keeps one owner of that token stream from moving its pages. The
+    /// walk is deepest first because nested anchors co-own the pages they
+    /// share — a page is free of the cache only once every entry over it is
+    /// gone — and `pins` sees the pool as the evictions before it left it.
+    /// Entries it refuses (shared with someone else, so evicting them would
+    /// relieve nothing) stay cached, untouched in the LRU order.
+    pub fn evict_prefixes_of(
+        &mut self,
+        pool: &mut PagePool,
+        tokens: &[u32],
+        pins: impl Fn(&V, &PagePool) -> bool,
+    ) -> usize {
+        let mut evicted = 0;
+        for depth in self.tree.prefix_depths(tokens).into_iter().rev() {
+            let key = &tokens[..depth];
+            if self.tree.get_exact(key).is_some_and(|v| pins(v, pool)) {
+                self.evict_key(pool, key);
+                evicted += 1;
+            }
+        }
+        evicted
+    }
+
     fn evict_key(&mut self, pool: &mut PagePool, key: &[u32]) -> usize {
         let mut value = self.tree.remove(key).expect("key listed by the tree");
         let refs = value.page_refs();
@@ -423,6 +448,54 @@ mod tests {
         assert!(cache.evict_lru_freeing(&mut pool).is_some());
         assert!(cache.evict_lru_freeing(&mut pool).is_none(), "cache empty");
         assert_eq!(pool.in_use(), 0);
+    }
+
+    #[test]
+    fn evict_prefixes_of_lets_go_of_one_stream_and_nothing_else() {
+        let mut pool = pool();
+        let mut cache: PrefixCache<PageRunPrefix> = PrefixCache::new();
+        // A sequence's nested anchors, and an unrelated prefix beside them.
+        let owner = run_of(&mut pool, 2);
+        let anchor = PageRunPrefix {
+            tokens: 4,
+            runs: vec![vec![owner.runs[0][0]]],
+        };
+        let other = run_of(&mut pool, 1);
+        assert!(cache.insert(&mut pool, &[1, 2, 3, 4], anchor));
+        assert!(cache.insert(&mut pool, &[1, 2, 3, 4, 5, 6, 7, 8], owner.clone()));
+        assert!(cache.insert(&mut pool, &[9, 9, 9, 9], other));
+        assert_eq!(pool.refcount(owner.runs[0][0]), 3, "owner + both anchors");
+        assert!(
+            pool.demote(owner.runs[0][0]).is_none(),
+            "co-owned: pinned hot"
+        );
+        // An entry goes when a page of it is held by the owner and the
+        // cache alone. The stream runs past its deepest anchor; while a
+        // reader shares the first page the shallow anchor over it stays, and
+        // only the deep one — sole pinner of the second page — goes.
+        let pair =
+            |v: &PageRunPrefix, pool: &PagePool| v.runs[0].iter().any(|&id| pool.refcount(id) == 2);
+        let stream = [1, 2, 3, 4, 5, 6, 7, 8, 5, 5];
+        pool.retain(owner.runs[0][0]);
+        assert_eq!(cache.evict_prefixes_of(&mut pool, &stream, pair), 1);
+        assert!(
+            cache.is_cached(&[1, 2, 3, 4]),
+            "shared: evicting frees nothing"
+        );
+        assert!(!cache.is_cached(&[1, 2, 3, 4, 5, 6, 7, 8]));
+        assert_eq!(cache.stats().hits + cache.stats().misses, 0);
+        // The reader leaves: now the shallow anchor is the last pin, it goes
+        // too, and the owner alone holds its pages again.
+        pool.free(owner.runs[0][0]);
+        assert_eq!(cache.evict_prefixes_of(&mut pool, &stream, pair), 1);
+        assert_eq!(cache.entries(), 1);
+        assert!(cache.is_cached(&[9, 9, 9, 9]));
+        assert_eq!(cache.stats().evictions, 2);
+        for &id in &owner.runs[0] {
+            assert_eq!(pool.refcount(id), 1);
+            assert!(pool.demote(id).is_some(), "sole-owned: free to move");
+        }
+        assert_eq!(cache.evict_prefixes_of(&mut pool, &stream, pair), 0);
     }
 
     #[test]

@@ -196,6 +196,25 @@ impl<V> RadixTree<V> {
         Self::entry_at_mut(child, &rest[n..])
     }
 
+    /// Depths of every cached entry whose key is a prefix of `query`,
+    /// shallowest first (no LRU touch).
+    pub fn prefix_depths(&self, query: &[u32]) -> Vec<usize> {
+        let mut depths = Vec::new();
+        let (mut node, mut rest, mut depth) = (&self.root, query, 0);
+        loop {
+            if node.entry.is_some() {
+                depths.push(depth);
+            }
+            let next = node.children.iter().find(|(l, _)| rest.starts_with(l));
+            let Some((label, child)) = next else {
+                return depths;
+            };
+            node = child;
+            rest = &rest[label.len()..];
+            depth += label.len();
+        }
+    }
+
     /// The value cached for exactly `key`, if any (no LRU touch).
     pub fn get_exact(&self, key: &[u32]) -> Option<&V> {
         let mut node = &self.root;

@@ -94,6 +94,12 @@ pub trait PageSelector {
     fn reset(&mut self) {}
 }
 
+/// The most pages a selection carries regardless of its budget: the sink (first)
+/// page and the most recent page. A selection therefore reads at most
+/// `max(budget_tokens / N_P, MAX_FORCED_PAGES)` pages — what the executor sizes
+/// a selecting head's promotion demand by.
+pub const MAX_FORCED_PAGES: usize = 2;
+
 /// Shared post-processing: converts physical-page scores into the final selection
 /// under a page budget, forcing the most recent page (and optionally the first page)
 /// into the result.
@@ -114,6 +120,7 @@ pub(crate) fn finalize_selection(
     if *forced.last().unwrap_or(&usize::MAX) != num_pages - 1 {
         forced.push(num_pages - 1); // most recent page, always attendable
     }
+    debug_assert!(forced.len() <= MAX_FORCED_PAGES);
     let mut chosen: Vec<usize> = forced.clone();
     for idx in top_k_indices(scores, num_pages) {
         if chosen.len() >= budget_pages.max(forced.len()) {

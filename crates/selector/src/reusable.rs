@@ -122,6 +122,14 @@ impl<S: PageSelector> ReusableSelector<S> {
             .collect()
     }
 
+    /// The fresh-selection chunk at which `page` was last picked (or first
+    /// seen) — the key selection-driven demotion and promotion-by-exchange
+    /// order pages by, lowest first. `None` for a page appended since the
+    /// last fresh scoring, which has no history to rank it by.
+    pub fn last_selected_chunk(&self, page: usize) -> Option<u64> {
+        self.last_selected_chunk.get(page).copied()
+    }
+
     /// The decode step at which the next [`select`] call will score afresh
     /// instead of replaying the cached selection — `None` before the first
     /// fresh scoring (including right after [`reset`]). The async copy

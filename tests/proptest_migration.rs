@@ -15,9 +15,10 @@ use lserve::core::{
     sequence_pages_estimate, AdmissionPolicy, EngineConfig, MigrationMode, ModelExecutor,
     PreemptionPolicy, RequestSpec, Scheduler, SchedulerConfig,
 };
-use lserve::kvcache::PagingConfig;
-use lserve::model::{ModelConfig, ModelWeights};
+use lserve::kvcache::{PagePool, PagingConfig, TierConfig};
+use lserve::model::{greedy_next_token, ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
+use lserve::trace::Tracer;
 use proptest::prelude::*;
 
 fn weights(seed: u64) -> Arc<ModelWeights> {
@@ -247,5 +248,93 @@ proptest! {
                 .1;
             prop_assert_eq!(got, &want, "request {} diverged under async", req.id);
         }
+    }
+
+    /// Promotion by exchange moves pages and nothing else. A sequence swapped
+    /// out whole and then decoded in a hot tier that has, before every step,
+    /// exactly the pages its reservation asks for free — so every selection
+    /// that re-picks a cold page has to exchange for its slot — emits the
+    /// logits of the always-resident run bit for bit, across FP16/INT4 KV,
+    /// both migration engines, an unbounded host or a bounded one over nvme,
+    /// and with or without the demotion sweep running beside it. And the
+    /// reservation is sound: no step fails.
+    #[test]
+    fn exchange_in_an_exactly_reserved_hot_tier_matches_the_resident_run(
+        wseed in 0u64..20,
+        prompt_len in 40usize..72,
+        quantized in proptest::bool::ANY,
+        async_mode in proptest::bool::ANY,
+        bounded in proptest::bool::ANY,
+        budget_pages in 3usize..5,
+        demote_after in 0usize..3,
+    ) {
+        let w = weights(wseed);
+        let mut cfg = small_page_cfg();
+        if quantized {
+            cfg.paging = PagingConfig::new(8, 4, KvPrecision::Int4);
+        }
+        cfg.dynamic_budget = Some(8 * budget_pages);
+        cfg.reuse_interval = 2;
+        let prompt: Vec<u32> = (0..prompt_len).map(|t| ((t * 5 + 3) % 90) as u32).collect();
+        let run = |tight: bool| {
+            let mut cfg = cfg.clone();
+            let (mut mode, mut tiers) = (MigrationMode::Sync, TierConfig::default());
+            if tight {
+                cfg.demote_after_chunks = (demote_after > 0).then_some(demote_after);
+                if async_mode {
+                    mode = MigrationMode::Async;
+                }
+                if bounded {
+                    tiers = TierConfig { host_pages: 6, nvme: true };
+                }
+            }
+            let exec = ModelExecutor::new(Arc::clone(&w), cfg.clone());
+            let mut pool = PagePool::new_with_tiers(cfg.paging, 1024, w.config.head_dim, mode, tiers);
+            let tracer = Tracer::ring(1 << 16);
+            pool.set_tracer(tracer.clone());
+            let mut s = exec.new_sequence();
+            let first = exec.prefill(&mut s, &mut pool, &prompt).expect("ample pool");
+            let mut next = greedy_next_token(&first.logits);
+            if tight {
+                s.demote_resident(&mut pool);
+            }
+            let mut fillers = Vec::new();
+            let mut bits: Vec<Vec<u32>> = Vec::new();
+            for _ in 0..32 {
+                // Allocating lands in-flight demotions, which moves the
+                // demand: settle on the fixed point.
+                loop {
+                    let need = exec.step_page_demand(&s, &pool);
+                    if tight && pool.free_pages() > need {
+                        fillers.push(pool.allocate().expect("a free page"));
+                    } else if pool.free_pages() < need {
+                        pool.free(fillers.pop().expect("a filler to give back"));
+                    } else {
+                        break;
+                    }
+                }
+                let out = exec
+                    .decode_step(&mut s, &mut pool, next)
+                    .expect("a reserved step cannot fail");
+                next = greedy_next_token(&out.logits);
+                bits.push(out.logits.iter().map(|x| x.to_bits()).collect());
+            }
+            let (events, _) = tracer.drain();
+            (bits, events.iter().filter(|e| e.name == "exchange").count())
+        };
+        let (want, _) = run(false);
+        let (got, exchanges) = run(true);
+        // A sweep may free the slots the next promotions take; without one
+        // only an exchange can.
+        prop_assert!(
+            demote_after > 0 || exchanges > 0,
+            "nothing exchanged (wseed {} len {} quantized {} async {} bounded {} budget {} k {})",
+            wseed, prompt_len, quantized, async_mode, bounded, budget_pages, demote_after
+        );
+        prop_assert_eq!(
+            got, want,
+            "logits diverged (wseed {} len {} quantized {} async {} bounded {} budget {} k {})",
+            wseed, prompt_len, quantized, async_mode, bounded, budget_pages, demote_after
+        );
     }
 }

@@ -293,6 +293,7 @@ proptest! {
         quantized in proptest::bool::ANY,
         prefix_cache in proptest::bool::ANY,
         demote in proptest::bool::ANY,
+        tight in proptest::bool::ANY,
     ) {
         let w = weights(wseed);
         let mut cfg = small_page_cfg();
@@ -302,8 +303,10 @@ proptest! {
         if demote {
             // Activate page selection at toy scale (in BOTH configs, so the
             // attention numerics are identical) so selection-driven demotion
-            // actually fires alongside the swap traffic.
-            cfg.dynamic_budget = Some(16);
+            // actually fires alongside the swap traffic. Three pages: two are
+            // forced (sink and newest), the third moves with the query, so
+            // selections re-pick demoted pages.
+            cfg.dynamic_budget = Some(24);
         }
         let mut tiered_cfg = cfg.clone();
         if demote {
@@ -325,8 +328,21 @@ proptest! {
             .map(|r| estimate(&cfg, &w.config, r.prompt.len() + r.max_new_tokens))
             .max()
             .unwrap();
+        // The tight swap run gets the smallest hot tier that admits its
+        // longest request: the demotion-aware estimate, a churn of budgets
+        // per dense head — less than the history it holds.
+        let tight_pool = requests
+            .iter()
+            .map(|r| estimate(&tiered_cfg, &w.config, r.prompt.len() + r.max_new_tokens))
+            .max()
+            .unwrap();
         let run = |engine_cfg: &EngineConfig, policy: PreemptionPolicy| {
-            let mut scfg = SchedulerConfig::new(single_max + slack);
+            let swap = policy == PreemptionPolicy::Swap;
+            let mut scfg = SchedulerConfig::new(if swap && tight {
+                tight_pool
+            } else {
+                single_max + slack
+            });
             scfg.chunk_tokens = chunk;
             scfg.admission = AdmissionPolicy::FirstChunk;
             scfg.prefix_cache = prefix_cache;
@@ -352,8 +368,8 @@ proptest! {
                 0,
                 "hot pages leaked under {policy:?} \
                  (wseed {wseed} chunk {chunk} slack {slack} quantized {quantized} \
-                 prefix {prefix_cache} demote {demote}; queued {} running {} \
-                 completed {})",
+                 prefix {prefix_cache} demote {demote} tight {tight}; queued {} \
+                 running {} completed {})",
                 sched.queued(),
                 sched.running(),
                 report.completed.len()
@@ -370,9 +386,10 @@ proptest! {
         prop_assert_eq!(
             &swap.completed, &replay.completed,
             "swap/tiered outputs diverged from replay (wseed {} chunk {} slack {} \
-             quantized {} prefix {} demote {})",
-            wseed, chunk, slack, quantized, prefix_cache, demote
+             quantized {} prefix {} demote {} tight {})",
+            wseed, chunk, slack, quantized, prefix_cache, demote, tight
         );
+        prop_assert_eq!(swap.unclean_replays, 0, "a reserved step failed part-way");
         // Every promotion consumes a page some demotion produced (a victim
         // preempted before holding any sole-owned page migrates nothing, so
         // preemptions alone need not imply traffic).
