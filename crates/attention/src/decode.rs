@@ -36,6 +36,10 @@ impl DecodeStats {
     }
 }
 
+/// Query rows of one GQA group whose softmax states [`attend_pages`] keeps on
+/// the stack.
+const INLINE_GROUP: usize = 8;
+
 /// Attends the `d`-long rows of `queries` (one GQA group: they share the KV
 /// head) to `pages` in order, writing one output row each into `out`. Counters
 /// are per query head, so a page visited for the group counts once per row, as
@@ -56,7 +60,17 @@ fn attend_pages(
 ) -> DecodeStats {
     assert_eq!(out.len(), queries.len(), "group output mismatch");
     assert_eq!(queries.len() % d, 0, "ragged query group");
-    let mut rows = vec![RowState::EMPTY; queries.len() / d];
+    // A GQA group's softmax states live on the stack; only a group wider
+    // than any model here runs takes a heap buffer.
+    let mut inline = [RowState::EMPTY; INLINE_GROUP];
+    let mut spilled = Vec::new();
+    let rows: &mut [RowState] = match inline.get_mut(..queries.len() / d) {
+        Some(rows) => rows,
+        None => {
+            spilled.resize(queries.len() / d, RowState::EMPTY);
+            &mut spilled
+        }
+    };
     let group = rows.len() as u64;
     out.fill(0.0);
     let mut stats = DecodeStats {
@@ -79,11 +93,11 @@ fn attend_pages(
             keys: page.key_lanes(),
             values: page.value_rows(),
         };
-        fold_block(d, queries, scale, block, None, &mut rows, out);
+        fold_block(d, queries, scale, block, None, rows, out);
         stats.pages_visited += group;
         stats.tokens_visited += group * page.len() as u64;
     }
-    finish_rows(d, &rows, out);
+    finish_rows(d, rows, out);
     stats
 }
 
@@ -128,7 +142,7 @@ pub(crate) fn decode_streaming_group(
     scale: f32,
     out: &mut [f32],
 ) -> DecodeStats {
-    let pages = cache.page_table(pool).into_iter().map(|(_, id)| id);
+    let pages = cache.page_ids();
     let full_pages = pool.config().pages_for(cache.tokens());
     attend_pages(pool, pages, full_pages, d, queries, scale, out)
 }

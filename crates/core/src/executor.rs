@@ -13,10 +13,21 @@
 //! [`SequenceState::release`].
 //!
 //! This split is what makes a real serving loop possible: a scheduler holds one
-//! executor and N sequence states, batches decode across states
-//! ([`ModelExecutor::decode_batch`], layers in the outer loop so weight/config
-//! traversal is amortized), and can drop or rebuild any state independently
-//! (preemption and resume).
+//! executor and N sequence states, batches decode across states, and can drop
+//! or rebuild any state independently (preemption and resume).
+//!
+//! After a sequence's fused first chunk ([`ModelExecutor::prefill`]) the unit
+//! the executor advances is a **run of rows**, not a token: one body
+//! (`decode_batch_reserved`) in which every batch entry feeds a run of
+//! consecutive tokens — one for a decoding sequence, up to a page of prompt
+//! continuation for a prefilling one — with layers in the outer loop and the
+//! rows of all runs stacked into one matrix, so a layer's seven weight
+//! matrices are read once per call, by GEMMs of `rows` rows, not once per
+//! token. Only attention stays per row (a row reads the keys up to its own).
+//! A run ends where the scheduler would do anything other than feed the
+//! sequence's next token, and before the next physical KV page begins.
+//! [`ModelExecutor::decode_step`] and the `decode_batch*` family are the
+//! one-token-per-sequence wrappers over that body.
 
 use std::error::Error;
 use std::fmt;
@@ -549,10 +560,11 @@ impl ModelExecutor {
             .dynamic_prefill_keep
             .filter(|_| tokens.len() > self.cfg.dynamic_prefill_after);
         let tracer = pool.tracer().clone();
+        let angles = self.rope.angles(0..tokens.len());
         let mut x = self.weights.embed_tokens(tokens);
         for (l, lw) in self.weights.layers.iter().enumerate() {
             let serial_start = tracer.now();
-            let acts = pre_attention(model, lw, &x, 0, &self.rope);
+            let acts = pre_attention(model, lw, &x, &angles);
             for t in 0..tokens.len() {
                 if !state.layers[l].append_token(pool, acts.k.row(t), acts.v.row(t), model.head_dim)
                 {
@@ -609,8 +621,8 @@ impl ModelExecutor {
                 }
             }
             state.stats.add_prefill(dense_stats, stream_stats);
-            x = post_attention(lw, &x, &attn);
-            x = ffn_block(lw, &x);
+            post_attention(lw, &mut x, &attn);
+            ffn_block(lw, &mut x);
         }
         state.tokens_processed = tokens.len();
         // Prefill compute drains in-flight transfers like decode compute does
@@ -668,61 +680,59 @@ impl ModelExecutor {
         need
     }
 
-    /// Runs dynamic page selection for every dense head of layer `l` (§3.5),
-    /// returning the per-KV-head selections plus the selector's sparsity-aware
-    /// cost hints (estimated visited tokens per selected head) that feed the
-    /// parallel shard balancer.
+    /// Runs dynamic page selection for every dense head of layer `l` (§3.5)
+    /// for the row at absolute position `pos` and decode step `step`, whose
+    /// post-RoPE queries are `q_row`: fills `plan` with the per-KV-head
+    /// selections plus the selector's sparsity-aware cost hints (estimated
+    /// visited tokens per selected head) that feed the parallel shard balancer.
     fn select_pages(
         &self,
         state: &mut SequenceState,
         pool: &PagePool,
         l: usize,
         q_row: &[f32],
-    ) -> LayerSelections {
+        (pos, step): (usize, usize),
+        plan: &mut RowPlan,
+    ) {
         let model = &self.weights.config;
         let d = model.head_dim;
         let group = model.gqa_group_size();
-        let mut selections: Vec<Option<Vec<usize>>> = vec![None; model.num_kv_heads];
-        let mut hints: Vec<Option<u64>> = vec![None; model.num_kv_heads];
-        let mut fresh = vec![false; model.num_kv_heads];
+        plan.reset(model.num_kv_heads);
         // The per-sequence schedule may tighten (or replace) the engine-wide
         // budget from a given position onward — the per-branch sparsity dial.
-        let effective = state
+        let Some(budget) = state
             .sparsity
-            .effective_budget(self.cfg.dynamic_budget, state.tokens_processed);
-        if let Some(budget) = effective {
-            for kv in 0..model.num_kv_heads {
-                let Some(selector) = state.selectors[l][kv].as_mut() else {
-                    continue;
-                };
-                let HeadCache::Dense(cache) = state.layers[l].head(kv) else {
-                    continue;
-                };
-                // Skip selection entirely while the history fits the budget —
-                // the offline-profiled "no slowdown at short contexts" rule
-                // (§5.5).
-                if cache.tokens() <= budget {
-                    continue;
-                }
-                let queries: Vec<&[f32]> = (0..group)
-                    .map(|i| {
-                        let h = kv * group + i;
-                        &q_row[h * d..(h + 1) * d]
-                    })
-                    .collect();
-                let sel = selector.select(pool, cache, &queries, budget, state.decode_step_idx);
-                state.stats.selector_logical_scored += sel.logical_pages_scored;
-                if sel.reused {
-                    state.stats.selector_reuses += 1;
-                } else {
-                    state.stats.selector_invocations += 1;
-                    fresh[kv] = true;
-                }
-                hints[kv] = Some(sel.estimated_cost_tokens(pool, cache));
-                selections[kv] = Some(sel.pages);
+            .effective_budget(self.cfg.dynamic_budget, pos)
+        else {
+            return;
+        };
+        let mut queries: Vec<&[f32]> = Vec::with_capacity(group);
+        for kv in 0..model.num_kv_heads {
+            let Some(selector) = state.selectors[l][kv].as_mut() else {
+                continue;
+            };
+            let HeadCache::Dense(cache) = state.layers[l].head(kv) else {
+                continue;
+            };
+            // Skip selection entirely while the history fits the budget —
+            // the offline-profiled "no slowdown at short contexts" rule
+            // (§5.5).
+            if cache.tokens() <= budget {
+                continue;
             }
+            queries.clear();
+            queries.extend(q_row[kv * group * d..(kv + 1) * group * d].chunks_exact(d));
+            let sel = selector.select(pool, cache, &queries, budget, step);
+            state.stats.selector_logical_scored += sel.logical_pages_scored;
+            if sel.reused {
+                state.stats.selector_reuses += 1;
+            } else {
+                state.stats.selector_invocations += 1;
+                plan.fresh[kv] = true;
+            }
+            plan.hints[kv] = Some(sel.estimated_cost_tokens(pool, cache));
+            plan.selections[kv] = Some(sel.pages);
         }
-        (selections, hints, fresh)
     }
 
     /// The residency pass of the tiered KV memory, run per layer between page
@@ -739,9 +749,9 @@ impl ModelExecutor {
     ///    of the chunk clock, so reuse steps cannot change it.
     /// 2. **Promotion**: every cold page the current selection picks is
     ///    promoted back before the kernel runs, satisfying the kernels'
-    ///    hot-residency precondition. The accounted fetch units are returned
-    ///    per KV head so the LPT shard costing can charge the fetch to the
-    ///    shard that caused it. A promotion takes a free hot slot only while
+    ///    hot-residency precondition. The accounted fetch units land in
+    ///    `plan.fetch_units` per KV head so the LPT shard costing can charge
+    ///    the fetch to the shard that caused it. A promotion takes a free hot slot only while
     ///    more are free than `reserved` — the slots this batch's appends and
     ///    unexchangeable promotions still need (see
     ///    [`ModelExecutor::step_page_demand`]) — and otherwise pays for its
@@ -757,7 +767,7 @@ impl ModelExecutor {
     /// engine (the hot slot frees when the transfer lands, or earlier if an
     /// allocation forces it), promotions ride [`PagePool::ensure_hot`] so a
     /// page already in flight costs only its unhidden remainder, and the
-    /// returned per-head fetch units carry **only the unhidden fraction** —
+    /// per-head fetch units carry **only the unhidden fraction** —
     /// transfer work the step genuinely stalls on. Under
     /// [`MigrationMode::Sync`] every moved unit is unhidden and the behavior
     /// is exactly the pre-engine baseline.
@@ -777,13 +787,17 @@ impl ModelExecutor {
         state: &mut SequenceState,
         pool: &mut PagePool,
         l: usize,
-        selections: &[Option<Vec<usize>>],
-        fresh: &[bool],
+        plan: &mut RowPlan,
         reserved: &mut usize,
-    ) -> Result<Vec<u64>, OutOfPagesError> {
+    ) -> Result<(), OutOfPagesError> {
         let sync = pool.migration_mode() == MigrationMode::Sync;
         let mut delta = MigrationDelta::default();
-        let mut fetch_units = vec![0u64; selections.len()];
+        let RowPlan {
+            selections,
+            fresh,
+            fetch_units,
+            ..
+        } = plan;
         let result = 'pass: {
             for (kv, selection) in selections.iter().enumerate() {
                 let Some(sel) = selection else {
@@ -863,7 +877,7 @@ impl ModelExecutor {
                     fetch_units[kv] += unhidden;
                 }
             }
-            Ok(fetch_units)
+            Ok(())
         };
         state.stats.add_migration(&delta);
         result
@@ -928,7 +942,7 @@ impl ModelExecutor {
     const PREFETCH_PER_SEQ: usize = 4;
 
     /// Selector-driven prefetch (async mode only): for every dense head whose
-    /// reusable selector will score afresh on the **next** decode step, start
+    /// reusable selector will score afresh on the decode step after `step`, start
     /// host→device transfers for the pages that selection is most likely to
     /// re-pick — ranked by selection recency, dropped entirely once they fall
     /// outside [`Self::PREFETCH_RECENCY_WINDOW`] — so by the time the fresh
@@ -944,10 +958,11 @@ impl ModelExecutor {
         state: &mut SequenceState,
         pool: &mut PagePool,
         l: usize,
+        step: usize,
         budget: &mut usize,
         reserved: usize,
     ) {
-        let next_step = state.decode_step_idx + 1;
+        let next_step = step + 1;
         for kv in 0..state.selectors[l].len() {
             if *budget == 0 {
                 return;
@@ -1009,10 +1024,11 @@ impl ModelExecutor {
     }
 
     /// Batched decode: one token for every sequence in `batch`, walking **layers in
-    /// the outer loop** so the weight and config traversal of each layer is
-    /// amortized across the whole batch (iteration-level batching, the
-    /// memory-access pattern real batched decode kernels use). Uses the
-    /// process-wide default thread count ([`decode_threads_from_env`]).
+    /// the outer loop** with the batch's tokens stacked as the rows of one
+    /// matrix, so each layer's weights are read once for the whole batch
+    /// (iteration-level batching, the memory-access pattern real batched
+    /// decode kernels use). Uses the process-wide default thread count
+    /// ([`decode_threads_from_env`]).
     ///
     /// Each sequence's computation is independent, so outputs are bit-identical to
     /// calling [`ModelExecutor::decode_step`] per sequence in any order — the
@@ -1038,24 +1054,25 @@ impl ModelExecutor {
     ///
     /// Every layer runs in three phases:
     ///
-    /// 1. **Serial writeback** (per sequence, in batch order): QKV + RoPE, KV
-    ///    append into the paged cache (the only pool mutation), and dynamic
-    ///    page selection. Allocation order is identical to the serial path.
+    /// 1. **Stacked projections, serial writeback**: QKV + RoPE for every row
+    ///    at once, then per sequence, in batch order, the KV append into the
+    ///    paged cache (the only pool mutation) and dynamic page selection.
+    ///    Allocation order is identical to the serial path.
     /// 2. **Parallel attention**: one shard per *(sequence × KV-head)*, each
     ///    costed by the sparsity-aware estimate (streaming ≈ resident window,
     ///    selected dense ≈ the selector's page set, unselected dense ≈ full
     ///    history), LPT-assigned across up to `threads` scoped workers with
     ///    work-stealing for stragglers. Every shard writes only its own
     ///    preallocated output slice — no locks on the hot path.
-    /// 3. **Serial reduction** (per sequence, in batch order): output
-    ///    projection and FFN.
+    /// 3. **Stacked reduction**: output projection and FFN over every row
+    ///    (a GEMM row's value does not depend on its neighbours).
     ///
     /// Shards read only shared immutable state and own disjoint outputs, and
-    /// both serial phases run in fixed batch order, so the result is
+    /// the serial phase runs in fixed batch order, so the result is
     /// **bit-identical for every thread count** — the property
     /// `tests/proptest_scheduler.rs` and the golden suite pin down.
     ///
-    /// `exec_stats` accumulates one [`ParallelExecStats`] phase per layer:
+    /// `exec_stats` accumulates one [`ParallelExecStats`] phase per layer and token:
     /// measured worker busy time (utilization/imbalance) plus the
     /// deterministic cost-model critical path (modeled speedup).
     ///
@@ -1112,276 +1129,333 @@ impl ModelExecutor {
             .iter()
             .map(|(state, _)| self.step_page_demand(state, pool))
             .sum();
-        self.decode_batch_reserved(pool, batch, threads, plan, exec_stats, reserved)
+        let mut runs: Vec<Run<'_>> = batch
+            .iter_mut()
+            .map(|(state, token)| (&mut **state, std::slice::from_ref(&*token)))
+            .collect();
+        self.decode_batch_reserved(pool, &mut runs, threads, plan, exec_stats, reserved)
     }
 
-    /// [`ModelExecutor::decode_batch_sharded`] for a caller that has just
-    /// computed the batch's [`ModelExecutor::step_page_demand`] to check it
-    /// against the pool (the scheduler): `reserved` is that sum, the free hot
-    /// slots this step's appends and unexchangeable promotions still need.
-    /// Exchangeable promotions and prefetches leave them alone.
+    /// The one body every token goes through after a sequence's fused first
+    /// chunk: each batch entry feeds a [`Run`] — one token for a decoding
+    /// sequence, up to a page of prompt continuation for a prefilling one.
+    /// The rows of all runs are stacked into one matrix, so each layer's
+    /// weights are walked once per call (one GEMM of `rows` rows per
+    /// projection) rather than once per token. Between the stacked
+    /// projections a layer's rows are taken in **rounds** — round `r` holds
+    /// row `r` of every run — and a round is the old one-token step: serial
+    /// append → select → residency → prefetch per entry, then the sharded
+    /// attention of all the round's rows. A sequence's rows therefore pass a
+    /// layer in token order, each at its own position and decode-step index,
+    /// so row `t` reads exactly the keys `≤ t` and meets the selector state
+    /// row `t - 1` left. Caches and selectors are per layer, which is what
+    /// makes finishing a layer's rows before the next layer starts
+    /// bit-identical to finishing a token's layers before the next token.
+    ///
+    /// What does see the order is the pool: free slots, the copy engine's
+    /// in-flight set (drained once per call, by `rows` tokens of compute) and
+    /// `reserved` are shared by all layers, so *which* promotions exchange
+    /// and which transfers are still in flight — ledger entries, never data —
+    /// can differ from a token-by-token feed.
+    ///
+    /// `reserved` is the sum of the entries' [`ModelExecutor::step_page_demand`],
+    /// just checked against the pool by the caller (the scheduler): the free
+    /// hot slots the runs' first tokens still need for their appends and
+    /// unexchangeable promotions. Exchangeable promotions and prefetches leave
+    /// them alone. That covers a run that stays inside one physical page: its
+    /// later tokens append without allocating, so its demand is its first
+    /// token's. (A run that crosses a page computes the same bits; it is only
+    /// not reserved for.)
+    ///
+    /// Returns, per entry, the logits after its run's last token.
     pub(crate) fn decode_batch_reserved(
         &self,
         pool: &mut PagePool,
-        batch: &mut [(&mut SequenceState, u32)],
+        batch: &mut [Run<'_>],
         threads: usize,
         plan: &mut ShardingPlan,
         exec_stats: &mut ParallelExecStats,
         mut reserved: usize,
     ) -> Vec<Result<DecodeOutput, OutOfPagesError>> {
-        for (state, _) in batch.iter() {
-            assert!(state.tokens_processed > 0, "decode before prefill");
-        }
         let model = &self.weights.config;
         let d = model.head_dim;
         let group = model.gqa_group_size();
         let width = model.q_width();
-        let positions: Vec<usize> = batch.iter().map(|(s, _)| s.tokens_processed).collect();
-        let mut xs: Vec<Option<Matrix>> = batch
+        // Entry `i` owns rows `first[i]..first[i + 1]` of every stacked matrix.
+        let mut first = vec![0usize; batch.len() + 1];
+        let mut positions = Vec::new();
+        for (i, (state, run)) in batch.iter().enumerate() {
+            assert!(state.tokens_processed > 0, "decode before prefill");
+            assert!(!run.is_empty(), "empty run");
+            first[i + 1] = first[i] + run.len();
+            positions.extend(state.tokens_processed..state.tokens_processed + run.len());
+        }
+        let rows = positions.len();
+        let rounds = batch.iter().map(|(_, run)| run.len()).max().unwrap_or(0);
+        let angles = self.rope.angles(positions);
+        let tokens: Vec<u32> = batch
             .iter()
-            .map(|(_, token)| Some(self.weights.embed_tokens(&[*token])))
+            .flat_map(|(_, run)| run.iter().copied())
             .collect();
+        let mut x = self.weights.embed_tokens(&tokens);
+        let mut live = vec![true; batch.len()];
+        let mut plans: Vec<RowPlan> = batch.iter().map(|_| RowPlan::default()).collect();
         let tracer = pool.tracer().clone();
-        // Step-wide speculative-transfer allowance per sequence, spent by
+        // Token-wide speculative-transfer allowance per row, spent by
         // issue_prefetches across all layers (async migration only).
-        let mut prefetch_budget: Vec<usize> = vec![Self::PREFETCH_PER_SEQ; batch.len()];
+        let mut prefetch_budget: Vec<usize> = vec![Self::PREFETCH_PER_SEQ; rows];
         for (l, lw) in self.weights.layers.iter().enumerate() {
-            // Phase 1 (serial, batch order): QKV + RoPE, KV writeback, dynamic
-            // page selection. A failed append kills only that sequence.
-            let serial_start = tracer.now();
-            let mut qrows: Vec<Option<Vec<f32>>> = vec![None; batch.len()];
-            let mut selections: Vec<Vec<Option<Vec<usize>>>> = Vec::with_capacity(batch.len());
-            let mut cost_hints: Vec<Vec<Option<u64>>> = Vec::with_capacity(batch.len());
-            let mut fetch_units: Vec<Vec<u64>> = Vec::with_capacity(batch.len());
-            for (i, (state, _)) in batch.iter_mut().enumerate() {
-                let Some(x) = xs[i].as_ref() else {
-                    selections.push(Vec::new());
-                    cost_hints.push(Vec::new());
-                    fetch_units.push(Vec::new());
-                    continue;
-                };
-                let acts = pre_attention(model, lw, x, positions[i], &self.rope);
-                let appended = state.layers[l].pages_needed_for_next_token(pool);
-                if !state.layers[l].append_token(pool, acts.k.row(0), acts.v.row(0), d) {
-                    xs[i] = None;
-                    selections.push(Vec::new());
-                    cost_hints.push(Vec::new());
-                    fetch_units.push(Vec::new());
-                    continue;
-                }
-                reserved = reserved.saturating_sub(appended);
-                let q_row = acts.q.row(0).to_vec();
-                let (sel, hint, fresh) = self.select_pages(state, pool, l, &q_row);
-                if tracer.is_enabled() {
-                    for (kv, &f) in fresh.iter().enumerate() {
-                        if f {
-                            tracer.instant(
-                                "rescore",
-                                "selector",
-                                lane::SELECTOR,
-                                i as u64,
-                                &[("layer", l as u64), ("head", kv as u64)],
-                            );
-                        }
-                    }
-                }
-                // Residency pass: demote selector-stale pages, promote any
-                // cold page the selection wants, before the kernels read.
-                match self.apply_residency(state, pool, l, &sel, &fresh, &mut reserved) {
-                    Ok(fetch) => fetch_units.push(fetch),
-                    Err(_) => {
-                        // A required promotion found no slot and nothing
-                        // to exchange; the sequence fails this step like any
-                        // other OOM and the serving layer replays it.
-                        xs[i] = None;
-                        selections.push(Vec::new());
-                        cost_hints.push(Vec::new());
-                        fetch_units.push(Vec::new());
+            let acts = pre_attention(model, lw, &x, &angles);
+            let mut attn = Matrix::zeros(rows, width);
+            let mut attn_rows: Vec<&mut [f32]> = attn.as_mut_slice().chunks_mut(width).collect();
+            for r in 0..rounds {
+                // Phase 1 (serial, batch order): KV writeback, dynamic page
+                // selection, residency. A failed append kills only that
+                // sequence.
+                let serial_start = tracer.now();
+                for (i, (state, run)) in batch.iter_mut().enumerate() {
+                    plans[i].row = None;
+                    if !live[i] || r >= run.len() {
                         continue;
                     }
-                }
-                selections.push(sel);
-                cost_hints.push(hint);
-                qrows[i] = Some(q_row);
-                // Overlap window: promotions issued above ride the rest of
-                // this step's compute; prefetches below start a step early.
-                if pool.migration_mode() == MigrationMode::Async {
-                    self.issue_prefetches(state, pool, l, &mut prefetch_budget[i], reserved);
-                }
-            }
-            // The serial phase costs one clock tick per live batch token.
-            tracer.advance(qrows.iter().filter(|q| q.is_some()).count() as u64);
-            tracer.span(
-                "decode.serial",
-                "executor",
-                lane::EXECUTOR,
-                CONTROL_TID,
-                serial_start,
-                &[("layer", l as u64)],
-            );
-            let par_start = tracer.now();
-            // Phase 2 (parallel): sharded attention into preallocated,
-            // disjoint per-(sequence × KV-head) output slices.
-            let mut outs: Vec<Vec<f32>> = qrows
-                .iter()
-                .map(|q| {
-                    if q.is_some() {
-                        vec![0.0f32; width]
-                    } else {
-                        Vec::new()
+                    let row = first[i] + r;
+                    let appended = state.layers[l].pages_needed_for_next_token(pool);
+                    if !state.layers[l].append_token(pool, acts.k.row(row), acts.v.row(row), d) {
+                        live[i] = false;
+                        continue;
                     }
-                })
-                .collect();
-            let shard_stats: Vec<(usize, DecodeStats, DecodeStats)> = {
-                let pool_ref: &PagePool = pool;
-                let scale = self.attn_cfg.scale();
-                let mut shards: Vec<DecodeShard<'_>> = Vec::new();
-                let mut shard_seq: Vec<usize> = Vec::new();
-                let mut shard_kv: Vec<usize> = Vec::new();
-                let mut costs: Vec<u64> = Vec::new();
-                for (i, ((state, _), out)) in batch.iter().zip(outs.iter_mut()).enumerate() {
-                    let Some(q) = qrows[i].as_ref() else { continue };
-                    let cache = &state.layers[l];
-                    for (kv, out_chunk) in out.chunks_mut(group * d).enumerate() {
-                        let selection = selections[i][kv].as_deref();
-                        costs.push(decode_shard_cost(
-                            pool_ref,
-                            cache.head(kv),
-                            selection,
-                            cost_hints[i][kv],
-                            fetch_units[i][kv],
-                            group,
-                        ));
-                        shard_seq.push(i);
-                        shard_kv.push(kv);
-                        shards.push(DecodeShard {
-                            head: cache.head(kv),
-                            queries: &q[kv * group * d..(kv + 1) * group * d],
-                            selection,
-                            head_dim: d,
-                            scale,
-                            out: out_chunk,
-                            dense: DecodeStats::default(),
-                            streaming: DecodeStats::default(),
-                        });
-                    }
-                }
-                let devices = plan.devices();
-                if devices <= 1 {
-                    let balance = run_sharded(threads, &costs, &mut shards, |shard| {
-                        run_decode_shard(pool_ref, shard)
-                    });
-                    exec_stats.absorb(&balance);
-                    trace_attention_phase(&tracer, par_start, l, &balance, &costs, &shard_seq);
-                } else {
-                    // Per-head cost signal for this phase: the placement (and
-                    // later the rebalancer) act on exactly what the worker-level
-                    // LPT balances.
-                    let mut head_costs = vec![0u64; model.num_kv_heads];
-                    for (s, &kv) in shard_kv.iter().enumerate() {
-                        head_costs[kv] += costs[s];
-                    }
-                    let assign = plan.layer_assignment(l, &head_costs).to_vec();
-                    // A sequence's home device is where the plurality of its
-                    // shard cost lives (ties to the lower device id): its other
-                    // shards' outputs must cross the mesh before the serial
-                    // output projection, and each such gather charges the
-                    // topology's modeled interconnect cost — onto the shard
-                    // (the gather delays it) and into the interconnect ledger.
-                    let mut seq_dev_cost = vec![vec![0u64; devices]; batch.len()];
-                    for s in 0..costs.len() {
-                        seq_dev_cost[shard_seq[s]][assign[shard_kv[s]]] += costs[s];
-                    }
-                    let home: Vec<usize> = seq_dev_cost
-                        .iter()
-                        .map(|loads| {
-                            (0..devices)
-                                .max_by_key(|&dev| (loads[dev], std::cmp::Reverse(dev)))
-                                .expect("devices > 0")
-                        })
-                        .collect();
-                    let gather = plan.topology().gather_cost_tokens();
-                    let mut device_of = vec![0usize; costs.len()];
-                    let mut placed_costs = costs.clone();
-                    let mut gather_tokens = 0u64;
-                    for s in 0..costs.len() {
-                        let dev = assign[shard_kv[s]];
-                        device_of[s] = dev;
-                        if dev != home[shard_seq[s]] {
-                            placed_costs[s] += gather;
-                            gather_tokens += gather;
+                    reserved = reserved.saturating_sub(appended);
+                    let at = (state.tokens_processed + r, state.decode_step_idx + r);
+                    self.select_pages(state, pool, l, acts.q.row(row), at, &mut plans[i]);
+                    if tracer.is_enabled() {
+                        for (kv, &f) in plans[i].fresh.iter().enumerate() {
+                            if f {
+                                tracer.instant(
+                                    "rescore",
+                                    "selector",
+                                    lane::SELECTOR,
+                                    i as u64,
+                                    &[("layer", l as u64), ("head", kv as u64)],
+                                );
+                            }
                         }
                     }
-                    let placed = run_placed(
-                        threads,
-                        devices,
-                        &device_of,
-                        &placed_costs,
-                        &mut shards,
-                        |shard| run_decode_shard(pool_ref, shard),
-                    );
-                    exec_stats.absorb_placed(&placed, gather_tokens);
-                    trace_attention_phase_placed(
-                        &tracer,
-                        par_start,
-                        l,
-                        &placed,
-                        &placed_costs,
-                        &shard_seq,
-                        &device_of,
-                        exec_stats.interconnect_tokens,
-                    );
+                    // Residency pass: demote selector-stale pages, promote any
+                    // cold page the selection wants, before the kernels read.
+                    // A required promotion that finds no slot and nothing to
+                    // exchange fails the sequence like any other OOM; the
+                    // serving layer replays it.
+                    if self
+                        .apply_residency(state, pool, l, &mut plans[i], &mut reserved)
+                        .is_err()
+                    {
+                        live[i] = false;
+                        continue;
+                    }
+                    plans[i].row = Some(row);
+                    // Overlap window: promotions issued above ride the rest of
+                    // this call's compute; prefetches below start a step early.
+                    if pool.migration_mode() == MigrationMode::Async {
+                        let budget = &mut prefetch_budget[row];
+                        self.issue_prefetches(state, pool, l, at.1, budget, reserved);
+                    }
                 }
-                shard_seq
-                    .iter()
-                    .zip(shards.iter())
-                    .map(|(&i, s)| (i, s.dense, s.streaming))
-                    .collect()
-            };
-            // Work counters attributed per sequence in shard-construction
-            // order, so stats stay deterministic too.
-            for (i, dense, streaming) in shard_stats {
-                batch[i].0.stats.add_decode(dense, streaming);
-            }
-            // Phase 3 (serial, batch order): output projection + FFN.
-            for i in 0..batch.len() {
-                if qrows[i].is_none() {
-                    continue;
+                // The serial phase costs one clock tick per live row.
+                tracer.advance(plans.iter().filter(|p| p.row.is_some()).count() as u64);
+                tracer.span(
+                    "decode.serial",
+                    "executor",
+                    lane::EXECUTOR,
+                    CONTROL_TID,
+                    serial_start,
+                    &[("layer", l as u64)],
+                );
+                let par_start = tracer.now();
+                // Phase 2 (parallel): sharded attention into disjoint
+                // per-(sequence × KV-head) slices of the round's output rows.
+                let shard_stats: Vec<(usize, DecodeStats, DecodeStats)> = {
+                    let pool_ref: &PagePool = pool;
+                    let scale = self.attn_cfg.scale();
+                    let mut shards: Vec<DecodeShard<'_>> = Vec::new();
+                    let mut shard_seq: Vec<usize> = Vec::new();
+                    let mut shard_kv: Vec<usize> = Vec::new();
+                    let mut costs: Vec<u64> = Vec::new();
+                    for (i, ((state, _), fed)) in batch.iter().zip(&plans).enumerate() {
+                        let Some(row) = fed.row else { continue };
+                        let q = acts.q.row(row);
+                        let cache = &state.layers[l];
+                        let out = std::mem::take(&mut attn_rows[row]);
+                        for (kv, out_chunk) in out.chunks_mut(group * d).enumerate() {
+                            let selection = fed.selections[kv].as_deref();
+                            costs.push(decode_shard_cost(
+                                pool_ref,
+                                cache.head(kv),
+                                selection,
+                                fed.hints[kv],
+                                fed.fetch_units[kv],
+                                group,
+                            ));
+                            shard_seq.push(i);
+                            shard_kv.push(kv);
+                            shards.push(DecodeShard {
+                                head: cache.head(kv),
+                                queries: &q[kv * group * d..(kv + 1) * group * d],
+                                selection,
+                                head_dim: d,
+                                scale,
+                                out: out_chunk,
+                                dense: DecodeStats::default(),
+                                streaming: DecodeStats::default(),
+                            });
+                        }
+                    }
+                    let devices = plan.devices();
+                    if devices <= 1 {
+                        let balance = run_sharded(threads, &costs, &mut shards, |shard| {
+                            run_decode_shard(pool_ref, shard)
+                        });
+                        exec_stats.absorb(&balance);
+                        trace_attention_phase(&tracer, par_start, l, &balance, &costs, &shard_seq);
+                    } else {
+                        // Per-head cost signal for this phase: the placement (and
+                        // later the rebalancer) act on exactly what the worker-level
+                        // LPT balances.
+                        let mut head_costs = vec![0u64; model.num_kv_heads];
+                        for (s, &kv) in shard_kv.iter().enumerate() {
+                            head_costs[kv] += costs[s];
+                        }
+                        let assign = plan.layer_assignment(l, &head_costs).to_vec();
+                        // A sequence's home device is where the plurality of its
+                        // shard cost lives (ties to the lower device id): its other
+                        // shards' outputs must cross the mesh before the serial
+                        // output projection, and each such gather charges the
+                        // topology's modeled interconnect cost — onto the shard
+                        // (the gather delays it) and into the interconnect ledger.
+                        let mut seq_dev_cost = vec![vec![0u64; devices]; batch.len()];
+                        for s in 0..costs.len() {
+                            seq_dev_cost[shard_seq[s]][assign[shard_kv[s]]] += costs[s];
+                        }
+                        let home: Vec<usize> = seq_dev_cost
+                            .iter()
+                            .map(|loads| {
+                                (0..devices)
+                                    .max_by_key(|&dev| (loads[dev], std::cmp::Reverse(dev)))
+                                    .expect("devices > 0")
+                            })
+                            .collect();
+                        let gather = plan.topology().gather_cost_tokens();
+                        let mut device_of = vec![0usize; costs.len()];
+                        let mut placed_costs = costs.clone();
+                        let mut gather_tokens = 0u64;
+                        for s in 0..costs.len() {
+                            let dev = assign[shard_kv[s]];
+                            device_of[s] = dev;
+                            if dev != home[shard_seq[s]] {
+                                placed_costs[s] += gather;
+                                gather_tokens += gather;
+                            }
+                        }
+                        let placed = run_placed(
+                            threads,
+                            devices,
+                            &device_of,
+                            &placed_costs,
+                            &mut shards,
+                            |shard| run_decode_shard(pool_ref, shard),
+                        );
+                        exec_stats.absorb_placed(&placed, gather_tokens);
+                        trace_attention_phase_placed(
+                            &tracer,
+                            par_start,
+                            l,
+                            &placed,
+                            &placed_costs,
+                            &shard_seq,
+                            &device_of,
+                            exec_stats.interconnect_tokens,
+                        );
+                    }
+                    shard_seq
+                        .iter()
+                        .zip(shards.iter())
+                        .map(|(&i, s)| (i, s.dense, s.streaming))
+                        .collect()
+                };
+                // Work counters attributed per sequence in shard-construction
+                // order, so stats stay deterministic too.
+                for (i, dense, streaming) in shard_stats {
+                    batch[i].0.stats.add_decode(dense, streaming);
                 }
-                let x = xs[i].take().expect("live sequence has activations");
-                let attn_m = Matrix::from_vec(1, width, std::mem::take(&mut outs[i]));
-                let x = post_attention(lw, &x, &attn_m);
-                xs[i] = Some(ffn_block(lw, &x));
             }
+            drop(attn_rows);
+            // Phase 3 (stacked): output projection + FFN over every row.
+            post_attention(lw, &mut x, &attn);
+            ffn_block(lw, &mut x);
         }
-        // One decode step of compute hides one step of host-link bandwidth:
-        // each batched token buys `HOST_TRANSFER_SPEEDUP` token-units of
-        // transfer drain, the exact inverse of `transfer_cost_tokens`. A
-        // transfer fully drained by these advances cost the step nothing —
-        // that is the overlap the async engine models. (No-op in sync mode.)
-        pool.advance_transfer_units(batch.len() as u64 * HOST_TRANSFER_SPEEDUP);
-        xs.into_iter()
-            .zip(batch.iter_mut())
-            .map(|(x, (state, _))| match x {
-                Some(x) => {
-                    state.tokens_processed += 1;
-                    state.decode_step_idx += 1;
-                    state.stats.decode_steps += 1;
-                    let out = logits(&self.weights, &x);
-                    Ok(DecodeOutput {
-                        logits: out.row(0).to_vec(),
-                    })
+        // A token of compute hides a token of host-link bandwidth: each fed
+        // row buys `HOST_TRANSFER_SPEEDUP` token-units of transfer drain, the
+        // exact inverse of `transfer_cost_tokens`. A transfer fully drained by
+        // these advances cost the call nothing — that is the overlap the async
+        // engine models. (No-op in sync mode.)
+        pool.advance_transfer_units(rows as u64 * HOST_TRANSFER_SPEEDUP);
+        // Logits of each surviving run's last row, one stacked GEMM.
+        let mut last = Vec::new();
+        for i in (0..batch.len()).filter(|&i| live[i]) {
+            last.extend_from_slice(x.row(first[i + 1] - 1));
+        }
+        let last = Matrix::from_vec(last.len() / model.hidden, model.hidden, last);
+        let out = logits(&self.weights, &last);
+        let mut out_rows = (0..out.rows()).map(|r| out.row(r).to_vec());
+        batch
+            .iter_mut()
+            .zip(live)
+            .map(|((state, run), live)| {
+                if !live {
+                    return Err(OutOfPagesError);
                 }
-                None => Err(OutOfPagesError),
+                state.tokens_processed += run.len();
+                state.decode_step_idx += run.len();
+                state.stats.decode_steps += run.len() as u64;
+                let logits = out_rows.next().expect("one logits row per live run");
+                Ok(DecodeOutput { logits })
             })
             .collect()
     }
 }
 
-/// One layer's per-KV-head selection results: the selected page sets, the
-/// selector's cost hints for LPT balancing, and whether each head's selection
-/// was freshly scored this step (the demotion sweep runs only then).
-type LayerSelections = (Vec<Option<Vec<usize>>>, Vec<Option<u64>>, Vec<bool>);
+/// One entry of a step's batch: a sequence and the run of consecutive tokens
+/// it absorbs, which the scheduler keeps inside one physical KV page so that
+/// the reservation covers it (see [`ModelExecutor::decode_batch_reserved`]).
+pub(crate) type Run<'a> = (&'a mut SequenceState, &'a [u32]);
+
+/// One batch entry's plan for the row it feeds through a layer, refilled row
+/// after row: the stacked-matrix row (`None` when the entry has none this
+/// round — its run is shorter, or it ran out of pages), and per KV head the
+/// selected page set, the selector's cost hint for LPT balancing, whether the
+/// selection was freshly scored (the demotion sweep runs only then), and the
+/// unhidden transfer units its promotions stalled the shard for.
+#[derive(Debug, Default)]
+struct RowPlan {
+    row: Option<usize>,
+    selections: Vec<Option<Vec<usize>>>,
+    hints: Vec<Option<u64>>,
+    fresh: Vec<bool>,
+    fetch_units: Vec<u64>,
+}
+
+impl RowPlan {
+    /// Empties the plan for a row of `heads` KV heads, keeping the buffers.
+    fn reset(&mut self, heads: usize) {
+        self.selections.clear();
+        self.selections.resize(heads, None);
+        self.hints.clear();
+        self.hints.resize(heads, None);
+        self.fresh.clear();
+        self.fresh.resize(heads, false);
+        self.fetch_units.clear();
+        self.fetch_units.resize(heads, 0);
+    }
+}
 
 /// Emits one decode layer's parallel-phase trace: advances the work-token
 /// clock by the phase's modeled critical path, closes the `decode.attention`
@@ -1895,33 +1969,36 @@ mod tests {
         let exec = ModelExecutor::new(w, cfg);
         let (mut s, _) = past_budget(&exec, &mut pool);
         let (l, kv, _) = dense_pair(&exec);
-        let mut selections = first_and_last(&s, l);
-        let fresh = vec![false; selections.len()];
+        let mut plan = RowPlan::default();
+        plan.reset(s.layers[l].num_heads());
+        plan.selections = first_and_last(&s, l);
 
         // One cold page selected, and not one free hot slot.
         let wanted = s.layers[l].head(kv).as_dense().page_table()[1];
         pool.demote(wanted).unwrap();
-        selections[kv].as_mut().unwrap().insert(1, 1);
+        plan.selections[kv].as_mut().unwrap().insert(1, 1);
         while pool.allocate().is_some() {}
         let hot = pool.in_use();
 
         // Every page co-owned: nothing to exchange, the pass fails clean.
         s.retain_pages(&mut pool);
-        let failed = exec.apply_residency(&mut s, &mut pool, l, &selections, &fresh, &mut 0);
+        let failed = exec.apply_residency(&mut s, &mut pool, l, &mut plan, &mut 0);
         assert_eq!(failed, Err(OutOfPagesError));
         assert_eq!(pool.residency(wanted), Residency::Cold);
         assert_eq!(s.stats().pages_demoted + s.stats().pages_promoted, 0);
 
         // Sole-owned again: one transfer each way, zero net hot pages.
         s.clone().release(&mut pool);
-        let fetched = exec
-            .apply_residency(&mut s, &mut pool, l, &selections, &fresh, &mut 0)
+        exec.apply_residency(&mut s, &mut pool, l, &mut plan, &mut 0)
             .unwrap();
         assert!(pool.is_hot(wanted));
         assert_eq!(pool.in_use(), hot);
         assert_eq!((s.stats().pages_demoted, s.stats().pages_promoted), (1, 1));
         assert_eq!(s.stats().migrated_token_units, 16);
-        assert_eq!(fetched[kv], 8, "the promotion stalls its own shard");
+        assert_eq!(
+            plan.fetch_units[kv], 8,
+            "the promotion stalls its own shard"
+        );
     }
 
     /// A hot tier with exactly the reserved pages free before every step —
@@ -1997,6 +2074,107 @@ mod tests {
                 let (got, exchanges) = run(Some((mode, tiers)));
                 assert!(exchanges > 0, "{mode:?} {tiers:?}: nothing exchanged");
                 assert_eq!(got, want, "{mode:?} {tiers:?}: logits diverged");
+            }
+        }
+    }
+
+    /// Rows, not tokens: feeding `n` tokens as one run leaves what feeding
+    /// them through `n` one-token calls leaves — the last row's logits, every
+    /// stored page, the work counters, and (four more decode steps) the
+    /// selector state — to the bit, whether or not the history is past the
+    /// budget, demotion is sweeping, transfers are in flight, or the run
+    /// starts, ends or (a page-long run begun off the boundary) crosses a page.
+    #[test]
+    fn a_run_of_rows_is_its_tokens_fed_one_at_a_time() {
+        const PAGE: usize = 8;
+        let w = tiny_weights();
+        let token = |t: usize| (t * 7 + 3) as u32 % 90;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        type Outcome = (Vec<Vec<u32>>, Vec<(usize, Vec<u32>, Vec<u32>)>, EngineStats);
+        let feed = |cfg: &EngineConfig, mode, start: usize, n: usize, as_run: bool| -> Outcome {
+            let exec = ModelExecutor::new(Arc::clone(&w), cfg.clone());
+            let tiers = TierConfig::default();
+            let mut pool =
+                PagePool::new_with_tiers(cfg.paging, 4096, w.config.head_dim, mode, tiers);
+            let mut plan = ShardingPlan::new(
+                Topology::from_env(),
+                lserve_costmodel::PlacementPolicy::SparsityAware,
+                w.config.num_layers,
+                w.config.num_kv_heads,
+            );
+            let mut stats = ParallelExecStats::default();
+            let mut s = exec.new_sequence();
+            let prompt: Vec<u32> = (0..3 * PAGE).map(token).collect();
+            exec.prefill(&mut s, &mut pool, &prompt).unwrap();
+            let mut feed = |s: &mut SequenceState, pool: &mut PagePool, from: usize, to: usize| {
+                let run: Vec<u32> = (from..to).map(token).collect();
+                let need = exec.step_page_demand(s, pool);
+                let mut batch = [(s, &run[..])];
+                let mut out =
+                    exec.decode_batch_reserved(pool, &mut batch, 1, &mut plan, &mut stats, need);
+                bits(&out.pop().unwrap().unwrap().logits)
+            };
+            for t in 3 * PAGE..start {
+                feed(&mut s, &mut pool, t, t + 1);
+            }
+            let mut logits = Vec::new();
+            if as_run {
+                logits.push(feed(&mut s, &mut pool, start, start + n));
+            } else {
+                for t in start..start + n {
+                    logits = vec![feed(&mut s, &mut pool, t, t + 1)];
+                }
+            }
+            if cfg.demote_after_chunks.is_some() {
+                assert!(s.stats().pages_demoted > 0, "the sweep never demoted");
+            }
+            let pages = s.page_ids(&pool);
+            let pages = pages.iter().map(|&id| pool.page(id));
+            let pages = pages.map(|p| (p.len(), bits(p.key_lanes()), bits(p.value_rows())));
+            let pages = pages.collect();
+            let work = EngineStats {
+                pages_demoted: 0,
+                pages_promoted: 0,
+                migrated_token_units: 0,
+                unhidden_token_units: 0,
+                ..s.stats()
+            };
+            for t in start + n..start + n + 4 {
+                logits.push(feed(&mut s, &mut pool, t, t + 1));
+            }
+            (logits, pages, work)
+        };
+        for precision in [
+            lserve_quant::KvPrecision::Fp16,
+            lserve_quant::KvPrecision::Int4,
+        ] {
+            // History under the budget (no selection, so nothing to demote),
+            // over it, and over it with the demotion sweep on.
+            for (budget, demote) in [(1024, None), (16, None), (16, Some(1))] {
+                let cfg = EngineConfig {
+                    paging: lserve_kvcache::PagingConfig::new(PAGE, 4, precision),
+                    dynamic_budget: Some(budget),
+                    reuse_interval: 2,
+                    demote_after_chunks: demote,
+                    ..EngineConfig::lserve_fp16()
+                };
+                for mode in [MigrationMode::Sync, MigrationMode::Async] {
+                    for n in [1, 3, PAGE - 1, PAGE] {
+                        // Ending on a page boundary, and one short of it.
+                        for end in [7 * PAGE, 7 * PAGE - 1] {
+                            let run = feed(&cfg, mode, end - n, n, true);
+                            let tokens = feed(&cfg, mode, end - n, n, false);
+                            let case =
+                                format!("{precision:?} {budget} {demote:?} {mode:?} {n} {end}");
+                            assert_eq!(run.0, tokens.0, "{case}: logits");
+                            assert!(run.1 == tokens.1, "{case}: page contents");
+                            assert_eq!(run.2, tokens.2, "{case}: work counters");
+                            if demote.is_some() {
+                                assert!(run.2.selector_invocations > 0, "{case}: never selected");
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -26,16 +26,18 @@
 //!   class), and — under [`PreemptionPolicy::Swap`] — the per-victim swap cost
 //!   (fewest sole-owned hot pages).
 //! * **Iteration-level continuous batching** (Orca): every scheduler iteration
-//!   advances all running sequences by one token through
-//!   [`ModelExecutor::decode_batch`], which walks layers in the outer loop so the
-//!   weight/config traversal is amortized across the batch.
+//!   advances all running sequences by one token through the executor's
+//!   row-feeding body, which walks layers in the outer loop with the batch's
+//!   tokens stacked as rows, so each layer's weights are read once per batch.
 //! * **Chunked prefill**: long prompts are admitted immediately and fed in bounded
 //!   chunks interleaved with decode iterations, so one long prompt no longer
 //!   head-of-line-blocks the whole batch. The first
 //!   `min(chunk_tokens, prompt_len)` tokens go through the fused tile prefill;
-//!   the rest advance token-by-token through the decode path, which makes the
-//!   numerics independent of how the scheduler slices the remainder across
-//!   iterations.
+//!   the rest go through the decode path in runs of up to a KV page of
+//!   consecutive tokens, stacked as the rows of one matrix per layer. Each row
+//!   is computed exactly as a one-token decode step at its position would
+//!   compute it, which makes the numerics independent of how the scheduler
+//!   slices the remainder across iterations and runs.
 //! * **Preemption and resume**: page demand is computed *exactly* before every
 //!   decode iteration ([`SequenceState::pages_needed_for_next_token`]); when
 //!   demand exceeds the free pool, a cost- and class-chosen victim releases (or
@@ -87,7 +89,7 @@ use crate::dag::{
     BranchSpec, DagStats, DagStore, ForkError, ForkOutcome, JoinPolicy, JoinStatus,
     SparsityOverride, SparsitySchedule,
 };
-use crate::executor::{ModelExecutor, SequenceState};
+use crate::executor::{ModelExecutor, Run, SequenceState};
 use crate::prefix::CachedPrefix;
 use crate::sharding::ShardingPlan;
 use crate::stats::ParallelExecStats;
@@ -95,9 +97,11 @@ use crate::EngineConfig;
 
 /// The prefill tile grid: the fused tile-prefill path covers absolute token
 /// positions `[0, chunk_tokens)` — the first grid cell — and every position at or
-/// beyond the grid boundary is always fed through the per-token decode path, no
-/// matter how the scheduler slices iterations, whether the sequence is resuming
-/// from preemption, or how much of its prompt came from the prefix cache.
+/// beyond the grid boundary is always fed through the decode path, as a row
+/// computed the way a one-token step at that position computes it, no matter
+/// how the scheduler slices iterations and runs, whether the sequence is
+/// resuming from preemption, or how much of its prompt came from the prefix
+/// cache.
 ///
 /// Because the boundary is a pure function of absolute token position (not of how
 /// much of this particular prompt remains), the KV written for any prompt prefix
@@ -857,7 +861,7 @@ pub struct ServingReport {
     /// (a preempted request that re-admits with a hit counts again, exactly as
     /// its recomputed tokens would).
     pub prefix_hit_tokens: u64,
-    /// Prompt tokens actually computed by prefill (tile chunk + per-token feed),
+    /// Prompt tokens actually computed by prefill (tile chunk + continuation runs),
     /// summed over admission events. Zero when the prefix cache is disabled.
     pub prefix_recomputed_tokens: u64,
     /// Prefixes donated into the cache (anchors, completed conversations, and
@@ -2423,11 +2427,19 @@ impl Scheduler {
                     }
                 }
             }
-            // Continuation: token-by-token through the decode path. Numerically
-            // independent of how many tokens any iteration feeds.
+            // Continuation: runs of rows through the decode path. A run ends
+            // wherever feeding one token at a time would do anything but feed
+            // the next token — the step's budget, the end of the feed, the
+            // donation points of `maybe_donate` (the tile grid, the end of
+            // the prompt) — and at a physical-page boundary: past it the next
+            // token allocates, so `need` below, the run's first token's
+            // demand, is the whole run's. Numerically independent of where
+            // any iteration cuts its runs.
             let cont_start = self.scfg.tracer.now();
             let cont_id = self.running[i].core.spec.id;
             let mut cont_fed = 0u64;
+            let page = self.pool.config().physical_page_size();
+            let chunk = self.scfg.chunk_tokens;
             while budget > 0 && self.running[i].fed < self.running[i].feed_len() {
                 let need = exec.step_page_demand(&self.running[i].state, &self.pool);
                 if need > self.pool.free_pages() {
@@ -2444,13 +2456,20 @@ impl Scheduler {
                     }
                     break; // wait for a later iteration
                 }
-                let fed_pos = self.running[i].fed;
-                let t = self.running[i].feed_token(fed_pos);
-                let mut one = [(&mut self.running[i].state, t)];
+                let seq = &mut self.running[i];
+                let (fed, plen) = (seq.fed, seq.core.prompt.len());
+                let mut end = (fed + budget)
+                    .min(seq.feed_len())
+                    .min((fed / page + 1) * page)
+                    .min((fed / chunk + 1) * chunk);
+                if fed < plen {
+                    end = end.min(plen);
+                }
+                let run: Vec<u32> = (fed..end).map(|t| seq.feed_token(t)).collect();
                 let result = exec
                     .decode_batch_reserved(
                         &mut self.pool,
-                        &mut one,
+                        &mut [(&mut seq.state, &run)],
                         self.scfg.decode_threads,
                         &mut self.plan,
                         &mut self.report.parallel,
@@ -2460,13 +2479,13 @@ impl Scheduler {
                     .expect("one result per input sequence");
                 match result {
                     Ok(out) => {
-                        self.running[i].fed += 1;
-                        self.work_tokens += 1;
-                        cont_fed += 1;
-                        if self.scfg.prefix_cache && fed_pos < self.running[i].core.prompt.len() {
-                            self.report.prefix_recomputed_tokens += 1;
+                        seq.fed = end;
+                        self.work_tokens += run.len() as u64;
+                        cont_fed += run.len() as u64;
+                        if self.scfg.prefix_cache && fed < plen {
+                            self.report.prefix_recomputed_tokens += run.len() as u64;
                         }
-                        budget -= 1;
+                        budget -= run.len();
                         self.maybe_donate(i);
                         if self.running[i].fed == self.running[i].feed_len() {
                             self.finish_feed(i, &out.logits, now);
@@ -2477,7 +2496,7 @@ impl Scheduler {
                         // `step_page_demand` was reserved above, so only an
                         // exchange whose demotion a full bounded host (no nvme
                         // below it) refused reaches this arm. Self-preempt to
-                        // discard the partially-written token; always by
+                        // discard the partially-written run; always by
                         // replay: an unclean state must not be parked.
                         self.report.unclean_replays += 1;
                         self.preempt_index_replay(i);
@@ -2486,7 +2505,7 @@ impl Scheduler {
                 }
             }
             if cont_fed > 0 {
-                // One span per iteration's continuation feed (not per token):
+                // One span per iteration's continuation feed (not per run):
                 // the decode-path re-feed is the same "prompt chunk" unit to
                 // the flame chart, however the scheduler sliced it.
                 self.scfg.tracer.span(
@@ -2557,11 +2576,11 @@ impl Scheduler {
         };
         // Batched decode: one token for every sequence whose feed is complete.
         let mut batch_idx: Vec<usize> = Vec::new();
-        let mut batch: Vec<(&mut SequenceState, u32)> = Vec::new();
+        let mut batch: Vec<Run<'_>> = Vec::new();
         for (i, seq) in self.running.iter_mut().enumerate() {
-            if let Some(t) = seq.last_token {
+            if let Some(t) = seq.last_token.as_ref() {
                 batch_idx.push(i);
-                batch.push((&mut seq.state, t));
+                batch.push((&mut seq.state, std::slice::from_ref(t)));
             }
         }
         if batch.is_empty() {
@@ -3330,17 +3349,22 @@ mod tests {
         // same deterministic pipeline; the greedy argmax survives the reordering
         // at this scale).
         let w = weights();
-        let cfg = EngineConfig::dense();
-        let mut mono = ServingEngine::new(Arc::clone(&w), cfg.clone(), 4096);
-        mono.submit(request(7, 24, 8));
-        let want = mono.run_to_completion(10_000).completed[0].1.clone();
+        // One page holds the whole prompt; then 8-token pages, which the
+        // chunk is no multiple of and the 27-token prompt ends in the middle
+        // of: continuation runs are cut by the tile grid, by page boundaries
+        // and by the end of the prompt, in every order.
+        for (cfg, len) in [(EngineConfig::dense(), 24), (small_page_dense(), 27)] {
+            let mut mono = ServingEngine::new(Arc::clone(&w), cfg.clone(), 4096);
+            mono.submit(request(7, len, 8));
+            let want = mono.run_to_completion(10_000).completed[0].1.clone();
 
-        let mut scfg = SchedulerConfig::new(4096);
-        scfg.chunk_tokens = 7; // does not divide 24: exercises a ragged last chunk
-        let mut sched = scheduler(cfg, scfg);
-        sched.submit(request(7, 24, 8));
-        let r = sched.run_to_completion(10_000);
-        assert_eq!(r.completed[0].1, want);
+            let mut scfg = SchedulerConfig::new(4096);
+            scfg.chunk_tokens = 7; // divides neither length: a ragged last chunk
+            let mut sched = scheduler(cfg, scfg);
+            sched.submit(request(7, len, 8));
+            let r = sched.run_to_completion(10_000);
+            assert_eq!(r.completed[0].1, want, "{len}-token prompt");
+        }
     }
 
     #[test]

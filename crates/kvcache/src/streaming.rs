@@ -107,6 +107,14 @@ impl StreamingHeadCache {
         out
     }
 
+    /// The resident pages in attention order (sink, then local), without
+    /// building [`StreamingHeadCache::page_table`]'s vector: what the decode
+    /// kernel walks every token.
+    pub fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
+        let local = self.local.iter().map(|&(_, id)| id);
+        self.sink.iter().copied().chain(local)
+    }
+
     /// True when appending the next token requires allocating a fresh page —
     /// because the target page is full, missing, or *shared* with another owner
     /// (prefix-cache sharing) and must be copy-on-write forked before writing.

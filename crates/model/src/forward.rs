@@ -23,50 +23,52 @@ pub struct LayerActivations {
 
 const RMS_EPS: f32 = 1e-5;
 
-/// Applies RoPE to every head slice of a `(N x heads·D)` activation block, where row
-/// `t` is at absolute position `start_pos + t`.
-fn rope_heads(m: &mut Matrix, heads: usize, head_dim: usize, rope: &RopeTable, start_pos: usize) {
-    for r in 0..m.rows() {
-        let pos = start_pos + r;
-        let row = m.row_mut(r);
-        for h in 0..heads {
-            rope.apply(&mut row[h * head_dim..(h + 1) * head_dim], pos);
+/// Applies RoPE to every `head_dim`-wide head slice of an activation block
+/// whose row `t` rotates by `angles[t * head_dim / 2..][..head_dim / 2]`.
+fn rope_heads(m: &mut Matrix, head_dim: usize, angles: &[(f32, f32)]) {
+    for (r, angles) in angles.chunks_exact(head_dim / 2).enumerate() {
+        for head in m.row_mut(r).chunks_exact_mut(head_dim) {
+            RopeTable::rotate(head, angles);
         }
     }
 }
 
 /// Pre-attention block: RMSNorm then QKV projections with RoPE applied.
 ///
-/// `x` is the residual-stream input `(N x hidden)`; rows are tokens at absolute
-/// positions `start_pos..start_pos+N`.
+/// `x` is the residual-stream input `(N x hidden)`; its rows are tokens at any
+/// absolute positions — consecutive ones of a prompt, or one each of several
+/// sequences — and `angles` holds [`RopeTable::angles`] of those `N`
+/// positions, computed once for all layers.
+///
+/// # Panics
+///
+/// Panics if `angles` is not `head_dim / 2` entries per row of `x`.
 pub fn pre_attention(
     cfg: &ModelConfig,
     lw: &LayerWeights,
     x: &Matrix,
-    start_pos: usize,
-    rope: &RopeTable,
+    angles: &[(f32, f32)],
 ) -> LayerActivations {
+    assert_eq!(angles.len(), x.rows() * cfg.head_dim / 2, "angles per row");
     let mut normed = x.clone();
     rms_norm(&mut normed, &lw.attn_norm, RMS_EPS);
     let mut q = normed.matmul(&lw.wq);
     let mut k = normed.matmul(&lw.wk);
     let v = normed.matmul(&lw.wv);
-    rope_heads(&mut q, cfg.num_q_heads, cfg.head_dim, rope, start_pos);
-    rope_heads(&mut k, cfg.num_kv_heads, cfg.head_dim, rope, start_pos);
+    rope_heads(&mut q, cfg.head_dim, angles);
+    rope_heads(&mut k, cfg.head_dim, angles);
     LayerActivations { q, k, v }
 }
 
-/// Post-attention block: output projection plus residual connection.
-///
-/// Returns `x + attn_out · W_o`.
-pub fn post_attention(lw: &LayerWeights, x: &Matrix, attn_out: &Matrix) -> Matrix {
-    let mut out = attn_out.matmul(&lw.wo);
-    out.add_assign(x);
-    out
+/// Post-attention block: output projection plus residual connection, in place:
+/// `x += attn_out · W_o`.
+pub fn post_attention(lw: &LayerWeights, x: &mut Matrix, attn_out: &Matrix) {
+    x.add_assign(&attn_out.matmul(&lw.wo));
 }
 
-/// SwiGLU FFN block with pre-norm and residual: `x + W_down(SiLU(xW_gate) ⊙ xW_up)`.
-pub fn ffn_block(lw: &LayerWeights, x: &Matrix) -> Matrix {
+/// SwiGLU FFN block with pre-norm and residual, in place:
+/// `x += W_down(SiLU(xW_gate) ⊙ xW_up)`.
+pub fn ffn_block(lw: &LayerWeights, x: &mut Matrix) {
     let mut normed = x.clone();
     rms_norm(&mut normed, &lw.ffn_norm, RMS_EPS);
     let mut gate = normed.matmul(&lw.w_gate);
@@ -75,9 +77,7 @@ pub fn ffn_block(lw: &LayerWeights, x: &Matrix) -> Matrix {
     for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
         *g *= u;
     }
-    let mut out = gate.matmul(&lw.w_down);
-    out.add_assign(x);
-    out
+    x.add_assign(&gate.matmul(&lw.w_down));
 }
 
 /// Final norm + LM head over the given hidden rows, returning `(N x vocab)` logits.
@@ -152,12 +152,13 @@ pub fn reference_forward_full(weights: &ModelWeights, tokens: &[u32]) -> Matrix 
     assert!(!tokens.is_empty(), "empty token sequence");
     let cfg = &weights.config;
     let rope = RopeTable::new(cfg.head_dim, cfg.rope_base);
+    let angles = rope.angles(0..tokens.len());
     let mut x = weights.embed_tokens(tokens);
     for lw in &weights.layers {
-        let acts = pre_attention(cfg, lw, &x, 0, &rope);
+        let acts = pre_attention(cfg, lw, &x, &angles);
         let attn = naive_layer_attention(cfg, &acts);
-        x = post_attention(lw, &x, &attn);
-        x = ffn_block(lw, &x);
+        post_attention(lw, &mut x, &attn);
+        ffn_block(lw, &mut x);
     }
     logits(weights, &x)
 }
@@ -221,8 +222,8 @@ mod tests {
         let cfg = &w.config;
         let rope = RopeTable::new(cfg.head_dim, cfg.rope_base);
         let x = w.embed_tokens(&[7]);
-        let a = pre_attention(cfg, &w.layers[0], &x, 0, &rope);
-        let b = pre_attention(cfg, &w.layers[0], &x, 5, &rope);
+        let a = pre_attention(cfg, &w.layers[0], &x, &rope.angles([0]));
+        let b = pre_attention(cfg, &w.layers[0], &x, &rope.angles([5]));
         assert!(a.k.max_abs_diff(&b.k) > 1e-5);
         assert!(
             a.v.max_abs_diff(&b.v) < 1e-9,

@@ -188,7 +188,21 @@ impl Matrix {
 
     /// Dense matrix product `self * rhs`.
     ///
-    /// Uses a cache-blocked i-k-j loop ordering.
+    /// Register-blocked: a tile of the output — 2 rows × 16 columns, or
+    /// 1 × 32 for an odd last row — is held in accumulators across the whole
+    /// `k` loop, so each loaded `rhs` element serves every row of the tile and
+    /// the output is written once. `rhs` is read in place, row-major: nothing
+    /// is packed or copied. Column panels are the outer loop, so one `k × 16`
+    /// panel of `rhs` stays in L1 while the rows of `self` stream past it.
+    ///
+    /// Every output element is `0.0 + a[i][0]·b[0][j] + a[i][1]·b[1][j] + …`,
+    /// summed in `k` order with a separate multiply and add — the arithmetic
+    /// of the plain i-k-j loop, so the result is bit-identical to it. That
+    /// loop skipped terms with `a[i][k] == 0.0`; this one does not, and for
+    /// finite operands it cannot matter: the skipped product is `±0.0`, a sum
+    /// that starts at `+0.0` never becomes `-0.0` (`+0.0 + -0.0` and `x + -x`
+    /// are both `+0.0` under round-to-nearest), and adding `±0.0` to anything
+    /// else returns it unchanged.
     ///
     /// # Panics
     ///
@@ -199,19 +213,37 @@ impl Matrix {
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let n = rhs.cols;
-        for i in 0..self.rows {
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
+        let (m, kd, n) = (self.rows, self.cols, rhs.cols);
+        let mut out = Matrix::zeros(m, n);
+        let paired = m - m % 2;
+        let tiled = n - n % 16;
+        for j0 in (0..tiled).step_by(16) {
+            for i0 in (0..paired).step_by(2) {
+                let a = &self.data[i0 * kd..(i0 + 2) * kd];
+                let o = &mut out.data[i0 * n..(i0 + 2) * n];
+                tile::<2, 16>(a, kd, &rhs.data, n, j0, o);
+            }
+        }
+        if paired < m {
+            let a = &self.data[paired * kd..];
+            let o = &mut out.data[paired * n..];
+            let wide = n - n % 32;
+            for j0 in (0..wide).step_by(32) {
+                tile::<1, 32>(a, kd, &rhs.data, n, j0, o);
+            }
+            if wide < tiled {
+                tile::<1, 16>(a, kd, &rhs.data, n, wide, o);
+            }
+        }
+        // Ragged columns (`lm_head` is 128 × 97): one scalar sum each.
+        for i in 0..m {
+            let a = &self.data[i * kd..(i + 1) * kd];
+            for j in tiled..n {
+                let mut acc = 0.0f32;
+                for (k, &av) in a.iter().enumerate() {
+                    acc += av * rhs.data[k * n + j];
                 }
-                let rhs_row = &rhs.data[k * n..(k + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
+                out.data[i * n + j] = acc;
             }
         }
         out
@@ -296,6 +328,42 @@ impl Matrix {
     }
 }
 
+/// One `R × W` output tile of [`Matrix::matmul`]: `a` and `out` start at the
+/// tile's first row (`kd` and `n` wide), `b` is the whole `kd × n` right
+/// operand, `j0` the tile's first column. Both shapes in use hold 32
+/// accumulators — eight 4-lane registers, which with the loaded `b` vectors
+/// and a broadcast fill the sixteen of baseline x86-64; one row of 16 would
+/// leave the adds waiting on each other.
+///
+/// The speed is fragile to how this is written: `R` and `W` have to be
+/// compile-time constants of a module-level function for the accumulators to
+/// stay in registers (nested in `matmul` with a run-time width they live in
+/// memory). `perf`'s `tensor.matmul_ns_per_mac` probe is the guard.
+fn tile<const R: usize, const W: usize>(
+    a: &[f32],
+    kd: usize,
+    b: &[f32],
+    n: usize,
+    j0: usize,
+    out: &mut [f32],
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for k in 0..kd {
+        let b_row: &[f32; W] = b[k * n + j0..k * n + j0 + W]
+            .try_into()
+            .expect("a slice of W elements");
+        for r in 0..R {
+            let av = a[r * kd + k];
+            for (s, &bv) in acc[r].iter_mut().zip(b_row) {
+                *s += av * bv;
+            }
+        }
+    }
+    for r in 0..R {
+        out[r * n + j0..r * n + j0 + W].copy_from_slice(&acc[r]);
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f32;
 
@@ -346,6 +414,53 @@ mod tests {
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let c = a.matmul(&b);
         assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
+    }
+
+    /// The i-k-j loop [`Matrix::matmul`] replaced, kept as the reference its
+    /// bits are held to.
+    fn matmul_ikj(a: &Matrix, b: &Matrix) -> Matrix {
+        let (kd, n) = b.shape();
+        let mut out = Matrix::zeros(a.rows(), n);
+        for i in 0..a.rows() {
+            for k in 0..kd {
+                let av = a[(i, k)];
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                    *o += av * bv;
+                }
+            }
+        }
+        out
+    }
+
+    /// The register-tiled product is the i-k-j loop's, bit for bit: whole
+    /// tiles, ragged rows and columns, shapes below one tile, and a left
+    /// operand with the exact zeros of both signs the old loop skipped.
+    #[test]
+    fn matmul_is_bit_identical_to_the_ikj_loop() {
+        let mut g = crate::SeededGaussian::new(17);
+        for m in [1, 2, 3, 5, 64, 257] {
+            for k in [1, 128] {
+                for n in [1, 15, 16, 17, 97, 256] {
+                    let mut a = g.matrix(m, k, 1.0);
+                    for (i, x) in a.as_mut_slice().iter_mut().enumerate() {
+                        match i % 7 {
+                            0 => *x = 0.0,
+                            3 => *x = -0.0,
+                            _ => {}
+                        }
+                    }
+                    let b = g.matrix(k, n, 1.0);
+                    let (got, want) = (a.matmul(&b), matmul_ikj(&a, &b));
+                    assert_eq!(got.shape(), (m, n));
+                    for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n} element {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

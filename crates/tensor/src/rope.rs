@@ -55,13 +55,35 @@ impl RopeTable {
     /// Panics if `x.len() != head_dim`.
     pub fn apply(&self, x: &mut [f32], pos: usize) {
         assert_eq!(x.len(), self.head_dim, "rope dimension mismatch");
-        for (i, &f) in self.inv_freq.iter().enumerate() {
-            let theta = pos as f32 * f;
-            let (sin, cos) = theta.sin_cos();
-            let a = x[2 * i];
-            let b = x[2 * i + 1];
-            x[2 * i] = a * cos - b * sin;
-            x[2 * i + 1] = a * sin + b * cos;
+        for (pair, &f) in x.chunks_exact_mut(2).zip(&self.inv_freq) {
+            rotate_pair(pair, (pos as f32 * f).sin_cos());
+        }
+    }
+
+    /// The `(sin, cos)` of every pair's angle at each of `positions`,
+    /// `head_dim / 2` per position: what [`RopeTable::apply`] rotates by. A
+    /// token row's angles are the same for every head of every layer, so a
+    /// forward pass computes them once per row and [`RopeTable::rotate`]s with
+    /// them — the same `sin_cos` of the same product, hence the same bits.
+    pub fn angles(&self, positions: impl IntoIterator<Item = usize>) -> Vec<(f32, f32)> {
+        let pairs = positions.into_iter().flat_map(|pos| {
+            self.inv_freq
+                .iter()
+                .map(move |&f| (pos as f32 * f).sin_cos())
+        });
+        pairs.collect()
+    }
+
+    /// [`RopeTable::apply`] with one position's precomputed
+    /// [`RopeTable::angles`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not two elements per angle.
+    pub fn rotate(x: &mut [f32], angles: &[(f32, f32)]) {
+        assert_eq!(x.len(), 2 * angles.len(), "rope dimension mismatch");
+        for (pair, &angle) in x.chunks_exact_mut(2).zip(angles) {
+            rotate_pair(pair, angle);
         }
     }
 
@@ -81,6 +103,14 @@ impl RopeTable {
             self.apply(row, start_pos + t);
         }
     }
+}
+
+/// Rotates one `(2i, 2i+1)` pair by the angle with the given `(sin, cos)`.
+#[inline]
+fn rotate_pair(pair: &mut [f32], (sin, cos): (f32, f32)) {
+    let (a, b) = (pair[0], pair[1]);
+    pair[0] = a * cos - b * sin;
+    pair[1] = a * sin + b * cos;
 }
 
 #[cfg(test)]
@@ -126,6 +156,22 @@ mod tests {
         let s1 = score_at(0);
         let s2 = score_at(97);
         assert!((s1 - s2).abs() < 1e-3, "{s1} vs {s2}");
+    }
+
+    #[test]
+    fn rotating_by_precomputed_angles_is_apply_to_the_bit() {
+        let rope = RopeTable::new(32, 10_000.0);
+        let orig: Vec<f32> = (0..32).map(|i| (i as f32 * 0.37).sin()).collect();
+        let positions = [0, 1, 63, 64, 4095, 131_071];
+        let angles = rope.angles(positions);
+        assert_eq!(angles.len(), positions.len() * 16);
+        for (&pos, angles) in positions.iter().zip(angles.chunks(16)) {
+            let (mut want, mut got) = (orig.clone(), orig.clone());
+            rope.apply(&mut want, pos);
+            RopeTable::rotate(&mut got, angles);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "position {pos}");
+        }
     }
 
     #[test]

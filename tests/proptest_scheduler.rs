@@ -56,7 +56,10 @@ fn run_solo(cfg: &EngineConfig, w: &Arc<ModelWeights>, chunk: usize, req: Reques
 
 /// Deterministic anchor for the acceptance criterion: chunk smaller than every
 /// prompt, a pool that forces at least one preemption/resume cycle, and outputs
-/// that still match per-request solo runs exactly.
+/// that still match per-request solo runs exactly — under either preemption
+/// policy, with a chunk that is a whole page and one (11) that is no multiple
+/// of the 8-token page, so that continuation runs are cut by page boundaries
+/// and by the tile grid at different places. Every prompt ends mid-page.
 #[test]
 fn forced_preemption_and_chunked_prefill_match_solo_runs() {
     let w = weights(41);
@@ -72,40 +75,52 @@ fn forced_preemption_and_chunked_prefill_match_solo_runs() {
         .map(|r| estimate(&cfg, &w.config, r.prompt.len() + r.max_new_tokens))
         .max()
         .unwrap();
-    let mut scfg = SchedulerConfig::new(single_max + single_max / 2);
-    scfg.chunk_tokens = 8; // smaller than every prompt
-    scfg.admission = AdmissionPolicy::FirstChunk;
-    let mut sched = Scheduler::new(
-        Arc::new(ModelExecutor::new(Arc::clone(&w), cfg.clone())),
-        scfg,
-    );
-    for r in &requests {
-        sched.submit(r.clone());
-    }
-    let report = sched.run_to_completion(200_000);
-    assert!(
-        report.preemptions > 0,
-        "pool sized for ~1.5 sequences must force preemption"
-    );
-    assert_eq!(report.completed.len(), 3, "rejected: {:?}", report.rejected);
-    assert_eq!(
-        sched.pool_in_use(),
-        0,
-        "page conservation after preemptions"
-    );
-    for req in requests {
-        let want = run_solo(&cfg, &w, 8, req.clone());
-        let got = &report
-            .completed
+    for chunk in [8, 11] {
+        let solo: Vec<Vec<u32>> = requests
             .iter()
-            .find(|(id, _)| *id == req.id)
-            .unwrap()
-            .1;
-        assert_eq!(got, &want, "request {} diverged", req.id);
+            .map(|req| run_solo(&cfg, &w, chunk, req.clone()))
+            .collect();
+        for policy in [PreemptionPolicy::Replay, PreemptionPolicy::Swap] {
+            let mut scfg = SchedulerConfig::new(single_max + single_max / 2);
+            scfg.chunk_tokens = chunk; // smaller than every prompt
+            scfg.admission = AdmissionPolicy::FirstChunk;
+            scfg.preemption = policy;
+            let mut sched = Scheduler::new(
+                Arc::new(ModelExecutor::new(Arc::clone(&w), cfg.clone())),
+                scfg,
+            );
+            for r in &requests {
+                sched.submit(r.clone());
+            }
+            let report = sched.run_to_completion(200_000);
+            assert!(
+                report.preemptions > 0,
+                "pool sized for ~1.5 sequences must force preemption ({policy:?}, chunk {chunk})"
+            );
+            assert_eq!(report.completed.len(), 3, "rejected: {:?}", report.rejected);
+            assert_eq!(
+                (sched.pool_in_use(), sched.pool_cold_in_use()),
+                (0, 0),
+                "page conservation after preemptions"
+            );
+            for (req, want) in requests.iter().zip(&solo) {
+                let got = &report
+                    .completed
+                    .iter()
+                    .find(|(id, _)| *id == req.id)
+                    .unwrap()
+                    .1;
+                assert_eq!(
+                    got, want,
+                    "request {} diverged ({policy:?}, chunk {chunk})",
+                    req.id
+                );
+            }
+            // Preempted requests must report their preemption count.
+            let preempted: u32 = report.request_metrics.iter().map(|m| m.preemptions).sum();
+            assert!(preempted as u64 >= report.preemptions);
+        }
     }
-    // Preempted requests must report their preemption count.
-    let preempted: u32 = report.request_metrics.iter().map(|m| m.preemptions).sum();
-    assert!(preempted as u64 >= report.preemptions);
 }
 
 /// Deterministic anchor for the parallel-decode acceptance criterion: a mixed
