@@ -19,7 +19,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 
 use std::sync::Arc;
 
-use lserve_core::{EngineConfig, ModelExecutor, ParallelExecStats, SequenceState};
+use lserve_core::{
+    EngineConfig, ModelExecutor, ParallelExecStats, PlacementPolicy, SequenceState, ShardingPlan,
+    Topology,
+};
 use lserve_kvcache::PagePool;
 use lserve_model::{ModelConfig, ModelWeights};
 
@@ -90,7 +93,14 @@ fn decode_step(
         .zip(tokens.iter())
         .map(|(s, &t)| (s, t))
         .collect();
-    let results = exec.decode_batch_threads(pool, &mut batch, threads, stats);
+    let model = &exec.weights().config;
+    let mut plan = ShardingPlan::new(
+        Topology::single(),
+        PlacementPolicy::SparsityAware,
+        model.num_layers,
+        model.num_kv_heads,
+    );
+    let results = exec.decode_batch_sharded(pool, &mut batch, threads, &mut plan, stats);
     assert!(
         results.iter().all(Result::is_ok),
         "pool sized for the bench"

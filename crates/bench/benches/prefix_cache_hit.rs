@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lserve_core::{EngineConfig, ModelExecutor, Request, Scheduler, SchedulerConfig};
+use lserve_core::{EngineConfig, ModelExecutor, RequestSpec, Scheduler, SchedulerConfig};
 use lserve_kvcache::PagingConfig;
 use lserve_model::{ModelConfig, ModelWeights};
 use lserve_quant::KvPrecision;
@@ -50,11 +50,7 @@ fn scheduler(exec: &Arc<ModelExecutor>, prefix_cache: bool) -> Scheduler {
 
 fn submit_wave(sched: &mut Scheduler, specs: &[(usize, Vec<u32>, usize)], base_id: u64) {
     for (i, (_, prompt, gen)) in specs.iter().enumerate() {
-        sched.submit(Request {
-            id: base_id + i as u64,
-            prompt: prompt.clone(),
-            max_new_tokens: *gen,
-        });
+        sched.submit(RequestSpec::new(base_id + i as u64, prompt.clone()).max_new_tokens(*gen));
     }
 }
 

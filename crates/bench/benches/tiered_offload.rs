@@ -28,12 +28,11 @@ use std::sync::Arc;
 use lserve_bench::Json;
 use lserve_core::{
     sequence_pages_estimate, AdmissionPolicy, EngineConfig, MetricsSnapshot, MigrationMode,
-    ModelExecutor, PreemptionPolicy, Request, RequestSpec, Scheduler, SchedulerConfig,
+    ModelExecutor, PreemptionPolicy, RequestSpec, RuntimeConfig, Scheduler, SchedulerConfig,
     ServingReport, SloClass,
 };
 use lserve_kvcache::{
-    migration_from_env, LayerKvCache, PagePool, PagingConfig, StreamingWindow,
-    HOST_TRANSFER_SPEEDUP,
+    LayerKvCache, PagePool, PagingConfig, StreamingWindow, HOST_TRANSFER_SPEEDUP,
 };
 use lserve_model::{ModelConfig, ModelWeights};
 use lserve_quant::KvPrecision;
@@ -51,19 +50,15 @@ fn engine_cfg(demote: Option<usize>) -> EngineConfig {
     cfg
 }
 
-fn workload_from(wl: &OvercommitConfig) -> Vec<Request> {
+fn workload_from(wl: &OvercommitConfig) -> Vec<RequestSpec> {
     overcommit_workload(wl)
         .into_iter()
         .enumerate()
-        .map(|(i, s)| Request {
-            id: i as u64,
-            prompt: s.prompt,
-            max_new_tokens: s.max_new_tokens,
-        })
+        .map(|(i, s)| RequestSpec::new(i as u64, s.prompt).max_new_tokens(s.max_new_tokens))
         .collect()
 }
 
-fn workload() -> Vec<Request> {
+fn workload() -> Vec<RequestSpec> {
     workload_from(&OvercommitConfig::small())
 }
 
@@ -73,7 +68,7 @@ fn run_serving_wl(
     pool_pages: usize,
     policy: PreemptionPolicy,
     migration: MigrationMode,
-    requests: Vec<Request>,
+    requests: Vec<RequestSpec>,
 ) -> ServingReport {
     run_serving_tiered(
         weights, cfg, pool_pages, policy, migration, 0, false, requests,
@@ -92,7 +87,7 @@ fn run_serving_tiered(
     migration: MigrationMode,
     host_pages: usize,
     nvme: bool,
-    requests: Vec<Request>,
+    requests: Vec<RequestSpec>,
 ) -> ServingReport {
     let exec = Arc::new(ModelExecutor::new(Arc::clone(weights), cfg));
     let mut scfg = SchedulerConfig::new(pool_pages);
@@ -128,7 +123,7 @@ fn run_serving(
         cfg,
         pool_pages,
         policy,
-        migration_from_env(),
+        RuntimeConfig::from_env().migration,
         workload(),
     )
 }

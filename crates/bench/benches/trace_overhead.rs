@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lserve_core::{
-    sequence_pages_estimate, AdmissionPolicy, EngineConfig, ModelExecutor, Request, Scheduler,
+    sequence_pages_estimate, AdmissionPolicy, EngineConfig, ModelExecutor, RequestSpec, Scheduler,
     SchedulerConfig, ServingReport,
 };
 use lserve_kvcache::PagingConfig;
@@ -46,14 +46,11 @@ fn bench_model() -> ModelConfig {
     }
 }
 
-fn mixed_requests() -> Vec<Request> {
+fn mixed_requests() -> Vec<RequestSpec> {
     (0..6u64)
-        .map(|i| Request {
-            id: i,
-            prompt: (0..32 + 20 * i as usize)
-                .map(|t| ((t * 3 + i as usize) % 90) as u32)
-                .collect(),
-            max_new_tokens: 8,
+        .map(|i| {
+            let prompt = (0..32 + 20 * i as usize).map(|t| ((t * 3 + i as usize) % 90) as u32);
+            RequestSpec::new(i, prompt.collect()).max_new_tokens(8)
         })
         .collect()
 }
@@ -67,7 +64,7 @@ fn engine_cfg() -> EngineConfig {
 
 fn run_once(
     exec: &Arc<ModelExecutor>,
-    requests: &[Request],
+    requests: &[RequestSpec],
     pool_pages: usize,
     tracer: Tracer,
 ) -> ServingReport {

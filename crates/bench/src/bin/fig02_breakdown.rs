@@ -1,5 +1,6 @@
 //! Figure 2: latency breakdown of LLM prefilling and decoding (attention vs GEMM vs
-//! others) for Llama-3-8B on A100 across 8K–128K context.
+//! others) for Llama-3-8B on A100 across 8K–128K context — modeled by
+//! `lserve-costmodel`, not measured (`perf` measures this repo's own breakdown).
 
 use lserve_bench::{klen, pct, print_table};
 use lserve_costmodel::{decode_step, prefill, GpuSpec, SystemModel};
@@ -26,7 +27,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "Figure 2(a): prefill latency breakdown (Llama-3-8B, A100)",
+        "Figure 2(a), modeled (costmodel): prefill latency breakdown (Llama-3-8B, A100)",
         &["Input", "Attention", "GEMM", "Others"],
         &rows,
     );
@@ -45,7 +46,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "Figure 2(b): decode latency breakdown (Llama-3-8B, A100)",
+        "Figure 2(b), modeled (costmodel): decode latency breakdown (Llama-3-8B, A100)",
         &["Input", "Attention", "GEMM", "Others"],
         &rows,
     );

@@ -32,7 +32,7 @@ fn main() {
         ]);
     }
     print_table(
-        "Figure 14 (cost model, ms/layer): selector vs sparse attention",
+        "Figure 14, modeled (costmodel), ms/layer: selector vs sparse attention",
         &[
             "Seq",
             "Vanilla selector",
@@ -86,7 +86,7 @@ fn main() {
         ]);
     }
     print_table(
-        "Figure 14 (CPU, ms/step, one head): selector vs budgeted sparse attention",
+        "Figure 14, measured (this CPU), ms/step, one head: selector vs budgeted sparse attention",
         &[
             "Seq",
             "Vanilla selector",

@@ -58,7 +58,7 @@ fn main() {
     headers.extend(lengths.iter().map(|&s| klen(s)));
     let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
     print_table(
-        "Figure 16: end-to-end decode speedup over the dense FP16 baseline (Llama-3-8B, A100)",
+        "Figure 16, modeled (costmodel): end-to-end decode speedup over the dense FP16 baseline (Llama-3-8B, A100)",
         &headers_ref,
         &rows,
     );

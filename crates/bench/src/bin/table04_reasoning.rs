@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use lserve_bench::print_table;
-use lserve_core::{Engine, EngineConfig};
+use lserve_core::{EngineConfig, ModelExecutor};
 use lserve_model::{greedy_next_token, ModelConfig, ModelWeights};
 
 const PROMPT_LEN: usize = 48;
@@ -44,8 +44,11 @@ fn forced_agreement(
     trajectory: &[u32],
 ) -> f64 {
     let mut pool = cfg.make_pool_for(&weights.config, PROMPT_LEN + GEN_TOKENS + 8);
-    let mut engine = Engine::new(Arc::clone(weights), cfg);
-    let first = engine.prefill(&mut pool, prompt).expect("pool sized");
+    let exec = ModelExecutor::new(Arc::clone(weights), cfg);
+    let mut seq = exec.new_sequence();
+    let first = exec
+        .prefill(&mut seq, &mut pool, prompt)
+        .expect("pool sized");
     let mut agree = 0usize;
     let mut logits = first.logits;
     for (i, &tok) in trajectory.iter().enumerate() {
@@ -53,8 +56,8 @@ fn forced_agreement(
             agree += 1;
         }
         if i + 1 < trajectory.len() {
-            logits = engine
-                .decode_step(&mut pool, tok)
+            logits = exec
+                .decode_step(&mut seq, &mut pool, tok)
                 .expect("pool sized")
                 .logits;
         }
@@ -69,9 +72,9 @@ fn main() {
     // Dense greedy trajectory = the reference chain of thought.
     let dense_cfg = EngineConfig::dense();
     let mut pool = dense_cfg.make_pool_for(&weights.config, PROMPT_LEN + GEN_TOKENS + 8);
-    let mut dense_engine = Engine::new(Arc::clone(&weights), dense_cfg);
-    let trajectory = dense_engine
-        .generate(&mut pool, &prompt, GEN_TOKENS)
+    let dense = ModelExecutor::new(Arc::clone(&weights), dense_cfg);
+    let trajectory = dense
+        .generate(&mut dense.new_sequence(), &mut pool, &prompt, GEN_TOKENS)
         .expect("pool sized");
 
     let fid_dense = forced_agreement(EngineConfig::dense(), &weights, &prompt, &trajectory);

@@ -26,10 +26,12 @@ use std::sync::Arc;
 
 use lserve_trace::Json;
 
+use crate::api::{RequestHandle, RequestSpec, SchedulerConfig};
 use crate::dag::{BranchSpec, ForkError, ForkOutcome, JoinPolicy, JoinStatus};
 use crate::executor::ModelExecutor;
 use crate::metrics::MetricsSnapshot;
-use crate::serving::{RequestHandle, RequestSpec, Scheduler, SchedulerConfig, ServingReport};
+use crate::report::ServingReport;
+use crate::scheduler::Scheduler;
 
 /// Replica names used for metrics sections (and therefore the maximum
 /// replica count): [`MetricsSnapshot`] keys are `&'static str`.
@@ -267,8 +269,7 @@ impl Cluster {
     /// Routes and enqueues a request: to the replica holding its prefix when
     /// one is recorded, else to the least-loaded replica (which then becomes
     /// the prefix's home). Returns the request's lifecycle handle.
-    pub fn submit(&mut self, spec: impl Into<RequestSpec>) -> RequestHandle {
-        let spec = spec.into();
+    pub fn submit(&mut self, spec: RequestSpec) -> RequestHandle {
         let (replica, hit) = self.route(&spec);
         self.router.routed += 1;
         if hit {

@@ -1,6 +1,6 @@
 //! Request DAGs: speculative fork/join branching for agentic serving.
 //!
-//! A running sequence can [`fork`](crate::serving::Scheduler::fork) into K
+//! A running sequence can [`fork`](crate::Scheduler::fork) into K
 //! speculative branches that CoW-share every KV page up to the fork point (the
 //! same `PagePool::fork` refcount discipline the prefix cache uses at
 //! admission). Branches race under the `BestEffort` class; a join policy
@@ -261,10 +261,10 @@ impl std::error::Error for ForkError {}
 /// order the branches were given).
 #[derive(Debug)]
 pub struct ForkOutcome {
-    /// Group id, usable with [`Scheduler::join_status`](crate::serving::Scheduler::join_status).
+    /// Group id, usable with [`Scheduler::join_status`](crate::Scheduler::join_status).
     pub group: u64,
     /// Request handles of the branches.
-    pub handles: Vec<crate::serving::RequestHandle>,
+    pub handles: Vec<crate::RequestHandle>,
 }
 
 /// Resolution state of a fork group.

@@ -16,56 +16,57 @@
 //!   state, position, stats). The executor runs block-sparse fused prefill (§3.4),
 //!   two-way paged KV writeback, and decode with hierarchical + reusable page
 //!   selection feeding the fused decode kernel (§3.5–3.6) — including
-//!   [`ModelExecutor::decode_batch`], the layer-outer batched decode step whose
-//!   attention phase shards across a sparsity-aware worker pool
-//!   ([`ModelExecutor::decode_batch_threads`], bit-identical at every thread
-//!   count).
-//! * [`engine`] — [`Engine`], the single-sequence convenience wrapper over one
-//!   executor + one sequence state.
-//! * [`serving`] — the continuous-batching [`Scheduler`] behind the
-//!   handle-based streaming request API ([`RequestSpec`] → [`RequestHandle`] →
-//!   [`ServingEvent`]): chunked prefill over a fixed tile grid, exact
-//!   page-demand reservation, SLO-class/deadline/swap-cost-aware admission and
-//!   preemption, cancellation, multi-turn sessions, cross-request prefix
-//!   caching — plus the [`ServingEngine`] compatibility facade, standing in
-//!   for the vLLM-style serving loop the paper builds on.
+//!   [`ModelExecutor::decode_batch_sharded`], the layer-outer batched decode
+//!   step whose attention phase shards across a sparsity-aware worker pool
+//!   (bit-identical at every thread count).
+//! * [`api`] — the handle-based streaming request API ([`RequestSpec`] →
+//!   [`RequestHandle`] → [`ServingEvent`]) and the [`SchedulerConfig`] policy.
+//! * [`scheduler`] — the continuous-batching [`Scheduler`], one file per state
+//!   machine: admission, chunked prefill over a fixed tile grid, batched
+//!   decode with exact page-demand reservation, SLO-class/deadline/swap-cost-
+//!   aware preemption, the swap/park/spill ladder, prefix-cache donation,
+//!   cancellation, and speculative fork/join — standing in for the vLLM-style
+//!   serving loop the paper builds on.
+//! * [`report`] — [`ServingReport`], assembled on request from the scheduler's
+//!   counters and the pool / copy-engine / prefix-cache / placement / DAG
+//!   ledgers.
 //! * [`prefix`] — [`CachedPrefix`], the positionally exact per-sequence KV
 //!   snapshot the scheduler donates into (and seeds from) the
 //!   `lserve-prefixcache` radix tree.
 //! * [`stats`] — work counters every stage reports (tiles, pages, selector calls),
 //!   the quantities the cost model turns into GPU time.
 
+pub mod api;
 pub mod cluster;
 pub mod config;
 pub mod dag;
-pub mod engine;
 pub mod executor;
 pub mod heads;
 pub mod metrics;
 pub mod prefix;
-pub mod serving;
+pub mod report;
+pub mod scheduler;
 pub mod sharding;
 pub mod stats;
 
+pub use api::{
+    AdmissionPolicy, FinishReason, PreemptionPolicy, RejectReason, RequestHandle, RequestSpec,
+    RequestStatus, SchedulerConfig, ServingEvent, SloClass,
+};
 pub use cluster::{Cluster, ClusterConfig, ClusterForkOutcome, ClusterReport, RouterStats};
-pub use config::{decode_threads_from_env, EngineConfig, SelectorKind};
+pub use config::{EngineConfig, RuntimeConfig, SelectorKind, TraceMode};
 pub use dag::{
     BranchSpec, DagStats, DagStore, ForkError, ForkOutcome, JoinPolicy, JoinStatus,
     SparsityOverride, SparsitySchedule,
 };
-pub use engine::{DecodeOutput, Engine, PrefillOutput};
-pub use executor::{ModelExecutor, OutOfPagesError, SequenceState};
+pub use executor::{DecodeOutput, ModelExecutor, OutOfPagesError, PrefillOutput, SequenceState};
 pub use heads::{classify_heads, streaming_masks_from_gates};
-pub use lserve_costmodel::{devices_from_env, Placement, PlacementPolicy, Topology};
-pub use lserve_kvcache::{migration_from_env, MigrationMode, MigrationStats};
+pub use lserve_costmodel::{Placement, PlacementPolicy, Topology};
+pub use lserve_kvcache::{MigrationMode, MigrationStats};
 pub use lserve_prefixcache::PrefixCacheStats;
 pub use metrics::MetricsSnapshot;
 pub use prefix::CachedPrefix;
-pub use serving::{
-    preemption_from_env, sequence_pages_estimate, tile_grid_boundary, AdmissionPolicy,
-    FinishReason, PreemptionPolicy, RejectReason, Request, RequestHandle, RequestMetrics,
-    RequestSpec, RequestStatus, Scheduler, SchedulerConfig, ServingEngine, ServingEvent,
-    ServingReport, SloClass,
-};
+pub use report::{RequestMetrics, ServingReport};
+pub use scheduler::{sequence_pages_estimate, tile_grid_boundary, Scheduler};
 pub use sharding::{RebalanceOutcome, ShardingPlan, ShardingStats};
 pub use stats::{EngineStats, MigrationDelta, ParallelExecStats};

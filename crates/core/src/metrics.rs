@@ -15,7 +15,8 @@ use std::path::Path;
 
 use lserve_trace::Json;
 
-use crate::serving::{PreemptionPolicy, ServingReport, SloClass};
+use crate::api::{PreemptionPolicy, SloClass};
+use crate::report::ServingReport;
 use crate::MigrationMode;
 
 /// A named collection of metric documents, rendered as one JSON object in

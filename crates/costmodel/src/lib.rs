@@ -42,6 +42,5 @@ pub use kernels::{
 };
 pub use system::{PrefillSparsity, SystemModel};
 pub use topology::{
-    devices_from_env, Placement, PlacementPolicy, Topology, DEFAULT_GATHER_COST_TOKENS,
-    INTERCONNECT_SPEEDUP,
+    Placement, PlacementPolicy, Topology, DEFAULT_GATHER_COST_TOKENS, INTERCONNECT_SPEEDUP,
 };

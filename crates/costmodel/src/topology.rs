@@ -37,17 +37,6 @@ pub const DEFAULT_GATHER_COST_TOKENS: u64 = 4;
 /// migration is cheap relative to tier offload but never free.
 pub const INTERCONNECT_SPEEDUP: u64 = 8;
 
-/// Reads the simulated device count from `LSERVE_DEVICES` (1 when unset or
-/// unparsable). Read per call — never cached process-wide — so tests and
-/// benches can vary it between constructions in one process.
-pub fn devices_from_env() -> usize {
-    std::env::var("LSERVE_DEVICES")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 /// A symmetric mesh of simulated devices plus a host link.
 ///
 /// All costs are modeled work tokens on the engine's deterministic work
@@ -82,11 +71,6 @@ impl Topology {
             gather_cost_tokens,
             interconnect_speedup: INTERCONNECT_SPEEDUP,
         }
-    }
-
-    /// Topology seeded from `LSERVE_DEVICES` with the default gather cost.
-    pub fn from_env() -> Self {
-        Self::symmetric(devices_from_env(), DEFAULT_GATHER_COST_TOKENS)
     }
 
     /// Number of simulated devices.

@@ -42,27 +42,6 @@ pub enum MigrationMode {
     Async,
 }
 
-/// Default migration mode from the `LSERVE_MIGRATION` environment variable
-/// (`sync` | `async`, defaulting to sync; unknown values fall back to sync).
-///
-/// Read on every call — deliberately *not* cached in a process-wide
-/// `OnceLock` — so tests and benches can vary the knob in-process;
-/// constructors ([`crate::PagePool::new_with_migration`] callers such as the
-/// scheduler config) read it once and pin the result. CI runs the test suite
-/// under both values, so the determinism suite exercises the overlapped
-/// migration path on every push.
-pub fn migration_from_env() -> MigrationMode {
-    match std::env::var("LSERVE_MIGRATION")
-        .unwrap_or_default()
-        .trim()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "async" => MigrationMode::Async,
-        _ => MigrationMode::Sync,
-    }
-}
-
 /// Direction of an in-flight transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationDir {

@@ -43,15 +43,11 @@ pub mod streaming;
 
 pub use config::PagingConfig;
 pub use copy_engine::{
-    migration_from_env, CopyEngine, Hop, MigrationDir, MigrationMode, MigrationStats,
-    COPY_CHANNEL_DEPTH,
+    CopyEngine, Hop, MigrationDir, MigrationMode, MigrationStats, COPY_CHANNEL_DEPTH,
 };
 pub use dense::DenseHeadCache;
 pub use layer::{HeadCache, LayerKvCache};
-pub use pool::{
-    key_lane_offset, tier_config_from_env, KvPage, PageId, PagePool, Residency, TierConfig,
-    KEY_LANES,
-};
+pub use pool::{key_lane_offset, KvPage, PageId, PagePool, Residency, TierConfig, KEY_LANES};
 pub use stats::{
     nvme_ledger_units, transfer_cost_tokens, LogicalPageStats, TierStats, HOST_TRANSFER_SPEEDUP,
     NVME_TRANSFER_SPEEDUP,

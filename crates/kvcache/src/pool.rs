@@ -63,29 +63,6 @@ pub struct TierConfig {
     pub nvme: bool,
 }
 
-/// Tier configuration from the `LSERVE_HOST_PAGES` (page count, `0`/unset =
-/// unbounded) and `LSERVE_NVME` (`1`/`true`/`on` to enable) environment
-/// variables.
-///
-/// Read on every call — deliberately *not* cached in a process-wide
-/// `OnceLock` — so tests and benches can vary the knobs in-process;
-/// constructors read it once and pin the result.
-pub fn tier_config_from_env() -> TierConfig {
-    let host_pages = std::env::var("LSERVE_HOST_PAGES")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0);
-    let nvme = matches!(
-        std::env::var("LSERVE_NVME")
-            .unwrap_or_default()
-            .trim()
-            .to_ascii_lowercase()
-            .as_str(),
-        "1" | "true" | "on"
-    );
-    TierConfig { host_pages, nvme }
-}
-
 /// Opaque handle to a physical page in a [`PagePool`].
 ///
 /// Page tables are `Vec<PageId>`; kernels resolve handles through the pool, the
@@ -481,28 +458,18 @@ impl PagePool {
     /// Creates a pool whose hot (device) tier holds `capacity` pages for heads
     /// of dimension `head_dim`. The cold (host) tier starts empty and is
     /// unbounded. Migrations complete synchronously ([`MigrationMode::Sync`]);
-    /// see [`PagePool::new_with_migration`] for the overlapped engine.
+    /// see [`PagePool::new_with_tiers`] for the overlapped engine.
     pub fn new(config: PagingConfig, capacity: usize, head_dim: usize) -> Self {
-        Self::new_with_migration(config, capacity, head_dim, MigrationMode::Sync)
-    }
-
-    /// Creates a pool with an explicit [`MigrationMode`]. Under
-    /// [`MigrationMode::Async`] demotions and promotions drain through the
-    /// modeled copy engine (see [`crate::copy_engine`]) as compute feeds
-    /// [`PagePool::advance_transfer_units`]; outputs of anything built on the
-    /// pool are bit-identical across modes — only the latency accounting and
-    /// slot timing differ.
-    pub fn new_with_migration(
-        config: PagingConfig,
-        capacity: usize,
-        head_dim: usize,
-        mode: MigrationMode,
-    ) -> Self {
-        Self::new_with_tiers(config, capacity, head_dim, mode, TierConfig::default())
+        let tiers = TierConfig::default();
+        Self::new_with_tiers(config, capacity, head_dim, MigrationMode::Sync, tiers)
     }
 
     /// Creates a pool with an explicit [`MigrationMode`] and [`TierConfig`].
-    /// A bounded host ([`TierConfig::host_pages`] above zero) spills its
+    /// Under [`MigrationMode::Async`] demotions and promotions drain through
+    /// the modeled copy engine (see [`crate::copy_engine`]) as compute feeds
+    /// [`PagePool::advance_transfer_units`]; outputs of anything built on the
+    /// pool are bit-identical across modes — only the latency accounting and
+    /// slot timing differ. A bounded host ([`TierConfig::host_pages`] above zero) spills its
     /// oldest-resident pages to the NVMe tier under pressure when
     /// [`TierConfig::nvme`] is on, and refuses demotions otherwise.
     pub fn new_with_tiers(
@@ -1980,11 +1947,12 @@ mod tests {
         // charge only its remainder as forced-unhidden. (The cheapest-vs-
         // oldest distinction with unequal transfer sizes is pinned at the
         // engine level in `force_cheapest_prefers_fewest_remaining_units`.)
-        let mut p = PagePool::new_with_migration(
+        let mut p = PagePool::new_with_tiers(
             PagingConfig::new(4, 2, KvPrecision::Fp16),
             2,
             4,
             MigrationMode::Async,
+            TierConfig::default(),
         );
         let a = p.allocate().unwrap();
         let b = p.allocate().unwrap();

@@ -7,7 +7,7 @@
 //! `tests/proptest_migration.rs` at the workspace root.
 
 use lserve_kvcache::{
-    DenseHeadCache, MigrationDir, MigrationMode, PagePool, PagingConfig, Residency,
+    DenseHeadCache, MigrationDir, MigrationMode, PagePool, PagingConfig, Residency, TierConfig,
     COPY_CHANNEL_DEPTH,
 };
 use lserve_quant::KvPrecision;
@@ -15,11 +15,12 @@ use lserve_quant::KvPrecision;
 const PAGE_UNITS: u64 = 4;
 
 fn async_pool(capacity: usize) -> PagePool {
-    PagePool::new_with_migration(
+    PagePool::new_with_tiers(
         PagingConfig::new(PAGE_UNITS as usize, 2, KvPrecision::Fp16),
         capacity,
         4,
         MigrationMode::Async,
+        TierConfig::default(),
     )
 }
 

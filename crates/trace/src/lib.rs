@@ -244,29 +244,6 @@ impl Tracer {
         }
     }
 
-    /// Reads `LSERVE_TRACE` — the scheduler-config env idiom: read per call,
-    /// so each constructed config pins the mode at construction time.
-    ///
-    /// Unset / `""` / `"0"` / `"off"` → disabled; `"1"` / `"on"` / `"ring"` →
-    /// ring buffer of [`DEFAULT_RING_CAPACITY`] events; `"noop"` → the
-    /// discard sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value: a typo silently disabling tracing would be
-    /// worse than stopping.
-    pub fn from_env() -> Self {
-        match std::env::var("LSERVE_TRACE") {
-            Err(_) => Self::disabled(),
-            Ok(v) => match v.as_str() {
-                "" | "0" | "off" => Self::disabled(),
-                "1" | "on" | "ring" => Self::ring(DEFAULT_RING_CAPACITY),
-                "noop" => Self::noop(),
-                other => panic!("LSERVE_TRACE must be 0|off|1|on|ring|noop, got {other:?}"),
-            },
-        }
-    }
-
     /// True when events are being recorded. Guard expensive argument
     /// construction on this; the emit methods themselves already early-return.
     #[inline]

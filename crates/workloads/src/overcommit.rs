@@ -62,8 +62,8 @@ impl OvercommitConfig {
     /// generation budget, so a burst's sequences coexist through enough
     /// decode iterations that an asynchronous copy engine has compute to
     /// hide transfers behind. Used by the `tiered_offload` bench's
-    /// sync-vs-async comparison (and the `BENCH_pr6.json` artifact CI
-    /// archives), where the stall-reduction acceptance gate is asserted.
+    /// sync-vs-async comparison (written to `BENCH_pr7.json`), where the
+    /// stall-reduction acceptance gate is asserted.
     pub fn migration_bench() -> Self {
         Self {
             max_new_tokens: 32,

@@ -2,7 +2,7 @@
 //! *decoding*, not prefilling, dominates (§1: 116 s prefill vs 540 s decode for a
 //! 256K+20K o1-style trace).
 //!
-//! A multi-turn session drives one engine through several prompt+generate rounds on
+//! A multi-turn session drives one sequence through several prompt+generate rounds on
 //! the same growing context — the KV cache persists across turns — and reports how
 //! the work per decode step stays bounded under LServe's sparsity while the dense
 //! engine's grows with the context.
@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use lserve::core::{Engine, EngineConfig};
+use lserve::core::{EngineConfig, ModelExecutor};
 use lserve::model::{greedy_next_token, ModelConfig, ModelWeights};
 
 const TURNS: usize = 4;
@@ -31,7 +31,8 @@ fn run(name: &str, mut cfg: EngineConfig) {
     let weights = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 77));
     let total = TURNS * (PROMPT_PER_TURN + GEN_PER_TURN) + 8;
     let mut pool = cfg.make_pool_for(&weights.config, total);
-    let mut engine = Engine::new(weights, cfg);
+    let exec = ModelExecutor::new(weights, cfg);
+    let mut seq = exec.new_sequence();
 
     println!("{name}:");
     for turn in 0..TURNS {
@@ -42,30 +43,32 @@ fn run(name: &str, mut cfg: EngineConfig) {
             .map(|i| ((turn * 31 + i * 7) % 90) as u32)
             .collect();
         let mut logits = if turn == 0 {
-            engine
-                .prefill(&mut pool, &prompt)
+            exec.prefill(&mut seq, &mut pool, &prompt)
                 .expect("pool sized")
                 .logits
         } else {
             let mut last = Vec::new();
             for &t in &prompt {
-                last = engine.decode_step(&mut pool, t).expect("pool sized").logits;
+                last = exec
+                    .decode_step(&mut seq, &mut pool, t)
+                    .expect("pool sized")
+                    .logits;
             }
             last
         };
-        let before = engine.stats().decode_tokens_visited;
+        let before = seq.stats().decode_tokens_visited;
         for _ in 0..GEN_PER_TURN {
             let next = greedy_next_token(&logits);
-            logits = engine
-                .decode_step(&mut pool, next)
+            logits = exec
+                .decode_step(&mut seq, &mut pool, next)
                 .expect("pool sized")
                 .logits;
         }
-        let visited = engine.stats().decode_tokens_visited - before;
+        let visited = seq.stats().decode_tokens_visited - before;
         println!(
             "  turn {} | context {:>4} tokens | KV rows visited/gen-step: {:>5.0} | pool pages {}",
             turn + 1,
-            engine.context_len(),
+            seq.context_len(),
             visited as f64 / GEN_PER_TURN as f64,
             pool.in_use(),
         );

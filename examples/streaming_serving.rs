@@ -140,7 +140,7 @@ fn cancellation_demo() {
         RequestSpec::new(2, (0..24).map(|i| ((i * 7) % 90) as u32).collect()).max_new_tokens(8),
     );
     let want = solo.run_to_completion(10_000).completed[0].1.clone();
-    let report = sched.report_snapshot().clone();
+    let report = sched.report_snapshot();
     let got = &report.completed.iter().find(|(id, _)| *id == 2).unwrap().1;
     assert_eq!(got, &want, "survivor diverged from its solo run");
     // The cancelled request's fed prefix is warm: re-submitting its prompt hits.

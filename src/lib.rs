@@ -33,17 +33,23 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use lserve::core::{Engine, EngineConfig};
+//! use lserve::core::{EngineConfig, ModelExecutor};
 //! use lserve::model::{ModelConfig, ModelWeights};
 //!
 //! let weights = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 42));
 //! let cfg = EngineConfig::lserve_fp16();
 //! let mut pool = cfg.make_pool_for(&weights.config, 256);
-//! let mut engine = Engine::new(weights, cfg);
-//! let tokens = engine.generate(&mut pool, &[1, 2, 3, 4], 8)?;
+//! // One executor (weights + policy, shareable) serves any number of sequences.
+//! let exec = ModelExecutor::new(weights, cfg);
+//! let mut seq = exec.new_sequence();
+//! let tokens = exec.generate(&mut seq, &mut pool, &[1, 2, 3, 4], 8)?;
 //! assert_eq!(tokens.len(), 8);
-//! # Ok::<(), lserve::core::engine::OutOfPagesError>(())
+//! seq.release(&mut pool);
+//! # Ok::<(), lserve::core::OutOfPagesError>(())
 //! ```
+//!
+//! Serving many requests over one pool is [`core::Scheduler`], fed
+//! [`core::RequestSpec`]s; its documentation has the example.
 
 pub use lserve_attention as attention;
 pub use lserve_core as core;

@@ -3,7 +3,10 @@
 
 use std::sync::Arc;
 
-use lserve::core::{Engine, EngineConfig, RequestSpec, SelectorKind, ServingEngine};
+use lserve::core::{
+    AdmissionPolicy, EngineConfig, ModelExecutor, RequestSpec, Scheduler, SchedulerConfig,
+    SelectorKind,
+};
 use lserve::kvcache::PagingConfig;
 use lserve::model::{greedy_next_token, reference_forward_full, ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
@@ -14,8 +17,20 @@ fn weights(seed: u64) -> Arc<ModelWeights> {
 
 fn generate(cfg: EngineConfig, w: &Arc<ModelWeights>, prompt: &[u32], n: usize) -> Vec<u32> {
     let mut pool = cfg.make_pool_for(&w.config, prompt.len() + n + 8);
-    let mut e = Engine::new(Arc::clone(w), cfg);
-    e.generate(&mut pool, prompt, n).expect("pool sized")
+    let exec = ModelExecutor::new(Arc::clone(w), cfg);
+    exec.generate(&mut exec.new_sequence(), &mut pool, prompt, n)
+        .expect("pool sized")
+}
+
+/// FCFS continuous batching: monolithic prefill, full-footprint admission.
+fn fcfs(w: &Arc<ModelWeights>, cfg: EngineConfig, pool_pages: usize) -> Scheduler {
+    let scfg = SchedulerConfig {
+        chunk_tokens: usize::MAX,
+        max_batch: usize::MAX,
+        admission: AdmissionPolicy::FullFootprint,
+        ..SchedulerConfig::new(pool_pages)
+    };
+    Scheduler::new(Arc::new(ModelExecutor::new(Arc::clone(w), cfg)), scfg)
 }
 
 #[test]
@@ -23,14 +38,18 @@ fn dense_engine_tracks_reference_model_over_long_decode() {
     let w = weights(1);
     let cfg = EngineConfig::dense();
     let mut pool = cfg.make_pool_for(&w.config, 128);
-    let mut e = Engine::new(Arc::clone(&w), cfg);
+    let exec = ModelExecutor::new(Arc::clone(&w), cfg);
+    let mut state = exec.new_sequence();
     let prompt = [2u32, 4, 8, 16];
     let mut seq = prompt.to_vec();
-    let mut logits = e.prefill(&mut pool, &prompt).unwrap().logits;
+    let mut logits = exec.prefill(&mut state, &mut pool, &prompt).unwrap().logits;
     for _ in 0..40 {
         let next = greedy_next_token(&logits);
         seq.push(next);
-        logits = e.decode_step(&mut pool, next).unwrap().logits;
+        logits = exec
+            .decode_step(&mut state, &mut pool, next)
+            .unwrap()
+            .logits;
         let want = reference_forward_full(&w, &seq);
         let row = want.row(seq.len() - 1);
         let max_diff = logits
@@ -101,14 +120,18 @@ fn quantized_kv_bounded_logit_drift() {
     let prompt: Vec<u32> = (0..16).map(|i| (i % 90) as u32).collect();
     let dense_cfg = EngineConfig::dense();
     let mut dense_pool = dense_cfg.make_pool_for(&w.config, 64);
-    let mut dense = Engine::new(Arc::clone(&w), dense_cfg);
-    let d = dense.prefill(&mut dense_pool, &prompt).unwrap();
+    let dense = ModelExecutor::new(Arc::clone(&w), dense_cfg);
+    let mut dense_seq = dense.new_sequence();
+    let d = dense
+        .prefill(&mut dense_seq, &mut dense_pool, &prompt)
+        .unwrap();
 
     let mut q_cfg = EngineConfig::qserve_like();
     q_cfg.paging = PagingConfig::flat(64, KvPrecision::Int8);
     let mut q_pool = q_cfg.make_pool_for(&w.config, 64);
-    let mut q = Engine::new(Arc::clone(&w), q_cfg);
-    let o = q.prefill(&mut q_pool, &prompt).unwrap();
+    let q = ModelExecutor::new(Arc::clone(&w), q_cfg);
+    let mut q_seq = q.new_sequence();
+    let o = q.prefill(&mut q_seq, &mut q_pool, &prompt).unwrap();
 
     // Prefill attention runs on in-flight activations, so prefill logits are equal;
     // the quantized cache only affects decode.
@@ -123,8 +146,10 @@ fn quantized_kv_bounded_logit_drift() {
         "prefill should be exact: {prefill_diff}"
     );
 
-    let dd = dense.decode_step(&mut dense_pool, 7).unwrap();
-    let qq = q.decode_step(&mut q_pool, 7).unwrap();
+    let dd = dense
+        .decode_step(&mut dense_seq, &mut dense_pool, 7)
+        .unwrap();
+    let qq = q.decode_step(&mut q_seq, &mut q_pool, 7).unwrap();
     let decode_diff = dd
         .logits
         .iter()
@@ -136,12 +161,12 @@ fn quantized_kv_bounded_logit_drift() {
 }
 
 #[test]
-fn serving_matches_single_engine_for_every_policy() {
+fn serving_matches_a_solo_sequence_for_every_policy() {
     for cfg in [EngineConfig::dense(), EngineConfig::lserve_fp16()] {
         let w = weights(6);
         let prompt: Vec<u32> = (0..20).map(|i| (i % 90) as u32).collect();
         let standalone = generate(cfg.clone(), &w, &prompt, 10);
-        let mut srv = ServingEngine::new(Arc::clone(&w), cfg, 4096);
+        let mut srv = fcfs(&w, cfg, 4096);
         srv.submit(RequestSpec::new(9, prompt.clone()).max_new_tokens(10));
         let report = srv.run_to_completion(10_000);
         assert_eq!(report.completed[0].1, standalone);
@@ -151,7 +176,7 @@ fn serving_matches_single_engine_for_every_policy() {
 #[test]
 fn serving_under_pressure_completes_everything() {
     let w = weights(7);
-    let mut srv = ServingEngine::new(Arc::clone(&w), EngineConfig::lserve_fp16(), 200);
+    let mut srv = fcfs(&w, EngineConfig::lserve_fp16(), 200);
     for id in 0..10 {
         srv.submit(
             RequestSpec::new(id, (0..16 + id as usize).map(|i| (i % 90) as u32).collect())
@@ -167,11 +192,11 @@ fn serving_under_pressure_completes_everything() {
 #[test]
 fn streaming_masks_are_deterministic_per_seed() {
     let w = weights(8);
-    let a = Engine::new(Arc::clone(&w), EngineConfig::lserve_fp16());
-    let b = Engine::new(Arc::clone(&w), EngineConfig::lserve_fp16());
+    let a = ModelExecutor::new(Arc::clone(&w), EngineConfig::lserve_fp16());
+    let b = ModelExecutor::new(Arc::clone(&w), EngineConfig::lserve_fp16());
     assert_eq!(a.head_kinds(), b.head_kinds());
     let mut other = EngineConfig::lserve_fp16();
     other.gate_seed = 999;
-    let c = Engine::new(w, other);
+    let c = ModelExecutor::new(w, other);
     assert_ne!(a.head_kinds(), c.head_kinds());
 }

@@ -7,9 +7,10 @@
 //! tweak, a scheduling reorder, a thread-count dependence — fails the suite
 //! with a diff instead of silently shipping different tokens.
 //!
-//! The fixtures are also the cross-thread determinism net: CI runs this suite
-//! under `LSERVE_DECODE_THREADS=1` and `=8`, and both must reproduce the same
-//! bytes.
+//! The fixtures are also the cross-thread and cross-device determinism net:
+//! CI runs this suite under `LSERVE_DECODE_THREADS=1` / `LSERVE_DEVICES=1` and
+//! under `8` / `4`, and `golden_fixtures_hold_across_threads_and_devices` pins
+//! the two mixed pairings in-process; all must reproduce the same bytes.
 //!
 //! To regenerate after an *intentional* numerics change:
 //!
@@ -95,14 +96,25 @@ fn run_case(cfg: EngineConfig) -> String {
     run_case_on(&ModelConfig::tiny(), cfg)
 }
 
-/// Runs the serving stack on seeded weights for `model` and renders one line
-/// per request: `req <id> prompt_len=<n>: <generated tokens>`.
+/// Runs the serving stack on seeded weights for `model`, worker threads and
+/// devices as the environment sets them.
 fn run_case_on(model: &ModelConfig, cfg: EngineConfig) -> String {
+    run_case_with(model, cfg, None)
+}
+
+/// Runs the serving stack on seeded weights for `model` — on `(threads,
+/// devices)` when given — and renders one line per request:
+/// `req <id> prompt_len=<n>: <generated tokens>`.
+fn run_case_with(model: &ModelConfig, cfg: EngineConfig, on: Option<(usize, usize)>) -> String {
     let weights = Arc::new(ModelWeights::random(model, 71));
     let exec = Arc::new(ModelExecutor::new(weights, cfg));
     let mut scfg = SchedulerConfig::new(4096);
     scfg.chunk_tokens = 8;
     scfg.admission = AdmissionPolicy::FirstChunk;
+    if let Some((threads, devices)) = on {
+        scfg.decode_threads = threads;
+        scfg.devices = devices;
+    }
     let mut sched = Scheduler::new(exec, scfg);
     let reqs = requests();
     for r in &reqs {
@@ -166,4 +178,29 @@ fn golden_quest_flat_selector_fp16() {
     cfg.paging = PagingConfig::flat(8, KvPrecision::Fp16);
     cfg.prefill_tile = 8;
     check_golden("quest_flat_selector_fp16", &run_case(cfg));
+}
+
+/// Sharded workers on one device, and a device mesh walked by one worker —
+/// the pairings neither CI leg's environment selects — reproduce the mixed-
+/// head fixtures (selection active, FP16 and INT4) byte for byte, as do the
+/// two pairings the legs do select.
+#[test]
+fn golden_fixtures_hold_across_threads_and_devices() {
+    for on in [(8, 1), (1, 4), (1, 1), (8, 4)] {
+        for (name, cfg, precision) in [
+            (
+                "lserve_fp16_mixed_heads",
+                EngineConfig::lserve_fp16(),
+                KvPrecision::Fp16,
+            ),
+            (
+                "lserve_int4_mixed_heads",
+                EngineConfig::lserve(),
+                KvPrecision::Int4,
+            ),
+        ] {
+            let cfg = small_scale(cfg, precision);
+            check_golden(name, &run_case_with(&ModelConfig::tiny(), cfg, Some(on)));
+        }
+    }
 }

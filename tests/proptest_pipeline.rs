@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use lserve::attention::{decode_dense_head, masked_attention_reference};
-use lserve::core::{Engine, EngineConfig};
+use lserve::core::{EngineConfig, ModelExecutor};
 use lserve::kvcache::{DenseHeadCache, PagePool, PagingConfig};
 use lserve::model::{ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
@@ -119,8 +119,8 @@ proptest! {
         let cfg = if lserve { EngineConfig::lserve() } else { EngineConfig::dense() };
         let run = |cfg: EngineConfig| {
             let mut pool = cfg.make_pool_for(&w.config, 256);
-            let mut e = Engine::new(Arc::clone(&w), cfg);
-            e.generate(&mut pool, &prompt, 8).unwrap()
+            let exec = ModelExecutor::new(Arc::clone(&w), cfg);
+            exec.generate(&mut exec.new_sequence(), &mut pool, &prompt, 8).unwrap()
         };
         prop_assert_eq!(run(cfg.clone()), run(cfg));
     }
@@ -135,10 +135,11 @@ proptest! {
         let w = Arc::new(ModelWeights::random(&ModelConfig::tiny(), wseed));
         let cfg = EngineConfig::lserve_fp16();
         let mut pool = cfg.make_pool_for(&w.config, 256);
-        let mut e = Engine::new(w, cfg);
+        let exec = ModelExecutor::new(w, cfg);
+        let mut seq = exec.new_sequence();
         let prompt: Vec<u32> = (0..plen).map(|i| (i % 90) as u32).collect();
-        e.generate(&mut pool, &prompt, steps).unwrap();
-        e.release(&mut pool);
+        exec.generate(&mut seq, &mut pool, &prompt, steps).unwrap();
+        seq.release(&mut pool);
         prop_assert_eq!(pool.in_use(), 0);
     }
 }
