@@ -37,6 +37,7 @@ pub mod config;
 pub mod copy_engine;
 pub mod dense;
 pub mod layer;
+pub mod page;
 pub mod pool;
 pub mod stats;
 pub mod streaming;
@@ -47,7 +48,8 @@ pub use copy_engine::{
 };
 pub use dense::DenseHeadCache;
 pub use layer::{HeadCache, LayerKvCache};
-pub use pool::{key_lane_offset, KvPage, PageId, PagePool, Residency, TierConfig, KEY_LANES};
+pub use page::{key_lane_offset, KvPage, KEY_LANES};
+pub use pool::{PageId, PagePool, Residency, TierConfig};
 pub use stats::{
     nvme_ledger_units, transfer_cost_tokens, LogicalPageStats, TierStats, HOST_TRANSFER_SPEEDUP,
     NVME_TRANSFER_SPEEDUP,
