@@ -204,11 +204,10 @@ fn bench_tiered_offload(c: &mut Criterion) {
         .collect();
     let mut promote_units = 0u64;
     for l in &layers {
-        l.demote_all(&mut pool);
+        pool.demote_all(l.page_ids());
     }
     for l in &layers {
-        let (_, units) = l.promote_all(&mut pool).expect("pool sized");
-        promote_units += units;
+        promote_units += pool.promote_all(l.page_ids()).expect("pool sized").units;
     }
     let swap_resume_tokens = lserve_kvcache::transfer_cost_tokens(promote_units);
     let replay_tokens = VICTIM_TOKENS as u64;

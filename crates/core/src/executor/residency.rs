@@ -4,7 +4,7 @@
 //! plus [`ModelExecutor::step_page_demand`], the reservation that makes the
 //! pass unable to fail short of a bounded host refusing a demotion.
 
-use lserve_kvcache::{HeadCache, MigrationMode, PageId, PagePool};
+use lserve_kvcache::{HeadCache, Moved, PageId, PagePool};
 use lserve_selector::PageSelector;
 use lserve_trace::lane;
 
@@ -49,7 +49,7 @@ impl ModelExecutor {
                         }
                         slotless.min(unpaid)
                     }
-                    (head, ..) => head.swap_in_demand(pool),
+                    (head, ..) => pool.swap_in_demand(head.page_ids()),
                 };
             }
         }
@@ -166,7 +166,6 @@ impl ModelExecutor {
         plan: &mut RowPlan,
         reserved: &mut usize,
     ) -> Result<(), OutOfPagesError> {
-        let sync = pool.migration_mode() == MigrationMode::Sync;
         let mut delta = MigrationDelta::default();
         let RowPlan {
             selections,
@@ -183,15 +182,13 @@ impl ModelExecutor {
                     // first. Non-resident pages appear here only on sequences
                     // seeded from a prefix snapshot captured after demotion —
                     // the common case is a no-op scan.
-                    let Some((p, u, unhidden)) = state.layers[l].head(kv).ensure_resident(pool)
+                    let Some(moved) = pool.ensure_resident(state.layers[l].head(kv).page_ids())
                     else {
                         break 'pass Err(OutOfPagesError);
                     };
-                    *reserved = reserved.saturating_sub(p as usize);
-                    delta.pages_promoted += p;
-                    delta.token_units += u;
-                    delta.unhidden_units += unhidden;
-                    fetch_units[kv] += unhidden;
+                    *reserved = reserved.saturating_sub(moved.pages as usize);
+                    delta.add_promoted(moved);
+                    fetch_units[kv] += moved.unhidden;
                     continue;
                 };
                 let HeadCache::Dense(cache) = state.layers[l].head(kv) else {
@@ -200,17 +197,12 @@ impl ModelExecutor {
                 let table = cache.page_table();
                 if let (Some(k), true) = (self.cfg.demote_after_chunks, fresh[kv]) {
                     if let Some(selector) = state.selectors[l][kv].as_ref() {
-                        for p in selector.stale_pages(k) {
-                            // Never demote the append target (the table's
-                            // final page) or anything the current selection
-                            // reads.
-                            if p + 1 >= table.len() || sel.contains(&p) {
-                                continue;
-                            }
-                            if let Some(u) = pool.demote(table[p]) {
-                                delta.add_demotion(u, sync);
-                            }
-                        }
+                        // Never demote the append target (the table's
+                        // final page) or anything the current selection
+                        // reads.
+                        let stale = selector.stale_pages(k).into_iter();
+                        let stale = stale.filter(|p| p + 1 < table.len() && !sel.contains(p));
+                        delta.add_demoted(pool.demote_all(stale.map(|p| table[p])));
                     }
                 }
                 for &p in sel {
@@ -221,8 +213,8 @@ impl ModelExecutor {
                     }
                     if moved.is_none() {
                         match Self::exchange_out(state, pool, l, selections, kv) {
-                            Some((head, out, units)) => {
-                                delta.add_demotion(units, sync);
+                            Some((head, out, moved)) => {
+                                delta.add_demoted(moved);
                                 pool.tracer().instant(
                                     "exchange",
                                     "kvcache",
@@ -242,14 +234,14 @@ impl ModelExecutor {
                         }
                         moved = pool.ensure_hot(id);
                     }
-                    let Some((u, unhidden)) = moved else {
+                    let Some((units, unhidden)) = moved else {
                         break 'pass Err(OutOfPagesError);
                     };
-                    if u > 0 {
-                        delta.pages_promoted += 1;
-                    }
-                    delta.token_units += u;
-                    delta.unhidden_units += unhidden;
+                    delta.add_promoted(Moved {
+                        pages: u64::from(units > 0),
+                        units,
+                        unhidden,
+                    });
                     fetch_units[kv] += unhidden;
                 }
             }
@@ -267,7 +259,7 @@ impl ModelExecutor {
     /// page in this step's selections, a table's final page (the append
     /// target), a head read whole, or a co-owned page ([`PagePool::demote`]
     /// refuses those: a batch peer may be about to read it). Returns `(head,
-    /// page, transfer units)` given up, or `None` when nothing is
+    /// page, what its demotion moved)` given up, or `None` when nothing is
     /// exchangeable.
     pub(super) fn exchange_out(
         state: &SequenceState,
@@ -275,7 +267,7 @@ impl ModelExecutor {
         l: usize,
         selections: &[Option<Vec<usize>>],
         kv: usize,
-    ) -> Option<(usize, PageId, u64)> {
+    ) -> Option<(usize, PageId, Moved)> {
         let heads = std::iter::once(kv).chain((0..selections.len()).filter(|&h| h != kv));
         for head in heads {
             let (Some(sel), HeadCache::Dense(cache), Some(selector)) = (
@@ -295,7 +287,8 @@ impl ModelExecutor {
             if let Some(p) = stalest {
                 // Sole-owned and holding a slot: only a full bounded host
                 // with no nvme below it refuses, and it refuses every page.
-                return pool.demote(table[p]).map(|units| (head, table[p], units));
+                let moved = pool.demote_all([table[p]]);
+                return (moved.pages > 0).then_some((head, table[p], moved));
             }
         }
         None
@@ -410,7 +403,7 @@ mod tests {
     use std::sync::Arc;
 
     use lserve_attention::HeadKind;
-    use lserve_kvcache::{Residency, TierConfig};
+    use lserve_kvcache::{MigrationMode, Residency, TierConfig};
     use lserve_model::{greedy_next_token, ModelConfig, ModelWeights};
     use lserve_trace::Tracer;
 
@@ -547,12 +540,12 @@ mod tests {
                 (!eligible.is_empty()).then_some(eligible)
             })
             .expect("a head past its budget has unselected pages");
-        let (head, out, units) =
+        let (head, out, moved) =
             ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).unwrap();
         assert_eq!(head, kv);
         assert!(stalest.contains(&out), "{out:?} is not among {stalest:?}");
         assert_eq!(pool.residency(out), Residency::Cold);
-        assert_eq!(units, 8, "one page of token-units");
+        assert_eq!(moved.units, 8, "one page of token-units");
 
         // Never a co-owned page: with every candidate but one shared, that one.
         let candidates: Vec<PageId> = table[1..table.len() - 1]
@@ -591,11 +584,14 @@ mod tests {
                         assert!(pool.is_hot(id) || !read, "head {h} page {p}");
                     }
                 }
-                (head, _) => assert_eq!(head.cold_pages(&pool), 0, "head {h} is read whole"),
+                (head, _) => assert!(
+                    head.page_ids().all(|id| pool.is_hot(id)),
+                    "head {h} is read whole"
+                ),
             }
         }
         for other in (0..s.layers.len()).filter(|&o| o != l) {
-            assert_eq!(s.layers[other].cold_pages(&pool), 0);
+            assert!(s.layers[other].page_ids().all(|id| pool.is_hot(id)));
         }
     }
 
@@ -619,7 +615,7 @@ mod tests {
         let hot = pool.in_use();
 
         // Every page co-owned: nothing to exchange, the pass fails clean.
-        s.retain_pages(&mut pool);
+        pool.retain_all(s.page_ids());
         let failed = exec.apply_residency(&mut s, &mut pool, l, &mut plan, &mut 0);
         assert_eq!(failed, Err(OutOfPagesError));
         assert_eq!(pool.residency(wanted), Residency::Cold);

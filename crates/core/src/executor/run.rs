@@ -745,8 +745,7 @@ mod tests {
             if cfg.demote_after_chunks.is_some() {
                 assert!(s.stats().pages_demoted > 0, "the sweep never demoted");
             }
-            let pages = s.page_ids(&pool);
-            let pages = pages.iter().map(|&id| pool.page(id));
+            let pages = s.page_ids().map(|id| pool.page(id));
             let pages = pages.map(|p| (p.len(), bits(p.key_lanes()), bits(p.value_rows())));
             let pages = pages.collect();
             let work = EngineStats {

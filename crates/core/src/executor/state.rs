@@ -111,50 +111,20 @@ impl SequenceState {
         }
     }
 
+    /// Every pool page this sequence references, across all layers and
+    /// heads: the set the pool's whole-set operations take. Swap-out is
+    /// [`PagePool::demote_all`] over it (sole-owned hot pages go cold; page
+    /// tables, selector history and position counters stay intact), swap-in
+    /// [`PagePool::promote_all`] behind a [`PagePool::swap_in_demand`]
+    /// reservation, and prefix sharing [`PagePool::retain_all`].
+    pub fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.layers.iter().flat_map(LayerKvCache::page_ids)
+    }
+
     /// Total pool pages this sequence currently references, across all layers and
     /// heads.
     pub fn resident_pages(&self) -> usize {
-        self.layers.iter().map(|l| l.resident_pages()).sum()
-    }
-
-    /// Every pool page this sequence references, across all layers and heads.
-    pub fn page_ids(&self, pool: &PagePool) -> Vec<PageId> {
-        let heads = self.layers.iter();
-        let heads = heads.flat_map(|l| (0..l.num_heads()).map(move |h| l.head(h)));
-        heads
-            .flat_map(|head| match head {
-                HeadCache::Dense(c) => c.page_table().to_vec(),
-                HeadCache::Streaming(c) => c.page_table(pool).into_iter().map(|p| p.1).collect(),
-            })
-            .collect()
-    }
-
-    /// Swap-out: demotes every sole-owned hot page this sequence holds to the
-    /// cold tier, freeing their hot slots while keeping every page table,
-    /// selector history and position counter intact. Pages co-owned with the
-    /// prefix cache or another sequence stay hot (they are someone else's
-    /// working set). Returns `(pages moved, token-units moved)`.
-    pub fn demote_resident(&self, pool: &mut PagePool) -> (u64, u64) {
-        self.layers.iter().fold((0, 0), |(p, u), l| {
-            let (lp, lu) = l.demote_all(pool);
-            (p + lp, u + lu)
-        })
-    }
-
-    /// Swap-in: promotes every cold page this sequence holds back to the hot
-    /// tier so decode can continue exactly where it left off. Returns
-    /// `(pages moved, token-units moved)`, or `None` when the hot tier cannot
-    /// fit them (callers reserve [`SequenceState::cold_pages`] free slots
-    /// first; pages promoted before the failure stay hot).
-    pub fn promote_resident(&self, pool: &mut PagePool) -> Option<(u64, u64)> {
-        let mut pages = 0;
-        let mut units = 0;
-        for l in &self.layers {
-            let (lp, lu) = l.promote_all(pool)?;
-            pages += lp;
-            units += lu;
-        }
-        Some((pages, units))
+        self.page_ids().count()
     }
 
     /// Resident KV tokens one layer's KV head currently reads (a streaming
@@ -168,64 +138,10 @@ impl SequenceState {
         }
     }
 
-    /// Pages this sequence holds that currently sit in the cold tier.
-    pub fn cold_pages(&self, pool: &PagePool) -> usize {
-        self.layers.iter().map(|l| l.cold_pages(pool)).sum()
-    }
-
-    /// The exact hot-tier reservation a swap-in of this sequence needs: cold
-    /// pages plus this sequence's own outbound transfers still in flight.
-    /// The pool counts an in-flight demotion as a reclaimable free slot, but
-    /// forcing one of *ours* lands the page cold and re-enters it as promote
-    /// demand — net-zero supply, so it must be reserved as demand up front.
-    pub fn swap_in_demand(&self, pool: &PagePool) -> usize {
-        self.layers.iter().map(|l| l.swap_in_demand(pool)).sum()
-    }
-
-    /// Pages this sequence holds that are both sole-owned and hot — exactly
-    /// what [`SequenceState::demote_resident`] would move, and therefore the
-    /// swap-out (and later swap-in) transfer cost of preempting this sequence
-    /// under the swap policy. Pages co-owned with the prefix cache or another
-    /// sequence cost nothing: they stay hot for their other readers.
-    pub fn sole_owned_hot_pages(&self, pool: &PagePool) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.sole_owned_hot_pages(pool))
-            .sum()
-    }
-
-    /// Modeled ledger-unit cost of returning this sequence's full resident
-    /// set to the hot tier: the bill a preemption victim pays at resume time.
-    /// Shared hot pages are free (they never left), sole-owned hot pages cost
-    /// one swap-out-plus-back round trip, cold pages one host hop, and nvme
-    /// pages the recall plus the host hop. Victim selection minimizes this —
-    /// the tier truth, not just a hot-page count.
-    pub fn promote_back_cost_units(&self, pool: &PagePool) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| l.promote_back_cost_units(pool))
-            .sum()
-    }
-
-    /// Takes one additional reference on every page this sequence holds (prefix
-    /// sharing: the caller co-owns the pages and must `release` its copy of the
-    /// state).
-    pub fn retain_pages(&self, pool: &mut PagePool) {
-        for layer in &self.layers {
-            layer.retain_all(pool);
-        }
-    }
-
-    /// True when this state references at least one page no other owner shares —
-    /// releasing it would return physical pages to the pool.
-    pub fn holds_sole_reference(&self, pool: &PagePool) -> bool {
-        self.layers.iter().any(|l| l.holds_sole_reference(pool))
-    }
-
     /// Deep-copies this state for prefix caching and seeding: page tables,
     /// selector state, position, and decode-step counter are cloned (page *ids*
     /// are copied — callers manage pool refcounts via
-    /// [`SequenceState::retain_pages`]), while work counters restart at zero so a
+    /// [`PagePool::retain_all`]), while work counters restart at zero so a
     /// seeded consumer reports only its own work.
     ///
     /// The clone is positionally exact: a consumer continuing from it takes

@@ -64,9 +64,8 @@ impl CachedPrefix {
     /// evicting it would relieve nothing.
     pub fn pins(&self, owned: &HashSet<PageId>, pool: &PagePool) -> bool {
         self.state
-            .page_ids(pool)
-            .iter()
-            .any(|id| owned.contains(id) && pool.refcount(*id) == 2 && pool.holds_slot(*id))
+            .page_ids()
+            .any(|id| owned.contains(&id) && pool.refcount(id) == 2 && pool.holds_slot(id))
     }
 
     /// Creates a new sequence continuing from this prefix: clones the snapshot
@@ -74,14 +73,14 @@ impl CachedPrefix {
     /// or preemption like any other sequence).
     pub fn seed(&self, pool: &mut PagePool) -> SequenceState {
         let state = self.state.clone_shared();
-        state.retain_pages(pool);
+        pool.retain_all(state.page_ids());
         state
     }
 }
 
 impl PrefixPages for CachedPrefix {
     fn retain(&self, pool: &mut PagePool) {
-        self.state.retain_pages(pool);
+        pool.retain_all(self.state.page_ids());
     }
 
     fn release(&mut self, pool: &mut PagePool) {
@@ -93,11 +92,11 @@ impl PrefixPages for CachedPrefix {
     }
 
     fn frees_pages(&self, pool: &PagePool) -> bool {
-        self.state.holds_sole_reference(pool)
+        pool.holds_sole_reference(self.state.page_ids())
     }
 
     fn spillable(&self, pool: &PagePool) -> bool {
-        self.state.sole_owned_hot_pages(pool) > 0
+        pool.sole_owned_hot_pages(self.state.page_ids()) > 0
     }
 
     fn spill(&self, pool: &mut PagePool) -> u64 {
@@ -105,7 +104,7 @@ impl PrefixPages for CachedPrefix {
         // pages move to the cold tiers, shared pages (co-owned by running
         // sequences or nested entries) stay put, and the snapshot itself is
         // untouched — a later hit seeds from it and promotes on first use.
-        self.state.demote_resident(pool).0
+        pool.demote_all(self.state.page_ids()).pages
     }
 }
 
@@ -140,14 +139,14 @@ mod tests {
             CachedPrefix::capture(&donor)
         ));
         // Tree + donor co-own every page: demotion must refuse all of them.
-        let (pages, _) = donor.demote_resident(&mut pool);
+        let pages = pool.demote_all(donor.page_ids()).pages;
         assert_eq!(pages, 0, "co-owned pages must never demote");
         // Donor leaves; now the tree is sole owner and the pages may go cold.
         donor.release(&mut pool);
         let live = pool.in_use();
         let (_, hit) = cache.lookup(&[1, 2, 3, 4, 5, 6, 7, 8, 9], 1, 8).unwrap();
         let mut probe = hit.seed(&mut pool);
-        let (cold_pages, _) = probe.demote_resident(&mut pool);
+        let cold_pages = pool.demote_all(probe.page_ids()).pages;
         probe.release(&mut pool);
         assert!(cold_pages == 0, "probe shares with tree; nothing demotes");
         // Demote via a sole-owned path: release the tree's hot view by

@@ -2,7 +2,6 @@
 //! for a swap-parked (or forked) state and by prefix-cache seeding otherwise,
 //! behind the page-footprint estimate that decides whether a request may start.
 
-use lserve_kvcache::MigrationMode;
 use lserve_model::ModelConfig;
 use lserve_trace::lane;
 
@@ -86,7 +85,7 @@ impl Scheduler {
             // would be preempted again before taking a step. Evict idle
             // cached prefixes first, exactly like fresh admission does.
             if let Some(parked) = &front.swap {
-                let need = parked.state.swap_in_demand(&self.pool)
+                let need = self.pool.swap_in_demand(parked.state.page_ids())
                     + parked.state.pages_needed_for_next_token(&self.pool);
                 while need > self.pool.free_pages() {
                     if !self.evict_prefix_one() {
@@ -108,30 +107,27 @@ impl Scheduler {
                 }
                 let mut q = self.queue.pop_front().expect("front checked");
                 let swap = q.swap.take().expect("checked above");
-                let (_, units) = swap
-                    .state
-                    .promote_resident(&mut self.pool)
+                let moved = self
+                    .pool
+                    .promote_all(swap.state.page_ids())
                     .expect("swap-in demand reserved above");
-                // Under sync migration the promotion is accounted work on the
-                // run's monotone clock: TTFT/TBT honestly pay for the
-                // transfer. The async engine instead queues it on the copy
-                // engine, where it drains behind the very compute that
-                // resumes the sequence — only remainders a decode step
+                // What the promotion made the scheduler wait for is accounted
+                // work on the run's monotone clock: TTFT/TBT honestly pay for
+                // the transfer, and the trace clock advances too, so the
+                // resume instant lands *after* the promotion it paid for.
+                // That is all of it under sync migration. The async engine
+                // queues it instead, where it drains behind the very compute
+                // that resumes the sequence — only remainders a decode step
                 // demand-forces surface, in the pool's migration ledger.
-                if self.scfg.migration == MigrationMode::Sync {
-                    let cost = lserve_kvcache::transfer_cost_tokens(units);
-                    self.report.swap_resume_work_tokens += cost;
-                    self.work_tokens += cost;
-                    // The stall is real work on the request's critical path,
-                    // so it advances the trace clock too — the resume instant
-                    // lands *after* the promotion it paid for.
-                    self.scfg.tracer.advance(cost);
-                }
+                let cost = lserve_kvcache::transfer_cost_tokens(moved.unhidden);
+                self.report.swap_resume_work_tokens += cost;
+                self.work_tokens += cost;
+                self.scfg.tracer.advance(cost);
                 // A fork branch enters through this same promote path (its
                 // CoW snapshot is parked like a swap victim's, with zero cold
                 // pages), but it was never admitted before — its first event
                 // is `Admitted`, not `Resumed`.
-                self.start_running(q, swap, &[("swapped", 1)], ("units", units));
+                self.start_running(q, swap, &[("swapped", 1)], ("units", moved.units));
                 continue;
             }
             let feed_len = front.core.prompt.len() + front.generated.len();

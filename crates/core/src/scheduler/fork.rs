@@ -87,7 +87,7 @@ impl Scheduler {
             // take one extra reference per page — refcounts rise, `in_use`
             // does not (pinned by the pool-accounting test).
             let mut snapshot = self.running[pi].feed.state.clone_shared();
-            snapshot.retain_pages(&mut self.pool);
+            self.pool.retain_all(snapshot.page_ids());
             // The branch replays the parent's budget timeline and adds its
             // own override from the fork point (= the parent's full history
             // length, so the parent's still-pending token is fed under the

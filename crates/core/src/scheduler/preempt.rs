@@ -11,7 +11,7 @@ impl Scheduler {
     /// Selection is class-first (the worst class present loses), then
     /// cost-aware within that class: under [`PreemptionPolicy::Swap`] the
     /// victim is the sequence with the smallest modeled promote-back cost
-    /// ([`SequenceState::promote_back_cost_units`] — shared hot pages free,
+    /// ([`PagePool::promote_back_cost_units`] — shared hot pages free,
     /// sole-owned hot pages one round trip, cold pages one host hop, nvme
     /// pages recall plus hop), i.e. the cheapest to move across the tiers
     /// now *and* to bring back later, priced by where its pages actually
@@ -37,7 +37,7 @@ impl Scheduler {
             same_class.min_by_key(|&i| {
                 let s = &self.running[i];
                 (
-                    s.feed.state.promote_back_cost_units(&self.pool),
+                    self.pool.promote_back_cost_units(s.feed.state.page_ids()),
                     std::cmp::Reverse(s.core.key.vdeadline),
                     std::cmp::Reverse(s.core.key.arrival),
                 )
@@ -90,9 +90,10 @@ impl Scheduler {
     /// A victim that holds no page yet has nothing to swap either, and
     /// requeues as the fresh admission it still is.
     fn preempt_index_swap(&mut self, i: usize) {
-        let (moved, _) = self.running[i].feed.state.demote_resident(&mut self.pool);
         let state = &self.running[i].feed.state;
-        if moved == 0 && (state.resident_pages() == 0 || state.sole_owned_hot_pages(&self.pool) > 0)
+        let moved = self.pool.demote_all(state.page_ids()).pages;
+        if moved == 0
+            && (state.resident_pages() == 0 || self.pool.sole_owned_hot_pages(state.page_ids()) > 0)
         {
             self.preempt_index_replay(i);
             return;

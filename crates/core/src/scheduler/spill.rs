@@ -25,7 +25,8 @@ impl Scheduler {
         let total_short = need > self.tier_free_total();
         let victim = self.queue.iter().rposition(|q| {
             q.swap.as_ref().is_some_and(|s| {
-                total_short || s.state.resident_pages() > s.state.swap_in_demand(&self.pool)
+                total_short
+                    || s.state.resident_pages() > self.pool.swap_in_demand(s.state.page_ids())
             })
         });
         let Some(qi) = victim else {
@@ -54,14 +55,14 @@ impl Scheduler {
         let mut q = self.queue.remove(qi).expect("a queued entry");
         let mut swap = q.swap.take().expect("a swap-parked entry");
         let absorbed = absorbed_stream(&q.core.prompt, &q.generated, &swap.state);
-        let owned: HashSet<PageId> = swap.state.page_ids(&self.pool).into_iter().collect();
+        let owned: HashSet<PageId> = swap.state.page_ids().collect();
         let evicted = self
             .prefix
             .evict_prefixes_of(&mut self.pool, &absorbed, |v, pool| v.pins(&owned, pool));
         self.report.prefix_evictions += evicted as u64;
         let parked = evicted > 0 && {
-            swap.state.demote_resident(&mut self.pool);
-            swap.state.resident_pages() == swap.state.swap_in_demand(&self.pool)
+            self.pool.demote_all(swap.state.page_ids());
+            swap.state.resident_pages() == self.pool.swap_in_demand(swap.state.page_ids())
         };
         if !parked {
             self.donate_tokens(&q.core, &q.generated, &swap.state);

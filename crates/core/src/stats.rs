@@ -1,6 +1,7 @@
 //! Aggregate work counters reported by the engine.
 
 use lserve_attention::{BalanceStats, DecodeStats, PlacedBalance, PrefillStats};
+use lserve_kvcache::Moved;
 
 /// Cumulative work counters across an engine's lifetime.
 ///
@@ -63,14 +64,18 @@ pub struct MigrationDelta {
 }
 
 impl MigrationDelta {
-    /// Counts one page demoted at `units`. A synchronous demote stalls for
-    /// the whole copy; the engine hides it behind compute.
-    pub fn add_demotion(&mut self, units: u64, sync: bool) {
-        self.pages_demoted += 1;
-        self.token_units += units;
-        if sync {
-            self.unhidden_units += units;
-        }
+    /// Counts pages the pool moved down-tier, with what the call waited for.
+    pub fn add_demoted(&mut self, moved: Moved) {
+        self.pages_demoted += moved.pages;
+        self.token_units += moved.units;
+        self.unhidden_units += moved.unhidden;
+    }
+
+    /// Counts pages the pool brought hot, with what the call waited for.
+    pub fn add_promoted(&mut self, moved: Moved) {
+        self.pages_promoted += moved.pages;
+        self.token_units += moved.units;
+        self.unhidden_units += moved.unhidden;
     }
 }
 

@@ -63,7 +63,7 @@ pub enum MigrationDir {
 /// per-hop rate — the NVMe hop's order-of-magnitude slowdown shows up as
 /// more ledger units per page, not a slower drain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Hop {
+pub(crate) enum Hop {
     /// The device↔host link (demote / promote).
     Host,
     /// The host↔nvme link (spill / recall).
@@ -76,8 +76,6 @@ struct Transfer {
     page: PageId,
     /// Token-units still to drain before the transfer lands.
     remaining: u64,
-    /// Issued by the prefetcher (speculative) rather than by demand.
-    prefetch: bool,
 }
 
 /// Lifetime counters of the copy engine, separating the transfer cost compute
@@ -134,75 +132,36 @@ impl MigrationStats {
 /// overlapped compute token fed to [`CopyEngine::advance`].
 ///
 /// The engine tracks queue state only; the pool owns residency, slot counts,
-/// and [`MigrationStats`], reacting to the [`PageId`]s this engine reports as
-/// landed, forced, or cancelled. The [`MigrationDir`]-only methods are
-/// host-hop shorthands kept for the two-tier call sites; the `_hop` variants
-/// address all four channels.
+/// and [`MigrationStats`], and decides what becomes of the [`PageId`]s this
+/// engine reports as landed or hands back from [`CopyEngine::take`].
 #[derive(Debug, Clone, Default)]
-pub struct CopyEngine {
-    d2h: VecDeque<Transfer>,
-    h2d: VecDeque<Transfer>,
-    h2n: VecDeque<Transfer>,
-    n2h: VecDeque<Transfer>,
+pub(crate) struct CopyEngine {
+    /// `queues[hop][dir]`.
+    queues: [[VecDeque<Transfer>; 2]; 2],
 }
 
 impl CopyEngine {
     fn queue(&self, hop: Hop, dir: MigrationDir) -> &VecDeque<Transfer> {
-        match (hop, dir) {
-            (Hop::Host, MigrationDir::ToCold) => &self.d2h,
-            (Hop::Host, MigrationDir::ToHot) => &self.h2d,
-            (Hop::Nvme, MigrationDir::ToCold) => &self.h2n,
-            (Hop::Nvme, MigrationDir::ToHot) => &self.n2h,
-        }
+        &self.queues[hop as usize][dir as usize]
     }
 
     fn queue_mut(&mut self, hop: Hop, dir: MigrationDir) -> &mut VecDeque<Transfer> {
-        match (hop, dir) {
-            (Hop::Host, MigrationDir::ToCold) => &mut self.d2h,
-            (Hop::Host, MigrationDir::ToHot) => &mut self.h2d,
-            (Hop::Nvme, MigrationDir::ToCold) => &mut self.h2n,
-            (Hop::Nvme, MigrationDir::ToHot) => &mut self.n2h,
-        }
-    }
-
-    /// Transfers currently in flight on the host hop in `dir`.
-    pub fn in_flight(&self, dir: MigrationDir) -> usize {
-        self.in_flight_hop(Hop::Host, dir)
+        &mut self.queues[hop as usize][dir as usize]
     }
 
     /// Transfers currently in flight on `hop` in `dir`.
-    pub fn in_flight_hop(&self, hop: Hop, dir: MigrationDir) -> usize {
+    pub fn in_flight(&self, hop: Hop, dir: MigrationDir) -> usize {
         self.queue(hop, dir).len()
     }
 
-    /// True when the host-hop queue in `dir` is at [`COPY_CHANNEL_DEPTH`].
-    pub fn is_full(&self, dir: MigrationDir) -> bool {
-        self.is_full_hop(Hop::Host, dir)
+    /// Transfers currently in flight on all four channels.
+    pub fn in_flight_total(&self) -> usize {
+        self.queues.iter().flatten().map(VecDeque::len).sum()
     }
 
     /// True when `hop`'s queue in `dir` is at [`COPY_CHANNEL_DEPTH`].
-    pub fn is_full_hop(&self, hop: Hop, dir: MigrationDir) -> bool {
-        self.in_flight_hop(hop, dir) >= COPY_CHANNEL_DEPTH
-    }
-
-    /// Whether `page` is in flight on the host hop in `dir`.
-    pub fn contains(&self, dir: MigrationDir, page: PageId) -> bool {
-        self.contains_hop(Hop::Host, dir, page)
-    }
-
-    /// Whether `page` is in flight on `hop` in `dir`.
-    pub fn contains_hop(&self, hop: Hop, dir: MigrationDir, page: PageId) -> bool {
-        self.queue(hop, dir).iter().any(|t| t.page == page)
-    }
-
-    /// Queues a host-hop transfer. The caller must have drained a full queue
-    /// first (see [`CopyEngine::force_head`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue is full or the page is already in flight in `dir`.
-    pub fn issue(&mut self, dir: MigrationDir, page: PageId, units: u64, prefetch: bool) {
-        self.issue_hop(Hop::Host, dir, page, units, prefetch);
+    pub fn is_full(&self, hop: Hop, dir: MigrationDir) -> bool {
+        self.in_flight(hop, dir) >= COPY_CHANNEL_DEPTH
     }
 
     /// Queues a transfer on `hop`. `units` are ledger units (pre-scaled for
@@ -212,20 +171,13 @@ impl CopyEngine {
     ///
     /// Panics if the queue is full or the page is already in flight on
     /// `(hop, dir)`.
-    pub fn issue_hop(
-        &mut self,
-        hop: Hop,
-        dir: MigrationDir,
-        page: PageId,
-        units: u64,
-        prefetch: bool,
-    ) {
-        assert!(!self.is_full_hop(hop, dir), "copy queue overfull");
-        assert!(!self.contains_hop(hop, dir, page), "page already in flight");
-        self.queue_mut(hop, dir).push_back(Transfer {
+    pub fn issue(&mut self, hop: Hop, dir: MigrationDir, page: PageId, units: u64) {
+        assert!(!self.is_full(hop, dir), "copy queue overfull");
+        let q = self.queue_mut(hop, dir);
+        assert!(q.iter().all(|t| t.page != page), "page already in flight");
+        q.push_back(Transfer {
             page,
             remaining: units,
-            prefetch,
         });
     }
 
@@ -257,83 +209,37 @@ impl CopyEngine {
         (landed, drained)
     }
 
-    /// Force-completes the oldest host-hop transfer in `dir` (a consumer
-    /// needs its slot or queue entry *now*). Returns the landed page, its
-    /// unhidden remainder, and whether it was a prefetch.
-    pub fn force_head(&mut self, dir: MigrationDir) -> Option<(PageId, u64, bool)> {
-        self.force_head_hop(Hop::Host, dir)
+    /// The oldest transfer on `hop` in `dir`: what a full queue gives up.
+    pub fn oldest(&self, hop: Hop, dir: MigrationDir) -> Option<PageId> {
+        self.queue(hop, dir).front().map(|t| t.page)
     }
 
-    /// Force-completes the oldest transfer on `hop` in `dir`.
-    pub fn force_head_hop(&mut self, hop: Hop, dir: MigrationDir) -> Option<(PageId, u64, bool)> {
-        self.queue_mut(hop, dir)
-            .pop_front()
-            .map(|t| (t.page, t.remaining, t.prefetch))
+    /// The *cheapest* transfer on `hop` in `dir` — fewest remaining ledger
+    /// units, front-most on a tie (the FIFO drain order keeps the choice
+    /// deterministic). What hot-slot reclaim forces, to minimize the
+    /// forced-unhidden charge: the oldest transfer may have been issued
+    /// large while a younger one is nearly drained.
+    pub fn cheapest(&self, hop: Hop, dir: MigrationDir) -> Option<PageId> {
+        let q = self.queue(hop, dir);
+        let best = q.iter().enumerate().min_by_key(|(i, t)| (t.remaining, *i));
+        best.map(|(_, t)| t.page)
     }
 
-    /// Force-completes the *cheapest* host-hop transfer in `dir` — fewest
-    /// remaining ledger units, front-most on a tie (the FIFO drain order
-    /// keeps the choice deterministic). Used by hot-slot reclaim to minimize
-    /// the forced-unhidden charge: the oldest transfer may have been issued
-    /// large while a younger one is nearly drained. Returns the landed page,
-    /// its unhidden remainder, and whether it was a prefetch.
-    pub fn force_cheapest(&mut self, dir: MigrationDir) -> Option<(PageId, u64, bool)> {
-        self.force_cheapest_hop(Hop::Host, dir)
-    }
-
-    /// Force-completes the cheapest transfer on `hop` in `dir` (fewest
-    /// remaining units, front-most on a tie).
-    pub fn force_cheapest_hop(
-        &mut self,
-        hop: Hop,
-        dir: MigrationDir,
-    ) -> Option<(PageId, u64, bool)> {
-        let q = self.queue_mut(hop, dir);
-        let pos = q
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, t)| (t.remaining, *i))?
-            .0;
-        let t = q.remove(pos).expect("position exists");
-        Some((t.page, t.remaining, t.prefetch))
-    }
-
-    /// Force-completes `page`'s in-flight host-hop transfer in `dir`. Returns
-    /// the unhidden remainder and whether it was a prefetch.
-    pub fn force_page(&mut self, dir: MigrationDir, page: PageId) -> Option<(u64, bool)> {
-        self.force_page_hop(Hop::Host, dir, page)
-    }
-
-    /// Force-completes `page`'s in-flight transfer on `hop` in `dir`.
-    pub fn force_page_hop(
-        &mut self,
-        hop: Hop,
-        dir: MigrationDir,
-        page: PageId,
-    ) -> Option<(u64, bool)> {
+    /// Takes `page`'s transfer on `hop` in `dir` off its queue — forced to
+    /// completion or cancelled, which is the pool's to say. Returns the
+    /// units it had left, or `None` when no such transfer is in flight.
+    pub fn take(&mut self, hop: Hop, dir: MigrationDir, page: PageId) -> Option<u64> {
         let q = self.queue_mut(hop, dir);
         let pos = q.iter().position(|t| t.page == page)?;
-        let t = q.remove(pos).expect("position exists");
-        Some((t.remaining, t.prefetch))
-    }
-
-    /// Cancels `page`'s in-flight host-hop transfer in `dir` without landing
-    /// it (the page was freed, or the migration re-targeted). Returns the
-    /// cancelled remainder and whether it was a prefetch.
-    pub fn cancel(&mut self, dir: MigrationDir, page: PageId) -> Option<(u64, bool)> {
-        self.force_page(dir, page)
-    }
-
-    /// Cancels `page`'s in-flight transfer on `hop` in `dir` without landing
-    /// it.
-    pub fn cancel_hop(&mut self, hop: Hop, dir: MigrationDir, page: PageId) -> Option<(u64, bool)> {
-        self.force_page_hop(hop, dir, page)
+        q.remove(pos).map(|t| t.remaining)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Hop::{Host, Nvme};
+    use MigrationDir::{ToCold, ToHot};
 
     fn pid(i: u32) -> PageId {
         PageId(i)
@@ -349,28 +255,22 @@ mod tests {
     #[test]
     fn advance_drains_fifo_and_lands_in_order() {
         let mut e = CopyEngine::default();
-        e.issue(MigrationDir::ToCold, pid(0), 10, false);
-        e.issue(MigrationDir::ToCold, pid(1), 4, false);
+        e.issue(Host, ToCold, pid(0), 10);
+        e.issue(Host, ToCold, pid(1), 4);
         let (landed, drained) = e.advance(6);
         assert_eq!(drained, 6);
         assert!(landed.is_empty(), "head still has 4 units left");
         let (landed, drained) = e.advance(10);
         assert_eq!(drained, 8);
-        assert_eq!(
-            landed,
-            vec![
-                (Hop::Host, MigrationDir::ToCold, pid(0)),
-                (Hop::Host, MigrationDir::ToCold, pid(1))
-            ]
-        );
-        assert_eq!(e.in_flight(MigrationDir::ToCold), 0);
+        assert_eq!(landed, vec![(Host, ToCold, pid(0)), (Host, ToCold, pid(1))]);
+        assert_eq!(e.in_flight(Host, ToCold), 0);
     }
 
     #[test]
     fn directions_drain_independently() {
         let mut e = CopyEngine::default();
-        e.issue(MigrationDir::ToCold, pid(0), 8, false);
-        e.issue(MigrationDir::ToHot, pid(1), 8, false);
+        e.issue(Host, ToCold, pid(0), 8);
+        e.issue(Host, ToHot, pid(1), 8);
         let (landed, drained) = e.advance(8);
         assert_eq!(drained, 16, "each direction gets its own budget");
         assert_eq!(landed.len(), 2);
@@ -379,11 +279,12 @@ mod tests {
     #[test]
     fn hops_drain_independently_and_land_host_first() {
         let mut e = CopyEngine::default();
-        e.issue_hop(Hop::Nvme, MigrationDir::ToCold, pid(0), 8, false);
-        e.issue_hop(Hop::Host, MigrationDir::ToCold, pid(1), 8, false);
-        e.issue_hop(Hop::Nvme, MigrationDir::ToHot, pid(2), 8, false);
-        assert_eq!(e.in_flight(MigrationDir::ToCold), 1, "host hop only");
-        assert_eq!(e.in_flight_hop(Hop::Nvme, MigrationDir::ToCold), 1);
+        e.issue(Nvme, ToCold, pid(0), 8);
+        e.issue(Host, ToCold, pid(1), 8);
+        e.issue(Nvme, ToHot, pid(2), 8);
+        assert_eq!(e.in_flight(Host, ToCold), 1, "host hop only");
+        assert_eq!(e.in_flight(Nvme, ToCold), 1);
+        assert_eq!(e.in_flight_total(), 3);
         let (landed, drained) = e.advance(8);
         assert_eq!(drained, 24, "each of the four channels has its own budget");
         // Landing order is deterministic: host channels first, ToCold before
@@ -391,9 +292,9 @@ mod tests {
         assert_eq!(
             landed,
             vec![
-                (Hop::Host, MigrationDir::ToCold, pid(1)),
-                (Hop::Nvme, MigrationDir::ToCold, pid(0)),
-                (Hop::Nvme, MigrationDir::ToHot, pid(2)),
+                (Host, ToCold, pid(1)),
+                (Nvme, ToCold, pid(0)),
+                (Nvme, ToHot, pid(2)),
             ]
         );
     }
@@ -401,58 +302,62 @@ mod tests {
     #[test]
     fn same_page_may_be_in_flight_on_distinct_hops_only() {
         let mut e = CopyEngine::default();
-        e.issue_hop(Hop::Host, MigrationDir::ToCold, pid(5), 4, false);
-        assert!(e.contains_hop(Hop::Host, MigrationDir::ToCold, pid(5)));
-        assert!(!e.contains_hop(Hop::Nvme, MigrationDir::ToCold, pid(5)));
-        e.issue_hop(Hop::Nvme, MigrationDir::ToHot, pid(5), 32, false);
-        assert_eq!(
-            e.cancel_hop(Hop::Nvme, MigrationDir::ToHot, pid(5)),
-            Some((32, false))
-        );
-        assert_eq!(e.force_page(MigrationDir::ToCold, pid(5)), Some((4, false)));
+        e.issue(Host, ToCold, pid(5), 4);
+        e.issue(Nvme, ToHot, pid(5), 32);
+        assert_eq!(e.take(Nvme, ToCold, pid(5)), None, "not on that channel");
+        assert_eq!(e.take(Nvme, ToHot, pid(5)), Some(32));
+        assert_eq!(e.take(Host, ToCold, pid(5)), Some(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "page already in flight")]
+    fn a_page_rides_a_channel_once() {
+        let mut e = CopyEngine::default();
+        e.issue(Host, ToCold, pid(5), 4);
+        e.issue(Host, ToCold, pid(5), 4);
     }
 
     #[test]
     fn force_cheapest_prefers_fewest_remaining_units() {
         let mut e = CopyEngine::default();
-        e.issue(MigrationDir::ToCold, pid(0), 12, false);
-        e.issue(MigrationDir::ToCold, pid(1), 3, false);
-        e.issue(MigrationDir::ToCold, pid(2), 7, false);
+        e.issue(Host, ToCold, pid(0), 12);
+        e.issue(Host, ToCold, pid(1), 3);
+        e.issue(Host, ToCold, pid(2), 7);
+        let force_cheapest = |e: &mut CopyEngine| {
+            let page = e.cheapest(Host, ToCold)?;
+            Some((page, e.take(Host, ToCold, page).expect("just seen")))
+        };
         // Not the oldest (pid 0, 12 units left) but the cheapest (pid 1, 3).
-        let (page, rem, _) = e.force_cheapest(MigrationDir::ToCold).unwrap();
-        assert_eq!((page, rem), (pid(1), 3));
+        assert_eq!(force_cheapest(&mut e), Some((pid(1), 3)));
         // After draining 5 units FIFO, pid 0 has 7 left — tied with pid 2;
         // the front-most (oldest) wins the tie deterministically.
         let (_, drained) = e.advance(5);
         assert_eq!(drained, 5);
-        let (page, rem, _) = e.force_cheapest(MigrationDir::ToCold).unwrap();
-        assert_eq!((page, rem), (pid(0), 7));
-        let (page, _, _) = e.force_cheapest(MigrationDir::ToCold).unwrap();
-        assert_eq!(page, pid(2));
-        assert!(e.force_cheapest(MigrationDir::ToCold).is_none());
+        assert_eq!(force_cheapest(&mut e), Some((pid(0), 7)));
+        assert_eq!(force_cheapest(&mut e), Some((pid(2), 7)));
+        assert_eq!(force_cheapest(&mut e), None);
     }
 
     #[test]
     fn force_page_returns_remainder() {
         let mut e = CopyEngine::default();
-        e.issue(MigrationDir::ToHot, pid(3), 12, true);
+        e.issue(Host, ToHot, pid(3), 12);
         let (_, _) = e.advance(5);
-        assert_eq!(e.force_page(MigrationDir::ToHot, pid(3)), Some((7, true)));
-        assert_eq!(e.force_page(MigrationDir::ToHot, pid(3)), None);
+        assert_eq!(e.take(Host, ToHot, pid(3)), Some(7));
+        assert_eq!(e.take(Host, ToHot, pid(3)), None);
     }
 
     #[test]
     fn full_queue_reports_full() {
         let mut e = CopyEngine::default();
         for i in 0..COPY_CHANNEL_DEPTH {
-            e.issue(MigrationDir::ToCold, pid(i as u32), 1, false);
+            e.issue(Host, ToCold, pid(i as u32), 1);
         }
-        assert!(e.is_full(MigrationDir::ToCold));
-        assert!(!e.is_full(MigrationDir::ToHot));
-        let (page, rem, _) = e.force_head(MigrationDir::ToCold).unwrap();
-        assert_eq!(page, pid(0));
-        assert_eq!(rem, 1);
-        assert!(!e.is_full(MigrationDir::ToCold));
+        assert!(e.is_full(Host, ToCold));
+        assert!(!e.is_full(Host, ToHot));
+        assert_eq!(e.oldest(Host, ToCold), Some(pid(0)));
+        assert_eq!(e.take(Host, ToCold, pid(0)), Some(1));
+        assert!(!e.is_full(Host, ToCold));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-layer two-way composition: dense heads and streaming heads side by side.
 
-use crate::{DenseHeadCache, PagePool, StreamingHeadCache, StreamingWindow};
+use crate::{DenseHeadCache, PageId, PagePool, StreamingHeadCache, StreamingWindow};
 
 /// The KV cache of one head: either a dense (retrieval) head keeping full history or
 /// a streaming head keeping only sink + local pages.
@@ -54,93 +54,17 @@ impl HeadCache {
         }
     }
 
-    /// Takes one additional reference on every page this head retains (prefix
-    /// sharing).
-    pub fn retain_all(&self, pool: &mut PagePool) {
-        match self {
-            HeadCache::Dense(c) => c.retain_all(pool),
-            HeadCache::Streaming(c) => c.retain_all(pool),
-        }
-    }
-
-    /// Number of pool pages this head currently references.
-    pub fn resident_pages(&self) -> usize {
-        match self {
-            HeadCache::Dense(c) => c.num_pages(),
-            HeadCache::Streaming(c) => c.resident_pages(),
-        }
-    }
-
-    /// True when this head references at least one page that no other owner
-    /// shares (releasing it would free physical pages).
-    pub fn holds_sole_reference(&self, pool: &PagePool) -> bool {
-        match self {
-            HeadCache::Dense(c) => c.holds_sole_reference(pool),
-            HeadCache::Streaming(c) => c.holds_sole_reference(pool),
-        }
-    }
-
-    /// Demotes every sole-owned hot page this head retains (swap-out).
-    /// Returns `(pages moved, token-units moved)`.
-    pub fn demote_all(&self, pool: &mut PagePool) -> (u64, u64) {
-        match self {
-            HeadCache::Dense(c) => c.demote_all(pool),
-            HeadCache::Streaming(c) => c.demote_all(pool),
-        }
-    }
-
-    /// Promotes every cold page this head retains (swap-in). `None` if the hot
-    /// tier filled up mid-way; reserve [`HeadCache::cold_pages`] slots first.
-    pub fn promote_all(&self, pool: &mut PagePool) -> Option<(u64, u64)> {
-        match self {
-            HeadCache::Dense(c) => c.promote_all(pool),
-            HeadCache::Streaming(c) => c.promote_all(pool),
-        }
-    }
-
-    /// Makes every page this head retains kernel-readable *now* (see
-    /// [`PagePool::ensure_hot`]). Returns `(pages moved, token-units issued,
-    /// token-units unhidden)`, or `None` if the hot tier filled up mid-way.
-    pub fn ensure_resident(&self, pool: &mut PagePool) -> Option<(u64, u64, u64)> {
-        match self {
-            HeadCache::Dense(c) => c.ensure_resident(pool),
-            HeadCache::Streaming(c) => c.ensure_resident(pool),
-        }
-    }
-
-    /// Pages this head retains that currently sit in the cold tier.
-    pub fn cold_pages(&self, pool: &PagePool) -> usize {
-        match self {
-            HeadCache::Dense(c) => c.cold_pages(pool),
-            HeadCache::Streaming(c) => c.cold_pages(pool),
-        }
-    }
-
-    /// Hot slots a swap-in of this head must newly claim (see
-    /// [`DenseHeadCache::swap_in_demand`]).
-    pub fn swap_in_demand(&self, pool: &PagePool) -> usize {
-        match self {
-            HeadCache::Dense(c) => c.swap_in_demand(pool),
-            HeadCache::Streaming(c) => c.swap_in_demand(pool),
-        }
-    }
-
-    /// Pages this head retains that are both sole-owned and hot — the pages a
-    /// swap-out would actually move.
-    pub fn sole_owned_hot_pages(&self, pool: &PagePool) -> usize {
-        match self {
-            HeadCache::Dense(c) => c.sole_owned_hot_pages(pool),
-            HeadCache::Streaming(c) => c.sole_owned_hot_pages(pool),
-        }
-    }
-
-    /// Modeled ledger units to bring every page this head retains hot again,
-    /// by tier (see [`DenseHeadCache::promote_back_cost_units`]).
-    pub fn promote_back_cost_units(&self, pool: &PagePool) -> u64 {
-        match self {
-            HeadCache::Dense(c) => c.promote_back_cost_units(pool),
-            HeadCache::Streaming(c) => c.promote_back_cost_units(pool),
-        }
+    /// Every page this head references: the set the pool's whole-set
+    /// operations ([`PagePool::demote_all`] and friends) take.
+    pub fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
+        let (dense, streaming) = match self {
+            HeadCache::Dense(c) => (Some(c.page_ids()), None),
+            HeadCache::Streaming(c) => (None, Some(c.page_ids())),
+        };
+        dense
+            .into_iter()
+            .flatten()
+            .chain(streaming.into_iter().flatten())
     }
 
     /// Borrow the dense cache.
@@ -221,15 +145,6 @@ impl LayerKvCache {
         &self.heads[h]
     }
 
-    /// Mutable access to one head's cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is out of bounds.
-    pub fn head_mut(&mut self, h: usize) -> &mut HeadCache {
-        &mut self.heads[h]
-    }
-
     /// Appends one token's `(key, value)` rows for all heads at once.
     ///
     /// `keys`/`values` are row-major `(num_heads x head_dim)`. Returns `false` if any
@@ -285,91 +200,10 @@ impl LayerKvCache {
         }
     }
 
-    /// Takes one additional reference on every page of every head (prefix
-    /// sharing: the caller co-owns the layer's pages and must `release` its copy).
-    pub fn retain_all(&self, pool: &mut PagePool) {
-        for h in &self.heads {
-            h.retain_all(pool);
-        }
-    }
-
-    /// Total pool pages this layer currently references, across all heads.
-    pub fn resident_pages(&self) -> usize {
-        self.heads.iter().map(HeadCache::resident_pages).sum()
-    }
-
-    /// True when any head references a page no other owner shares.
-    pub fn holds_sole_reference(&self, pool: &PagePool) -> bool {
-        self.heads.iter().any(|h| h.holds_sole_reference(pool))
-    }
-
-    /// Demotes every sole-owned hot page of every head (full-layer swap-out).
-    /// Returns `(pages moved, token-units moved)`.
-    pub fn demote_all(&self, pool: &mut PagePool) -> (u64, u64) {
-        self.heads.iter().fold((0, 0), |(p, u), h| {
-            let (hp, hu) = h.demote_all(pool);
-            (p + hp, u + hu)
-        })
-    }
-
-    /// Promotes every cold page of every head (full-layer swap-in). `None` if
-    /// the hot tier filled up mid-way; reserve [`LayerKvCache::cold_pages`]
-    /// free slots first.
-    pub fn promote_all(&self, pool: &mut PagePool) -> Option<(u64, u64)> {
-        let mut pages = 0;
-        let mut units = 0;
-        for h in &self.heads {
-            let (hp, hu) = h.promote_all(pool)?;
-            pages += hp;
-            units += hu;
-        }
-        Some((pages, units))
-    }
-
-    /// Makes every page of every head kernel-readable *now* (see
-    /// [`PagePool::ensure_hot`]). Returns `(pages moved, token-units issued,
-    /// token-units unhidden)`, or `None` if the hot tier filled up mid-way.
-    pub fn ensure_resident(&self, pool: &mut PagePool) -> Option<(u64, u64, u64)> {
-        let mut pages = 0;
-        let mut units = 0;
-        let mut unhidden = 0;
-        for h in &self.heads {
-            let (hp, hu, huh) = h.ensure_resident(pool)?;
-            pages += hp;
-            units += hu;
-            unhidden += huh;
-        }
-        Some((pages, units, unhidden))
-    }
-
-    /// Pages of this layer currently in the cold tier, across all heads.
-    pub fn cold_pages(&self, pool: &PagePool) -> usize {
-        self.heads.iter().map(|h| h.cold_pages(pool)).sum()
-    }
-
-    /// Hot slots a swap-in of this layer must newly claim, across all heads
-    /// (see [`DenseHeadCache::swap_in_demand`]).
-    pub fn swap_in_demand(&self, pool: &PagePool) -> usize {
-        self.heads.iter().map(|h| h.swap_in_demand(pool)).sum()
-    }
-
-    /// Pages of this layer that are both sole-owned and hot, across all heads —
-    /// the exact page traffic a full-layer swap-out would generate.
-    pub fn sole_owned_hot_pages(&self, pool: &PagePool) -> usize {
-        self.heads
-            .iter()
-            .map(|h| h.sole_owned_hot_pages(pool))
-            .sum()
-    }
-
-    /// Modeled ledger units to bring every page of this layer hot again, by
-    /// tier, across all heads (see
-    /// [`DenseHeadCache::promote_back_cost_units`]).
-    pub fn promote_back_cost_units(&self, pool: &PagePool) -> u64 {
-        self.heads
-            .iter()
-            .map(|h| h.promote_back_cost_units(pool))
-            .sum()
+    /// Every page of every head: the set the pool's whole-set operations
+    /// ([`PagePool::demote_all`] and friends) take.
+    pub fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.heads.iter().flat_map(HeadCache::page_ids)
     }
 
     /// Tokens stored (identical across heads by construction; reported from head 0).

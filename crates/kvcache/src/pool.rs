@@ -1,67 +1,16 @@
-//! Physical KV pages and the hierarchical (hot device / bounded host /
-//! modeled NVMe) page pool.
+//! The page pool's allocator core: slots, reference counts, copy-on-write
+//! forks and page access. Where a page *is* — the hot / host / nvme ladder and
+//! every move along it — is [`crate::tiers`].
 
-use lserve_trace::{lane, Tracer};
+use lserve_trace::Tracer;
 
 use crate::{
     config::PagingConfig,
-    copy_engine::{CopyEngine, Hop, MigrationDir, MigrationMode, MigrationStats},
+    copy_engine::{CopyEngine, MigrationMode, MigrationStats},
     page::KvPage,
-    stats::{nvme_ledger_units, TierStats},
+    stats::TierStats,
+    tiers::{Residency, TierConfig},
 };
-
-/// Which memory tier a live page currently resides in.
-///
-/// Only **hot** (device-resident) pages may be read by attention kernels; cold
-/// pages model KV data offloaded to host memory, where only the page's
-/// *metadata* (key statistics for selection, length, refcount) remains cheaply
-/// accessible; **nvme** pages sit one modeled hop further down, behind a link
-/// an order of magnitude slower (see
-/// [`NVME_TRANSFER_SPEEDUP`](crate::NVME_TRANSFER_SPEEDUP)). Migrations
-/// between tiers are explicit ([`PagePool::demote`] / [`PagePool::promote`] /
-/// [`PagePool::spill`]) and carry a deterministic modeled transfer cost (see
-/// [`crate::stats::transfer_cost_tokens`]).
-///
-/// Under [`MigrationMode::Async`] a page can additionally be **in flight** on
-/// the modeled copy engine: `Migrating(ToCold)` pages still occupy their hot
-/// slot (and stay kernel-readable — the device copy is the source of the
-/// outbound DMA) until the transfer lands, while `Migrating(ToHot)` pages hold
-/// a hot slot from issue but become readable only when the inbound transfer
-/// lands (or is demand-forced). The NVMe hop mirrors this one tier down:
-/// `MigratingNvme(ToCold)` (a spill) occupies its host slot until landing,
-/// `MigratingNvme(ToHot)` (a recall) claims a host slot from issue.
-/// [`MigrationMode::Sync`] never produces an in-flight state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Residency {
-    /// Device-resident: attention kernels may read the page.
-    Hot,
-    /// Offloaded to modeled host memory: metadata readable, KV data must be
-    /// promoted back before a kernel may touch it.
-    Cold,
-    /// In flight on the host hop of the copy engine (async mode only).
-    Migrating(MigrationDir),
-    /// Spilled to the modeled NVMe tier below the host: promotion back to the
-    /// hot tier pays the recall *and* the host hop.
-    Nvme,
-    /// In flight on the nvme hop of the copy engine (async mode only):
-    /// `ToCold` is a spill draining out of the host, `ToHot` a recall filling
-    /// a host slot.
-    MigratingNvme(MigrationDir),
-}
-
-/// Capacities of the tiers below the hot device tier.
-///
-/// The default (`host_pages == 0`, `nvme == false`) reproduces the two-tier
-/// pool exactly: an unbounded host and no NVMe tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TierConfig {
-    /// Host (cold) tier capacity in pages; `0` means unbounded.
-    pub host_pages: usize,
-    /// Whether the modeled NVMe tier below the host exists. Without it a full
-    /// bounded host refuses demotions, pushing the caller to its final
-    /// fallback (drop-and-replay).
-    pub nvme: bool,
-}
 
 /// Opaque handle to a physical page in a [`PagePool`].
 ///
@@ -121,37 +70,37 @@ impl PageId {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PagePool {
-    config: PagingConfig,
+    pub(crate) config: PagingConfig,
     head_dim: usize,
-    pages: Vec<Option<KvPage>>,
-    refcounts: Vec<u32>,
-    residency: Vec<Residency>,
+    pub(crate) pages: Vec<Option<KvPage>>,
+    pub(crate) refcounts: Vec<u32>,
+    pub(crate) residency: Vec<Residency>,
     /// Recycled slot indices (fully-freed pages of either tier).
     free: Vec<PageId>,
-    hot_capacity: usize,
-    hot_in_use: usize,
-    cold_in_use: usize,
-    nvme_in_use: usize,
-    peak_in_use: usize,
+    pub(crate) hot_capacity: usize,
+    /// Live pages per [`crate::tiers::Tier`]; an in-flight page counts on the
+    /// upper tier of its hop.
+    pub(crate) slots: [usize; 3],
+    pub(crate) peak_in_use: usize,
     forks: u64,
-    tier: TierStats,
-    tiers: TierConfig,
+    pub(crate) tier: TierStats,
+    pub(crate) tiers: TierConfig,
     /// FIFO spill order of the bounded host: per-slot stamp of when the page
     /// last became host-resident, from the monotonic `host_clock`.
-    host_stamp: Vec<u64>,
-    host_clock: u64,
-    mode: MigrationMode,
-    engine: CopyEngine,
-    mig: MigrationStats,
+    pub(crate) host_stamp: Vec<u64>,
+    pub(crate) host_clock: u64,
+    pub(crate) mode: MigrationMode,
+    pub(crate) engine: CopyEngine,
+    pub(crate) mig: MigrationStats,
     /// Per-slot flag: the in-flight (or landed-but-untouched) promotion was
     /// speculative, issued by the prefetcher. Cleared on the first demand
     /// touch (a hit) or when the page is demoted/freed first (wasted).
-    prefetched: Vec<bool>,
+    pub(crate) prefetched: Vec<bool>,
     /// Trace handle for copy-engine events; disabled (free) by default.
     /// Riding on the pool puts transfer events in reach of everything that
     /// moves pages — scheduler, executor, selector hooks — without new
     /// plumbing through their signatures.
-    tracer: Tracer,
+    pub(crate) tracer: Tracer,
 }
 
 impl PagePool {
@@ -187,9 +136,7 @@ impl PagePool {
             residency: Vec::new(),
             free: Vec::new(),
             hot_capacity: capacity,
-            hot_in_use: 0,
-            cold_in_use: 0,
-            nvme_in_use: 0,
+            slots: [0; 3],
             peak_in_use: 0,
             forks: 0,
             tier: TierStats::default(),
@@ -221,38 +168,6 @@ impl PagePool {
         &self.tracer
     }
 
-    /// Emits one copy-engine instant for page `id` on the host hop's lane.
-    fn trace_copy(&self, name: &'static str, dir: MigrationDir, id: PageId, units: u64) {
-        self.trace_copy_hop(name, Hop::Host, dir, id, units);
-    }
-
-    /// Emits one copy-engine instant for page `id` on the channel's lane:
-    /// tid 0 = demote, 1 = promote, 2 = spill, 3 = recall.
-    fn trace_copy_hop(
-        &self,
-        name: &'static str,
-        hop: Hop,
-        dir: MigrationDir,
-        id: PageId,
-        units: u64,
-    ) {
-        if self.tracer.is_enabled() {
-            let tid = match (hop, dir) {
-                (Hop::Host, MigrationDir::ToCold) => 0,
-                (Hop::Host, MigrationDir::ToHot) => 1,
-                (Hop::Nvme, MigrationDir::ToCold) => 2,
-                (Hop::Nvme, MigrationDir::ToHot) => 3,
-            };
-            self.tracer.instant(
-                name,
-                "copy",
-                lane::COPY,
-                tid,
-                &[("page", id.index() as u64), ("units", units)],
-            );
-        }
-    }
-
     /// Lifetime copy-engine counters (prefetch outcomes, hidden vs unhidden
     /// transfer units). In [`MigrationMode::Sync`] every migrated unit counts
     /// as unhidden, so [`MigrationStats::migration_stall_tokens`] is
@@ -261,29 +176,9 @@ impl PagePool {
         self.mig
     }
 
-    /// Transfers currently in flight on the copy engine (all four channels).
-    pub fn in_flight_transfers(&self) -> usize {
-        [Hop::Host, Hop::Nvme]
-            .into_iter()
-            .flat_map(|hop| {
-                [MigrationDir::ToCold, MigrationDir::ToHot]
-                    .into_iter()
-                    .map(move |dir| self.engine.in_flight_hop(hop, dir))
-            })
-            .sum()
-    }
-
-    /// Residency state of a live page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is not allocated.
-    pub fn residency(&self, id: PageId) -> Residency {
-        assert!(
-            self.pages[id.index()].is_some(),
-            "residency query on unallocated page {id:?}"
-        );
-        self.residency[id.index()]
+    /// Lifetime tier-migration counters (pages and token-units moved each way).
+    pub fn tier_stats(&self) -> TierStats {
+        self.tier
     }
 
     /// The paging configuration pages are created with.
@@ -291,60 +186,14 @@ impl PagePool {
         self.config
     }
 
-    /// Hot-tier (device) page slots.
-    pub fn capacity(&self) -> usize {
-        self.hot_capacity
-    }
-
-    /// Hot (device-resident) pages currently allocated.
-    pub fn in_use(&self) -> usize {
-        self.hot_in_use
-    }
-
-    /// Cold (host-resident) pages currently allocated, including pages in
-    /// flight on the nvme hop (both directions claim a host slot; see
-    /// [`PagePool::host_used`] for the capacity view).
-    pub fn cold_in_use(&self) -> usize {
-        self.cold_in_use
-    }
-
-    /// NVMe-resident pages currently allocated.
-    pub fn nvme_in_use(&self) -> usize {
-        self.nvme_in_use
-    }
-
     /// The tier configuration below the hot tier.
     pub fn tier_config(&self) -> TierConfig {
         self.tiers
     }
 
-    /// Host-tier slots the capacity bound must count: cold-resident pages,
-    /// plus in-flight demotions (they land in the host), minus in-flight
-    /// spills (their host slot is committed to the nvme tier the moment the
-    /// spill is issued — this is what lets an async spill relieve host
-    /// pressure without being demand-forced).
-    pub fn host_used(&self) -> usize {
-        self.cold_in_use + self.engine.in_flight_hop(Hop::Host, MigrationDir::ToCold)
-            - self.engine.in_flight_hop(Hop::Nvme, MigrationDir::ToCold)
-    }
-
-    /// True when the bounded host can still take one more page (always true
-    /// for an unbounded host).
-    pub fn host_has_room(&self) -> bool {
-        self.tiers.host_pages == 0 || self.host_used() < self.tiers.host_pages
-    }
-
-    /// Live pages across all tiers.
-    pub fn total_in_use(&self) -> usize {
-        self.hot_in_use + self.cold_in_use + self.nvme_in_use
-    }
-
-    /// Hot pages currently available for allocation. In-flight demotions
-    /// count as available: their slots are reclaimable on demand
-    /// (allocation force-completes the oldest outbound transfer, charging its
-    /// remainder as unhidden stall).
-    pub fn free_pages(&self) -> usize {
-        self.hot_capacity - self.hot_in_use + self.engine.in_flight(MigrationDir::ToCold)
+    /// Hot-tier (device) page slots.
+    pub fn capacity(&self) -> usize {
+        self.hot_capacity
     }
 
     /// High-water mark of hot pages in use.
@@ -352,173 +201,22 @@ impl PagePool {
         self.peak_in_use
     }
 
-    /// Lifetime tier-migration counters (pages and token-units moved each way).
-    pub fn tier_stats(&self) -> TierStats {
-        self.tier
-    }
-
-    /// Grabs a recycled slot or grows the slot table by one.
-    fn take_slot(&mut self) -> PageId {
-        match self.free.pop() {
-            Some(id) => id,
-            None => {
-                let id = PageId(self.pages.len() as u32);
-                self.pages.push(None);
-                self.refcounts.push(0);
-                self.residency.push(Residency::Hot);
-                self.prefetched.push(false);
-                self.host_stamp.push(0);
-                id
-            }
-        }
-    }
-
-    /// Marks slot `idx` as freshly host-resident for the FIFO spill order.
-    fn stamp_host(&mut self, idx: usize) {
-        self.host_clock += 1;
-        self.host_stamp[idx] = self.host_clock;
-    }
-
-    /// Applies the residency flip of a landed host-hop transfer. Slot
-    /// accounting for promotions happened at issue; demotions hand their hot
-    /// slot over here.
-    fn land(&mut self, dir: MigrationDir, id: PageId) {
-        self.land_hop(Hop::Host, dir, id);
-    }
-
-    /// Applies the residency flip of a landed transfer on either hop.
-    fn land_hop(&mut self, hop: Hop, dir: MigrationDir, id: PageId) {
-        let idx = id.index();
-        self.trace_copy_hop("land", hop, dir, id, 0);
-        match hop {
-            Hop::Host => {
-                debug_assert_eq!(self.residency[idx], Residency::Migrating(dir));
-                match dir {
-                    MigrationDir::ToCold => {
-                        self.residency[idx] = Residency::Cold;
-                        self.hot_in_use -= 1;
-                        self.cold_in_use += 1;
-                        self.stamp_host(idx);
-                    }
-                    MigrationDir::ToHot => self.residency[idx] = Residency::Hot,
-                }
-            }
-            Hop::Nvme => {
-                debug_assert_eq!(self.residency[idx], Residency::MigratingNvme(dir));
-                match dir {
-                    // A landed spill hands its host slot over to the nvme tier.
-                    MigrationDir::ToCold => {
-                        self.residency[idx] = Residency::Nvme;
-                        self.cold_in_use -= 1;
-                        self.nvme_in_use += 1;
-                    }
-                    // A landed recall becomes an ordinary host-resident page.
-                    MigrationDir::ToHot => {
-                        self.residency[idx] = Residency::Cold;
-                        self.stamp_host(idx);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Force-completes the oldest in-flight host-hop transfer in `dir`,
-    /// charging its remainder as unhidden stall. Returns `false` when the
-    /// queue is empty.
-    fn force_oldest(&mut self, dir: MigrationDir) -> bool {
-        self.force_oldest_hop(Hop::Host, dir)
-    }
-
-    /// Force-completes the oldest in-flight transfer on `hop` in `dir`.
-    fn force_oldest_hop(&mut self, hop: Hop, dir: MigrationDir) -> bool {
-        let Some((page, remaining, _prefetch)) = self.engine.force_head_hop(hop, dir) else {
-            return false;
-        };
-        self.trace_copy_hop("force", hop, dir, page, remaining);
-        self.mig.unhidden_token_units += remaining;
-        self.mig.forced_completions += 1;
-        self.land_hop(hop, dir, page);
-        true
-    }
-
-    /// Force-completes the *cheapest* in-flight outbound transfer (fewest
-    /// remaining units — the minimal forced-unhidden charge for one hot
-    /// slot), charging its remainder as unhidden stall. Returns `false` when
-    /// the queue is empty.
-    fn force_cheapest_outbound(&mut self) -> bool {
-        let Some((page, remaining, _prefetch)) = self.engine.force_cheapest(MigrationDir::ToCold)
-        else {
-            return false;
-        };
-        self.trace_copy("force", MigrationDir::ToCold, page, remaining);
-        self.mig.unhidden_token_units += remaining;
-        self.mig.forced_completions += 1;
-        self.land(MigrationDir::ToCold, page);
-        true
-    }
-
-    /// Frees one hot slot by force-completing outbound transfers, cheapest
-    /// (fewest remaining units) first — the oldest transfer may have been
-    /// issued large while a younger one is nearly drained, and any landed
-    /// demotion frees the same one slot. Returns `false` when the hot tier is
-    /// genuinely full (nothing reclaimable).
-    fn reclaim_hot_slot(&mut self) -> bool {
-        while self.hot_in_use >= self.hot_capacity {
-            if !self.force_cheapest_outbound() {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Frees one bounded-host slot by spilling the oldest host-resident page
-    /// to the nvme tier. Returns `false` when the host is full and no spill
-    /// can relieve it (no nvme tier, or nothing spillable) — the caller's
-    /// demotion must fail, leaving drop-and-replay as the fallback. Always
-    /// `true` for an unbounded host.
-    fn reclaim_host_slot(&mut self) -> bool {
-        if self.tiers.host_pages == 0 {
-            return true;
-        }
-        while !self.host_has_room() {
-            if !self.tiers.nvme || !self.spill_oldest_cold() {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Spills the oldest (FIFO by host-residency stamp, page index on a tie)
-    /// cold page to the nvme tier. Returns `false` when no page is
-    /// `Residency::Cold`.
-    fn spill_oldest_cold(&mut self) -> bool {
-        let victim = self
-            .residency
-            .iter()
-            .enumerate()
-            .filter(|&(idx, r)| *r == Residency::Cold && self.pages[idx].is_some())
-            .min_by_key(|&(idx, _)| (self.host_stamp[idx], idx))
-            .map(|(idx, _)| PageId(idx as u32));
-        match victim {
-            Some(id) => self.spill(id).is_some(),
-            None => false,
-        }
-    }
-
-    /// Records a demand touch on a prefetched page (the prefetch paid off).
-    fn touch_prefetched(&mut self, idx: usize) {
-        if self.prefetched[idx] {
-            self.prefetched[idx] = false;
-            self.mig.prefetch_hits += 1;
-        }
-    }
-
-    /// Records a prefetched page leaving before any demand touch.
-    fn waste_prefetched(&mut self, idx: usize) {
-        if self.prefetched[idx] {
-            self.prefetched[idx] = false;
-            self.mig.prefetch_wasted += 1;
-        }
+    /// Puts `page` in a recycled slot, or a new one, as a hot page with one
+    /// owner. The caller has reclaimed the hot slot it takes.
+    fn install(&mut self, page: Option<KvPage>) -> PageId {
+        let id = self.free.pop().unwrap_or_else(|| {
+            let id = PageId(self.pages.len() as u32);
+            self.pages.push(None);
+            self.refcounts.push(0);
+            self.residency.push(Residency::Hot);
+            self.prefetched.push(false);
+            self.host_stamp.push(0);
+            id
+        });
+        self.pages[id.index()] = page;
+        self.refcounts[id.index()] = 1;
+        self.occupy_hot(id);
+        id
     }
 
     /// Allocates a fresh empty hot page, or `None` if the hot tier is full
@@ -527,14 +225,7 @@ impl PagePool {
         if !self.reclaim_hot_slot() {
             return None;
         }
-        let id = self.take_slot();
-        self.pages[id.index()] = Some(KvPage::new(self.config, self.head_dim));
-        self.refcounts[id.index()] = 1;
-        self.residency[id.index()] = Residency::Hot;
-        self.prefetched[id.index()] = false;
-        self.hot_in_use += 1;
-        self.peak_in_use = self.peak_in_use.max(self.hot_in_use);
-        Some(id)
+        Some(self.install(Some(KvPage::new(self.config, self.head_dim))))
     }
 
     /// Increments the reference count of a live page (prefix sharing).
@@ -550,8 +241,18 @@ impl PagePool {
         self.refcounts[id.index()] += 1;
     }
 
+    /// Takes one additional reference on every page of the set (prefix
+    /// sharing: the caller becomes a co-owner and must eventually release its
+    /// copy of the page table).
+    pub fn retain_all(&mut self, ids: impl IntoIterator<Item = PageId>) {
+        for id in ids {
+            self.retain(id);
+        }
+    }
+
     /// Decrements the reference count, recycling the page (from whichever tier
-    /// it resides in) when it reaches zero.
+    /// it resides in, cancelling any transfer it is riding) when it reaches
+    /// zero.
     ///
     /// # Panics
     ///
@@ -561,473 +262,9 @@ impl PagePool {
         assert!(self.pages[idx].is_some(), "free of unallocated page {id:?}");
         self.refcounts[idx] -= 1;
         if self.refcounts[idx] == 0 {
-            self.waste_prefetched(idx);
+            self.vacate(id);
             self.pages[idx] = None;
-            match self.residency[idx] {
-                Residency::Hot => self.hot_in_use -= 1,
-                Residency::Cold => self.cold_in_use -= 1,
-                Residency::Nvme => self.nvme_in_use -= 1,
-                // An in-flight transfer of a dying page is cancelled, not
-                // landed: its slot accounting is still on the hot side in
-                // both directions (see `land`).
-                Residency::Migrating(dir) => {
-                    let (remaining, _) = self
-                        .engine
-                        .cancel(dir, id)
-                        .expect("migrating page must be in flight");
-                    self.trace_copy("cancel", dir, id, remaining);
-                    self.mig.cancelled_token_units += remaining;
-                    self.hot_in_use -= 1;
-                }
-                // Nvme-hop in-flight pages count as host-resident in both
-                // directions (see `land_hop`).
-                Residency::MigratingNvme(dir) => {
-                    let (remaining, _) = self
-                        .engine
-                        .cancel_hop(Hop::Nvme, dir, id)
-                        .expect("migrating page must be in flight");
-                    self.trace_copy_hop("cancel", Hop::Nvme, dir, id, remaining);
-                    self.mig.cancelled_token_units += remaining;
-                    self.cold_in_use -= 1;
-                }
-            }
-            self.residency[idx] = Residency::Hot;
             self.free.push(id);
-        }
-    }
-
-    /// True when the page is kernel-readable on the device: `Hot`, or still
-    /// draining out (`Migrating(ToCold)` — the device copy is the transfer
-    /// source and remains valid until the slot is handed over). An inbound
-    /// `Migrating(ToHot)` page is *not* readable until its transfer lands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is not allocated.
-    pub fn is_hot(&self, id: PageId) -> bool {
-        assert!(
-            self.pages[id.index()].is_some(),
-            "residency query on unallocated page {id:?}"
-        );
-        matches!(
-            self.residency[id.index()],
-            Residency::Hot | Residency::Migrating(MigrationDir::ToCold)
-        )
-    }
-
-    /// True when the page holds a hot slot of its own that is not on its way
-    /// out: `Hot`, or inbound. Reading such a page takes nothing from
-    /// [`PagePool::free_pages`]; reading any other does — a page below the hot
-    /// tier needs a slot, and a page draining out holds one that
-    /// `free_pages` already counts as free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is not allocated.
-    pub fn holds_slot(&self, id: PageId) -> bool {
-        matches!(
-            self.residency(id),
-            Residency::Hot | Residency::Migrating(MigrationDir::ToHot)
-        )
-    }
-
-    /// Moves a hot page to the cold (host) tier, freeing one hot slot without
-    /// losing the page's contents. Returns the modeled transfer cost in
-    /// token-units (see [`crate::stats::transfer_cost_tokens`]).
-    ///
-    /// Returns `None` — and leaves the page untouched — when the page is
-    /// already below the hot tier, when it is **co-owned** (refcount above 1):
-    /// a page shared with the prefix cache or another sequence must stay hot
-    /// for its other readers, exactly as copy-on-write forbids appending into
-    /// it — or when a **bounded host** is full and cannot spill (no nvme
-    /// tier): the caller's fallback is then drop-and-replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is not allocated.
-    pub fn demote(&mut self, id: PageId) -> Option<u64> {
-        let idx = id.index();
-        assert!(
-            self.pages[idx].is_some(),
-            "demote of unallocated page {id:?}"
-        );
-        if self.refcounts[idx] > 1 {
-            return None;
-        }
-        match self.residency[idx] {
-            Residency::Cold
-            | Residency::Migrating(MigrationDir::ToCold)
-            | Residency::Nvme
-            | Residency::MigratingNvme(_) => return None,
-            Residency::Hot | Residency::Migrating(MigrationDir::ToHot) => {}
-        }
-        // Make host room *before* touching the page, so a refused demotion
-        // (bounded host, nothing spillable) leaves it exactly as it was.
-        if !self.reclaim_host_slot() {
-            return None;
-        }
-        let units = self.config.physical_page_size() as u64;
-        match self.residency[idx] {
-            Residency::Migrating(MigrationDir::ToHot) => {
-                // Abort the inbound transfer: the page is wanted cold again
-                // before it ever became readable. The spent bandwidth is
-                // wasted traffic, charged to neither stall bucket.
-                let (remaining, _) = self
-                    .engine
-                    .cancel(MigrationDir::ToHot, id)
-                    .expect("migrating page must be in flight");
-                self.trace_copy("cancel", MigrationDir::ToHot, id, remaining);
-                self.mig.cancelled_token_units += remaining;
-                self.waste_prefetched(idx);
-            }
-            Residency::Hot => self.waste_prefetched(idx),
-            _ => unreachable!("filtered above"),
-        }
-        self.trace_copy("demote.issue", MigrationDir::ToCold, id, units);
-        match self.mode {
-            MigrationMode::Sync => {
-                self.residency[idx] = Residency::Cold;
-                self.hot_in_use -= 1;
-                self.cold_in_use += 1;
-                self.stamp_host(idx);
-                self.mig.unhidden_token_units += units;
-            }
-            MigrationMode::Async => {
-                // The hot slot stays occupied (and readable) until the
-                // outbound transfer lands; a full queue force-completes its
-                // oldest entry first, modeling a blocked copy stream.
-                if self.engine.is_full(MigrationDir::ToCold) {
-                    self.force_oldest(MigrationDir::ToCold);
-                }
-                self.residency[idx] = Residency::Migrating(MigrationDir::ToCold);
-                self.engine.issue(MigrationDir::ToCold, id, units, false);
-            }
-        }
-        self.tier.pages_demoted += 1;
-        self.tier.demoted_token_units += units;
-        Some(units)
-    }
-
-    /// Spills a cold (host-resident) page down to the nvme tier, freeing one
-    /// bounded-host slot. Returns the modeled transfer cost in host-ledger
-    /// units ([`crate::nvme_ledger_units`] of the page size), or `None` when
-    /// the nvme tier is off or the page is not `Residency::Cold`.
-    ///
-    /// Unlike [`PagePool::demote`], spilling is legal on **co-owned** pages:
-    /// within the cold tiers data stays readable through the pool either way,
-    /// so a shared reader loses nothing — it just pays the recall on its next
-    /// promotion. The spill cost is charged to the pool's migration ledger
-    /// (unhidden under [`MigrationMode::Sync`]), not the caller's work clock,
-    /// matching the demotion convention.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is not allocated.
-    pub fn spill(&mut self, id: PageId) -> Option<u64> {
-        let idx = id.index();
-        assert!(
-            self.pages[idx].is_some(),
-            "spill of unallocated page {id:?}"
-        );
-        if !self.tiers.nvme || self.residency[idx] != Residency::Cold {
-            return None;
-        }
-        let ledger = nvme_ledger_units(self.config.physical_page_size() as u64);
-        self.trace_copy_hop("spill.issue", Hop::Nvme, MigrationDir::ToCold, id, ledger);
-        match self.mode {
-            MigrationMode::Sync => {
-                self.residency[idx] = Residency::Nvme;
-                self.cold_in_use -= 1;
-                self.nvme_in_use += 1;
-                self.mig.unhidden_token_units += ledger;
-            }
-            MigrationMode::Async => {
-                if self.engine.is_full_hop(Hop::Nvme, MigrationDir::ToCold) {
-                    self.force_oldest_hop(Hop::Nvme, MigrationDir::ToCold);
-                }
-                self.residency[idx] = Residency::MigratingNvme(MigrationDir::ToCold);
-                self.engine
-                    .issue_hop(Hop::Nvme, MigrationDir::ToCold, id, ledger, false);
-            }
-        }
-        self.tier.pages_spilled += 1;
-        self.tier.spilled_token_units += ledger;
-        Some(ledger)
-    }
-
-    /// Demand-recalls an nvme page into the host tier, fully unhidden (a
-    /// demand fetch from the slow tier hides nothing in either mode).
-    /// Returns the recall's ledger units.
-    fn demand_recall(&mut self, id: PageId) -> u64 {
-        let idx = id.index();
-        debug_assert_eq!(self.residency[idx], Residency::Nvme);
-        let ledger = nvme_ledger_units(self.config.physical_page_size() as u64);
-        self.trace_copy_hop("recall.force", Hop::Nvme, MigrationDir::ToHot, id, ledger);
-        self.mig.unhidden_token_units += ledger;
-        self.mig.forced_completions += 1;
-        self.nvme_in_use -= 1;
-        self.cold_in_use += 1;
-        self.residency[idx] = Residency::Cold;
-        self.stamp_host(idx);
-        self.tier.pages_recalled += 1;
-        self.tier.recalled_token_units += ledger;
-        ledger
-    }
-
-    /// Brings a page back to the hot tier so kernels may read it again,
-    /// across however many hops its residency requires (`Nvme` pages pay the
-    /// recall *and* the host hop). Returns the modeled transfer cost in
-    /// ledger units this call issued — `Some(0)` when the page was already
-    /// hot (no transfer happened) — or `None` when the hot tier is full (free
-    /// or demote something first).
-    ///
-    /// Promotion is legal on shared pages (it moves data, never mutates it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is not allocated.
-    pub fn promote(&mut self, id: PageId) -> Option<u64> {
-        let idx = id.index();
-        assert!(
-            self.pages[idx].is_some(),
-            "promote of unallocated page {id:?}"
-        );
-        match self.residency[idx] {
-            Residency::Hot => {
-                self.touch_prefetched(idx);
-                return Some(0);
-            }
-            // Already inbound: the promotion is in flight, nothing new moves.
-            Residency::Migrating(MigrationDir::ToHot) => return Some(0),
-            // Still draining out: abort the outbound transfer and keep the
-            // device copy — a free promotion (the data never left).
-            Residency::Migrating(MigrationDir::ToCold) => {
-                let (remaining, _) = self
-                    .engine
-                    .cancel(MigrationDir::ToCold, id)
-                    .expect("migrating page must be in flight");
-                self.trace_copy("cancel", MigrationDir::ToCold, id, remaining);
-                self.mig.cancelled_token_units += remaining;
-                self.residency[idx] = Residency::Hot;
-                return Some(0);
-            }
-            Residency::Cold | Residency::Nvme | Residency::MigratingNvme(_) => {}
-        }
-        if !self.reclaim_hot_slot() {
-            return None;
-        }
-        // Multi-hop: bring the page into the host tier first, then the host
-        // hop below proceeds exactly as for an ordinary cold page.
-        let recalled = match self.residency[idx] {
-            Residency::Cold => 0,
-            // Demand-recall from the slow tier (fully unhidden in both modes).
-            Residency::Nvme => {
-                let ledger = self.demand_recall(id);
-                self.touch_prefetched(idx);
-                ledger
-            }
-            // Still spilling out: abort the spill and keep the host copy — a
-            // free recall (the data never left the host).
-            Residency::MigratingNvme(MigrationDir::ToCold) => {
-                let (remaining, _) = self
-                    .engine
-                    .cancel_hop(Hop::Nvme, MigrationDir::ToCold, id)
-                    .expect("migrating page must be in flight");
-                self.trace_copy_hop("cancel", Hop::Nvme, MigrationDir::ToCold, id, remaining);
-                self.mig.cancelled_token_units += remaining;
-                self.residency[idx] = Residency::Cold;
-                self.stamp_host(idx);
-                0
-            }
-            // Recall already inbound: force the remainder and land it.
-            Residency::MigratingNvme(MigrationDir::ToHot) => {
-                let (remaining, _) = self
-                    .engine
-                    .force_page_hop(Hop::Nvme, MigrationDir::ToHot, id)
-                    .expect("migrating page must be in flight");
-                self.trace_copy_hop("force", Hop::Nvme, MigrationDir::ToHot, id, remaining);
-                self.mig.unhidden_token_units += remaining;
-                if remaining > 0 {
-                    self.mig.forced_completions += 1;
-                }
-                self.land_hop(Hop::Nvme, MigrationDir::ToHot, id);
-                self.touch_prefetched(idx);
-                0
-            }
-            _ => unreachable!("filtered above"),
-        };
-        let units = self.config.physical_page_size() as u64;
-        self.trace_copy("promote.issue", MigrationDir::ToHot, id, units);
-        self.cold_in_use -= 1;
-        self.hot_in_use += 1;
-        self.peak_in_use = self.peak_in_use.max(self.hot_in_use);
-        match self.mode {
-            MigrationMode::Sync => {
-                self.residency[idx] = Residency::Hot;
-                self.mig.unhidden_token_units += units;
-            }
-            MigrationMode::Async => {
-                if self.engine.is_full(MigrationDir::ToHot) {
-                    self.force_oldest(MigrationDir::ToHot);
-                }
-                self.residency[idx] = Residency::Migrating(MigrationDir::ToHot);
-                self.engine.issue(MigrationDir::ToHot, id, units, false);
-            }
-        }
-        self.tier.pages_promoted += 1;
-        self.tier.promoted_token_units += units;
-        Some(recalled + units)
-    }
-
-    /// Makes `id` kernel-readable *now*, forcing any in-flight inbound
-    /// transfer to completion. Returns `(issued, unhidden)` token-units: the
-    /// new transfer traffic this call generated and the fraction of transfer
-    /// cost the caller must absorb as stall. `None` when the hot tier is full.
-    ///
-    /// In [`MigrationMode::Sync`] this is exactly [`PagePool::promote`] with
-    /// the full cost unhidden. In [`MigrationMode::Async`]:
-    ///
-    /// * `Hot` / outbound-in-flight pages cost nothing (an outbound transfer
-    ///   is aborted for free — the device copy never left);
-    /// * an inbound-in-flight page charges only its *remaining* units — the
-    ///   part overlap didn't hide (a prefetch that landed early is free);
-    /// * a cold page issues a promotion and forces it immediately (demand
-    ///   fetch, nothing hidden).
-    pub fn ensure_hot(&mut self, id: PageId) -> Option<(u64, u64)> {
-        if self.mode == MigrationMode::Sync {
-            return self.promote(id).map(|u| (u, u));
-        }
-        let idx = id.index();
-        match self.residency[idx] {
-            Residency::Hot => {
-                self.touch_prefetched(idx);
-                Some((0, 0))
-            }
-            Residency::Migrating(MigrationDir::ToCold) => {
-                let (remaining, _) = self
-                    .engine
-                    .cancel(MigrationDir::ToCold, id)
-                    .expect("migrating page must be in flight");
-                self.trace_copy("cancel", MigrationDir::ToCold, id, remaining);
-                self.mig.cancelled_token_units += remaining;
-                self.residency[idx] = Residency::Hot;
-                Some((0, 0))
-            }
-            Residency::Migrating(MigrationDir::ToHot) => {
-                let (remaining, _) = self
-                    .engine
-                    .force_page(MigrationDir::ToHot, id)
-                    .expect("migrating page must be in flight");
-                self.trace_copy("force", MigrationDir::ToHot, id, remaining);
-                self.mig.unhidden_token_units += remaining;
-                if remaining > 0 {
-                    self.mig.forced_completions += 1;
-                }
-                self.land(MigrationDir::ToHot, id);
-                self.touch_prefetched(idx);
-                Some((0, remaining))
-            }
-            Residency::Cold => {
-                let issued = self.promote(id)?;
-                let (remaining, _) = self
-                    .engine
-                    .force_page(MigrationDir::ToHot, id)
-                    .expect("promotion just issued");
-                self.trace_copy("force", MigrationDir::ToHot, id, remaining);
-                self.mig.unhidden_token_units += remaining;
-                self.mig.forced_completions += 1;
-                self.land(MigrationDir::ToHot, id);
-                Some((issued, remaining))
-            }
-            // Below the host: multi-hop demand fetch. `promote` settles the
-            // nvme hop (demand recall / cancel / force); whatever host-hop
-            // promotion it issued is then forced like the `Cold` arm, and the
-            // unhidden delta captures both hops' stall.
-            Residency::Nvme | Residency::MigratingNvme(_) => {
-                let before = self.mig.unhidden_token_units;
-                let issued = self.promote(id)?;
-                if self.residency[idx] == Residency::Migrating(MigrationDir::ToHot) {
-                    let (remaining, _) = self
-                        .engine
-                        .force_page(MigrationDir::ToHot, id)
-                        .expect("promotion just issued");
-                    self.trace_copy("force", MigrationDir::ToHot, id, remaining);
-                    self.mig.unhidden_token_units += remaining;
-                    self.mig.forced_completions += 1;
-                    self.land(MigrationDir::ToHot, id);
-                }
-                Some((issued, self.mig.unhidden_token_units - before))
-            }
-        }
-    }
-
-    /// Speculatively moves a below-hot page one hop up on the copy engine
-    /// (async mode only). A cold page promotes toward the hot tier; an nvme
-    /// page recalls into the host tier (a later prefetch round can then lift
-    /// it the rest of the way). Cheap and best-effort: declined — returning
-    /// `false` — when the page is already hot or in flight, the destination
-    /// tier has no genuinely free slot (prefetch never steals via reclaim),
-    /// or the hop's inbound queue is full.
-    pub fn prefetch(&mut self, id: PageId) -> bool {
-        let idx = id.index();
-        assert!(
-            self.pages[idx].is_some(),
-            "prefetch of unallocated page {id:?}"
-        );
-        if self.mode != MigrationMode::Async {
-            return false;
-        }
-        match self.residency[idx] {
-            Residency::Cold => {
-                if self.hot_in_use >= self.hot_capacity || self.engine.is_full(MigrationDir::ToHot)
-                {
-                    return false;
-                }
-                let units = self.config.physical_page_size() as u64;
-                self.trace_copy("prefetch.issue", MigrationDir::ToHot, id, units);
-                self.cold_in_use -= 1;
-                self.hot_in_use += 1;
-                self.peak_in_use = self.peak_in_use.max(self.hot_in_use);
-                self.residency[idx] = Residency::Migrating(MigrationDir::ToHot);
-                self.engine.issue(MigrationDir::ToHot, id, units, true);
-                self.prefetched[idx] = true;
-                self.mig.prefetch_issued += 1;
-                self.tier.pages_promoted += 1;
-                self.tier.promoted_token_units += units;
-                true
-            }
-            Residency::Nvme => {
-                if !self.host_has_room() || self.engine.is_full_hop(Hop::Nvme, MigrationDir::ToHot)
-                {
-                    return false;
-                }
-                let ledger = nvme_ledger_units(self.config.physical_page_size() as u64);
-                self.trace_copy_hop("prefetch.issue", Hop::Nvme, MigrationDir::ToHot, id, ledger);
-                self.nvme_in_use -= 1;
-                self.cold_in_use += 1;
-                self.residency[idx] = Residency::MigratingNvme(MigrationDir::ToHot);
-                self.engine
-                    .issue_hop(Hop::Nvme, MigrationDir::ToHot, id, ledger, true);
-                self.prefetched[idx] = true;
-                self.mig.prefetch_issued += 1;
-                self.tier.pages_recalled += 1;
-                self.tier.recalled_token_units += ledger;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Feeds `units` ledger units of overlapped compute to the copy engine:
-    /// each of the four hop×direction channels drains up to `units`
-    /// (independent modeled DMA links), landing finished transfers and
-    /// crediting the drained traffic as hidden. A no-op in
-    /// [`MigrationMode::Sync`].
-    pub fn advance_transfer_units(&mut self, units: u64) {
-        let (landed, drained) = self.engine.advance(units);
-        self.mig.hidden_token_units += drained;
-        for (hop, dir, page) in landed {
-            self.land_hop(hop, dir, page);
         }
     }
 
@@ -1056,47 +293,9 @@ impl PagePool {
     /// Panics if the page is not allocated.
     #[inline]
     pub fn page_mut(&mut self, id: PageId) -> &mut KvPage {
-        match self.residency.get(id.index()) {
-            Some(Residency::Migrating(MigrationDir::ToCold)) => {
-                let (remaining, _) = self
-                    .engine
-                    .cancel(MigrationDir::ToCold, id)
-                    .expect("migrating page must be in flight");
-                self.trace_copy("cancel", MigrationDir::ToCold, id, remaining);
-                self.mig.cancelled_token_units += remaining;
-                self.residency[id.index()] = Residency::Hot;
-            }
-            Some(Residency::Migrating(MigrationDir::ToHot)) => {
-                let (remaining, _) = self
-                    .engine
-                    .force_page(MigrationDir::ToHot, id)
-                    .expect("migrating page must be in flight");
-                self.trace_copy("force", MigrationDir::ToHot, id, remaining);
-                self.mig.unhidden_token_units += remaining;
-                self.mig.forced_completions += 1;
-                self.land(MigrationDir::ToHot, id);
-            }
-            Some(Residency::MigratingNvme(MigrationDir::ToCold)) => {
-                let (remaining, _) = self
-                    .engine
-                    .cancel_hop(Hop::Nvme, MigrationDir::ToCold, id)
-                    .expect("migrating page must be in flight");
-                self.trace_copy_hop("cancel", Hop::Nvme, MigrationDir::ToCold, id, remaining);
-                self.mig.cancelled_token_units += remaining;
-                self.residency[id.index()] = Residency::Cold;
-                self.stamp_host(id.index());
-            }
-            Some(Residency::MigratingNvme(MigrationDir::ToHot)) => {
-                let (remaining, _) = self
-                    .engine
-                    .force_page_hop(Hop::Nvme, MigrationDir::ToHot, id)
-                    .expect("migrating page must be in flight");
-                self.trace_copy_hop("force", Hop::Nvme, MigrationDir::ToHot, id, remaining);
-                self.mig.unhidden_token_units += remaining;
-                self.mig.forced_completions += 1;
-                self.land_hop(Hop::Nvme, MigrationDir::ToHot, id);
-            }
-            _ => {}
+        let in_flight = self.residency.get(id.index()).and_then(|r| r.in_flight());
+        if let Some((hop, dir)) = in_flight {
+            self.settle_transfer(hop, dir, id);
         }
         self.pages[id.index()]
             .as_mut()
@@ -1114,9 +313,10 @@ impl PagePool {
         self.refcounts[id.index()] > 1
     }
 
-    /// Pages currently referenced by more than one owner (prefix-cache sharing).
-    pub fn shared_pages(&self) -> usize {
-        self.refcounts.iter().filter(|&&rc| rc > 1).count()
+    /// True when at least one page of the set has no other owner, i.e.
+    /// releasing the set would return physical pages to the pool.
+    pub fn holds_sole_reference(&self, ids: impl IntoIterator<Item = PageId>) -> bool {
+        ids.into_iter().any(|id| self.refcount(id) == 1)
     }
 
     /// Total copy-on-write forks performed over the pool's lifetime.
@@ -1149,13 +349,7 @@ impl PagePool {
             return None;
         }
         let copy = self.pages[id.index()].clone();
-        let new = self.take_slot();
-        self.pages[new.index()] = copy;
-        self.refcounts[new.index()] = 1;
-        self.residency[new.index()] = Residency::Hot;
-        self.prefetched[new.index()] = false;
-        self.hot_in_use += 1;
-        self.peak_in_use = self.peak_in_use.max(self.hot_in_use);
+        let new = self.install(copy);
         self.forks += 1;
         self.free(id);
         Some(new)
@@ -1167,8 +361,9 @@ mod tests {
     use lserve_quant::KvPrecision;
 
     use super::*;
+    use crate::copy_engine::MigrationDir;
     use crate::page::varied_rows;
-    use crate::stats::LogicalPageStats;
+    use crate::stats::{nvme_ledger_units, LogicalPageStats};
 
     fn pool(prec: KvPrecision) -> PagePool {
         PagePool::new(PagingConfig::new(4, 2, prec), 8, 4)
@@ -1314,7 +509,6 @@ mod tests {
             .append(&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0]);
         p.retain(id); // shared: e.g. a prefix-cache entry plus one sequence
         assert!(p.is_shared(id));
-        assert_eq!(p.shared_pages(), 1);
         let forked = p.fork(id).unwrap();
         assert_ne!(forked, id);
         assert_eq!(p.refcount(id), 1, "fork drops the caller's reference");

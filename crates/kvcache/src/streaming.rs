@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use crate::{PageId, PagePool, Residency};
+use crate::{PageId, PagePool};
 
 /// Λ-mask geometry of a streaming head, in *pages*.
 ///
@@ -109,7 +109,8 @@ impl StreamingHeadCache {
 
     /// The resident pages in attention order (sink, then local), without
     /// building [`StreamingHeadCache::page_table`]'s vector: what the decode
-    /// kernel walks every token.
+    /// kernel walks every token, and the set the pool's whole-set operations
+    /// ([`PagePool::demote_all`] and friends) take.
     pub fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
         let local = self.local.iter().map(|&(_, id)| id);
         self.sink.iter().copied().chain(local)
@@ -216,129 +217,6 @@ impl StreamingHeadCache {
         }
         self.tokens = 0;
     }
-
-    /// Takes one additional reference on every retained page (prefix sharing: the
-    /// caller becomes a co-owner and must eventually `release` its copy).
-    pub fn retain_all(&self, pool: &mut PagePool) {
-        for &id in &self.sink {
-            pool.retain(id);
-        }
-        for &(_, id) in &self.local {
-            pool.retain(id);
-        }
-    }
-
-    /// True when at least one retained page is referenced by this cache alone,
-    /// i.e. releasing the cache would return physical pages to the pool.
-    pub fn holds_sole_reference(&self, pool: &PagePool) -> bool {
-        self.sink.iter().any(|&id| pool.refcount(id) == 1)
-            || self.local.iter().any(|&(_, id)| pool.refcount(id) == 1)
-    }
-
-    /// All pages this head currently retains (sink first, then local).
-    fn retained_ids(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.sink
-            .iter()
-            .copied()
-            .chain(self.local.iter().map(|&(_, id)| id))
-    }
-
-    /// Demotes every sole-owned hot page (sink + local ring) to the cold tier
-    /// (swap-out of a whole sequence; the *selection-driven* demotion policy
-    /// never touches streaming heads — their window is the working set).
-    /// Returns `(pages moved, token-units moved)`.
-    pub fn demote_all(&self, pool: &mut PagePool) -> (u64, u64) {
-        let mut pages = 0;
-        let mut units = 0;
-        for id in self.retained_ids() {
-            if let Some(u) = pool.demote(id) {
-                pages += 1;
-                units += u;
-            }
-        }
-        (pages, units)
-    }
-
-    /// Promotes every cold retained page back to the hot tier. Returns
-    /// `(pages moved, token-units moved)`, or `None` if the hot tier filled up
-    /// mid-way (reserve [`StreamingHeadCache::cold_pages`] free slots first).
-    ///
-    /// Every page goes through [`PagePool::promote`], so in-flight states are
-    /// handled uniformly (see [`crate::DenseHeadCache::promote_all`]).
-    pub fn promote_all(&self, pool: &mut PagePool) -> Option<(u64, u64)> {
-        let mut pages = 0;
-        let mut units = 0;
-        for id in self.retained_ids() {
-            match pool.promote(id)? {
-                0 => {}
-                u => {
-                    pages += 1;
-                    units += u;
-                }
-            }
-        }
-        Some((pages, units))
-    }
-
-    /// Makes every retained page kernel-readable *now* (see
-    /// [`PagePool::ensure_hot`]). Returns `(pages moved, token-units issued,
-    /// token-units unhidden)`, or `None` if the hot tier filled up mid-way.
-    pub fn ensure_resident(&self, pool: &mut PagePool) -> Option<(u64, u64, u64)> {
-        let mut pages = 0;
-        let mut units = 0;
-        let mut unhidden = 0;
-        for id in self.retained_ids() {
-            let (u, uh) = pool.ensure_hot(id)?;
-            if u > 0 {
-                pages += 1;
-            }
-            units += u;
-            unhidden += uh;
-        }
-        Some((pages, units, unhidden))
-    }
-
-    /// Number of retained pages currently in the cold tier.
-    pub fn cold_pages(&self, pool: &PagePool) -> usize {
-        self.retained_ids().filter(|&id| !pool.is_hot(id)).count()
-    }
-
-    /// Hot slots a swap-in of this head must newly claim (see
-    /// [`crate::DenseHeadCache::swap_in_demand`]): below-hot pages plus own
-    /// outbound transfers still in flight.
-    pub fn swap_in_demand(&self, pool: &PagePool) -> usize {
-        self.retained_ids()
-            .filter(|&id| !pool.holds_slot(id))
-            .count()
-    }
-
-    /// Retained pages that are both sole-owned and hot — exactly what a
-    /// swap-out ([`StreamingHeadCache::demote_all`]) would move.
-    pub fn sole_owned_hot_pages(&self, pool: &PagePool) -> usize {
-        self.retained_ids()
-            .filter(|&id| pool.refcount(id) == 1 && pool.is_hot(id))
-            .count()
-    }
-
-    /// Modeled ledger units to bring every retained page hot again, by tier
-    /// (see [`crate::DenseHeadCache::promote_back_cost_units`]).
-    pub fn promote_back_cost_units(&self, pool: &PagePool) -> u64 {
-        let np = pool.config().physical_page_size() as u64;
-        let nvme_cost = crate::nvme_ledger_units(np) + np;
-        self.retained_ids()
-            .map(|id| match pool.residency(id) {
-                Residency::Hot | Residency::Migrating(_) => {
-                    if pool.is_shared(id) {
-                        0
-                    } else {
-                        np
-                    }
-                }
-                Residency::Cold => np,
-                Residency::Nvme | Residency::MigratingNvme(_) => nvme_cost,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -434,7 +312,7 @@ mod tests {
     fn append_into_shared_pages_forks_not_mutates() {
         let (mut pool, mut c) = setup();
         push_n(&mut pool, &mut c, 10); // 1 sink page + local pages, last partial
-        c.retain_all(&mut pool); // a prefix-cache entry now co-owns every page
+        pool.retain_all(c.page_ids()); // a prefix-cache entry now co-owns every page
         let frozen: Vec<(usize, PageId)> = c.page_table(&pool);
         let frozen_lens: Vec<usize> = frozen.iter().map(|&(_, id)| pool.page(id).len()).collect();
         assert!(c.needs_page_for_next_append(&pool));

@@ -270,25 +270,25 @@ fn swap_in_demand_counts_own_inflight_demotions() {
         p.residency(table[1]),
         Residency::Migrating(MigrationDir::ToCold)
     );
-    // `cold_pages` sees one page (the in-flight demotion still reads as hot),
+    // One page is unreadable (the in-flight demotion still reads as hot),
     // but a swap-in must reserve both: forcing our own outbound transfer
     // frees a slot and mints a new cold page — net-zero supply.
-    assert_eq!(c.cold_pages(&p), 1);
-    assert_eq!(c.swap_in_demand(&p), 2);
+    assert_eq!(c.page_ids().filter(|&id| !p.is_hot(id)).count(), 1);
+    assert_eq!(p.swap_in_demand(c.page_ids()), 2);
     // An inbound transfer already holds its slot: no extra demand.
     p.promote(table[0]).unwrap();
     assert_eq!(
         p.residency(table[0]),
         Residency::Migrating(MigrationDir::ToHot)
     );
-    assert_eq!(c.swap_in_demand(&p), 1);
+    assert_eq!(p.swap_in_demand(c.page_ids()), 1);
     p.advance_transfer_units(10 * PAGE_UNITS);
     assert_eq!(
-        c.swap_in_demand(&p),
+        p.swap_in_demand(c.page_ids()),
         1,
         "landed demotion is plain cold demand"
     );
-    assert_eq!(c.cold_pages(&p), 1);
+    assert_eq!(c.page_ids().filter(|&id| !p.is_hot(id)).count(), 1);
 }
 
 #[test]

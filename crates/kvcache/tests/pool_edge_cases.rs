@@ -120,7 +120,7 @@ fn shared_page_demand_accounting_is_exact() {
     }
     // 6 tokens over 4-token pages: one full page + one partial (2 tokens).
     assert!(!c.needs_page_for_next_append(&p), "private partial page");
-    c.retain_all(&mut p); // a prefix-cache entry now co-owns everything
+    p.retain_all(c.page_ids()); // a prefix-cache entry now co-owns everything
     assert!(
         c.needs_page_for_next_append(&p),
         "shared partial page must count as demand"
@@ -152,7 +152,7 @@ fn streaming_shared_tail_demand_and_fork() {
     }
     // 10 tokens: full sink page [0,4), local pages [4,8) and [8,10 partial).
     assert!(!c.needs_page_for_next_append(&p));
-    c.retain_all(&mut p);
+    p.retain_all(c.page_ids());
     assert!(
         c.needs_page_for_next_append(&p),
         "shared partial local tail must count as demand"
@@ -176,7 +176,7 @@ fn layer_demand_matches_actual_allocation_under_sharing() {
     for _ in 0..6 {
         assert!(layer.append_token(&mut p, &keys, &values, 2));
     }
-    layer.retain_all(&mut p);
+    p.retain_all(layer.page_ids());
     let predicted = layer.pages_needed_for_next_token(&p);
     assert!(predicted > 0, "shared tails must be counted");
     let before = p.in_use();
@@ -191,7 +191,7 @@ fn layer_demand_matches_actual_allocation_under_sharing() {
     );
     // Releasing the sequence's copy leaves exactly the donated (retained)
     // pages alive; releasing those too empties the pool: conservation.
-    let donated = layer.resident_pages();
+    let donated = layer.page_ids().count();
     assert!(donated > 0);
     layer.release(&mut p);
     assert!(p.in_use() > 0, "donated copies survive the sequence");
@@ -206,7 +206,7 @@ fn cow_append_fails_cleanly_when_fork_cannot_allocate() {
     let mut p = PagePool::new(cfg, 1, 4);
     let mut c = DenseHeadCache::new();
     assert!(c.append(&mut p, &row(1.0), &row(1.0)));
-    c.retain_all(&mut p); // shared partial page, pool now exhausted
+    p.retain_all(c.page_ids()); // shared partial page, pool now exhausted
     assert!(c.needs_page_for_next_append(&p));
     assert!(
         !c.append(&mut p, &row(2.0), &row(2.0)),

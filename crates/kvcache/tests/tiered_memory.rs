@@ -3,13 +3,19 @@
 //! exactness of cold-page demand accounting.
 
 use lserve_kvcache::{
-    transfer_cost_tokens, DenseHeadCache, LayerKvCache, PagePool, PagingConfig, StreamingHeadCache,
-    StreamingWindow, HOST_TRANSFER_SPEEDUP,
+    transfer_cost_tokens, DenseHeadCache, LayerKvCache, Moved, PageId, PagePool, PagingConfig,
+    StreamingHeadCache, StreamingWindow, HOST_TRANSFER_SPEEDUP,
 };
 use lserve_quant::KvPrecision;
 
 fn pool(capacity: usize) -> PagePool {
     PagePool::new(PagingConfig::new(4, 2, KvPrecision::Fp16), capacity, 2)
+}
+
+/// Pages of the set no kernel may read where they are (the exact hot demand
+/// of a swap-in, in-flight demotions aside).
+fn cold_pages(pool: &PagePool, ids: impl Iterator<Item = PageId>) -> usize {
+    ids.filter(|&id| !pool.is_hot(id)).count()
 }
 
 fn fill_dense(pool: &mut PagePool, cache: &mut DenseHeadCache, n: usize) {
@@ -24,7 +30,7 @@ fn dense_swap_round_trip_preserves_partial_last_page() {
     let mut c = DenseHeadCache::new();
     fill_dense(&mut p, &mut c, 10); // pages: 4 + 4 + 2 (partial last)
     let hot_before = p.in_use();
-    let (pages, units) = c.demote_all(&mut p);
+    let Moved { pages, units, .. } = p.demote_all(c.page_ids());
     assert_eq!(pages, 3, "the partial last page swaps out too");
     assert_eq!(
         units,
@@ -32,10 +38,10 @@ fn dense_swap_round_trip_preserves_partial_last_page() {
         "full page slots cross the link, not just rows"
     );
     assert_eq!(p.in_use(), hot_before - 3);
-    assert_eq!(c.cold_pages(&p), 3);
-    let (back, back_units) = c.promote_all(&mut p).unwrap();
-    assert_eq!((back, back_units), (3, 12));
-    assert_eq!(c.cold_pages(&p), 0);
+    assert_eq!(cold_pages(&p, c.page_ids()), 3);
+    let back = p.promote_all(c.page_ids()).unwrap();
+    assert_eq!((back.pages, back.units), (3, 12));
+    assert_eq!(cold_pages(&p, c.page_ids()), 0);
     // Contents and append position survive the round trip: the partial last
     // page keeps accepting rows.
     assert_eq!(c.key(&p, 9), vec![9.0, 1.0]);
@@ -55,17 +61,17 @@ fn shared_cow_pages_stay_hot_through_demote_all() {
     fill_dense(&mut p, &mut c, 6);
     // A prefix-cache entry co-owns the first page only.
     p.retain(c.page_table()[0]);
-    let (pages, _) = c.demote_all(&mut p);
+    let pages = p.demote_all(c.page_ids()).pages;
     assert_eq!(pages, 1, "only the sole-owned page may leave the hot tier");
     assert!(p.is_hot(c.page_table()[0]), "co-owned page pinned hot");
     assert!(!p.is_hot(c.page_table()[1]));
-    assert_eq!(c.cold_pages(&p), 1);
+    assert_eq!(cold_pages(&p, c.page_ids()), 1);
     // The co-owner drops its reference; a second pass may now demote it.
     p.free(c.page_table()[0]);
-    let (pages, _) = c.demote_all(&mut p);
+    let pages = p.demote_all(c.page_ids()).pages;
     assert_eq!(pages, 1);
-    assert_eq!(c.cold_pages(&p), 2);
-    c.promote_all(&mut p).unwrap();
+    assert_eq!(cold_pages(&p, c.page_ids()), 2);
+    p.promote_all(c.page_ids()).unwrap();
     c.release(&mut p);
     assert_eq!(p.total_in_use(), 0);
 }
@@ -79,11 +85,11 @@ fn streaming_ring_swaps_whole_and_keeps_evicting() {
         assert!(c.append(&mut p, &[i as f32, 0.0], &[0.0, 0.0]));
     }
     let resident = c.resident_pages();
-    let (pages, _) = c.demote_all(&mut p);
+    let pages = p.demote_all(c.page_ids()).pages;
     assert_eq!(pages as usize, resident, "sink + local ring all swap out");
-    assert_eq!(c.cold_pages(&p), resident);
-    c.promote_all(&mut p).unwrap();
-    assert_eq!(c.cold_pages(&p), 0);
+    assert_eq!(cold_pages(&p, c.page_ids()), resident);
+    p.promote_all(c.page_ids()).unwrap();
+    assert_eq!(cold_pages(&p, c.page_ids()), 0);
     // The ring keeps rolling after the round trip: eviction still frees the
     // oldest local page and the pool's hot accounting stays consistent.
     for i in 20..40 {
@@ -100,24 +106,24 @@ fn promote_all_reports_exhaustion_without_corruption() {
     let mut p = pool(4);
     let mut c = DenseHeadCache::new();
     fill_dense(&mut p, &mut c, 12); // 3 pages, pool of 4
-    c.demote_all(&mut p);
+    p.demote_all(c.page_ids());
     // Another tenant grabs the freed hot slots.
     let squatters: Vec<_> = (0..3).map(|_| p.allocate().unwrap()).collect();
     assert_eq!(p.free_pages(), 1);
     assert!(
-        c.promote_all(&mut p).is_none(),
+        p.promote_all(c.page_ids()).is_none(),
         "promotion must report a full hot tier"
     );
     assert_eq!(
-        c.cold_pages(&p),
+        cold_pages(&p, c.page_ids()),
         2,
         "exactly the pages that fit were promoted"
     );
     for id in squatters {
         p.free(id);
     }
-    c.promote_all(&mut p).unwrap();
-    assert_eq!(c.cold_pages(&p), 0);
+    p.promote_all(c.page_ids()).unwrap();
+    assert_eq!(cold_pages(&p, c.page_ids()), 0);
     c.release(&mut p);
     assert_eq!(p.total_in_use(), 0);
 }
@@ -135,19 +141,19 @@ fn layer_cold_demand_is_exact_across_head_kinds() {
         }
         l
     };
-    let resident = layer.resident_pages();
-    let (pages, units) = layer.demote_all(&mut p);
+    let resident = layer.page_ids().count();
+    let Moved { pages, units, .. } = p.demote_all(layer.page_ids());
     assert_eq!(pages as usize, resident);
-    assert_eq!(layer.cold_pages(&p), resident);
+    assert_eq!(cold_pages(&p, layer.page_ids()), resident);
     assert_eq!(units, pages * 4);
     // The modeled transfer cost is deterministic and rounds up.
     assert_eq!(
         transfer_cost_tokens(units),
         units.div_ceil(HOST_TRANSFER_SPEEDUP)
     );
-    let (back, _) = layer.promote_all(&mut p).unwrap();
-    assert_eq!(back, pages);
-    assert_eq!(layer.cold_pages(&p), 0);
+    let back = p.promote_all(layer.page_ids()).unwrap();
+    assert_eq!(back.pages, pages);
+    assert_eq!(cold_pages(&p, layer.page_ids()), 0);
 }
 
 #[test]
@@ -160,8 +166,8 @@ fn quantized_pages_survive_the_round_trip_bit_exactly() {
         assert!(c.append(&mut p, &[x, -x, 2.0 * x, 0.5], &[x, x, -x, 1.0]));
     }
     let before: Vec<Vec<f32>> = (0..7).map(|t| c.key(&p, t)).collect();
-    c.demote_all(&mut p);
-    c.promote_all(&mut p).unwrap();
+    p.demote_all(c.page_ids());
+    p.promote_all(c.page_ids()).unwrap();
     let after: Vec<Vec<f32>> = (0..7).map(|t| c.key(&p, t)).collect();
     assert_eq!(before, after, "migration must never touch stored codes");
 }

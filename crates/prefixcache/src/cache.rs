@@ -1,6 +1,6 @@
 //! The managed prefix store: refcounted insertion, LRU eviction, counters.
 
-use lserve_kvcache::{PageId, PagePool, Residency};
+use lserve_kvcache::{PageId, PagePool};
 
 use crate::tree::RadixTree;
 
@@ -50,53 +50,38 @@ pub struct PageRunPrefix {
     pub runs: Vec<Vec<PageId>>,
 }
 
+impl PageRunPrefix {
+    /// Every page reference this value holds, run by run.
+    pub fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.runs.iter().flatten().copied()
+    }
+}
+
 impl PrefixPages for PageRunPrefix {
     fn retain(&self, pool: &mut PagePool) {
-        for run in &self.runs {
-            for &id in run {
-                pool.retain(id);
-            }
-        }
+        pool.retain_all(self.page_ids());
     }
 
     fn release(&mut self, pool: &mut PagePool) {
-        for run in &mut self.runs {
-            for id in run.drain(..) {
-                pool.free(id);
-            }
+        for id in self.runs.iter_mut().flat_map(|run| run.drain(..)) {
+            pool.free(id);
         }
     }
 
     fn page_refs(&self) -> usize {
-        self.runs.iter().map(Vec::len).sum()
+        self.page_ids().count()
     }
 
     fn frees_pages(&self, pool: &PagePool) -> bool {
-        self.runs
-            .iter()
-            .any(|run| run.iter().any(|&id| pool.refcount(id) == 1))
+        pool.holds_sole_reference(self.page_ids())
     }
 
     fn spillable(&self, pool: &PagePool) -> bool {
-        self.runs.iter().any(|run| {
-            run.iter()
-                .any(|&id| pool.refcount(id) == 1 && matches!(pool.residency(id), Residency::Hot))
-        })
+        pool.sole_owned_hot_pages(self.page_ids()) > 0
     }
 
     fn spill(&self, pool: &mut PagePool) -> u64 {
-        let mut moved = 0;
-        for run in &self.runs {
-            for &id in run {
-                if pool.refcount(id) == 1
-                    && matches!(pool.residency(id), Residency::Hot)
-                    && pool.demote(id).is_some()
-                {
-                    moved += 1;
-                }
-            }
-        }
-        moved
+        pool.demote_all(self.page_ids()).pages
     }
 }
 
@@ -336,6 +321,8 @@ impl<V: PrefixPages> PrefixCache<V> {
 
 #[cfg(test)]
 mod tests {
+    use lserve_kvcache::Residency;
+
     use super::*;
     use lserve_kvcache::PagingConfig;
     use lserve_quant::KvPrecision;

@@ -296,7 +296,7 @@ proptest! {
             let first = exec.prefill(&mut s, &mut pool, &prompt).expect("ample pool");
             let mut next = greedy_next_token(&first.logits);
             if tight {
-                s.demote_resident(&mut pool);
+                pool.demote_all(s.page_ids());
             }
             let mut fillers = Vec::new();
             let mut bits: Vec<Vec<u32>> = Vec::new();
