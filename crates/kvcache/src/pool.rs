@@ -733,7 +733,7 @@ mod tests {
         p.advance_transfer_units(4);
         assert_eq!(p.residency(a), Residency::Hot);
         let m = p.migration_stats();
-        assert_eq!(m.prefetch_issued, 2);
+        assert_eq!(m.prefetch_issued, 1, "two hops, one speculative journey");
         p.free(a);
         assert_eq!(p.total_in_use(), 0, "zero leaks");
     }

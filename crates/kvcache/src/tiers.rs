@@ -236,9 +236,15 @@ impl PagePool {
         };
         *pages += 1;
         *moved += units;
-        if cause == Cause::Speculative {
-            self.prefetched[idx] = true;
-            self.mig.prefetch_issued += 1;
+        match (cause, dir) {
+            // A guess undone before anyone read the page.
+            (_, ToCold) => self.waste_prefetched(idx),
+            // One guess per journey, however many hops it takes.
+            (Cause::Speculative, ToHot) if !self.prefetched[idx] => {
+                self.prefetched[idx] = true;
+                self.mig.prefetch_issued += 1;
+            }
+            (_, ToHot) => {}
         }
         self.residency[idx] = Residency::migrating(hop, dir);
         if cause == Cause::Stalled || self.mode == MigrationMode::Sync {
@@ -533,7 +539,6 @@ impl PagePool {
             // Wanted cold again before it ever became readable.
             self.cancel(Hop::Host, ToHot, id);
         }
-        self.waste_prefetched(idx);
         Some(self.issue(Hop::Host, ToCold, id, Cause::Policy))
     }
 
@@ -606,19 +611,15 @@ impl PagePool {
         if now && self.residency[idx] == Residency::Migrating(ToHot) {
             self.force(Hop::Host, ToHot, id);
         }
-        // Kept from the code this replaced, where each starting state had a
-        // copy of its own: a climb that started on the host, or by aborting
-        // a spill, does not credit a prefetch, and neither does a promote
-        // that found the page already inbound.
-        let credited = match start {
-            Residency::Cold | Residency::MigratingNvme(ToCold) => false,
-            Residency::Migrating(ToHot) => now,
-            _ => true,
-        };
-        if credited {
+        // The first demand touch settles a prefetch as a hit — from wherever
+        // the page was. A promote that found it already inbound did nothing,
+        // and credits nothing: the reader that forces it, or finds it
+        // landed, takes the hit.
+        if now || start != Residency::Migrating(ToHot) {
             self.touch_prefetched(idx);
         }
-        // Likewise kept: a demand fetch from the host reports its own
+        // Kept from the code this replaced, where each starting state had a
+        // copy of its own: a demand fetch from the host reports its own
         // transfer only, one from below also what it forced on its way up
         // (a reclaimed slot's demotion, a full queue's oldest entry).
         let unhidden = match start {
@@ -787,5 +788,75 @@ impl PagePool {
                 Residency::Nvme | Residency::MigratingNvme(_) => nvme_ledger_units(np) + np,
             })
             .sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use lserve_quant::KvPrecision;
+
+    use super::*;
+    use crate::{MigrationStats, PagingConfig};
+
+    /// An async pool over a bounded host and nvme, and one page spilled all
+    /// the way down.
+    fn page_on_nvme() -> (PagePool, PageId) {
+        let paging = PagingConfig::new(4, 2, KvPrecision::Fp16);
+        let tiers = TierConfig {
+            host_pages: 4,
+            nvme: true,
+        };
+        let mut p = PagePool::new_with_tiers(paging, 4, 4, MigrationMode::Async, tiers);
+        let id = p.allocate().unwrap();
+        p.demote(id).unwrap();
+        p.advance_transfer_units(4);
+        p.spill(id).unwrap();
+        p.advance_transfer_units(nvme_ledger_units(4));
+        assert_eq!(p.residency(id), Residency::Nvme);
+        (p, id)
+    }
+
+    fn prefetch_ledger(m: MigrationStats) -> (u64, u64, u64) {
+        (m.prefetch_issued, m.prefetch_hits, m.prefetch_wasted)
+    }
+
+    #[test]
+    fn a_prefetch_that_crosses_both_hops_is_one_journey() {
+        let (mut p, id) = page_on_nvme();
+        assert!(p.prefetch(id), "recall into the host");
+        p.advance_transfer_units(nvme_ledger_units(4));
+        assert_eq!(p.residency(id), Residency::Cold);
+        assert!(p.prefetch(id), "the rest of the way");
+        p.advance_transfer_units(4);
+        assert_eq!(p.residency(id), Residency::Hot);
+        assert_eq!(p.ensure_hot(id), Some((0, 0)), "landed early: a free read");
+        p.free(id);
+        assert_eq!(prefetch_ledger(p.migration_stats()), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_landed_recall_prefetch_is_credited_at_its_demand_read() {
+        let (mut p, id) = page_on_nvme();
+        assert!(p.prefetch(id));
+        p.advance_transfer_units(nvme_ledger_units(4));
+        assert_eq!(p.residency(id), Residency::Cold, "landed before the read");
+        assert_eq!(p.promote(id), Some(4), "only the host hop is left to pay");
+        assert_eq!(prefetch_ledger(p.migration_stats()), (1, 1, 0));
+        // Whatever becomes of the page now, the guess was right.
+        p.free(id);
+        assert_eq!(prefetch_ledger(p.migration_stats()), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_prefetched_page_pushed_back_down_is_wasted() {
+        let (mut p, id) = page_on_nvme();
+        assert!(p.prefetch(id));
+        p.advance_transfer_units(nvme_ledger_units(4));
+        p.spill(id).unwrap();
+        assert_eq!(prefetch_ledger(p.migration_stats()), (1, 0, 1));
+        p.advance_transfer_units(nvme_ledger_units(4));
+        assert!(p.prefetch(id), "a second guess is a second journey");
+        assert_eq!(p.ensure_hot(id).map(|(issued, _)| issued), Some(4));
+        assert_eq!(prefetch_ledger(p.migration_stats()), (2, 1, 1));
     }
 }
