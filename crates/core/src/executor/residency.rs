@@ -9,7 +9,6 @@ use lserve_selector::PageSelector;
 use lserve_trace::lane;
 
 use super::{ModelExecutor, OutOfPagesError, SequenceState};
-use crate::stats::MigrationDelta;
 
 impl ModelExecutor {
     /// Free hot pages one more token of `state` can claim: the pages its
@@ -166,7 +165,7 @@ impl ModelExecutor {
         plan: &mut RowPlan,
         reserved: &mut usize,
     ) -> Result<(), OutOfPagesError> {
-        let mut delta = MigrationDelta::default();
+        let (mut demoted, mut promoted) = (Moved::default(), Moved::default());
         let RowPlan {
             selections,
             fresh,
@@ -187,7 +186,7 @@ impl ModelExecutor {
                         break 'pass Err(OutOfPagesError);
                     };
                     *reserved = reserved.saturating_sub(moved.pages as usize);
-                    delta.add_promoted(moved);
+                    promoted += moved;
                     fetch_units[kv] += moved.unhidden;
                     continue;
                 };
@@ -202,19 +201,19 @@ impl ModelExecutor {
                         // reads.
                         let stale = selector.stale_pages(k).into_iter();
                         let stale = stale.filter(|p| p + 1 < table.len() && !sel.contains(p));
-                        delta.add_demoted(pool.demote_all(stale.map(|p| table[p])));
+                        demoted += pool.demote_all(stale.map(|p| table[p]));
                     }
                 }
                 for &p in sel {
                     let id = table[p];
                     let mut moved = None;
                     if pool.holds_slot(id) || pool.free_pages() > *reserved {
-                        moved = pool.ensure_hot(id);
+                        moved = pool.ensure_resident([id]);
                     }
                     if moved.is_none() {
                         match Self::exchange_out(state, pool, l, selections, kv) {
-                            Some((head, out, moved)) => {
-                                delta.add_demoted(moved);
+                            Some((head, out, given_up)) => {
+                                demoted += given_up;
                                 pool.tracer().instant(
                                     "exchange",
                                     "kvcache",
@@ -232,22 +231,18 @@ impl ModelExecutor {
                             // is one this promotion had reserved.
                             None => *reserved = reserved.saturating_sub(1),
                         }
-                        moved = pool.ensure_hot(id);
+                        moved = pool.ensure_resident([id]);
                     }
-                    let Some((units, unhidden)) = moved else {
+                    let Some(moved) = moved else {
                         break 'pass Err(OutOfPagesError);
                     };
-                    delta.add_promoted(Moved {
-                        pages: u64::from(units > 0),
-                        units,
-                        unhidden,
-                    });
-                    fetch_units[kv] += unhidden;
+                    promoted += moved;
+                    fetch_units[kv] += moved.unhidden;
                 }
             }
             Ok(())
         };
-        state.stats.add_migration(&delta);
+        state.stats.add_migration(demoted, promoted);
         result
     }
 

@@ -69,4 +69,4 @@ pub use prefix::CachedPrefix;
 pub use report::{RequestMetrics, ServingReport};
 pub use scheduler::{sequence_pages_estimate, tile_grid_boundary, Scheduler};
 pub use sharding::{RebalanceOutcome, ShardingPlan, ShardingStats};
-pub use stats::{EngineStats, MigrationDelta, ParallelExecStats};
+pub use stats::{EngineStats, ParallelExecStats};

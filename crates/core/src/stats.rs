@@ -47,38 +47,6 @@ pub struct EngineStats {
     pub unhidden_token_units: u64,
 }
 
-/// One residency pass's migration traffic, accumulated across a layer and
-/// committed into [`EngineStats`] in a single [`EngineStats::add_migration`]
-/// call — the one place per-sequence migration accounting happens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MigrationDelta {
-    /// Pages demoted to the cold tier (selection-driven).
-    pub pages_demoted: u64,
-    /// Cold pages promoted back because a selection picked them.
-    pub pages_promoted: u64,
-    /// Token-units issued across the host link in either direction.
-    pub token_units: u64,
-    /// The unhidden fraction of `token_units` (all of it under synchronous
-    /// migration; only demand-forced remainders under the async copy engine).
-    pub unhidden_units: u64,
-}
-
-impl MigrationDelta {
-    /// Counts pages the pool moved down-tier, with what the call waited for.
-    pub fn add_demoted(&mut self, moved: Moved) {
-        self.pages_demoted += moved.pages;
-        self.token_units += moved.units;
-        self.unhidden_units += moved.unhidden;
-    }
-
-    /// Counts pages the pool brought hot, with what the call waited for.
-    pub fn add_promoted(&mut self, moved: Moved) {
-        self.pages_promoted += moved.pages;
-        self.token_units += moved.units;
-        self.unhidden_units += moved.unhidden;
-    }
-}
-
 impl EngineStats {
     /// Folds one layer's prefill counters in.
     pub fn add_prefill(&mut self, dense: PrefillStats, streaming: PrefillStats) {
@@ -104,13 +72,14 @@ impl EngineStats {
             / self.prefill_total_causal_tiles as f64
     }
 
-    /// Folds one residency pass's migration counters in (see
-    /// [`MigrationDelta`]).
-    pub fn add_migration(&mut self, delta: &MigrationDelta) {
-        self.pages_demoted += delta.pages_demoted;
-        self.pages_promoted += delta.pages_promoted;
-        self.migrated_token_units += delta.token_units;
-        self.unhidden_token_units += delta.unhidden_units;
+    /// Folds one residency pass's migration traffic in — what the pool moved
+    /// down-tier and what it brought hot — in a single call per pass: the one
+    /// place per-sequence migration accounting happens.
+    pub fn add_migration(&mut self, demoted: Moved, promoted: Moved) {
+        self.pages_demoted += demoted.pages;
+        self.pages_promoted += promoted.pages;
+        self.migrated_token_units += demoted.units + promoted.units;
+        self.unhidden_token_units += demoted.unhidden + promoted.unhidden;
     }
 
     /// Modeled transfer work of this sequence's tier migrations, in

@@ -90,11 +90,6 @@ impl PagingConfig {
     pub fn pages_for(&self, tokens: usize) -> usize {
         tokens.div_ceil(self.physical_page_size)
     }
-
-    /// Number of logical pages needed to hold `tokens` tokens.
-    pub fn logical_pages_for(&self, tokens: usize) -> usize {
-        tokens.div_ceil(self.logical_page_size)
-    }
 }
 
 impl Default for PagingConfig {
@@ -129,7 +124,6 @@ mod tests {
         assert_eq!(c.pages_for(1), 1);
         assert_eq!(c.pages_for(64), 1);
         assert_eq!(c.pages_for(65), 2);
-        assert_eq!(c.logical_pages_for(65), 5);
     }
 
     #[test]

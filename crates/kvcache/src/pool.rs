@@ -295,7 +295,7 @@ impl PagePool {
     pub fn page_mut(&mut self, id: PageId) -> &mut KvPage {
         let in_flight = self.residency.get(id.index()).and_then(|r| r.in_flight());
         if let Some((hop, dir)) = in_flight {
-            self.settle_transfer(hop, dir, id);
+            self.resolve_transfer(hop, dir, id);
         }
         self.pages[id.index()]
             .as_mut()

@@ -74,11 +74,6 @@ impl TierStats {
             + self.spilled_token_units
             + self.recalled_token_units
     }
-
-    /// Total modeled migration cost in forward-pass token-equivalents.
-    pub fn transfer_work_tokens(&self) -> u64 {
-        transfer_cost_tokens(self.migrated_token_units())
-    }
 }
 
 /// Channelwise minimum and maximum of the keys in one logical page.
@@ -216,7 +211,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(t.migrated_token_units(), 3 * 64);
-        assert_eq!(t.transfer_work_tokens(), 3);
+        assert_eq!(transfer_cost_tokens(t.migrated_token_units()), 3);
     }
 
     #[test]
@@ -236,7 +231,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(t.migrated_token_units(), 2 * 8 * 64);
-        assert_eq!(t.transfer_work_tokens(), 16);
+        assert_eq!(transfer_cost_tokens(t.migrated_token_units()), 16);
     }
 
     #[test]

@@ -158,10 +158,22 @@ pub struct Moved {
 }
 
 impl Moved {
-    fn add(&mut self, units: u64, unhidden: u64) {
-        self.pages += u64::from(units > 0);
-        self.units += units;
-        self.unhidden += unhidden;
+    /// One page's move: `units` issued for it (none if it did not have to
+    /// move), `unhidden` of its transfer cost waited for.
+    fn page(units: u64, unhidden: u64) -> Self {
+        Moved {
+            pages: u64::from(units > 0),
+            units,
+            unhidden,
+        }
+    }
+}
+
+impl std::ops::AddAssign for Moved {
+    fn add_assign(&mut self, other: Self) {
+        self.pages += other.pages;
+        self.units += other.units;
+        self.unhidden += other.unhidden;
     }
 }
 
@@ -272,7 +284,7 @@ impl PagePool {
             self.slots[upper as usize] -= 1;
             self.slots[lower as usize] += 1;
         }
-        self.settle(id, if dir == ToCold { lower } else { upper });
+        self.place(id, if dir == ToCold { lower } else { upper });
     }
 
     /// Aborts `id`'s transfer. The page stays where its slot was counted all
@@ -286,7 +298,7 @@ impl PagePool {
             .expect("migrating page must be in flight");
         self.trace_copy("cancel", hop, dir, id, remaining);
         self.mig.cancelled_token_units += remaining;
-        self.settle(id, hop.upper());
+        self.place(id, hop.upper());
     }
 
     /// Completes `id`'s transfer now because someone needs the page, its slot
@@ -304,7 +316,7 @@ impl PagePool {
 
     /// Marks `id` resident on `tier`; a page (re-)entering the host goes to
     /// the back of its FIFO spill order.
-    fn settle(&mut self, id: PageId, tier: Tier) {
+    fn place(&mut self, id: PageId, tier: Tier) {
         self.residency[id.index()] = Residency::resident(tier);
         if tier == Tier::Host {
             self.host_clock += 1;
@@ -315,7 +327,7 @@ impl PagePool {
     /// Takes `id` off the copy engine, whichever way it was going: an
     /// outbound transfer is aborted (its source copy is still whole), an
     /// inbound one forced to completion.
-    pub(crate) fn settle_transfer(&mut self, hop: Hop, dir: MigrationDir, id: PageId) {
+    pub(crate) fn resolve_transfer(&mut self, hop: Hop, dir: MigrationDir, id: PageId) {
         match dir {
             ToCold => self.cancel(hop, dir, id),
             ToHot => self.force(hop, dir, id),
@@ -602,7 +614,7 @@ impl PagePool {
                 }
                 match start {
                     Residency::Nvme => issued += self.issue(Hop::Nvme, ToHot, id, Cause::Stalled),
-                    Residency::MigratingNvme(dir) => self.settle_transfer(Hop::Nvme, dir, id),
+                    Residency::MigratingNvme(dir) => self.resolve_transfer(Hop::Nvme, dir, id),
                     _ => {}
                 }
                 issued += self.issue(Hop::Host, ToHot, id, Cause::Policy);
@@ -623,7 +635,7 @@ impl PagePool {
         // transfer only, one from below also what it forced on its way up
         // (a reclaimed slot's demotion, a full queue's oldest entry).
         let unhidden = match start {
-            Residency::Cold => issued,
+            Residency::Cold if now => issued,
             _ => self.mig.unhidden_token_units - stalled_before,
         };
         Some((issued, unhidden))
@@ -719,7 +731,7 @@ impl PagePool {
         let mut moved = Moved::default();
         for id in ids {
             if let Some(units) = self.demote(id) {
-                moved.add(units, self.waited_for(id, units));
+                moved += Moved::page(units, self.waited_for(id, units));
             }
         }
         moved
@@ -735,7 +747,7 @@ impl PagePool {
         let mut moved = Moved::default();
         for id in ids {
             let units = self.promote(id)?;
-            moved.add(units, self.waited_for(id, units));
+            moved += Moved::page(units, self.waited_for(id, units));
         }
         Some(moved)
     }
@@ -746,7 +758,7 @@ impl PagePool {
         let mut moved = Moved::default();
         for id in ids {
             let (units, unhidden) = self.ensure_hot(id)?;
-            moved.add(units, unhidden);
+            moved += Moved::page(units, unhidden);
         }
         Some(moved)
     }

@@ -145,8 +145,7 @@ impl<V: PrefixPages> PrefixCache<V> {
     }
 
     /// Total page references the cache currently holds (shared pages counted once
-    /// per referencing entry; compare with `PagePool::shared_pages` for physical
-    /// footprint).
+    /// per referencing entry, so this can exceed the physical footprint).
     pub fn page_refs(&self) -> usize {
         self.page_refs
     }
