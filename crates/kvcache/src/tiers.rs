@@ -194,6 +194,7 @@ enum Cause {
 impl PagePool {
     /// Emits one copy-engine instant for page `id` on the channel's lane:
     /// tid 0 = demote, 1 = promote, 2 = spill, 3 = recall.
+    #[inline]
     fn trace_copy(&self, name: &'static str, hop: Hop, dir: MigrationDir, id: PageId, units: u64) {
         if self.tracer.is_enabled() {
             self.tracer.instant(
