@@ -41,17 +41,16 @@ pub mod page;
 pub mod pool;
 pub mod stats;
 pub mod streaming;
-pub mod tiers;
 
 pub use config::PagingConfig;
 pub use copy_engine::{MigrationDir, MigrationMode, MigrationStats, COPY_CHANNEL_DEPTH};
 pub use dense::DenseHeadCache;
 pub use layer::{HeadCache, LayerKvCache};
 pub use page::{key_lane_offset, KvPage, KEY_LANES};
+pub use pool::tiers::{Moved, Residency, TierConfig};
 pub use pool::{PageId, PagePool};
 pub use stats::{
     nvme_ledger_units, transfer_cost_tokens, LogicalPageStats, TierStats, HOST_TRANSFER_SPEEDUP,
     NVME_TRANSFER_SPEEDUP,
 };
 pub use streaming::{StreamingHeadCache, StreamingWindow};
-pub use tiers::{Moved, Residency, TierConfig};

@@ -1,6 +1,9 @@
 //! The page pool's allocator core: slots, reference counts, copy-on-write
 //! forks and page access. Where a page *is* — the hot / host / nvme ladder and
-//! every move along it — is [`crate::tiers`].
+//! every move along it — is the child module [`tiers`], the only other code
+//! that sees the pool's fields.
+
+pub mod tiers;
 
 use lserve_trace::Tracer;
 
@@ -9,8 +12,8 @@ use crate::{
     copy_engine::{CopyEngine, MigrationMode, MigrationStats},
     page::KvPage,
     stats::TierStats,
-    tiers::{Residency, TierConfig},
 };
+use tiers::{Residency, TierConfig};
 
 /// Opaque handle to a physical page in a [`PagePool`].
 ///
@@ -70,37 +73,37 @@ impl PageId {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PagePool {
-    pub(crate) config: PagingConfig,
+    config: PagingConfig,
     head_dim: usize,
-    pub(crate) pages: Vec<Option<KvPage>>,
-    pub(crate) refcounts: Vec<u32>,
-    pub(crate) residency: Vec<Residency>,
+    pages: Vec<Option<KvPage>>,
+    refcounts: Vec<u32>,
+    residency: Vec<Residency>,
     /// Recycled slot indices (fully-freed pages of either tier).
     free: Vec<PageId>,
-    pub(crate) hot_capacity: usize,
-    /// Live pages per [`crate::tiers::Tier`]; an in-flight page counts on the
+    hot_capacity: usize,
+    /// Live pages per [`tiers::Tier`]; an in-flight page counts on the
     /// upper tier of its hop.
-    pub(crate) slots: [usize; 3],
-    pub(crate) peak_in_use: usize,
+    slots: [usize; 3],
+    peak_in_use: usize,
     forks: u64,
-    pub(crate) tier: TierStats,
-    pub(crate) tiers: TierConfig,
+    tier: TierStats,
+    tiers: TierConfig,
     /// FIFO spill order of the bounded host: per-slot stamp of when the page
     /// last became host-resident, from the monotonic `host_clock`.
-    pub(crate) host_stamp: Vec<u64>,
-    pub(crate) host_clock: u64,
-    pub(crate) mode: MigrationMode,
-    pub(crate) engine: CopyEngine,
-    pub(crate) mig: MigrationStats,
+    host_stamp: Vec<u64>,
+    host_clock: u64,
+    mode: MigrationMode,
+    engine: CopyEngine,
+    mig: MigrationStats,
     /// Per-slot flag: the in-flight (or landed-but-untouched) promotion was
     /// speculative, issued by the prefetcher. Cleared on the first demand
     /// touch (a hit) or when the page is demoted/freed first (wasted).
-    pub(crate) prefetched: Vec<bool>,
+    prefetched: Vec<bool>,
     /// Trace handle for copy-engine events; disabled (free) by default.
     /// Riding on the pool puts transfer events in reach of everything that
     /// moves pages — scheduler, executor, selector hooks — without new
     /// plumbing through their signatures.
-    pub(crate) tracer: Tracer,
+    tracer: Tracer,
 }
 
 impl PagePool {

@@ -21,9 +21,9 @@
 
 use lserve_trace::lane;
 
+use super::{PageId, PagePool};
 use crate::{
     copy_engine::{Hop, MigrationDir, MigrationMode},
-    pool::{PageId, PagePool},
     stats::nvme_ledger_units,
 };
 
@@ -70,7 +70,7 @@ pub enum Residency {
 
 /// A rung of the ladder; indexes the pool's per-tier slot counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tier {
+pub(super) enum Tier {
     Hot,
     Host,
     Nvme,
@@ -111,7 +111,7 @@ impl Residency {
     }
 
     /// The transfer a page in this state rides, if any.
-    pub(crate) fn in_flight(self) -> Option<(Hop, MigrationDir)> {
+    pub(super) fn in_flight(self) -> Option<(Hop, MigrationDir)> {
         match self {
             Residency::Migrating(dir) => Some((Hop::Host, dir)),
             Residency::MigratingNvme(dir) => Some((Hop::Nvme, dir)),
@@ -121,7 +121,7 @@ impl Residency {
 
     /// The tier whose slot count carries a page in this state: its own rung
     /// when resident, the upper tier of its hop when in flight.
-    pub(crate) fn tier(self) -> Tier {
+    fn tier(self) -> Tier {
         match self {
             Residency::Hot | Residency::Migrating(_) => Tier::Hot,
             Residency::Cold | Residency::MigratingNvme(_) => Tier::Host,
@@ -191,6 +191,7 @@ enum Cause {
     Stalled,
 }
 
+/// The four transitions, and what they share.
 impl PagePool {
     /// Emits one copy-engine instant for page `id` on the channel's lane:
     /// tid 0 = demote, 1 = promote, 2 = spill, 3 = recall.
@@ -206,8 +207,6 @@ impl PagePool {
             );
         }
     }
-
-    // ---- The four transitions -------------------------------------------
 
     /// Starts moving `id`, resident at the near end of `hop`, across it in
     /// `dir`; returns the ledger units issued. An inbound page claims its
@@ -280,12 +279,15 @@ impl PagePool {
     fn land(&mut self, hop: Hop, dir: MigrationDir, id: PageId) {
         debug_assert_eq!(self.residency[id.index()], Residency::migrating(hop, dir));
         self.trace_copy("land", hop, dir, id, 0);
-        let (upper, lower) = (hop.upper(), hop.lower());
-        if dir == ToCold {
-            self.slots[upper as usize] -= 1;
-            self.slots[lower as usize] += 1;
-        }
-        self.place(id, if dir == ToCold { lower } else { upper });
+        let to = match dir {
+            ToCold => {
+                self.slots[hop.upper() as usize] -= 1;
+                self.slots[hop.lower() as usize] += 1;
+                hop.lower()
+            }
+            ToHot => hop.upper(),
+        };
+        self.place(id, to);
     }
 
     /// Aborts `id`'s transfer. The page stays where its slot was counted all
@@ -328,7 +330,7 @@ impl PagePool {
     /// Takes `id` off the copy engine, whichever way it was going: an
     /// outbound transfer is aborted (its source copy is still whole), an
     /// inbound one forced to completion.
-    pub(crate) fn resolve_transfer(&mut self, hop: Hop, dir: MigrationDir, id: PageId) {
+    pub(super) fn resolve_transfer(&mut self, hop: Hop, dir: MigrationDir, id: PageId) {
         match dir {
             ToCold => self.cancel(hop, dir, id),
             ToHot => self.force(hop, dir, id),
@@ -336,7 +338,7 @@ impl PagePool {
     }
 
     /// A page enters the pool: it takes a hot slot the caller has reclaimed.
-    pub(crate) fn occupy_hot(&mut self, id: PageId) {
+    pub(super) fn occupy_hot(&mut self, id: PageId) {
         self.residency[id.index()] = Residency::Hot;
         self.prefetched[id.index()] = false;
         self.slots[Tier::Hot as usize] += 1;
@@ -345,7 +347,7 @@ impl PagePool {
 
     /// A page leaves the pool: its transfer, if any, is cancelled, not
     /// landed, and its slot returns to the tier that counted it.
-    pub(crate) fn vacate(&mut self, id: PageId) {
+    pub(super) fn vacate(&mut self, id: PageId) {
         self.waste_prefetched(id.index());
         if let Some((hop, dir)) = self.residency[id.index()].in_flight() {
             self.cancel(hop, dir, id);
@@ -382,9 +384,10 @@ impl PagePool {
             self.land(hop, dir, page);
         }
     }
+}
 
-    // ---- Occupancy ---------------------------------------------------------
-
+/// Occupancy, by the upper-tier rule.
+impl PagePool {
     /// Residency state of a live page.
     ///
     /// # Panics
@@ -479,15 +482,16 @@ impl PagePool {
     pub fn host_has_room(&self) -> bool {
         self.tiers.host_pages == 0 || self.host_used() < self.tiers.host_pages
     }
+}
 
-    // ---- Where room comes from ---------------------------------------------
-
+/// Policy: where room comes from, and who may move.
+impl PagePool {
     /// Frees one hot slot by force-completing outbound transfers, cheapest
     /// (fewest remaining units) first — the oldest transfer may have been
     /// issued large while a younger one is nearly drained, and any landed
     /// demotion frees the same one slot. Returns `false` when the hot tier is
     /// genuinely full (nothing reclaimable).
-    pub(crate) fn reclaim_hot_slot(&mut self) -> bool {
+    pub(super) fn reclaim_hot_slot(&mut self) -> bool {
         while self.in_use() >= self.hot_capacity {
             let Some(cheapest) = self.engine.cheapest(Hop::Host, ToCold) else {
                 return false;
@@ -505,6 +509,9 @@ impl PagePool {
     /// unbounded host.
     fn reclaim_host_slot(&mut self) -> bool {
         while !self.host_has_room() {
+            if !self.tiers.nvme {
+                return false;
+            }
             let oldest = (0..self.residency.len())
                 .filter(|&idx| self.residency[idx] == Residency::Cold && self.pages[idx].is_some())
                 .min_by_key(|&idx| (self.host_stamp[idx], idx));
@@ -517,8 +524,6 @@ impl PagePool {
         }
         true
     }
-
-    // ---- Policy: who may move ------------------------------------------------
 
     /// Moves a hot page to the cold (host) tier, freeing one hot slot without
     /// losing the page's contents. Returns the modeled transfer cost in
@@ -708,12 +713,11 @@ impl PagePool {
         self.issue(hop, ToHot, id, Cause::Speculative);
         true
     }
+}
 
-    // ---- Whole page sets ---------------------------------------------------------
-    //
-    // What a head, a layer, a sequence or a cached prefix asks about all of
-    // its pages at once, over whatever `page_ids()` it hands in.
-
+/// Whole page sets: what a head, a layer, a sequence or a cached prefix asks
+/// about all of its pages at once, over whatever `page_ids()` it hands in.
+impl PagePool {
     /// What a migration of `units` for `id` that forced nothing made its
     /// caller wait for: the whole transfer when the page has already arrived
     /// (the pool completed it at issue), nothing while it is in flight — the

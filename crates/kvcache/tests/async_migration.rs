@@ -253,6 +253,11 @@ fn prefetch_never_steals_hot_capacity() {
     assert_eq!(p.migration_stats().prefetch_issued, 0);
 }
 
+/// Pages of `c` no kernel may read where they are.
+fn unreadable(p: &PagePool, c: &DenseHeadCache) -> usize {
+    c.page_ids().filter(|&id| !p.is_hot(id)).count()
+}
+
 #[test]
 fn swap_in_demand_counts_own_inflight_demotions() {
     let mut p = async_pool(8);
@@ -273,7 +278,7 @@ fn swap_in_demand_counts_own_inflight_demotions() {
     // One page is unreadable (the in-flight demotion still reads as hot),
     // but a swap-in must reserve both: forcing our own outbound transfer
     // frees a slot and mints a new cold page — net-zero supply.
-    assert_eq!(c.page_ids().filter(|&id| !p.is_hot(id)).count(), 1);
+    assert_eq!(unreadable(&p, &c), 1);
     assert_eq!(p.swap_in_demand(c.page_ids()), 2);
     // An inbound transfer already holds its slot: no extra demand.
     p.promote(table[0]).unwrap();
@@ -288,7 +293,7 @@ fn swap_in_demand_counts_own_inflight_demotions() {
         1,
         "landed demotion is plain cold demand"
     );
-    assert_eq!(c.page_ids().filter(|&id| !p.is_hot(id)).count(), 1);
+    assert_eq!(unreadable(&p, &c), 1);
 }
 
 #[test]
