@@ -27,15 +27,6 @@ pub struct DecodeStats {
     pub pages_total: u64,
 }
 
-impl DecodeStats {
-    /// Accumulates another head's counters (used by the fused layer kernel).
-    pub fn accumulate(&mut self, other: DecodeStats) {
-        self.pages_visited += other.pages_visited;
-        self.tokens_visited += other.tokens_visited;
-        self.pages_total += other.pages_total;
-    }
-}
-
 /// Query rows of one GQA group whose softmax states [`attend_pages`] keeps on
 /// the stack.
 const INLINE_GROUP: usize = 8;

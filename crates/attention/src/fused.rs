@@ -1,17 +1,16 @@
-//! Fused layer-level hybrid attention (§3.2 prefill dataflow, §3.6 decode kernel).
+//! Fused layer-level hybrid prefill attention (§3.2 prefill dataflow).
 //!
 //! One call processes every head of a layer: dense (retrieval) heads with full causal
-//! or page-selected attention and streaming heads with the Λ pattern, mirroring the
+//! or dynamically masked attention and streaming heads with the Λ pattern, mirroring the
 //! single fused CUDA kernel that "enables different sparsity patterns to be applied
 //! independently on each head". GQA's query→KV head mapping (`h_kv = h / n`, Eq. 1)
-//! is applied here.
+//! is applied here. The decode side of the same kernel is one
+//! [`crate::parallel::DecodeShard`] per KV head, which the executor builds itself.
 
-use lserve_kvcache::{LayerKvCache, PagePool};
 use lserve_tensor::Matrix;
 
-use crate::decode::DecodeStats;
 use crate::dynamic::build_dynamic_prefill_mask;
-use crate::parallel::{run_decode_shard, run_sharded, BalanceStats, DecodeShard};
+use crate::parallel::{run_placed, PlacedBalance};
 use crate::pattern::{BlockPattern, DensePattern, StreamingPattern};
 use crate::prefill::{prefill_head, KeyTiles, PrefillStats};
 
@@ -78,27 +77,6 @@ fn head_slice(m: &Matrix, h: usize, d: usize) -> Matrix {
     out
 }
 
-/// Fused block-sparse prefill over all heads of one layer.
-///
-/// `q` is `(N x H·D)`; `k`, `v` are `(N x Ĥ·D)`; `kinds` classifies each **KV** head
-/// (query heads inherit their KV head's kind, since streaming heads drop the KV that
-/// grouped query heads would need). Returns the `(N x H·D)` attention output plus
-/// aggregate tile counters split by head kind.
-///
-/// # Panics
-///
-/// Panics on shape mismatches or if `kinds.len() != num_kv_heads`.
-pub fn fused_prefill_layer(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    cfg: &LayerAttnConfig,
-    kinds: &[HeadKind],
-) -> (Matrix, PrefillStats, PrefillStats) {
-    let (out, dense, stream, _) = fused_prefill_layer_threads(q, k, v, cfg, kinds, None, 1);
-    (out, dense, stream)
-}
-
 /// One KV head's keys and values as the prefill kernel reads them, built once
 /// and shared by the query heads of its group.
 struct PrefillKv {
@@ -118,22 +96,31 @@ struct PrefillShard<'a> {
     stats: PrefillStats,
 }
 
-/// Sharded variant of [`fused_prefill_layer`] / [`fused_prefill_layer_dynamic`]:
-/// each query head is one shard, executed across up to `threads` scoped worker
-/// threads with an LPT assignment by estimated tile cost (dense heads grow
-/// quadratically with the prompt, streaming heads linearly — the per-head
-/// sparsity asymmetry that makes naive partitioning unbalanced).
+/// Fused block-sparse prefill over all heads of one layer.
 ///
-/// `dynamic_keep` selects the MInference-style dynamic mask for dense heads
-/// (`Some(keep)`) or full causal attention (`None`). Outputs are bit-identical
-/// to the single-threaded functions for every thread count: each shard computes
-/// into its own buffer with the same kernel on the same inputs, and the scatter
-/// into the layer output runs serially in head order.
+/// `q` is `(N x H·D)`; `k`, `v` are `(N x Ĥ·D)`; `kinds` classifies each **KV** head
+/// (query heads inherit their KV head's kind, since streaming heads drop the KV that
+/// grouped query heads would need). Dense heads run full causal attention
+/// (`dynamic_keep: None`) or MInference-style *dynamic* block sparsity
+/// (`Some(keep)`): each head builds its own query-aware mask keeping the diagonal,
+/// the sink blocks, and `keep` top-affinity past blocks per query tile (§4.3,
+/// activated for very long prompts).
+///
+/// Each query head is one shard of a one-device phase ([`run_placed`]): up to
+/// `threads` scoped workers, LPT-assigned by estimated tile cost (dense heads grow
+/// quadratically with the prompt, streaming heads linearly — the per-head
+/// sparsity asymmetry that makes naive partitioning unbalanced). Outputs are
+/// bit-identical for every thread count: each shard computes into its own buffer
+/// with the same kernel on the same inputs, and the scatter into the layer output
+/// runs serially in head order.
+///
+/// Returns the `(N x H·D)` attention output, aggregate tile counters split by
+/// head kind (dense, streaming), and the phase's balance.
 ///
 /// # Panics
 ///
-/// Same shape requirements as [`fused_prefill_layer`].
-pub fn fused_prefill_layer_threads(
+/// Panics on shape mismatches or if `kinds.len() != num_kv_heads`.
+pub fn fused_prefill_layer(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
@@ -141,7 +128,7 @@ pub fn fused_prefill_layer_threads(
     kinds: &[HeadKind],
     dynamic_keep: Option<usize>,
     threads: usize,
-) -> (Matrix, PrefillStats, PrefillStats, BalanceStats) {
+) -> (Matrix, PrefillStats, PrefillStats, PlacedBalance) {
     let n = q.rows();
     let d = cfg.head_dim;
     assert_eq!(q.cols(), cfg.num_q_heads * d, "Q width mismatch");
@@ -187,7 +174,8 @@ pub fn fused_prefill_layer_threads(
         });
     }
 
-    let balance = run_sharded(threads, &costs, &mut shards, |s| {
+    let on_one_device = vec![0; shards.len()];
+    let balance = run_placed(threads, 1, &on_one_device, &costs, &mut shards, |s| {
         let attend = |pattern: &dyn BlockPattern| {
             prefill_head(
                 &s.qh,
@@ -228,93 +216,13 @@ pub fn fused_prefill_layer_threads(
     (out, dense_stats, stream_stats, balance)
 }
 
-/// Fused decode over all heads of one layer against the two-way paged cache.
-///
-/// `q` is the current token's query activations (`H·D`); `selections[kv]`, when
-/// `Some`, is the selected physical-page index list for dense KV head `kv` (the
-/// shorter page table from the selector); `None` means attend the full history.
-/// Selections on streaming heads are ignored — their page table *is* the sink+local
-/// selection.
-///
-/// Returns the `H·D` output and aggregate per-kind decode counters.
-///
-/// # Panics
-///
-/// Panics on shape mismatches, `selections.len() != num_kv_heads`, or if the cache
-/// disagrees with `cfg` about head count.
-pub fn fused_decode_layer(
-    pool: &PagePool,
-    cache: &LayerKvCache,
-    q: &[f32],
-    cfg: &LayerAttnConfig,
-    selections: &[Option<Vec<usize>>],
-) -> (Vec<f32>, DecodeStats, DecodeStats) {
-    let d = cfg.head_dim;
-    assert_eq!(q.len(), cfg.num_q_heads * d, "query width mismatch");
-    assert_eq!(
-        cache.num_heads(),
-        cfg.num_kv_heads,
-        "cache head count mismatch"
-    );
-    assert_eq!(
-        selections.len(),
-        cfg.num_kv_heads,
-        "selections length mismatch"
-    );
-
-    let group = cfg.group_size();
-    let mut out = vec![0.0f32; cfg.num_q_heads * d];
-    let mut dense_stats = DecodeStats::default();
-    let mut stream_stats = DecodeStats::default();
-
-    // One shard per KV head, executed serially: the degenerate (single-worker)
-    // case of the sharded decode path the executor parallelizes.
-    for (kv, out_chunk) in out.chunks_mut(group * d).enumerate() {
-        let mut shard = DecodeShard {
-            head: cache.head(kv),
-            queries: &q[kv * group * d..(kv + 1) * group * d],
-            selection: selections[kv].as_deref(),
-            head_dim: d,
-            scale: cfg.scale(),
-            out: out_chunk,
-            dense: DecodeStats::default(),
-            streaming: DecodeStats::default(),
-        };
-        run_decode_shard(pool, &mut shard);
-        dense_stats.accumulate(shard.dense);
-        stream_stats.accumulate(shard.streaming);
-    }
-    (out, dense_stats, stream_stats)
-}
-
-/// Like [`fused_prefill_layer`], but retrieval (dense) heads run MInference-style
-/// *dynamic* block sparsity instead of full causal attention: each head builds its
-/// own query-aware mask keeping the diagonal, the sink blocks, and `keep_per_tile`
-/// top-affinity past blocks per query tile (§4.3, activated for very long prompts).
-/// Streaming heads behave exactly as in the static variant.
-///
-/// # Panics
-///
-/// Same shape requirements as [`fused_prefill_layer`].
-pub fn fused_prefill_layer_dynamic(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    cfg: &LayerAttnConfig,
-    kinds: &[HeadKind],
-    keep_per_tile: usize,
-) -> (Matrix, PrefillStats, PrefillStats) {
-    let (out, dense, stream, _) =
-        fused_prefill_layer_threads(q, k, v, cfg, kinds, Some(keep_per_tile), 1);
-    (out, dense, stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::{decode_dense_head, decode_streaming_head};
+    use crate::decode::{decode_dense_head, decode_streaming_head, DecodeStats};
+    use crate::parallel::{run_decode_shard, DecodeShard};
     use crate::reference::causal_attention_reference;
-    use lserve_kvcache::{PagingConfig, StreamingWindow};
+    use lserve_kvcache::{HeadCache, LayerKvCache, PagePool, PagingConfig, StreamingWindow};
     use lserve_quant::KvPrecision;
     use lserve_tensor::SeededGaussian;
 
@@ -348,7 +256,7 @@ mod tests {
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let kinds = [HeadKind::Dense, HeadKind::Dense];
-        let (out, dense, stream) = fused_prefill_layer(&q, &k, &v, &c, &kinds);
+        let (out, dense, stream, _) = fused_prefill_layer(&q, &k, &v, &c, &kinds, None, 1);
         assert_eq!(stream.tiles_visited, 0);
         assert!(dense.tiles_visited > 0);
         for h in 0..c.num_q_heads {
@@ -371,52 +279,76 @@ mod tests {
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let kinds = [HeadKind::Dense, HeadKind::Streaming];
-        let (_, dense, stream) = fused_prefill_layer(&q, &k, &v, &c, &kinds);
+        let (_, dense, stream, _) = fused_prefill_layer(&q, &k, &v, &c, &kinds, None, 1);
         assert!(dense.tiles_visited > 0 && stream.tiles_visited > 0);
         // Streaming heads must visit strictly fewer tiles than their causal total.
         assert!(stream.tiles_visited < stream.tiles_total_causal);
         assert_eq!(dense.tiles_visited, dense.tiles_total_causal);
     }
 
+    /// A layer cache of one dense and one streaming KV head holding `n`
+    /// tokens, and one token's query activations.
+    fn decode_scene(
+        c: &LayerAttnConfig,
+        n: usize,
+        seed: u64,
+    ) -> (PagePool, LayerKvCache, Vec<f32>) {
+        let pcfg = PagingConfig::new(4, 4, KvPrecision::Fp16);
+        let mut pool = PagePool::new(pcfg, 1024, c.head_dim);
+        let mut cache = LayerKvCache::new(&[false, true], StreamingWindow::new(1, 2));
+        let mut g = SeededGaussian::new(seed);
+        let mut row = |width: usize| -> Vec<f32> { (0..width).map(|_| g.sample()).collect() };
+        for _ in 0..n {
+            let (keys, vals) = (
+                row(c.num_kv_heads * c.head_dim),
+                row(c.num_kv_heads * c.head_dim),
+            );
+            assert!(cache.append_token(&mut pool, &keys, &vals, c.head_dim));
+        }
+        let q = row(c.num_q_heads * c.head_dim);
+        (pool, cache, q)
+    }
+
+    /// KV head `kv`'s shard over the full history: its output rows and counters.
+    fn decode_shard(
+        c: &LayerAttnConfig,
+        pool: &PagePool,
+        cache: &LayerKvCache,
+        q: &[f32],
+        kv: usize,
+    ) -> (Vec<f32>, DecodeStats) {
+        let width = c.group_size() * c.head_dim;
+        let mut out = vec![0.0f32; width];
+        let mut shard = DecodeShard {
+            head: cache.head(kv),
+            queries: &q[kv * width..(kv + 1) * width],
+            selection: None,
+            head_dim: c.head_dim,
+            scale: c.scale(),
+            out: &mut out,
+            stats: DecodeStats::default(),
+        };
+        run_decode_shard(pool, &mut shard);
+        let stats = shard.stats;
+        (out, stats)
+    }
+
     #[test]
     fn fused_decode_matches_single_head_kernels() {
         let c = cfg();
-        let pcfg = PagingConfig::new(4, 4, KvPrecision::Fp16);
-        let mut pool = PagePool::new(pcfg, 256, c.head_dim);
-        let mut cache = LayerKvCache::new(&[false, true], StreamingWindow::new(1, 2));
-        let mut g = SeededGaussian::new(55);
-        let n = 25;
-        for _ in 0..n {
-            let keys: Vec<f32> = (0..c.num_kv_heads * c.head_dim)
-                .map(|_| g.sample())
-                .collect();
-            let vals: Vec<f32> = (0..c.num_kv_heads * c.head_dim)
-                .map(|_| g.sample())
-                .collect();
-            assert!(cache.append_token(&mut pool, &keys, &vals, c.head_dim));
-        }
-        let q: Vec<f32> = (0..c.num_q_heads * c.head_dim)
-            .map(|_| g.sample())
-            .collect();
-        let selections = vec![None, None];
-        let (out, dstats, sstats) = fused_decode_layer(&pool, &cache, &q, &c, &selections);
-        assert!(dstats.tokens_visited > 0 && sstats.tokens_visited > 0);
-        // Check head 0 (dense) and head 2 (streaming via kv head 1) against the
-        // single-head kernels.
+        let (pool, cache, q) = decode_scene(&c, 25, 55);
         let d = c.head_dim;
-        let (want0, _) =
-            decode_dense_head(&pool, cache.head(0).as_dense(), &q[0..d], c.scale(), None);
-        for (a, b) in out[0..d].iter().zip(&want0) {
-            assert!((a - b).abs() < 1e-6);
-        }
-        let (want2, _) = decode_streaming_head(
-            &pool,
-            cache.head(1).as_streaming(),
-            &q[2 * d..3 * d],
-            c.scale(),
-        );
-        for (a, b) in out[2 * d..3 * d].iter().zip(&want2) {
-            assert!((a - b).abs() < 1e-6);
+        // A GQA group's shard is its query heads' single-head kernels, row for row.
+        let (dense, dstats) = decode_shard(&c, &pool, &cache, &q, 0);
+        let (stream, sstats) = decode_shard(&c, &pool, &cache, &q, 1);
+        assert!(dstats.tokens_visited > 0 && sstats.tokens_visited > 0);
+        for (h, got) in dense.chunks(d).chain(stream.chunks(d)).enumerate() {
+            let qh = &q[h * d..(h + 1) * d];
+            let (want, _) = match cache.head(c.kv_head_of(h)) {
+                HeadCache::Dense(head) => decode_dense_head(&pool, head, qh, c.scale(), None),
+                HeadCache::Streaming(head) => decode_streaming_head(&pool, head, qh, c.scale()),
+            };
+            assert_eq!(got, want, "query head {h}");
         }
     }
 
@@ -429,12 +361,12 @@ mod tests {
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let kinds = [HeadKind::Dense, HeadKind::Dense];
-        let (out, dense, _) = fused_prefill_layer_dynamic(&q, &k, &v, &c, &kinds, 2);
+        let (out, dense, ..) = fused_prefill_layer(&q, &k, &v, &c, &kinds, Some(2), 1);
         assert_eq!(out.shape(), (n, c.num_q_heads * c.head_dim));
         assert!(dense.tiles_visited < dense.tiles_total_causal);
         // Enormous keep budget == dense attention exactly.
-        let (full, stats_full, _) = fused_prefill_layer_dynamic(&q, &k, &v, &c, &kinds, 1000);
-        let (want, _, _) = fused_prefill_layer(&q, &k, &v, &c, &kinds);
+        let (full, stats_full, ..) = fused_prefill_layer(&q, &k, &v, &c, &kinds, Some(1000), 1);
+        let (want, ..) = fused_prefill_layer(&q, &k, &v, &c, &kinds, None, 1);
         assert_eq!(stats_full.tiles_visited, stats_full.tiles_total_causal);
         assert!(full.max_abs_diff(&want) < 1e-5);
     }
@@ -449,15 +381,14 @@ mod tests {
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let kinds = [HeadKind::Dense, HeadKind::Streaming];
         for dynamic_keep in [None, Some(2)] {
-            let (want, wd, ws, _) =
-                fused_prefill_layer_threads(&q, &k, &v, &c, &kinds, dynamic_keep, 1);
+            let (want, wd, ws, _) = fused_prefill_layer(&q, &k, &v, &c, &kinds, dynamic_keep, 1);
             for threads in [2, 3, 8] {
                 let (got, gd, gs, balance) =
-                    fused_prefill_layer_threads(&q, &k, &v, &c, &kinds, dynamic_keep, threads);
+                    fused_prefill_layer(&q, &k, &v, &c, &kinds, dynamic_keep, threads);
                 assert_eq!(got.max_abs_diff(&want), 0.0, "threads {threads}");
                 assert_eq!((gd, gs), (wd, ws));
                 assert_eq!(balance.shards, c.num_q_heads as u64);
-                assert!(balance.workers <= threads);
+                assert!(balance.workers() <= threads);
             }
         }
     }
@@ -476,7 +407,7 @@ mod tests {
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let kinds = [HeadKind::Dense, HeadKind::Streaming];
-        let (out, _, _) = fused_prefill_layer(&q, &k, &v, &c, &kinds);
+        let (out, ..) = fused_prefill_layer(&q, &k, &v, &c, &kinds, None, 1);
         let streaming = StreamingPattern::new(c.sink_blocks, c.local_blocks);
         for h in 0..c.num_q_heads {
             let kv = c.kv_head_of(h);
@@ -501,24 +432,11 @@ mod tests {
     #[test]
     fn streaming_decode_visits_fewer_pages() {
         let c = cfg();
-        let pcfg = PagingConfig::new(4, 4, KvPrecision::Fp16);
-        let mut pool = PagePool::new(pcfg, 1024, c.head_dim);
-        let mut cache = LayerKvCache::new(&[false, true], StreamingWindow::new(1, 2));
-        let mut g = SeededGaussian::new(9);
-        for _ in 0..100 {
-            let keys: Vec<f32> = (0..c.num_kv_heads * c.head_dim)
-                .map(|_| g.sample())
-                .collect();
-            let vals: Vec<f32> = (0..c.num_kv_heads * c.head_dim)
-                .map(|_| g.sample())
-                .collect();
-            assert!(cache.append_token(&mut pool, &keys, &vals, c.head_dim));
-        }
-        let q: Vec<f32> = (0..c.num_q_heads * c.head_dim)
-            .map(|_| g.sample())
-            .collect();
-        let (_, dstats, sstats) = fused_decode_layer(&pool, &cache, &q, &c, &[None, None]);
-        // Dense kv head serves 2 query heads over 25 pages each; streaming <= 3 pages.
+        let (pool, cache, q) = decode_scene(&c, 100, 9);
+        let (_, dstats) = decode_shard(&c, &pool, &cache, &q, 0);
+        let (_, sstats) = decode_shard(&c, &pool, &cache, &q, 1);
+        // The dense kv head serves 2 query heads over 25 pages each; the
+        // streaming one at most its window's 3 pages.
         assert_eq!(dstats.pages_visited, 50);
         assert!(sstats.pages_visited <= 6);
     }

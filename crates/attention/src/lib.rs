@@ -21,13 +21,13 @@
 //!   through the [`lserve_kvcache::PagePool`].
 //! * [`dynamic`] — MInference-style query-aware prefill block masks (§4.3): the
 //!   Eq. 2 min/max bound lifted to tiles, feeding [`pattern::MaskPattern`].
-//! * [`fused`] — the layer-level hybrid kernel of §3.6: dense and streaming heads
-//!   dispatched in one call over the two-way KV cache, GQA query→KV head mapping
-//!   included.
+//! * [`fused`] — the layer-level hybrid prefill kernel of §3.6: dense and streaming
+//!   heads dispatched in one call, GQA query→KV head mapping included.
 //! * [`parallel`] — the sparsity-aware multi-threaded execution layer: per-head
-//!   attention shards, LPT cost balancing, and a scoped-thread worker pool with
-//!   work stealing (std only), bit-identical to serial execution at every thread
-//!   count.
+//!   attention shards (a GQA group's decode over the two-way KV cache is one), LPT
+//!   cost balancing over simulated devices and their workers, and one scoped-thread
+//!   worker pool with work stealing (std only), bit-identical to serial execution at
+//!   every thread and device count.
 
 mod block;
 pub mod decode;
@@ -40,12 +40,9 @@ pub mod reference;
 
 pub use decode::{decode_dense_head, decode_streaming_head, DecodeStats};
 pub use dynamic::build_dynamic_prefill_mask;
-pub use fused::{
-    fused_decode_layer, fused_prefill_layer, fused_prefill_layer_dynamic,
-    fused_prefill_layer_threads, HeadKind, LayerAttnConfig,
-};
+pub use fused::{fused_prefill_layer, HeadKind, LayerAttnConfig};
 pub use parallel::{
-    lpt_assign, run_decode_shard, run_placed, run_sharded, BalanceStats, DecodeShard, PlacedBalance,
+    lpt_assign, placed_queues, run_decode_shard, run_placed, DecodeShard, PlacedBalance,
 };
 pub use pattern::{BlockDecision, BlockPattern, DensePattern, MaskPattern, StreamingPattern};
 pub use prefill::{prefill_attention, PrefillStats};

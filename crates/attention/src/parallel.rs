@@ -8,26 +8,31 @@
 //! leaves most of them idle behind the one that drew the long dense shards
 //! (the observation S-HPLB makes for head-parallel sparse decoding).
 //!
-//! This module is the std-only worker pool the executor runs those shards on:
+//! This module is the std-only worker pool the executor runs those shards on.
+//! A phase is shards + their *estimated* costs (streaming ≈ resident window
+//! tokens, dense ≈ selected/resident page tokens from the selector) + a
+//! shard → device placement, and goes through one function:
 //!
 //! * [`lpt_assign`] — Longest-Processing-Time-first assignment of shards to
-//!   workers by their *estimated* cost (streaming ≈ resident window tokens,
-//!   dense ≈ selected/resident page tokens from the selector), the classic
-//!   `4/3`-approximate makespan heuristic.
-//! * [`run_sharded`] — scoped worker threads (no `'static` bounds, no
-//!   channels, no external deps) that drain their own LPT queue and then
-//!   *steal* unstarted shards from other workers' queues, smallest-first, so a
-//!   mispredicted straggler cannot serialize the phase.
+//!   workers, the classic `4/3`-approximate makespan heuristic.
+//! * [`placed_queues`] — a phase's schedule: each device's shards LPT-assigned
+//!   over that device's workers.
+//! * [`run_placed`] — runs the phase. One worker in total is a plain in-order
+//!   loop on the calling thread; otherwise scoped worker threads (no `'static`
+//!   bounds, no channels, no external deps) drain their own queue and then
+//!   *steal* unstarted shards from their device's other queues,
+//!   smallest-first, so a mispredicted straggler cannot serialize the phase.
+//!   A single device is a placement of one.
 //! * [`DecodeShard`] / [`run_decode_shard`] — the unit of decode work: one KV
 //!   head's query group against its head cache, written into a caller-provided
 //!   disjoint output slice.
 //!
 //! Every shard writes only its own preallocated output slice and reads only
 //! shared immutable state (pool pages, caches, queries), so the result is
-//! bit-identical for every thread count, assignment, and steal schedule; the
+//! bit-identical for every thread count, placement, and steal schedule; the
 //! only synchronization is one uncontended claim per shard. Wall-clock
-//! speedup needs physical cores, but the [`BalanceStats`] cost counters give a
-//! deterministic model of the achievable parallelism either way.
+//! speedup needs physical cores, but the [`PlacedBalance`] cost counters give
+//! a deterministic model of the achievable parallelism either way.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -38,11 +43,18 @@ use lserve_kvcache::{HeadCache, PagePool};
 
 use crate::decode::{decode_dense_group, decode_streaming_group, DecodeStats};
 
-/// Measured and estimated balance of one parallel phase.
+/// Measured and estimated balance of one parallel phase, per worker and per
+/// simulated device. Workers are listed device-major: device 0's first.
+///
+/// Devices are a modeling construct — they all run on the same host threads —
+/// so a placement moves modeled cost (which device a shard's cost lands on,
+/// which worker lane it traces into), never arithmetic.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BalanceStats {
-    /// Worker threads actually used (clamped to the shard count).
-    pub workers: usize,
+pub struct PlacedBalance {
+    /// Simulated devices the phase was placed onto.
+    pub devices: usize,
+    /// Modeled shard cost landed on each device.
+    pub device_cost: Vec<u64>,
     /// Shards executed.
     pub shards: u64,
     /// Shards executed by a worker other than their LPT assignee.
@@ -53,7 +65,12 @@ pub struct BalanceStats {
     pub assigned_cost: Vec<u64>,
 }
 
-impl BalanceStats {
+impl PlacedBalance {
+    /// Worker threads actually used (per device, clamped to its shard count).
+    pub fn workers(&self) -> usize {
+        self.busy_ns.len()
+    }
+
     /// Total measured busy time across workers.
     pub fn total_busy_ns(&self) -> u64 {
         self.busy_ns.iter().sum()
@@ -72,6 +89,12 @@ impl BalanceStats {
     /// Largest per-worker estimated cost — the phase's modeled critical path.
     pub fn cost_critical(&self) -> u64 {
         self.assigned_cost.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Busiest device's modeled cost — the phase's device-level critical path
+    /// (devices run concurrently in the model).
+    pub fn device_cost_critical(&self) -> u64 {
+        self.device_cost.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -99,157 +122,55 @@ pub fn lpt_assign(costs: &[u64], workers: usize) -> Vec<Vec<usize>> {
     queues
 }
 
-/// Runs `tasks` across up to `threads` scoped worker threads, LPT-balanced by
-/// `costs`, with work stealing as the straggler fallback.
+/// The schedule of a placed phase: `queues[d][w]` is the LPT queue of device
+/// `d`'s worker `w`, shard indices in descending-cost order. A device sizes
+/// its workers from its own shards alone — `threads_per_device`, clamped to
+/// their count, none for an empty device. [`run_placed`] executes this
+/// schedule; the executor's trace draws it.
+pub fn placed_queues(
+    threads_per_device: usize,
+    devices: usize,
+    device_of: &[usize],
+    costs: &[u64],
+) -> Vec<Vec<Vec<usize>>> {
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); devices];
+    for (i, &d) in device_of.iter().enumerate() {
+        groups[d].push(i);
+    }
+    let queues = |group: Vec<usize>| {
+        if group.is_empty() {
+            return Vec::new();
+        }
+        let local_costs: Vec<u64> = group.iter().map(|&i| costs[i]).collect();
+        lpt_assign(&local_costs, threads_per_device.max(1).min(group.len()))
+            .into_iter()
+            .map(|queue| queue.into_iter().map(|local| group[local]).collect())
+            .collect()
+    };
+    groups.into_iter().map(queues).collect()
+}
+
+/// Runs `tasks` against a placement: shard `i` executes on simulated device
+/// `device_of[i]`, each device draining its own LPT-balanced queues
+/// ([`placed_queues`]) with up to `threads_per_device` scoped workers.
 ///
 /// Each task is executed exactly once, by exactly one worker. Workers drain
-/// their own queue in descending-cost order, then scan the other queues from
-/// the *back* (smallest assigned shards first) and steal anything unstarted.
-/// Claims go through one uncontended mutex per shard; the task bodies
+/// their own queue in descending-cost order, then scan their device's other
+/// queues from the *back* (smallest assigned shards first) and steal anything
+/// unstarted — within the device only, so the modeled per-device load is
+/// exact. Claims go through one uncontended mutex per shard; the task bodies
 /// themselves run lock-free on whatever disjoint state they own.
 ///
-/// With `threads <= 1` (or a single task) everything runs serially on the
-/// calling thread in task order — the reference path the parallel schedule
-/// must match bit-for-bit.
-///
-/// # Panics
-///
-/// Panics if `costs.len() != tasks.len()`, or propagates a panic from `run`.
-pub fn run_sharded<T: Send, F: Fn(&mut T) + Sync>(
-    threads: usize,
-    costs: &[u64],
-    tasks: &mut [T],
-    run: F,
-) -> BalanceStats {
-    assert_eq!(costs.len(), tasks.len(), "one cost per shard");
-    let n = tasks.len();
-    let workers = threads.max(1).min(n.max(1));
-    if workers <= 1 {
-        let t0 = Instant::now();
-        for t in tasks.iter_mut() {
-            run(t);
-        }
-        return BalanceStats {
-            workers: 1,
-            shards: n as u64,
-            stolen: 0,
-            busy_ns: vec![t0.elapsed().as_nanos() as u64],
-            assigned_cost: vec![costs.iter().sum()],
-        };
-    }
-    let queues = lpt_assign(costs, workers);
-    let assigned_cost: Vec<u64> = queues
-        .iter()
-        .map(|q| q.iter().map(|&i| costs[i]).sum())
-        .collect();
-    // One claimable slot per shard: `take()` hands exclusive ownership of the
-    // `&mut T` to whichever worker gets there first, so assignment and steal
-    // races can never run a shard twice.
-    let slots: Vec<Mutex<Option<&mut T>>> = tasks.iter_mut().map(|t| Mutex::new(Some(t))).collect();
-    let stolen = AtomicU64::new(0);
-    let mut busy_ns = vec![0u64; workers];
-    thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queues = &queues;
-                let slots = &slots;
-                let stolen = &stolen;
-                let run = &run;
-                s.spawn(move || {
-                    let t0 = Instant::now();
-                    for &i in &queues[w] {
-                        let task = slots[i].lock().expect("shard slot poisoned").take();
-                        if let Some(task) = task {
-                            run(task);
-                        }
-                    }
-                    // Straggler fallback: steal unstarted shards, smallest
-                    // (back of the LPT queue) first, from the nearest victim.
-                    for offset in 1..workers {
-                        let victim = (w + offset) % workers;
-                        for &i in queues[victim].iter().rev() {
-                            let task = slots[i].lock().expect("shard slot poisoned").take();
-                            if let Some(task) = task {
-                                stolen.fetch_add(1, Ordering::Relaxed);
-                                run(task);
-                            }
-                        }
-                    }
-                    t0.elapsed().as_nanos() as u64
-                })
-            })
-            .collect();
-        for (w, h) in handles.into_iter().enumerate() {
-            busy_ns[w] = h.join().expect("attention worker panicked");
-        }
-    });
-    BalanceStats {
-        workers,
-        shards: n as u64,
-        stolen: stolen.into_inner(),
-        busy_ns,
-        assigned_cost,
-    }
-}
-
-/// Balance of one placed parallel phase: per-device modeled load on top of
-/// the flattened per-worker [`BalanceStats`].
-///
-/// Produced by [`run_placed`], which executes shards against an explicit
-/// shard → device map instead of one anonymous worker pool. Devices are
-/// simulated — they all run on the same host threads — so outputs are
-/// bit-identical to [`run_sharded`]; only the modeled accounting (which
-/// device a shard's cost lands on, which worker lane it traces into) changes.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PlacedBalance {
-    /// Simulated devices the phase was placed onto.
-    pub devices: usize,
-    /// Modeled shard cost landed on each device.
-    pub device_cost: Vec<u64>,
-    /// Worker threads used by each device (0 for devices with no shards).
-    pub device_workers: Vec<usize>,
-    /// Flattened worker-level stats, device-major: device 0's workers first.
-    pub stats: BalanceStats,
-}
-
-impl PlacedBalance {
-    /// Busiest device's modeled cost — the phase's device-level critical path
-    /// (devices run concurrently in the model).
-    pub fn device_cost_critical(&self) -> u64 {
-        self.device_cost.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Total modeled cost across devices.
-    pub fn device_cost_total(&self) -> u64 {
-        self.device_cost.iter().sum()
-    }
-
-    /// Max-over-mean device load — 1.0 is perfect balance, `devices` is
-    /// everything on one device; 1.0 when there is no load.
-    pub fn device_imbalance(&self) -> f64 {
-        let total = self.device_cost_total();
-        if total == 0 || self.devices == 0 {
-            return 1.0;
-        }
-        self.device_cost_critical() as f64 * self.devices as f64 / total as f64
-    }
-}
-
-/// Runs `tasks` against an explicit placement: shard `i` executes on
-/// simulated device `device_of[i]`, each device draining its own LPT-balanced
-/// queues with up to `threads_per_device` scoped workers and stealing only
-/// within its device (a worker never executes another device's shard, so the
-/// modeled per-device load is exact).
-///
-/// Devices are a modeling construct: all workers are host threads, every task
-/// still runs exactly once into caller-owned disjoint state, and the result
-/// is bit-identical to [`run_sharded`] for every device count, placement, and
-/// steal schedule.
+/// A phase with one worker in total — one thread per device and every shard
+/// on the same device, or at most one shard — runs in task order on the
+/// calling thread: the reference every other schedule must match bit for
+/// bit.
 ///
 /// # Panics
 ///
 /// Panics if `devices` is zero, if `costs`/`device_of`/`tasks` lengths
-/// disagree, or if any `device_of` entry is out of range.
+/// disagree, if any `device_of` entry is out of range, or propagates a panic
+/// from `run`.
 pub fn run_placed<T: Send, F: Fn(&mut T) + Sync>(
     threads_per_device: usize,
     devices: usize,
@@ -265,102 +186,73 @@ pub fn run_placed<T: Send, F: Fn(&mut T) + Sync>(
         device_of.iter().all(|&d| d < devices),
         "shard placed on a device outside the topology"
     );
-    let n = tasks.len();
-    if devices == 1 {
-        let stats = run_sharded(threads_per_device, costs, tasks, run);
-        return PlacedBalance {
-            devices: 1,
-            device_cost: vec![stats.cost_total()],
-            device_workers: vec![stats.workers],
-            stats,
-        };
+    let mut device_cost = vec![0u64; devices];
+    for (&d, &c) in device_of.iter().zip(costs) {
+        device_cost[d] += c;
     }
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); devices];
-    for (i, &d) in device_of.iter().enumerate() {
-        groups[d].push(i);
-    }
-    let device_cost: Vec<u64> = groups
-        .iter()
-        .map(|g| g.iter().map(|&i| costs[i]).sum())
-        .collect();
-    // Per-device LPT queues over global shard indices, then one flat worker
-    // list (device-major) so a single scoped spawn covers the whole mesh.
-    let mut device_workers = vec![0usize; devices];
-    let mut worker_device: Vec<usize> = Vec::new();
-    let mut queues: Vec<Vec<usize>> = Vec::new();
-    let mut device_first_worker = vec![0usize; devices];
-    for (d, group) in groups.iter().enumerate() {
-        device_first_worker[d] = queues.len();
-        if group.is_empty() {
-            continue;
+    let mut balance = PlacedBalance {
+        devices,
+        device_cost,
+        shards: tasks.len() as u64,
+        ..PlacedBalance::default()
+    };
+    let one_device = device_of.windows(2).all(|pair| pair[0] == pair[1]);
+    if tasks.len() <= 1 || (threads_per_device <= 1 && one_device) {
+        let t0 = Instant::now();
+        for t in tasks.iter_mut() {
+            run(t);
         }
-        let workers = threads_per_device.max(1).min(group.len());
-        device_workers[d] = workers;
-        let local_costs: Vec<u64> = group.iter().map(|&i| costs[i]).collect();
-        for queue in lpt_assign(&local_costs, workers) {
-            queues.push(queue.into_iter().map(|local| group[local]).collect());
-            worker_device.push(d);
-        }
+        balance.busy_ns = vec![t0.elapsed().as_nanos() as u64];
+        balance.assigned_cost = vec![costs.iter().sum()];
+        return balance;
     }
-    let total_workers = queues.len();
-    let assigned_cost: Vec<u64> = queues
-        .iter()
-        .map(|q| q.iter().map(|&i| costs[i]).sum())
-        .collect();
+    let queues = placed_queues(threads_per_device, devices, device_of, costs);
+    // One claimable slot per shard: `take()` hands exclusive ownership of the
+    // `&mut T` to whichever worker gets there first, so assignment and steal
+    // races can never run a shard twice.
     let slots: Vec<Mutex<Option<&mut T>>> = tasks.iter_mut().map(|t| Mutex::new(Some(t))).collect();
+    let claim = |i: usize| slots[i].lock().expect("shard slot poisoned").take();
     let stolen = AtomicU64::new(0);
-    let mut busy_ns = vec![0u64; total_workers];
-    thread::scope(|s| {
-        let handles: Vec<_> = (0..total_workers)
-            .map(|w| {
-                let queues = &queues;
-                let slots = &slots;
-                let stolen = &stolen;
-                let run = &run;
-                let d = worker_device[w];
-                let dev_base = device_first_worker[d];
-                let dev_workers = device_workers[d];
+    // One flat worker list (device-major), so a single scoped spawn covers
+    // the whole mesh.
+    balance.busy_ns = thread::scope(|s| {
+        let workers = queues
+            .iter()
+            .flat_map(|device| (0..device.len()).map(move |w| (device, w)));
+        let handles: Vec<_> = workers
+            .map(|(device, w)| {
+                let (claim, stolen, run) = (&claim, &stolen, &run);
                 s.spawn(move || {
                     let t0 = Instant::now();
-                    for &i in &queues[w] {
-                        let task = slots[i].lock().expect("shard slot poisoned").take();
-                        if let Some(task) = task {
-                            run(task);
-                        }
+                    for task in device[w].iter().filter_map(|&i| claim(i)) {
+                        run(task);
                     }
-                    // Steal within this device only: cross-device steals would
-                    // falsify the modeled per-device load.
-                    let local = w - dev_base;
-                    for offset in 1..dev_workers {
-                        let victim = dev_base + (local + offset) % dev_workers;
-                        for &i in queues[victim].iter().rev() {
-                            let task = slots[i].lock().expect("shard slot poisoned").take();
-                            if let Some(task) = task {
-                                stolen.fetch_add(1, Ordering::Relaxed);
-                                run(task);
-                            }
+                    // Straggler fallback: steal unstarted shards, smallest
+                    // (back of the LPT queue) first, from the nearest victim
+                    // on this device — a cross-device steal would falsify
+                    // the modeled per-device load.
+                    for offset in 1..device.len() {
+                        let victim = &device[(w + offset) % device.len()];
+                        for task in victim.iter().rev().filter_map(|&i| claim(i)) {
+                            stolen.fetch_add(1, Ordering::Relaxed);
+                            run(task);
                         }
                     }
                     t0.elapsed().as_nanos() as u64
                 })
             })
             .collect();
-        for (w, h) in handles.into_iter().enumerate() {
-            busy_ns[w] = h.join().expect("attention worker panicked");
-        }
+        let join =
+            |h: thread::ScopedJoinHandle<'_, u64>| h.join().expect("attention worker panicked");
+        handles.into_iter().map(join).collect()
     });
-    PlacedBalance {
-        devices,
-        device_cost,
-        device_workers,
-        stats: BalanceStats {
-            workers: total_workers,
-            shards: n as u64,
-            stolen: stolen.into_inner(),
-            busy_ns,
-            assigned_cost,
-        },
-    }
+    balance.stolen = stolen.into_inner();
+    balance.assigned_cost = queues
+        .iter()
+        .flatten()
+        .map(|queue| queue.iter().map(|&i| costs[i]).sum())
+        .collect();
+    balance
 }
 
 /// One *(sequence × KV-head)* unit of decode attention: the KV head's query
@@ -383,10 +275,9 @@ pub struct DecodeShard<'a> {
     pub scale: f32,
     /// Preallocated output slice, same length as `queries`.
     pub out: &'a mut [f32],
-    /// Work counters accumulated over the group, dense-head portion.
-    pub dense: DecodeStats,
-    /// Work counters accumulated over the group, streaming-head portion.
-    pub streaming: DecodeStats,
+    /// Work counters of the group's pass over the head (the head is of one
+    /// kind, so they are dense-head *or* streaming-head work).
+    pub stats: DecodeStats,
 }
 
 /// Executes one decode shard: the group's query rows attend the KV head's
@@ -399,20 +290,10 @@ pub struct DecodeShard<'a> {
 /// `head_dim`, or on the underlying kernels' shape checks.
 pub fn run_decode_shard(pool: &PagePool, shard: &mut DecodeShard<'_>) {
     let (d, q, scale) = (shard.head_dim, shard.queries, shard.scale);
-    match shard.head {
-        HeadCache::Dense(c) => shard.dense.accumulate(decode_dense_group(
-            pool,
-            c,
-            d,
-            q,
-            scale,
-            shard.selection,
-            shard.out,
-        )),
-        HeadCache::Streaming(c) => shard
-            .streaming
-            .accumulate(decode_streaming_group(pool, c, d, q, scale, shard.out)),
-    }
+    shard.stats = match shard.head {
+        HeadCache::Dense(c) => decode_dense_group(pool, c, d, q, scale, shard.selection, shard.out),
+        HeadCache::Streaming(c) => decode_streaming_group(pool, c, d, q, scale, shard.out),
+    };
 }
 
 #[cfg(test)]
@@ -443,44 +324,40 @@ mod tests {
     }
 
     #[test]
-    fn run_sharded_executes_every_task_once() {
-        for threads in [1, 2, 3, 8] {
-            let mut tasks: Vec<u32> = vec![0; 37];
-            let costs: Vec<u64> = (0..37).map(|i| (i % 5 + 1) as u64).collect();
-            let executions = AtomicUsize::new(0);
-            let stats = run_sharded(threads, &costs, &mut tasks, |t| {
-                *t += 1;
-                executions.fetch_add(1, Ordering::Relaxed);
+    fn worker_count_clamps_to_shard_count() {
+        let mut tasks = vec![0u8; 2];
+        let placed = run_placed(16, 1, &[0, 0], &[1, 1], &mut tasks, |t| *t = 1);
+        assert_eq!(placed.workers(), 2);
+        assert_eq!(tasks, vec![1, 1]);
+    }
+
+    /// The serial reference: a phase with one worker in total runs on the
+    /// caller, in task order — on one device, and on a mesh whose shards all
+    /// landed on one of its devices.
+    #[test]
+    fn one_worker_in_total_runs_in_task_order_on_the_calling_thread() {
+        let caller = thread::current().id();
+        for (devices, device) in [(1, 0), (4, 2)] {
+            let n = 9;
+            let mut tasks: Vec<usize> = (0..n).collect();
+            let costs: Vec<u64> = (0..n).map(|i| (i * 5 % 7 + 1) as u64).collect();
+            let ran = Mutex::new(Vec::new());
+            let placed = run_placed(1, devices, &vec![device; n], &costs, &mut tasks, |t| {
+                assert_eq!(thread::current().id(), caller, "{devices} devices");
+                ran.lock().unwrap().push(*t);
             });
-            assert!(tasks.iter().all(|&t| t == 1), "threads {threads}");
-            assert_eq!(executions.into_inner(), 37);
-            assert_eq!(stats.shards, 37);
-            assert!(stats.workers <= threads.max(1));
-            assert_eq!(stats.busy_ns.len(), stats.workers);
-            assert_eq!(stats.cost_total(), costs.iter().sum::<u64>());
-            assert!(stats.cost_critical() <= stats.cost_total());
+            assert_eq!(ran.into_inner().unwrap(), (0..n).collect::<Vec<_>>());
+            assert_eq!(placed.workers(), 1);
+            assert_eq!(placed.assigned_cost, vec![costs.iter().sum::<u64>()]);
+            assert_eq!(placed.device_cost[device], costs.iter().sum::<u64>());
         }
     }
 
     #[test]
-    fn worker_count_clamps_to_shard_count() {
-        let mut tasks = vec![0u8; 2];
-        let stats = run_sharded(16, &[1, 1], &mut tasks, |t| *t = 1);
-        assert_eq!(stats.workers, 2);
-        assert_eq!(tasks, vec![1, 1]);
-    }
-
-    #[test]
-    fn empty_task_list_is_fine() {
-        let mut tasks: Vec<u8> = Vec::new();
-        let stats = run_sharded(4, &[], &mut tasks, |_| {});
-        assert_eq!(stats.shards, 0);
-    }
-
-    #[test]
     fn run_placed_executes_every_task_once_on_its_device() {
-        for (devices, threads) in [(1, 1), (2, 1), (2, 3), (4, 2)] {
-            let n = 23;
+        let meshes = [(1, 1), (1, 2), (1, 3), (1, 8), (2, 1), (2, 3), (4, 2)];
+        for (devices, threads) in meshes {
+            let n = 37;
             let mut tasks: Vec<u32> = vec![0; n];
             let costs: Vec<u64> = (0..n).map(|i| (i % 7 + 1) as u64).collect();
             let device_of: Vec<usize> = (0..n).map(|i| (i * i) % devices).collect();
@@ -492,8 +369,11 @@ mod tests {
             assert!(tasks.iter().all(|&t| t == 1), "devices {devices}");
             assert_eq!(executions.into_inner(), n);
             assert_eq!(placed.devices, devices);
-            assert_eq!(placed.stats.shards, n as u64);
-            assert_eq!(placed.device_cost_total(), costs.iter().sum::<u64>());
+            assert_eq!(placed.shards, n as u64);
+            assert!(placed.workers() <= threads * devices);
+            assert_eq!(placed.assigned_cost.len(), placed.workers());
+            assert_eq!(placed.cost_total(), costs.iter().sum::<u64>());
+            assert!(placed.cost_critical() <= placed.cost_total());
             // Per-device load is exactly the sum of the shards placed there.
             for d in 0..devices {
                 let want: u64 = (0..n)
@@ -506,34 +386,28 @@ mod tests {
     }
 
     #[test]
-    fn run_placed_matches_run_sharded_on_one_device() {
-        let mut a: Vec<u32> = vec![0; 11];
-        let mut b: Vec<u32> = vec![0; 11];
-        let costs: Vec<u64> = (0..11).map(|i| i as u64).collect();
-        let sharded = run_sharded(2, &costs, &mut a, |t| *t += 1);
-        let placed = run_placed(2, 1, &[0; 11], &costs, &mut b, |t| *t += 1);
-        assert_eq!(a, b);
-        assert_eq!(placed.stats.assigned_cost, sharded.assigned_cost);
-        assert_eq!(placed.device_imbalance(), 1.0);
-    }
-
-    #[test]
     fn run_placed_imbalance_reflects_skewed_placement() {
-        // Everything on device 0 of 2: imbalance is exactly 2.0.
+        // Everything on device 0 of 2: the busiest device carries it all.
         let mut tasks = vec![0u8; 6];
-        let placed = run_placed(1, 2, &[0; 6], &[3; 6], &mut tasks, |t| *t = 1);
+        let placed = run_placed(2, 2, &[0; 6], &[3; 6], &mut tasks, |t| *t = 1);
         assert_eq!(placed.device_cost, vec![18, 0]);
-        assert_eq!(placed.device_workers, vec![1, 0]);
-        assert_eq!(placed.device_imbalance(), 2.0);
+        assert_eq!(placed.device_cost_critical(), placed.cost_total());
+        assert_eq!(
+            placed.assigned_cost,
+            vec![9, 9],
+            "an empty device has no workers"
+        );
         assert!(tasks.iter().all(|&t| t == 1));
     }
 
     #[test]
     fn run_placed_empty_devices_and_empty_tasks_are_fine() {
-        let mut tasks: Vec<u8> = Vec::new();
-        let placed = run_placed(4, 3, &[], &[], &mut tasks, |_| {});
-        assert_eq!(placed.stats.shards, 0);
-        assert_eq!(placed.device_cost, vec![0, 0, 0]);
-        assert_eq!(placed.device_imbalance(), 1.0);
+        for devices in [1, 3] {
+            let mut tasks: Vec<u8> = Vec::new();
+            let placed = run_placed(4, devices, &[], &[], &mut tasks, |_| {});
+            assert_eq!(placed.shards, 0);
+            assert_eq!(placed.device_cost, vec![0; devices]);
+            assert_eq!(placed.cost_total(), 0);
+        }
     }
 }

@@ -39,7 +39,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use lserve_attention::{fused_prefill_layer_threads, HeadKind, LayerAttnConfig};
+use lserve_attention::{fused_prefill_layer, HeadKind, LayerAttnConfig};
 use lserve_kvcache::{LayerKvCache, PagePool, StreamingWindow, HOST_TRANSFER_SPEEDUP};
 use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention};
 use lserve_model::{greedy_next_token, ModelWeights};
@@ -321,7 +321,7 @@ impl ModelExecutor {
                 &[("layer", l as u64)],
             );
             let par_start = tracer.now();
-            let (attn, dense_stats, stream_stats, balance) = fused_prefill_layer_threads(
+            let (attn, dense_stats, stream_stats, balance) = fused_prefill_layer(
                 &acts.q,
                 &acts.k,
                 &acts.v,
@@ -330,7 +330,7 @@ impl ModelExecutor {
                 dynamic_keep,
                 threads,
             );
-            exec_stats.absorb(&balance);
+            exec_stats.absorb(&balance, 0);
             if tracer.is_enabled() {
                 // The parallel phase costs its modeled critical path; worker
                 // lanes get one merged span per worker (their LPT-assigned

@@ -1,10 +1,10 @@
 //! The row-feeding body every token goes through after a sequence's fused
 //! first chunk ([`ModelExecutor::decode_batch_reserved`]), its one-token
-//! wrappers, and the sharded attention phase's cost estimate and trace.
+//! wrappers, and the sharded attention phase: its shards' cost estimate,
+//! their placement ([`ShardTable`]) and the phase's trace.
 
 use lserve_attention::{
-    lpt_assign, run_decode_shard, run_placed, run_sharded, BalanceStats, DecodeShard, DecodeStats,
-    PlacedBalance,
+    placed_queues, run_decode_shard, run_placed, DecodeShard, DecodeStats, PlacedBalance,
 };
 use lserve_costmodel::{PlacementPolicy, Topology, DEFAULT_GATHER_COST_TOKENS};
 use lserve_kvcache::{HeadCache, MigrationMode, PagePool, HOST_TRANSFER_SPEEDUP};
@@ -72,13 +72,15 @@ impl ModelExecutor {
     /// 2. **Parallel attention**: one shard per *(sequence × KV-head)*, each
     ///    costed by the sparsity-aware estimate (streaming ≈ resident window,
     ///    selected dense ≈ the selector's page set, unselected dense ≈ full
-    ///    history), LPT-assigned across up to `threads` scoped workers with
-    ///    work-stealing for stragglers, placed by the caller-owned
-    ///    [`ShardingPlan`]: each shard runs on its KV head's simulated device
-    ///    (per-device LPT worker queues, device-local stealing), a sequence's
-    ///    shards on non-home devices charge the topology's modeled
-    ///    interconnect gather cost into `exec_stats` and the trace, and the
-    ///    plan accumulates the per-head cost signal its rebalancer acts on.
+    ///    history) and placed by the caller-owned [`ShardingPlan`] on its KV
+    ///    head's simulated device — one device is a placement like any
+    ///    other. A sequence's shards on non-home devices charge the
+    ///    topology's modeled interconnect gather cost into `exec_stats` and
+    ///    the trace, and the plan accumulates the per-head cost signal its
+    ///    rebalancer acts on. Then one pool ([`run_placed`]): per-device LPT
+    ///    queues over up to `threads` scoped workers each, device-local
+    ///    work-stealing for stragglers — or, with one worker in total, the
+    ///    in-order loop on this thread that every schedule must match.
     ///    Every shard writes only its own preallocated output slice — no
     ///    locks on the hot path.
     /// 3. **Stacked reduction**: output projection and FFN over every row
@@ -187,6 +189,7 @@ impl ModelExecutor {
         let mut x = self.weights.embed_tokens(&tokens);
         let mut live = vec![true; batch.len()];
         let mut plans: Vec<RowPlan> = batch.iter().map(|_| RowPlan::default()).collect();
+        let mut table = ShardTable::new(batch.len(), plan.devices(), model.num_kv_heads);
         let tracer = pool.tracer().clone();
         // Token-wide speculative-transfer allowance per row, spent by
         // issue_prefetches across all layers (async migration only).
@@ -260,13 +263,11 @@ impl ModelExecutor {
                 let par_start = tracer.now();
                 // Phase 2 (parallel): sharded attention into disjoint
                 // per-(sequence × KV-head) slices of the round's output rows.
-                let shard_stats: Vec<(usize, DecodeStats, DecodeStats)> = {
+                table.clear();
+                {
                     let pool_ref: &PagePool = pool;
                     let scale = self.attn_cfg.scale();
                     let mut shards: Vec<DecodeShard<'_>> = Vec::new();
-                    let mut shard_seq: Vec<usize> = Vec::new();
-                    let mut shard_kv: Vec<usize> = Vec::new();
-                    let mut costs: Vec<u64> = Vec::new();
                     for (i, ((state, _), fed)) in batch.iter().zip(&plans).enumerate() {
                         let Some(row) = fed.row else { continue };
                         let q = acts.q.row(row);
@@ -274,16 +275,15 @@ impl ModelExecutor {
                         let out = std::mem::take(&mut attn_rows[row]);
                         for (kv, out_chunk) in out.chunks_mut(group * d).enumerate() {
                             let selection = fed.selections[kv].as_deref();
-                            costs.push(decode_shard_cost(
+                            let cost = decode_shard_cost(
                                 pool_ref,
                                 cache.head(kv),
                                 selection,
                                 fed.hints[kv],
                                 fed.fetch_units[kv],
                                 group,
-                            ));
-                            shard_seq.push(i);
-                            shard_kv.push(kv);
+                            );
+                            table.push(i, kv, cost);
                             shards.push(DecodeShard {
                                 head: cache.head(kv),
                                 queries: &q[kv * group * d..(kv + 1) * group * d],
@@ -291,89 +291,30 @@ impl ModelExecutor {
                                 head_dim: d,
                                 scale,
                                 out: out_chunk,
-                                dense: DecodeStats::default(),
-                                streaming: DecodeStats::default(),
+                                stats: DecodeStats::default(),
                             });
                         }
                     }
-                    let devices = plan.devices();
-                    if devices <= 1 {
-                        let balance = run_sharded(threads, &costs, &mut shards, |shard| {
-                            run_decode_shard(pool_ref, shard)
-                        });
-                        exec_stats.absorb(&balance);
-                        trace_attention_phase(
-                            &tracer, par_start, l, &balance, &costs, &shard_seq, None,
-                        );
-                    } else {
-                        // Per-head cost signal for this phase: the placement (and
-                        // later the rebalancer) act on exactly what the worker-level
-                        // LPT balances.
-                        let mut head_costs = vec![0u64; model.num_kv_heads];
-                        for (s, &kv) in shard_kv.iter().enumerate() {
-                            head_costs[kv] += costs[s];
-                        }
-                        let assign = plan.layer_assignment(l, &head_costs).to_vec();
-                        // A sequence's home device is where the plurality of its
-                        // shard cost lives (ties to the lower device id): its other
-                        // shards' outputs must cross the mesh before the serial
-                        // output projection, and each such gather charges the
-                        // topology's modeled interconnect cost — onto the shard
-                        // (the gather delays it) and into the interconnect ledger.
-                        let mut seq_dev_cost = vec![vec![0u64; devices]; batch.len()];
-                        for s in 0..costs.len() {
-                            seq_dev_cost[shard_seq[s]][assign[shard_kv[s]]] += costs[s];
-                        }
-                        let home: Vec<usize> = seq_dev_cost
-                            .iter()
-                            .map(|loads| {
-                                (0..devices)
-                                    .max_by_key(|&dev| (loads[dev], std::cmp::Reverse(dev)))
-                                    .expect("devices > 0")
-                            })
-                            .collect();
-                        let gather = plan.topology().gather_cost_tokens();
-                        let mut device_of = vec![0usize; costs.len()];
-                        let mut placed_costs = costs.clone();
-                        let mut gather_tokens = 0u64;
-                        for s in 0..costs.len() {
-                            let dev = assign[shard_kv[s]];
-                            device_of[s] = dev;
-                            if dev != home[shard_seq[s]] {
-                                placed_costs[s] += gather;
-                                gather_tokens += gather;
-                            }
-                        }
-                        let placed = run_placed(
-                            threads,
-                            devices,
-                            &device_of,
-                            &placed_costs,
-                            &mut shards,
-                            |shard| run_decode_shard(pool_ref, shard),
-                        );
-                        exec_stats.absorb_placed(&placed, gather_tokens);
-                        let on = (&placed, &device_of[..], exec_stats.interconnect_tokens);
-                        trace_attention_phase(
-                            &tracer,
-                            par_start,
-                            l,
-                            &placed.stats,
-                            &placed_costs,
-                            &shard_seq,
-                            Some(on),
-                        );
-                    }
-                    shard_seq
-                        .iter()
-                        .zip(shards.iter())
-                        .map(|(&i, s)| (i, s.dense, s.streaming))
-                        .collect()
-                };
+                    let gather_tokens = table.place(plan, l);
+                    let placed = run_placed(
+                        threads,
+                        plan.devices(),
+                        &table.device,
+                        &table.cost,
+                        &mut shards,
+                        |shard| run_decode_shard(pool_ref, shard),
+                    );
+                    exec_stats.absorb(&placed, gather_tokens);
+                    let charged = exec_stats.interconnect_tokens;
+                    table.trace(&tracer, par_start, l, threads, &placed, charged);
+                    table.stats.extend(shards.iter().map(|s| s.stats));
+                }
                 // Work counters attributed per sequence in shard-construction
                 // order, so stats stay deterministic too.
-                for (i, dense, streaming) in shard_stats {
-                    batch[i].0.stats.add_decode(dense, streaming);
+                for ((&i, &kv), &stats) in table.seq.iter().zip(&table.kv).zip(&table.stats) {
+                    let state = &mut *batch[i].0;
+                    let streaming = state.layers[l].head(kv).is_streaming();
+                    state.stats.add_decode(streaming, stats);
                 }
             }
             drop(attn_rows);
@@ -417,78 +358,157 @@ impl ModelExecutor {
 /// the reservation covers it (see [`ModelExecutor::decode_batch_reserved`]).
 pub(crate) type Run<'a> = (&'a mut SequenceState, &'a [u32]);
 
-/// Emits one decode layer's parallel-phase trace: advances the work-token
-/// clock by the phase's modeled critical path, closes the `decode.attention`
-/// span, and lays per-shard spans on the worker lanes.
-///
-/// The worker lanes show the *modeled LPT schedule* — [`lpt_assign`] re-run
-/// over the same deterministic costs [`run_sharded`] balanced with — not the
-/// measured execution (work stealing may move a straggler shard at runtime).
-/// That is the right chart for imbalance analysis: it is bit-reproducible,
-/// and the per-shard `cost` args are exactly the sparsity-aware estimates the
-/// balancer acted on.
-///
-/// A `placed` phase — the balance [`run_placed`] reported, each shard's
-/// device, and the cumulative cross-device gather charge — lays its spans on
-/// per-device worker lanes (`tid = device * DEVICE_TID_STRIDE + worker`, the
-/// same per-device LPT schedule that ran; device 0's tids are the
-/// single-device layout) and emits the charge as an `interconnect` counter.
-fn trace_attention_phase(
-    tracer: &Tracer,
-    par_start: u64,
-    l: usize,
-    stats: &BalanceStats,
-    costs: &[u64],
-    shard_seq: &[usize],
-    placed: Option<(&PlacedBalance, &[usize], u64)>,
-) {
-    if !tracer.is_enabled() {
-        return;
-    }
-    tracer.advance(stats.cost_critical());
-    let mut args = vec![("layer", l as u64), ("shards", stats.shards)];
-    args.extend(placed.map(|(p, ..)| ("devices", p.devices as u64)));
-    tracer.span(
-        "decode.attention",
-        "executor",
-        lane::EXECUTOR,
-        CONTROL_TID,
-        par_start,
-        &args,
-    );
-    for dev in 0..placed.map_or(1, |(p, ..)| p.devices) {
-        let on_dev = |s: &usize| placed.is_none_or(|(_, device_of, _)| device_of[*s] == dev);
-        let group: Vec<usize> = (0..costs.len()).filter(on_dev).collect();
-        if group.is_empty() {
-            continue;
+/// One round's shards as parallel arrays, in construction order (batch order,
+/// then KV head), plus the scratch their placement needs: allocated once per
+/// call beside the [`RowPlan`]s and refilled every round.
+struct ShardTable {
+    devices: usize,
+    /// Batch entry of each shard.
+    seq: Vec<usize>,
+    /// KV head of each shard.
+    kv: Vec<usize>,
+    /// [`decode_shard_cost`] of each shard; once placed, plus its gather charge.
+    cost: Vec<u64>,
+    /// Simulated device of each shard, once placed.
+    device: Vec<usize>,
+    /// Work counters of each shard, once run.
+    stats: Vec<DecodeStats>,
+    /// This round's cost per KV head: the signal placement acts on.
+    head_costs: Vec<u64>,
+    /// This round's cost per `(batch entry, device)`, entry-major.
+    seq_loads: Vec<u64>,
+}
+
+impl ShardTable {
+    fn new(entries: usize, devices: usize, kv_heads: usize) -> Self {
+        Self {
+            devices,
+            seq: Vec::new(),
+            kv: Vec::new(),
+            cost: Vec::new(),
+            device: Vec::new(),
+            stats: Vec::new(),
+            head_costs: vec![0; kv_heads],
+            seq_loads: vec![0; entries * devices],
         }
-        let local_costs: Vec<u64> = group.iter().map(|&s| costs[s]).collect();
-        let workers = placed.map_or(stats.workers, |(p, ..)| p.device_workers[dev]);
-        for (w, queue) in lpt_assign(&local_costs, workers.max(1)).iter().enumerate() {
-            let mut cursor = par_start;
-            for &local in queue {
-                let s = group[local];
-                tracer.span_at(
-                    "shard",
-                    "attention",
-                    lane::WORKERS,
-                    lane::device_worker_tid(dev, w),
-                    cursor,
-                    costs[s],
-                    &[("seq", shard_seq[s] as u64), ("cost", costs[s])],
-                );
-                cursor += costs[s];
+    }
+
+    fn clear(&mut self) {
+        self.seq.clear();
+        self.kv.clear();
+        self.cost.clear();
+        self.device.clear();
+        self.stats.clear();
+        self.head_costs.fill(0);
+        self.seq_loads.fill(0);
+    }
+
+    fn push(&mut self, seq: usize, kv: usize, cost: u64) {
+        self.seq.push(seq);
+        self.kv.push(kv);
+        self.cost.push(cost);
+        self.head_costs[kv] += cost;
+    }
+
+    /// Places every shard on its KV head's device under layer `l`'s
+    /// assignment — seeded from, and accumulating, this round's per-head
+    /// costs: exactly what the worker-level LPT balances — and charges the
+    /// cross-device gathers; returns the charge.
+    ///
+    /// A sequence's home device is where the plurality of its shard cost
+    /// lives (ties to the lower device id): its other shards' outputs must
+    /// cross the mesh before the serial output projection, and each such
+    /// gather costs the topology's modeled interconnect tokens — onto the
+    /// shard (the gather delays it) and into the interconnect ledger. On one
+    /// device every shard is at home.
+    fn place(&mut self, plan: &mut ShardingPlan, l: usize) -> u64 {
+        let devices = self.devices;
+        let gather = plan.topology().gather_cost_tokens();
+        let assign = plan.layer_assignment(l, &self.head_costs);
+        for s in 0..self.cost.len() {
+            let dev = assign[self.kv[s]];
+            self.device.push(dev);
+            self.seq_loads[self.seq[s] * devices + dev] += self.cost[s];
+        }
+        let mut gather_tokens = 0;
+        for s in 0..self.cost.len() {
+            let loads = &self.seq_loads[self.seq[s] * devices..][..devices];
+            let home = (0..devices)
+                .max_by_key(|&dev| (loads[dev], std::cmp::Reverse(dev)))
+                .expect("devices > 0");
+            if self.device[s] != home {
+                self.cost[s] += gather;
+                gather_tokens += gather;
             }
         }
+        gather_tokens
     }
-    // After the shard spans: the counter's tid-0 timestamp (the advanced
-    // clock) must not precede device 0's span closes within the lane.
-    if let Some((.., interconnect_total)) = placed {
-        tracer.counter(
-            "interconnect",
-            lane::WORKERS,
-            &[("tokens", interconnect_total)],
+
+    /// Emits one decode layer's parallel-phase trace: advances the
+    /// work-token clock by the phase's modeled critical path, closes the
+    /// `decode.attention` span, and lays per-shard spans on the worker lanes
+    /// (`tid = device * DEVICE_TID_STRIDE + worker`; device 0's tids are the
+    /// single-device layout). A mesh also names its size and emits the
+    /// cumulative cross-device gather charge as an `interconnect` counter.
+    ///
+    /// The worker lanes show the *modeled schedule* — the [`placed_queues`]
+    /// [`run_placed`] was handed, over the same deterministic costs — not the
+    /// measured execution (work stealing may move a straggler shard at
+    /// runtime, and a lone worker runs in task order). That is the right
+    /// chart for imbalance analysis: it is bit-reproducible, and the
+    /// per-shard `cost` args are exactly the sparsity-aware estimates the
+    /// balancer acted on.
+    fn trace(
+        &self,
+        tracer: &Tracer,
+        par_start: u64,
+        l: usize,
+        threads: usize,
+        placed: &PlacedBalance,
+        interconnect_total: u64,
+    ) {
+        if !tracer.is_enabled() {
+            return;
+        }
+        let mesh = self.devices > 1;
+        tracer.advance(placed.cost_critical());
+        let mut args = vec![("layer", l as u64), ("shards", placed.shards)];
+        args.extend(mesh.then_some(("devices", self.devices as u64)));
+        tracer.span(
+            "decode.attention",
+            "executor",
+            lane::EXECUTOR,
+            CONTROL_TID,
+            par_start,
+            &args,
         );
+        let queues = placed_queues(threads, self.devices, &self.device, &self.cost);
+        for (dev, workers) in queues.iter().enumerate() {
+            for (w, queue) in workers.iter().enumerate() {
+                let mut cursor = par_start;
+                for &s in queue {
+                    tracer.span_at(
+                        "shard",
+                        "attention",
+                        lane::WORKERS,
+                        lane::device_worker_tid(dev, w),
+                        cursor,
+                        self.cost[s],
+                        &[("seq", self.seq[s] as u64), ("cost", self.cost[s])],
+                    );
+                    cursor += self.cost[s];
+                }
+            }
+        }
+        // After the shard spans: the counter's tid-0 timestamp (the advanced
+        // clock) must not precede device 0's span closes within the lane.
+        if mesh {
+            tracer.counter(
+                "interconnect",
+                lane::WORKERS,
+                &[("tokens", interconnect_total)],
+            );
+        }
     }
 }
 

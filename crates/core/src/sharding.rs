@@ -88,17 +88,6 @@ impl ShardingPlan {
         }
     }
 
-    /// A single-device plan — the degenerate topology every pre-multi-device
-    /// call path runs against.
-    pub fn single(num_layers: usize, num_kv_heads: usize) -> Self {
-        Self::new(
-            Topology::single(),
-            PlacementPolicy::SparsityAware,
-            num_layers,
-            num_kv_heads,
-        )
-    }
-
     /// The plan's topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -244,7 +233,7 @@ mod tests {
 
     #[test]
     fn single_device_plan_never_rebalances() {
-        let mut plan = ShardingPlan::single(2, 4);
+        let mut plan = ShardingPlan::new(Topology::single(), PlacementPolicy::SparsityAware, 2, 4);
         plan.rebalance_interval = 1;
         for _ in 0..8 {
             plan.layer_assignment(0, &[100, 1, 1, 1]);

@@ -1,6 +1,6 @@
 //! Aggregate work counters reported by the engine.
 
-use lserve_attention::{BalanceStats, DecodeStats, PlacedBalance, PrefillStats};
+use lserve_attention::{DecodeStats, PlacedBalance, PrefillStats};
 use lserve_kvcache::Moved;
 
 /// Cumulative work counters across an engine's lifetime.
@@ -55,12 +55,16 @@ impl EngineStats {
         self.prefill_total_causal_tiles += dense.tiles_total_causal + streaming.tiles_total_causal;
     }
 
-    /// Folds one layer's decode counters in.
-    pub fn add_decode(&mut self, dense: DecodeStats, streaming: DecodeStats) {
-        self.decode_dense_pages += dense.pages_visited;
-        self.decode_streaming_pages += streaming.pages_visited;
-        self.decode_total_pages += dense.pages_total + streaming.pages_total;
-        self.decode_tokens_visited += dense.tokens_visited + streaming.tokens_visited;
+    /// Folds one decode shard's counters in: one KV head's pass, dense or
+    /// `streaming`.
+    pub fn add_decode(&mut self, streaming: bool, head: DecodeStats) {
+        if streaming {
+            self.decode_streaming_pages += head.pages_visited;
+        } else {
+            self.decode_dense_pages += head.pages_visited;
+        }
+        self.decode_total_pages += head.pages_total;
+        self.decode_tokens_visited += head.tokens_visited;
     }
 
     /// Overall prefill block sparsity `r` (fraction of causal tiles skipped).
@@ -141,8 +145,7 @@ pub struct ParallelExecStats {
     /// Sum over phases of the most-loaded worker's estimated cost — the
     /// modeled critical path of the LPT schedule.
     pub cost_critical: u64,
-    /// Largest simulated device count any phase was placed onto (1 when
-    /// attention ran against the anonymous single-device pool).
+    /// Largest simulated device count any phase was placed onto.
     pub devices: usize,
     /// Modeled interconnect tokens charged for cross-device gathers (a
     /// sequence's shards produced on a non-home device).
@@ -159,60 +162,24 @@ pub struct ParallelExecStats {
 }
 
 impl ParallelExecStats {
-    /// Folds one parallel phase's balance report in.
-    pub fn absorb(&mut self, b: &BalanceStats) {
-        self.workers = self.workers.max(b.workers);
+    /// Folds one parallel phase in: worker-level balance, the per-device
+    /// ledger, and the phase's cross-device gather charge (which the shard
+    /// costs already include).
+    pub fn absorb(&mut self, p: &PlacedBalance, gather_tokens: u64) {
+        self.workers = self.workers.max(p.workers());
         self.phases += 1;
-        self.shards += b.shards;
-        self.stolen += b.stolen;
-        self.busy_ns_total += b.total_busy_ns();
-        self.busy_ns_critical += b.max_busy_ns();
-        self.busy_ns_capacity += b.workers as u64 * b.max_busy_ns();
-        self.cost_total += b.cost_total();
-        self.cost_critical += b.cost_critical();
-        // An anonymous-pool phase is a 1-device placement: fold it into the
-        // device ledger so device metrics stay meaningful on one device.
-        self.devices = self.devices.max(1);
-        self.device_cost_total += b.cost_total();
-        self.device_cost_critical += b.cost_total();
-        self.device_cost_capacity += b.cost_total();
-    }
-
-    /// Folds one *placed* parallel phase in: worker-level balance plus the
-    /// per-device ledger and the phase's cross-device gather charge.
-    pub fn absorb_placed(&mut self, p: &PlacedBalance, gather_tokens: u64) {
-        self.workers = self.workers.max(p.stats.workers);
-        self.phases += 1;
-        self.shards += p.stats.shards;
-        self.stolen += p.stats.stolen;
-        self.busy_ns_total += p.stats.total_busy_ns();
-        self.busy_ns_critical += p.stats.max_busy_ns();
-        self.busy_ns_capacity += p.stats.workers as u64 * p.stats.max_busy_ns();
-        self.cost_total += p.stats.cost_total();
-        self.cost_critical += p.stats.cost_critical();
+        self.shards += p.shards;
+        self.stolen += p.stolen;
+        self.busy_ns_total += p.total_busy_ns();
+        self.busy_ns_critical += p.max_busy_ns();
+        self.busy_ns_capacity += p.workers() as u64 * p.max_busy_ns();
+        self.cost_total += p.cost_total();
+        self.cost_critical += p.cost_critical();
         self.devices = self.devices.max(p.devices);
         self.interconnect_tokens += gather_tokens;
-        self.device_cost_total += p.device_cost_total();
+        self.device_cost_total += p.cost_total();
         self.device_cost_critical += p.device_cost_critical();
         self.device_cost_capacity += p.devices as u64 * p.device_cost_critical();
-    }
-
-    /// Merges another accumulator (e.g. per-step stats into a run total).
-    pub fn merge(&mut self, other: &ParallelExecStats) {
-        self.workers = self.workers.max(other.workers);
-        self.phases += other.phases;
-        self.shards += other.shards;
-        self.stolen += other.stolen;
-        self.busy_ns_total += other.busy_ns_total;
-        self.busy_ns_critical += other.busy_ns_critical;
-        self.busy_ns_capacity += other.busy_ns_capacity;
-        self.cost_total += other.cost_total;
-        self.cost_critical += other.cost_critical;
-        self.devices = self.devices.max(other.devices);
-        self.interconnect_tokens += other.interconnect_tokens;
-        self.device_cost_total += other.device_cost_total;
-        self.device_cost_critical += other.device_cost_critical;
-        self.device_cost_capacity += other.device_cost_capacity;
     }
 
     /// Measured mean worker utilization in `(0, 1]`: busy time divided by the
@@ -299,20 +266,38 @@ mod tests {
     #[test]
     fn add_decode_accumulates() {
         let mut s = EngineStats::default();
-        s.add_decode(
-            DecodeStats {
-                pages_visited: 4,
-                tokens_visited: 64,
-                pages_total: 10,
-            },
-            DecodeStats {
-                pages_visited: 2,
-                tokens_visited: 32,
-                pages_total: 10,
-            },
-        );
+        let dense = DecodeStats {
+            pages_visited: 4,
+            tokens_visited: 64,
+            pages_total: 10,
+        };
+        let streaming = DecodeStats {
+            pages_visited: 2,
+            tokens_visited: 32,
+            pages_total: 10,
+        };
+        s.add_decode(false, dense);
+        s.add_decode(true, streaming);
+        assert_eq!((s.decode_dense_pages, s.decode_streaming_pages), (4, 2));
         assert_eq!(s.decode_tokens_visited, 96);
         assert!((s.decode_sparsity() - 0.7).abs() < 1e-12);
+    }
+
+    /// A one-device phase: everything on device 0.
+    fn one_device(
+        busy_ns: Vec<u64>,
+        assigned_cost: Vec<u64>,
+        shards: u64,
+        stolen: u64,
+    ) -> PlacedBalance {
+        PlacedBalance {
+            devices: 1,
+            device_cost: vec![assigned_cost.iter().sum()],
+            shards,
+            stolen,
+            busy_ns,
+            assigned_cost,
+        }
     }
 
     #[test]
@@ -320,43 +305,38 @@ mod tests {
         let mut p = ParallelExecStats::default();
         assert_eq!(p.utilization(), 1.0);
         assert_eq!(p.modeled_speedup(), 1.0);
-        p.absorb(&BalanceStats {
-            workers: 4,
-            shards: 8,
-            stolen: 1,
-            busy_ns: vec![100, 100, 100, 100],
-            assigned_cost: vec![30, 30, 20, 20],
-        });
+        p.absorb(&one_device(vec![100; 4], vec![30, 30, 20, 20], 8, 1), 0);
         assert_eq!(p.phases, 1);
         assert_eq!(p.shards, 8);
         assert_eq!(p.cost_total, 100);
         assert_eq!(p.cost_critical, 30);
         assert!((p.modeled_speedup() - 100.0 / 30.0).abs() < 1e-12);
         assert!((p.utilization() - 1.0).abs() < 1e-12);
-        let mut q = ParallelExecStats::default();
-        q.merge(&p);
-        q.merge(&p);
-        assert_eq!(q.phases, 2);
-        assert_eq!(q.cost_total, 200);
-        assert!(q.imbalance() >= 1.0);
+        // One device is a balanced mesh of one: its ledger is the phase's cost.
+        assert_eq!(p.devices, 1);
+        assert_eq!(
+            (
+                p.device_cost_total,
+                p.device_cost_critical,
+                p.device_cost_capacity
+            ),
+            (100, 100, 100)
+        );
+        assert_eq!(p.device_imbalance(), 1.0);
     }
 
     #[test]
     fn absorb_placed_tracks_device_ledger_and_interconnect() {
         let mut p = ParallelExecStats::default();
         assert_eq!(p.device_imbalance(), 1.0);
-        p.absorb_placed(
+        p.absorb(
             &PlacedBalance {
                 devices: 2,
                 device_cost: vec![30, 10],
-                device_workers: vec![1, 1],
-                stats: BalanceStats {
-                    workers: 2,
-                    shards: 4,
-                    stolen: 0,
-                    busy_ns: vec![10, 10],
-                    assigned_cost: vec![30, 10],
-                },
+                shards: 4,
+                stolen: 0,
+                busy_ns: vec![10, 10],
+                assigned_cost: vec![30, 10],
             },
             8,
         );
@@ -366,21 +346,13 @@ mod tests {
         assert_eq!(p.device_cost_critical, 30);
         assert_eq!(p.device_cost_capacity, 60);
         assert!((p.device_imbalance() - 1.5).abs() < 1e-12);
-        // A plain absorb folds in as a balanced 1-device phase.
-        p.absorb(&BalanceStats {
-            workers: 1,
-            shards: 1,
-            stolen: 0,
-            busy_ns: vec![5],
-            assigned_cost: vec![20],
-        });
+        // A one-device phase folds in as a balanced mesh of one.
+        p.absorb(&one_device(vec![5], vec![20], 1, 0), 0);
+        assert_eq!(p.devices, 2);
+        assert_eq!(p.interconnect_tokens, 8);
         assert_eq!(p.device_cost_total, 60);
         assert_eq!(p.device_cost_critical, 50);
-        let mut q = ParallelExecStats::default();
-        q.merge(&p);
-        assert_eq!(q.devices, 2);
-        assert_eq!(q.interconnect_tokens, 8);
-        assert_eq!(q.device_cost_capacity, p.device_cost_capacity);
+        assert_eq!(p.device_cost_capacity, 80);
     }
 
     #[test]
@@ -389,20 +361,8 @@ mod tests {
         // utilization must be 1.0, not deflated by dividing the small phase by
         // the run-wide maximum worker count.
         let mut p = ParallelExecStats::default();
-        p.absorb(&BalanceStats {
-            workers: 2,
-            shards: 2,
-            stolen: 0,
-            busy_ns: vec![50, 50],
-            assigned_cost: vec![5, 5],
-        });
-        p.absorb(&BalanceStats {
-            workers: 8,
-            shards: 8,
-            stolen: 0,
-            busy_ns: vec![100; 8],
-            assigned_cost: vec![10; 8],
-        });
+        p.absorb(&one_device(vec![50; 2], vec![5; 2], 2, 0), 0);
+        p.absorb(&one_device(vec![100; 8], vec![10; 8], 8, 0), 0);
         assert_eq!(p.workers, 8);
         assert_eq!(p.busy_ns_capacity, 2 * 50 + 8 * 100);
         assert!((p.utilization() - 1.0).abs() < 1e-12);
