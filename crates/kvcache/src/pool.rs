@@ -286,10 +286,11 @@ impl PagePool {
     /// Mutable access to a live page.
     ///
     /// Writing into a page whose transfer is in flight is a hazard (the DMA
-    /// would race the write), so an outbound transfer is aborted and an
-    /// inbound one force-completed (charged as unhidden stall) first. In
-    /// practice appends only target the hot tail page; this is the safety
-    /// net, not a hot path.
+    /// would race the write), so a demotion is aborted and every other
+    /// transfer — an inbound one, or a spill, whose host slot is no longer
+    /// the page's to return to — force-completed (charged as unhidden stall)
+    /// first. In practice appends only target the hot tail page; this is the
+    /// safety net, not a hot path.
     ///
     /// # Panics
     ///
@@ -298,7 +299,7 @@ impl PagePool {
     pub fn page_mut(&mut self, id: PageId) -> &mut KvPage {
         let in_flight = self.residency.get(id.index()).and_then(|r| r.in_flight());
         if let Some((hop, dir)) = in_flight {
-            self.resolve_transfer(hop, dir, id);
+            self.settle_for_write(hop, dir, id);
         }
         self.pages[id.index()]
             .as_mut()

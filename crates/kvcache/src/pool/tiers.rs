@@ -327,13 +327,16 @@ impl PagePool {
         }
     }
 
-    /// Takes `id` off the copy engine, whichever way it was going: an
-    /// outbound transfer is aborted (its source copy is still whole), an
-    /// inbound one forced to completion.
-    pub(super) fn resolve_transfer(&mut self, hop: Hop, dir: MigrationDir, id: PageId) {
-        match dir {
-            ToCold => self.cancel(hop, dir, id),
-            ToHot => self.force(hop, dir, id),
+    /// Takes `id` off the copy engine ahead of a write into it (the DMA would
+    /// race the write). A demotion is aborted: the page's hot slot is still
+    /// its own and the device copy whole. Every other transfer is forced: an
+    /// inbound page has to arrive, and a spill gave its host slot up at issue
+    /// — by now another page may hold it, so the page cannot go back and the
+    /// write lands on the nvme copy.
+    pub(super) fn settle_for_write(&mut self, hop: Hop, dir: MigrationDir, id: PageId) {
+        match (hop, dir) {
+            (Hop::Host, ToCold) => self.cancel(hop, dir, id),
+            _ => self.force(hop, dir, id),
         }
     }
 
@@ -620,7 +623,10 @@ impl PagePool {
                 }
                 match start {
                     Residency::Nvme => issued += self.issue(Hop::Nvme, ToHot, id, Cause::Stalled),
-                    Residency::MigratingNvme(dir) => self.resolve_transfer(Hop::Nvme, dir, id),
+                    // The page is on its way up: its slot on the host is
+                    // about to be handed back whichever way it was going.
+                    Residency::MigratingNvme(ToCold) => self.cancel(Hop::Nvme, ToCold, id),
+                    Residency::MigratingNvme(ToHot) => self.force(Hop::Nvme, ToHot, id),
                     _ => {}
                 }
                 issued += self.issue(Hop::Host, ToHot, id, Cause::Policy);
@@ -875,5 +881,40 @@ mod tests {
         assert!(p.prefetch(id), "a second guess is a second journey");
         assert_eq!(p.ensure_hot(id).map(|(issued, _)| issued), Some(4));
         assert_eq!(prefetch_ledger(p.migration_stats()), (2, 1, 1));
+    }
+
+    /// A spill gives its host slot up when it is issued. A write into the
+    /// spilling page cannot take the slot back — someone else may hold it by
+    /// now — so the spill is forced, and the write lands on the nvme copy.
+    #[test]
+    fn a_write_into_a_spilling_page_does_not_overdraw_the_host() {
+        let paging = PagingConfig::new(4, 2, KvPrecision::Fp16);
+        let tiers = TierConfig {
+            host_pages: 4,
+            nvme: true,
+        };
+        let mut p = PagePool::new_with_tiers(paging, 8, 4, MigrationMode::Async, tiers);
+        let ids: Vec<PageId> = (0..5).map(|_| p.allocate().unwrap()).collect();
+        for &id in &ids[..4] {
+            p.demote(id).unwrap();
+        }
+        p.advance_transfer_units(4);
+        assert_eq!(p.host_used(), 4, "the host is full");
+        p.spill(ids[0]).unwrap();
+        p.demote(ids[4]).unwrap();
+        assert_eq!(
+            p.host_used(),
+            4,
+            "the demotion took the slot the spill released"
+        );
+        let unhidden = p.migration_stats().unhidden_token_units;
+        p.page_mut(ids[0]);
+        assert_eq!(p.host_used(), 4, "a bounded host stays within its bound");
+        assert_eq!(p.residency(ids[0]), Residency::Nvme);
+        assert_eq!(
+            p.migration_stats().unhidden_token_units - unhidden,
+            nvme_ledger_units(4),
+            "forced like any other completion: what had not drained is stall"
+        );
     }
 }
