@@ -240,7 +240,7 @@ mod tests {
         let k = g.matrix(20, 4, 1.0);
         let v = g.matrix(20, 4, 1.0);
         fill_dense(&mut pool, &mut cache, &k, &v);
-        let q: Vec<f32> = g.matrix(1, 4, 1.0).into_vec();
+        let q: Vec<f32> = g.matrix(1, 4, 1.0).as_slice().to_vec();
         let (a, _) = decode_dense_head(&pool, &cache, &q, 0.5, Some(&[0, 2, 4]));
         let (b, _) = decode_dense_head(&pool, &cache, &q, 0.5, Some(&[4, 0, 2]));
         for (x, y) in a.iter().zip(&b) {

@@ -33,14 +33,6 @@ impl PrefillStats {
         }
         1.0 - self.tiles_visited as f64 / self.tiles_total_causal as f64
     }
-
-    /// Theoretical speedup `1/(1-r)` over the dense kernel (§3.1).
-    pub fn theoretical_speedup(&self) -> f64 {
-        if self.tiles_visited == 0 {
-            return f64::INFINITY;
-        }
-        self.tiles_total_causal as f64 / self.tiles_visited as f64
-    }
 }
 
 /// One head's keys regrouped for the block routine: K tile by K tile, each tile
@@ -272,8 +264,9 @@ mod tests {
             tiles_visited: 10,
             tiles_total_causal: 21,
         };
-        assert!((s.theoretical_speedup() - 2.1).abs() < 1e-12);
         assert!((s.sparsity() - (1.0 - 10.0 / 21.0)).abs() < 1e-12);
+        // §3.1: skipping a fraction r of the tiles is a 1/(1-r) speedup.
+        assert!((1.0 / (1.0 - s.sparsity()) - 2.1).abs() < 1e-12);
     }
 
     #[test]

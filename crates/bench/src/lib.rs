@@ -42,11 +42,6 @@ pub fn ms(seconds: f64) -> String {
     format!("{:.2}", seconds * 1e3)
 }
 
-/// Formats seconds as whole seconds with one decimal.
-pub fn secs(seconds: f64) -> String {
-    format!("{seconds:.1}")
-}
-
 /// Formats a ratio like `1.67x`.
 pub fn ratio(r: f64) -> String {
     format!("{r:.2}x")

@@ -239,14 +239,6 @@ impl EngineConfig {
         }
     }
 
-    /// Quest with a coarser flat page size, the Figure 6 failure configuration.
-    pub fn quest_like_paged(page: usize, budget: usize) -> Self {
-        Self {
-            paging: PagingConfig::flat(page, KvPrecision::Fp16),
-            ..Self::quest_like(budget)
-        }
-    }
-
     /// DuoAttention-like: static sparsity only (50% streaming heads), FP16, dense
     /// retrieval heads.
     pub fn duo_like() -> Self {

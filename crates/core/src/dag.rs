@@ -477,11 +477,6 @@ impl DagStore {
         })
     }
 
-    /// True if `id` belongs to any fork group.
-    pub fn is_branch(&self, id: u64) -> bool {
-        self.membership.contains_key(&id)
-    }
-
     /// Aggregate counters.
     pub fn stats(&self) -> DagStats {
         self.stats

@@ -86,14 +86,8 @@ impl EngineStats {
         self.unhidden_token_units += demoted.unhidden + promoted.unhidden;
     }
 
-    /// Modeled transfer work of this sequence's tier migrations, in
-    /// forward-pass token-equivalents.
-    pub fn migration_work_tokens(&self) -> u64 {
-        lserve_kvcache::transfer_cost_tokens(self.migrated_token_units)
-    }
-
-    /// The stalled part of [`EngineStats::migration_work_tokens`]: transfer
-    /// work this sequence waited for rather than overlapped.
+    /// Modeled transfer work this sequence waited for rather than overlapped,
+    /// in forward-pass token-equivalents.
     pub fn migration_stall_tokens(&self) -> u64 {
         lserve_kvcache::transfer_cost_tokens(self.unhidden_token_units)
     }

@@ -14,7 +14,7 @@
 ///
 /// let cfg = ModelConfig::llama3_8b();
 /// assert_eq!(cfg.gqa_group_size(), 4); // 32 query heads over 8 KV heads
-/// assert!(ModelConfig::llama2_7b().is_mha());
+/// assert_eq!(ModelConfig::llama2_7b().gqa_group_size(), 1); // MHA: no KV sharing
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
@@ -136,11 +136,6 @@ impl ModelConfig {
         self.num_q_heads / self.num_kv_heads
     }
 
-    /// True for multi-head attention (no KV sharing).
-    pub fn is_mha(&self) -> bool {
-        self.num_q_heads == self.num_kv_heads
-    }
-
     /// Width of the concatenated query projection (`H·D`).
     pub fn q_width(&self) -> usize {
         self.num_q_heads * self.head_dim
@@ -149,11 +144,6 @@ impl ModelConfig {
     /// Width of the concatenated key/value projections (`Ĥ·D`).
     pub fn kv_width(&self) -> usize {
         self.num_kv_heads * self.head_dim
-    }
-
-    /// Bytes of FP16 KV cache per token across all layers (`2 · L · Ĥ · D · 2`).
-    pub fn kv_bytes_per_token_fp16(&self) -> f64 {
-        2.0 * self.num_layers as f64 * self.kv_width() as f64 * 2.0
     }
 
     /// Approximate parameter count (embeddings + per-layer projections + FFN).
@@ -176,7 +166,6 @@ mod tests {
         assert_eq!(c.q_width(), 4096);
         assert_eq!(c.kv_width(), 1024);
         assert_eq!(c.gqa_group_size(), 4);
-        assert!(!c.is_mha());
         // ~8B params within a factor.
         assert!(c.approx_params() > 6e9 && c.approx_params() < 10e9);
     }
@@ -184,7 +173,7 @@ mod tests {
     #[test]
     fn llama2_is_mha() {
         let c = ModelConfig::llama2_7b();
-        assert!(c.is_mha());
+        assert_eq!(c.num_q_heads, c.num_kv_heads);
         assert_eq!(c.gqa_group_size(), 1);
         assert!(c.approx_params() > 5e9 && c.approx_params() < 8e9);
     }
@@ -198,9 +187,9 @@ mod tests {
 
     #[test]
     fn kv_bytes_per_token_llama3() {
-        // 2 (K,V) * 32 layers * 1024 width * 2 bytes = 128 KiB/token.
+        // 2 (K,V) * 32 layers * 1024 width * 2 bytes = 128 KiB/token at FP16.
         let c = ModelConfig::llama3_8b();
-        assert_eq!(c.kv_bytes_per_token_fp16(), 131072.0);
+        assert_eq!(2 * c.num_layers * c.kv_width() * 2, 128 * 1024);
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its flat row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrow of row `r`.
     ///
     /// # Panics

@@ -192,16 +192,6 @@ pub mod online_softmax {
             self.sum == 0.0
         }
 
-        /// The current normalizer `sum(exp(score - max))`.
-        pub fn normalizer(&self) -> f32 {
-            self.sum
-        }
-
-        /// The running max score.
-        pub fn max_score(&self) -> f32 {
-            self.max
-        }
-
         /// Finalizes into the softmax-weighted mean of the folded values.
         ///
         /// Returns all-zeros if nothing was folded in (fully masked row).

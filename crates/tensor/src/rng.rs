@@ -92,11 +92,6 @@ impl SeededGaussian {
         (r * theta.cos()) as f32
     }
 
-    /// Draws a sample with the given mean and standard deviation.
-    pub fn sample_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.sample()
-    }
-
     /// Fills a slice with `N(0, std^2)` samples.
     pub fn fill(&mut self, xs: &mut [f32], std: f32) {
         for x in xs.iter_mut() {

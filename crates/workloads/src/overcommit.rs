@@ -100,16 +100,6 @@ impl OvercommitConfig {
     pub fn max_prompt_len(&self) -> usize {
         self.prompt_len(self.requests_per_burst.saturating_sub(1))
     }
-
-    /// Total KV-bearing tokens (prompts plus generations) live if every
-    /// request ran at once — the aggregate demand a hot tier must be sized
-    /// *below* for the workload to actually overcommit.
-    pub fn aggregate_demand_tokens(&self) -> usize {
-        (0..self.requests_per_burst)
-            .map(|i| self.prompt_len(i) + self.max_new_tokens)
-            .sum::<usize>()
-            * self.bursts
-    }
 }
 
 /// Generates the overcommit workload: `bursts × requests_per_burst` prompts in
@@ -205,8 +195,13 @@ mod tests {
     #[test]
     fn aggregate_demand_exceeds_any_single_request() {
         let cfg = OvercommitConfig::small();
+        // KV-bearing tokens live if every request ran at once.
+        let aggregate: usize = overcommit_workload(&cfg)
+            .iter()
+            .map(|r| r.prompt.len() + cfg.max_new_tokens)
+            .sum();
         assert!(
-            cfg.aggregate_demand_tokens() > 4 * (cfg.max_prompt_len() + cfg.max_new_tokens),
+            aggregate > 4 * (cfg.max_prompt_len() + cfg.max_new_tokens),
             "the workload must be able to oversubscribe a single-sequence tier"
         );
     }

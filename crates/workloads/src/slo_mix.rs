@@ -73,11 +73,6 @@ impl SloMixConfig {
     pub fn total_requests(&self) -> usize {
         self.waves * (self.batch_per_wave + self.interactive_per_wave)
     }
-
-    /// Interactive requests across all waves.
-    pub fn total_interactive(&self) -> usize {
-        self.waves * self.interactive_per_wave
-    }
 }
 
 /// Generates the SLO-mix workload in arrival order, wave-major: each wave's
@@ -95,7 +90,7 @@ impl SloMixConfig {
 /// assert_eq!(reqs.len(), cfg.total_requests());
 /// assert_eq!(
 ///     reqs.iter().filter(|r| r.interactive).count(),
-///     cfg.total_interactive()
+///     cfg.waves * cfg.interactive_per_wave
 /// );
 /// // Wave structure: batch prompts open each wave.
 /// assert!(!reqs[0].interactive);
