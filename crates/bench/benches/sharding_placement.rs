@@ -178,6 +178,10 @@ fn run_cluster(weights: &Arc<ModelWeights>, affinity_tokens: usize) -> (ServingR
     let report = report.expect("at least one round");
     assert_eq!(report.completed(), wl.total_requests());
     let stats = cluster.router_stats();
+    assert!(
+        affinity_tokens == 0 || stats.affinity_hits > 0,
+        "affinity routing must route follow-ups to their family's replica"
+    );
     let section = Json::obj([
         ("affinity_tokens", Json::from(affinity_tokens)),
         ("routed", Json::from(stats.routed)),
@@ -216,6 +220,11 @@ fn bench_sharding_placement(c: &mut Criterion) {
     assert_eq!(
         rr.completed, sa.completed,
         "placement policy is an accounting change: outputs must not move"
+    );
+    assert_eq!(sa.parallel.devices, DEVICES);
+    assert!(
+        sa.parallel.interconnect_tokens > 0,
+        "a 4-device batch must charge cross-device gathers"
     );
     let sa_imb = sa.parallel.device_imbalance();
     let rr_imb = rr.parallel.device_imbalance();
