@@ -242,9 +242,10 @@ pub fn run_placed<T: Send, F: Fn(&mut T) + Sync>(
                 })
             })
             .collect();
-        let join =
-            |h: thread::ScopedJoinHandle<'_, u64>| h.join().expect("attention worker panicked");
-        handles.into_iter().map(join).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("attention worker panicked"))
+            .collect()
     });
     balance.stolen = stolen.into_inner();
     balance.assigned_cost = queues

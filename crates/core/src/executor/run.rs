@@ -362,7 +362,6 @@ pub(crate) type Run<'a> = (&'a mut SequenceState, &'a [u32]);
 /// then KV head), plus the scratch their placement needs: allocated once per
 /// call beside the [`RowPlan`]s and refilled every round.
 struct ShardTable {
-    devices: usize,
     /// Batch entry of each shard.
     seq: Vec<usize>,
     /// KV head of each shard.
@@ -382,7 +381,6 @@ struct ShardTable {
 impl ShardTable {
     fn new(entries: usize, devices: usize, kv_heads: usize) -> Self {
         Self {
-            devices,
             seq: Vec::new(),
             kv: Vec::new(),
             cost: Vec::new(),
@@ -422,7 +420,7 @@ impl ShardTable {
     /// shard (the gather delays it) and into the interconnect ledger. On one
     /// device every shard is at home.
     fn place(&mut self, plan: &mut ShardingPlan, l: usize) -> u64 {
-        let devices = self.devices;
+        let devices = plan.devices();
         let gather = plan.topology().gather_cost_tokens();
         let assign = plan.layer_assignment(l, &self.head_costs);
         for s in 0..self.cost.len() {
@@ -470,10 +468,10 @@ impl ShardTable {
         if !tracer.is_enabled() {
             return;
         }
-        let mesh = self.devices > 1;
+        let mesh = placed.devices > 1;
         tracer.advance(placed.cost_critical());
         let mut args = vec![("layer", l as u64), ("shards", placed.shards)];
-        args.extend(mesh.then_some(("devices", self.devices as u64)));
+        args.extend(mesh.then_some(("devices", placed.devices as u64)));
         tracer.span(
             "decode.attention",
             "executor",
@@ -482,7 +480,7 @@ impl ShardTable {
             par_start,
             &args,
         );
-        let queues = placed_queues(threads, self.devices, &self.device, &self.cost);
+        let queues = placed_queues(threads, placed.devices, &self.device, &self.cost);
         for (dev, workers) in queues.iter().enumerate() {
             for (w, queue) in workers.iter().enumerate() {
                 let mut cursor = par_start;
