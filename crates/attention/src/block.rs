@@ -16,6 +16,10 @@
 
 use lserve_kvcache::KEY_LANES;
 
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+use crate::exp::Avx2Fma;
+use crate::exp::{LaneExp, Libm};
+
 /// A block of `n` keys and values.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct KvBlock<'a> {
@@ -59,14 +63,55 @@ pub(crate) fn fold_block(
     rows: &mut [RowState],
     acc: &mut [f32],
 ) {
+    // One body, compiled twice. The AVX2+FMA copy differs only in its lane
+    // `exp`, which has libm's bits (`exp.rs`); Rust never contracts
+    // `a * b + c` into an FMA, so the rest of the body keeps its bits too.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    if let Some(exp) = Avx2Fma::detect() {
+        // SAFETY: `detect` returned `exp`, so the host has AVX2 and FMA.
+        return unsafe { fold_block_avx2(exp, d, q, scale, block, causal, rows, acc) };
+    }
+    fold_block_with(Libm, d, q, scale, block, causal, rows, acc);
+}
+
+/// [`fold_block`] compiled for AVX2 and FMA.
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+fn fold_block_avx2(
+    exp: Avx2Fma,
+    d: usize,
+    q: &[f32],
+    scale: f32,
+    block: KvBlock<'_>,
+    causal: Option<(usize, usize)>,
+    rows: &mut [RowState],
+    acc: &mut [f32],
+) {
+    fold_block_with(exp, d, q, scale, block, causal, rows, acc);
+}
+
+/// [`fold_block`] with `exp` as its lane `exp`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn fold_block_with(
+    exp: impl LaneExp,
+    d: usize,
+    q: &[f32],
+    scale: f32,
+    block: KvBlock<'_>,
+    causal: Option<(usize, usize)>,
+    rows: &mut [RowState],
+    acc: &mut [f32],
+) {
     // The head dimensions of the models this repo runs get an instantiation
     // with `D` known (loops unroll, a row's sums stay in registers); any other
     // dimension runs the same body with `D` read at run time.
     match d {
-        32 => fold_block_d::<32>(d, q, scale, block, causal, rows, acc),
-        64 => fold_block_d::<64>(d, q, scale, block, causal, rows, acc),
-        128 => fold_block_d::<128>(d, q, scale, block, causal, rows, acc),
-        _ => fold_block_d::<0>(d, q, scale, block, causal, rows, acc),
+        32 => fold_block_d::<32>(exp, d, q, scale, block, causal, rows, acc),
+        64 => fold_block_d::<64>(exp, d, q, scale, block, causal, rows, acc),
+        128 => fold_block_d::<128>(exp, d, q, scale, block, causal, rows, acc),
+        _ => fold_block_d::<0>(exp, d, q, scale, block, causal, rows, acc),
     }
 }
 
@@ -90,6 +135,7 @@ fn scores<const R: usize>(q: [&[f32]; R], group: &[f32]) -> [[f32; KEY_LANES]; R
 /// `d`-long value rows leading `values` — into one row's state and sums.
 #[inline(always)]
 fn fold_row<const D: usize>(
+    exp: impl LaneExp,
     s: &[f32; KEY_LANES],
     lanes: usize,
     scale: f32,
@@ -97,14 +143,20 @@ fn fold_row<const D: usize>(
     state: &mut RowState,
     acc: &mut [f32],
 ) {
-    // The max/normalizer recurrence, key by key: the only part with calls
-    // (`exp`), kept apart so the sums below stay in registers.
+    // The max/normalizer recurrence in three passes over the lane group, each
+    // key by key: the same operations on the same operands, in the same
+    // order, as one key at a time. The exps get a pass of their own (one lane
+    // `exp` for all of them) and no call interrupts the sums of the last.
+    // First the running max: each folded key's weight argument, and where the
+    // max rose from a finite value, its correction argument (from `-inf` the
+    // correction stays 0).
     let mut folds = Folds {
         folded: 0,
         rescaled: 0,
         weight: [0.0; KEY_LANES],
         correction: [0.0; KEY_LANES],
     };
+    let mut corrections = 0u32;
     let RowState { mut max, mut sum } = *state;
     for (lane, &s) in s[..lanes].iter().enumerate() {
         let score = s * scale;
@@ -112,29 +164,34 @@ fn fold_row<const D: usize>(
             continue; // fully masked entry contributes nothing
         }
         if score > max {
-            let correction = if max == f32::NEG_INFINITY {
-                0.0
-            } else {
-                (max - score).exp()
-            };
-            sum *= correction;
+            if max != f32::NEG_INFINITY {
+                folds.correction[lane] = max - score;
+                corrections |= 1 << lane;
+            }
             max = score;
-            folds.correction[lane] = correction;
             folds.rescaled |= 1 << lane;
         }
-        folds.weight[lane] = (score - max).exp();
-        sum += folds.weight[lane];
+        folds.weight[lane] = score - max;
         folds.folded |= 1 << lane;
     }
-    *state = RowState { max, sum };
+    // Then the exps: every weight lane at once (an unfolded lane's argument
+    // is 0 and its weight unused), the rare corrections one by one.
+    exp.exp(&mut folds.weight);
+    while corrections != 0 {
+        let lane = corrections.trailing_zeros() as usize;
+        folds.correction[lane] = folds.correction[lane].exp();
+        corrections &= corrections - 1;
+    }
+    // Then the normalizer and the weighted value sums, key by key.
     if D == 0 {
-        folds.apply(values, acc);
+        folds.apply(values, &mut sum, acc);
     } else {
         let mut sums = [0.0f32; D];
         sums.copy_from_slice(acc);
-        folds.apply(values, &mut sums);
+        folds.apply(values, &mut sum, &mut sums);
         acc.copy_from_slice(&sums);
     }
+    *state = RowState { max, sum };
 }
 
 /// What the recurrence decided for the keys of one lane group.
@@ -148,18 +205,20 @@ struct Folds {
 }
 
 impl Folds {
-    /// The weighted value sums, in key order.
+    /// The normalizer `sum` and the weighted value sums, in key order.
     #[inline(always)]
-    fn apply(&self, values: &[f32], acc: &mut [f32]) {
+    fn apply(&self, values: &[f32], sum: &mut f32, acc: &mut [f32]) {
         for (lane, value) in values.chunks_exact(acc.len()).enumerate() {
             if self.folded & (1 << lane) == 0 {
                 continue;
             }
             if self.rescaled & (1 << lane) != 0 {
+                *sum *= self.correction[lane];
                 for a in acc.iter_mut() {
                     *a *= self.correction[lane];
                 }
             }
+            *sum += self.weight[lane];
             for (a, &v) in acc.iter_mut().zip(value) {
                 *a += self.weight[lane] * v;
             }
@@ -169,7 +228,9 @@ impl Folds {
 
 /// [`fold_block`] for head dimension `D`, or `d` when `D` is 0.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn fold_block_d<const D: usize>(
+    exp: impl LaneExp,
     d: usize,
     q: &[f32],
     scale: f32,
@@ -211,12 +272,12 @@ fn fold_block_d<const D: usize>(
                 [state0, state1] if visible(r + 1) > 0 => {
                     let ((q0, q1), (acc0, acc1)) = (q.split_at(d), acc.split_at_mut(d));
                     let [s0, s1] = scores([q0, q1], group);
-                    fold_row::<D>(&s0, visible(r), scale, values, state0, acc0);
-                    fold_row::<D>(&s1, visible(r + 1), scale, values, state1, acc1);
+                    fold_row::<D>(exp, &s0, visible(r), scale, values, state0, acc0);
+                    fold_row::<D>(exp, &s1, visible(r + 1), scale, values, state1, acc1);
                 }
                 [state0] if visible(r) > 0 => {
                     let [s0] = scores([q], group);
-                    fold_row::<D>(&s0, visible(r), scale, values, state0, acc);
+                    fold_row::<D>(exp, &s0, visible(r), scale, values, state0, acc);
                 }
                 _ => {}
             }
@@ -247,6 +308,7 @@ mod tests {
     use lserve_tensor::{Matrix, SeededGaussian};
 
     use crate::decode::{decode_dense_group, decode_streaming_group};
+    use crate::exp::each_copy;
     use crate::pattern::{BlockPattern, DensePattern, MaskPattern, StreamingPattern};
     use crate::prefill::prefill_attention;
     use crate::reference::scalar;
@@ -288,31 +350,34 @@ mod tests {
             let scale = 1.0 / (d as f32).sqrt();
             // Full history, then a permuted subset led by the partial last page.
             for selection in [None, Some(&[2usize, 0][..])] {
-                let mut out = vec![f32::NAN; group * d];
-                let stats = decode_dense_group(
-                    &pool,
-                    &cache,
-                    d,
-                    queries.as_slice(),
-                    scale,
-                    selection,
-                    &mut out,
-                );
-                let visited = match selection {
-                    None => tokens,
-                    Some(_) => tokens - 64,
-                };
-                assert_eq!(stats.tokens_visited, (group * visited) as u64);
-                assert_eq!(stats.pages_total, (group * 3) as u64);
-                for r in 0..group {
-                    let want =
-                        scalar::decode_dense_head(&pool, &cache, queries.row(r), scale, selection);
-                    assert_eq!(
-                        bits(&out[r * d..(r + 1) * d]),
-                        bits(&want),
-                        "d {d} tokens {tokens} {precision:?} group {group} row {r} {selection:?}"
+                let want: Vec<f32> = (0..group)
+                    .flat_map(|r| {
+                        scalar::decode_dense_head(&pool, &cache, queries.row(r), scale, selection)
+                    })
+                    .collect();
+                each_copy(|copy| {
+                    let mut out = vec![f32::NAN; group * d];
+                    let stats = decode_dense_group(
+                        &pool,
+                        &cache,
+                        d,
+                        queries.as_slice(),
+                        scale,
+                        selection,
+                        &mut out,
                     );
-                }
+                    let visited = match selection {
+                        None => tokens,
+                        Some(_) => tokens - 64,
+                    };
+                    assert_eq!(stats.tokens_visited, (group * visited) as u64);
+                    assert_eq!(stats.pages_total, (group * 3) as u64);
+                    assert_eq!(
+                        bits(&out),
+                        bits(&want),
+                        "{copy}: d {d} tokens {tokens} {precision:?} group {group} {selection:?}"
+                    );
+                });
             }
         }
     }
@@ -330,18 +395,20 @@ mod tests {
             }
             let queries = g.matrix(group, d, 1.0);
             let scale = 1.0 / (d as f32).sqrt();
-            let mut out = vec![f32::NAN; group * d];
-            let stats =
-                decode_streaming_group(&pool, &cache, d, queries.as_slice(), scale, &mut out);
-            assert!(stats.pages_visited <= (group * 3) as u64);
-            for r in 0..group {
-                let want = scalar::decode_streaming_head(&pool, &cache, queries.row(r), scale);
+            let want: Vec<f32> = (0..group)
+                .flat_map(|r| scalar::decode_streaming_head(&pool, &cache, queries.row(r), scale))
+                .collect();
+            each_copy(|copy| {
+                let mut out = vec![f32::NAN; group * d];
+                let stats =
+                    decode_streaming_group(&pool, &cache, d, queries.as_slice(), scale, &mut out);
+                assert!(stats.pages_visited <= (group * 3) as u64);
                 assert_eq!(
-                    bits(&out[r * d..(r + 1) * d]),
+                    bits(&out),
                     bits(&want),
-                    "d {d} tokens {tokens} {precision:?} group {group} row {r}"
+                    "{copy}: d {d} tokens {tokens} {precision:?} group {group}"
                 );
-            }
+            });
         }
     }
 
@@ -364,13 +431,15 @@ mod tests {
                         ("mask", &mask),
                     ];
                     for (name, pattern) in patterns {
-                        let (got, _) = prefill_attention(&q, &k, &v, 0.3, tile, tile, pattern);
                         let want = scalar::prefill_attention(&q, &k, &v, 0.3, tile, tile, pattern);
-                        assert_eq!(
-                            bits(got.as_slice()),
-                            bits(want.as_slice()),
-                            "d {d} n {n} tile {tile} {name}"
-                        );
+                        each_copy(|copy| {
+                            let (got, _) = prefill_attention(&q, &k, &v, 0.3, tile, tile, pattern);
+                            assert_eq!(
+                                bits(got.as_slice()),
+                                bits(want.as_slice()),
+                                "{copy}: d {d} n {n} tile {tile} {name}"
+                            );
+                        });
                     }
                 }
             }
@@ -388,13 +457,15 @@ mod tests {
             g.matrix(50, 8, 1.0),
         );
         for (tq, tk) in [(4usize, 16usize), (16, 4), (8, 20)] {
-            let (got, _) = prefill_attention(&q, &k, &v, 0.5, tq, tk, &DensePattern);
             let want = scalar::prefill_attention(&q, &k, &v, 0.5, tq, tk, &DensePattern);
-            assert_eq!(
-                bits(got.as_slice()),
-                bits(want.as_slice()),
-                "tq {tq} tk {tk}"
-            );
+            each_copy(|copy| {
+                let (got, _) = prefill_attention(&q, &k, &v, 0.5, tq, tk, &DensePattern);
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(want.as_slice()),
+                    "{copy}: tq {tq} tk {tk}"
+                );
+            });
         }
     }
 }
