@@ -642,15 +642,7 @@ impl PagePool {
         if now || start != Residency::Migrating(ToHot) {
             self.touch_prefetched(idx);
         }
-        // Kept from the code this replaced, where each starting state had a
-        // copy of its own: a demand fetch from the host reports its own
-        // transfer only, one from below also what it forced on its way up
-        // (a reclaimed slot's demotion, a full queue's oldest entry).
-        let unhidden = match start {
-            Residency::Cold if now => issued,
-            _ => self.mig.unhidden_token_units - stalled_before,
-        };
-        Some((issued, unhidden))
+        Some((issued, self.mig.unhidden_token_units - stalled_before))
     }
 
     /// Brings a page back to the hot tier so kernels may read it again,
@@ -681,6 +673,10 @@ impl PagePool {
     /// * a page below the hot tier issues its promotion and waits for all of
     ///   it (a demand fetch hides nothing), which under
     ///   [`MigrationMode::Sync`] is what every promotion does.
+    ///
+    /// From every start, `unhidden` is all the call booked unhidden: what it
+    /// forced on its way up (a reclaimed slot's demotion, a full queue's
+    /// oldest entry) is stall the caller waited for too.
     ///
     /// # Panics
     ///

@@ -10,12 +10,17 @@
 //! pool produced them *before* its residency code was rewritten as one state
 //! machine: a change that only regroups that code reproduces them, and a
 //! change that moves one has changed what some call returns or books — say
-//! which, and why, in the commit that edits the row. (Fifteen rows are still
-//! that pool's. The three Async-over-nvme rows were regenerated twice: by the
-//! fix that made the prefetch ledger below hold on the nvme hop, and by the
-//! fix that made `page_mut` on a spilling page force the spill, so that the
-//! host bound below holds without exception. Under Sync a spill lands inside
-//! its issue, and without nvme nothing spills: no other row can see either.)
+//! which, and why, in the commit that edits the row. (The nine Sync rows are
+//! still that pool's. The three Async-over-nvme rows were regenerated twice
+//! before: by the fix that made the prefetch ledger below hold on the nvme
+//! hop, and by the fix that made `page_mut` on a spilling page force the
+//! spill, so that the host bound below holds without exception. Under Sync a
+//! spill lands inside its issue, and without nvme nothing spills: no other row
+//! could see either. Then all nine Async rows moved with the fix that made
+//! `ensure_hot` from the host return everything it booked unhidden, as from
+//! every other start: only the async copy engine has an outbound transfer to
+//! force for a hot slot, or a queue to force its oldest entry out of, so under
+//! Sync a promotion's unhidden units were already its own.)
 //!
 //! The same loop audits the pool through its public API only. The audit is
 //! ROADMAP item 5a's invariant list in executable form, written so that a
@@ -74,15 +79,15 @@ const TRANSCRIPT: [u64; 18] = [
     0xf2ce7430f7765e45, // Sync, host 4 over nvme, seed 1
     0x8b9d9486270661e4, // Sync, host 4 over nvme, seed 2
     0xe4edfc2ea9d282be, // Sync, host 4 over nvme, seed 3
-    0x40447b3f2c6ea56d, // Async, unbounded host, seed 1
-    0x67ce394a65dbc3a5, // Async, unbounded host, seed 2
-    0x55b1db35be9a5cf2, // Async, unbounded host, seed 3
-    0xfb03acbb41f3b0aa, // Async, host 4, seed 1
-    0x9610317947153a71, // Async, host 4, seed 2
-    0xa37847e1c3911c3b, // Async, host 4, seed 3
-    0x89df46a872e02148, // Async, host 4 over nvme, seed 1 (prefetch ledger fix, page_mut fix)
-    0x03f0e06b296be155, // Async, host 4 over nvme, seed 2 (prefetch ledger fix, page_mut fix)
-    0x3e93c5d397ead6b5, // Async, host 4 over nvme, seed 3 (prefetch ledger fix, page_mut fix)
+    0xed999408cfd91951, // Async, unbounded host, seed 1 (ensure_hot fix)
+    0x688191af10dbd643, // Async, unbounded host, seed 2 (ensure_hot fix)
+    0xab5ba1f1233445de, // Async, unbounded host, seed 3 (ensure_hot fix)
+    0xfafade2b8aa6209e, // Async, host 4, seed 1 (ensure_hot fix)
+    0x15b910f2e8ddd8c9, // Async, host 4, seed 2 (ensure_hot fix)
+    0x60a042ca5968f9ff, // Async, host 4, seed 3 (ensure_hot fix)
+    0x4a23e5ebb04d8fd4, // Async, host 4 over nvme, seed 1 (prefetch ledger, page_mut, ensure_hot fixes)
+    0x3dc112397cd394bb, // Async, host 4 over nvme, seed 2 (prefetch ledger, page_mut, ensure_hot fixes)
+    0x99e22cfd79c9b4c1, // Async, host 4 over nvme, seed 3 (prefetch ledger, page_mut, ensure_hot fixes)
 ];
 
 fn configurations() -> impl Iterator<Item = (MigrationMode, TierConfig, u64)> {
