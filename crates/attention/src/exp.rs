@@ -32,26 +32,6 @@ impl LaneExp for Libm {
 #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
 pub(crate) use avx2::Avx2Fma;
 
-#[cfg(test)]
-thread_local! {
-    /// Set while [`each_copy`] runs the baseline copy, so that
-    /// `Avx2Fma::detect` declines: tests are the only way to pin it.
-    static BASELINE_PINNED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Runs `check` through the baseline copy of the block routine, then
-/// through the AVX2+FMA copy where the host has it, naming the copy.
-#[cfg(test)]
-pub(crate) fn each_copy(mut check: impl FnMut(&str)) {
-    BASELINE_PINNED.set(true);
-    check("baseline");
-    BASELINE_PINNED.set(false);
-    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
-    if Avx2Fma::detect().is_some() {
-        check("avx2+fma");
-    }
-}
-
 #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
 mod avx2 {
     use std::arch::x86_64::*;
@@ -60,8 +40,9 @@ mod avx2 {
 
     use super::LaneExp;
 
-    /// `2^(i/32)` with `i << 47` taken off its bits, so that adding `k << 47`
-    /// for `k ≡ i (mod 32)` scales it by `2^(k/32 - i/32)`.
+    /// glibc's `__exp2f_data` (`e_exp2f_data.c`; libm 2.36 `.rodata` at
+    /// `0xadd40`). The table: `2^(i/32)` with `i << 47` taken off its bits,
+    /// so that adding `k << 47` for `k ≡ i (mod 32)` makes it `2^(k/32)`.
     const T: [u64; 32] = [
         0x3ff0000000000000,
         0x3fefd9b0d3158574,
@@ -115,12 +96,8 @@ mod avx2 {
     impl Avx2Fma {
         /// The one CPU-feature check behind the AVX2+FMA copy.
         pub(crate) fn detect() -> Option<Self> {
-            #[cfg(test)]
-            if super::BASELINE_PINNED.get() {
-                return None;
-            }
-            (is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
-                .then_some(Self(()))
+            let host = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+            (host && !baseline_pinned()).then_some(Self(()))
         }
     }
 
@@ -179,6 +156,17 @@ mod avx2 {
             x[lane] = args[lane].exp();
             outside &= outside - 1;
         }
+    }
+
+    /// Outside tests nothing pins the baseline copy.
+    #[cfg(not(test))]
+    fn baseline_pinned() -> bool {
+        false
+    }
+
+    #[cfg(test)]
+    fn baseline_pinned() -> bool {
+        super::BASELINE_PINNED.get()
     }
 
     #[cfg(test)]
@@ -267,5 +255,25 @@ mod avx2 {
             let Some(exp) = host() else { return };
             assert_eq!(compare(exp, (0..=u32::MAX).map(f32::from_bits)), 1 << 32);
         }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set while [`each_copy`] runs the baseline copy, so that
+    /// `Avx2Fma::detect` declines: tests are the only way to pin it.
+    static BASELINE_PINNED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `check` through the baseline copy of the block routine, then
+/// through the AVX2+FMA copy where the host has it, naming the copy.
+#[cfg(test)]
+pub(crate) fn each_copy(mut check: impl FnMut(&str)) {
+    BASELINE_PINNED.set(true);
+    check("baseline");
+    BASELINE_PINNED.set(false);
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    if Avx2Fma::detect().is_some() {
+        check("avx2+fma");
     }
 }
