@@ -18,7 +18,7 @@ use lserve_kvcache::KEY_LANES;
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
 use crate::exp::Avx2Fma;
-use crate::exp::{LaneExp, Libm};
+use crate::exp::{LaneOps, Libm};
 
 /// A block of `n` keys and values.
 #[derive(Debug, Clone, Copy)]
@@ -64,12 +64,13 @@ pub(crate) fn fold_block(
     acc: &mut [f32],
 ) {
     // One body, compiled twice. The AVX2+FMA copy differs only in its lane
-    // `exp`, which has libm's bits (`exp.rs`); Rust never contracts
-    // `a * b + c` into an FMA, so the rest of the body keeps its bits too.
+    // operations, which make the scalar loop's decisions and have libm's
+    // bits (`exp.rs`); Rust never contracts `a * b + c` into an FMA, so the
+    // rest of the body keeps its bits too.
     #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
-    if let Some(exp) = Avx2Fma::detect() {
-        // SAFETY: `detect` returned `exp`, so the host has AVX2 and FMA.
-        return unsafe { fold_block_avx2(exp, d, q, scale, block, causal, rows, acc) };
+    if let Some(ops) = Avx2Fma::detect() {
+        // SAFETY: `detect` returned `ops`, so the host has AVX2 and FMA.
+        return unsafe { fold_block_avx2(ops, d, q, scale, block, causal, rows, acc) };
     }
     fold_block_with(Libm, d, q, scale, block, causal, rows, acc);
 }
@@ -79,7 +80,7 @@ pub(crate) fn fold_block(
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 fn fold_block_avx2(
-    exp: Avx2Fma,
+    ops: Avx2Fma,
     d: usize,
     q: &[f32],
     scale: f32,
@@ -88,14 +89,14 @@ fn fold_block_avx2(
     rows: &mut [RowState],
     acc: &mut [f32],
 ) {
-    fold_block_with(exp, d, q, scale, block, causal, rows, acc);
+    fold_block_with(ops, d, q, scale, block, causal, rows, acc);
 }
 
-/// [`fold_block`] with `exp` as its lane `exp`.
+/// [`fold_block`] with `ops` as its lane operations.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn fold_block_with(
-    exp: impl LaneExp,
+    ops: impl LaneOps,
     d: usize,
     q: &[f32],
     scale: f32,
@@ -108,10 +109,10 @@ fn fold_block_with(
     // with `D` known (loops unroll, a row's sums stay in registers); any other
     // dimension runs the same body with `D` read at run time.
     match d {
-        32 => fold_block_d::<32>(exp, d, q, scale, block, causal, rows, acc),
-        64 => fold_block_d::<64>(exp, d, q, scale, block, causal, rows, acc),
-        128 => fold_block_d::<128>(exp, d, q, scale, block, causal, rows, acc),
-        _ => fold_block_d::<0>(exp, d, q, scale, block, causal, rows, acc),
+        32 => fold_block_d::<32>(ops, d, q, scale, block, causal, rows, acc),
+        64 => fold_block_d::<64>(ops, d, q, scale, block, causal, rows, acc),
+        128 => fold_block_d::<128>(ops, d, q, scale, block, causal, rows, acc),
+        _ => fold_block_d::<0>(ops, d, q, scale, block, causal, rows, acc),
     }
 }
 
@@ -135,7 +136,7 @@ fn scores<const R: usize>(q: [&[f32]; R], group: &[f32]) -> [[f32; KEY_LANES]; R
 /// `d`-long value rows leading `values` — into one row's state and sums.
 #[inline(always)]
 fn fold_row<const D: usize>(
-    exp: impl LaneExp,
+    ops: impl LaneOps,
     s: &[f32; KEY_LANES],
     lanes: usize,
     scale: f32,
@@ -143,40 +144,17 @@ fn fold_row<const D: usize>(
     state: &mut RowState,
     acc: &mut [f32],
 ) {
-    // The max/normalizer recurrence in three passes over the lane group, each
-    // key by key: the same operations on the same operands, in the same
-    // order, as one key at a time. The exps get a pass of their own (one lane
-    // `exp` for all of them) and no call interrupts the sums of the last.
-    // First the running max: each folded key's weight argument, and where the
-    // max rose from a finite value, its correction argument (from `-inf` the
-    // correction stays 0).
-    let mut folds = Folds {
-        folded: 0,
-        rescaled: 0,
-        weight: [0.0; KEY_LANES],
-        correction: [0.0; KEY_LANES],
-    };
-    let mut corrections = 0u32;
+    // The max/normalizer recurrence in three passes over the lane group: the
+    // same operations on the same operands, in the same order, as one key at
+    // a time. The exps get a pass of their own (one lane `exp` for all of
+    // them) and no call interrupts the sums of the last. First the running
+    // max ([`Folds::running_max`]).
     let RowState { mut max, mut sum } = *state;
-    for (lane, &s) in s[..lanes].iter().enumerate() {
-        let score = s * scale;
-        if score == f32::NEG_INFINITY {
-            continue; // fully masked entry contributes nothing
-        }
-        if score > max {
-            if max != f32::NEG_INFINITY {
-                folds.correction[lane] = max - score;
-                corrections |= 1 << lane;
-            }
-            max = score;
-            folds.rescaled |= 1 << lane;
-        }
-        folds.weight[lane] = score - max;
-        folds.folded |= 1 << lane;
-    }
+    let mut folds = ops.running_max(s, lanes, scale, &mut max);
     // Then the exps: every weight lane at once (an unfolded lane's argument
     // is 0 and its weight unused), the rare corrections one by one.
-    exp.exp(&mut folds.weight);
+    ops.exp(&mut folds.weight);
+    let mut corrections = folds.corrected;
     while corrections != 0 {
         let lane = corrections.trailing_zeros() as usize;
         folds.correction[lane] = folds.correction[lane].exp();
@@ -194,20 +172,69 @@ fn fold_row<const D: usize>(
     *state = RowState { max, sum };
 }
 
+/// The [`Folds`] mask of a whole lane group.
+const ALL_LANES: u32 = (1 << KEY_LANES) - 1;
+
 /// What the recurrence decided for the keys of one lane group.
-struct Folds {
+#[derive(Default)]
+pub(crate) struct Folds {
     /// Bit per lane: the key is folded in (visible, and its score not `-inf`).
-    folded: u32,
+    pub folded: u32,
     /// Bit per lane: the key raised the max, so `correction` applies first.
-    rescaled: u32,
-    weight: [f32; KEY_LANES],
-    correction: [f32; KEY_LANES],
+    pub rescaled: u32,
+    /// Bit per lane: the key raised a finite max, so `correction` holds an
+    /// argument still to go through `exp` (from `-inf` it stays 0).
+    pub corrected: u32,
+    pub weight: [f32; KEY_LANES],
+    pub correction: [f32; KEY_LANES],
 }
 
 impl Folds {
+    /// The running max over the first `lanes` scores of `s` (times `scale`),
+    /// key by key: each folded key's weight argument `score − max`, and where
+    /// the max rose, its correction argument `max_prev − score`. `max` goes
+    /// in as the row's and comes out raised. The baseline copy's pass one.
+    #[inline(always)]
+    pub(crate) fn running_max(
+        s: &[f32; KEY_LANES],
+        lanes: usize,
+        scale: f32,
+        max: &mut f32,
+    ) -> Self {
+        let mut folds = Folds::default();
+        for (lane, &s) in s[..lanes].iter().enumerate() {
+            let score = s * scale;
+            if score == f32::NEG_INFINITY {
+                continue; // fully masked entry contributes nothing
+            }
+            if score > *max {
+                if *max != f32::NEG_INFINITY {
+                    folds.correction[lane] = *max - score;
+                    folds.corrected |= 1 << lane;
+                }
+                *max = score;
+                folds.rescaled |= 1 << lane;
+            }
+            folds.weight[lane] = score - *max;
+            folds.folded |= 1 << lane;
+        }
+        folds
+    }
+
     /// The normalizer `sum` and the weighted value sums, in key order.
     #[inline(always)]
     fn apply(&self, values: &[f32], sum: &mut f32, acc: &mut [f32]) {
+        if self.folded == ALL_LANES && self.rescaled == 0 {
+            // The common group, straight through: the same operations in the
+            // same order as below, with no test per key.
+            for (&w, value) in self.weight.iter().zip(values.chunks_exact(acc.len())) {
+                *sum += w;
+                for (a, &v) in acc.iter_mut().zip(value) {
+                    *a += w * v;
+                }
+            }
+            return;
+        }
         for (lane, value) in values.chunks_exact(acc.len()).enumerate() {
             if self.folded & (1 << lane) == 0 {
                 continue;
@@ -230,7 +257,7 @@ impl Folds {
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn fold_block_d<const D: usize>(
-    exp: impl LaneExp,
+    ops: impl LaneOps,
     d: usize,
     q: &[f32],
     scale: f32,
@@ -272,12 +299,12 @@ fn fold_block_d<const D: usize>(
                 [state0, state1] if visible(r + 1) > 0 => {
                     let ((q0, q1), (acc0, acc1)) = (q.split_at(d), acc.split_at_mut(d));
                     let [s0, s1] = scores([q0, q1], group);
-                    fold_row::<D>(exp, &s0, visible(r), scale, values, state0, acc0);
-                    fold_row::<D>(exp, &s1, visible(r + 1), scale, values, state1, acc1);
+                    fold_row::<D>(ops, &s0, visible(r), scale, values, state0, acc0);
+                    fold_row::<D>(ops, &s1, visible(r + 1), scale, values, state1, acc1);
                 }
                 [state0] if visible(r) > 0 => {
                     let [s0] = scores([q], group);
-                    fold_row::<D>(exp, &s0, visible(r), scale, values, state0, acc);
+                    fold_row::<D>(ops, &s0, visible(r), scale, values, state0, acc);
                 }
                 _ => {}
             }

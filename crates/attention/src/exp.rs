@@ -1,26 +1,39 @@
-//! The `exp` of a lane group's softmax weights, one per compiled copy of the
-//! block routine (`block.rs`).
+//! The lane operations of a lane group's softmax fold — the running max and
+//! the `exp` of the weights — one set per compiled copy of the block routine
+//! (`block.rs`).
 //!
-//! The baseline copy calls libm's `f32::exp` lane by lane. On x86_64 glibc
-//! with AVX2 and FMA, libm's `expf` ifunc resolves to glibc's FMA build of its
-//! table-driven `expf` (glibc ≥ 2.27, `e_expf.c` / `e_exp2f_data.c`), and
-//! [`Avx2Fma`] runs that build's exact instruction sequence four lanes to a
-//! ymm register: every lane is the same IEEE operations on the same operands,
-//! each FMA rounding once, so every result has libm's bits. The tests below
-//! hold it to `f32::exp` on every input.
+//! The baseline copy runs the running max key by key and calls libm's
+//! `f32::exp` lane by lane. On x86_64 glibc with AVX2 and FMA, libm's `expf`
+//! ifunc resolves to glibc's FMA build of its table-driven `expf` (glibc ≥
+//! 2.27, `e_expf.c` / `e_exp2f_data.c`), and [`Avx2Fma`] runs that build's
+//! exact instruction sequence four lanes to a ymm register: every lane is the
+//! same IEEE operations on the same operands, each FMA rounding once, so every
+//! result has libm's bits. Its running max is a prefix max over 8-lane
+//! halves that makes the key-by-key loop's every decision. The tests below
+//! hold the `exp` to `f32::exp` on every input and the max to the loop.
 
 use lserve_kvcache::KEY_LANES;
 
-/// `exp` of every lane of a lane group, in place.
-pub(crate) trait LaneExp: Copy {
+use crate::block::Folds;
+
+/// The lane operations of one compiled copy of the block routine.
+pub(crate) trait LaneOps: Copy {
+    /// Pass one of the fold: [`Folds::running_max`]'s result, bit for bit.
+    fn running_max(self, s: &[f32; KEY_LANES], lanes: usize, scale: f32, max: &mut f32) -> Folds;
+    /// `exp` of every lane of a lane group, in place.
     fn exp(self, x: &mut [f32; KEY_LANES]);
 }
 
-/// libm on each lane: the baseline copy, any host.
+/// The key-by-key max and libm on each lane: the baseline copy, any host.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Libm;
 
-impl LaneExp for Libm {
+impl LaneOps for Libm {
+    #[inline(always)]
+    fn running_max(self, s: &[f32; KEY_LANES], lanes: usize, scale: f32, max: &mut f32) -> Folds {
+        Folds::running_max(s, lanes, scale, max)
+    }
+
     #[inline(always)]
     fn exp(self, x: &mut [f32; KEY_LANES]) {
         for x in x {
@@ -38,7 +51,8 @@ mod avx2 {
 
     use lserve_kvcache::KEY_LANES;
 
-    use super::LaneExp;
+    use super::LaneOps;
+    use crate::block::Folds;
 
     /// glibc's `__exp2f_data` (`e_exp2f_data.c`; libm 2.36 `.rodata` at
     /// `0xadd40`). The table: `2^(i/32)` with `i << 47` taken off its bits,
@@ -101,12 +115,82 @@ mod avx2 {
         }
     }
 
-    impl LaneExp for Avx2Fma {
+    impl LaneOps for Avx2Fma {
+        #[inline(always)]
+        fn running_max(
+            self,
+            s: &[f32; KEY_LANES],
+            lanes: usize,
+            scale: f32,
+            max: &mut f32,
+        ) -> Folds {
+            // SAFETY: `self` exists, so `Avx2Fma::detect` saw AVX2 and FMA.
+            unsafe { running_max(s, lanes, scale, max) }
+        }
+
         #[inline(always)]
         fn exp(self, x: &mut [f32; KEY_LANES]) {
             // SAFETY: `self` exists, so `Avx2Fma::detect` saw AVX2 and FMA.
             unsafe { exp_lanes(x) }
         }
+    }
+
+    /// [`Folds::running_max`] as a prefix max over each 8-lane half, making
+    /// every decision the key-by-key loop makes. `max` and the compares
+    /// never round. `_mm256_max_ps(later, earlier)` returns `earlier` unless
+    /// `later > earlier`, so on a ±0 tie the earlier lane stays, as under
+    /// `score > max`. A NaN score is `-inf` to the scan only: it never
+    /// raises the max, and is folded with a NaN weight as in the loop. Then
+    /// weight = `score − inclusive max`, rescaled = folded ∧ `score >
+    /// exclusive max`, correction = `exclusive − score` where that max is
+    /// finite, folded = visible ∧ `score ≠ −∞`.
+    #[target_feature(enable = "avx2")]
+    fn running_max(s: &[f32; KEY_LANES], lanes: usize, scale: f32, max: &mut f32) -> Folds {
+        let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
+        let scale = _mm256_set1_ps(scale);
+        let index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let up_one = _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6);
+        let up_two = _mm256_setr_epi32(0, 0, 0, 1, 2, 3, 4, 5);
+        let up_four = _mm256_setr_epi32(0, 0, 0, 0, 0, 1, 2, 3);
+        let mut folds = Folds::default();
+        // The max before the half's first lane, in every lane.
+        let mut before = _mm256_set1_ps(*max);
+        for at in (0..KEY_LANES).step_by(8) {
+            // SAFETY: `at + 8 <= KEY_LANES`, the length of `s`.
+            let score = _mm256_mul_ps(unsafe { _mm256_loadu_ps(s.as_ptr().add(at)) }, scale);
+            let visible = _mm256_castsi256_ps(_mm256_cmpgt_epi32(
+                _mm256_set1_epi32(lanes as i32 - at as i32),
+                index,
+            ));
+            let folded = _mm256_and_ps(visible, _mm256_cmp_ps::<_CMP_NEQ_UQ>(score, neg_inf));
+            let ordered = _mm256_cmp_ps::<_CMP_ORD_Q>(score, score);
+            let v = _mm256_blendv_ps(neg_inf, score, _mm256_and_ps(folded, ordered));
+            // Lane i takes the max of lanes i − 2^t + 1 ..= i at step t.
+            let earlier = _mm256_blend_ps::<0b1>(_mm256_permutevar8x32_ps(v, up_one), neg_inf);
+            let v = _mm256_max_ps(v, earlier);
+            let earlier = _mm256_blend_ps::<0b11>(_mm256_permutevar8x32_ps(v, up_two), neg_inf);
+            let v = _mm256_max_ps(v, earlier);
+            let earlier = _mm256_blend_ps::<0b1111>(_mm256_permutevar8x32_ps(v, up_four), neg_inf);
+            let inclusive = _mm256_max_ps(_mm256_max_ps(v, earlier), before);
+            let exclusive =
+                _mm256_blend_ps::<0b1>(_mm256_permutevar8x32_ps(inclusive, up_one), before);
+            let rescaled = _mm256_and_ps(folded, _mm256_cmp_ps::<_CMP_GT_OQ>(score, exclusive));
+            let corrected =
+                _mm256_and_ps(rescaled, _mm256_cmp_ps::<_CMP_NEQ_OQ>(exclusive, neg_inf));
+            let weight = _mm256_and_ps(_mm256_sub_ps(score, inclusive), folded);
+            let correction = _mm256_and_ps(_mm256_sub_ps(exclusive, score), corrected);
+            // SAFETY: `at + 8 <= KEY_LANES`, the length of both arrays.
+            unsafe {
+                _mm256_storeu_ps(folds.weight.as_mut_ptr().add(at), weight);
+                _mm256_storeu_ps(folds.correction.as_mut_ptr().add(at), correction);
+            }
+            folds.folded |= (_mm256_movemask_ps(folded) as u32) << at;
+            folds.rescaled |= (_mm256_movemask_ps(rescaled) as u32) << at;
+            folds.corrected |= (_mm256_movemask_ps(corrected) as u32) << at;
+            before = _mm256_permutevar8x32_ps(inclusive, _mm256_set1_epi32(7));
+        }
+        *max = _mm256_cvtss_f32(before);
+        folds
     }
 
     /// glibc's FMA `expf`, four lanes to a ymm register.
@@ -243,6 +327,75 @@ mod avx2 {
             let strided = (0..=u32::MAX).step_by(65_537).map(f);
             let n = compare(exp, edges.into_iter().chain(strided));
             assert_eq!(n, edges.len() as u64 + 65_536);
+        }
+
+        /// The vector running max against the key-by-key loop, field by
+        /// field: random groups, and groups of NaN, ±∞ and ±0 ties, under
+        /// every `lanes`, a `-inf` and finite state max, and a max that first
+        /// rises on lane 15.
+        #[test]
+        fn running_max_is_the_key_by_key_loop() {
+            let Some(ops) = host() else { return };
+            let mut g = lserve_tensor::SeededGaussian::new(25);
+            let specials = [
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.0,
+                -0.0,
+            ];
+            let mut groups = Vec::new();
+            for _ in 0..64 {
+                let mut s = [0.0f32; KEY_LANES];
+                g.fill(&mut s, 2.0);
+                groups.push(s);
+                // A special value in about one lane of three.
+                for x in &mut s {
+                    if g.index(3) == 0 {
+                        *x = specials[g.index(specials.len())];
+                    }
+                }
+                groups.push(s);
+                // Ties: every lane one of a few values, zeros of both signs.
+                groups.push(std::array::from_fn(|_| [0.0, -0.0, 1.0, -1.0][g.index(4)]));
+            }
+            let mut rising_last = [-5.0f32; KEY_LANES];
+            rising_last[KEY_LANES - 1] = 3.0;
+            groups.push(rising_last);
+            groups.push([f32::NEG_INFINITY; KEY_LANES]);
+            groups.push([-0.0; KEY_LANES]);
+            let starts = [f32::NEG_INFINITY, 0.0, -0.0, 0.5, -7.0, f32::INFINITY];
+            for s in &groups {
+                for lanes in 0..=KEY_LANES {
+                    for start in starts {
+                        for scale in [1.0, 0.3] {
+                            let (mut want_max, mut got_max) = (start, start);
+                            let want = Folds::running_max(s, lanes, scale, &mut want_max);
+                            let got = ops.running_max(s, lanes, scale, &mut got_max);
+                            let at = format!("{s:?} lanes {lanes} start {start} scale {scale}");
+                            assert_eq!(got.folded, want.folded, "folded: {at}");
+                            assert_eq!(got.rescaled, want.rescaled, "rescaled: {at}");
+                            assert_eq!(got.corrected, want.corrected, "corrected: {at}");
+                            let bits = |x: [f32; KEY_LANES]| x.map(f32::to_bits);
+                            assert_eq!(bits(got.weight), bits(want.weight), "weight: {at}");
+                            assert_eq!(
+                                bits(got.correction),
+                                bits(want.correction),
+                                "correction: {at}"
+                            );
+                            assert_eq!(got_max.to_bits(), want_max.to_bits(), "max: {at}");
+                        }
+                    }
+                }
+            }
+            // The rising group raises a finite max on lane 15 and nowhere else.
+            let mut max = 0.0;
+            let folds = ops.running_max(&rising_last, KEY_LANES, 1.0, &mut max);
+            assert_eq!(
+                (folds.rescaled, folds.corrected, max),
+                (1 << 15, 1 << 15, 3.0)
+            );
         }
 
         #[test]

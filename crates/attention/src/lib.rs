@@ -13,8 +13,9 @@
 //! * `block` (private) — the one block routine under both kernels: a block of keys
 //!   and values folded into the running softmax state of a group of query rows, with
 //!   lanes across d-major keys; bit-identical to the one-key-at-a-time loop.
-//! * `exp` (private) — the block routine's lane `exp`: libm per lane, or, on an
-//!   x86_64 glibc host with AVX2 and FMA, glibc's own FMA `expf` four lanes to a
+//! * `exp` (private) — the block routine's lane operations, its running max and
+//!   `exp`: key by key and libm per lane, or, on an x86_64 glibc host with AVX2
+//!   and FMA, a vector prefix max and glibc's own FMA `expf` four lanes to a
 //!   register, bit for bit.
 //! * [`prefill`] — the tiled prefill kernel: the block routine across visited tiles,
 //!   with per-call [`prefill::PrefillStats`] counting visited vs. total tiles (the

@@ -247,8 +247,9 @@ mod tests {
 
     #[test]
     fn env_knob_parses() {
-        // Whatever the ambient env says, the parser itself is what's under
-        // test; drive it through the documented strings.
+        // Only the default mode, `Sync`. The `LSERVE_MIGRATION` parser is
+        // `RuntimeConfig::parse` in `lserve-core`, and its spellings are
+        // `runtime_config_accepts_the_listed_spellings_and_rejects_the_rest`'s.
         assert_eq!(MigrationMode::default(), MigrationMode::Sync);
     }
 

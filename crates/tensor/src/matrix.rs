@@ -184,11 +184,12 @@ impl Matrix {
     /// Dense matrix product `self * rhs`.
     ///
     /// Register-blocked: a tile of the output — 2 rows × 16 columns, or
-    /// 1 × 32 for an odd last row — is held in accumulators across the whole
-    /// `k` loop, so each loaded `rhs` element serves every row of the tile and
-    /// the output is written once. `rhs` is read in place, row-major: nothing
-    /// is packed or copied. Column panels are the outer loop, so one `k × 16`
-    /// panel of `rhs` stays in L1 while the rows of `self` stream past it.
+    /// 1 × 32 for an odd last row; 2 × 32 and 1 × 64 in the AVX2 copy — is
+    /// held in accumulators across the whole `k` loop, so each loaded `rhs`
+    /// element serves every row of the tile and the output is written once.
+    /// `rhs` is read in place, row-major: nothing is packed or copied. Column
+    /// panels are the outer loop, so one `k × W` panel of `rhs` stays in L1
+    /// while the rows of `self` stream past it.
     ///
     /// Every output element is `0.0 + a[i][0]·b[0][j] + a[i][1]·b[1][j] + …`,
     /// summed in `k` order with a separate multiply and add — the arithmetic
@@ -208,39 +209,17 @@ impl Matrix {
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let (m, kd, n) = (self.rows, self.cols, rhs.cols);
-        let mut out = Matrix::zeros(m, n);
-        let paired = m - m % 2;
-        let tiled = n - n % 16;
-        for j0 in (0..tiled).step_by(16) {
-            for i0 in (0..paired).step_by(2) {
-                let a = &self.data[i0 * kd..(i0 + 2) * kd];
-                let o = &mut out.data[i0 * n..(i0 + 2) * n];
-                tile::<2, 16>(a, kd, &rhs.data, n, j0, o);
-            }
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        // One body, compiled twice. Rust never contracts `a * b + c` into an
+        // FMA, so the AVX2 copy does the same operations in the same order:
+        // only its wider tiles differ.
+        #[cfg(target_arch = "x86_64")]
+        if avx2() {
+            // SAFETY: `avx2()` saw AVX2 on this host.
+            unsafe { matmul_avx2(self, rhs, &mut out) };
+            return out;
         }
-        if paired < m {
-            let a = &self.data[paired * kd..];
-            let o = &mut out.data[paired * n..];
-            let wide = n - n % 32;
-            for j0 in (0..wide).step_by(32) {
-                tile::<1, 32>(a, kd, &rhs.data, n, j0, o);
-            }
-            if wide < tiled {
-                tile::<1, 16>(a, kd, &rhs.data, n, wide, o);
-            }
-        }
-        // Ragged columns (`lm_head` is 128 × 97): one scalar sum each.
-        for i in 0..m {
-            let a = &self.data[i * kd..(i + 1) * kd];
-            for j in tiled..n {
-                let mut acc = 0.0f32;
-                for (k, &av) in a.iter().enumerate() {
-                    acc += av * rhs.data[k * n + j];
-                }
-                out.data[i * n + j] = acc;
-            }
-        }
+        matmul_tiled::<16, 32>(self, rhs, &mut out);
         out
     }
 
@@ -323,17 +302,85 @@ impl Matrix {
     }
 }
 
+/// Whether [`Matrix::matmul`] runs its AVX2 copy: the one CPU-feature check
+/// behind it.
+#[cfg(target_arch = "x86_64")]
+fn avx2() -> bool {
+    is_x86_feature_detected!("avx2") && !baseline_pinned()
+}
+
+/// [`Matrix::matmul`] compiled for AVX2: 2 × 32 and 1 × 64 tiles, eight
+/// 8-lane accumulators each, as the baseline copy's tiles are eight 4-lane
+/// ones.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matmul_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    matmul_tiled::<32, 64>(a, b, out);
+}
+
+/// [`Matrix::matmul`]'s body: `2 × P` tiles over row pairs and `1 × L` over
+/// an odd last row, the columns a wide tile leaves going to narrower ones
+/// (32, then 16), the last `n % 16` to a scalar sum each.
+#[inline(always)]
+fn matmul_tiled<const P: usize, const L: usize>(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, kd, n) = (a.rows, a.cols, b.cols);
+    let (a, b, out) = (&a.data[..], &b.data[..], &mut out.data[..]);
+    let paired = m - m % 2;
+    let j = panels::<2, P>(a, kd, b, n, 0..paired, 0, out);
+    panels::<2, 16>(a, kd, b, n, 0..paired, j, out);
+    if paired < m {
+        let j = panels::<1, L>(a, kd, b, n, paired..m, 0, out);
+        let j = panels::<1, 32>(a, kd, b, n, paired..m, j, out);
+        panels::<1, 16>(a, kd, b, n, paired..m, j, out);
+    }
+    // Ragged columns (`lm_head` is 128 × 97): one scalar sum each.
+    for i in 0..m {
+        let a = &a[i * kd..(i + 1) * kd];
+        for j in n - n % 16..n {
+            let mut acc = 0.0f32;
+            for (k, &av) in a.iter().enumerate() {
+                acc += av * b[k * n + j];
+            }
+            out[i * n + j] = acc;
+        }
+    }
+}
+
+/// The `W`-wide column panels of `rows` (a multiple of `R` of them) from
+/// column `j` on, as many as fit, each panel the outer loop over its tiles;
+/// returns the first column left.
+#[inline(always)]
+fn panels<const R: usize, const W: usize>(
+    a: &[f32],
+    kd: usize,
+    b: &[f32],
+    n: usize,
+    rows: std::ops::Range<usize>,
+    j: usize,
+    out: &mut [f32],
+) -> usize {
+    let end = j + (n - j) / W * W;
+    for j0 in (j..end).step_by(W) {
+        for i0 in rows.clone().step_by(R) {
+            let o = &mut out[i0 * n..(i0 + R) * n];
+            tile::<R, W>(&a[i0 * kd..(i0 + R) * kd], kd, b, n, j0, o);
+        }
+    }
+    end
+}
+
 /// One `R × W` output tile of [`Matrix::matmul`]: `a` and `out` start at the
 /// tile's first row (`kd` and `n` wide), `b` is the whole `kd × n` right
-/// operand, `j0` the tile's first column. Both shapes in use hold 32
-/// accumulators — eight 4-lane registers, which with the loaded `b` vectors
-/// and a broadcast fill the sixteen of baseline x86-64; one row of 16 would
-/// leave the adds waiting on each other.
+/// operand, `j0` the tile's first column. The widest tiles of each copy hold
+/// eight vector accumulators, which with the loaded `b` vectors and a
+/// broadcast fill the sixteen registers of x86-64; fewer would leave the adds
+/// waiting on each other.
 ///
 /// The speed is fragile to how this is written: `R` and `W` have to be
-/// compile-time constants of a module-level function for the accumulators to
-/// stay in registers (nested in `matmul` with a run-time width they live in
-/// memory). `perf`'s `tensor.matmul_ns_per_mac` probe is the guard.
+/// compile-time constants for the accumulators to stay in registers (nested
+/// in `matmul` with a run-time width they live in memory). `perf`'s
+/// `tensor.matmul_ns_per_mac` probe is the guard.
+#[inline(always)]
 fn tile<const R: usize, const W: usize>(
     a: &[f32],
     kd: usize,
@@ -343,13 +390,12 @@ fn tile<const R: usize, const W: usize>(
     out: &mut [f32],
 ) {
     let mut acc = [[0.0f32; W]; R];
-    for k in 0..kd {
-        let b_row: &[f32; W] = b[k * n + j0..k * n + j0 + W]
-            .try_into()
-            .expect("a slice of W elements");
-        for r in 0..R {
-            let av = a[r * kd + k];
-            for (s, &bv) in acc[r].iter_mut().zip(b_row) {
+    let a: [&[f32]; R] = std::array::from_fn(|r| &a[r * kd..(r + 1) * kd]);
+    for (k, b_row) in b.chunks_exact(n).enumerate() {
+        let b_row: &[f32; W] = b_row[j0..j0 + W].try_into().expect("a slice of W elements");
+        for (acc, a) in acc.iter_mut().zip(a) {
+            let av = a[k];
+            for (s, &bv) in acc.iter_mut().zip(b_row) {
                 *s += av * bv;
             }
         }
@@ -381,6 +427,37 @@ impl Default for Matrix {
     /// An empty `0 x 0` matrix.
     fn default() -> Self {
         Matrix::zeros(0, 0)
+    }
+}
+
+/// Outside tests nothing pins the baseline copy.
+#[cfg(all(target_arch = "x86_64", not(test)))]
+fn baseline_pinned() -> bool {
+    false
+}
+
+#[cfg(all(target_arch = "x86_64", test))]
+fn baseline_pinned() -> bool {
+    BASELINE_PINNED.get()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set while [`each_copy`] runs the baseline copy, so that `avx2()`
+    /// declines: tests are the only way to pin it.
+    static BASELINE_PINNED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `check` through the baseline copy of [`Matrix::matmul`], then through
+/// the AVX2 copy where the host has it, naming the copy.
+#[cfg(test)]
+fn each_copy(mut check: impl FnMut(&str)) {
+    BASELINE_PINNED.set(true);
+    check("baseline");
+    BASELINE_PINNED.set(false);
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        check("avx2");
     }
 }
 
@@ -430,15 +507,16 @@ mod tests {
         out
     }
 
-    /// The register-tiled product is the i-k-j loop's, bit for bit: whole
-    /// tiles, ragged rows and columns, shapes below one tile, and a left
+    /// The register-tiled product is the i-k-j loop's, bit for bit, through
+    /// both compiled copies: whole tiles, every panel boundary of both tile
+    /// sets, ragged rows and columns, shapes below one tile, and a left
     /// operand with the exact zeros of both signs the old loop skipped.
     #[test]
     fn matmul_is_bit_identical_to_the_ikj_loop() {
         let mut g = crate::SeededGaussian::new(17);
         for m in [1, 2, 3, 5, 64, 257] {
             for k in [1, 128] {
-                for n in [1, 15, 16, 17, 97, 256] {
+                for n in [1, 15, 16, 17, 31, 32, 33, 48, 63, 64, 65, 97, 128, 256] {
                     let mut a = g.matrix(m, k, 1.0);
                     for (i, x) in a.as_mut_slice().iter_mut().enumerate() {
                         match i % 7 {
@@ -448,11 +526,14 @@ mod tests {
                         }
                     }
                     let b = g.matrix(k, n, 1.0);
-                    let (got, want) = (a.matmul(&b), matmul_ikj(&a, &b));
-                    assert_eq!(got.shape(), (m, n));
-                    for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-                        assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n} element {i}");
-                    }
+                    let want = matmul_ikj(&a, &b);
+                    each_copy(|copy| {
+                        let got = a.matmul(&b);
+                        assert_eq!(got.shape(), (m, n));
+                        for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                            assert_eq!(x.to_bits(), y.to_bits(), "{copy}: {m}x{k}x{n} element {i}");
+                        }
+                    });
                 }
             }
         }
