@@ -1,6 +1,7 @@
 //! Demote/promote edge cases of the two-tier page pool as the head caches
-//! drive it: shared CoW pages, partial last pages, streaming rings, and the
-//! exactness of cold-page demand accounting.
+//! drive it: shared CoW pages, partial last pages, streaming rings, the
+//! exactness of cold-page demand accounting, and what a swap resume costs
+//! against a replay.
 
 use lserve_kvcache::{
     transfer_cost_tokens, DenseHeadCache, LayerKvCache, Moved, PageId, PagePool, PagingConfig,
@@ -154,6 +155,50 @@ fn layer_cold_demand_is_exact_across_head_kinds() {
     let back = p.promote_all(layer.page_ids()).unwrap();
     assert_eq!(back.pages, pages);
     assert_eq!(cold_pages(&p, layer.page_ids()), 0);
+}
+
+/// Resuming a swapped-out 32k-token victim promotes its offloaded page set
+/// across the host link; replaying it re-feeds the whole context through the
+/// forward pass. The victim is LServe's geometry at half scale: 4 layers of
+/// 4 KV heads, half of them streaming, 32-token physical pages. Swap resume
+/// must model at least 5x cheaper (8 216 pages = 4 108 work tokens against
+/// 32 768, 8.0x, when this test was written).
+#[test]
+fn swap_resume_models_at_least_5x_cheaper_than_replaying_a_32k_victim() {
+    const VICTIM_TOKENS: usize = 32 * 1024;
+    const LAYERS: usize = 4;
+    let paging = PagingConfig::new(32, 16, KvPrecision::Fp16);
+    let mut p = PagePool::new(paging, 2 * LAYERS * VICTIM_TOKENS / 32 + 64, 4);
+    let layers: Vec<LayerKvCache> = (0..LAYERS)
+        .map(|_| {
+            let mut l = LayerKvCache::new(
+                &[false, true, false, true],
+                StreamingWindow::paper_default(),
+            );
+            for _ in 0..VICTIM_TOKENS {
+                assert!(l.append_token(&mut p, &[0.25; 16], &[0.5; 16], 4));
+            }
+            l
+        })
+        .collect();
+    for l in &layers {
+        p.demote_all(l.page_ids());
+    }
+    let units: u64 = layers
+        .iter()
+        .map(|l| p.promote_all(l.page_ids()).expect("pool sized").units)
+        .sum();
+    let swap = transfer_cost_tokens(units);
+    let replay = VICTIM_TOKENS as u64;
+    println!(
+        "32k-token victim: swap promotes {} pages = {swap} work tokens, replay {replay} ({:.1}x)",
+        p.tier_stats().pages_promoted,
+        replay as f64 / swap as f64,
+    );
+    assert!(
+        swap * 5 <= replay,
+        "swap resume ({swap} tokens) must model >= 5x cheaper than replay ({replay} tokens)"
+    );
 }
 
 #[test]

@@ -17,6 +17,7 @@ use lserve::core::{
 use lserve::kvcache::PagingConfig;
 use lserve::model::{ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
+use lserve::workloads::{best_of_n, tool_call_branches, AgentScene, AgenticConfig};
 use proptest::prelude::*;
 
 fn weights(seed: u64) -> Arc<ModelWeights> {
@@ -243,6 +244,115 @@ proptest! {
         sched.flush_prefix_cache();
         prop_assert_eq!(sched.pool_in_use(), 0, "cancelled losers leak no pages");
     }
+}
+
+/// A scheduler for the speculative scenes: ample pool, 8-token chunks, the
+/// small-page FP16 LServe policy, and every `LSERVE_*` knob at its default
+/// (a device mesh charges interconnect into the work clock).
+fn speculative_scheduler(w: &Arc<ModelWeights>) -> Scheduler {
+    let mut cfg = EngineConfig::lserve_fp16();
+    cfg.paging = PagingConfig::new(8, 4, KvPrecision::Fp16);
+    cfg.prefill_tile = 8;
+    let mut scfg = SchedulerConfig::new(4096);
+    scfg.chunk_tokens = 8;
+    (scfg.decode_threads, scfg.devices) = (1, 1);
+    (scfg.preemption, scfg.migration) = (PreemptionPolicy::Replay, MigrationMode::Sync);
+    (scfg.host_pages, scfg.nvme) = (0, false);
+    Scheduler::new(Arc::new(ModelExecutor::new(Arc::clone(w), cfg)), scfg)
+}
+
+/// Forks `scene`'s branches off its root after the root's first token, joins
+/// them under `policy`, runs to completion, and returns the scheduler, the
+/// join group and the root tokens generated before the fork.
+fn race(
+    w: &Arc<ModelWeights>,
+    scene: &AgentScene,
+    policy: JoinPolicy,
+) -> (Scheduler, u64, Vec<u32>) {
+    let mut sched = speculative_scheduler(w);
+    let root = sched.submit(RequestSpec::new(1, scene.root_prompt.clone()).max_new_tokens(4));
+    let gen_at_fork = run_until_generated(&mut sched, &root, 1);
+    let branches: Vec<BranchSpec> = scene
+        .branches
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let spec = BranchSpec::new(10 + i as u64, b.suffix.clone())
+                .max_new_tokens(b.max_new_tokens)
+                .score_bias(b.score_bias);
+            b.stop_tokens.iter().fold(spec, |s, &t| s.stop_token(t))
+        })
+        .collect();
+    let group = sched.fork(1, policy, &branches).expect("fork").group;
+    (sched, group, gen_at_fork)
+}
+
+/// The branching claims on a 192-token conversation forking four 8-token
+/// suffixes with 12-token generations. A CoW-shared best-of-4 panel must
+/// cost less than 2x one solo run of the winner's full history, in work
+/// tokens, and the winner must match that solo run token for token. A
+/// first-finished race over speculated tool results must cancel at least one
+/// loser and leak no pages. When this test was written: 275 vs 213 work
+/// tokens (1.29x), winner 13; the tool race cancelled 3.
+#[test]
+fn best_of_4_costs_under_2x_one_solo_run_and_races_cancel_their_losers() {
+    let w = weights(42);
+    let cfg = AgenticConfig {
+        root_tokens: 192,
+        branches: 4,
+        suffix_tokens: 8,
+        branch_new_tokens: 12,
+        vocab: 90,
+        seed: 0xA9E7,
+    };
+    let scene = best_of_n(&cfg);
+    let (mut sched, group, gen_at_fork) = race(&w, &scene, JoinPolicy::BestScore);
+    let report = sched.run_to_completion(1_000_000);
+    assert_eq!(
+        report.completed.len(),
+        1 + cfg.branches,
+        "every candidate completes"
+    );
+    assert_eq!(sched.pool_in_use(), 0, "the panel leaks no pages");
+    let winner = sched
+        .join_status(group)
+        .expect("known group")
+        .winner
+        .expect("a winner");
+    let (_, winner_tokens) = report
+        .completed
+        .iter()
+        .find(|(id, _)| *id == winner)
+        .unwrap();
+    let speculative = sched.work_tokens();
+
+    let mut history = scene.root_prompt.clone();
+    history.extend_from_slice(&gen_at_fork);
+    history.extend_from_slice(&scene.branches[(winner - 10) as usize].suffix);
+    let mut solo = speculative_scheduler(&w);
+    solo.submit(RequestSpec::new(1, history).max_new_tokens(cfg.branch_new_tokens));
+    let solo_report = solo.run_to_completion(1_000_000);
+    let ratio = speculative as f64 / solo.work_tokens() as f64;
+    println!(
+        "best-of-{}: {speculative} vs solo {} work tokens ({ratio:.2}x), winner {winner}",
+        cfg.branches,
+        solo.work_tokens(),
+    );
+    assert_eq!(
+        winner_tokens, &solo_report.completed[0].1,
+        "winner diverged from solo"
+    );
+    assert!(
+        ratio < 2.0,
+        "a CoW-shared panel must cost < 2x one solo run"
+    );
+
+    let (mut sched, group, _) = race(&w, &tool_call_branches(&cfg), JoinPolicy::FirstFinished);
+    let report = sched.run_to_completion(1_000_000);
+    println!("tool race: {} losers cancelled", report.dag.branch_cancels);
+    assert!(sched.join_status(group).expect("known group").resolved);
+    assert!(report.dag.branch_cancels >= 1, "the race has losers");
+    assert_eq!(sched.pool_in_use(), 0, "cancelled losers leak no pages");
 }
 
 /// Deterministic anchor: a pool sized for ~1.5 sequences forces

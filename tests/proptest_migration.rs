@@ -19,6 +19,7 @@ use lserve::kvcache::{PagePool, PagingConfig, TierConfig};
 use lserve::model::{greedy_next_token, ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
 use lserve::trace::Tracer;
+use lserve::workloads::{overcommit_workload, OvercommitConfig};
 use proptest::prelude::*;
 
 fn weights(seed: u64) -> Arc<ModelWeights> {
@@ -136,6 +137,67 @@ fn async_migration_hides_stalls_without_touching_outputs() {
         async_.prefetch_wasted
     );
     assert_eq!(sync.prefetch_issued, 0, "prefetch is an async-mode concept");
+}
+
+/// The stall claim at overcommit scale: `OvercommitConfig::migration_bench`
+/// (two bursts of four 160–208-token prompts, 32 generated tokens each) on a
+/// hot tier of a third of one burst, swap preemption and demotion after two
+/// stale chunks. The async copy engine must cut the modeled migration stall
+/// at least 2x and keep prefetch waste (`wasted / (wasted + hits)`) below
+/// 0.80, with every output token unchanged. When this test was written:
+/// stall 225 -> 100 (2.25x); 98 prefetches issued, 22 hit, 76 wasted (0.776).
+#[test]
+fn async_migration_halves_the_overcommit_stall_and_bounds_prefetch_waste() {
+    let w = weights(7);
+    let mut cfg = small_page_cfg();
+    cfg.dynamic_budget = Some(32);
+    cfg.demote_after_chunks = Some(2);
+    let wl = OvercommitConfig::migration_bench();
+    let per_seq = estimate(&cfg, &w.config, wl.max_prompt_len() + wl.max_new_tokens);
+    let run = |mode: MigrationMode| {
+        let mut scfg = SchedulerConfig::new(per_seq * wl.requests_per_burst / 3 + 16);
+        scfg.chunk_tokens = 16;
+        scfg.admission = AdmissionPolicy::FirstChunk;
+        scfg.preemption = PreemptionPolicy::Swap;
+        scfg.migration = mode;
+        (scfg.decode_threads, scfg.devices) = (1, 1);
+        (scfg.host_pages, scfg.nvme) = (0, false);
+        let mut sched = Scheduler::new(
+            Arc::new(ModelExecutor::new(Arc::clone(&w), cfg.clone())),
+            scfg,
+        );
+        for (i, s) in overcommit_workload(&wl).into_iter().enumerate() {
+            sched.submit(RequestSpec::new(i as u64, s.prompt).max_new_tokens(s.max_new_tokens));
+        }
+        let report = sched.run_to_completion(1_000_000);
+        assert!(report.rejected.is_empty(), "{:?}", report.rejections);
+        report
+    };
+    let sync = run(MigrationMode::Sync);
+    let async_ = run(MigrationMode::Async);
+    let waste = async_.prefetch_wasted as f64
+        / (async_.prefetch_wasted + async_.prefetch_hits).max(1) as f64;
+    println!(
+        "stall {} -> {} tokens ({:.2}x); prefetch {} issued / {} hit / {} wasted ({waste:.3})",
+        sync.migration_stall_tokens,
+        async_.migration_stall_tokens,
+        sync.migration_stall_tokens as f64 / async_.migration_stall_tokens.max(1) as f64,
+        async_.prefetch_issued,
+        async_.prefetch_hits,
+        async_.prefetch_wasted,
+    );
+    assert_eq!(async_.completed, sync.completed, "mode changed outputs");
+    assert!(sync.migration_stall_tokens > 0, "no stall to hide");
+    assert!(
+        async_.migration_stall_tokens * 2 <= sync.migration_stall_tokens,
+        "async must cut the stall >= 2x (sync {} vs async {})",
+        sync.migration_stall_tokens,
+        async_.migration_stall_tokens
+    );
+    assert!(
+        waste < 0.80,
+        "prefetch waste {waste:.3} must stay below 0.80"
+    );
 }
 
 proptest! {

@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use lserve::core::{
     sequence_pages_estimate, AdmissionPolicy, EngineConfig, MigrationMode, ModelExecutor,
@@ -20,7 +21,9 @@ use lserve::core::{
 use lserve::kvcache::PagingConfig;
 use lserve::model::{ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
-use lserve::trace::{chrome_trace_json, lane, validate_json, EventKind, TraceEvent, Tracer};
+use lserve::trace::{
+    chrome_trace_json, lane, validate_json, EventKind, TraceEvent, Tracer, DEFAULT_RING_CAPACITY,
+};
 use proptest::prelude::*;
 
 fn weights(seed: u64) -> Arc<ModelWeights> {
@@ -204,6 +207,83 @@ fn ring_sink_bounds_retention_and_counts_drops() {
     let doc = chrome_trace_json(&events, dropped).render();
     validate_json(&doc).unwrap();
     assert!(doc.contains("\"dropped_events\""));
+}
+
+/// The one wall-clock claim: recording every span into the default ring
+/// costs less than 5 % of an untraced run's wall time. The scene is six
+/// requests of 32–132 prompt tokens on a 4-layer model (trace events come
+/// per step, layer and shard, so a layer must do real arithmetic for the
+/// ratio to mean anything), in a pool of 1.5 sequences that forces replay
+/// preemption. After two warm-up runs the two legs alternate nine times and
+/// the minimum of each is compared. Timing only: traced ≡ untraced and the
+/// ring bound are `traced_outputs_match_untraced_runs` and
+/// `ring_sink_bounds_retention_and_counts_drops`. When this test was written
+/// (release build, 2-core x86-64 VM with AVX2+FMA) it read between -3 % and
+/// +5.1 % from run to run, most often +4.3 %: the bound has little margin.
+#[test]
+#[ignore = "wall-clock, meaningful in release only: cargo test --release --test proptest_trace -- --ignored"]
+fn ring_tracing_costs_under_5_percent_of_untraced_wall_time() {
+    let model = ModelConfig {
+        name: "trace-overhead-small".into(),
+        num_layers: 4,
+        hidden: 128,
+        num_q_heads: 8,
+        num_kv_heads: 4,
+        head_dim: 16,
+        ffn_hidden: 256,
+        vocab: 97,
+        rope_base: 10_000.0,
+    };
+    let w = Arc::new(ModelWeights::random(&model, 6));
+    let cfg = small_page_cfg();
+    let requests: Vec<RequestSpec> = (0..6u64)
+        .map(|i| {
+            let prompt = (0..32 + 20 * i as usize).map(|t| ((t * 3 + i as usize) % 90) as u32);
+            RequestSpec::new(i, prompt.collect()).max_new_tokens(8)
+        })
+        .collect();
+    let longest = requests
+        .iter()
+        .map(|r| r.prompt.len() + r.max_new_tokens)
+        .max();
+    let one = estimate(&cfg, &w.config, longest.unwrap());
+    let exec = Arc::new(ModelExecutor::new(w, cfg));
+    // The caller keeps the tracer, so freeing the ring is not timed.
+    let time = |tracer: &Tracer| {
+        let start = Instant::now();
+        let mut scfg = SchedulerConfig::new(one + one / 2);
+        scfg.chunk_tokens = 16;
+        scfg.admission = AdmissionPolicy::FirstChunk;
+        scfg.tracer = tracer.clone();
+        (scfg.decode_threads, scfg.devices) = (1, 1);
+        (scfg.preemption, scfg.migration) = (PreemptionPolicy::Replay, MigrationMode::Sync);
+        (scfg.host_pages, scfg.nvme) = (0, false);
+        let mut sched = Scheduler::new(Arc::clone(&exec), scfg);
+        for r in &requests {
+            sched.submit(r.clone());
+        }
+        let report = sched.run_to_completion(1_000_000);
+        assert_eq!(report.completed.len(), requests.len());
+        assert!(report.preemptions > 0, "the pool must force preemption");
+        start.elapsed()
+    };
+    for _ in 0..2 {
+        time(&Tracer::disabled());
+    }
+    let (mut untraced, mut traced) = (Duration::MAX, Duration::MAX);
+    for _ in 0..9 {
+        untraced = untraced.min(time(&Tracer::disabled()));
+        traced = traced.min(time(&Tracer::ring(DEFAULT_RING_CAPACITY)));
+    }
+    let overhead = traced.as_secs_f64() / untraced.as_secs_f64() - 1.0;
+    println!(
+        "untraced {untraced:?}, ring-traced {traced:?}: {:+.2} %",
+        100.0 * overhead
+    );
+    assert!(
+        overhead < 0.05,
+        "ring tracing must cost < 5 % (untraced {untraced:?}, traced {traced:?})"
+    );
 }
 
 proptest! {
