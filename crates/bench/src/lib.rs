@@ -68,11 +68,6 @@ pub fn decode_lengths() -> Vec<usize> {
     ]
 }
 
-/// The deterministic JSON renderer behind the `BENCH_*.json` artifacts CI
-/// archives. It lives in `lserve-trace` (the trace exporter shares it);
-/// re-exported here so bench binaries keep their import path.
-pub use lserve_trace::{validate_json, Json};
-
 /// Geometric mean of positive values.
 ///
 /// # Panics
@@ -117,13 +112,5 @@ mod tests {
     #[should_panic(expected = "geomean of empty")]
     fn geomean_rejects_empty() {
         let _ = geomean(&[]);
-    }
-
-    #[test]
-    fn json_reexport_renders() {
-        // The renderer itself is pinned in lserve-trace; this keeps the bench
-        // import path honest.
-        let v = Json::obj([("count", Json::from(3u64))]);
-        assert_eq!(v.render(), r#"{"count":3}"#);
     }
 }

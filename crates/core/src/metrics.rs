@@ -2,16 +2,15 @@
 //! accumulates — scheduler lifecycle, parallel execution, tier migration,
 //! prefix cache — rendered into one deterministic JSON document.
 //!
-//! [`MetricsSnapshot`] is the generator behind the `BENCH_*.json` artifacts CI
-//! archives: a bench registers one [`ServingReport`] (or any [`Json`] value)
-//! per scenario under a stable name, and [`MetricsSnapshot::render`] emits a
+//! [`MetricsSnapshot`] is the document behind [`crate::ClusterReport::rollup`]:
+//! a caller registers one [`ServingReport`] (or any [`Json`] value) per
+//! scenario under a stable name, and [`MetricsSnapshot::render`] emits a
 //! single document whose keys and key order are pure functions of the
 //! registration sequence. [`ServingReport::to_json`] is the per-report
 //! projection it composes, and [`ServingReport::summary`] is the same data as
-//! a human-readable multi-line block for example binaries.
-
-use std::io;
-use std::path::Path;
+//! a human-readable multi-line block for example binaries. The modeled claims
+//! these counters carry are asserted by `cargo test` (DESIGN.md,
+//! "Claim tests"), not by a file.
 
 use lserve_trace::Json;
 
@@ -63,17 +62,6 @@ impl MetricsSnapshot {
     /// registration order, floats are rejected unless finite.
     pub fn render(&self) -> String {
         self.to_json().render()
-    }
-
-    /// Writes the rendered snapshot (with a trailing newline) to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut s = self.render();
-        s.push('\n');
-        std::fs::write(path, s)
     }
 }
 

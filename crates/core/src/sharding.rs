@@ -5,7 +5,7 @@
 //! across steps — which device each KV head lives on, the load history that
 //! decides when placement has gone stale — lives here and is threaded into
 //! `ModelExecutor::decode_batch_sharded` by the scheduler (or directly by
-//! tests and benches).
+//! tests).
 //!
 //! Placement is lazy and signal-driven: the first decode phase of each layer
 //! computes it from that phase's per-head sparsity cost signal (the same
@@ -123,7 +123,7 @@ impl ShardingPlan {
             .assignment()
     }
 
-    /// Overrides layer `l`'s placement (benches use this to stage a
+    /// Overrides layer `l`'s placement (tests use this to stage a
     /// deliberately bad placement the rebalancer must recover from).
     ///
     /// # Panics

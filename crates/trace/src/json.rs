@@ -1,5 +1,5 @@
 //! A minimal JSON value for the machine-readable artifacts the workspace
-//! emits (`BENCH_*.json` metric documents and `.trace.json` Chrome traces).
+//! emits (metric documents, `perf` results and `.trace.json` Chrome traces).
 //!
 //! Hand-rolled on purpose: the workspace carries no serialization dependency,
 //! and the artifacts are small and write-only from Rust's side. Keys keep

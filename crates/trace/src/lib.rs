@@ -19,8 +19,8 @@
 //!   `chrome://tracing` load directly: one process lane per engine layer,
 //!   one thread lane per sequence/worker, plus counter tracks.
 //! * [`Json`] — the workspace's deterministic JSON renderer (insertion-ordered
-//!   keys, NaN rejection), shared with `lserve-bench`'s `BENCH_*.json`
-//!   artifacts.
+//!   keys, NaN rejection), shared with the metrics snapshot and `perf`'s
+//!   result documents.
 //!
 //! Because timestamps are modeled work-token ticks, traces are bit-reproducible
 //! and diffable across runs and policies — a scheduling change shows up as a

@@ -261,9 +261,9 @@ fn speculative_scheduler(w: &Arc<ModelWeights>) -> Scheduler {
     Scheduler::new(Arc::new(ModelExecutor::new(Arc::clone(w), cfg)), scfg)
 }
 
-/// Forks `scene`'s branches off its root after the root's first token, joins
-/// them under `policy`, runs to completion, and returns the scheduler, the
-/// join group and the root tokens generated before the fork.
+/// Forks `scene`'s branches off its root after the root's first token under
+/// `policy`, and returns the scheduler (still running), the join group and
+/// the root tokens generated before the fork.
 fn race(
     w: &Arc<ModelWeights>,
     scene: &AgentScene,

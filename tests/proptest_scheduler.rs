@@ -187,7 +187,7 @@ fn parallel_decode_matches_single_thread_under_preemption() {
 /// (`cost_total / cost_critical`) at 4 threads. When this test was written:
 /// 1.00 / 2.00 / 3.91 / 7.50 at 1 / 2 / 4 / 8 threads.
 #[test]
-#[ignore = "about 45 s in debug: cargo test --release --test proptest_scheduler -- --ignored"]
+#[ignore = "about 40 s in debug: cargo test --release --test proptest_scheduler -- --ignored"]
 fn lpt_schedule_models_at_least_2x_decode_speedup_at_4_threads() {
     let model = ModelConfig {
         name: "parallel-bench".into(),

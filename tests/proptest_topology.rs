@@ -5,9 +5,12 @@
 //! Placement, cross-device gathers and the rebalancer only move *modeled*
 //! cost between simulated devices; the arithmetic never changes.
 //!
-//! The same file anchors the cluster front door: the prefix-affinity router
-//! must actually produce affinity hits on a shared-prefix workload, and the
-//! per-replica reports must sum exactly to the rolled-up cluster snapshot.
+//! The same file holds the modeled placement claim (sparsity-aware placement
+//! against round-robin at 4 devices) and anchors the cluster front door: the
+//! prefix-affinity router must actually produce affinity hits on a
+//! shared-prefix workload, lose no prefix reuse against least-loaded routing,
+//! and the per-replica reports must sum exactly to the rolled-up cluster
+//! snapshot.
 
 use std::sync::Arc;
 
@@ -218,7 +221,7 @@ fn run_placed(w: &Arc<ModelWeights>, devices: usize, placement: PlacementPolicy)
 /// single-device run under either policy, and cross-device gathers are
 /// charged. When this test was written: 1.72 vs 1.01 (1.70x).
 #[test]
-#[ignore = "about 22 s in debug: cargo test --release --test proptest_topology -- --ignored"]
+#[ignore = "about 20 s in debug: cargo test --release --test proptest_topology -- --ignored"]
 fn sparsity_aware_placement_beats_round_robin_imbalance_at_4_devices() {
     let w = Arc::new(ModelWeights::random(&wide_model(), 11));
     let sa = run_placed(&w, DEVICES, PlacementPolicy::SparsityAware);
@@ -296,7 +299,8 @@ proptest! {
 /// Router anchor: on a two-family shared-prefix workload, affinity routing
 /// produces hits, keeps each family on one replica (so the prefix cache
 /// hits), and the rolled-up snapshot's cluster totals are exact sums of the
-/// per-replica reports.
+/// per-replica reports. On the persona scene, affinity routing loses no
+/// prefix reuse against least-loaded routing.
 #[test]
 fn router_affinity_hits_and_rollup_sums_replicas() {
     let weights = weights(7);
