@@ -219,7 +219,8 @@ fn ring_sink_bounds_retention_and_counts_drops() {
 /// ring bound are `traced_outputs_match_untraced_runs` and
 /// `ring_sink_bounds_retention_and_counts_drops`. When this test was written
 /// (release build, 2-core x86-64 VM with AVX2+FMA) it read between -3 % and
-/// +5.1 % from run to run, most often +4.3 %: the bound has little margin.
+/// +5.1 % from run to run, most often +4.3 %, once +18 % on a noisy host:
+/// the bound has little margin.
 #[test]
 #[ignore = "wall-clock, meaningful in release only: cargo test --release --test proptest_trace -- --ignored"]
 fn ring_tracing_costs_under_5_percent_of_untraced_wall_time() {
@@ -281,7 +282,7 @@ fn ring_tracing_costs_under_5_percent_of_untraced_wall_time() {
         100.0 * overhead
     );
     assert!(
-        overhead < 0.05,
+        overhead <= 0.05,
         "ring tracing must cost < 5 % (untraced {untraced:?}, traced {traced:?})"
     );
 }
