@@ -12,7 +12,6 @@ use lserve_costmodel::PlacementPolicy;
 use lserve_kvcache::MigrationMode;
 use lserve_trace::Tracer;
 
-use crate::config::RuntimeConfig;
 use crate::dag::{SparsityOverride, SparsitySchedule};
 
 /// Service-level-objective class of a request. Scheduling is strict-priority
@@ -440,15 +439,14 @@ pub struct SchedulerConfig {
     /// or off.
     pub prefix_cache: bool,
     /// Worker threads for the sharded attention phases of prefill and decode
-    /// (the *(sequence × KV-head)* LPT-balanced executor). Defaults to the
-    /// `LSERVE_DECODE_THREADS` environment variable (1 when unset). Outputs
-    /// are bit-identical for every value — the knob trades wall-clock only.
+    /// (the *(sequence × KV-head)* LPT-balanced executor). Defaults to 1.
+    /// Outputs are bit-identical for every value — the knob trades
+    /// wall-clock only.
     pub decode_threads: usize,
     /// Simulated devices decode attention is placed onto
-    /// ([`crate::ShardingPlan`]-driven head-parallel sharding). Defaults to the
-    /// `LSERVE_DEVICES` environment variable (1 when unset). Outputs are
-    /// bit-identical for every value — devices move modeled cost and trace
-    /// lanes only.
+    /// ([`crate::ShardingPlan`]-driven head-parallel sharding). Defaults to 1.
+    /// Outputs are bit-identical for every value — devices move modeled cost
+    /// and trace lanes only.
     pub devices: usize,
     /// How KV heads are assigned to those devices: sparsity-aware device-level
     /// LPT (the default) or the round-robin baseline.
@@ -460,30 +458,27 @@ pub struct SchedulerConfig {
     /// interconnect).
     pub rebalance_threshold: f64,
     /// How pool pressure is relieved: recompute-based [`PreemptionPolicy::Replay`]
-    /// or the tiered memory's [`PreemptionPolicy::Swap`]. Defaults to the
-    /// `LSERVE_PREEMPTION` environment variable (replay when unset). Outputs
-    /// are bit-identical for both values.
+    /// or the tiered memory's [`PreemptionPolicy::Swap`]. Defaults to
+    /// [`PreemptionPolicy::Replay`]. Outputs are bit-identical for both
+    /// values.
     pub preemption: PreemptionPolicy,
     /// How tier migrations are executed and accounted: inline
     /// [`MigrationMode::Sync`] (every transfer stalls its issuing step) or
     /// the overlapped [`MigrationMode::Async`] copy engine (transfers drain
-    /// behind compute; only demand-forced remainders stall). Defaults to the
-    /// `LSERVE_MIGRATION` environment variable (sync when unset). Outputs
-    /// are bit-identical for both values — the knob trades modeled stall
-    /// time only.
+    /// behind compute; only demand-forced remainders stall). Defaults to
+    /// [`MigrationMode::Sync`]. Outputs are bit-identical for both values —
+    /// the knob trades modeled stall time only.
     pub migration: MigrationMode,
     /// Host (cold-tier) page capacity: `0` models an unbounded host — the
     /// historical behavior. A bounded host forces the pool to spill its
     /// oldest cold page to nvme before each demotion (when `nvme` is on) or
     /// to refuse the demotion entirely (drop-and-replay fallback). Defaults
-    /// to the `LSERVE_HOST_PAGES` environment variable (0 when unset).
-    /// Outputs are bit-identical for every value — tiers move modeled cost
-    /// only.
+    /// to 0. Outputs are bit-identical for every value — tiers move modeled
+    /// cost only.
     pub host_pages: usize,
     /// Enables the modeled nvme tier below the host ([`lserve_kvcache::
     /// NVME_TRANSFER_SPEEDUP`], an order of magnitude slower per hop than
-    /// the host link). Defaults to the `LSERVE_NVME` environment variable
-    /// (off when unset). Outputs are bit-identical either way.
+    /// the host link). Defaults to off. Outputs are bit-identical either way.
     pub nvme: bool,
     /// Enables SLO-class- and deadline-aware scheduling (the default). When
     /// `false`, admission and victim selection fall back to class-blind FCFS
@@ -500,43 +495,36 @@ pub struct SchedulerConfig {
     pub no_deadline_slack: u64,
     /// Shared trace handle threaded through the scheduler, the executor's
     /// per-layer phases, the attention shard workers, the copy engine, and the
-    /// page selector. Defaults to the `LSERVE_TRACE` environment variable
-    /// (disabled when unset). Tracing never changes outputs — the
-    /// trace clock is a parallel work-token ledger, not a scheduling input.
+    /// page selector. Defaults to [`Tracer::disabled`]. Tracing never changes
+    /// outputs — the trace clock is a parallel work-token ledger, not a
+    /// scheduling input.
     pub tracer: Tracer,
 }
 
 impl SchedulerConfig {
     /// Defaults: 128-token prefill chunks, batch of up to 64, first-chunk
-    /// admission (preemption-backed), prefix cache off, class-aware
-    /// scheduling on, and the seven `LSERVE_*` knobs as
-    /// [`RuntimeConfig::from_env`] reads them — here, at construction, never
-    /// cached process-wide, so tests and benches can vary the variables
-    /// between scheduler constructions in one process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an `LSERVE_*` variable holds a value its knob does not accept.
+    /// admission (preemption-backed), prefix cache off, one attention thread
+    /// on one device, replay preemption, synchronous migration, an unbounded
+    /// host without nvme, class-aware scheduling on, and tracing off.
     pub fn new(pool_pages: usize) -> Self {
-        let env = RuntimeConfig::from_env();
         Self {
             pool_pages,
             chunk_tokens: 128,
             max_batch: 64,
             admission: AdmissionPolicy::FirstChunk,
             prefix_cache: false,
-            decode_threads: env.decode_threads,
-            devices: env.devices,
+            decode_threads: 1,
+            devices: 1,
             placement: PlacementPolicy::SparsityAware,
             rebalance_interval: 16,
             rebalance_threshold: 1.5,
-            preemption: env.preemption,
-            migration: env.migration,
-            host_pages: env.tiers.host_pages,
-            nvme: env.tiers.nvme,
+            preemption: PreemptionPolicy::Replay,
+            migration: MigrationMode::Sync,
+            host_pages: 0,
+            nvme: false,
             class_aware: true,
             no_deadline_slack: 1 << 20,
-            tracer: env.trace.tracer(),
+            tracer: Tracer::disabled(),
         }
     }
 

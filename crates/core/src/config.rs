@@ -1,124 +1,8 @@
 //! Engine configuration and the policy presets compared in the paper.
 
-use lserve_kvcache::{MigrationMode, PagePool, PagingConfig, StreamingWindow, TierConfig};
+use lserve_kvcache::{PagePool, PagingConfig, StreamingWindow};
 use lserve_model::ModelConfig;
 use lserve_quant::KvPrecision;
-use lserve_trace::{Tracer, DEFAULT_RING_CAPACITY};
-
-use crate::api::PreemptionPolicy;
-
-/// What `LSERVE_TRACE` asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceMode {
-    /// No tracing (the zero-cost disabled tracer).
-    #[default]
-    Off,
-    /// Record into a ring buffer of [`DEFAULT_RING_CAPACITY`] events.
-    Ring,
-    /// Construct and discard events (the overhead-measurement sink).
-    Noop,
-}
-
-impl TraceMode {
-    /// A fresh tracer of this mode.
-    pub fn tracer(self) -> Tracer {
-        match self {
-            TraceMode::Off => Tracer::disabled(),
-            TraceMode::Ring => Tracer::ring(DEFAULT_RING_CAPACITY),
-            TraceMode::Noop => Tracer::noop(),
-        }
-    }
-}
-
-/// The seven `LSERVE_*` environment knobs, read in one place. Every one of
-/// them trades wall-clock or modeled cost only: outputs are bit-identical for
-/// every value, which is what lets CI run the whole suite under a second
-/// setting of all of them.
-///
-/// | variable                | accepted (case-insensitive, trimmed)      | unset / empty |
-/// |-------------------------|-------------------------------------------|---------------|
-/// | `LSERVE_DECODE_THREADS` | an integer >= 1                           | 1             |
-/// | `LSERVE_PREEMPTION`     | `replay`, `swap`                          | `replay`      |
-/// | `LSERVE_MIGRATION`      | `sync`, `async`                           | `sync`        |
-/// | `LSERVE_DEVICES`        | an integer >= 1                           | 1             |
-/// | `LSERVE_HOST_PAGES`     | an integer >= 0 (`0` = unbounded host)    | 0             |
-/// | `LSERVE_NVME`           | `1`/`true`/`on`, `0`/`false`/`off`        | off           |
-/// | `LSERVE_TRACE`          | `1`/`on`/`ring`, `noop`, `0`/`off`        | off           |
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuntimeConfig {
-    /// Worker threads of the sharded attention phases.
-    pub decode_threads: usize,
-    /// How pool pressure is relieved.
-    pub preemption: PreemptionPolicy,
-    /// Whether tier transfers stall their step or drain behind compute.
-    pub migration: MigrationMode,
-    /// Simulated devices decode attention is placed onto.
-    pub devices: usize,
-    /// Host capacity and the nvme tier below it.
-    pub tiers: TierConfig,
-    /// Trace recording.
-    pub trace: TraceMode,
-}
-
-impl RuntimeConfig {
-    /// Reads the process environment — on every call, never cached
-    /// process-wide, so tests and benches can vary a variable between two
-    /// constructions. [`crate::SchedulerConfig::new`] and
-    /// [`crate::ModelExecutor::new`] call it once and pin the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a value the table above does not list: a mistyped variable
-    /// silently selecting the default would re-test the default
-    /// configuration and report it as the one asked for.
-    pub fn from_env() -> Self {
-        Self::parse(|name| std::env::var(name).ok()).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`RuntimeConfig::from_env`] over any variable lookup; `Err` names the
-    /// variable, what it accepts and what it held.
-    pub fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
-        let get = |name: &str| var(name).unwrap_or_default().trim().to_ascii_lowercase();
-        fn bad<T>(name: &str, accepts: &str, got: &str) -> Result<T, String> {
-            Err(format!("{name} must be {accepts}, got {got:?}"))
-        }
-        let count = |name: &str, default: usize, min: usize| match get(name).as_str() {
-            "" => Ok(default),
-            v => match v.parse() {
-                Ok(n) if n >= min => Ok(n),
-                _ => bad(name, &format!("an integer >= {min}"), v),
-            },
-        };
-        Ok(Self {
-            decode_threads: count("LSERVE_DECODE_THREADS", 1, 1)?,
-            preemption: match get("LSERVE_PREEMPTION").as_str() {
-                "" | "replay" => PreemptionPolicy::Replay,
-                "swap" => PreemptionPolicy::Swap,
-                v => return bad("LSERVE_PREEMPTION", "replay|swap", v),
-            },
-            migration: match get("LSERVE_MIGRATION").as_str() {
-                "" | "sync" => MigrationMode::Sync,
-                "async" => MigrationMode::Async,
-                v => return bad("LSERVE_MIGRATION", "sync|async", v),
-            },
-            devices: count("LSERVE_DEVICES", 1, 1)?,
-            tiers: TierConfig {
-                host_pages: count("LSERVE_HOST_PAGES", 0, 0)?,
-                nvme: match get("LSERVE_NVME").as_str() {
-                    "" | "0" | "false" | "off" => false,
-                    "1" | "true" | "on" => true,
-                    v => return bad("LSERVE_NVME", "0|false|off|1|true|on", v),
-                },
-            },
-            trace: match get("LSERVE_TRACE").as_str() {
-                "" | "0" | "off" => TraceMode::Off,
-                "1" | "on" | "ring" => TraceMode::Ring,
-                "noop" => TraceMode::Noop,
-                v => return bad("LSERVE_TRACE", "0|off|1|on|ring|noop", v),
-            },
-        })
-    }
-}
 
 /// Which dynamic page-selection policy dense heads use during decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,8 +54,8 @@ pub struct EngineConfig {
     /// are bit-identical either way — the knob trades hot-tier footprint for
     /// modeled transfer work. Whether that work stalls the decode loop or is
     /// hidden behind it is a separate, orthogonal knob:
-    /// [`lserve_kvcache::MigrationMode`] (env `LSERVE_MIGRATION`), which
-    /// routes the transfers through the asynchronous copy engine.
+    /// [`crate::SchedulerConfig::migration`], which routes the transfers
+    /// through the asynchronous copy engine.
     pub demote_after_chunks: Option<usize>,
 }
 
@@ -258,18 +142,11 @@ impl EngineConfig {
 
     /// Builds a page pool sized so one sequence of up to `max_tokens` fits under
     /// this configuration (dense heads grow with context; streaming heads are
-    /// bounded by their window). The migration mode is read from
-    /// `LSERVE_MIGRATION` (sync when unset), so single-sequence runs exercise
-    /// the same copy-engine path the scheduler does under the async CI leg.
+    /// bounded by their window), with synchronous migration and an unbounded
+    /// host tier.
     pub fn make_pool_for(&self, model: &ModelConfig, max_tokens: usize) -> PagePool {
         let capacity = crate::sequence_pages_estimate(self, model, max_tokens) + 8;
-        PagePool::new_with_tiers(
-            self.paging,
-            capacity,
-            model.head_dim,
-            RuntimeConfig::from_env().migration,
-            TierConfig::default(),
-        )
+        PagePool::new(self.paging, capacity, model.head_dim)
     }
 
     /// Validates internal consistency.
@@ -308,104 +185,6 @@ impl EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every variable x its accepted spellings x one bad value: an accepted
-    /// spelling selects what the table says, the rest of the environment at
-    /// its defaults; a bad value is an error naming the variable.
-    #[test]
-    fn runtime_config_accepts_the_listed_spellings_and_rejects_the_rest() {
-        let with = |name: &'static str, value: &'static str| {
-            RuntimeConfig::parse(move |n| (n == name).then(|| value.to_string()))
-        };
-        let unset = RuntimeConfig::parse(|_| None).unwrap();
-        let bounded = |host_pages, nvme| TierConfig { host_pages, nvme };
-        assert_eq!(
-            unset,
-            RuntimeConfig {
-                decode_threads: 1,
-                preemption: PreemptionPolicy::Replay,
-                migration: MigrationMode::Sync,
-                devices: 1,
-                tiers: bounded(0, false),
-                trace: TraceMode::Off,
-            }
-        );
-        type Case = (
-            &'static str,
-            &'static [&'static str],
-            RuntimeConfig,
-            &'static str,
-        );
-        let (swap, asynch) = (PreemptionPolicy::Swap, MigrationMode::Async);
-        #[rustfmt::skip]
-        let cases: [Case; 14] = [
-            ("LSERVE_DECODE_THREADS", &["", " ", "1"], unset, "0"),
-            ("LSERVE_DECODE_THREADS", &["8", " 8 "], RuntimeConfig { decode_threads: 8, ..unset }, "eight"),
-            ("LSERVE_PREEMPTION", &["", "replay", "Replay"], unset, "swpa"),
-            ("LSERVE_PREEMPTION", &["swap", " SWAP "], RuntimeConfig { preemption: swap, ..unset }, "swap,"),
-            ("LSERVE_MIGRATION", &["", "sync"], unset, "asnyc"),
-            ("LSERVE_MIGRATION", &["async", "ASYNC"], RuntimeConfig { migration: asynch, ..unset }, "1"),
-            ("LSERVE_DEVICES", &["", "1"], unset, "x"),
-            ("LSERVE_DEVICES", &["4"], RuntimeConfig { devices: 4, ..unset }, "0"),
-            ("LSERVE_HOST_PAGES", &["", "0"], unset, "abc"),
-            ("LSERVE_HOST_PAGES", &["8"], RuntimeConfig { tiers: bounded(8, false), ..unset }, "-1"),
-            ("LSERVE_NVME", &["", "0", "false", "off"], unset, "yes"),
-            ("LSERVE_NVME", &["1", "true", "on", "ON"], RuntimeConfig { tiers: bounded(0, true), ..unset }, "2"),
-            ("LSERVE_TRACE", &["", "0", "off"], unset, "typo"),
-            ("LSERVE_TRACE", &["1", "on", "ring"], RuntimeConfig { trace: TraceMode::Ring, ..unset }, "rnig"),
-        ];
-        for (name, spellings, want, bad) in cases {
-            for value in spellings {
-                assert_eq!(with(name, value), Ok(want), "{name}={value:?}");
-            }
-            let err = with(name, bad).expect_err(bad);
-            assert!(
-                err.starts_with(name) && err.contains(bad),
-                "{name}={bad:?}: {err}"
-            );
-        }
-        let noop = RuntimeConfig {
-            trace: TraceMode::Noop,
-            ..unset
-        };
-        assert_eq!(with("LSERVE_TRACE", "noop"), Ok(noop));
-        assert!(!TraceMode::Off.tracer().is_enabled());
-        assert!(TraceMode::Ring.tracer().is_enabled() && TraceMode::Noop.tracer().is_enabled());
-    }
-
-    /// The CI leg's seven variables at once.
-    #[test]
-    fn runtime_config_reads_every_variable_together() {
-        let leg = [
-            ("LSERVE_DECODE_THREADS", "8"),
-            ("LSERVE_PREEMPTION", "swap"),
-            ("LSERVE_MIGRATION", "async"),
-            ("LSERVE_DEVICES", "4"),
-            ("LSERVE_HOST_PAGES", "8"),
-            ("LSERVE_NVME", "1"),
-            ("LSERVE_TRACE", "noop"),
-        ];
-        let got = RuntimeConfig::parse(|n| {
-            let hit = leg.iter().find(|(name, _)| *name == n);
-            Some(
-                hit.expect("only the seven variables are read")
-                    .1
-                    .to_string(),
-            )
-        });
-        let want = RuntimeConfig {
-            decode_threads: 8,
-            preemption: PreemptionPolicy::Swap,
-            migration: MigrationMode::Async,
-            devices: 4,
-            tiers: TierConfig {
-                host_pages: 8,
-                nvme: true,
-            },
-            trace: TraceMode::Noop,
-        };
-        assert_eq!(got, Ok(want));
-    }
 
     #[test]
     fn presets_validate() {

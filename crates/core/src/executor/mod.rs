@@ -48,7 +48,6 @@ use lserve_tensor::rope::RopeTable;
 use lserve_trace::{lane, CONTROL_TID};
 use lserve_workloads::duo_gates;
 
-use crate::config::RuntimeConfig;
 use crate::dag::SparsitySchedule;
 use crate::stats::ParallelExecStats;
 use crate::{streaming_masks_from_gates, EngineConfig, EngineStats, SelectorKind};
@@ -119,12 +118,6 @@ pub struct ModelExecutor {
     rope: RopeTable,
     masks: Vec<Vec<bool>>,
     kinds: Vec<Vec<HeadKind>>,
-    /// `LSERVE_DECODE_THREADS` and `LSERVE_DEVICES` as they stood at
-    /// construction: the worker count and device mesh of the entry points
-    /// that take neither ([`ModelExecutor::prefill`],
-    /// [`ModelExecutor::decode_step`]). Read once here, not per token.
-    default_threads: usize,
-    default_devices: usize,
 }
 
 impl ModelExecutor {
@@ -136,11 +129,9 @@ impl ModelExecutor {
     /// # Panics
     ///
     /// Panics if `cfg` is internally inconsistent (see
-    /// [`EngineConfig::validate`]), or if an `LSERVE_*` variable holds a value
-    /// its knob does not accept ([`RuntimeConfig::from_env`]).
+    /// [`EngineConfig::validate`]).
     pub fn new(weights: Arc<ModelWeights>, cfg: EngineConfig) -> Self {
         cfg.validate();
-        let env = RuntimeConfig::from_env();
         let model = &weights.config;
         let gates = duo_gates(model.num_layers, model.num_kv_heads, cfg.gate_seed);
         let masks = streaming_masks_from_gates(&gates, cfg.streaming_sparsity);
@@ -175,8 +166,6 @@ impl ModelExecutor {
             rope,
             masks,
             kinds,
-            default_threads: env.decode_threads,
-            default_devices: env.devices,
         }
     }
 
@@ -246,7 +235,8 @@ impl ModelExecutor {
     }
 
     /// Processes a whole prompt (or the first chunk of one) with the fused
-    /// block-sparse prefill pipeline and writes KV into the two-way paged cache.
+    /// block-sparse prefill pipeline and writes KV into the two-way paged
+    /// cache, on one worker thread.
     ///
     /// # Errors
     ///
@@ -263,7 +253,7 @@ impl ModelExecutor {
         tokens: &[u32],
     ) -> Result<PrefillOutput, OutOfPagesError> {
         let mut stats = ParallelExecStats::default();
-        self.prefill_threads(state, pool, tokens, self.default_threads, &mut stats)
+        self.prefill_threads(state, pool, tokens, 1, &mut stats)
     }
 
     /// [`ModelExecutor::prefill`] with an explicit worker-thread count: each

@@ -6,7 +6,7 @@
 use lserve_attention::{
     placed_queues, run_decode_shard, run_placed, DecodeShard, DecodeStats, PlacedBalance,
 };
-use lserve_costmodel::{PlacementPolicy, Topology, DEFAULT_GATHER_COST_TOKENS};
+use lserve_costmodel::{PlacementPolicy, Topology};
 use lserve_kvcache::{HeadCache, MigrationMode, PagePool, HOST_TRANSFER_SPEEDUP};
 use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention};
 use lserve_tensor::Matrix;
@@ -18,8 +18,8 @@ use crate::sharding::ShardingPlan;
 use crate::stats::ParallelExecStats;
 
 impl ModelExecutor {
-    /// Runs one decode step for one sequence: absorbs `token`, returns next-token
-    /// logits.
+    /// Runs one decode step for one sequence, on one worker thread and one
+    /// device: absorbs `token`, returns next-token logits.
     ///
     /// Dense heads go through dynamic page selection (when configured) and the
     /// fused decode kernel; streaming heads attend their sink+local pages.
@@ -41,19 +41,18 @@ impl ModelExecutor {
     ) -> Result<DecodeOutput, OutOfPagesError> {
         let mut plan = self.transient_plan();
         let mut stats = ParallelExecStats::default();
-        let threads = self.default_threads;
         let mut out =
-            self.decode_batch_sharded(pool, &mut [(state, token)], threads, &mut plan, &mut stats);
+            self.decode_batch_sharded(pool, &mut [(state, token)], 1, &mut plan, &mut stats);
         out.pop().expect("one result per input sequence")
     }
 
-    /// A fresh plan over the construction-time `LSERVE_DEVICES` mesh. Callers
-    /// that need placement to persist across steps — the scheduler, whose
-    /// rebalancer tracks load history — hold their own plan.
+    /// A fresh plan over one device. Callers that need placement to persist
+    /// across steps — the scheduler, whose rebalancer tracks load history —
+    /// hold their own plan.
     fn transient_plan(&self) -> ShardingPlan {
         let model = &self.weights.config;
         ShardingPlan::new(
-            Topology::symmetric(self.default_devices, DEFAULT_GATHER_COST_TOKENS),
+            Topology::single(),
             PlacementPolicy::SparsityAware,
             model.num_layers,
             model.num_kv_heads,
@@ -591,7 +590,7 @@ mod tests {
             })
             .collect();
         let mut b_tokens: Vec<Vec<u32>> = pending.iter().map(|&t| vec![t]).collect();
-        let (threads, mut plan) = (exec.default_threads, exec.transient_plan());
+        let mut plan = exec.transient_plan();
         let mut stats = ParallelExecStats::default();
         for _ in 0..6 {
             let mut batch: Vec<(&mut SequenceState, u32)> = b_states
@@ -599,8 +598,7 @@ mod tests {
                 .zip(pending.iter())
                 .map(|(s, &t)| (s, t))
                 .collect();
-            let outs =
-                exec.decode_batch_sharded(&mut pool_b, &mut batch, threads, &mut plan, &mut stats);
+            let outs = exec.decode_batch_sharded(&mut pool_b, &mut batch, 1, &mut plan, &mut stats);
             for (i, out) in outs.into_iter().enumerate() {
                 let next = greedy_next_token(&out.unwrap().logits);
                 pending[i] = next;
@@ -829,13 +827,12 @@ mod tests {
         exec.prefill(&mut a, &mut pool, &[1, 2, 3, 4]).unwrap();
         exec.prefill(&mut b, &mut pool, &[5, 6, 7, 8]).unwrap();
         let mut results = Vec::new();
-        let (threads, mut plan) = (exec.default_threads, exec.transient_plan());
+        let mut plan = exec.transient_plan();
         let mut stats = ParallelExecStats::default();
         for step in 0..200 {
             let mut batch: Vec<(&mut SequenceState, u32)> =
                 vec![(&mut a, step as u32 % 90), (&mut b, (step + 1) as u32 % 90)];
-            let out =
-                exec.decode_batch_sharded(&mut pool, &mut batch, threads, &mut plan, &mut stats);
+            let out = exec.decode_batch_sharded(&mut pool, &mut batch, 1, &mut plan, &mut stats);
             if out.iter().any(|r| r.is_err()) {
                 results = out;
                 break;

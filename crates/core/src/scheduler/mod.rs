@@ -65,7 +65,7 @@
 //!   so with the prefix cache enabled a follow-up turn starts from the donated
 //!   pages of the previous one.
 //! * **Sparsity-aware parallel decode** ([`SchedulerConfig::decode_threads`],
-//!   default from `LSERVE_DECODE_THREADS`): every prefill/decode attention
+//!   default 1): every prefill/decode attention
 //!   phase runs as *(sequence × KV-head)* shards, LPT-balanced by the per-head
 //!   sparsity cost across a scoped-thread worker pool with work stealing.
 //!

@@ -205,11 +205,12 @@ mod tests {
         let m = &w.config;
         let one_seq_pages = m.num_layers * m.num_kv_heads * (cfg.paging.pages_for(70) + 1);
 
-        let run = |policy: PreemptionPolicy| {
+        let run = |policy: PreemptionPolicy, migration: MigrationMode| {
             let mut scfg = SchedulerConfig::new(one_seq_pages + 2);
             scfg.chunk_tokens = 16;
             scfg.admission = AdmissionPolicy::FirstChunk;
             scfg.preemption = policy;
+            scfg.migration = migration;
             let mut sched = scheduler(cfg.clone(), scfg);
             sched.submit(request(1, 60, 10));
             sched.submit(request(2, 60, 10));
@@ -222,58 +223,63 @@ mod tests {
             );
             r
         };
-        let replay = run(PreemptionPolicy::Replay);
-        let swap = run(PreemptionPolicy::Swap);
-        assert!(
-            swap.preemptions > 0,
-            "pool pressure must trigger preemption"
-        );
-        assert_eq!(swap.completed, replay.completed, "swap changed outputs");
-        assert!(swap.pages_demoted > 0, "swap must demote victim pages");
-        assert!(swap.pages_promoted > 0, "resume must promote them back");
-        assert!(swap.peak_cold_pages > 0);
-        assert_eq!(swap.preemption, PreemptionPolicy::Swap);
-        assert_eq!(replay.pages_demoted, 0, "replay never touches the tiers");
-        assert_eq!(replay.swap_resume_work_tokens, 0);
-        // The resume-cost accounting is mode-split: sync migration charges
-        // the promotion to the work clock at resume; the async copy engine
-        // hides it behind re-admission compute instead (CI runs both legs).
-        match swap.migration {
-            MigrationMode::Sync => {
-                assert!(swap.swap_resume_work_tokens > 0, "resume work accounted");
-                // The whole point: resuming by transfer is far cheaper than
-                // replaying the victim's context through the forward pass.
-                let replayed_tokens: u64 = 60 + 10; // one victim replay, upper bound
-                assert!(
-                    swap.swap_resume_work_tokens < replayed_tokens,
-                    "swap resume ({}) should undercut replay (~{replayed_tokens})",
-                    swap.swap_resume_work_tokens
-                );
-            }
-            MigrationMode::Async => {
-                assert_eq!(
-                    swap.swap_resume_work_tokens, 0,
-                    "async resume promotions ride the copy engine, not the clock"
-                );
-                assert!(
-                    swap.hidden_transfer_tokens > 0,
-                    "overlapped resume transfers must be hidden"
-                );
-                // This pool holds one sequence, so the scene has one right
-                // schedule: the victim goes out once, every unit of that
-                // hidden behind the survivor's decode steps, and comes back
-                // once the survivor is done — when its next step fits and
-                // nothing is left running to hide the swap-in behind. A
-                // second preemption is a resume taken before its step fit (5
-                // of them bought the 0.83 overlap this scene once reported);
-                // any other split of the units is a swap-out that stalled.
-                assert_eq!(swap.preemptions, 1);
-                assert_eq!(swap.pages_promoted, swap.pages_demoted);
-                let one_way = lserve_kvcache::transfer_cost_tokens(
-                    swap.pages_demoted * cfg.paging.physical_page_size() as u64,
-                );
-                assert_eq!(swap.hidden_transfer_tokens, one_way, "swap-out hidden");
-                assert_eq!(swap.migration_stall_tokens, one_way, "swap-in not");
+        for migration in [MigrationMode::Sync, MigrationMode::Async] {
+            let replay = run(PreemptionPolicy::Replay, migration);
+            let swap = run(PreemptionPolicy::Swap, migration);
+            assert!(
+                swap.preemptions > 0,
+                "pool pressure must trigger preemption"
+            );
+            assert_eq!(swap.completed, replay.completed, "swap changed outputs");
+            assert!(swap.pages_demoted > 0, "swap must demote victim pages");
+            assert!(swap.pages_promoted > 0, "resume must promote them back");
+            assert!(swap.peak_cold_pages > 0);
+            assert_eq!(
+                (swap.preemption, swap.migration),
+                (PreemptionPolicy::Swap, migration)
+            );
+            assert_eq!(replay.pages_demoted, 0, "replay never touches the tiers");
+            assert_eq!(replay.swap_resume_work_tokens, 0);
+            // The resume-cost accounting is mode-split: sync migration charges
+            // the promotion to the work clock at resume; the async copy engine
+            // hides it behind re-admission compute instead.
+            match migration {
+                MigrationMode::Sync => {
+                    assert!(swap.swap_resume_work_tokens > 0, "resume work accounted");
+                    // The whole point: resuming by transfer is far cheaper than
+                    // replaying the victim's context through the forward pass.
+                    let replayed_tokens: u64 = 60 + 10; // one victim replay, upper bound
+                    assert!(
+                        swap.swap_resume_work_tokens < replayed_tokens,
+                        "swap resume ({}) should undercut replay (~{replayed_tokens})",
+                        swap.swap_resume_work_tokens
+                    );
+                }
+                MigrationMode::Async => {
+                    assert_eq!(
+                        swap.swap_resume_work_tokens, 0,
+                        "async resume promotions ride the copy engine, not the clock"
+                    );
+                    assert!(
+                        swap.hidden_transfer_tokens > 0,
+                        "overlapped resume transfers must be hidden"
+                    );
+                    // This pool holds one sequence, so the scene has one right
+                    // schedule: the victim goes out once, every unit of that
+                    // hidden behind the survivor's decode steps, and comes back
+                    // once the survivor is done — when its next step fits and
+                    // nothing is left running to hide the swap-in behind. A
+                    // second preemption is a resume taken before its step fit (5
+                    // of them bought the 0.83 overlap this scene once reported);
+                    // any other split of the units is a swap-out that stalled.
+                    assert_eq!(swap.preemptions, 1);
+                    assert_eq!(swap.pages_promoted, swap.pages_demoted);
+                    let one_way = lserve_kvcache::transfer_cost_tokens(
+                        swap.pages_demoted * cfg.paging.physical_page_size() as u64,
+                    );
+                    assert_eq!(swap.hidden_transfer_tokens, one_way, "swap-out hidden");
+                    assert_eq!(swap.migration_stall_tokens, one_way, "swap-in not");
+                }
             }
         }
     }

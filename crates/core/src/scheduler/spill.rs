@@ -103,8 +103,6 @@ mod tests {
             .map(|r| {
                 let mut scfg = SchedulerConfig::new(4 * one);
                 scfg.chunk_tokens = 16;
-                scfg.host_pages = 0;
-                scfg.nvme = false;
                 let mut sched = Scheduler::new(Arc::clone(&exec), scfg);
                 sched.submit(r.clone());
                 sched.run_to_completion(100_000).completed.remove(0).1
@@ -156,9 +154,8 @@ mod tests {
             scfg.admission = AdmissionPolicy::FirstChunk;
             scfg.preemption = PreemptionPolicy::Swap;
             // Sync keeps every swap-out demotion (and therefore the host
-            // overflow this test is about) on the issuing step, whatever the
-            // ambient `LSERVE_MIGRATION`; async tier traffic is covered by
-            // the `proptest_hierarchy` suite.
+            // overflow this test is about) on the issuing step; async tier
+            // traffic is covered by the `proptest_hierarchy` suite.
             scfg.migration = MigrationMode::Sync;
             scfg.host_pages = host_pages;
             scfg.nvme = nvme;

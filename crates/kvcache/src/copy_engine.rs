@@ -247,9 +247,7 @@ mod tests {
 
     #[test]
     fn env_knob_parses() {
-        // Only the default mode, `Sync`. The `LSERVE_MIGRATION` parser is
-        // `RuntimeConfig::parse` in `lserve-core`, and its spellings are
-        // `runtime_config_accepts_the_listed_spellings_and_rejects_the_rest`'s.
+        // The mode of a pool built without one.
         assert_eq!(MigrationMode::default(), MigrationMode::Sync);
     }
 

@@ -74,7 +74,7 @@ pub mod lane {
 /// The `tid` used for lane-global (non-per-sequence) tracks.
 pub const CONTROL_TID: u64 = 0;
 
-/// Ring capacity used by `LSERVE_TRACE=1` (events, not bytes).
+/// Ring capacity for a whole traced run (events, not bytes).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// What kind of trace-event record this is (mapped to Chrome `ph` on export).

@@ -1,7 +1,7 @@
 //! Golden-file pin of the Chrome trace exporter: a tiny fixed scene covering
 //! every lane and event kind must render byte-identically across runs and
-//! refactors. Regenerate with `LSERVE_UPDATE_GOLDEN=1 cargo test -p
-//! lserve-trace --test golden_chrome` and review the diff.
+//! refactors. Regenerate with `UPDATE_GOLDEN=1 cargo test -p lserve-trace
+//! --test golden_chrome` and review the diff.
 
 use lserve_trace::{chrome_trace_json, lane, validate_json, Tracer, CONTROL_TID};
 
@@ -150,6 +150,22 @@ fn device_scene() -> Tracer {
     t
 }
 
+/// Compares `rendered` with `tests/golden/<file>`, or rewrites the file when
+/// `UPDATE_GOLDEN=1` is set.
+fn check_golden(file: &str, rendered: &str) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var("UPDATE_GOLDEN").as_deref() == Ok("1") {
+        std::fs::write(&path, rendered).unwrap();
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{path}: {e}; run with UPDATE_GOLDEN=1 to create it"));
+    assert_eq!(
+        rendered, golden,
+        "exporter output drifted from {file}; if intentional, regenerate with \
+         UPDATE_GOLDEN=1 and review the diff"
+    );
+}
+
 #[test]
 fn tiny_scene_matches_golden() {
     let (events, dropped) = tiny_scene().drain();
@@ -158,17 +174,7 @@ fn tiny_scene_matches_golden() {
     rendered.push('\n');
     validate_json(rendered.trim_end()).unwrap();
 
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tiny.trace.json");
-    if std::env::var("LSERVE_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(golden_path, &rendered).unwrap();
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing; run with LSERVE_UPDATE_GOLDEN=1 to create");
-    assert_eq!(
-        rendered, golden,
-        "exporter output drifted from the golden trace; if intentional, \
-         regenerate with LSERVE_UPDATE_GOLDEN=1 and review the diff"
-    );
+    check_golden("tiny.trace.json", &rendered);
 }
 
 #[test]
@@ -182,18 +188,5 @@ fn device_scene_matches_golden() {
     assert!(rendered.contains("dev1/worker 0"));
     assert!(rendered.contains("\"name\":\"interconnect\""));
 
-    let golden_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/device_scene.trace.json"
-    );
-    if std::env::var("LSERVE_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(golden_path, &rendered).unwrap();
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing; run with LSERVE_UPDATE_GOLDEN=1 to create");
-    assert_eq!(
-        rendered, golden,
-        "exporter output drifted from the golden device trace; if \
-         intentional, regenerate with LSERVE_UPDATE_GOLDEN=1 and review the diff"
-    );
+    check_golden("device_scene.trace.json", &rendered);
 }

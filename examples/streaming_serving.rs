@@ -27,7 +27,7 @@ use lserve::core::{
     RequestSpec, Scheduler, SchedulerConfig, ServingEvent, ServingReport, SloClass,
 };
 use lserve::model::{ModelConfig, ModelWeights};
-use lserve::trace::write_chrome_trace;
+use lserve::trace::{write_chrome_trace, Tracer, DEFAULT_RING_CAPACITY};
 use lserve::workloads::{slo_mix_workload, SloMixConfig};
 
 fn engine_cfg() -> EngineConfig {
@@ -244,7 +244,7 @@ fn slo_mix_demo() {
 
 /// Scene 4: an oversubscribed tiered-memory scene (swap preemption, async
 /// migration, selection-driven demotion) with the unified tracing layer on.
-/// With `LSERVE_TRACE=1` this exports `streaming_serving.trace.json`, a
+/// It records into a ring and exports `streaming_serving.trace.json`, a
 /// Chrome-trace-format file loadable in <https://ui.perfetto.dev>: lanes for
 /// the scheduler (one track per request), the executor's per-layer phases,
 /// the LPT-balanced attention shard workers, the copy engine, and the page
@@ -288,7 +288,8 @@ fn traced_overcommit_demo() {
     scfg.chunk_tokens = 8;
     scfg.preemption = PreemptionPolicy::Swap;
     scfg.migration = MigrationMode::Async;
-    let tracer = scfg.tracer.clone();
+    let tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
+    scfg.tracer = tracer.clone();
     let mut sched = Scheduler::new(exec, scfg);
     for r in &requests {
         sched.submit(r.clone());
@@ -296,19 +297,13 @@ fn traced_overcommit_demo() {
     let report = sched.run_to_completion(200_000);
     assert_eq!(report.completed.len(), requests.len());
     println!("{}\n", indent(&report.summary()));
-    if tracer.is_enabled() {
-        let (events, dropped) = tracer.drain();
-        let path = "streaming_serving.trace.json";
-        write_chrome_trace(path, &events, dropped).expect("write trace file");
-        println!(
-            "  wrote {path} ({} events, {dropped} dropped) — open in https://ui.perfetto.dev\n",
-            events.len()
-        );
-    } else {
-        println!(
-            "  set LSERVE_TRACE=1 to export streaming_serving.trace.json (Perfetto-loadable)\n"
-        );
-    }
+    let (events, dropped) = tracer.drain();
+    let path = "streaming_serving.trace.json";
+    write_chrome_trace(path, &events, dropped).expect("write trace file");
+    println!(
+        "  wrote {path} ({} events, {dropped} dropped) — open in https://ui.perfetto.dev\n",
+        events.len()
+    );
 }
 
 fn main() {

@@ -7,9 +7,7 @@
 //! `device_matrix_preserves_outputs_and_charges_interconnect`: three chunked
 //! prompts under swap preemption, async migration and selection-driven
 //! demotion, so fused prefill phases, continuation runs and batched decode
-//! rounds all occur. Every `SchedulerConfig` field that `SchedulerConfig::new`
-//! seeds from an `LSERVE_*` variable is overwritten, so both CI legs read the
-//! same numbers.
+//! rounds all occur.
 //!
 //! [`LEDGER`] holds what the code produced *before* the attention phase's two
 //! worker pools and two placement paths became one. A change that only

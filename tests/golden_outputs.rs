@@ -7,10 +7,13 @@
 //! tweak, a scheduling reorder, a thread-count dependence — fails the suite
 //! with a diff instead of silently shipping different tokens.
 //!
-//! The fixtures are also the cross-thread and cross-device determinism net:
-//! CI runs this suite under `LSERVE_DECODE_THREADS=1` / `LSERVE_DEVICES=1` and
-//! under `8` / `4`, and `golden_fixtures_hold_across_threads_and_devices` pins
-//! the two mixed pairings in-process; all must reproduce the same bytes.
+//! The fixtures are also the determinism net for every scheduler setting
+//! that moves only modeled cost or wall time: each case runs under the
+//! default policy and again with all of them flipped at once (8 threads, 4
+//! devices, swap preemption, async migration, host 8 over nvme), and
+//! `golden_fixtures_hold_across_threads_and_devices` runs the two mixed-head
+//! cases at all four pairings of {1, 8} threads × {1, 4} devices. Every run
+//! must reproduce the same bytes.
 //!
 //! To regenerate after an *intentional* numerics change:
 //!
@@ -25,7 +28,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use lserve::core::{
-    AdmissionPolicy, EngineConfig, ModelExecutor, RequestSpec, Scheduler, SchedulerConfig,
+    AdmissionPolicy, EngineConfig, MigrationMode, ModelExecutor, PreemptionPolicy, RequestSpec,
+    Scheduler, SchedulerConfig,
 };
 use lserve::kvcache::PagingConfig;
 use lserve::model::{ModelConfig, ModelWeights};
@@ -91,30 +95,41 @@ fn requests() -> Vec<RequestSpec> {
         .collect()
 }
 
-/// Runs the serving stack on the seeded tiny model (head_dim 8).
-fn run_case(cfg: EngineConfig) -> String {
-    run_case_on(&ModelConfig::tiny(), cfg)
+/// Every scheduler setting that moves only modeled cost or wall time,
+/// flipped at once: sharded workers, a four-device mesh, swap preemption,
+/// the async copy engine, and a host of 8 pages over the nvme tier.
+fn scale_out(scfg: &mut SchedulerConfig) {
+    (scfg.decode_threads, scfg.devices) = (8, 4);
+    (scfg.preemption, scfg.migration) = (PreemptionPolicy::Swap, MigrationMode::Async);
+    (scfg.host_pages, scfg.nvme) = (8, true);
 }
 
-/// Runs the serving stack on seeded weights for `model`, worker threads and
-/// devices as the environment sets them.
-fn run_case_on(model: &ModelConfig, cfg: EngineConfig) -> String {
-    run_case_with(model, cfg, None)
+/// Checks fixture `name` against the seeded tiny model (head_dim 8).
+fn check_case(name: &str, cfg: EngineConfig) {
+    check_case_on(name, &ModelConfig::tiny(), cfg);
 }
 
-/// Runs the serving stack on seeded weights for `model` — on `(threads,
-/// devices)` when given — and renders one line per request:
+/// Checks fixture `name` against seeded weights for `model`, under the
+/// default scheduler policy and under [`scale_out`].
+fn check_case_on(name: &str, model: &ModelConfig, cfg: EngineConfig) {
+    check_golden(name, &run_case_with(model, cfg.clone(), |_| {}));
+    check_golden(name, &run_case_with(model, cfg, scale_out));
+}
+
+/// Runs the serving stack on seeded weights for `model`, with `adjust`
+/// applied to the scheduler policy, and renders one line per request:
 /// `req <id> prompt_len=<n>: <generated tokens>`.
-fn run_case_with(model: &ModelConfig, cfg: EngineConfig, on: Option<(usize, usize)>) -> String {
+fn run_case_with(
+    model: &ModelConfig,
+    cfg: EngineConfig,
+    adjust: impl FnOnce(&mut SchedulerConfig),
+) -> String {
     let weights = Arc::new(ModelWeights::random(model, 71));
     let exec = Arc::new(ModelExecutor::new(weights, cfg));
     let mut scfg = SchedulerConfig::new(4096);
     scfg.chunk_tokens = 8;
     scfg.admission = AdmissionPolicy::FirstChunk;
-    if let Some((threads, devices)) = on {
-        scfg.decode_threads = threads;
-        scfg.devices = devices;
-    }
+    adjust(&mut scfg);
     let mut sched = Scheduler::new(exec, scfg);
     let reqs = requests();
     for r in &reqs {
@@ -141,14 +156,14 @@ fn run_case_with(model: &ModelConfig, cfg: EngineConfig, on: Option<(usize, usiz
 #[test]
 fn golden_lserve_fp16_mixed_heads() {
     let cfg = small_scale(EngineConfig::lserve_fp16(), KvPrecision::Fp16);
-    check_golden("lserve_fp16_mixed_heads", &run_case(cfg));
+    check_case("lserve_fp16_mixed_heads", cfg);
 }
 
 /// LServe policy, INT4 KV: the quantized-page decode path (rounding included).
 #[test]
 fn golden_lserve_int4_mixed_heads() {
     let cfg = small_scale(EngineConfig::lserve(), KvPrecision::Int4);
-    check_golden("lserve_int4_mixed_heads", &run_case(cfg));
+    check_case("lserve_int4_mixed_heads", cfg);
 }
 
 /// The INT4 case at head_dim 32 (the benchmark model's): the tiny model's
@@ -161,14 +176,14 @@ fn golden_lserve_int4_head_dim32() {
         ..ModelConfig::tiny()
     };
     let cfg = small_scale(EngineConfig::lserve(), KvPrecision::Int4);
-    check_golden("lserve_int4_head_dim32", &run_case_on(&model, cfg));
+    check_case_on("lserve_int4_head_dim32", &model, cfg);
 }
 
 /// Dense FP16 baseline: every head dense, no selection — the reference policy.
 #[test]
 fn golden_dense_fp16_baseline() {
     let cfg = small_scale(EngineConfig::dense(), KvPrecision::Fp16);
-    check_golden("dense_fp16_baseline", &run_case(cfg));
+    check_case("dense_fp16_baseline", cfg);
 }
 
 /// Quest-like flat selector, FP16 flat pages: the flat scoring path.
@@ -177,16 +192,15 @@ fn golden_quest_flat_selector_fp16() {
     let mut cfg = EngineConfig::quest_like(24);
     cfg.paging = PagingConfig::flat(8, KvPrecision::Fp16);
     cfg.prefill_tile = 8;
-    check_golden("quest_flat_selector_fp16", &run_case(cfg));
+    check_case("quest_flat_selector_fp16", cfg);
 }
 
-/// Sharded workers on one device, and a device mesh walked by one worker —
-/// the pairings neither CI leg's environment selects — reproduce the mixed-
-/// head fixtures (selection active, FP16 and INT4) byte for byte, as do the
-/// two pairings the legs do select.
+/// Every pairing of {1, 8} threads with {1, 4} devices — sharded workers on
+/// one device and a device mesh walked by one worker included — reproduces
+/// the mixed-head fixtures (selection active, FP16 and INT4) byte for byte.
 #[test]
 fn golden_fixtures_hold_across_threads_and_devices() {
-    for on in [(8, 1), (1, 4), (1, 1), (8, 4)] {
+    for (threads, devices) in [(8, 1), (1, 4), (1, 1), (8, 4)] {
         for (name, cfg, precision) in [
             (
                 "lserve_fp16_mixed_heads",
@@ -200,7 +214,10 @@ fn golden_fixtures_hold_across_threads_and_devices() {
             ),
         ] {
             let cfg = small_scale(cfg, precision);
-            check_golden(name, &run_case_with(&ModelConfig::tiny(), cfg, Some(on)));
+            let on = |scfg: &mut SchedulerConfig| {
+                (scfg.decode_threads, scfg.devices) = (threads, devices)
+            };
+            check_golden(name, &run_case_with(&ModelConfig::tiny(), cfg, on));
         }
     }
 }

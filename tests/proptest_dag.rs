@@ -247,17 +247,14 @@ proptest! {
 }
 
 /// A scheduler for the speculative scenes: ample pool, 8-token chunks, the
-/// small-page FP16 LServe policy, and every `LSERVE_*` knob at its default
-/// (a device mesh charges interconnect into the work clock).
+/// small-page FP16 LServe policy, and one device (a device mesh charges
+/// interconnect into the work clock).
 fn speculative_scheduler(w: &Arc<ModelWeights>) -> Scheduler {
     let mut cfg = EngineConfig::lserve_fp16();
     cfg.paging = PagingConfig::new(8, 4, KvPrecision::Fp16);
     cfg.prefill_tile = 8;
     let mut scfg = SchedulerConfig::new(4096);
     scfg.chunk_tokens = 8;
-    (scfg.decode_threads, scfg.devices) = (1, 1);
-    (scfg.preemption, scfg.migration) = (PreemptionPolicy::Replay, MigrationMode::Sync);
-    (scfg.host_pages, scfg.nvme) = (0, false);
     Scheduler::new(Arc::new(ModelExecutor::new(Arc::clone(w), cfg)), scfg)
 }
 

@@ -160,7 +160,6 @@ fn bounded_host_over_nvme_sustains_more_running_sequences_than_replay() {
         scfg.preemption = policy;
         scfg.migration = MigrationMode::Async;
         (scfg.host_pages, scfg.nvme) = (host_pages, nvme);
-        (scfg.decode_threads, scfg.devices) = (1, 1);
         let mut sched = Scheduler::new(Arc::new(ModelExecutor::new(Arc::clone(&w), cfg)), scfg);
         for (i, s) in overcommit_workload(&wl).into_iter().enumerate() {
             sched.submit(RequestSpec::new(i as u64, s.prompt).max_new_tokens(s.max_new_tokens));

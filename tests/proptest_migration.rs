@@ -1,9 +1,9 @@
 //! Migration-mode determinism: the asynchronous copy engine must be a pure
-//! accounting change. For any workload, `LSERVE_MIGRATION`-equivalent
-//! `MigrationMode::Async` runs emit outputs bit-identical to `Sync` runs and
-//! to per-request solo runs — across FP16/INT4 KV, replay/swap preemption,
-//! prefix caching on/off, and selection-driven demotion on/off. Only the
-//! modeled stall accounting (and therefore the latency numbers) may differ.
+//! accounting change. For any workload, `MigrationMode::Async` runs emit
+//! outputs bit-identical to `Sync` runs and to per-request solo runs —
+//! across FP16/INT4 KV, replay/swap preemption, prefix caching on/off, and
+//! selection-driven demotion on/off. Only the modeled stall accounting (and
+//! therefore the latency numbers) may differ.
 //!
 //! The in-flight page-state semantics behind this (demote-while-migrating,
 //! CoW forks of migrating pages, demand forcing, the prefetch ledger) are
@@ -160,8 +160,6 @@ fn async_migration_halves_the_overcommit_stall_and_bounds_prefetch_waste() {
         scfg.admission = AdmissionPolicy::FirstChunk;
         scfg.preemption = PreemptionPolicy::Swap;
         scfg.migration = mode;
-        (scfg.decode_threads, scfg.devices) = (1, 1);
-        (scfg.host_pages, scfg.nvme) = (0, false);
         let mut sched = Scheduler::new(
             Arc::new(ModelExecutor::new(Arc::clone(&w), cfg.clone())),
             scfg,

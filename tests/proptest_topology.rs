@@ -175,13 +175,6 @@ fn wide_cfg() -> EngineConfig {
     cfg
 }
 
-/// Every `LSERVE_*` knob a claim below depends on, at its default.
-fn pin_defaults(scfg: &mut SchedulerConfig) {
-    (scfg.decode_threads, scfg.devices) = (1, 1);
-    (scfg.preemption, scfg.migration) = (PreemptionPolicy::Replay, MigrationMode::Sync);
-    (scfg.host_pages, scfg.nvme) = (0, false);
-}
-
 /// Six long prompts of 160–400 tokens on the wide model, with the
 /// rebalancer checking every 4 steps at a 1.05 threshold: placement is seeded
 /// from the first, near-uniform decode phase, so the policies only diverge
@@ -201,7 +194,6 @@ fn run_placed(w: &Arc<ModelWeights>, devices: usize, placement: PlacementPolicy)
         .max()
         .unwrap();
     let mut scfg = SchedulerConfig::new(per_seq * reqs.len() + 64);
-    pin_defaults(&mut scfg);
     scfg.chunk_tokens = 8;
     scfg.devices = devices;
     scfg.placement = placement;
@@ -394,7 +386,6 @@ fn persona_hit_tokens(w: &Arc<ModelWeights>, affinity_tokens: usize) -> u64 {
     let cfg = wide_cfg();
     let per_seq = sequence_pages_estimate(&cfg, &w.config, wl.prompt_len() + wl.max_new_tokens);
     let mut scfg = SchedulerConfig::new(per_seq * wl.total_requests() + 64);
-    pin_defaults(&mut scfg);
     scfg.chunk_tokens = 8;
     scfg.prefix_cache = true;
     let exec = Arc::new(ModelExecutor::new(Arc::clone(w), cfg));

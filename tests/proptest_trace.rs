@@ -256,9 +256,6 @@ fn ring_tracing_costs_under_5_percent_of_untraced_wall_time() {
         scfg.chunk_tokens = 16;
         scfg.admission = AdmissionPolicy::FirstChunk;
         scfg.tracer = tracer.clone();
-        (scfg.decode_threads, scfg.devices) = (1, 1);
-        (scfg.preemption, scfg.migration) = (PreemptionPolicy::Replay, MigrationMode::Sync);
-        (scfg.host_pages, scfg.nvme) = (0, false);
         let mut sched = Scheduler::new(Arc::clone(&exec), scfg);
         for r in &requests {
             sched.submit(r.clone());
