@@ -481,7 +481,7 @@ impl Traffic {
     }
 
     /// Forks a running request, or — when none is running — asks for a fork
-    /// of an id that is not, which must fail.
+    /// of an unknown id, which the scheduler refuses.
     fn fork(&mut self) {
         let running: Vec<u64> = self
             .tracked
