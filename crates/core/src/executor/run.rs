@@ -761,7 +761,12 @@ mod tests {
             if cfg.demote_after_chunks.is_some() {
                 assert!(s.stats().pages_demoted > 0, "the sweep never demoted");
             }
-            let pages = s.page_ids().map(|id| pool.page(id));
+            // Below the hot tier a quantized page holds codes only: read the
+            // rows of a copy of the pool brought wholly hot.
+            let mut hot = pool.clone();
+            hot.ensure_resident(s.page_ids())
+                .expect("room for every page");
+            let pages = s.page_ids().map(|id| hot.page(id));
             let pages = pages.map(|p| (p.len(), bits(p.key_lanes()), bits(p.value_rows())));
             let pages = pages.collect();
             let work = EngineStats {

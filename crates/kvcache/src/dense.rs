@@ -82,7 +82,9 @@ impl DenseHeadCache {
         true
     }
 
-    /// Reads the (dequantized) key row of global token `t`.
+    /// Reads the (dequantized) key row of global token `t`. On a quantized
+    /// page below the hot tier it is dequantized from the page's codes: the
+    /// same bits the rows hold on the hot tier.
     ///
     /// # Panics
     ///
@@ -92,14 +94,15 @@ impl DenseHeadCache {
         pool.page(self.pages[t / np]).key_row(t % np)
     }
 
-    /// Reads the (dequantized) value row of global token `t`.
+    /// Reads the (dequantized) value row of global token `t`, from the codes
+    /// on a quantized page below the hot tier (as [`DenseHeadCache::key`]).
     ///
     /// # Panics
     ///
     /// Panics if `t >= tokens()`.
     pub fn value(&self, pool: &PagePool, t: usize) -> Vec<f32> {
         let np = pool.config().physical_page_size();
-        pool.page(self.pages[t / np]).value_row(t % np).to_vec()
+        pool.page(self.pages[t / np]).value_row(t % np)
     }
 
     /// Frees every page back to the pool and clears the table.

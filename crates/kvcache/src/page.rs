@@ -24,10 +24,15 @@ const STAT_LANES: usize = 4;
 /// One physical KV page: up to `N_P` tokens of keys and values for a single KV head,
 /// stored at the configured precision, plus per-logical-page key statistics.
 ///
-/// Quantized pages store codes + per-token-row scale/zero (QServe layout); reads
-/// dequantize, so the rounding error a real INT4/INT8 kernel would see is reproduced
-/// faithfully. Key statistics are computed from the *stored* (dequantized)
-/// representation, matching what the device kernel could reconstruct.
+/// A quantized page stores codes plus per-token-row scale/zero (QServe
+/// layout), and the codes are its storage: the f32 *rows* the kernels read
+/// are the codes dequantized, held only while the page has a readable hot
+/// copy. Below the hot tier the pool drops them ([`KvPage::has_rows`] turns
+/// false) and rebuilds them, bit for bit, when the page lands hot again; the
+/// key bounds stay, so the selector scores the page wherever it is. An FP16
+/// page's rows are its storage and never leave. Key statistics are computed
+/// from the *stored* (dequantized) representation, matching what the device
+/// kernel could reconstruct.
 ///
 /// Every buffer is allocated whole when the page is (pages are device pages:
 /// fixed size), so an append writes in place and never allocates.
@@ -38,42 +43,78 @@ pub struct KvPage {
     /// `config.logical_per_physical()`, kept: the append path indexes by it.
     logical: usize,
     len: usize,
-    // The effective (post-quantization) rows in f32 for fast reads; the packed
-    // codes exist so storage size and rounding are exactly device-like. Keys
-    // are stored once, d-major in lane groups (`key_lane_offset`), so the
-    // kernel loads one dimension of `KEY_LANES` neighbouring keys as one
-    // contiguous run; values stay row-major.
-    keys_f: Vec<f32>,
-    values_f: Vec<f32>,
-    // Codes one byte per element for INT8, two per byte for INT4 (low nibble
-    // first), plus per-row params. Empty on the FP16 path.
+    // The effective (post-quantization) rows in f32. `None` on a quantized
+    // page below the hot tier.
+    rows: Option<Rows>,
+    // Codes, empty on the FP16 path, in runs: keys d-major like their rows
+    // (one run of `KEY_LANES` codes per dimension of a lane group), values
+    // one run of `head_dim` codes per token row. See `code_slot`.
     keys_q: Vec<u8>,
     values_q: Vec<u8>,
-    key_params: Vec<QuantParams>,
-    value_params: Vec<QuantParams>,
+    // Per-token-row params as zero/scale arrays, so a rebuild is
+    // `zero + code * scale` over whole vectors. Key params cover whole lane
+    // groups; slots never appended keep 0/0 and rebuild to 0.
+    key_zero: Vec<f32>,
+    key_scale: Vec<f32>,
+    value_zero: Vec<f32>,
+    value_scale: Vec<f32>,
     // Channelwise key bounds of every logical page in one buffer, logical
     // pages side by side: dimension `i` of logical page `l` at `i * g + l`.
     kmin: Vec<f32>,
     kmax: Vec<f32>,
 }
 
-impl KvPage {
-    pub(crate) fn new(config: PagingConfig, head_dim: usize) -> Self {
+/// A page's f32 rows. Keys are d-major in lane groups (`key_lane_offset`),
+/// so the kernel loads one dimension of `KEY_LANES` neighbouring keys as one
+/// contiguous run; values are row-major.
+#[derive(Debug, Clone)]
+pub(crate) struct Rows {
+    keys: Vec<f32>,
+    values: Vec<f32>,
+}
+
+impl Rows {
+    fn zeroed(config: PagingConfig, head_dim: usize) -> Self {
         let slots = config.physical_page_size();
+        Self {
+            keys: vec![0.0; slots.next_multiple_of(KEY_LANES) * head_dim],
+            values: vec![0.0; slots * head_dim],
+        }
+    }
+}
+
+impl KvPage {
+    /// An empty page. Its rows go into `spare` when one is given (any
+    /// contents, of a page of the same shape), or fresh buffers.
+    pub(crate) fn new(config: PagingConfig, head_dim: usize, spare: Option<Rows>) -> Self {
+        let slots = config.physical_page_size();
+        let key_slots = slots.next_multiple_of(KEY_LANES);
         let logical = config.logical_per_physical();
-        let row_bytes = code_row_bytes(config.precision(), head_dim);
-        let param_rows = if row_bytes == 0 { 0 } else { slots };
+        let precision = config.precision();
+        let rows = match spare {
+            Some(mut rows) => {
+                // Key slots past `len()` read 0; value rows past it are never read.
+                rows.keys.fill(0.0);
+                rows
+            }
+            None => Rows::zeroed(config, head_dim),
+        };
+        let (key_params, value_params) = match precision {
+            KvPrecision::Fp16 => (0, 0),
+            _ => (key_slots, slots),
+        };
         Self {
             config,
             head_dim,
             logical,
             len: 0,
-            keys_f: vec![0.0; head_dim * slots.next_multiple_of(KEY_LANES)],
-            values_f: vec![0.0; slots * head_dim],
-            keys_q: vec![0; slots * row_bytes],
-            values_q: vec![0; slots * row_bytes],
-            key_params: vec![QuantParams::default(); param_rows],
-            value_params: vec![QuantParams::default(); param_rows],
+            rows: Some(rows),
+            keys_q: vec![0; key_slots / KEY_LANES * head_dim * run_bytes(precision, KEY_LANES)],
+            values_q: vec![0; slots * run_bytes(precision, head_dim)],
+            key_zero: vec![0.0; key_params],
+            key_scale: vec![0.0; key_params],
+            value_zero: vec![0.0; value_params],
+            value_scale: vec![0.0; value_params],
             kmin: vec![f32::INFINITY; head_dim * logical],
             kmax: vec![f32::NEG_INFINITY; head_dim * logical],
         }
@@ -99,8 +140,85 @@ impl KvPage {
         self.head_dim
     }
 
-    /// Appends one `(key, value)` token row, writing codes, params, effective
-    /// rows and key bounds straight into the page's buffers.
+    /// True while the page holds its f32 rows: always for FP16, and for a
+    /// quantized page exactly while it has a readable hot copy.
+    pub fn has_rows(&self) -> bool {
+        self.rows.is_some()
+    }
+
+    /// Gives up the rows of a quantized page, whose codes are its storage;
+    /// `None` for an FP16 page (its rows are the storage) or one already
+    /// without rows.
+    pub(crate) fn drop_rows(&mut self) -> Option<Rows> {
+        if self.config.precision().is_quantized() {
+            self.rows.take()
+        } else {
+            None
+        }
+    }
+
+    /// Rebuilds the rows of a quantized page from its codes into `spare` (any
+    /// contents, as [`KvPage::new`]), or fresh buffers: bit for bit the rows
+    /// the appends wrote, key slots past `len()` zero.
+    pub(crate) fn restore_rows(&mut self, spare: Option<Rows>) {
+        debug_assert!(self.rows.is_none(), "restore of a page that holds its rows");
+        let mut rows = spare.unwrap_or_else(|| Rows::zeroed(self.config, self.head_dim));
+        let d = self.head_dim;
+        let occupied = self.len.div_ceil(KEY_LANES) * KEY_LANES * d;
+        let (keys, unused) = rows.keys.split_at_mut(occupied);
+        unused.fill(0.0);
+        let values = &mut rows.values[..self.len * d];
+        match self.config.precision() {
+            KvPrecision::Int4 => self.rebuild::<true>(keys, values),
+            KvPrecision::Int8 => self.rebuild::<false>(keys, values),
+            KvPrecision::Fp16 => unreachable!("an FP16 page never drops its rows"),
+        }
+        self.rows = Some(rows);
+    }
+
+    /// [`KvPage::restore_rows`] of the occupied lane groups and value rows,
+    /// for one code width, 16 codes at a time.
+    #[inline(always)]
+    fn rebuild<const INT4: bool>(&self, keys: &mut [f32], values: &mut [f32]) {
+        let d = self.head_dim;
+        // Run `r` of the key codes is dimension `r % d` of lane group `r / d`.
+        let (nibbles, _) = self.keys_q.as_chunks::<{ KEY_LANES / 2 }>();
+        let (bytes, _) = self.keys_q.as_chunks::<KEY_LANES>();
+        let (zero, _) = self.key_zero.as_chunks::<KEY_LANES>();
+        let (scale, _) = self.key_scale.as_chunks::<KEY_LANES>();
+        let (out, _) = keys.as_chunks_mut::<KEY_LANES>();
+        for (g, out) in out.chunks_exact_mut(d).enumerate() {
+            let params = lanes::Params::lanes(&zero[g], &scale[g]);
+            let runs = g * d..(g + 1) * d;
+            if INT4 {
+                for (out, run) in out.iter_mut().zip(&nibbles[runs]) {
+                    params.dequantize(lanes::split_run(run), out);
+                }
+            } else {
+                for (out, run) in out.iter_mut().zip(&bytes[runs]) {
+                    params.dequantize(lanes::load(run), out);
+                }
+            }
+        }
+        let value_run = run_bytes(self.config.precision(), d);
+        let rows = values
+            .chunks_exact_mut(d)
+            .zip(self.values_q.chunks_exact(value_run));
+        for (t, (out, codes)) in rows.enumerate() {
+            let (zero, scale) = (self.value_zero[t], self.value_scale[t]);
+            if INT4 {
+                let (lo, hi) = out.split_at_mut(value_run);
+                dequantize_row(codes, 0, 0x0F, zero, scale, lo);
+                dequantize_row(codes, 4, 0x0F, zero, scale, hi);
+            } else {
+                dequantize_row(codes, 0, 0xFF, zero, scale, out);
+            }
+        }
+    }
+
+    /// Appends one `(key, value)` token row, writing codes, params, key
+    /// bounds and — if the page holds them — rows straight into the page's
+    /// buffers.
     ///
     /// # Panics
     ///
@@ -113,78 +231,133 @@ impl KvPage {
         let (t, d) = (self.len, self.head_dim);
         let g = self.logical;
         let l = t / self.config.logical_page_size();
+        // A page without rows gets empty row slices, and the `get_mut` writes
+        // below fall off them: the check the index would make anyway, not a
+        // second branch per element.
+        let (keys_f, values_f): (&mut [f32], &mut [f32]) = match self.rows.as_mut() {
+            Some(rows) => (&mut rows.keys, &mut rows.values[t * d..(t + 1) * d]),
+            None => (&mut [], &mut []),
+        };
         let mut store_key = |i: usize, k: f32| {
-            self.keys_f[key_lane_offset(d, t, i)] = k;
+            if let Some(slot) = keys_f.get_mut(key_lane_offset(d, t, i)) {
+                *slot = k;
+            }
             // Selects, not branches: on a young logical page every other key
             // sets a bound, which no predictor follows.
             let (lo, hi) = (&mut self.kmin[i * g + l], &mut self.kmax[i * g + l]);
             *lo = if k < *lo { k } else { *lo };
             *hi = if k > *hi { k } else { *hi };
         };
-        let stored_value = &mut self.values_f[t * d..(t + 1) * d];
         if precision.is_quantized() {
-            let row_bytes = code_row_bytes(precision, d);
-            let key_codes = &mut self.keys_q[t * row_bytes..(t + 1) * row_bytes];
-            let value_codes = &mut self.values_q[t * row_bytes..(t + 1) * row_bytes];
+            // Token `t`'s key codes: one in each of the `d` runs of its lane group.
+            let key_run = run_bytes(precision, KEY_LANES);
+            let (byte, shift) = code_slot(precision, KEY_LANES, t % KEY_LANES);
+            let key_codes = &mut self.keys_q[t / KEY_LANES * d * key_run..][..d * key_run];
             let (kp, codes) = quantize_codes(key, precision);
             for (i, c) in codes.enumerate() {
-                pack(key_codes, precision, i, c);
+                key_codes[i * key_run + byte] |= c << shift;
                 store_key(i, kp.dequantize(c));
             }
+            let value_run = run_bytes(precision, d);
+            let value_codes = &mut self.values_q[t * value_run..][..value_run];
             let (vp, codes) = quantize_codes(value, precision);
-            for (i, (c, v)) in codes.zip(stored_value).enumerate() {
-                pack(value_codes, precision, i, c);
-                *v = vp.dequantize(c);
+            for (i, c) in codes.enumerate() {
+                let (byte, shift) = code_slot(precision, d, i);
+                value_codes[byte] |= c << shift;
+                if let Some(slot) = values_f.get_mut(i) {
+                    *slot = vp.dequantize(c);
+                }
             }
-            self.key_params[t] = kp;
-            self.value_params[t] = vp;
+            (self.key_zero[t], self.key_scale[t]) = (kp.zero, kp.scale);
+            (self.value_zero[t], self.value_scale[t]) = (vp.zero, vp.scale);
         } else {
             for (i, &k) in key.iter().enumerate() {
                 store_key(i, k);
             }
-            stored_value.copy_from_slice(value);
+            values_f.copy_from_slice(value);
         }
         self.len += 1;
+    }
+
+    /// The rows, which a kernel may read only on a page that holds them.
+    #[inline]
+    fn rows(&self) -> &Rows {
+        self.rows.as_ref().unwrap_or_else(|| {
+            panic!("read of the rows of a quantized page below the hot tier: promote it first")
+        })
     }
 
     /// The effective (dequantized) keys, d-major in lane groups: dimension `i`
     /// of token slot `t` is at [`key_lane_offset`]`(head_dim, t, i)`. Slots at
     /// and past `len()` hold zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page does not hold its rows ([`KvPage::has_rows`]).
     #[inline]
     pub fn key_lanes(&self) -> &[f32] {
-        &self.keys_f
+        &self.rows().keys
     }
 
     /// The effective (dequantized) values of the stored tokens, row-major
     /// (`len() x head_dim`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page does not hold its rows ([`KvPage::has_rows`]).
     #[inline]
     pub fn value_rows(&self) -> &[f32] {
-        &self.values_f[..self.len * self.head_dim]
+        &self.rows().values[..self.len * self.head_dim]
     }
 
-    /// The effective (dequantized) key row for token slot `t` within this page,
-    /// gathered from the d-major store (tests and debugging; kernels read
-    /// [`KvPage::key_lanes`]).
+    /// The effective (dequantized) key row for token slot `t` within this
+    /// page (tests and debugging; kernels read [`KvPage::key_lanes`]):
+    /// gathered from the rows, or dequantized from the codes on a page
+    /// without rows — the same bits either way.
     ///
     /// # Panics
     ///
     /// Panics if `t >= len()`.
     pub fn key_row(&self, t: usize) -> Vec<f32> {
         assert!(t < self.len, "token slot {t} out of bounds ({})", self.len);
-        (0..self.head_dim)
-            .map(|i| self.keys_f[key_lane_offset(self.head_dim, t, i)])
+        let d = self.head_dim;
+        let Some(rows) = &self.rows else {
+            let p = QuantParams {
+                zero: self.key_zero[t],
+                scale: self.key_scale[t],
+            };
+            let (run, lane) = (t / KEY_LANES * d, t % KEY_LANES);
+            let precision = self.config.precision();
+            return (0..d)
+                .map(|i| p.dequantize(unpack(&self.keys_q, precision, KEY_LANES, run + i, lane)))
+                .collect();
+        };
+        (0..d)
+            .map(|i| rows.keys[key_lane_offset(d, t, i)])
             .collect()
     }
 
-    /// The effective (dequantized) value row for token slot `t` within this page.
+    /// The effective (dequantized) value row for token slot `t` within this
+    /// page: copied from the rows, or dequantized from the codes on a page
+    /// without rows — the same bits either way.
     ///
     /// # Panics
     ///
     /// Panics if `t >= len()`.
-    #[inline]
-    pub fn value_row(&self, t: usize) -> &[f32] {
+    pub fn value_row(&self, t: usize) -> Vec<f32> {
         assert!(t < self.len, "token slot {t} out of bounds ({})", self.len);
-        &self.values_f[t * self.head_dim..(t + 1) * self.head_dim]
+        let d = self.head_dim;
+        if self.rows.is_some() {
+            return self.value_rows()[t * d..(t + 1) * d].to_vec();
+        }
+        let p = QuantParams {
+            zero: self.value_zero[t],
+            scale: self.value_scale[t],
+        };
+        let precision = self.config.precision();
+        (0..d)
+            .map(|i| p.dequantize(unpack(&self.values_q, precision, d, t, i)))
+            .collect()
     }
 
     /// Key statistics of logical sub-page `l` (in `0..logical_per_physical()`),
@@ -285,23 +458,215 @@ impl KvPage {
     }
 }
 
-/// Bytes of packed codes per token row.
-fn code_row_bytes(precision: KvPrecision, head_dim: usize) -> usize {
+/// Bytes of one run of `n` packed codes.
+fn run_bytes(precision: KvPrecision, n: usize) -> usize {
     match precision {
         KvPrecision::Fp16 => 0,
-        KvPrecision::Int8 => head_dim,
-        KvPrecision::Int4 => head_dim.div_ceil(2),
+        KvPrecision::Int8 => n,
+        KvPrecision::Int4 => n.div_ceil(2),
     }
 }
 
-/// Stores element `i`'s code into a token row of packed codes.
+/// Where code `k` of a run of `n` codes sits: its byte in the run and its
+/// shift in that byte. INT8 takes a byte per code. INT4 packs a run's first
+/// `ceil(n / 2)` codes into the low nibbles of its bytes and the rest into
+/// the high ones, so a run unpacks with two whole-vector passes and no
+/// shuffle; a key run is 16 codes in 8 bytes. Code buffers start zeroed and
+/// each slot is written once, so a store is `byte |= code << shift`.
 #[inline]
-fn pack(row: &mut [u8], precision: KvPrecision, i: usize, code: u8) {
+fn code_slot(precision: KvPrecision, n: usize, k: usize) -> (usize, u32) {
+    let half = n.div_ceil(2);
     match precision {
-        KvPrecision::Int8 => row[i] = code,
-        // Two per byte, low nibble first; rows start zeroed.
-        KvPrecision::Int4 => row[i / 2] |= (code & 0x0F) << (4 * (i % 2)),
-        KvPrecision::Fp16 => {}
+        // A compare, not `k % half`: `n` is the head dimension on the
+        // append path, and a division per code shows there.
+        KvPrecision::Int4 if k >= half => (k - half, 4),
+        _ => (k, 0),
+    }
+}
+
+/// Code `k` of run `run` in a buffer of runs of `n` codes.
+fn unpack(codes: &[u8], precision: KvPrecision, n: usize, run: usize, k: usize) -> u8 {
+    let (byte, shift) = code_slot(precision, n, k);
+    let mask = if precision == KvPrecision::Int4 {
+        0x0F
+    } else {
+        0xFF
+    };
+    codes[run * run_bytes(precision, n) + byte] >> shift & mask
+}
+
+/// One row's codes, `byte >> shift & mask` of the first `out.len()` bytes,
+/// dequantized with one `zero` / `scale` pair into `out`: 16 at a time,
+/// then the rest one by one.
+#[inline(always)]
+fn dequantize_row(bytes: &[u8], shift: u32, mask: u8, zero: f32, scale: f32, out: &mut [f32]) {
+    // `chunks_exact`, not `as_chunks`: the latter costs the rebuild 5 %.
+    let bytes = &bytes[..out.len()];
+    let params = lanes::Params::splat(zero, scale);
+    let mut blocks = out.chunks_exact_mut(KEY_LANES);
+    for (out, codes) in (&mut blocks).zip(bytes.chunks_exact(KEY_LANES)) {
+        let codes = codes.try_into().expect("a chunk of KEY_LANES codes");
+        let out = out.try_into().expect("a chunk of KEY_LANES rows");
+        params.dequantize(lanes::select(lanes::load(codes), shift, mask), out);
+    }
+    let rest = bytes.len() / KEY_LANES * KEY_LANES;
+    for (o, &b) in blocks.into_remainder().iter_mut().zip(&bytes[rest..]) {
+        *o = zero + (b >> shift & mask) as f32 * scale;
+    }
+}
+
+/// The rebuild's step: 16 one-byte codes become `zero + code * scale`, lane
+/// by lane — the f32 operations of [`QuantParams::dequantize`], so the same
+/// bits. On x86_64 in SSE2, part of every such host: left to itself the
+/// compiler vectorizes the loop *over* blocks, gathering each lane's bytes
+/// one by one. Elsewhere [`portable`], the same steps on arrays.
+#[cfg(target_arch = "x86_64")]
+mod lanes {
+    // SAFETY, for every `unsafe` here that does not say otherwise: SSE2 is
+    // part of the x86_64 target, so its intrinsics run on every such host.
+    use std::arch::x86_64::*;
+
+    use super::KEY_LANES;
+
+    /// Sixteen codes, one a byte.
+    pub(super) type Codes = __m128i;
+
+    #[inline(always)]
+    pub(super) fn load(bytes: &[u8; KEY_LANES]) -> Codes {
+        // SAFETY: as above, and the load reads the array's 16 bytes.
+        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+    }
+
+    /// The codes of a key run: 8 bytes, lanes 0..8 in the low nibbles and
+    /// 8..16 in the high ones.
+    #[inline(always)]
+    pub(super) fn split_run(bytes: &[u8; KEY_LANES / 2]) -> Codes {
+        // SAFETY: as above, and the load reads the array's 8 bytes.
+        let packed = unsafe { _mm_loadl_epi64(bytes.as_ptr().cast()) };
+        let (lo, hi) = (select(packed, 0, 0x0F), select(packed, 4, 0x0F));
+        // SAFETY: as above; registers only.
+        unsafe { _mm_unpacklo_epi64(lo, hi) }
+    }
+
+    /// `byte >> shift & mask` of each byte, `shift` 0 or 4.
+    #[inline(always)]
+    pub(super) fn select(codes: Codes, shift: u32, mask: u8) -> Codes {
+        // SAFETY: as above; registers only.
+        unsafe {
+            let codes = if shift == 4 {
+                _mm_srli_epi16(codes, 4)
+            } else {
+                codes
+            };
+            _mm_and_si128(codes, _mm_set1_epi8(mask as i8))
+        }
+    }
+
+    /// A block's `zero` / `scale`, four lanes a register.
+    pub(super) struct Params {
+        zero: [__m128; 4],
+        scale: [__m128; 4],
+    }
+
+    impl Params {
+        #[inline(always)]
+        pub(super) fn lanes(zero: &[f32; KEY_LANES], scale: &[f32; KEY_LANES]) -> Self {
+            // SAFETY: as above, and each load reads four lanes of the array.
+            let load = |v: &[f32; KEY_LANES]| {
+                std::array::from_fn(|q| unsafe { _mm_loadu_ps(v.as_ptr().add(4 * q)) })
+            };
+            Self {
+                zero: load(zero),
+                scale: load(scale),
+            }
+        }
+
+        #[inline(always)]
+        pub(super) fn splat(zero: f32, scale: f32) -> Self {
+            // SAFETY: as above; registers only.
+            unsafe {
+                Self {
+                    zero: [_mm_set1_ps(zero); 4],
+                    scale: [_mm_set1_ps(scale); 4],
+                }
+            }
+        }
+
+        #[inline(always)]
+        pub(super) fn dequantize(&self, codes: Codes, out: &mut [f32; KEY_LANES]) {
+            // SAFETY: as above, and each store writes four lanes of `out`.
+            unsafe {
+                let z = _mm_setzero_si128();
+                let (lo, hi) = (_mm_unpacklo_epi8(codes, z), _mm_unpackhi_epi8(codes, z));
+                let words = [
+                    _mm_unpacklo_epi16(lo, z),
+                    _mm_unpackhi_epi16(lo, z),
+                    _mm_unpacklo_epi16(hi, z),
+                    _mm_unpackhi_epi16(hi, z),
+                ];
+                for (q, words) in words.into_iter().enumerate() {
+                    let codes = _mm_cvtepi32_ps(words);
+                    let x = _mm_add_ps(self.zero[q], _mm_mul_ps(codes, self.scale[q]));
+                    _mm_storeu_ps(out.as_mut_ptr().add(4 * q), x);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+use portable as lanes;
+
+/// [`lanes`] on arrays.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+mod portable {
+    use super::KEY_LANES;
+
+    pub(super) type Codes = [u8; KEY_LANES];
+
+    #[inline(always)]
+    pub(super) fn load(bytes: &[u8; KEY_LANES]) -> Codes {
+        *bytes
+    }
+
+    #[inline(always)]
+    pub(super) fn split_run(bytes: &[u8; KEY_LANES / 2]) -> Codes {
+        std::array::from_fn(|k| bytes[k % 8] >> (k / 8 * 4) & 0x0F)
+    }
+
+    #[inline(always)]
+    pub(super) fn select(codes: Codes, shift: u32, mask: u8) -> Codes {
+        codes.map(|b| b >> shift & mask)
+    }
+
+    pub(super) struct Params {
+        zero: [f32; KEY_LANES],
+        scale: [f32; KEY_LANES],
+    }
+
+    impl Params {
+        #[inline(always)]
+        pub(super) fn lanes(zero: &[f32; KEY_LANES], scale: &[f32; KEY_LANES]) -> Self {
+            Self {
+                zero: *zero,
+                scale: *scale,
+            }
+        }
+
+        #[inline(always)]
+        pub(super) fn splat(zero: f32, scale: f32) -> Self {
+            Self {
+                zero: [zero; KEY_LANES],
+                scale: [scale; KEY_LANES],
+            }
+        }
+
+        #[inline(always)]
+        pub(super) fn dequantize(&self, codes: Codes, out: &mut [f32; KEY_LANES]) {
+            for k in 0..KEY_LANES {
+                out[k] = self.zero[k] + codes[k] as f32 * self.scale[k];
+            }
+        }
     }
 }
 
@@ -335,23 +700,107 @@ mod tests {
                 p.page_mut(id).append(row, &rows[tokens - 1 - t]);
             }
             let page = p.page(id);
-            let row_bytes = code_row_bytes(precision, d);
             for t in 0..tokens {
                 let (kc, kp) = quantize_group(&rows[t], precision);
                 let (vc, vp) = quantize_group(&rows[tokens - 1 - t], precision);
                 assert_eq!(page.key_row(t), dequantize_group(&kc, kp));
                 assert_eq!(page.value_row(t), dequantize_group(&vc, vp));
-                assert_eq!((page.key_params[t], page.value_params[t]), (kp, vp));
-                let mut want = vec![0u8; row_bytes];
-                for (i, &c) in kc.iter().enumerate() {
-                    pack(&mut want, precision, i, c);
-                }
-                assert_eq!(&page.keys_q[t * row_bytes..(t + 1) * row_bytes], &want);
-                if precision == KvPrecision::Int4 {
-                    assert_eq!(want[2], kc[4], "odd dimension: high nibble stays clear");
-                    assert_eq!(want[0], kc[0] | kc[1] << 4, "low nibble first");
+                assert_eq!((page.key_zero[t], page.key_scale[t]), (kp.zero, kp.scale));
+                assert_eq!(
+                    (page.value_zero[t], page.value_scale[t]),
+                    (vp.zero, vp.scale)
+                );
+                for i in 0..d {
+                    let key = unpack(&page.keys_q, precision, KEY_LANES, t / 16 * d + i, t % 16);
+                    assert_eq!(key, kc[i], "key code ({t}, {i})");
+                    assert_eq!(unpack(&page.values_q, precision, d, t, i), vc[i]);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn int4_runs_split_into_nibble_halves() {
+        let mut run = [0u8; 3];
+        for (k, code) in [1u8, 2, 3, 4, 5].into_iter().enumerate() {
+            let (byte, shift) = code_slot(KvPrecision::Int4, 5, k);
+            run[byte] |= code << shift;
+        }
+        // An odd run: three low nibbles, then two high ones; the last high
+        // nibble stays clear.
+        assert_eq!(run, [1 | 4 << 4, 2 | 5 << 4, 3]);
+        let lane_9 = code_slot(KvPrecision::Int4, KEY_LANES, 9);
+        assert_eq!(lane_9, (1, 4), "lane 9: byte 1, high nibble");
+        assert_eq!(
+            code_slot(KvPrecision::Int8, 5, 4),
+            (4, 0),
+            "INT8: a byte a code"
+        );
+    }
+
+    /// The rebuild's 16-lane step, on every byte value through every
+    /// selection it is asked for, with per-lane and with splat params: the
+    /// same bits from the SSE2 copy, the array copy and
+    /// [`QuantParams::dequantize`].
+    #[test]
+    fn the_lanes_step_is_the_array_step_is_dequantize() {
+        let zero: [f32; KEY_LANES] = std::array::from_fn(|k| k as f32 * -0.37 + 1.5);
+        let scale: [f32; KEY_LANES] = std::array::from_fn(|k| 0.11 * (k + 1) as f32);
+        let run = |codes: lanes::Codes, params: &lanes::Params| {
+            let mut out = [0.0f32; KEY_LANES];
+            params.dequantize(codes, &mut out);
+            out.map(f32::to_bits)
+        };
+        let reference = |codes: portable::Codes, params: &portable::Params| {
+            let mut out = [0.0f32; KEY_LANES];
+            params.dequantize(codes, &mut out);
+            out.map(f32::to_bits)
+        };
+        let want = |codes: [u8; KEY_LANES], per_lane: bool| {
+            std::array::from_fn(|k| {
+                let (z, s) = if per_lane {
+                    (zero[k], scale[k])
+                } else {
+                    (zero[3], scale[3])
+                };
+                QuantParams { zero: z, scale: s }
+                    .dequantize(codes[k])
+                    .to_bits()
+            })
+        };
+        for base in 0..16 {
+            let bytes: [u8; KEY_LANES] = std::array::from_fn(|k| (base * 16 + k) as u8);
+            for (shift, mask) in [(0, 0xFF), (0, 0x0F), (4, 0x0F)] {
+                let codes = lanes::select(lanes::load(&bytes), shift, mask);
+                let array = portable::select(portable::load(&bytes), shift, mask);
+                for per_lane in [true, false] {
+                    let (p, q) = if per_lane {
+                        (
+                            lanes::Params::lanes(&zero, &scale),
+                            portable::Params::lanes(&zero, &scale),
+                        )
+                    } else {
+                        (
+                            lanes::Params::splat(zero[3], scale[3]),
+                            portable::Params::splat(zero[3], scale[3]),
+                        )
+                    };
+                    assert_eq!(
+                        run(codes, &p),
+                        reference(array, &q),
+                        "{base} {shift} {mask}"
+                    );
+                    assert_eq!(reference(array, &q), want(array, per_lane));
+                }
+            }
+            let half: &[u8; KEY_LANES / 2] = bytes[..8].try_into().unwrap();
+            let (p, q) = (
+                lanes::Params::lanes(&zero, &scale),
+                portable::Params::lanes(&zero, &scale),
+            );
+            let split = portable::split_run(half);
+            assert_eq!(run(lanes::split_run(half), &p), reference(split, &q));
+            assert_eq!(split[9], half[1] >> 4, "lane 9: byte 1, high nibble");
         }
     }
 }

@@ -10,7 +10,7 @@ use lserve_trace::Tracer;
 use crate::{
     config::PagingConfig,
     copy_engine::{CopyEngine, MigrationMode, MigrationStats},
-    page::KvPage,
+    page::{KvPage, Rows},
     stats::TierStats,
 };
 use tiers::{Residency, TierConfig};
@@ -95,6 +95,10 @@ pub struct PagePool {
     mode: MigrationMode,
     engine: CopyEngine,
     mig: MigrationStats,
+    /// Rows that pages dropped on landing below the hot tier, at most
+    /// `hot_capacity`: a page that needs rows — a page landing hot, a fork, a
+    /// new page — takes them, so promotion neither allocates nor zeroes.
+    spare_rows: Vec<Rows>,
     /// Per-slot flag: the in-flight (or landed-but-untouched) promotion was
     /// speculative, issued by the prefetcher. Cleared on the first demand
     /// touch (a hit) or when the page is demoted/freed first (wasted).
@@ -149,6 +153,7 @@ impl PagePool {
             mode,
             engine: CopyEngine::default(),
             mig: MigrationStats::default(),
+            spare_rows: Vec::new(),
             prefetched: Vec::new(),
             tracer: Tracer::disabled(),
         }
@@ -228,7 +233,8 @@ impl PagePool {
         if !self.reclaim_hot_slot() {
             return None;
         }
-        Some(self.install(Some(KvPage::new(self.config, self.head_dim))))
+        let page = KvPage::new(self.config, self.head_dim, self.spare_rows.pop());
+        Some(self.install(Some(page)))
     }
 
     /// Increments the reference count of a live page (prefix sharing).

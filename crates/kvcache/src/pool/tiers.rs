@@ -317,10 +317,22 @@ impl PagePool {
         self.land(hop, dir, id);
     }
 
-    /// Marks `id` resident on `tier`; a page (re-)entering the host goes to
-    /// the back of its FIFO spill order.
+    /// Marks `id` resident on `tier`: the one residency write. A quantized
+    /// page keeps its f32 rows only on the hot tier — they are rebuilt from
+    /// its codes when it lands there and dropped when it lands below — and a
+    /// page (re-)entering the host goes to the back of its FIFO spill order.
     fn place(&mut self, id: PageId, tier: Tier) {
         self.residency[id.index()] = Residency::resident(tier);
+        let page = self.pages[id.index()].as_mut().expect("a live page");
+        if tier == Tier::Hot {
+            if !page.has_rows() {
+                page.restore_rows(self.spare_rows.pop());
+            }
+        } else if let Some(rows) = page.drop_rows() {
+            if self.spare_rows.len() < self.hot_capacity {
+                self.spare_rows.push(rows);
+            }
+        }
         if tier == Tier::Host {
             self.host_clock += 1;
             self.host_stamp[id.index()] = self.host_clock;
@@ -340,9 +352,10 @@ impl PagePool {
         }
     }
 
-    /// A page enters the pool: it takes a hot slot the caller has reclaimed.
+    /// A page enters the pool: it takes a hot slot the caller has reclaimed,
+    /// with rows (a fork of a page below the hot tier rebuilds them).
     pub(super) fn occupy_hot(&mut self, id: PageId) {
-        self.residency[id.index()] = Residency::Hot;
+        self.place(id, Tier::Hot);
         self.prefetched[id.index()] = false;
         self.slots[Tier::Hot as usize] += 1;
         self.peak_in_use = self.peak_in_use.max(self.in_use());

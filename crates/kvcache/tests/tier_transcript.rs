@@ -40,7 +40,13 @@
 //!   that does not find the page already inbound; as waste when the page
 //!   moves down a tier or dies;
 //! * after a final drain, Σ `TierStats` units == hidden + unhidden +
-//!   cancelled: every issued unit reached exactly one bucket.
+//!   cancelled: every issued unit reached exactly one bucket;
+//! * a live quantized page holds its f32 rows iff it has a readable hot copy
+//!   (`Hot` or `Migrating(ToCold)`), and an FP16 page always does.
+//!
+//! Each configuration runs twice, over FP16 pages and over INT4 pages. No
+//! call's outcome depends on the precision, so both runs must reproduce the
+//! same row; only the rows audit tells them apart.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -246,6 +252,7 @@ impl Driver {
     /// invariants that state must satisfy.
     fn observe_and_audit(&mut self, tiers: TierConfig, context: &str) {
         let pool = &self.pool;
+        let quantized = pool.config().precision().is_quantized();
         let mut shadow: BTreeMap<PageId, u32> = BTreeMap::new();
         for &id in &self.refs {
             *shadow.entry(id).or_insert(0) += 1;
@@ -261,6 +268,15 @@ impl Driver {
                 Residency::Nvme => 2,
             };
             census[tier] += 1;
+            let readable = matches!(
+                residency,
+                Residency::Hot | Residency::Migrating(MigrationDir::ToCold)
+            );
+            assert_eq!(
+                pool.page(id).has_rows(),
+                readable || !quantized,
+                "{context}: rows of {id:?}, {residency:?}"
+            );
             in_flight += usize::from(matches!(
                 residency,
                 Residency::Migrating(_) | Residency::MigratingNvme(_)
@@ -338,8 +354,8 @@ impl Driver {
     }
 }
 
-fn run(mode: MigrationMode, tiers: TierConfig, seed: u64) -> u64 {
-    let paging = PagingConfig::new(4, 2, KvPrecision::Fp16);
+fn run(mode: MigrationMode, tiers: TierConfig, seed: u64, precision: KvPrecision) -> u64 {
+    let paging = PagingConfig::new(4, 2, precision);
     let mut d = Driver {
         pool: PagePool::new_with_tiers(paging, HOT_PAGES, 2, mode, tiers),
         refs: Vec::new(),
@@ -351,11 +367,11 @@ fn run(mode: MigrationMode, tiers: TierConfig, seed: u64) -> u64 {
         d.call();
         d.observe_and_audit(
             tiers,
-            &format!("{mode:?} {tiers:?} seed {seed} call {call}"),
+            &format!("{precision:?} {mode:?} {tiers:?} seed {seed} call {call}"),
         );
     }
     // Drain: nothing in flight, then nothing live.
-    let context = format!("{mode:?} {tiers:?} seed {seed} drained");
+    let context = format!("{precision:?} {mode:?} {tiers:?} seed {seed} drained");
     d.pool.advance_transfer_units(u64::MAX / 2);
     d.observe_and_audit(tiers, &context);
     assert_eq!(d.pool.in_flight_transfers(), 0, "{context}");
@@ -375,10 +391,13 @@ fn run(mode: MigrationMode, tiers: TierConfig, seed: u64) -> u64 {
 
 #[test]
 fn random_tier_traffic_reproduces_the_transcript_and_audits_clean() {
-    let got: Vec<u64> = configurations()
-        .map(|(mode, tiers, seed)| run(mode, tiers, seed))
-        .collect();
-    if got != TRANSCRIPT {
+    for precision in [KvPrecision::Fp16, KvPrecision::Int4] {
+        let got: Vec<u64> = configurations()
+            .map(|(mode, tiers, seed)| run(mode, tiers, seed, precision))
+            .collect();
+        if got == TRANSCRIPT {
+            continue;
+        }
         let rows: Vec<String> = configurations()
             .zip(&got)
             .zip(&TRANSCRIPT)
@@ -388,7 +407,7 @@ fn random_tier_traffic_reproduces_the_transcript_and_audits_clean() {
             })
             .collect();
         panic!(
-            "tier transcript moved (rows marked *):\n{}",
+            "tier transcript over {precision:?} pages moved (rows marked *):\n{}",
             rows.join("\n")
         );
     }

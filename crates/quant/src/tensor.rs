@@ -38,7 +38,7 @@ pub fn quantize_codes(
 ) -> (QuantParams, impl Iterator<Item = u8> + '_) {
     let levels = precision
         .levels()
-        .expect("quantize_group requires an integer precision") as f32;
+        .expect("quantize_codes requires an integer precision") as f32;
     assert!(!xs.is_empty(), "cannot quantize an empty group");
     let min = xs.iter().copied().fold(f32::INFINITY, f32::min);
     let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
