@@ -82,27 +82,26 @@ impl DenseHeadCache {
         true
     }
 
-    /// Reads the (dequantized) key row of global token `t`. On a quantized
-    /// page below the hot tier it is dequantized from the page's codes: the
-    /// same bits the rows hold on the hot tier.
+    /// Reads the (dequantized) key row of global token `t`.
     ///
     /// # Panics
     ///
-    /// Panics if `t >= tokens()`.
+    /// Panics if `t >= tokens()`, or if the token's page is a quantized page
+    /// below the hot tier, which holds codes only ([`crate::KvPage::key_row`]).
     pub fn key(&self, pool: &PagePool, t: usize) -> Vec<f32> {
         let np = pool.config().physical_page_size();
         pool.page(self.pages[t / np]).key_row(t % np)
     }
 
-    /// Reads the (dequantized) value row of global token `t`, from the codes
-    /// on a quantized page below the hot tier (as [`DenseHeadCache::key`]).
+    /// Reads the (dequantized) value row of global token `t`.
     ///
     /// # Panics
     ///
-    /// Panics if `t >= tokens()`.
+    /// Panics if `t >= tokens()`, or if the token's page is a quantized page
+    /// below the hot tier, which holds codes only ([`crate::KvPage::key_row`]).
     pub fn value(&self, pool: &PagePool, t: usize) -> Vec<f32> {
         let np = pool.config().physical_page_size();
-        pool.page(self.pages[t / np]).value_row(t % np)
+        pool.page(self.pages[t / np]).value_row(t % np).to_vec()
     }
 
     /// Frees every page back to the pool and clears the table.

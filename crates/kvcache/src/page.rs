@@ -1,7 +1,7 @@
 //! One physical KV page: its key lane layout, code packing and per-logical-page
 //! key statistics.
 
-use lserve_quant::{quantize_codes, KvPrecision, QuantParams};
+use lserve_quant::{quantize_codes, KvPrecision};
 
 use crate::{config::PagingConfig, stats::LogicalPageStats};
 
@@ -51,13 +51,13 @@ pub struct KvPage {
     // one run of `head_dim` codes per token row. See `code_slot`.
     keys_q: Vec<u8>,
     values_q: Vec<u8>,
-    // Per-token-row params as zero/scale arrays, so a rebuild is
-    // `zero + code * scale` over whole vectors. Key params cover whole lane
-    // groups; slots never appended keep 0/0 and rebuild to 0.
-    key_zero: Vec<f32>,
-    key_scale: Vec<f32>,
-    value_zero: Vec<f32>,
-    value_scale: Vec<f32>,
+    // Per-token-row params as four arrays, key zeros, key scales, value zeros
+    // and value scales (`KvPage::params`), so a rebuild is
+    // `zero + code * scale` over whole vectors. One buffer, not one an array
+    // or one a kind: those cost `long_prefill` 0.8 MB of `peak_rss_mb` in
+    // allocator layout. Each array covers whole lane groups; slots never
+    // appended keep 0/0 and rebuild to 0.
+    params: Vec<f32>,
     // Channelwise key bounds of every logical page in one buffer, logical
     // pages side by side: dimension `i` of logical page `l` at `i * g + l`.
     kmin: Vec<f32>,
@@ -68,7 +68,7 @@ pub struct KvPage {
 /// so the kernel loads one dimension of `KEY_LANES` neighbouring keys as one
 /// contiguous run; values are row-major.
 #[derive(Debug, Clone)]
-pub(crate) struct Rows {
+struct Rows {
     keys: Vec<f32>,
     values: Vec<f32>,
 }
@@ -84,37 +84,25 @@ impl Rows {
 }
 
 impl KvPage {
-    /// An empty page. Its rows go into `spare` when one is given (any
-    /// contents, of a page of the same shape), or fresh buffers.
-    pub(crate) fn new(config: PagingConfig, head_dim: usize, spare: Option<Rows>) -> Self {
+    /// An empty page.
+    pub(crate) fn new(config: PagingConfig, head_dim: usize) -> Self {
         let slots = config.physical_page_size();
         let key_slots = slots.next_multiple_of(KEY_LANES);
         let logical = config.logical_per_physical();
         let precision = config.precision();
-        let rows = match spare {
-            Some(mut rows) => {
-                // Key slots past `len()` read 0; value rows past it are never read.
-                rows.keys.fill(0.0);
-                rows
-            }
-            None => Rows::zeroed(config, head_dim),
-        };
-        let (key_params, value_params) = match precision {
-            KvPrecision::Fp16 => (0, 0),
-            _ => (key_slots, slots),
+        let params = match precision {
+            KvPrecision::Fp16 => 0,
+            _ => 4 * key_slots,
         };
         Self {
             config,
             head_dim,
             logical,
             len: 0,
-            rows: Some(rows),
+            rows: Some(Rows::zeroed(config, head_dim)),
             keys_q: vec![0; key_slots / KEY_LANES * head_dim * run_bytes(precision, KEY_LANES)],
             values_q: vec![0; slots * run_bytes(precision, head_dim)],
-            key_zero: vec![0.0; key_params],
-            key_scale: vec![0.0; key_params],
-            value_zero: vec![0.0; value_params],
-            value_scale: vec![0.0; value_params],
+            params: vec![0.0; params],
             kmin: vec![f32::INFINITY; head_dim * logical],
             kmax: vec![f32::NEG_INFINITY; head_dim * logical],
         }
@@ -146,27 +134,21 @@ impl KvPage {
         self.rows.is_some()
     }
 
-    /// Gives up the rows of a quantized page, whose codes are its storage;
-    /// `None` for an FP16 page (its rows are the storage) or one already
-    /// without rows.
-    pub(crate) fn drop_rows(&mut self) -> Option<Rows> {
+    /// Gives up the rows of a quantized page, whose codes are its storage.
+    /// An FP16 page keeps them: they are its storage.
+    pub(crate) fn drop_rows(&mut self) {
         if self.config.precision().is_quantized() {
-            self.rows.take()
-        } else {
-            None
+            self.rows = None;
         }
     }
 
-    /// Rebuilds the rows of a quantized page from its codes into `spare` (any
-    /// contents, as [`KvPage::new`]), or fresh buffers: bit for bit the rows
-    /// the appends wrote, key slots past `len()` zero.
-    pub(crate) fn restore_rows(&mut self, spare: Option<Rows>) {
+    /// Rebuilds the rows of a quantized page from its codes: bit for bit the
+    /// rows the appends wrote, key slots past `len()` zero.
+    pub(crate) fn restore_rows(&mut self) {
         debug_assert!(self.rows.is_none(), "restore of a page that holds its rows");
-        let mut rows = spare.unwrap_or_else(|| Rows::zeroed(self.config, self.head_dim));
+        let mut rows = Rows::zeroed(self.config, self.head_dim);
         let d = self.head_dim;
-        let occupied = self.len.div_ceil(KEY_LANES) * KEY_LANES * d;
-        let (keys, unused) = rows.keys.split_at_mut(occupied);
-        unused.fill(0.0);
+        let keys = &mut rows.keys[..self.len.div_ceil(KEY_LANES) * KEY_LANES * d];
         let values = &mut rows.values[..self.len * d];
         match self.config.precision() {
             KvPrecision::Int4 => self.rebuild::<true>(keys, values),
@@ -184,19 +166,20 @@ impl KvPage {
         // Run `r` of the key codes is dimension `r % d` of lane group `r / d`.
         let (nibbles, _) = self.keys_q.as_chunks::<{ KEY_LANES / 2 }>();
         let (bytes, _) = self.keys_q.as_chunks::<KEY_LANES>();
-        let (zero, _) = self.key_zero.as_chunks::<KEY_LANES>();
-        let (scale, _) = self.key_scale.as_chunks::<KEY_LANES>();
+        let [zero, scale, value_zero, value_scale] = self.params();
+        let (zero, _) = zero.as_chunks::<KEY_LANES>();
+        let (scale, _) = scale.as_chunks::<KEY_LANES>();
         let (out, _) = keys.as_chunks_mut::<KEY_LANES>();
         for (g, out) in out.chunks_exact_mut(d).enumerate() {
-            let params = lanes::Params::lanes(&zero[g], &scale[g]);
+            let (zero, scale) = (&zero[g], &scale[g]);
             let runs = g * d..(g + 1) * d;
             if INT4 {
                 for (out, run) in out.iter_mut().zip(&nibbles[runs]) {
-                    params.dequantize(lanes::split_run(run), out);
+                    dequantize_lanes(split_run(run), zero, scale, out);
                 }
             } else {
                 for (out, run) in out.iter_mut().zip(&bytes[runs]) {
-                    params.dequantize(lanes::load(run), out);
+                    dequantize_lanes(*run, zero, scale, out);
                 }
             }
         }
@@ -205,7 +188,7 @@ impl KvPage {
             .chunks_exact_mut(d)
             .zip(self.values_q.chunks_exact(value_run));
         for (t, (out, codes)) in rows.enumerate() {
-            let (zero, scale) = (self.value_zero[t], self.value_scale[t]);
+            let (zero, scale) = (value_zero[t], value_scale[t]);
             if INT4 {
                 let (lo, hi) = out.split_at_mut(value_run);
                 dequantize_row(codes, 0, 0x0F, zero, scale, lo);
@@ -268,8 +251,9 @@ impl KvPage {
                     *slot = vp.dequantize(c);
                 }
             }
-            (self.key_zero[t], self.key_scale[t]) = (kp.zero, kp.scale);
-            (self.value_zero[t], self.value_scale[t]) = (vp.zero, vp.scale);
+            let n = self.params.len() / 4;
+            (self.params[t], self.params[n + t]) = (kp.zero, kp.scale);
+            (self.params[2 * n + t], self.params[3 * n + t]) = (vp.zero, vp.scale);
         } else {
             for (i, &k) in key.iter().enumerate() {
                 store_key(i, k);
@@ -277,6 +261,14 @@ impl KvPage {
             values_f.copy_from_slice(value);
         }
         self.len += 1;
+    }
+
+    /// The param arrays of a quantized page: key zeros, key scales, value
+    /// zeros, value scales.
+    #[inline]
+    fn params(&self) -> [&[f32]; 4] {
+        let n = self.params.len() / 4;
+        std::array::from_fn(|a| &self.params[a * n..(a + 1) * n])
     }
 
     /// The rows, which a kernel may read only on a page that holds them.
@@ -310,54 +302,32 @@ impl KvPage {
         &self.rows().values[..self.len * self.head_dim]
     }
 
-    /// The effective (dequantized) key row for token slot `t` within this
-    /// page (tests and debugging; kernels read [`KvPage::key_lanes`]):
-    /// gathered from the rows, or dequantized from the codes on a page
-    /// without rows — the same bits either way.
+    /// The effective (dequantized) key row for token slot `t` within this page,
+    /// gathered from the d-major store (tests and debugging; kernels read
+    /// [`KvPage::key_lanes`]).
     ///
     /// # Panics
     ///
-    /// Panics if `t >= len()`.
+    /// Panics if `t >= len()` or the page does not hold its rows
+    /// ([`KvPage::has_rows`]).
     pub fn key_row(&self, t: usize) -> Vec<f32> {
         assert!(t < self.len, "token slot {t} out of bounds ({})", self.len);
-        let d = self.head_dim;
-        let Some(rows) = &self.rows else {
-            let p = QuantParams {
-                zero: self.key_zero[t],
-                scale: self.key_scale[t],
-            };
-            let (run, lane) = (t / KEY_LANES * d, t % KEY_LANES);
-            let precision = self.config.precision();
-            return (0..d)
-                .map(|i| p.dequantize(unpack(&self.keys_q, precision, KEY_LANES, run + i, lane)))
-                .collect();
-        };
-        (0..d)
-            .map(|i| rows.keys[key_lane_offset(d, t, i)])
+        let keys = self.key_lanes();
+        (0..self.head_dim)
+            .map(|i| keys[key_lane_offset(self.head_dim, t, i)])
             .collect()
     }
 
-    /// The effective (dequantized) value row for token slot `t` within this
-    /// page: copied from the rows, or dequantized from the codes on a page
-    /// without rows — the same bits either way.
+    /// The effective (dequantized) value row for token slot `t` within this page.
     ///
     /// # Panics
     ///
-    /// Panics if `t >= len()`.
-    pub fn value_row(&self, t: usize) -> Vec<f32> {
+    /// Panics if `t >= len()` or the page does not hold its rows
+    /// ([`KvPage::has_rows`]).
+    #[inline]
+    pub fn value_row(&self, t: usize) -> &[f32] {
         assert!(t < self.len, "token slot {t} out of bounds ({})", self.len);
-        let d = self.head_dim;
-        if self.rows.is_some() {
-            return self.value_rows()[t * d..(t + 1) * d].to_vec();
-        }
-        let p = QuantParams {
-            zero: self.value_zero[t],
-            scale: self.value_scale[t],
-        };
-        let precision = self.config.precision();
-        (0..d)
-            .map(|i| p.dequantize(unpack(&self.values_q, precision, d, t, i)))
-            .collect()
+        &self.value_rows()[t * self.head_dim..(t + 1) * self.head_dim]
     }
 
     /// Key statistics of logical sub-page `l` (in `0..logical_per_physical()`),
@@ -484,17 +454,6 @@ fn code_slot(precision: KvPrecision, n: usize, k: usize) -> (usize, u32) {
     }
 }
 
-/// Code `k` of run `run` in a buffer of runs of `n` codes.
-fn unpack(codes: &[u8], precision: KvPrecision, n: usize, run: usize, k: usize) -> u8 {
-    let (byte, shift) = code_slot(precision, n, k);
-    let mask = if precision == KvPrecision::Int4 {
-        0x0F
-    } else {
-        0xFF
-    };
-    codes[run * run_bytes(precision, n) + byte] >> shift & mask
-}
-
 /// One row's codes, `byte >> shift & mask` of the first `out.len()` bytes,
 /// dequantized with one `zero` / `scale` pair into `out`: 16 at a time,
 /// then the rest one by one.
@@ -502,12 +461,12 @@ fn unpack(codes: &[u8], precision: KvPrecision, n: usize, run: usize, k: usize) 
 fn dequantize_row(bytes: &[u8], shift: u32, mask: u8, zero: f32, scale: f32, out: &mut [f32]) {
     // `chunks_exact`, not `as_chunks`: the latter costs the rebuild 5 %.
     let bytes = &bytes[..out.len()];
-    let params = lanes::Params::splat(zero, scale);
+    let (zeros, scales) = ([zero; KEY_LANES], [scale; KEY_LANES]);
     let mut blocks = out.chunks_exact_mut(KEY_LANES);
     for (out, codes) in (&mut blocks).zip(bytes.chunks_exact(KEY_LANES)) {
-        let codes = codes.try_into().expect("a chunk of KEY_LANES codes");
+        let codes: [u8; KEY_LANES] = codes.try_into().expect("a chunk of KEY_LANES codes");
         let out = out.try_into().expect("a chunk of KEY_LANES rows");
-        params.dequantize(lanes::select(lanes::load(codes), shift, mask), out);
+        dequantize_lanes(codes.map(|b| b >> shift & mask), &zeros, &scales, out);
     }
     let rest = bytes.len() / KEY_LANES * KEY_LANES;
     for (o, &b) in blocks.into_remainder().iter_mut().zip(&bytes[rest..]) {
@@ -515,158 +474,27 @@ fn dequantize_row(bytes: &[u8], shift: u32, mask: u8, zero: f32, scale: f32, out
     }
 }
 
-/// The rebuild's step: 16 one-byte codes become `zero + code * scale`, lane
-/// by lane — the f32 operations of [`QuantParams::dequantize`], so the same
-/// bits. On x86_64 in SSE2, part of every such host: left to itself the
-/// compiler vectorizes the loop *over* blocks, gathering each lane's bytes
-/// one by one. Elsewhere [`portable`], the same steps on arrays.
-#[cfg(target_arch = "x86_64")]
-mod lanes {
-    // SAFETY, for every `unsafe` here that does not say otherwise: SSE2 is
-    // part of the x86_64 target, so its intrinsics run on every such host.
-    use std::arch::x86_64::*;
-
-    use super::KEY_LANES;
-
-    /// Sixteen codes, one a byte.
-    pub(super) type Codes = __m128i;
-
-    #[inline(always)]
-    pub(super) fn load(bytes: &[u8; KEY_LANES]) -> Codes {
-        // SAFETY: as above, and the load reads the array's 16 bytes.
-        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
-    }
-
-    /// The codes of a key run: 8 bytes, lanes 0..8 in the low nibbles and
-    /// 8..16 in the high ones.
-    #[inline(always)]
-    pub(super) fn split_run(bytes: &[u8; KEY_LANES / 2]) -> Codes {
-        // SAFETY: as above, and the load reads the array's 8 bytes.
-        let packed = unsafe { _mm_loadl_epi64(bytes.as_ptr().cast()) };
-        let (lo, hi) = (select(packed, 0, 0x0F), select(packed, 4, 0x0F));
-        // SAFETY: as above; registers only.
-        unsafe { _mm_unpacklo_epi64(lo, hi) }
-    }
-
-    /// `byte >> shift & mask` of each byte, `shift` 0 or 4.
-    #[inline(always)]
-    pub(super) fn select(codes: Codes, shift: u32, mask: u8) -> Codes {
-        // SAFETY: as above; registers only.
-        unsafe {
-            let codes = if shift == 4 {
-                _mm_srli_epi16(codes, 4)
-            } else {
-                codes
-            };
-            _mm_and_si128(codes, _mm_set1_epi8(mask as i8))
-        }
-    }
-
-    /// A block's `zero` / `scale`, four lanes a register.
-    pub(super) struct Params {
-        zero: [__m128; 4],
-        scale: [__m128; 4],
-    }
-
-    impl Params {
-        #[inline(always)]
-        pub(super) fn lanes(zero: &[f32; KEY_LANES], scale: &[f32; KEY_LANES]) -> Self {
-            // SAFETY: as above, and each load reads four lanes of the array.
-            let load = |v: &[f32; KEY_LANES]| {
-                std::array::from_fn(|q| unsafe { _mm_loadu_ps(v.as_ptr().add(4 * q)) })
-            };
-            Self {
-                zero: load(zero),
-                scale: load(scale),
-            }
-        }
-
-        #[inline(always)]
-        pub(super) fn splat(zero: f32, scale: f32) -> Self {
-            // SAFETY: as above; registers only.
-            unsafe {
-                Self {
-                    zero: [_mm_set1_ps(zero); 4],
-                    scale: [_mm_set1_ps(scale); 4],
-                }
-            }
-        }
-
-        #[inline(always)]
-        pub(super) fn dequantize(&self, codes: Codes, out: &mut [f32; KEY_LANES]) {
-            // SAFETY: as above, and each store writes four lanes of `out`.
-            unsafe {
-                let z = _mm_setzero_si128();
-                let (lo, hi) = (_mm_unpacklo_epi8(codes, z), _mm_unpackhi_epi8(codes, z));
-                let words = [
-                    _mm_unpacklo_epi16(lo, z),
-                    _mm_unpackhi_epi16(lo, z),
-                    _mm_unpacklo_epi16(hi, z),
-                    _mm_unpackhi_epi16(hi, z),
-                ];
-                for (q, words) in words.into_iter().enumerate() {
-                    let codes = _mm_cvtepi32_ps(words);
-                    let x = _mm_add_ps(self.zero[q], _mm_mul_ps(codes, self.scale[q]));
-                    _mm_storeu_ps(out.as_mut_ptr().add(4 * q), x);
-                }
-            }
-        }
-    }
+/// The codes of a key run: 8 bytes, lanes 0..8 in the low nibbles and 8..16
+/// in the high ones.
+#[inline(always)]
+fn split_run(bytes: &[u8; KEY_LANES / 2]) -> [u8; KEY_LANES] {
+    std::array::from_fn(|k| bytes[k % 8] >> (k / 8 * 4) & 0x0F)
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-use portable as lanes;
-
-/// [`lanes`] on arrays.
-#[cfg(any(test, not(target_arch = "x86_64")))]
-mod portable {
-    use super::KEY_LANES;
-
-    pub(super) type Codes = [u8; KEY_LANES];
-
-    #[inline(always)]
-    pub(super) fn load(bytes: &[u8; KEY_LANES]) -> Codes {
-        *bytes
-    }
-
-    #[inline(always)]
-    pub(super) fn split_run(bytes: &[u8; KEY_LANES / 2]) -> Codes {
-        std::array::from_fn(|k| bytes[k % 8] >> (k / 8 * 4) & 0x0F)
-    }
-
-    #[inline(always)]
-    pub(super) fn select(codes: Codes, shift: u32, mask: u8) -> Codes {
-        codes.map(|b| b >> shift & mask)
-    }
-
-    pub(super) struct Params {
-        zero: [f32; KEY_LANES],
-        scale: [f32; KEY_LANES],
-    }
-
-    impl Params {
-        #[inline(always)]
-        pub(super) fn lanes(zero: &[f32; KEY_LANES], scale: &[f32; KEY_LANES]) -> Self {
-            Self {
-                zero: *zero,
-                scale: *scale,
-            }
-        }
-
-        #[inline(always)]
-        pub(super) fn splat(zero: f32, scale: f32) -> Self {
-            Self {
-                zero: [zero; KEY_LANES],
-                scale: [scale; KEY_LANES],
-            }
-        }
-
-        #[inline(always)]
-        pub(super) fn dequantize(&self, codes: Codes, out: &mut [f32; KEY_LANES]) {
-            for k in 0..KEY_LANES {
-                out[k] = self.zero[k] + codes[k] as f32 * self.scale[k];
-            }
-        }
+/// The rebuild's step: 16 one-byte codes become `zero + code * scale`, lane
+/// by lane — the f32 operations of [`lserve_quant::QuantParams::dequantize`],
+/// so the same bits. Whole arrays, so the compiler vectorizes across the
+/// lanes rather than across blocks, which would gather each lane's bytes one
+/// by one.
+#[inline(always)]
+fn dequantize_lanes(
+    codes: [u8; KEY_LANES],
+    zero: &[f32; KEY_LANES],
+    scale: &[f32; KEY_LANES],
+    out: &mut [f32; KEY_LANES],
+) {
+    for k in 0..KEY_LANES {
+        out[k] = zero[k] + codes[k] as f32 * scale[k];
     }
 }
 
@@ -688,6 +516,17 @@ mod tests {
     use super::*;
     use crate::PagePool;
 
+    /// Code `k` of run `run` in a buffer of runs of `n` codes.
+    fn unpack(codes: &[u8], precision: KvPrecision, n: usize, run: usize, k: usize) -> u8 {
+        let (byte, shift) = code_slot(precision, n, k);
+        let mask = if precision == KvPrecision::Int4 {
+            0x0F
+        } else {
+            0xFF
+        };
+        codes[run * run_bytes(precision, n) + byte] >> shift & mask
+    }
+
     #[test]
     fn append_stores_the_bits_of_quantize_then_dequantize() {
         use lserve_quant::{dequantize_group, quantize_group};
@@ -705,11 +544,9 @@ mod tests {
                 let (vc, vp) = quantize_group(&rows[tokens - 1 - t], precision);
                 assert_eq!(page.key_row(t), dequantize_group(&kc, kp));
                 assert_eq!(page.value_row(t), dequantize_group(&vc, vp));
-                assert_eq!((page.key_zero[t], page.key_scale[t]), (kp.zero, kp.scale));
-                assert_eq!(
-                    (page.value_zero[t], page.value_scale[t]),
-                    (vp.zero, vp.scale)
-                );
+                let [kz, ks, vz, vs] = page.params();
+                assert_eq!((kz[t], ks[t]), (kp.zero, kp.scale));
+                assert_eq!((vz[t], vs[t]), (vp.zero, vp.scale));
                 for i in 0..d {
                     let key = unpack(&page.keys_q, precision, KEY_LANES, t / 16 * d + i, t % 16);
                     assert_eq!(key, kc[i], "key code ({t}, {i})");
@@ -731,76 +568,17 @@ mod tests {
         assert_eq!(run, [1 | 4 << 4, 2 | 5 << 4, 3]);
         let lane_9 = code_slot(KvPrecision::Int4, KEY_LANES, 9);
         assert_eq!(lane_9, (1, 4), "lane 9: byte 1, high nibble");
+        let key_run: [u8; KEY_LANES / 2] = std::array::from_fn(|b| (b as u8 + 8) << 4 | b as u8);
+        let split: [u8; KEY_LANES] = std::array::from_fn(|k| k as u8);
+        assert_eq!(
+            split_run(&key_run),
+            split,
+            "a key run unpacks to its lanes in order"
+        );
         assert_eq!(
             code_slot(KvPrecision::Int8, 5, 4),
             (4, 0),
             "INT8: a byte a code"
         );
-    }
-
-    /// The rebuild's 16-lane step, on every byte value through every
-    /// selection it is asked for, with per-lane and with splat params: the
-    /// same bits from the SSE2 copy, the array copy and
-    /// [`QuantParams::dequantize`].
-    #[test]
-    fn the_lanes_step_is_the_array_step_is_dequantize() {
-        let zero: [f32; KEY_LANES] = std::array::from_fn(|k| k as f32 * -0.37 + 1.5);
-        let scale: [f32; KEY_LANES] = std::array::from_fn(|k| 0.11 * (k + 1) as f32);
-        let run = |codes: lanes::Codes, params: &lanes::Params| {
-            let mut out = [0.0f32; KEY_LANES];
-            params.dequantize(codes, &mut out);
-            out.map(f32::to_bits)
-        };
-        let reference = |codes: portable::Codes, params: &portable::Params| {
-            let mut out = [0.0f32; KEY_LANES];
-            params.dequantize(codes, &mut out);
-            out.map(f32::to_bits)
-        };
-        let want = |codes: [u8; KEY_LANES], per_lane: bool| {
-            std::array::from_fn(|k| {
-                let (z, s) = if per_lane {
-                    (zero[k], scale[k])
-                } else {
-                    (zero[3], scale[3])
-                };
-                QuantParams { zero: z, scale: s }
-                    .dequantize(codes[k])
-                    .to_bits()
-            })
-        };
-        for base in 0..16 {
-            let bytes: [u8; KEY_LANES] = std::array::from_fn(|k| (base * 16 + k) as u8);
-            for (shift, mask) in [(0, 0xFF), (0, 0x0F), (4, 0x0F)] {
-                let codes = lanes::select(lanes::load(&bytes), shift, mask);
-                let array = portable::select(portable::load(&bytes), shift, mask);
-                for per_lane in [true, false] {
-                    let (p, q) = if per_lane {
-                        (
-                            lanes::Params::lanes(&zero, &scale),
-                            portable::Params::lanes(&zero, &scale),
-                        )
-                    } else {
-                        (
-                            lanes::Params::splat(zero[3], scale[3]),
-                            portable::Params::splat(zero[3], scale[3]),
-                        )
-                    };
-                    assert_eq!(
-                        run(codes, &p),
-                        reference(array, &q),
-                        "{base} {shift} {mask}"
-                    );
-                    assert_eq!(reference(array, &q), want(array, per_lane));
-                }
-            }
-            let half: &[u8; KEY_LANES / 2] = bytes[..8].try_into().unwrap();
-            let (p, q) = (
-                lanes::Params::lanes(&zero, &scale),
-                portable::Params::lanes(&zero, &scale),
-            );
-            let split = portable::split_run(half);
-            assert_eq!(run(lanes::split_run(half), &p), reference(split, &q));
-            assert_eq!(split[9], half[1] >> 4, "lane 9: byte 1, high nibble");
-        }
     }
 }

@@ -10,7 +10,7 @@ use lserve_trace::Tracer;
 use crate::{
     config::PagingConfig,
     copy_engine::{CopyEngine, MigrationMode, MigrationStats},
-    page::{KvPage, Rows},
+    page::KvPage,
     stats::TierStats,
 };
 use tiers::{Residency, TierConfig};
@@ -95,10 +95,6 @@ pub struct PagePool {
     mode: MigrationMode,
     engine: CopyEngine,
     mig: MigrationStats,
-    /// Rows that pages dropped on landing below the hot tier, at most
-    /// `hot_capacity`: a page that needs rows — a page landing hot, a fork, a
-    /// new page — takes them, so promotion neither allocates nor zeroes.
-    spare_rows: Vec<Rows>,
     /// Per-slot flag: the in-flight (or landed-but-untouched) promotion was
     /// speculative, issued by the prefetcher. Cleared on the first demand
     /// touch (a hit) or when the page is demoted/freed first (wasted).
@@ -153,7 +149,6 @@ impl PagePool {
             mode,
             engine: CopyEngine::default(),
             mig: MigrationStats::default(),
-            spare_rows: Vec::new(),
             prefetched: Vec::new(),
             tracer: Tracer::disabled(),
         }
@@ -233,8 +228,7 @@ impl PagePool {
         if !self.reclaim_hot_slot() {
             return None;
         }
-        let page = KvPage::new(self.config, self.head_dim, self.spare_rows.pop());
-        Some(self.install(Some(page)))
+        Some(self.install(Some(KvPage::new(self.config, self.head_dim))))
     }
 
     /// Increments the reference count of a live page (prefix sharing).
@@ -781,6 +775,30 @@ mod tests {
         assert_eq!(p.in_flight_transfers(), 0, "cancelled, not landed");
         let m = p.migration_stats();
         assert_eq!(m.cancelled_token_units, nvme_ledger_units(4));
+    }
+
+    #[test]
+    fn a_page_leaving_mid_promotion_is_not_rebuilt() {
+        let mut p = PagePool::new_with_tiers(
+            PagingConfig::new(4, 2, KvPrecision::Int4),
+            2,
+            4,
+            MigrationMode::Async,
+            TierConfig::default(),
+        );
+        let id = p.allocate().unwrap();
+        p.page_mut(id).append(&[1.0; 4], &[2.0; 4]);
+        p.demote(id).unwrap();
+        p.advance_transfer_units(4);
+        assert!(!p.page(id).has_rows(), "landed on host: codes only");
+        assert!(p.prefetch(id));
+        assert_eq!(p.residency(id), Residency::Migrating(MigrationDir::ToHot));
+        // `free` is `vacate` then the drop; between them the page is still
+        // there to look at.
+        p.vacate(id);
+        assert!(!p.pages[id.index()].as_ref().unwrap().has_rows());
+        assert_eq!(p.in_flight_transfers(), 0, "aborted, not landed");
+        assert_eq!(p.migration_stats().cancelled_token_units, 4);
     }
 
     #[test]

@@ -295,13 +295,19 @@ impl PagePool {
     /// copy up, an inbound one keeps the slot it claimed. The spent bandwidth
     /// is wasted traffic, charged to neither stall bucket.
     fn cancel(&mut self, hop: Hop, dir: MigrationDir, id: PageId) {
+        self.abort(hop, dir, id);
+        self.place(id, hop.upper());
+    }
+
+    /// [`PagePool::cancel`] short of placing the page, for a page that is
+    /// leaving the pool: it would rebuild rows only to drop them.
+    fn abort(&mut self, hop: Hop, dir: MigrationDir, id: PageId) {
         let remaining = self
             .engine
             .take(hop, dir, id)
             .expect("migrating page must be in flight");
         self.trace_copy("cancel", hop, dir, id, remaining);
         self.mig.cancelled_token_units += remaining;
-        self.place(id, hop.upper());
     }
 
     /// Completes `id`'s transfer now because someone needs the page, its slot
@@ -326,12 +332,10 @@ impl PagePool {
         let page = self.pages[id.index()].as_mut().expect("a live page");
         if tier == Tier::Hot {
             if !page.has_rows() {
-                page.restore_rows(self.spare_rows.pop());
+                page.restore_rows();
             }
-        } else if let Some(rows) = page.drop_rows() {
-            if self.spare_rows.len() < self.hot_capacity {
-                self.spare_rows.push(rows);
-            }
+        } else {
+            page.drop_rows();
         }
         if tier == Tier::Host {
             self.host_clock += 1;
@@ -361,12 +365,12 @@ impl PagePool {
         self.peak_in_use = self.peak_in_use.max(self.in_use());
     }
 
-    /// A page leaves the pool: its transfer, if any, is cancelled, not
-    /// landed, and its slot returns to the tier that counted it.
+    /// A page leaves the pool: its transfer, if any, is aborted, not landed,
+    /// and its slot returns to the tier that counted it.
     pub(super) fn vacate(&mut self, id: PageId) {
         self.waste_prefetched(id.index());
         if let Some((hop, dir)) = self.residency[id.index()].in_flight() {
-            self.cancel(hop, dir, id);
+            self.abort(hop, dir, id);
         }
         self.slots[self.residency[id.index()].tier() as usize] -= 1;
         self.residency[id.index()] = Residency::Hot;
