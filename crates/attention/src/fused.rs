@@ -222,7 +222,7 @@ mod tests {
     use crate::decode::{decode_dense_head, decode_streaming_head, DecodeStats};
     use crate::parallel::{run_decode_shard, DecodeShard};
     use crate::reference::causal_attention_reference;
-    use lserve_kvcache::{HeadCache, LayerKvCache, PagePool, PagingConfig, StreamingWindow};
+    use lserve_kvcache::{append_token, HeadCache, PagePool, PagingConfig, StreamingWindow};
     use lserve_quant::KvPrecision;
     use lserve_tensor::SeededGaussian;
 
@@ -292,10 +292,11 @@ mod tests {
         c: &LayerAttnConfig,
         n: usize,
         seed: u64,
-    ) -> (PagePool, LayerKvCache, Vec<f32>) {
+    ) -> (PagePool, Vec<HeadCache>, Vec<f32>) {
         let pcfg = PagingConfig::new(4, 4, KvPrecision::Fp16);
         let mut pool = PagePool::new(pcfg, 1024, c.head_dim);
-        let mut cache = LayerKvCache::new(&[false, true], StreamingWindow::new(1, 2));
+        let window = StreamingWindow::new(1, 2);
+        let mut cache: Vec<HeadCache> = [false, true].map(|s| HeadCache::new(s, window)).into();
         let mut g = SeededGaussian::new(seed);
         let mut row = |width: usize| -> Vec<f32> { (0..width).map(|_| g.sample()).collect() };
         for _ in 0..n {
@@ -303,7 +304,7 @@ mod tests {
                 row(c.num_kv_heads * c.head_dim),
                 row(c.num_kv_heads * c.head_dim),
             );
-            assert!(cache.append_token(&mut pool, &keys, &vals, c.head_dim));
+            assert!(append_token(&mut cache, &mut pool, &keys, &vals));
         }
         let q = row(c.num_q_heads * c.head_dim);
         (pool, cache, q)
@@ -313,14 +314,14 @@ mod tests {
     fn decode_shard(
         c: &LayerAttnConfig,
         pool: &PagePool,
-        cache: &LayerKvCache,
+        cache: &[HeadCache],
         q: &[f32],
         kv: usize,
     ) -> (Vec<f32>, DecodeStats) {
         let width = c.group_size() * c.head_dim;
         let mut out = vec![0.0f32; width];
         let mut shard = DecodeShard {
-            head: cache.head(kv),
+            head: &cache[kv],
             queries: &q[kv * width..(kv + 1) * width],
             selection: None,
             head_dim: c.head_dim,
@@ -344,7 +345,7 @@ mod tests {
         assert!(dstats.tokens_visited > 0 && sstats.tokens_visited > 0);
         for (h, got) in dense.chunks(d).chain(stream.chunks(d)).enumerate() {
             let qh = &q[h * d..(h + 1) * d];
-            let (want, _) = match cache.head(c.kv_head_of(h)) {
+            let (want, _) = match &cache[c.kv_head_of(h)] {
                 HeadCache::Dense(head) => decode_dense_head(&pool, head, qh, c.scale(), None),
                 HeadCache::Streaming(head) => decode_streaming_head(&pool, head, qh, c.scale()),
             };

@@ -40,7 +40,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use lserve_attention::{fused_prefill_layer, HeadKind, LayerAttnConfig};
-use lserve_kvcache::{LayerKvCache, PagePool, StreamingWindow, HOST_TRANSFER_SPEEDUP};
+use lserve_kvcache::{append_token, HeadCache, PagePool, StreamingWindow, HOST_TRANSFER_SPEEDUP};
 use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention};
 use lserve_model::{greedy_next_token, ModelWeights};
 use lserve_selector::{FlatSelector, HierarchicalSelector, ReusableSelector};
@@ -198,10 +198,10 @@ impl ModelExecutor {
     /// fork (children inherit the parent's ring).
     pub fn new_sequence_with_window(&self, window: Option<StreamingWindow>) -> SequenceState {
         let window = window.unwrap_or(self.cfg.streaming_window);
-        let layers: Vec<LayerKvCache> = self
+        let layers = self
             .masks
             .iter()
-            .map(|mask| LayerKvCache::new(mask, window))
+            .map(|mask| mask.iter().map(|&s| HeadCache::new(s, window)).collect())
             .collect();
         let selectors = self
             .masks
@@ -294,8 +294,7 @@ impl ModelExecutor {
             let serial_start = tracer.now();
             let acts = pre_attention(model, lw, &x, &angles);
             for t in 0..tokens.len() {
-                if !state.layers[l].append_token(pool, acts.k.row(t), acts.v.row(t), model.head_dim)
-                {
+                if !append_token(&mut state.layers[l], pool, acts.k.row(t), acts.v.row(t)) {
                     return Err(OutOfPagesError);
                 }
             }

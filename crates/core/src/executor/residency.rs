@@ -30,7 +30,7 @@ impl ModelExecutor {
             .effective_budget(self.cfg.dynamic_budget, state.tokens_processed);
         for (layer, selectors) in state.layers.iter().zip(&state.selectors) {
             for (kv, selector) in selectors.iter().enumerate() {
-                need += match (layer.head(kv), selector, budget) {
+                need += match (&layer[kv], selector, budget) {
                     (HeadCache::Dense(c), Some(_), Some(b)) if c.tokens() + 1 > b => {
                         // The most pages one selection reads, so the most it
                         // promotes; each exchangeable page pays for one.
@@ -86,7 +86,7 @@ impl ModelExecutor {
             let Some(selector) = state.selectors[l][kv].as_mut() else {
                 continue;
             };
-            let HeadCache::Dense(cache) = state.layers[l].head(kv) else {
+            let HeadCache::Dense(cache) = &state.layers[l][kv] else {
                 continue;
             };
             // Skip selection entirely while the history fits the budget —
@@ -181,8 +181,7 @@ impl ModelExecutor {
                     // first. Non-resident pages appear here only on sequences
                     // seeded from a prefix snapshot captured after demotion —
                     // the common case is a no-op scan.
-                    let Some(moved) = pool.ensure_resident(state.layers[l].head(kv).page_ids())
-                    else {
+                    let Some(moved) = pool.ensure_resident(state.layers[l][kv].page_ids()) else {
                         break 'pass Err(OutOfPagesError);
                     };
                     *reserved = reserved.saturating_sub(moved.pages as usize);
@@ -190,7 +189,7 @@ impl ModelExecutor {
                     fetch_units[kv] += moved.unhidden;
                     continue;
                 };
-                let HeadCache::Dense(cache) = state.layers[l].head(kv) else {
+                let HeadCache::Dense(cache) = &state.layers[l][kv] else {
                     continue;
                 };
                 let table = cache.page_table();
@@ -267,7 +266,7 @@ impl ModelExecutor {
         for head in heads {
             let (Some(sel), HeadCache::Dense(cache), Some(selector)) = (
                 selections[head].as_ref(),
-                state.layers[l].head(head),
+                &state.layers[l][head],
                 state.selectors[l][head].as_ref(),
             ) else {
                 continue;
@@ -338,7 +337,7 @@ impl ModelExecutor {
             if selector.next_fresh_step() != Some(next_step) {
                 continue;
             }
-            let HeadCache::Dense(cache) = state.layers[l].head(kv) else {
+            let HeadCache::Dense(cache) = &state.layers[l][kv] else {
                 continue;
             };
             let table = cache.page_table();
@@ -502,8 +501,9 @@ mod tests {
     /// Selections that read the first and the last page of every dense head
     /// of layer `l` (streaming heads are read whole).
     fn first_and_last(s: &SequenceState, l: usize) -> Vec<Option<Vec<usize>>> {
-        (0..s.layers[l].num_heads())
-            .map(|h| match s.layers[l].head(h) {
+        s.layers[l]
+            .iter()
+            .map(|head| match head {
                 HeadCache::Dense(c) => Some(vec![0, c.num_pages() - 1]),
                 HeadCache::Streaming(_) => None,
             })
@@ -519,7 +519,7 @@ mod tests {
         let (s, _) = past_budget(&exec, &mut pool);
         let (l, kv, peer) = dense_pair(&exec);
         let mut selections = first_and_last(&s, l);
-        let table = s.layers[l].head(kv).as_dense().page_table().to_vec();
+        let table = s.layers[l][kv].as_dense().page_table().to_vec();
         let selector = s.selectors[l][kv].as_ref().unwrap();
 
         // Its own head first, and there the page unselected the longest.
@@ -564,7 +564,7 @@ mod tests {
         let (head, lent, _) =
             ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).unwrap();
         assert_eq!(head, peer);
-        let peer_table = s.layers[l].head(peer).as_dense().page_table();
+        let peer_table = s.layers[l][peer].as_dense().page_table();
         let lent_at = peer_table.iter().position(|&id| id == lent).unwrap();
         assert!(lent_at != 0 && lent_at + 1 < peer_table.len());
 
@@ -572,7 +572,7 @@ mod tests {
         // append writes, streaming heads and other layers were never touched.
         while ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).is_some() {}
         for (h, selection) in selections.iter().enumerate().filter(|&(h, _)| h != kv) {
-            match (s.layers[l].head(h), selection) {
+            match (&s.layers[l][h], selection) {
                 (HeadCache::Dense(c), Some(sel)) => {
                     for (p, &id) in c.page_table().iter().enumerate() {
                         let read = sel.contains(&p) || p + 1 == c.num_pages();
@@ -586,7 +586,8 @@ mod tests {
             }
         }
         for other in (0..s.layers.len()).filter(|&o| o != l) {
-            assert!(s.layers[other].page_ids().all(|id| pool.is_hot(id)));
+            let mut pages = s.layers[other].iter().flat_map(HeadCache::page_ids);
+            assert!(pages.all(|id| pool.is_hot(id)));
         }
     }
 
@@ -599,11 +600,11 @@ mod tests {
         let (mut s, _) = past_budget(&exec, &mut pool);
         let (l, kv, _) = dense_pair(&exec);
         let mut plan = RowPlan::default();
-        plan.reset(s.layers[l].num_heads());
+        plan.reset(s.layers[l].len());
         plan.selections = first_and_last(&s, l);
 
         // One cold page selected, and not one free hot slot.
-        let wanted = s.layers[l].head(kv).as_dense().page_table()[1];
+        let wanted = s.layers[l][kv].as_dense().page_table()[1];
         pool.demote(wanted).unwrap();
         plan.selections[kv].as_mut().unwrap().insert(1, 1);
         while pool.allocate().is_some() {}
@@ -649,16 +650,9 @@ mod tests {
             let mut demoted = 0;
             if tight.is_some() {
                 // Every other page starts cold, so selections keep finding some.
-                for layer in &s.layers {
-                    for h in (0..layer.num_heads()).filter(|&h| !layer.head(h).is_streaming()) {
-                        for &id in layer
-                            .head(h)
-                            .as_dense()
-                            .page_table()
-                            .iter()
-                            .skip(1)
-                            .step_by(2)
-                        {
+                for head in s.layers.iter().flatten() {
+                    if let HeadCache::Dense(c) = head {
+                        for &id in c.page_table().iter().skip(1).step_by(2) {
                             demoted += u64::from(pool.demote(id).is_some());
                         }
                     }

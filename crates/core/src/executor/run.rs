@@ -7,7 +7,7 @@ use lserve_attention::{
     placed_queues, run_decode_shard, run_placed, DecodeShard, DecodeStats, PlacedBalance,
 };
 use lserve_costmodel::{PlacementPolicy, Topology};
-use lserve_kvcache::{HeadCache, MigrationMode, PagePool, HOST_TRANSFER_SPEEDUP};
+use lserve_kvcache::{append_token, HeadCache, MigrationMode, PagePool, HOST_TRANSFER_SPEEDUP};
 use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention};
 use lserve_tensor::Matrix;
 use lserve_trace::{lane, Tracer, CONTROL_TID};
@@ -208,8 +208,12 @@ impl ModelExecutor {
                         continue;
                     }
                     let row = first[i] + r;
-                    let appended = state.layers[l].pages_needed_for_next_token(pool);
-                    if !state.layers[l].append_token(pool, acts.k.row(row), acts.v.row(row), d) {
+                    let heads = &mut state.layers[l];
+                    let appended = heads
+                        .iter()
+                        .filter(|h| h.needs_page_for_next_append(pool))
+                        .count();
+                    if !append_token(heads, pool, acts.k.row(row), acts.v.row(row)) {
                         live[i] = false;
                         continue;
                     }
@@ -270,13 +274,13 @@ impl ModelExecutor {
                     for (i, ((state, _), fed)) in batch.iter().zip(&plans).enumerate() {
                         let Some(row) = fed.row else { continue };
                         let q = acts.q.row(row);
-                        let cache = &state.layers[l];
+                        let heads = &state.layers[l];
                         let out = std::mem::take(&mut attn_rows[row]);
                         for (kv, out_chunk) in out.chunks_mut(group * d).enumerate() {
                             let selection = fed.selections[kv].as_deref();
                             let cost = decode_shard_cost(
                                 pool_ref,
-                                cache.head(kv),
+                                &heads[kv],
                                 selection,
                                 fed.hints[kv],
                                 fed.fetch_units[kv],
@@ -284,7 +288,7 @@ impl ModelExecutor {
                             );
                             table.push(i, kv, cost);
                             shards.push(DecodeShard {
-                                head: cache.head(kv),
+                                head: &heads[kv],
                                 queries: &q[kv * group * d..(kv + 1) * group * d],
                                 selection,
                                 head_dim: d,
@@ -312,7 +316,7 @@ impl ModelExecutor {
                 // order, so stats stay deterministic too.
                 for ((&i, &kv), &stats) in table.seq.iter().zip(&table.kv).zip(&table.stats) {
                     let state = &mut *batch[i].0;
-                    let streaming = state.layers[l].head(kv).is_streaming();
+                    let streaming = state.layers[l][kv].is_streaming();
                     state.stats.add_decode(streaming, stats);
                 }
             }
@@ -681,18 +685,17 @@ mod tests {
         let (dense_kv, stream_kv) = {
             let mut dense = None;
             let mut stream = None;
-            for kv in 0..layer.num_heads() {
-                match layer.head(kv) {
+            for (kv, head) in layer.iter().enumerate() {
+                match head {
                     HeadCache::Dense(_) => dense = Some(kv),
                     HeadCache::Streaming(_) => stream = Some(kv),
                 }
             }
             (dense.expect("mixed layer"), stream.expect("mixed layer"))
         };
-        let full = decode_shard_cost(&pool, layer.head(dense_kv), None, None, 0, 2);
-        let selected =
-            decode_shard_cost(&pool, layer.head(dense_kv), Some(&[0, 1]), Some(128), 0, 2);
-        let streaming = decode_shard_cost(&pool, layer.head(stream_kv), None, None, 0, 2);
+        let full = decode_shard_cost(&pool, &layer[dense_kv], None, None, 0, 2);
+        let selected = decode_shard_cost(&pool, &layer[dense_kv], Some(&[0, 1]), Some(128), 0, 2);
+        let streaming = decode_shard_cost(&pool, &layer[stream_kv], None, None, 0, 2);
         assert!(
             full > selected && full > streaming,
             "full {full}, selected {selected}, streaming {streaming}"
@@ -704,14 +707,7 @@ mod tests {
         let np = pool.config().physical_page_size();
         assert!(streaming <= (window.max_pages() * np * 2) as u64);
         // A shard whose pages just crossed the host link costs strictly more.
-        let fetched = decode_shard_cost(
-            &pool,
-            layer.head(dense_kv),
-            Some(&[0, 1]),
-            Some(128),
-            256,
-            2,
-        );
+        let fetched = decode_shard_cost(&pool, &layer[dense_kv], Some(&[0, 1]), Some(128), 256, 2);
         assert!(fetched > selected, "fetch cost must surface in the shard");
         s.release(&mut pool);
     }

@@ -2,7 +2,7 @@
 //! two-way KV caches, per-head reusable-selector state, position counters,
 //! work stats — and what a serving layer asks of it between steps.
 
-use lserve_kvcache::{DenseHeadCache, HeadCache, LayerKvCache, PageId, PagePool};
+use lserve_kvcache::{DenseHeadCache, HeadCache, PageId, PagePool};
 use lserve_selector::{
     FlatSelector, HierarchicalSelector, PageSelector, ReusableSelector, Selection,
 };
@@ -54,7 +54,8 @@ pub(super) type SelectorBox = ReusableSelector<Scorer>;
 /// on every exit path (completion, rejection, preemption).
 #[derive(Debug, Clone)]
 pub struct SequenceState {
-    pub(super) layers: Vec<LayerKvCache>,
+    /// One head cache per KV head, per layer.
+    pub(super) layers: Vec<Vec<HeadCache>>,
     pub(super) selectors: Vec<Vec<Option<SelectorBox>>>,
     pub(super) tokens_processed: usize,
     pub(super) decode_step_idx: usize,
@@ -91,16 +92,14 @@ impl SequenceState {
     /// layers and heads (the reservation a scheduler must check before a decode
     /// step to guarantee the step cannot fail mid-layer).
     pub fn pages_needed_for_next_token(&self, pool: &PagePool) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.pages_needed_for_next_token(pool))
-            .sum()
+        let heads = self.layers.iter().flatten();
+        heads.filter(|h| h.needs_page_for_next_append(pool)).count()
     }
 
     /// Frees every page this sequence holds and resets it for reuse (fresh prefill).
     pub fn release(&mut self, pool: &mut PagePool) {
-        for layer in &mut self.layers {
-            layer.release(pool);
+        for head in self.layers.iter_mut().flatten() {
+            head.release(pool);
         }
         self.tokens_processed = 0;
         self.decode_step_idx = 0;
@@ -118,7 +117,7 @@ impl SequenceState {
     /// [`PagePool::promote_all`] behind a [`PagePool::swap_in_demand`]
     /// reservation, and prefix sharing [`PagePool::retain_all`].
     pub fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.layers.iter().flat_map(LayerKvCache::page_ids)
+        self.layers.iter().flatten().flat_map(HeadCache::page_ids)
     }
 
     /// Total pool pages this sequence currently references, across all layers and
@@ -132,7 +131,7 @@ impl SequenceState {
     /// volume the rebalancer must move across the interconnect when it
     /// migrates that head to another device.
     pub fn kv_head_resident_tokens(&self, pool: &PagePool, layer: usize, kv: usize) -> u64 {
-        match self.layers[layer].head(kv) {
+        match &self.layers[layer][kv] {
             HeadCache::Streaming(c) => c.resident_tokens(pool) as u64,
             HeadCache::Dense(c) => c.tokens() as u64,
         }

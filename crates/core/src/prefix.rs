@@ -10,10 +10,11 @@
 //! sequence seeded from the snapshot continues through bit-identical computation
 //! to a cold run that prefilled the same tokens itself.
 //!
-//! Page ownership follows the [`PrefixPages`] contract: the tree retains one
-//! reference per page while the entry lives, every seeded consumer retains its
-//! own, and copy-on-write forking in `lserve_kvcache` keeps the shared pages
-//! immutable for as long as any co-owner remains.
+//! Page ownership follows the [`PrefixPages`] contract: the snapshot lists its
+//! page ids, the tree retains one reference per page while the entry lives,
+//! every seeded consumer retains its own, and copy-on-write forking in
+//! `lserve_kvcache` keeps the shared pages immutable for as long as any
+//! co-owner remains.
 //!
 //! The contract holds **across memory tiers**: refcounts survive hot↔cold
 //! migrations, so a snapshot captured from a sequence whose stale pages were
@@ -79,32 +80,10 @@ impl CachedPrefix {
 }
 
 impl PrefixPages for CachedPrefix {
-    fn retain(&self, pool: &mut PagePool) {
-        pool.retain_all(self.state.page_ids());
-    }
-
-    fn release(&mut self, pool: &mut PagePool) {
-        self.state.release(pool);
-    }
-
-    fn page_refs(&self) -> usize {
-        self.state.resident_pages()
-    }
-
-    fn frees_pages(&self, pool: &PagePool) -> bool {
-        pool.holds_sole_reference(self.state.page_ids())
-    }
-
-    fn spillable(&self, pool: &PagePool) -> bool {
-        pool.sole_owned_hot_pages(self.state.page_ids()) > 0
-    }
-
-    fn spill(&self, pool: &mut PagePool) -> u64 {
-        // The snapshot's demotion pass is exactly a spill: sole-owned hot
-        // pages move to the cold tiers, shared pages (co-owned by running
-        // sequences or nested entries) stay put, and the snapshot itself is
-        // untouched — a later hit seeds from it and promotes on first use.
-        pool.demote_all(self.state.page_ids()).pages
+    /// The snapshot's pages in [`SequenceState::page_ids`] order, the order
+    /// [`SequenceState::release`] frees them in.
+    fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.state.page_ids()
     }
 }
 

@@ -5,7 +5,7 @@
 //! instant it is issued. Real serving systems overlap host↔device KV traffic
 //! with compute on a separate copy stream; this module reproduces that overlap
 //! *as a model*: transfers are issued into bounded per-direction queues, drain
-//! at a fixed bandwidth ([`HOST_TRANSFER_SPEEDUP`] token-units per token of
+//! at a fixed bandwidth ([`crate::HOST_TRANSFER_SPEEDUP`] token-units per token of
 //! compute overlapped), and only the fraction a consumer has to *wait* for is
 //! charged as stall.
 //!

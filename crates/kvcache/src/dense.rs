@@ -1,6 +1,6 @@
 //! Page table of a dense (retrieval) head: full KV history with `K_stats`.
 
-use crate::{PageId, PagePool};
+use crate::{AppendedTo, PageId, PagePool};
 
 /// The KV history of one dense head: a page table over the full context, every page
 /// carrying key statistics for dynamic page selection (Figure 5, "Dense Head Pages").
@@ -19,7 +19,7 @@ impl DenseHeadCache {
         Self::default()
     }
 
-    /// Total tokens stored.
+    /// Total tokens appended.
     pub fn tokens(&self) -> usize {
         self.tokens
     }
@@ -40,46 +40,35 @@ impl DenseHeadCache {
         self.pages.iter().copied()
     }
 
-    /// True when appending the next token requires allocating a fresh page: the
-    /// last page is full, no page exists yet, or the last page is *shared* (a
-    /// prefix-cache entry or another sequence also references it) and must be
-    /// copy-on-write forked before it can be written. Schedulers use this for
-    /// exact page-demand reservation before a decode step.
+    /// True when appending the next token takes a fresh pool page
+    /// ([`PagePool::tail_needs_page`]). Schedulers use this for exact
+    /// page-demand reservation before a decode step.
     pub fn needs_page_for_next_append(&self, pool: &PagePool) -> bool {
-        match self.pages.last() {
-            Some(&id) => pool.page(id).is_full() || pool.is_shared(id),
-            None => true,
-        }
+        pool.tail_needs_page(self.pages.last().copied())
     }
 
-    /// Appends one `(key, value)` row, allocating a new page when the last one is
-    /// full and copy-on-write forking it first when it is shared with another
-    /// owner (so shared prefix pages are never mutated).
+    /// Appends one `(key, value)` row behind the last page
+    /// ([`PagePool::append_row`]: a full tail gets a fresh page, a shared one
+    /// is copy-on-write forked first, so shared prefix pages are never
+    /// mutated).
     ///
     /// Returns `false` (leaving the cache unchanged) if the pool is exhausted.
     pub fn append(&mut self, pool: &mut PagePool, key: &[f32], value: &[f32]) -> bool {
-        if let Some(&last) = self.pages.last() {
-            if !pool.page(last).is_full() && pool.is_shared(last) {
-                match pool.fork(last) {
-                    Some(forked) => *self.pages.last_mut().expect("last checked") = forked,
-                    None => return false,
-                }
-            }
+        match pool.append_row(self.pages.last().copied(), key, value) {
+            None => return false,
+            Some(AppendedTo::Tail) => {}
+            Some(AppendedTo::Fork(id)) => *self.pages.last_mut().expect("a forked tail") = id,
+            Some(AppendedTo::Fresh(id)) => self.pages.push(id),
         }
-        let need_new = match self.pages.last() {
-            Some(&id) => pool.page(id).is_full(),
-            None => true,
-        };
-        if need_new {
-            match pool.allocate() {
-                Some(id) => self.pages.push(id),
-                None => return false,
-            }
-        }
-        let id = *self.pages.last().expect("page just ensured");
-        pool.page_mut(id).append(key, value);
         self.tokens += 1;
         true
+    }
+
+    /// Frees table page `i` and drops it from the table; the tokens on it
+    /// stay counted. A streaming head evicts the page after its sink this
+    /// way.
+    pub(crate) fn evict(&mut self, pool: &mut PagePool, i: usize) {
+        pool.free(self.pages.remove(i));
     }
 
     /// Reads the (dequantized) key row of global token `t`.

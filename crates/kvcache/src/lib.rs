@@ -20,13 +20,16 @@
 //!   key min/max statistics (`K_stats` in Figure 5) that the dynamic page selector
 //!   consumes.
 //! * [`DenseHeadCache`] — the page table of a dense (retrieval) head: full history,
-//!   every page carrying `K_stats`.
-//! * [`StreamingHeadCache`] — the page table of a streaming head: only sink pages and
-//!   a ring of local pages are retained ("Only Sink & Local Pages" in Figure 5);
-//!   evicted pages return to the pool, which is where LServe's memory saving on
-//!   streaming heads comes from.
-//! * [`LayerKvCache`] — the per-layer two-way composition of the above, one entry per
-//!   KV head, split by the static head classification.
+//!   every page carrying `K_stats`. Its append is the pool's one append rule
+//!   ([`PagePool::append_row`]: write into the tail, its copy-on-write fork,
+//!   or a fresh page).
+//! * [`StreamingHeadCache`] — a streaming head: the same table, which frees the
+//!   page after its sink pages whenever more than the local window follows
+//!   them ("Only Sink & Local Pages" in Figure 5); evicted pages return to the
+//!   pool, which is where LServe's memory saving on streaming heads comes from.
+//! * [`HeadCache`] — either kind, one per KV head of a layer, split by the
+//!   static head classification; [`append_token`] feeds one token to a
+//!   layer's heads.
 //!
 //! Hierarchical paging (paper §3.5.2) lives here as data: each physical page of
 //! `N_P` tokens records min/max key statistics per logical page of `N_L` tokens
@@ -45,10 +48,10 @@ pub mod streaming;
 pub use config::PagingConfig;
 pub use copy_engine::{MigrationDir, MigrationMode, MigrationStats, COPY_CHANNEL_DEPTH};
 pub use dense::DenseHeadCache;
-pub use layer::{HeadCache, LayerKvCache};
+pub use layer::{append_token, HeadCache};
 pub use page::{key_lane_offset, KvPage, KEY_LANES};
 pub use pool::tiers::{Moved, Residency, TierConfig};
-pub use pool::{PageId, PagePool};
+pub use pool::{AppendedTo, PageId, PagePool};
 pub use stats::{
     nvme_ledger_units, transfer_cost_tokens, LogicalPageStats, TierStats, HOST_TRANSFER_SPEEDUP,
     NVME_TRANSFER_SPEEDUP,

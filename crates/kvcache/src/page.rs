@@ -350,7 +350,7 @@ impl KvPage {
     /// [`KvPage::logical_stats`]`(l)`, `-inf` for empty sub-pages included.
     ///
     /// One score is a chain of `head_dim` dependent adds, so a lone score costs
-    /// the add latency `head_dim` times over; [`STAT_LANES`] logical pages are
+    /// the add latency `head_dim` times over; `STAT_LANES` logical pages are
     /// scored side by side, each still summing its dimensions in order.
     ///
     /// # Panics

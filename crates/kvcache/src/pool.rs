@@ -358,6 +358,52 @@ impl PagePool {
         self.free(id);
         Some(new)
     }
+
+    /// True when [`PagePool::append_row`] behind page table tail `tail` must
+    /// take a fresh hot page: there is no tail yet, it is full, or it is
+    /// shared and must be copy-on-write forked first. A scheduler reserving
+    /// one free page per such table cannot fail the append.
+    pub fn tail_needs_page(&self, tail: Option<PageId>) -> bool {
+        tail.is_none_or(|id| self.page(id).is_full() || self.is_shared(id))
+    }
+
+    /// Appends one `(key, value)` row behind page table tail `tail`: into the
+    /// tail while it has room, into its fork if it is shared (shared pages are
+    /// never mutated), or else into a fresh page. Returns which, or `None`
+    /// with nothing changed when that needed a hot page and the hot tier is
+    /// full.
+    pub fn append_row(
+        &mut self,
+        tail: Option<PageId>,
+        key: &[f32],
+        value: &[f32],
+    ) -> Option<AppendedTo> {
+        let (id, to) = match tail {
+            Some(id) if !self.page(id).is_full() && !self.is_shared(id) => (id, AppendedTo::Tail),
+            Some(id) if !self.page(id).is_full() => {
+                let fork = self.fork(id)?;
+                (fork, AppendedTo::Fork(fork))
+            }
+            _ => {
+                let fresh = self.allocate()?;
+                (fresh, AppendedTo::Fresh(fresh))
+            }
+        };
+        self.page_mut(id).append(key, value);
+        Some(to)
+    }
+}
+
+/// Where [`PagePool::append_row`] wrote a row, and so how the page table it
+/// extends changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AppendedTo {
+    /// Into the tail: the table is unchanged.
+    Tail,
+    /// Into this private copy of the shared tail, which replaces it.
+    Fork(PageId),
+    /// Into this fresh page, pushed after the tail.
+    Fresh(PageId),
 }
 
 #[cfg(test)]

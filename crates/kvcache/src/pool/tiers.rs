@@ -1,13 +1,13 @@
 //! The tier ladder: where a live page is, and the one state machine that
 //! moves it.
 //!
-//! Hot (device), host and nvme are three rungs joined by two [`Hop`]s; a page
+//! Hot (device), host and nvme are three rungs joined by two hops; a page
 //! is either resident on a rung or in flight across one hop in one
 //! [`MigrationDir`]. Four private transitions — `issue`, `land`, `cancel`,
 //! `force`, each taking `(hop, dir)` — are the only code that edits
 //! residency, the per-tier slot counts, the host FIFO stamp, the copy
-//! engine's queues, [`MigrationStats`] / [`TierStats`] and the copy lane of
-//! the trace. They share one accounting rule:
+//! engine's queues, [`crate::MigrationStats`] / [`crate::TierStats`] and the
+//! copy lane of the trace. They share one accounting rule:
 //!
 //! > **An in-flight page's slot is counted on the upper tier of its hop, in
 //! > both directions.** An outbound page keeps its upper slot until it lands;

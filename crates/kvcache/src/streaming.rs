@@ -1,8 +1,6 @@
-//! Page table of a streaming head: only sink and local pages are retained.
+//! Page table of a streaming head: a dense table that frees its middle.
 
-use std::collections::VecDeque;
-
-use crate::{PageId, PagePool};
+use crate::{DenseHeadCache, PageId, PagePool};
 
 /// Λ-mask geometry of a streaming head, in *pages*.
 ///
@@ -45,19 +43,18 @@ impl StreamingWindow {
     }
 }
 
-/// The KV history of one streaming head: sink pages plus a ring of local pages
-/// (Figure 5, "Streaming Head Pages" — the page table contains only sink & local
-/// pages). Tokens between sink and window are *evicted*, their pages freed.
-///
-/// Each retained page remembers the global position of its first token so kernels can
-/// recover absolute token indices.
+/// The KV history of one streaming head (Figure 5, "Streaming Head Pages" —
+/// the page table contains only sink & local pages): a [`DenseHeadCache`]
+/// table that frees the page after its sink whenever more than `local_pages`
+/// pages follow the sink. Tokens between sink and window are *evicted*, their
+/// pages returned to the pool. This is §3.6's "dynamic sparse head with index
+/// table only containing the sink and local pages", as a data structure.
 #[derive(Debug, Clone)]
 pub struct StreamingHeadCache {
     window: StreamingWindow,
-    sink: Vec<PageId>,
-    /// `(start_token, page)` pairs, oldest first.
-    local: VecDeque<(usize, PageId)>,
-    tokens: usize,
+    table: DenseHeadCache,
+    /// Pages freed from between the sink and the local window.
+    evicted: usize,
 }
 
 impl StreamingHeadCache {
@@ -65,9 +62,8 @@ impl StreamingHeadCache {
     pub fn new(window: StreamingWindow) -> Self {
         Self {
             window,
-            sink: Vec::new(),
-            local: VecDeque::new(),
-            tokens: 0,
+            table: DenseHeadCache::new(),
+            evicted: 0,
         }
     }
 
@@ -76,35 +72,32 @@ impl StreamingHeadCache {
         self.window
     }
 
-    /// Total tokens ever appended (including evicted ones).
-    pub fn tokens(&self) -> usize {
-        self.tokens
+    /// The retained pages as a dense table: sink pages, then local pages
+    /// oldest first. Its token count includes evicted tokens.
+    pub fn table(&self) -> &DenseHeadCache {
+        &self.table
     }
 
-    /// Number of pages currently retained (sink + local).
-    pub fn resident_pages(&self) -> usize {
-        self.sink.len() + self.local.len()
+    /// Total tokens ever appended (including evicted ones).
+    pub fn tokens(&self) -> usize {
+        self.table.tokens()
     }
 
     /// Number of *tokens* currently resident, i.e. the attention span of the head.
     pub fn resident_tokens(&self, pool: &PagePool) -> usize {
-        let sink: usize = self.sink.iter().map(|&id| pool.page(id).len()).sum();
-        let local: usize = self.local.iter().map(|&(_, id)| pool.page(id).len()).sum();
-        sink + local
+        self.page_ids().map(|id| pool.page(id).len()).sum()
     }
 
     /// The retained page table: sink pages first, then local pages oldest-first,
     /// each with the global token index of its first token.
     pub fn page_table(&self, pool: &PagePool) -> Vec<(usize, PageId)> {
         let np = pool.config().physical_page_size();
-        let mut out: Vec<(usize, PageId)> = self
-            .sink
-            .iter()
+        let sink = self.window.sink_pages;
+        let page = |i: usize| if i < sink { i } else { i + self.evicted };
+        self.page_ids()
             .enumerate()
-            .map(|(i, &id)| (i * np, id))
-            .collect();
-        out.extend(self.local.iter().copied());
-        out
+            .map(|(i, id)| (page(i) * np, id))
+            .collect()
     }
 
     /// The resident pages in attention order (sink, then local), without
@@ -112,110 +105,40 @@ impl StreamingHeadCache {
     /// kernel walks every token, and the set the pool's whole-set operations
     /// ([`PagePool::demote_all`] and friends) take.
     pub fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
-        let local = self.local.iter().map(|&(_, id)| id);
-        self.sink.iter().copied().chain(local)
+        self.table.page_ids()
     }
 
-    /// True when appending the next token requires allocating a fresh page —
-    /// because the target page is full, missing, or *shared* with another owner
-    /// (prefix-cache sharing) and must be copy-on-write forked before writing.
+    /// True when appending the next token takes a fresh pool page (see
+    /// [`DenseHeadCache::needs_page_for_next_append`]).
     ///
     /// Eviction runs *after* allocation, so even when the append nets zero resident
     /// growth it transiently needs one free page; this method reports that
     /// transient demand, which is what a scheduler must reserve.
     pub fn needs_page_for_next_append(&self, pool: &PagePool) -> bool {
-        let np = pool.config().physical_page_size();
-        let in_sink_region = self.tokens / np < self.window.sink_pages;
-        if in_sink_region {
-            match self.sink.last() {
-                Some(&id) => pool.page(id).is_full() || pool.is_shared(id),
-                None => true,
-            }
-        } else {
-            match self.local.back() {
-                Some(&(_, id)) => pool.page(id).is_full() || pool.is_shared(id),
-                None => true,
-            }
-        }
+        self.table.needs_page_for_next_append(pool)
     }
 
-    /// Appends one `(key, value)` row, allocating/evicting pages as needed.
+    /// Appends one `(key, value)` row as the table does, then evicts the page
+    /// after the sink while more than `local_pages` pages follow the sink, so
+    /// allocation pressure is bounded by `window.max_pages() + 1`.
     ///
     /// Returns `false` (cache unchanged) if a new page was needed and the pool was
-    /// exhausted. Eviction frees the oldest local page once more than `local_pages`
-    /// non-sink pages exist, so allocation pressure is bounded by
-    /// `window.max_pages() + 1`.
+    /// exhausted.
     pub fn append(&mut self, pool: &mut PagePool, key: &[f32], value: &[f32]) -> bool {
-        let np = pool.config().physical_page_size();
-        let pos = self.tokens;
-        let in_sink_region = pos / np < self.window.sink_pages;
-        if in_sink_region {
-            let need_new = match self.sink.last() {
-                Some(&id) => pool.page(id).is_full(),
-                None => true,
-            };
-            if need_new {
-                match pool.allocate() {
-                    Some(id) => self.sink.push(id),
-                    None => return false,
-                }
-            } else {
-                // Copy-on-write: never append into a page another owner shares.
-                let id = *self.sink.last().expect("sink page ensured");
-                if pool.is_shared(id) {
-                    match pool.fork(id) {
-                        Some(forked) => *self.sink.last_mut().expect("sink page ensured") = forked,
-                        None => return false,
-                    }
-                }
-            }
-            let id = *self.sink.last().expect("sink page ensured");
-            pool.page_mut(id).append(key, value);
-        } else {
-            let need_new = match self.local.back() {
-                Some(&(_, id)) => pool.page(id).is_full(),
-                None => true,
-            };
-            if need_new {
-                match pool.allocate() {
-                    Some(id) => {
-                        let start = (pos / np) * np;
-                        self.local.push_back((start, id));
-                    }
-                    None => return false,
-                }
-            } else {
-                let (_, id) = *self.local.back().expect("local page ensured");
-                if pool.is_shared(id) {
-                    match pool.fork(id) {
-                        Some(forked) => {
-                            self.local.back_mut().expect("local page ensured").1 = forked;
-                        }
-                        None => return false,
-                    }
-                }
-            }
-            let (_, id) = *self.local.back().expect("local page ensured");
-            pool.page_mut(id).append(key, value);
-            // Evict pages that fell out of the local window.
-            while self.local.len() > self.window.local_pages {
-                let (_, old) = self.local.pop_front().expect("len checked");
-                pool.free(old);
-            }
+        if !self.table.append(pool, key, value) {
+            return false;
         }
-        self.tokens += 1;
+        while self.table.num_pages() > self.window.max_pages() {
+            self.table.evict(pool, self.window.sink_pages);
+            self.evicted += 1;
+        }
         true
     }
 
     /// Frees every retained page and clears the cache.
     pub fn release(&mut self, pool: &mut PagePool) {
-        for id in self.sink.drain(..) {
-            pool.free(id);
-        }
-        for (_, id) in self.local.drain(..) {
-            pool.free(id);
-        }
-        self.tokens = 0;
+        self.table.release(pool);
+        self.evicted = 0;
     }
 }
 
@@ -243,7 +166,7 @@ mod tests {
         let (mut pool, mut c) = setup();
         push_n(&mut pool, &mut c, 100);
         assert_eq!(c.tokens(), 100);
-        assert!(c.resident_pages() <= c.window().max_pages());
+        assert!(c.table().num_pages() <= c.window().max_pages());
         // 1 sink page (4 tokens) + at most 2 local pages (8 tokens).
         assert!(c.resident_tokens(&pool) <= 12);
     }
@@ -333,7 +256,7 @@ mod tests {
         for i in 0..20 {
             assert!(c.append(&mut pool, &[i as f32, 0.0], &[0.0, 0.0]));
         }
-        assert!(c.resident_pages() <= 1 + 1); // one live local + transient
+        assert!(c.table().num_pages() <= 1 + 1); // one live local + transient
         assert!(c.resident_tokens(&pool) <= 8);
     }
 }

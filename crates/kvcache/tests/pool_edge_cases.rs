@@ -5,7 +5,8 @@
 //! scheduler's reservation logic trusts.
 
 use lserve_kvcache::{
-    DenseHeadCache, LayerKvCache, PagePool, PagingConfig, StreamingHeadCache, StreamingWindow,
+    append_token, DenseHeadCache, HeadCache, PagePool, PagingConfig, StreamingHeadCache,
+    StreamingWindow,
 };
 use lserve_quant::KvPrecision;
 
@@ -170,17 +171,23 @@ fn streaming_shared_tail_demand_and_fork() {
 fn layer_demand_matches_actual_allocation_under_sharing() {
     let cfg = PagingConfig::new(4, 2, KvPrecision::Fp16);
     let mut p = PagePool::new(cfg, 128, 2);
-    let mut layer = LayerKvCache::new(&[false, true, false], StreamingWindow::new(1, 2));
+    let window = StreamingWindow::new(1, 2);
+    let mut layer: Vec<HeadCache> = [false, true, false]
+        .map(|streaming| HeadCache::new(streaming, window))
+        .into();
     let keys = vec![0.25f32; 6];
     let values = vec![0.75f32; 6];
     for _ in 0..6 {
-        assert!(layer.append_token(&mut p, &keys, &values, 2));
+        assert!(append_token(&mut layer, &mut p, &keys, &values));
     }
-    p.retain_all(layer.page_ids());
-    let predicted = layer.pages_needed_for_next_token(&p);
+    p.retain_all(layer.iter().flat_map(HeadCache::page_ids));
+    let predicted = layer
+        .iter()
+        .filter(|h| h.needs_page_for_next_append(&p))
+        .count();
     assert!(predicted > 0, "shared tails must be counted");
     let before = p.in_use();
-    assert!(layer.append_token(&mut p, &keys, &values, 2));
+    assert!(append_token(&mut layer, &mut p, &keys, &values));
     let grown = p.in_use() - before;
     // Streaming heads may free a page after allocating (transient demand), so
     // actual growth is bounded by — and for dense heads equal to — the
@@ -191,9 +198,11 @@ fn layer_demand_matches_actual_allocation_under_sharing() {
     );
     // Releasing the sequence's copy leaves exactly the donated (retained)
     // pages alive; releasing those too empties the pool: conservation.
-    let donated = layer.page_ids().count();
+    let donated = layer.iter().flat_map(HeadCache::page_ids).count();
     assert!(donated > 0);
-    layer.release(&mut p);
+    for head in &mut layer {
+        head.release(&mut p);
+    }
     assert!(p.in_use() > 0, "donated copies survive the sequence");
 }
 

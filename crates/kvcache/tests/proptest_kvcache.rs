@@ -76,7 +76,7 @@ proptest! {
         for t in 0..tokens {
             prop_assert!(cache.append(&mut pool, &[t as f32, 0.0], &[0.0, 0.0]));
         }
-        prop_assert!(cache.resident_pages() <= sink + local + 1);
+        prop_assert!(cache.table().num_pages() <= sink + local + 1);
         prop_assert_eq!(cache.tokens(), tokens);
         // The newest token is always resident.
         let table = cache.page_table(&pool);

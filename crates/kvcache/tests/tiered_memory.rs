@@ -4,8 +4,8 @@
 //! against a replay.
 
 use lserve_kvcache::{
-    transfer_cost_tokens, DenseHeadCache, LayerKvCache, Moved, PageId, PagePool, PagingConfig,
-    StreamingHeadCache, StreamingWindow, HOST_TRANSFER_SPEEDUP,
+    append_token, transfer_cost_tokens, DenseHeadCache, HeadCache, Moved, PageId, PagePool,
+    PagingConfig, StreamingHeadCache, StreamingWindow, HOST_TRANSFER_SPEEDUP,
 };
 use lserve_quant::KvPrecision;
 
@@ -17,6 +17,16 @@ fn pool(capacity: usize) -> PagePool {
 /// of a swap-in, in-flight demotions aside).
 fn cold_pages(pool: &PagePool, ids: impl Iterator<Item = PageId>) -> usize {
     ids.filter(|&id| !pool.is_hot(id)).count()
+}
+
+/// One layer's heads, streaming where `mask` says so.
+fn layer(mask: &[bool], window: StreamingWindow) -> Vec<HeadCache> {
+    mask.iter().map(|&s| HeadCache::new(s, window)).collect()
+}
+
+/// Every page of a layer's heads.
+fn layer_pages(heads: &[HeadCache]) -> impl Iterator<Item = PageId> + '_ {
+    heads.iter().flat_map(HeadCache::page_ids)
 }
 
 fn fill_dense(pool: &mut PagePool, cache: &mut DenseHeadCache, n: usize) {
@@ -85,7 +95,7 @@ fn streaming_ring_swaps_whole_and_keeps_evicting() {
     for i in 0..20 {
         assert!(c.append(&mut p, &[i as f32, 0.0], &[0.0, 0.0]));
     }
-    let resident = c.resident_pages();
+    let resident = c.table().num_pages();
     let pages = p.demote_all(c.page_ids()).pages;
     assert_eq!(pages as usize, resident, "sink + local ring all swap out");
     assert_eq!(cold_pages(&p, c.page_ids()), resident);
@@ -96,7 +106,7 @@ fn streaming_ring_swaps_whole_and_keeps_evicting() {
     for i in 20..40 {
         assert!(c.append(&mut p, &[i as f32, 0.0], &[0.0, 0.0]));
     }
-    assert!(c.resident_pages() <= c.window().max_pages());
+    assert!(c.table().num_pages() <= c.window().max_pages());
     assert_eq!(p.cold_in_use(), 0);
     c.release(&mut p);
     assert_eq!(p.total_in_use(), 0);
@@ -134,27 +144,27 @@ fn layer_cold_demand_is_exact_across_head_kinds() {
     let cfg = PagingConfig::new(4, 2, KvPrecision::Fp16);
     let mut p = PagePool::new(cfg, 256, 2);
     let layer = {
-        let mut l = LayerKvCache::new(&[false, true, false], StreamingWindow::new(1, 2));
+        let mut l = layer(&[false, true, false], StreamingWindow::new(1, 2));
         let keys = vec![0.5f32; 6];
         let values = vec![0.5f32; 6];
         for _ in 0..30 {
-            assert!(l.append_token(&mut p, &keys, &values, 2));
+            assert!(append_token(&mut l, &mut p, &keys, &values));
         }
         l
     };
-    let resident = layer.page_ids().count();
-    let Moved { pages, units, .. } = p.demote_all(layer.page_ids());
+    let resident = layer_pages(&layer).count();
+    let Moved { pages, units, .. } = p.demote_all(layer_pages(&layer));
     assert_eq!(pages as usize, resident);
-    assert_eq!(cold_pages(&p, layer.page_ids()), resident);
+    assert_eq!(cold_pages(&p, layer_pages(&layer)), resident);
     assert_eq!(units, pages * 4);
     // The modeled transfer cost is deterministic and rounds up.
     assert_eq!(
         transfer_cost_tokens(units),
         units.div_ceil(HOST_TRANSFER_SPEEDUP)
     );
-    let back = p.promote_all(layer.page_ids()).unwrap();
+    let back = p.promote_all(layer_pages(&layer)).unwrap();
     assert_eq!(back.pages, pages);
-    assert_eq!(cold_pages(&p, layer.page_ids()), 0);
+    assert_eq!(cold_pages(&p, layer_pages(&layer)), 0);
 }
 
 /// Resuming a swapped-out 32k-token victim promotes its offloaded page set
@@ -169,24 +179,24 @@ fn swap_resume_models_at_least_5x_cheaper_than_replaying_a_32k_victim() {
     const LAYERS: usize = 4;
     let paging = PagingConfig::new(32, 16, KvPrecision::Fp16);
     let mut p = PagePool::new(paging, 2 * LAYERS * VICTIM_TOKENS / 32 + 64, 4);
-    let layers: Vec<LayerKvCache> = (0..LAYERS)
+    let layers: Vec<Vec<HeadCache>> = (0..LAYERS)
         .map(|_| {
-            let mut l = LayerKvCache::new(
+            let mut l = layer(
                 &[false, true, false, true],
                 StreamingWindow::paper_default(),
             );
             for _ in 0..VICTIM_TOKENS {
-                assert!(l.append_token(&mut p, &[0.25; 16], &[0.5; 16], 4));
+                assert!(append_token(&mut l, &mut p, &[0.25; 16], &[0.5; 16]));
             }
             l
         })
         .collect();
     for l in &layers {
-        p.demote_all(l.page_ids());
+        p.demote_all(layer_pages(l));
     }
     let units: u64 = layers
         .iter()
-        .map(|l| p.promote_all(l.page_ids()).expect("pool sized").units)
+        .map(|l| p.promote_all(layer_pages(l)).expect("pool sized").units)
         .sum();
     let swap = transfer_cost_tokens(units);
     let replay = VICTIM_TOKENS as u64;

@@ -4,39 +4,17 @@ use lserve_kvcache::{PageId, PagePool};
 
 use crate::tree::RadixTree;
 
-/// Contract for a cached prefix value: it references pool pages and can take or
-/// drop one co-ownership reference on all of them.
+/// Contract for a cached prefix value: the pool pages it references, one id
+/// per reference (shared pages count once per referencing value).
 ///
-/// The cache calls [`PrefixPages::retain`] exactly once when a value is accepted
-/// into the tree and [`PrefixPages::release`] exactly once when it leaves
-/// (eviction or clear). Serving layers call `retain` again for every sequence they
+/// The cache takes one reference on every page when a value is accepted into
+/// the tree and drops it, freeing in `page_ids` order, when the value leaves
+/// (eviction or clear). Serving layers take another for every sequence they
 /// seed from the value, and pages stay immutable while shared because appends
 /// copy-on-write fork any page whose refcount exceeds 1.
 pub trait PrefixPages {
-    /// Takes one additional reference on every page this value references.
-    fn retain(&self, pool: &mut PagePool);
-    /// Drops the value's reference on every page (recycling pages that reach
-    /// refcount zero).
-    fn release(&mut self, pool: &mut PagePool);
-    /// Number of page references this value holds (shared pages count once per
-    /// referencing value).
-    fn page_refs(&self) -> usize;
-    /// True when releasing this value would return at least one physical page to
-    /// the pool (some referenced page has no other owner). Pressure-driven
-    /// eviction skips values for which this is false — removing them relieves
-    /// nothing and only makes future lookups colder.
-    fn frees_pages(&self, pool: &PagePool) -> bool;
-    /// True when [`PrefixPages::spill`] would move at least one page out of the
-    /// hot tier: some referenced page is sole-owned and hot. Shared pages are
-    /// not spillable through this value — a co-owner is actively reading them.
-    fn spillable(&self, pool: &PagePool) -> bool;
-    /// Demotes every sole-owned hot page this value references into the cold
-    /// tier, returning the number of pages moved. The value keeps all its
-    /// references and stays cached: a later hit pays an accounted promotion
-    /// instead of a prefill recompute, which is the whole point of spilling
-    /// over evicting. Pages the bounded host refuses stay hot (partial spill
-    /// is fine — each page moved is a hot slot relieved).
-    fn spill(&self, pool: &mut PagePool) -> u64;
+    /// Every page reference this value holds.
+    fn page_ids(&self) -> impl Iterator<Item = PageId> + '_;
 }
 
 /// The minimal concrete cached value: per-layer, page-aligned runs of page ids
@@ -50,38 +28,16 @@ pub struct PageRunPrefix {
     pub runs: Vec<Vec<PageId>>,
 }
 
-impl PageRunPrefix {
-    /// Every page reference this value holds, run by run.
-    pub fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
+impl PrefixPages for PageRunPrefix {
+    fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
         self.runs.iter().flatten().copied()
     }
 }
 
-impl PrefixPages for PageRunPrefix {
-    fn retain(&self, pool: &mut PagePool) {
-        pool.retain_all(self.page_ids());
-    }
-
-    fn release(&mut self, pool: &mut PagePool) {
-        for id in self.runs.iter_mut().flat_map(|run| run.drain(..)) {
-            pool.free(id);
-        }
-    }
-
-    fn page_refs(&self) -> usize {
-        self.page_ids().count()
-    }
-
-    fn frees_pages(&self, pool: &PagePool) -> bool {
-        pool.holds_sole_reference(self.page_ids())
-    }
-
-    fn spillable(&self, pool: &PagePool) -> bool {
-        pool.sole_owned_hot_pages(self.page_ids()) > 0
-    }
-
-    fn spill(&self, pool: &mut PagePool) -> u64 {
-        pool.demote_all(self.page_ids()).pages
+/// Drops one reference on every page of `value`, in its `page_ids` order.
+fn free_all(pool: &mut PagePool, value: &impl PrefixPages) {
+    for id in value.page_ids() {
+        pool.free(id);
     }
 }
 
@@ -204,16 +160,16 @@ impl<V: PrefixPages> PrefixCache<V> {
     /// Panics if `prompt` is empty.
     pub fn insert(&mut self, pool: &mut PagePool, prompt: &[u32], value: V) -> bool {
         self.tick += 1;
-        value.retain(pool);
-        let refs = value.page_refs();
+        pool.retain_all(value.page_ids());
+        let refs = value.page_ids().count();
         match self.tree.insert(prompt, value, self.tick) {
             Ok(()) => {
                 self.page_refs += refs;
                 self.stats.insertions += 1;
                 true
             }
-            Err(mut duplicate) => {
-                duplicate.release(pool);
+            Err(duplicate) => {
+                free_all(pool, &duplicate);
                 false
             }
         }
@@ -243,7 +199,7 @@ impl<V: PrefixPages> PrefixCache<V> {
         let key = self.tree.keys_by_lru().into_iter().find(|key| {
             self.tree
                 .get_exact(key)
-                .is_some_and(|v| v.frees_pages(pool))
+                .is_some_and(|v| pool.holds_sole_reference(v.page_ids()))
         })?;
         Some(self.evict_key(pool, &key))
     }
@@ -262,10 +218,12 @@ impl<V: PrefixPages> PrefixCache<V> {
             let Some(value) = self.tree.get_exact(&key) else {
                 continue;
             };
-            if !value.spillable(pool) {
+            // Only sole-owned hot pages move: a co-owner is reading the
+            // shared ones, and the entry keeps every reference either way.
+            if pool.sole_owned_hot_pages(value.page_ids()) == 0 {
                 continue;
             }
-            let moved = value.spill(pool);
+            let moved = pool.demote_all(value.page_ids()).pages;
             if moved > 0 {
                 return Some(moved);
             }
@@ -299,9 +257,9 @@ impl<V: PrefixPages> PrefixCache<V> {
     }
 
     fn evict_key(&mut self, pool: &mut PagePool, key: &[u32]) -> usize {
-        let mut value = self.tree.remove(key).expect("key listed by the tree");
-        let refs = value.page_refs();
-        value.release(pool);
+        let value = self.tree.remove(key).expect("key listed by the tree");
+        let refs = value.page_ids().count();
+        free_all(pool, &value);
         self.page_refs -= refs;
         self.stats.evictions += 1;
         refs
@@ -309,10 +267,10 @@ impl<V: PrefixPages> PrefixCache<V> {
 
     /// Evicts everything (counted as evictions), returning all page references.
     pub fn clear(&mut self, pool: &mut PagePool) {
-        for mut value in self.tree.drain() {
-            self.page_refs -= value.page_refs();
+        for value in self.tree.drain() {
+            self.page_refs -= value.page_ids().count();
             self.stats.evictions += 1;
-            value.release(pool);
+            free_all(pool, &value);
         }
         debug_assert_eq!(self.page_refs, 0);
     }
@@ -348,8 +306,7 @@ mod tests {
         assert_eq!(pool.refcount(first_page), 2);
         assert_eq!(cache.page_refs(), 2);
         // The original owner lets go; pages survive through the cache.
-        let mut owner_copy = a;
-        owner_copy.release(&mut pool);
+        free_all(&mut pool, &a);
         assert_eq!(pool.refcount(first_page), 1);
         assert_eq!(pool.in_use(), 2);
         assert_eq!(cache.evict_lru(&mut pool), Some(2));
@@ -369,8 +326,7 @@ mod tests {
         assert_eq!(pool.refcount(page), 2, "dup insert nets zero references");
         assert_eq!(cache.stats().insertions, 1);
         // Two owner refs (a + its clone inside the first insert path) remain ours.
-        let mut owner = a;
-        owner.release(&mut pool);
+        free_all(&mut pool, &a);
         cache.clear(&mut pool);
         assert_eq!(pool.in_use(), 0);
     }
@@ -384,8 +340,7 @@ mod tests {
             v.tokens = 2;
             assert!(cache.insert(&mut pool, key, v.clone()));
             // The cache is the sole owner from here on.
-            let mut owner = v;
-            owner.release(&mut pool);
+            free_all(&mut pool, &v);
             assert_eq!(cache.entries(), i + 1);
         }
         // Touch [1,1]; LRU is now [2,2].
@@ -500,8 +455,7 @@ mod tests {
         let b_pages = b.runs[0].clone();
         assert!(cache.insert(&mut pool, &[1, 2], a));
         assert!(cache.insert(&mut pool, &[9, 9], b.clone()));
-        let mut owner = b;
-        owner.release(&mut pool);
+        free_all(&mut pool, &b);
         assert_eq!(cache.spill_lru(&mut pool), Some(2), "both of B's pages");
         for &id in &b_pages {
             assert_eq!(pool.residency(id), Residency::Cold);
@@ -525,8 +479,7 @@ mod tests {
         let mut cache: PrefixCache<PageRunPrefix> = PrefixCache::new();
         let v = run_of(&mut pool, 1);
         assert!(cache.insert(&mut pool, &[4, 5, 6], v.clone()));
-        let mut owner = v;
-        owner.release(&mut pool);
+        free_all(&mut pool, &v);
         // min_match above the entry depth: miss.
         assert!(cache.lookup(&[4, 5, 6, 7], 4, 3).is_none());
         // max_match below the entry depth: miss (the whole prompt is cached, but

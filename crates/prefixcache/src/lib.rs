@@ -14,21 +14,23 @@
 //!   *deepest* cached entry that is a prefix of the query, within caller-supplied
 //!   depth bounds (serving layers bound matches below by the prefill tile grid and
 //!   above by `prompt_len - 1` so at least one suffix token is always computed).
-//! * [`PrefixPages`] — the contract a cached value signs: it references pool pages
-//!   and can take/drop one co-ownership reference on all of them. The serving layer
-//!   caches full per-sequence KV state; [`PageRunPrefix`] is the minimal concrete
-//!   value (per-layer, page-aligned runs of [`lserve_kvcache::PageId`]s).
+//! * [`PrefixPages`] — the contract a cached value signs: it lists its page
+//!   ids, and the cache asks the pool everything else about them (take or drop
+//!   one co-ownership reference on all, whether evicting frees a page, what a
+//!   spill moves). The serving layer caches full per-sequence KV state;
+//!   [`PageRunPrefix`] is the minimal concrete value (per-layer, page-aligned
+//!   runs of [`lserve_kvcache::PageId`]s).
 //! * [`PrefixCache`] — the managed store: refcount-backed insertion (donating a
-//!   prefix retains its pages; a duplicate insert is refused and releases nothing),
-//!   LRU touch on every hit, LRU eviction under pool pressure, and hit/miss/token
-//!   counters for serving reports.
+//!   prefix retains its pages; a duplicate insert is refused and nets no
+//!   reference), LRU touch on every hit, LRU eviction under pool pressure, and
+//!   hit/miss/token counters for serving reports.
 //!
 //! Mutation safety comes from copy-on-write at the page layer: appending into a
 //! page whose refcount exceeds 1 forks it first (see `lserve_kvcache`), so a cached
 //! prefix is immutable for as long as the tree references it.
 //!
-//! The [`PrefixPages`] contract is **tier-agnostic**: retain/release operate on
-//! refcounts, which pages keep across hot↔cold migrations in the two-tier pool
+//! The [`PrefixPages`] contract is **tier-agnostic**: the cache's retain and
+//! free operate on refcounts, which pages keep across hot↔cold migrations in the two-tier pool
 //! ([`lserve_kvcache::PagePool::demote`] / `promote`). A cached prefix may
 //! therefore reference cold (host-offloaded) pages — the tree keeps them alive
 //! either way, demotion refuses any page the tree co-owns with a live
