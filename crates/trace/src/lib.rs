@@ -8,12 +8,10 @@
 //!
 //! * [`Tracer`] — a cheap, cloneable handle threaded through the scheduler,
 //!   executor, page pool and selector. When disabled (the default) every
-//!   emission is a branch on a [`None`]; when enabled it timestamps typed
-//!   span/instant/counter events against the shared work-token clock.
-//! * [`TraceSink`] — where events go. [`RingSink`] keeps the most recent
-//!   `capacity` events (bounded memory regardless of run length, with a
-//!   dropped-event count); [`NoopSink`] discards everything (for overhead
-//!   measurements of event construction itself).
+//!   emission is a branch on a [`None`]; when enabled ([`Tracer::ring`]) it
+//!   timestamps typed span/instant/counter events against the shared
+//!   work-token clock and keeps the most recent `capacity` of them in a ring
+//!   (bounded memory regardless of run length, with a dropped-event count).
 //! * [`chrome::chrome_trace_json`] — renders recorded events as a Chrome
 //!   trace-event JSON document that Perfetto ([ui.perfetto.dev]) and
 //!   `chrome://tracing` load directly: one process lane per engine layer,
@@ -116,86 +114,30 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, u64)>,
 }
 
-/// Destination for recorded events.
-pub trait TraceSink: Send {
-    /// Records one event (may evict an older one).
-    fn record(&mut self, event: TraceEvent);
-    /// Removes and returns all retained events plus the number of events the
-    /// sink dropped (evicted or discarded) over its lifetime.
-    fn drain(&mut self) -> (Vec<TraceEvent>, u64);
-    /// Events currently retained.
-    fn retained(&self) -> usize;
-}
-
-/// Bounded ring buffer: keeps the most recent `capacity` events, counting
-/// evictions, so tracing an arbitrarily long run uses constant memory.
-#[derive(Debug)]
-pub struct RingSink {
-    buf: VecDeque<TraceEvent>,
+/// An enabled tracer's clock and ring: the most recent `capacity` events,
+/// and how many older ones the ring dropped to keep them.
+struct TracerState {
+    clock: u64,
+    ring: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
 }
 
-impl RingSink {
-    /// Creates a ring retaining at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            buf: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-}
-
-impl TraceSink for RingSink {
+impl TracerState {
+    /// Records one event, evicting the oldest when the ring is full.
     fn record(&mut self, event: TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
             self.dropped += 1;
         }
-        self.buf.push_back(event);
-    }
-
-    fn drain(&mut self) -> (Vec<TraceEvent>, u64) {
-        (std::mem::take(&mut self.buf).into(), self.dropped)
-    }
-
-    fn retained(&self) -> usize {
-        self.buf.len()
+        self.ring.push_back(event);
     }
 }
 
-/// Discards every event (but still pays for constructing them) — the
-/// measurement baseline separating event-construction overhead from
-/// retention overhead.
-#[derive(Debug, Default)]
-pub struct NoopSink {
-    discarded: u64,
-}
-
-impl TraceSink for NoopSink {
-    fn record(&mut self, _event: TraceEvent) {
-        self.discarded += 1;
-    }
-
-    fn drain(&mut self) -> (Vec<TraceEvent>, u64) {
-        (Vec::new(), self.discarded)
-    }
-
-    fn retained(&self) -> usize {
-        0
-    }
-}
-
-struct TracerState {
-    clock: u64,
-    sink: Box<dyn TraceSink>,
-}
-
-/// Shared handle to the trace clock and sink.
+/// Shared handle to the trace clock and ring.
 ///
 /// Cloning is cheap (an [`Arc`] clone) and every clone feeds the same clock
-/// and sink, which is what lets one handle thread through scheduler, executor,
+/// and ring, which is what lets one handle thread through scheduler, executor,
 /// pool and selector. A disabled tracer ([`Tracer::disabled`]) carries no
 /// state at all: every method is a branch on [`None`], so untraced runs pay
 /// nothing and stay bit-identical to traced ones.
@@ -214,7 +156,7 @@ impl std::fmt::Debug for Tracer {
                     f,
                     "Tracer(clock={}, retained={})",
                     state.clock,
-                    state.sink.retained()
+                    state.ring.len()
                 )
             }
         }
@@ -227,20 +169,16 @@ impl Tracer {
         Self { inner: None }
     }
 
-    /// An enabled tracer recording into a [`RingSink`] of `capacity` events.
+    /// An enabled tracer keeping the most recent `capacity` events (min 1).
     pub fn ring(capacity: usize) -> Self {
-        Self::with_sink(Box::new(RingSink::new(capacity)))
-    }
-
-    /// An enabled tracer that constructs and discards events ([`NoopSink`]).
-    pub fn noop() -> Self {
-        Self::with_sink(Box::<NoopSink>::default())
-    }
-
-    /// An enabled tracer with a caller-provided sink.
-    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
+        let state = TracerState {
+            clock: 0,
+            ring: VecDeque::with_capacity(capacity.clamp(1, 4096)),
+            capacity: capacity.max(1),
+            dropped: 0,
+        };
         Self {
-            inner: Some(Arc::new(Mutex::new(TracerState { clock: 0, sink }))),
+            inner: Some(Arc::new(Mutex::new(state))),
         }
     }
 
@@ -284,7 +222,7 @@ impl Tracer {
         if let Some(inner) = &self.inner {
             let mut state = inner.lock().unwrap();
             let dur = state.clock.saturating_sub(start);
-            state.sink.record(TraceEvent {
+            state.record(TraceEvent {
                 kind: EventKind::Span,
                 name: name.into(),
                 cat,
@@ -313,7 +251,7 @@ impl Tracer {
         args: &[(&'static str, u64)],
     ) {
         if let Some(inner) = &self.inner {
-            inner.lock().unwrap().sink.record(TraceEvent {
+            inner.lock().unwrap().record(TraceEvent {
                 kind: EventKind::Span,
                 name: name.into(),
                 cat,
@@ -339,7 +277,7 @@ impl Tracer {
         if let Some(inner) = &self.inner {
             let mut state = inner.lock().unwrap();
             let ts = state.clock;
-            state.sink.record(TraceEvent {
+            state.record(TraceEvent {
                 kind: EventKind::Instant,
                 name: name.into(),
                 cat,
@@ -359,7 +297,7 @@ impl Tracer {
         if let Some(inner) = &self.inner {
             let mut state = inner.lock().unwrap();
             let ts = state.clock;
-            state.sink.record(TraceEvent {
+            state.record(TraceEvent {
                 kind: EventKind::Counter,
                 name: Cow::Borrowed(name),
                 cat: "counter",
@@ -372,20 +310,23 @@ impl Tracer {
         }
     }
 
-    /// Events currently retained by the sink (0 when disabled).
+    /// Events currently retained by the ring (0 when disabled).
     pub fn retained(&self) -> usize {
         match &self.inner {
             None => 0,
-            Some(inner) => inner.lock().unwrap().sink.retained(),
+            Some(inner) => inner.lock().unwrap().ring.len(),
         }
     }
 
-    /// Removes and returns all retained events plus the sink's lifetime
+    /// Removes and returns all retained events plus the ring's lifetime
     /// dropped-event count. Returns empty when disabled.
     pub fn drain(&self) -> (Vec<TraceEvent>, u64) {
         match &self.inner {
             None => (Vec::new(), 0),
-            Some(inner) => inner.lock().unwrap().sink.drain(),
+            Some(inner) => {
+                let mut state = inner.lock().unwrap();
+                (std::mem::take(&mut state.ring).into(), state.dropped)
+            }
         }
     }
 }
@@ -478,17 +419,6 @@ mod tests {
         // The ring keeps the *most recent* events.
         assert_eq!(events[0].tid, 6);
         assert_eq!(events[3].tid, 9);
-    }
-
-    #[test]
-    fn noop_sink_retains_nothing() {
-        let t = Tracer::noop();
-        assert!(t.is_enabled());
-        t.instant("x", "scheduler", lane::SCHEDULER, 0, &[]);
-        assert_eq!(t.retained(), 0);
-        let (events, discarded) = t.drain();
-        assert!(events.is_empty());
-        assert_eq!(discarded, 1);
     }
 
     #[test]
