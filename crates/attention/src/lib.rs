@@ -9,7 +9,7 @@
 //! * [`pattern`] — the §3.4 *iterator abstraction*: [`BlockPattern`]s enumerate
 //!   exactly the blocks that need computing (dense causal, streaming Λ, arbitrary
 //!   block masks, selected pages), replacing in-loop branching by offset arithmetic.
-//! * [`reference`] — naive dense causal attention used as ground truth by every test.
+//! * [`reference`](mod@reference) — naive dense causal attention used as ground truth by every test.
 //! * `block` (private) — the one block routine under both kernels: a block of keys
 //!   and values folded into the running softmax state of a group of query rows, with
 //!   lanes across d-major keys; bit-identical to the one-key-at-a-time loop.

@@ -190,7 +190,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: an exact length or a half-open range.
+    /// Length specification for [`vec()`]: an exact length or a half-open range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         start: usize,
@@ -225,7 +225,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -17,17 +17,17 @@
 //!
 //! | Crate | Role |
 //! |---|---|
-//! | [`tensor`](lserve_tensor) | f32 kernels: matmul, online softmax, RMSNorm, RoPE |
-//! | [`quant`](lserve_quant) | INT8/INT4 group quantization (QServe-style KV layout) |
-//! | [`kvcache`](lserve_kvcache) | paged pool (refcounts + copy-on-write forks), two-way dense/streaming caches, `K_stats` |
-//! | [`prefixcache`](lserve_prefixcache) | cross-request KV prefix cache: radix tree, LRU, refcounted page sharing |
-//! | [`attention`](lserve_attention) | block patterns (§3.4 iterators), prefill/decode/fused kernels |
-//! | [`selector`](lserve_selector) | flat (Quest), hierarchical (§3.5.2), reusable (§3.5.3) |
-//! | [`model`](lserve_model) | Llama-3/Llama-2/Minitron shapes, seeded weights, forward blocks |
-//! | [`costmodel`](lserve_costmodel) | A100/L40S analytical model calibrated to the paper |
-//! | [`workloads`](lserve_workloads) | NIAH, RULER/LongBench proxies, DuoAttention gates |
-//! | [`core`](lserve_core) | the engine: classification, pipelines, serving loop |
-//! | [`trace`](lserve_trace) | work-token-clocked tracing, Chrome/Perfetto export, JSON metrics |
+//! | [`tensor`] | f32 kernels: matmul, online softmax, RMSNorm, RoPE |
+//! | [`quant`] | INT8/INT4 group quantization (QServe-style KV layout) |
+//! | [`kvcache`] | paged pool (refcounts + copy-on-write forks), two-way dense/streaming caches, `K_stats` |
+//! | [`prefixcache`] | cross-request KV prefix cache: radix tree, LRU, refcounted page sharing |
+//! | [`attention`] | block patterns (§3.4 iterators), prefill/decode/fused kernels |
+//! | [`selector`] | flat (Quest), hierarchical (§3.5.2), reusable (§3.5.3) |
+//! | [`model`] | Llama-3/Llama-2/Minitron shapes, seeded weights, forward blocks |
+//! | [`costmodel`] | A100/L40S analytical model calibrated to the paper |
+//! | [`workloads`] | NIAH, RULER/LongBench proxies, DuoAttention gates |
+//! | [`core`] | the engine: classification, pipelines, serving loop |
+//! | [`trace`] | work-token-clocked tracing, Chrome/Perfetto export, JSON metrics |
 //!
 //! ## Quickstart
 //!
