@@ -45,17 +45,11 @@ pub struct EngineConfig {
     pub dynamic_prefill_after: usize,
     /// Seed for the synthetic DuoAttention gate values.
     pub gate_seed: u64,
-    /// Selection-driven demotion for the tiered KV memory: `Some(k)` demotes a
-    /// dense-head page to the cold (host) tier once the head's
-    /// [`lserve_selector::ReusableSelector`] has skipped it for `k` consecutive
-    /// fresh selection chunks; a later selection that picks a cold page
-    /// triggers an accounted promote before the decode kernel runs. `None`
-    /// keeps every page device-resident (the single-tier baseline). Outputs
-    /// are bit-identical either way — the knob trades hot-tier footprint for
-    /// modeled transfer work. Whether that work stalls the decode loop or is
-    /// hidden behind it is a separate, orthogonal knob:
-    /// [`crate::SchedulerConfig::migration`], which routes the transfers
-    /// through the asynchronous copy engine.
+    /// Ignored: nothing reads it. Selection-driven demotion is always on for
+    /// every dense head with a page selector, at a fixed staleness of two
+    /// fresh selection chunks. The field stays only because the benchmark's
+    /// pinned surface (`crates/bench/src/bin/perf/layers.rs`) still writes
+    /// it; the benchmark change that migrates that file deletes it.
     pub demote_after_chunks: Option<usize>,
 }
 
@@ -143,10 +137,14 @@ impl EngineConfig {
     /// Builds a page pool sized so one sequence of up to `max_tokens` fits under
     /// this configuration (dense heads grow with context; streaming heads are
     /// bounded by their window), with synchronous migration and an unbounded
-    /// host tier.
+    /// host tier. Its prompt may be prefilled as one tile, as
+    /// [`crate::ModelExecutor::generate`] does, and a tile is hot whole: the
+    /// pool holds the whole context of every dense head.
     pub fn make_pool_for(&self, model: &ModelConfig, max_tokens: usize) -> PagePool {
-        let capacity = crate::sequence_pages_estimate(self, model, max_tokens) + 8;
-        PagePool::new(self.paging, capacity, model.head_dim)
+        let schedule = crate::dag::SparsitySchedule::new();
+        let pages =
+            crate::scheduler::pages_estimate(self, model, max_tokens, max_tokens, &schedule);
+        PagePool::new(self.paging, pages + 8, model.head_dim)
     }
 
     /// Validates internal consistency.
@@ -171,13 +169,6 @@ impl EngineConfig {
         assert!(self.prefill_tile > 0, "prefill tile must be positive");
         if let Some(keep) = self.dynamic_prefill_keep {
             assert!(keep > 0, "dynamic prefill keep budget must be positive");
-        }
-        if let Some(k) = self.demote_after_chunks {
-            assert!(k >= 1, "demotion staleness must be at least one chunk");
-            assert!(
-                self.dynamic_budget.is_some(),
-                "selection-driven demotion needs an active page selector"
-            );
         }
     }
 }

@@ -56,6 +56,7 @@ mod residency;
 mod run;
 mod state;
 
+pub(crate) use residency::DEMOTE_AFTER_CHUNKS;
 pub(crate) use run::Run;
 use state::Scorer;
 pub use state::SequenceState;

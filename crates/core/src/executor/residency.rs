@@ -10,6 +10,14 @@ use lserve_trace::lane;
 
 use super::{ModelExecutor, OutOfPagesError, SequenceState};
 
+/// Fresh selection chunks a page of a selecting dense head may go unpicked
+/// before the residency pass demotes it. Two is the least that lets a page
+/// the top-k dropped at one rescore come back at the next without a
+/// transfer. Four halved the churn on `perf`'s `long_decode` (22 343 against
+/// 47 007 demotions a pass, 2-core AVX2 VM) but held `peak_rss_mb` at
+/// 21.6 MB instead of 19.1, and bought no measurable time.
+pub(crate) const DEMOTE_AFTER_CHUNKS: usize = 2;
+
 impl ModelExecutor {
     /// Free hot pages one more token of `state` can claim: the pages its
     /// append allocates plus the promotions its residency pass cannot pay for
@@ -113,10 +121,10 @@ impl ModelExecutor {
     /// The residency pass of the tiered KV memory, run per layer between page
     /// selection and the attention kernels:
     ///
-    /// 1. **Selection-driven demotion** (when
-    ///    [`EngineConfig::demote_after_chunks`] is `Some(k)`): dense-head
-    ///    pages the head's reusable selector has skipped for `k` consecutive
-    ///    fresh selection chunks are demoted to the cold tier — except pages
+    /// 1. **Selection-driven demotion**: dense-head pages the head's reusable
+    ///    selector has skipped for [`DEMOTE_AFTER_CHUNKS`] consecutive fresh
+    ///    selection chunks are demoted to the cold tier, so a selecting
+    ///    head's hot pages are what its selections read — except pages
     ///    in the current selection, the table's final page (append target),
     ///    and pages co-owned with the prefix cache or another sequence (the
     ///    pool refuses those). The sweep runs only on steps whose selection
@@ -134,7 +142,7 @@ impl ModelExecutor {
     ///    transfer each way, zero net hot pages.
     ///
     /// Migrations move data, never mutate it, so outputs are bit-identical to
-    /// the always-resident baseline — and, because the async copy engine only
+    /// a run whose pages all stay hot — and, because the async copy engine only
     /// changes *when* transfers are accounted (never what the kernels read),
     /// bit-identical across [`MigrationMode`]s too.
     ///
@@ -193,15 +201,12 @@ impl ModelExecutor {
                     continue;
                 };
                 let table = cache.page_table();
-                if let (Some(k), true) = (self.cfg.demote_after_chunks, fresh[kv]) {
-                    if let Some(selector) = state.selectors[l][kv].as_ref() {
-                        // Never demote the append target (the table's
-                        // final page) or anything the current selection
-                        // reads.
-                        let stale = selector.stale_pages(k).into_iter();
-                        let stale = stale.filter(|p| p + 1 < table.len() && !sel.contains(p));
-                        demoted += pool.demote_all(stale.map(|p| table[p]));
-                    }
+                if let (true, Some(selector)) = (fresh[kv], state.selectors[l][kv].as_ref()) {
+                    // Never demote the append target (the table's final
+                    // page) or anything the current selection reads.
+                    let stale = selector.stale_pages(DEMOTE_AFTER_CHUNKS).into_iter();
+                    let stale = stale.filter(|p| p + 1 < table.len() && !sel.contains(p));
+                    demoted += pool.demote_all(stale.map(|p| table[p]));
                 }
                 for &p in sel {
                     let id = table[p];
@@ -399,67 +404,88 @@ mod tests {
     use lserve_attention::HeadKind;
     use lserve_kvcache::{MigrationMode, Residency, TierConfig};
     use lserve_model::{greedy_next_token, ModelConfig, ModelWeights};
+    use lserve_quant::KvPrecision;
     use lserve_trace::Tracer;
 
     use super::*;
+    use crate::scheduler::dense_head_pages;
     use crate::EngineConfig;
 
     fn tiny_weights() -> Arc<ModelWeights> {
         Arc::new(ModelWeights::random(&ModelConfig::tiny(), 42))
     }
 
-    /// Selection-driven demotion (tiered KV memory): with `demote_after_chunks`
-    /// on, selector-stale dense pages migrate to the cold tier and come back
-    /// when a selection re-picks them — and the emitted logits are
-    /// bit-identical to the always-resident baseline at every step.
+    /// Selection-driven demotion (tiered KV memory): selector-stale dense
+    /// pages migrate to the cold tier and come back when a selection re-picks
+    /// them — a quantized page dropping its rows and rebuilding them, into
+    /// rows another page dropped — and the emitted logits are bit-identical
+    /// at every step to a run whose pages all stay hot. That run is off by
+    /// construction: before every step each of its pages gets a second
+    /// owner, and the pool demotes no co-owned page.
     #[test]
     fn selection_driven_demotion_is_bit_identical_and_migrates() {
-        let mut base = EngineConfig::lserve_fp16();
-        base.paging = lserve_kvcache::PagingConfig::new(8, 4, lserve_quant::KvPrecision::Fp16);
-        base.dynamic_budget = Some(16);
-        base.reuse_interval = 2;
         let w = tiny_weights();
-
-        let run = |demote: Option<usize>| -> (Vec<Vec<f32>>, u64, u64, usize) {
-            let mut cfg = base.clone();
-            cfg.demote_after_chunks = demote;
-            let exec = ModelExecutor::new(Arc::clone(&w), cfg.clone());
-            let mut pool = cfg.make_pool_for(&w.config, 1024);
-            let mut s = exec.new_sequence();
-            let prompt: Vec<u32> = (0..40).map(|i| (i % 90) as u32).collect();
-            let first = exec.prefill(&mut s, &mut pool, &prompt).unwrap();
-            let mut next = greedy_next_token(&first.logits);
-            let mut all = Vec::new();
-            let mut peak_cold = 0;
-            for _ in 0..40 {
-                let out = exec.decode_step(&mut s, &mut pool, next).unwrap();
-                next = greedy_next_token(&out.logits);
-                peak_cold = peak_cold.max(pool.cold_in_use());
-                all.push(out.logits);
-            }
-            let stats = s.stats();
-            s.release(&mut pool);
-            assert_eq!(pool.in_use(), 0);
-            assert_eq!(pool.cold_in_use(), 0, "release must drain the cold tier");
-            (all, stats.pages_demoted, stats.pages_promoted, peak_cold)
-        };
-
-        let (want, d0, p0, cold0) = run(None);
-        assert_eq!((d0, p0, cold0), (0, 0, 0), "baseline stays resident");
-        let (got, demoted, _promoted, peak_cold) = run(Some(1));
-        assert_eq!(got, want, "demotion changed the logits");
-        assert!(demoted > 0, "stale pages must actually demote");
-        assert!(peak_cold > 0, "cold tier must hold the demoted pages");
+        for precision in [KvPrecision::Fp16, KvPrecision::Int4] {
+            let cfg = EngineConfig {
+                paging: lserve_kvcache::PagingConfig::new(8, 4, precision),
+                dynamic_budget: Some(24),
+                reuse_interval: 2,
+                ..EngineConfig::lserve_fp16()
+            };
+            let run = |pinned: bool| -> (Vec<Vec<f32>>, u64, u64, usize) {
+                let exec = ModelExecutor::new(Arc::clone(&w), cfg.clone());
+                let mut pool = PagePool::new(cfg.paging, 1024, w.config.head_dim);
+                let mut s = exec.new_sequence();
+                let prompt: Vec<u32> = (0..40).map(|i| (i % 90) as u32).collect();
+                let first = exec.prefill(&mut s, &mut pool, &prompt).unwrap();
+                let mut next = greedy_next_token(&first.logits);
+                let (mut all, mut pins, mut peak_cold) = (Vec::new(), Vec::new(), 0);
+                for _ in 0..40 {
+                    if pinned {
+                        pins.extend(s.page_ids());
+                        pool.retain_all(s.page_ids());
+                    }
+                    let out = exec.decode_step(&mut s, &mut pool, next).unwrap();
+                    next = greedy_next_token(&out.logits);
+                    peak_cold = peak_cold.max(pool.cold_in_use());
+                    all.push(out.logits);
+                }
+                let stats = s.stats();
+                s.release(&mut pool);
+                for id in pins {
+                    pool.free(id);
+                }
+                assert_eq!(pool.in_use(), 0);
+                assert_eq!(pool.cold_in_use(), 0, "release must drain the cold tier");
+                (all, stats.pages_demoted, stats.pages_promoted, peak_cold)
+            };
+            let (want, d0, p0, cold0) = run(true);
+            assert_eq!(
+                (d0, p0, cold0),
+                (0, 0, 0),
+                "{precision:?}: pinned pages stay hot"
+            );
+            let (got, demoted, promoted, peak_cold) = run(false);
+            assert_eq!(got, want, "{precision:?}: demotion changed the logits");
+            assert!(
+                demoted > 0,
+                "{precision:?}: stale pages must actually demote"
+            );
+            assert!(
+                promoted > 0,
+                "{precision:?}: re-picked pages must come back"
+            );
+            assert!(peak_cold > 0, "{precision:?}: the cold tier holds them");
+        }
     }
 
     /// The exchange tests' engine: 8-token pages, a four-page selection
     /// budget, a fresh scoring every other step.
-    fn exchange_cfg(demote_after_chunks: Option<usize>) -> EngineConfig {
+    fn exchange_cfg() -> EngineConfig {
         EngineConfig {
-            paging: lserve_kvcache::PagingConfig::new(8, 4, lserve_quant::KvPrecision::Fp16),
+            paging: lserve_kvcache::PagingConfig::new(8, 4, KvPrecision::Fp16),
             dynamic_budget: Some(32),
             reuse_interval: 2,
-            demote_after_chunks,
             ..EngineConfig::lserve_fp16()
         }
     }
@@ -512,7 +538,7 @@ mod tests {
 
     #[test]
     fn exchange_gives_up_the_stalest_page_no_kernel_reads() {
-        let cfg = exchange_cfg(None);
+        let cfg = exchange_cfg();
         let w = wide_weights();
         let mut pool = PagePool::new(cfg.paging, 4096, w.config.head_dim);
         let exec = ModelExecutor::new(w, cfg);
@@ -521,20 +547,29 @@ mod tests {
         let mut selections = first_and_last(&s, l);
         let table = s.layers[l][kv].as_dense().page_table().to_vec();
         let selector = s.selectors[l][kv].as_ref().unwrap();
+        // The sweep has already demoted the stalest pages of every head; what
+        // the exchanges below may touch of other layers is nothing.
+        let other_layers = |pool: &PagePool| -> Vec<Residency> {
+            let heads = s.layers.iter().enumerate().filter(|&(o, _)| o != l);
+            let pages = heads.flat_map(|(_, layer)| layer.iter().flat_map(HeadCache::page_ids));
+            pages.map(|id| pool.residency(id)).collect()
+        };
+        let untouched = other_layers(&pool);
 
-        // Its own head first, and there the page unselected the longest.
+        // Its own head first, and there, of the pages holding a slot, the one
+        // unselected the longest.
         let stalest = (1..=24)
             .rev()
             .map(|k| selector.stale_pages(k))
             .find_map(|stale| {
                 let eligible: Vec<PageId> = stale
                     .into_iter()
-                    .filter(|&p| p != 0 && p + 1 < table.len())
+                    .filter(|&p| p != 0 && p + 1 < table.len() && pool.holds_slot(table[p]))
                     .map(|p| table[p])
                     .collect();
                 (!eligible.is_empty()).then_some(eligible)
             })
-            .expect("a head past its budget has unselected pages");
+            .expect("a head past its budget has unselected hot pages");
         let (head, out, moved) =
             ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).unwrap();
         assert_eq!(head, kv);
@@ -546,7 +581,7 @@ mod tests {
         let candidates: Vec<PageId> = table[1..table.len() - 1]
             .iter()
             .copied()
-            .filter(|&id| id != out)
+            .filter(|&id| id != out && pool.holds_slot(id))
             .collect();
         for &id in &candidates[1..] {
             pool.retain(id);
@@ -585,15 +620,15 @@ mod tests {
                 ),
             }
         }
-        for other in (0..s.layers.len()).filter(|&o| o != l) {
-            let mut pages = s.layers[other].iter().flat_map(HeadCache::page_ids);
-            assert!(pages.all(|id| pool.is_hot(id)));
-        }
+        assert!(
+            other_layers(&pool) == untouched,
+            "another layer's page moved"
+        );
     }
 
     #[test]
     fn residency_fails_only_when_nothing_is_exchangeable() {
-        let cfg = exchange_cfg(None);
+        let cfg = exchange_cfg();
         let w = wide_weights();
         let mut pool = PagePool::new(cfg.paging, 4096, w.config.head_dim);
         let exec = ModelExecutor::new(w, cfg);
@@ -604,18 +639,32 @@ mod tests {
         plan.selections = first_and_last(&s, l);
 
         // One cold page selected, and not one free hot slot.
-        let wanted = s.layers[l][kv].as_dense().page_table()[1];
+        let table = s.layers[l][kv].as_dense().page_table();
+        let p = (1..table.len() - 1)
+            .find(|&p| pool.holds_slot(table[p]))
+            .expect("a hot page between the sink and the append target");
+        let wanted = table[p];
         pool.demote(wanted).unwrap();
-        plan.selections[kv].as_mut().unwrap().insert(1, 1);
+        plan.selections[kv].as_mut().unwrap().insert(1, p);
         while pool.allocate().is_some() {}
         let hot = pool.in_use();
+        let before = s.stats();
+        let moved = |s: &SequenceState| {
+            let now = s.stats();
+            let units = now.migrated_token_units - before.migrated_token_units;
+            let pages = (
+                now.pages_demoted - before.pages_demoted,
+                now.pages_promoted - before.pages_promoted,
+            );
+            (pages, units)
+        };
 
         // Every page co-owned: nothing to exchange, the pass fails clean.
         pool.retain_all(s.page_ids());
         let failed = exec.apply_residency(&mut s, &mut pool, l, &mut plan, &mut 0);
         assert_eq!(failed, Err(OutOfPagesError));
         assert_eq!(pool.residency(wanted), Residency::Cold);
-        assert_eq!(s.stats().pages_demoted + s.stats().pages_promoted, 0);
+        assert_eq!(moved(&s), ((0, 0), 0));
 
         // Sole-owned again: one transfer each way, zero net hot pages.
         s.clone().release(&mut pool);
@@ -623,8 +672,7 @@ mod tests {
             .unwrap();
         assert!(pool.is_hot(wanted));
         assert_eq!(pool.in_use(), hot);
-        assert_eq!((s.stats().pages_demoted, s.stats().pages_promoted), (1, 1));
-        assert_eq!(s.stats().migrated_token_units, 16);
+        assert_eq!(moved(&s), ((1, 1), 16));
         assert_eq!(
             plan.fetch_units[kv], 8,
             "the promotion stalls its own shard"
@@ -632,14 +680,14 @@ mod tests {
     }
 
     /// A hot tier with exactly the reserved pages free before every step —
-    /// each promotion has to exchange — emits the logits of the
-    /// always-resident run, bit for bit, under either migration engine and
-    /// with or without a bounded host over an nvme tier.
+    /// each promotion has to exchange — emits the logits of a run in an
+    /// ample hot tier, bit for bit, under either migration engine and with
+    /// or without a bounded host over an nvme tier.
     #[test]
-    fn exchange_is_bit_identical_to_the_always_resident_run() {
+    fn exchange_is_bit_identical_to_the_ample_run() {
         let w = wide_weights();
         let run = |tight: Option<(MigrationMode, TierConfig)>| {
-            let cfg = exchange_cfg(tight.map(|_| 2));
+            let cfg = exchange_cfg();
             let exec = ModelExecutor::new(Arc::clone(&w), cfg.clone());
             let (mode, tiers) = tight.unwrap_or_default();
             let mut pool =
@@ -687,7 +735,7 @@ mod tests {
             (bits, exchanges)
         };
         let (want, none) = run(None);
-        assert_eq!(none, 0, "an always-resident run never exchanges");
+        assert_eq!(none, 0, "an ample hot tier never exchanges");
         let bounded = TierConfig {
             host_pages: 6,
             nvme: true,
@@ -724,5 +772,80 @@ mod tests {
             );
             next = greedy_next_token(&out.logits);
         }
+    }
+
+    /// The memory bound (§3.5: a selecting head keeps a constant number of
+    /// pages live whatever the context). A solo INT4 run at budget `B`
+    /// decoded to past `4·B` tokens: after every step, no dense head holds
+    /// rows in more pages than the cap `sequence_pages_estimate` charges it,
+    /// while its history grows past that cap. A count, so it holds on any box.
+    #[test]
+    fn a_selecting_heads_pages_with_rows_stay_under_the_estimate_cap() {
+        const BUDGET: usize = 32;
+        let cfg = EngineConfig {
+            paging: lserve_kvcache::PagingConfig::new(8, 4, KvPrecision::Int4),
+            prefill_tile: 8,
+            dynamic_budget: Some(BUDGET),
+            ..EngineConfig::lserve()
+        };
+        let w = tiny_weights();
+        let mut pool = cfg.make_pool_for(&w.config, 8 * BUDGET);
+        let exec = ModelExecutor::new(Arc::clone(&w), cfg.clone());
+        let mut s = exec.new_sequence();
+        let prompt: Vec<u32> = (0..BUDGET / 2).map(|t| (t * 11 % 90) as u32).collect();
+        let first = exec.prefill(&mut s, &mut pool, &prompt).unwrap();
+        let mut next = greedy_next_token(&first.logits);
+        let (mut peak, mut longest) = (0, 0);
+        while s.context_len() <= 4 * BUDGET + 16 {
+            next = greedy_next_token(&exec.decode_step(&mut s, &mut pool, next).unwrap().logits);
+            let cap = dense_head_pages(&cfg, s.context_len(), 0, Some(BUDGET));
+            for head in s.layers.iter().flatten() {
+                let HeadCache::Dense(c) = head else { continue };
+                let with_rows = c
+                    .page_table()
+                    .iter()
+                    .filter(|&&id| pool.page(id).has_rows());
+                let with_rows = with_rows.count();
+                assert!(
+                    with_rows <= cap,
+                    "{with_rows} pages with rows over a cap of {cap} at {} tokens",
+                    s.context_len()
+                );
+                peak = peak.max(with_rows);
+                longest = longest.max(c.num_pages());
+            }
+        }
+        let cap = dense_head_pages(&cfg, s.context_len(), 0, Some(BUDGET));
+        println!("pages with rows: peak {peak} of a cap of {cap}; history {longest} pages");
+        assert!(longest > cap, "the history must outgrow the cap");
+        assert!(s.stats().pages_demoted > 0 && s.stats().pages_promoted > 0);
+    }
+
+    /// `make_pool_for` sizes a pool that `generate` never overflows, for a
+    /// prompt longer than the churn cap: no residency pass runs inside the
+    /// fused prefill tile, so the whole prompt is hot before the first sweep.
+    #[test]
+    fn make_pool_for_holds_a_prompt_longer_than_the_churn_cap() {
+        let cfg = EngineConfig {
+            paging: lserve_kvcache::PagingConfig::new(8, 4, KvPrecision::Int4),
+            prefill_tile: 8,
+            dynamic_budget: Some(16),
+            reuse_interval: 2,
+            ..EngineConfig::lserve()
+        };
+        let (prompt_len, new_tokens) = (200, 40);
+        let cap = dense_head_pages(&cfg, prompt_len, 0, cfg.dynamic_budget);
+        assert!(
+            cfg.paging.pages_for(prompt_len) > cap,
+            "the prompt outgrows the cap"
+        );
+        let w = tiny_weights();
+        let mut pool = cfg.make_pool_for(&w.config, prompt_len + new_tokens);
+        let exec = ModelExecutor::new(w, cfg);
+        let mut s = exec.new_sequence();
+        let prompt: Vec<u32> = (0..prompt_len).map(|t| (t * 7 % 90) as u32).collect();
+        let out = exec.generate(&mut s, &mut pool, &prompt, new_tokens);
+        assert_eq!(out.map(|t| t.len()), Ok(new_tokens));
+        assert!(s.stats().pages_demoted > 0, "the sweep ran after the tile");
     }
 }

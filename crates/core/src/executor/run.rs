@@ -329,7 +329,7 @@ impl ModelExecutor {
         // row buys `HOST_TRANSFER_SPEEDUP` token-units of transfer drain, the
         // exact inverse of `transfer_cost_tokens`. A transfer fully drained by
         // these advances cost the call nothing — that is the overlap the async
-        // engine models. (No-op in sync mode.)
+        // engine models. (Nothing is in flight in sync mode.)
         pool.advance_transfer_units(rows as u64 * HOST_TRANSFER_SPEEDUP);
         // Logits of each surviving run's last row, one stacked GEMM.
         let mut last = Vec::new();
@@ -716,7 +716,7 @@ mod tests {
     /// them through `n` one-token calls leaves — the last row's logits, every
     /// stored page, the work counters, and (four more decode steps) the
     /// selector state — to the bit, whether or not the history is past the
-    /// budget, demotion is sweeping, transfers are in flight, or the run
+    /// budget (so demotion sweeping), transfers are in flight, or the run
     /// starts, ends or (a page-long run begun off the boundary) crosses a page.
     #[test]
     fn a_run_of_rows_is_its_tokens_fed_one_at_a_time() {
@@ -754,7 +754,7 @@ mod tests {
                     logits = vec![feed(&mut s, &mut pool, t, t + 1)];
                 }
             }
-            if cfg.demote_after_chunks.is_some() {
+            if cfg.dynamic_budget.is_some_and(|budget| budget < start) {
                 assert!(s.stats().pages_demoted > 0, "the sweep never demoted");
             }
             // Below the hot tier a quantized page holds codes only: read the
@@ -782,13 +782,12 @@ mod tests {
             lserve_quant::KvPrecision::Int4,
         ] {
             // History under the budget (no selection, so nothing to demote),
-            // over it, and over it with the demotion sweep on.
-            for (budget, demote) in [(1024, None), (16, None), (16, Some(1))] {
+            // and over it, the demotion sweep running.
+            for budget in [1024, 16] {
                 let cfg = EngineConfig {
                     paging: lserve_kvcache::PagingConfig::new(PAGE, 4, precision),
                     dynamic_budget: Some(budget),
                     reuse_interval: 2,
-                    demote_after_chunks: demote,
                     ..EngineConfig::lserve_fp16()
                 };
                 for mode in [MigrationMode::Sync, MigrationMode::Async] {
@@ -797,12 +796,11 @@ mod tests {
                         for end in [7 * PAGE, 7 * PAGE - 1] {
                             let run = feed(&cfg, mode, end - n, n, true);
                             let tokens = feed(&cfg, mode, end - n, n, false);
-                            let case =
-                                format!("{precision:?} {budget} {demote:?} {mode:?} {n} {end}");
+                            let case = format!("{precision:?} {budget} {mode:?} {n} {end}");
                             assert_eq!(run.0, tokens.0, "{case}: logits");
                             assert!(run.1 == tokens.1, "{case}: page contents");
                             assert_eq!(run.2, tokens.2, "{case}: work counters");
-                            if demote.is_some() {
+                            if budget < end {
                                 assert!(run.2.selector_invocations > 0, "{case}: never selected");
                             }
                         }

@@ -8,18 +8,19 @@ use lserve_trace::lane;
 use super::{Feed, Phase, QueuedSeq, RequestProgress, SchedSeq, Scheduler, SeqCore};
 use crate::api::{AdmissionPolicy, RejectReason, RequestSpec, ServingEvent};
 use crate::dag::SparsitySchedule;
-use crate::executor::SequenceState;
+use crate::executor::{SequenceState, DEMOTE_AFTER_CHUNKS};
 use crate::EngineConfig;
 
 impl Scheduler {
-    /// Pages needed to hold `tokens` tokens under a request's own sparsity schedule
-    /// (see [`sequence_pages_estimate_sparsity`]); identical to the base
-    /// estimate for requests without overrides.
+    /// Pages needed to hold `tokens` tokens of a request fed by this
+    /// scheduler — its first chunk one fused tile of at most `chunk_tokens` —
+    /// under the request's own sparsity schedule (see [`pages_estimate`]).
     pub(super) fn pages_estimate_spec(&self, spec: &RequestSpec, tokens: usize) -> usize {
-        sequence_pages_estimate_sparsity(
+        pages_estimate(
             self.exec.config(),
             &self.exec.weights().config,
             tokens,
+            self.scfg.chunk_tokens,
             &spec.sparsity,
         )
     }
@@ -250,50 +251,74 @@ impl Scheduler {
 /// uses; tests and benches that want to size a pool relative to "N sequences"
 /// should use it instead of re-deriving the formula.
 ///
-/// The estimate is of the **hot** footprint. When selection-driven demotion is
-/// on (`demote_after_chunks` with a `dynamic_budget`), a dense head's
-/// steady-state hot set is not its full residency: once history outgrows the
-/// selection budget, the selector keeps roughly `budget` tokens hot and the
-/// demotion sweep pushes the rest cold. The bound has to cover the demotion
-/// *lag*, though — a page only demotes after going unselected for
-/// `demote_after_chunks` consecutive fresh scorings, so in the worst case
-/// (the top-k churning completely every rescore) up to `k` selections' worth
-/// of pages plus `k × reuse_interval` freshly appended tokens are hot at
-/// once, on top of the append page and the forced sink page. That caps the
-/// per-head hot set at `k × (budget + reuse_interval) + 2 pages` — constant
-/// in context length — instead of the whole history. Without demotion (or
-/// while the context still fits inside that cap) the full-residency formula
-/// stands.
+/// The estimate is of the **hot** footprint. A dense head with a page
+/// selector keeps hot what its selections read: once history outgrows the
+/// selection budget the selector reads about `budget` tokens, and the
+/// residency pass demotes every page it has left unpicked for `k` = 2 fresh
+/// scorings (the executor's `DEMOTE_AFTER_CHUNKS`). The bound has to cover that
+/// *lag*: in the worst case (the top-k churning completely every rescore) up
+/// to `k` selections' worth of pages plus `k × reuse_interval` freshly
+/// appended tokens are hot at once, on top of the append page and the forced
+/// sink page. That caps the per-head hot set at `k × (budget +
+/// reuse_interval) + 2 pages` — constant in context length — instead of the
+/// whole history. Without a selector (or while the context still fits inside
+/// that cap) the full-residency formula stands.
+///
+/// No residency pass runs inside a fused prefill tile, so a prompt prefilled
+/// as one tile is hot whole until its first sweeps. This estimate is for a
+/// sequence fed in chunks no longer than `k × budget` tokens, which the cap
+/// covers: what a [`crate::Scheduler`] with such a `chunk_tokens` admits by
+/// (it counts a longer chunk itself). [`EngineConfig::make_pool_for`] sizes
+/// for a whole prompt as one tile, which is what
+/// [`crate::ModelExecutor::generate`] prefills.
 pub fn sequence_pages_estimate(cfg: &EngineConfig, model: &ModelConfig, tokens: usize) -> usize {
-    sequence_pages_estimate_sparsity(cfg, model, tokens, &SparsitySchedule::new())
+    pages_estimate(cfg, model, tokens, 0, &SparsitySchedule::new())
 }
 
-/// [`sequence_pages_estimate`] under a per-request [`SparsitySchedule`]: the
+/// [`sequence_pages_estimate`] of a sequence whose first `fused` tokens are
+/// prefilled as one tile, under a per-request [`SparsitySchedule`]: the
 /// effective selection budget at position `tokens` replaces the engine-wide
-/// budget in the demotion-churn cap, and a position-0 window override replaces
-/// the streaming-head window.
-fn sequence_pages_estimate_sparsity(
+/// budget in the cap, and a position-0 window override replaces the
+/// streaming-head window.
+pub(crate) fn pages_estimate(
     cfg: &EngineConfig,
     model: &ModelConfig,
     tokens: usize,
+    fused: usize,
     sparsity: &SparsitySchedule,
 ) -> usize {
     let window = sparsity.window_override().unwrap_or(cfg.streaming_window);
     let streaming_heads =
         (cfg.streaming_sparsity * (model.num_layers * model.num_kv_heads) as f64).round() as usize;
     let dense_heads = model.num_layers * model.num_kv_heads - streaming_heads;
-    let dense_hot_tokens = match (
-        cfg.demote_after_chunks,
-        sparsity.effective_budget(cfg.dynamic_budget, tokens),
-    ) {
-        (Some(k), Some(budget)) => {
-            let churn = k.max(1) * (budget + cfg.reuse_interval.max(1));
-            tokens.min(churn + 2 * cfg.paging.physical_page_size())
-        }
-        _ => tokens,
-    };
-    dense_heads * (cfg.paging.pages_for(dense_hot_tokens) + 1)
+    let budget = sparsity.effective_budget(cfg.dynamic_budget, tokens);
+    dense_heads * dense_head_pages(cfg, tokens, fused, budget)
         + streaming_heads * (window.max_pages() + 2)
+}
+
+/// Hot pages of one dense head `tokens` tokens long whose first `fused`
+/// tokens were one prefill tile, selecting within `budget` (`None`: it reads,
+/// and keeps, its whole history). The fused tile is hot whole, and stays so
+/// for the `k × reuse_interval` appended tokens it takes the first sweep to
+/// come round; after that the churn cap of [`sequence_pages_estimate`] holds.
+pub(crate) fn dense_head_pages(
+    cfg: &EngineConfig,
+    tokens: usize,
+    fused: usize,
+    budget: Option<usize>,
+) -> usize {
+    let hot_tokens = match budget {
+        Some(budget) => {
+            let lag = DEMOTE_AFTER_CHUNKS * cfg.reuse_interval.max(1);
+            let churn = budget
+                .saturating_mul(DEMOTE_AFTER_CHUNKS)
+                .saturating_add(lag);
+            let peak = churn.max(fused.saturating_add(lag));
+            tokens.min(peak.saturating_add(2 * cfg.paging.physical_page_size()))
+        }
+        None => tokens,
+    };
+    cfg.paging.pages_for(hot_tokens) + 1
 }
 
 #[cfg(test)]
@@ -345,13 +370,13 @@ mod tests {
         cfg.paging = PagingConfig::new(8, 4, KvPrecision::Fp16);
         cfg.prefill_tile = 8;
         cfg.dynamic_budget = Some(24);
-        cfg.demote_after_chunks = Some(1);
         cfg.reuse_interval = 2;
         let total = 264;
         let est = sequence_pages_estimate(&cfg, &w.config, total);
+        // A budget above the context selects nothing, so it demotes nothing.
         let full = {
             let mut full_cfg = cfg.clone();
-            full_cfg.demote_after_chunks = None;
+            full_cfg.dynamic_budget = Some(total);
             sequence_pages_estimate(&full_cfg, &w.config, total)
         };
         assert!(

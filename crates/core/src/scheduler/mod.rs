@@ -103,6 +103,7 @@ mod prefill;
 mod spill;
 mod test_support;
 
+pub(crate) use admit::pages_estimate;
 pub use admit::sequence_pages_estimate;
 pub use prefill::tile_grid_boundary;
 
@@ -720,6 +721,9 @@ impl Scheduler {
         self.queue.insert(pos, q);
     }
 }
+
+#[cfg(test)]
+pub(crate) use admit::dense_head_pages;
 
 #[cfg(test)]
 mod tests {

@@ -43,15 +43,14 @@ pub(super) fn fcfs(w: Arc<ModelWeights>, cfg: EngineConfig, pool_pages: usize) -
 }
 
 /// A tiny copy of the benchmark's overcommitted scene — twelve unshared
-/// prompts, selection-driven demotion on — as the engine policy, the
-/// requests, and one sequence's page estimate.
+/// prompts, a selection budget that demotes at toy lengths — as the engine
+/// policy, the requests, and one sequence's page estimate.
 pub(super) fn overcommit_scene() -> (EngineConfig, Vec<RequestSpec>, usize) {
     let mut cfg = EngineConfig::lserve_fp16();
     cfg.paging = lserve_kvcache::PagingConfig::new(8, 4, lserve_quant::KvPrecision::Fp16);
     cfg.prefill_tile = 8;
     cfg.dynamic_budget = Some(32);
     cfg.reuse_interval = 2;
-    cfg.demote_after_chunks = Some(2);
     let specs = (0..12u64)
         .map(|i| {
             let len = 96 + 12 * (i as usize % 4);

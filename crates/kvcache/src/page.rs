@@ -66,9 +66,10 @@ pub struct KvPage {
 
 /// A page's f32 rows. Keys are d-major in lane groups (`key_lane_offset`),
 /// so the kernel loads one dimension of `KEY_LANES` neighbouring keys as one
-/// contiguous run; values are row-major.
+/// contiguous run; values are row-major. Every page of a pool has rows of
+/// one size, so the rows one page gives up fit any other.
 #[derive(Debug, Clone)]
-struct Rows {
+pub(crate) struct Rows {
     keys: Vec<f32>,
     values: Vec<f32>,
 }
@@ -134,22 +135,31 @@ impl KvPage {
         self.rows.is_some()
     }
 
-    /// Gives up the rows of a quantized page, whose codes are its storage.
-    /// An FP16 page keeps them: they are its storage.
-    pub(crate) fn drop_rows(&mut self) {
+    /// Gives up the rows of a quantized page, whose codes are its storage,
+    /// and returns them for another page's rebuild. An FP16 page keeps them:
+    /// they are its storage.
+    pub(crate) fn take_rows(&mut self) -> Option<Rows> {
         if self.config.precision().is_quantized() {
-            self.rows = None;
+            self.rows.take()
+        } else {
+            None
         }
     }
 
-    /// Rebuilds the rows of a quantized page from its codes: bit for bit the
-    /// rows the appends wrote, key slots past `len()` zero.
-    pub(crate) fn restore_rows(&mut self) {
+    /// Rebuilds the rows of a quantized page from its codes into `spare` —
+    /// rows another page gave up — or into fresh ones: bit for bit the rows
+    /// the appends wrote, everything past `len()` zero. The rebuild writes
+    /// every occupied lane group whole (slots never appended have 0/0
+    /// params), so only a partial page has a tail to clear.
+    pub(crate) fn restore_rows(&mut self, spare: Option<Rows>) {
         debug_assert!(self.rows.is_none(), "restore of a page that holds its rows");
-        let mut rows = Rows::zeroed(self.config, self.head_dim);
+        let mut rows = spare.unwrap_or_else(|| Rows::zeroed(self.config, self.head_dim));
         let d = self.head_dim;
-        let keys = &mut rows.keys[..self.len.div_ceil(KEY_LANES) * KEY_LANES * d];
-        let values = &mut rows.values[..self.len * d];
+        let groups = self.len.div_ceil(KEY_LANES) * KEY_LANES * d;
+        let (keys, key_tail) = rows.keys.split_at_mut(groups);
+        let (values, value_tail) = rows.values.split_at_mut(self.len * d);
+        key_tail.fill(0.0);
+        value_tail.fill(0.0);
         match self.config.precision() {
             KvPrecision::Int4 => self.rebuild::<true>(keys, values),
             KvPrecision::Int8 => self.rebuild::<false>(keys, values),
@@ -551,6 +561,42 @@ mod tests {
                     let key = unpack(&page.keys_q, precision, KEY_LANES, t / 16 * d + i, t % 16);
                     assert_eq!(key, kc[i], "key code ({t}, {i})");
                     assert_eq!(unpack(&page.values_q, precision, d, t, i), vc[i]);
+                }
+            }
+        }
+    }
+
+    /// The rebuild gives back the rows the appends wrote, bit for bit and
+    /// zero past `len()`, into fresh rows and into the rows another page
+    /// dropped — a full page's into a partial page's and the other way
+    /// round — over {INT4, INT8} × d {5, 32} × fills {1, 15, 16, 17, 63, 64}.
+    #[test]
+    fn the_rebuild_restores_the_appended_rows_into_any_buffer() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let store = |page: &KvPage| (bits(&page.rows().keys), bits(&page.rows().values));
+        for precision in [KvPrecision::Int4, KvPrecision::Int8] {
+            for d in [5, 32] {
+                for fill in [1, 15, 16, 17, 63, 64] {
+                    let mut p = PagePool::new(PagingConfig::new(64, 16, precision), 2, d);
+                    let (full, part) = (p.allocate().unwrap(), p.allocate().unwrap());
+                    let rows = varied_rows(64, d);
+                    for (t, row) in rows.iter().enumerate() {
+                        p.page_mut(full).append(row, &rows[63 - t]);
+                        if t < fill {
+                            p.page_mut(part).append(&rows[63 - t], row);
+                        }
+                    }
+                    let (full, part) = (p.page(full), p.page(part));
+                    for (dropped, rebuilt) in [(full, part), (part, full)] {
+                        let case = format!("{precision:?} d {d} fill {fill}");
+                        let mut page = rebuilt.clone();
+                        page.take_rows();
+                        page.restore_rows(dropped.clone().take_rows());
+                        assert!(store(&page) == store(rebuilt), "{case}: into dropped rows");
+                        page.take_rows();
+                        page.restore_rows(None);
+                        assert!(store(&page) == store(rebuilt), "{case}: into fresh rows");
+                    }
                 }
             }
         }

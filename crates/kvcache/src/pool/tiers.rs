@@ -325,17 +325,18 @@ impl PagePool {
 
     /// Marks `id` resident on `tier`: the one residency write. A quantized
     /// page keeps its f32 rows only on the hot tier — they are rebuilt from
-    /// its codes when it lands there and dropped when it lands below — and a
+    /// its codes when it lands there, into the buffers of rows dropped this
+    /// step where there are any, and dropped when it lands below — and a
     /// page (re-)entering the host goes to the back of its FIFO spill order.
     fn place(&mut self, id: PageId, tier: Tier) {
         self.residency[id.index()] = Residency::resident(tier);
         let page = self.pages[id.index()].as_mut().expect("a live page");
         if tier == Tier::Hot {
             if !page.has_rows() {
-                page.restore_rows();
+                page.restore_rows(self.spare_rows.pop());
             }
-        } else {
-            page.drop_rows();
+        } else if let Some(rows) = page.take_rows() {
+            self.spare_rows.push(rows);
         }
         if tier == Tier::Host {
             self.host_clock += 1;
@@ -395,9 +396,16 @@ impl PagePool {
     /// Feeds `units` ledger units of overlapped compute to the copy engine:
     /// each of the four hop×direction channels drains up to `units`
     /// (independent modeled DMA links), landing finished transfers and
-    /// crediting the drained traffic as hidden. A no-op in
-    /// [`MigrationMode::Sync`], where nothing is ever queued.
+    /// crediting the drained traffic as hidden. In [`MigrationMode::Sync`]
+    /// nothing is ever queued.
+    ///
+    /// The executor calls this once at the end of every call, so it is also
+    /// the pool's step boundary: the buffers of dropped rows no rebuild has
+    /// taken since the last call are freed first. What a rebuild can recycle
+    /// is therefore bounded by what one step drops (the rows of the pages
+    /// this call lands below the hot tier are kept for the next step).
     pub fn advance_transfer_units(&mut self, units: u64) {
+        self.spare_rows.clear();
         let (landed, drained) = self.engine.advance(units);
         self.mig.hidden_token_units += drained;
         for (hop, dir, page) in landed {

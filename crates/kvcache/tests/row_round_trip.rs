@@ -13,7 +13,11 @@
 //!   made while hot gives;
 //! * an append into the last page after its trip down (through `page_mut`,
 //!   which forces an in-flight spill first), then promotion, leaves what the
-//!   same append made while hot leaves.
+//!   same append made while hot leaves;
+//! * a page promoted right after another page landed below the hot tier is
+//!   rebuilt into that page's row buffers — a full page's into a partial
+//!   page's and the other way round — and its rows are its own, bit for bit,
+//!   with zeros past `len()`.
 
 use lserve_kvcache::{
     key_lane_offset, DenseHeadCache, MigrationMode, PageId, PagePool, PagingConfig, Residency,
@@ -177,6 +181,43 @@ fn rows_rebuilt_on_promotion_are_the_rows_before_demotion() {
             );
             assert!(rows(&pool, id) == *before, "{name}: page {id:?} rows moved");
             assert_lanes_past_len_are_zero(&pool, id, &name);
+        }
+    }
+}
+
+#[test]
+fn a_promotion_rebuilds_into_the_rows_a_demotion_just_dropped() {
+    for case in Case::all() {
+        let name = case.name();
+        let (mut pool, ids) = case.filled();
+        let before: Vec<_> = ids.iter().map(|&id| rows(&pool, id)).collect();
+        // Demote A, then promote B: B is the full page and A the partial
+        // one, then the other way round.
+        for (a, b) in [(1, 0), (0, 1)] {
+            case.take_down(&mut pool, &ids[b..=b], false);
+            let page = pool.page(ids[a]);
+            let dropped = (page.key_lanes().as_ptr(), page.value_rows().as_ptr());
+            pool.demote(ids[a]).expect("a sole-owned hot page demotes");
+            if case.mode == MigrationMode::Async {
+                // The step boundary: the demotion lands and drops A's rows.
+                pool.advance_transfer_units(u64::MAX / 2);
+            }
+            assert!(!pool.page(ids[a]).has_rows(), "{name}: A dropped its rows");
+            pool.ensure_resident([ids[b]]).expect("room to promote");
+            let page = pool.page(ids[b]);
+            let rebuilt = (page.key_lanes().as_ptr(), page.value_rows().as_ptr());
+            assert_eq!(rebuilt, dropped, "{name}: page {b} took page {a}'s rows");
+            assert!(
+                rows(&pool, ids[b]) == before[b],
+                "{name}: page {b} rows moved"
+            );
+            assert_lanes_past_len_are_zero(&pool, ids[b], &name);
+            pool.ensure_resident([ids[a]]).expect("room to promote");
+            assert!(
+                rows(&pool, ids[a]) == before[a],
+                "{name}: page {a} rows moved"
+            );
+            assert_lanes_past_len_are_zero(&pool, ids[a], &name);
         }
     }
 }

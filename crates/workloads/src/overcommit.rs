@@ -76,9 +76,10 @@ impl OvercommitConfig {
     /// The hierarchy scene: the `migration_bench` geometry with a third
     /// burst, so swap-parked victims pile up faster than a bounded host tier
     /// can absorb and the modeled nvme tier below it sees real traffic. The
-    /// memory-hierarchy claim (bounded host + nvme sustains >= 1.2x
-    /// drop-to-replay's mean running sequences) is asserted on it by
-    /// `bounded_host_over_nvme_sustains_more_running_sequences_than_replay`
+    /// memory-hierarchy claim (bounded host + nvme sustains >= 1.2x the mean
+    /// running sequences of drop-to-replay with every page resident) is
+    /// asserted on it by
+    /// `bounded_host_over_nvme_sustains_more_running_sequences_than_resident_replay`
     /// in `tests/proptest_hierarchy.rs`.
     pub fn hierarchy_bench() -> Self {
         Self {

@@ -261,20 +261,22 @@ fn run_prefix_cache_demo() {
 
 /// Tiered KV memory under oversubscription: the same bursty long-context
 /// workload on the same (small) hot tier, served by the resident baseline
-/// (replay preemption, everything device-resident) vs the tiered memory
-/// manager (swap-based preemption + selection-driven demotion). The tiered run
-/// must sustain strictly more concurrently running sequences — cold context
-/// moves to host memory instead of occupying the device.
+/// (replay preemption, a budget above the context: nothing is selected, so
+/// everything stays device-resident) vs the tiered memory manager
+/// (swap-based preemption + selection-driven demotion). The tiered run must
+/// sustain strictly more concurrently running sequences — cold context moves
+/// to host memory instead of occupying the device.
 fn run_oversubscription_demo() {
     let wl = OvercommitConfig::small();
     let weights = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 11));
-    let mut base = engine_cfg(EngineConfig::lserve_fp16());
-    base.dynamic_budget = Some(32); // selection active at toy context lengths
-    let per_seq = sequence_pages_estimate(
-        &base,
-        &weights.config,
-        wl.max_prompt_len() + wl.max_new_tokens,
-    );
+    let mut tiered = engine_cfg(EngineConfig::lserve_fp16());
+    tiered.dynamic_budget = Some(32); // selection active at toy context lengths
+    let context = wl.max_prompt_len() + wl.max_new_tokens;
+    let resident = EngineConfig {
+        dynamic_budget: Some(context),
+        ..tiered.clone()
+    };
+    let per_seq = sequence_pages_estimate(&resident, &weights.config, context);
     // Hot tier: roughly a third of one burst's aggregate footprint.
     let hot_pages = (per_seq * wl.requests_per_burst) / 3 + 16;
     println!(
@@ -290,12 +292,14 @@ fn run_oversubscription_demo() {
         hot_pages as f64 / per_seq as f64,
     );
     let mut peaks = Vec::new();
-    for (name, policy, demote) in [
-        ("resident baseline (replay)", PreemptionPolicy::Replay, None),
-        ("tiered (swap + demotion)", PreemptionPolicy::Swap, Some(2)),
+    for (name, policy, cfg) in [
+        (
+            "resident baseline (replay)",
+            PreemptionPolicy::Replay,
+            resident,
+        ),
+        ("tiered (swap + demotion)", PreemptionPolicy::Swap, tiered),
     ] {
-        let mut cfg = base.clone();
-        cfg.demote_after_chunks = demote;
         let exec = Arc::new(ModelExecutor::new(Arc::clone(&weights), cfg));
         let mut scfg = SchedulerConfig::new(hot_pages);
         scfg.chunk_tokens = 16;

@@ -257,7 +257,6 @@ fn traced_overcommit_demo() {
     // Tight selection budget with fast chunk turnover: rescoring, demotion,
     // promotion, and prefetch all fire at toy scale (the proptest scene).
     cfg.dynamic_budget = Some(24);
-    cfg.demote_after_chunks = Some(1);
     cfg.reuse_interval = 2;
     let weights = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 11));
     let exec = Arc::new(ModelExecutor::new(weights, cfg.clone()));

@@ -11,7 +11,12 @@
 //!
 //! [`LEDGER`] holds what the code produced *before* the attention phase's two
 //! worker pools and two placement paths became one. A change that only
-//! regroups that code reproduces every row. `stolen` and every `busy_ns_*`
+//! regroups that code reproduces every row. The rows were regenerated once
+//! since, when selection-driven demotion became the one path at a staleness
+//! of two chunks (this scene had run at one): each equals what the code
+//! before that change produced with the staleness forced to two, digit for
+//! digit, and the row recycling and rebuild changes beside it moved none.
+//! `stolen` and every `busy_ns_*`
 //! are wall-clock and stay out; the trace lays its worker lanes from the
 //! modeled LPT schedule, never the measured one, so its bytes are in.
 
@@ -53,18 +58,18 @@ const FIELDS: [&str; 13] = [
 /// One row per `(devices, threads, policy)`, in the order [`cells`] yields.
 #[rustfmt::skip]
 const LEDGER: [Row; 12] = [
-    ([222, 480, 1, 17065, 17065, 1, 0, 17065, 17065, 17065, 0, 0, 0], 0x87ebc67bed62adb3), // devices 1, threads 1, SparsityAware
-    ([222, 480, 1, 17065, 17065, 1, 0, 17065, 17065, 17065, 0, 0, 0], 0x87ebc67bed62adb3), // devices 1, threads 1, RoundRobin
-    ([222, 480, 4, 17065, 8057, 1, 0, 17065, 17065, 17065, 0, 0, 0], 0x5577da1fc3f90ec5), // devices 1, threads 8, SparsityAware
-    ([222, 480, 4, 17065, 8057, 1, 0, 17065, 17065, 17065, 0, 0, 0], 0x5577da1fc3f90ec5), // devices 1, threads 8, RoundRobin
-    ([222, 480, 2, 17977, 9444, 2, 912, 17977, 9444, 18864, 0, 0, 0], 0xb48c9141186230a3), // devices 2, threads 1, SparsityAware
-    ([222, 480, 2, 17977, 9444, 2, 912, 17977, 9444, 18864, 0, 0, 0], 0xb48c9141186230a3), // devices 2, threads 1, RoundRobin
-    ([222, 480, 4, 17977, 8908, 2, 912, 17977, 9444, 18864, 0, 0, 0], 0xf0c5c4536b5d9f92), // devices 2, threads 8, SparsityAware
-    ([222, 480, 4, 17977, 8908, 2, 912, 17977, 9444, 18864, 0, 0, 0], 0xf0c5c4536b5d9f92), // devices 2, threads 8, RoundRobin
-    ([222, 480, 2, 17977, 9444, 4, 912, 17977, 9444, 37704, 1, 4, 18], 0xdfe754a2713ca30a), // devices 4, threads 1, SparsityAware
-    ([222, 480, 2, 17977, 9444, 4, 912, 17977, 9444, 37704, 0, 0, 0], 0x4413c593517f68f3), // devices 4, threads 1, RoundRobin
-    ([222, 480, 4, 17977, 8908, 4, 912, 17977, 9444, 37704, 1, 4, 18], 0x4d74cf7ea03753c4), // devices 4, threads 8, SparsityAware
-    ([222, 480, 4, 17977, 8908, 4, 912, 17977, 9444, 37704, 0, 0, 0], 0x01d3bc92bffe1cee), // devices 4, threads 8, RoundRobin
+    ([222, 480, 1, 17058, 17058, 1, 0, 17058, 17058, 17058, 0, 0, 0], 0x3be86269788dfa2b), // devices 1, threads 1, SparsityAware
+    ([222, 480, 1, 17058, 17058, 1, 0, 17058, 17058, 17058, 0, 0, 0], 0x3be86269788dfa2b), // devices 1, threads 1, RoundRobin
+    ([222, 480, 4, 17058, 8050, 1, 0, 17058, 17058, 17058, 0, 0, 0], 0xf1674bfae151614e), // devices 1, threads 8, SparsityAware
+    ([222, 480, 4, 17058, 8050, 1, 0, 17058, 17058, 17058, 0, 0, 0], 0xf1674bfae151614e), // devices 1, threads 8, RoundRobin
+    ([222, 480, 2, 17970, 9447, 2, 912, 17970, 9447, 18870, 0, 0, 0], 0xb48fdbe9a92d8e4e), // devices 2, threads 1, SparsityAware
+    ([222, 480, 2, 17970, 9447, 2, 912, 17970, 9447, 18870, 0, 0, 0], 0xb48fdbe9a92d8e4e), // devices 2, threads 1, RoundRobin
+    ([222, 480, 4, 17970, 8908, 2, 912, 17970, 9447, 18870, 0, 0, 0], 0xd0dc415a12039d96), // devices 2, threads 8, SparsityAware
+    ([222, 480, 4, 17970, 8908, 2, 912, 17970, 9447, 18870, 0, 0, 0], 0xd0dc415a12039d96), // devices 2, threads 8, RoundRobin
+    ([222, 480, 2, 17970, 9447, 4, 912, 17970, 9447, 37716, 1, 4, 18], 0x56c8b6957e26095c), // devices 4, threads 1, SparsityAware
+    ([222, 480, 2, 17970, 9447, 4, 912, 17970, 9447, 37716, 0, 0, 0], 0x536e88072fc7130e), // devices 4, threads 1, RoundRobin
+    ([222, 480, 4, 17970, 8908, 4, 912, 17970, 9447, 37716, 1, 4, 18], 0xa6268ad3666d6b85), // devices 4, threads 8, SparsityAware
+    ([222, 480, 4, 17970, 8908, 4, 912, 17970, 9447, 37716, 0, 0, 0], 0xf69f20a00e10494e), // devices 4, threads 8, RoundRobin
 ];
 
 fn cells() -> impl Iterator<Item = (usize, usize, PlacementPolicy)> {
@@ -97,7 +102,6 @@ fn run(devices: usize, threads: usize, placement: PlacementPolicy) -> (ServingRe
     cfg.paging = PagingConfig::new(8, 4, KvPrecision::Fp16);
     cfg.prefill_tile = 8;
     cfg.dynamic_budget = Some(24);
-    cfg.demote_after_chunks = Some(1);
     cfg.reuse_interval = 2;
     let reqs = requests();
     let single_max = reqs

@@ -2,7 +2,8 @@
 //! accounting change. For any workload, `MigrationMode::Async` runs emit
 //! outputs bit-identical to `Sync` runs and to per-request solo runs —
 //! across FP16/INT4 KV, replay/swap preemption, prefix caching on/off, and
-//! selection-driven demotion on/off. Only the modeled stall accounting (and
+//! with or without a selection budget (and so selection-driven demotion).
+//! Only the modeled stall accounting (and
 //! therefore the latency numbers) may differ.
 //!
 //! The in-flight page-state semantics behind this (demote-while-migrating,
@@ -67,7 +68,6 @@ fn async_migration_hides_stalls_without_touching_outputs() {
     // that the top-k churns across rescores — churn is what prefetch predicts
     // (a 2-page budget on this model is perfectly stable and can never hit).
     cfg.dynamic_budget = Some(24);
-    cfg.demote_after_chunks = Some(1);
     cfg.reuse_interval = 2;
     let requests: Vec<RequestSpec> = (0..3u64)
         .map(|i| {
@@ -151,7 +151,6 @@ fn async_migration_halves_the_overcommit_stall_and_bounds_prefetch_waste() {
     let w = weights(7);
     let mut cfg = small_page_cfg();
     cfg.dynamic_budget = Some(32);
-    cfg.demote_after_chunks = Some(2);
     let wl = OvercommitConfig::migration_bench();
     let per_seq = estimate(&cfg, &w.config, wl.max_prompt_len() + wl.max_new_tokens);
     let run = |mode: MigrationMode| {
@@ -202,7 +201,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The acceptance property: async ≡ sync ≡ solo, token for token, across
-    /// {FP16, INT4} × {replay, swap} × prefix cache on/off × demotion on/off,
+    /// {FP16, INT4} × {replay, swap} × prefix cache on/off × selection budget
+    /// (and so demotion) on/off,
     /// under enough pool pressure to exercise preemption and (when enabled)
     /// selection-driven demotion with prefetch.
     #[test]
@@ -215,7 +215,6 @@ proptest! {
         prefix_cache in proptest::bool::ANY,
         demote in proptest::bool::ANY,
         budget_pages in 2usize..4,
-        demote_after in 1usize..3,
     ) {
         let w = weights(wseed);
         let mut cfg = small_page_cfg();
@@ -223,12 +222,13 @@ proptest! {
             cfg.paging = PagingConfig::new(8, 4, KvPrecision::Int4);
         }
         if demote {
-            // A 3-page budget churns its top-k across rescores (prefetch can
-            // hit); a 2-page budget is stable (prefetch is pure waste). Both
-            // must stay bit-identical. demote_after > 1 keeps demotions in
-            // flight across swap park/resume, covering the resume reservation.
+            // A selection budget demotes at toy lengths. A 3-page budget
+            // churns its top-k across rescores (prefetch can hit); a 2-page
+            // budget is stable (prefetch is pure waste). Both must stay
+            // bit-identical. Demotion waits two stale chunks, which keeps
+            // demotions in flight across swap park/resume, covering the
+            // resume reservation.
             cfg.dynamic_budget = Some(8 * budget_pages);
-            cfg.demote_after_chunks = Some(demote_after);
         }
         let requests: Vec<RequestSpec> = (0..3u64)
             .map(|i| {
@@ -313,11 +313,11 @@ proptest! {
     /// Promotion by exchange moves pages and nothing else. A sequence swapped
     /// out whole and then decoded in a hot tier that has, before every step,
     /// exactly the pages its reservation asks for free — so every selection
-    /// that re-picks a cold page has to exchange for its slot — emits the
-    /// logits of the always-resident run bit for bit, across FP16/INT4 KV,
-    /// both migration engines, an unbounded host or a bounded one over nvme,
-    /// and with or without the demotion sweep running beside it. And the
-    /// reservation is sound: no step fails.
+    /// that re-picks a cold page has to exchange for its slot, beside the
+    /// demotion sweep — emits the logits of a run in an ample hot tier bit
+    /// for bit, across FP16/INT4 KV, both migration engines, and an
+    /// unbounded host or a bounded one over nvme. And the reservation is
+    /// sound: no step fails.
     #[test]
     fn exchange_in_an_exactly_reserved_hot_tier_matches_the_resident_run(
         wseed in 0u64..20,
@@ -326,7 +326,6 @@ proptest! {
         async_mode in proptest::bool::ANY,
         bounded in proptest::bool::ANY,
         budget_pages in 3usize..5,
-        demote_after in 0usize..3,
     ) {
         let w = weights(wseed);
         let mut cfg = small_page_cfg();
@@ -337,10 +336,8 @@ proptest! {
         cfg.reuse_interval = 2;
         let prompt: Vec<u32> = (0..prompt_len).map(|t| ((t * 5 + 3) % 90) as u32).collect();
         let run = |tight: bool| {
-            let mut cfg = cfg.clone();
             let (mut mode, mut tiers) = (MigrationMode::Sync, TierConfig::default());
             if tight {
-                cfg.demote_after_chunks = (demote_after > 0).then_some(demote_after);
                 if async_mode {
                     mode = MigrationMode::Async;
                 }
@@ -382,19 +379,18 @@ proptest! {
             let (events, _) = tracer.drain();
             (bits, events.iter().filter(|e| e.name == "exchange").count())
         };
-        let (want, _) = run(false);
+        let (want, none) = run(false);
         let (got, exchanges) = run(true);
-        // A sweep may free the slots the next promotions take; without one
-        // only an exchange can.
+        prop_assert_eq!(none, 0, "an ample hot tier never exchanges");
         prop_assert!(
-            demote_after > 0 || exchanges > 0,
-            "nothing exchanged (wseed {} len {} quantized {} async {} bounded {} budget {} k {})",
-            wseed, prompt_len, quantized, async_mode, bounded, budget_pages, demote_after
+            exchanges > 0,
+            "nothing exchanged (wseed {} len {} quantized {} async {} bounded {} budget {})",
+            wseed, prompt_len, quantized, async_mode, bounded, budget_pages
         );
         prop_assert_eq!(
             got, want,
-            "logits diverged (wseed {} len {} quantized {} async {} bounded {} budget {} k {})",
-            wseed, prompt_len, quantized, async_mode, bounded, budget_pages, demote_after
+            "logits diverged (wseed {} len {} quantized {} async {} bounded {} budget {})",
+            wseed, prompt_len, quantized, async_mode, bounded, budget_pages
         );
     }
 }

@@ -105,7 +105,6 @@ fn device_matrix_preserves_outputs_and_charges_interconnect() {
     let w = weights(23);
     let mut cfg = small_page_cfg();
     cfg.dynamic_budget = Some(24);
-    cfg.demote_after_chunks = Some(1);
     cfg.reuse_interval = 2;
     let base = run_devices(&w, &cfg, 1, 8, 0, true, false, MigrationMode::Async);
     assert_eq!(base.completed.len(), 3, "rejected: {:?}", base.rejected);
@@ -266,7 +265,6 @@ proptest! {
         }
         if demote {
             cfg.dynamic_budget = Some(16);
-            cfg.demote_after_chunks = Some(1);
         }
         let migration = if async_migration {
             MigrationMode::Async

@@ -48,7 +48,6 @@ type Completed = Vec<(u64, Vec<u32>)>;
 fn five_layer_scene() -> (EngineConfig, Vec<RequestSpec>) {
     let mut cfg = small_page_cfg();
     cfg.dynamic_budget = Some(24);
-    cfg.demote_after_chunks = Some(1);
     cfg.reuse_interval = 2;
     let requests = (0..3u64)
         .map(|i| {
@@ -309,7 +308,6 @@ proptest! {
         }
         if demote {
             cfg.dynamic_budget = Some(24);
-            cfg.demote_after_chunks = Some(1);
         }
         let requests: Vec<RequestSpec> = (0..3u64)
             .map(|i| {

@@ -15,10 +15,14 @@
 //! FNV-1a hash per row; `parallel.stolen` and the `busy_ns_*` fields are
 //! wall-clock and stay out. [`TRANSCRIPT`] holds the hashes as the scheduler
 //! produced them while `SchedulerConfig::new` still read its defaults from
-//! the process environment. Every `SchedulerConfig` field is set here, so no
-//! default reaches a row: a change that only moves configuration reproduces
-//! every row, and a change that moves one has changed what some call returns
-//! or books — say which, and why, in the commit that edits the row.
+//! the process environment, regenerated once since: when selection-driven
+//! demotion became the one path at a staleness of two chunks (this traffic
+//! had run at one), every row moved, to what the code before that change
+//! produced with the staleness forced to two. Every `SchedulerConfig` field
+//! is set here, so no default reaches a row: a change that only moves
+//! configuration reproduces every row, and a change that moves one has
+//! changed what some call returns or books — say which, and why, in the
+//! commit that edits the row.
 //!
 //! The same loop audits, after every step:
 //!
@@ -85,60 +89,60 @@ impl Setting {
 
 /// One hash per `(setting, seed)`, in the order [`configurations`] yields.
 const TRANSCRIPT: [u64; 54] = [
-    0x1e856df7382ea49b, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 1
-    0x73966b4517e09599, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 2
-    0x946298bd94048b6a, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 3
-    0x8800429a2c356659, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 1
-    0x5889fd99d5d0c9d0, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 2
-    0x86949dddabf905ca, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 3
-    0x561b4ad06d96d7f2, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 1
-    0xdf0bdcaa4c3d7492, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 2
-    0xa686f47f61b2f9df, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 3
-    0xfe119ea0ffd4b44a, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 1
-    0xab3de797b734518c, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 2
-    0x6f564ba4833edeca, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 3
-    0xed93e9546af4ab4b, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 1
-    0xb2d8a26538f0f4e9, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 2
-    0x0ebaa44a15d0d819, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 3
-    0x9d26591f7a4a3674, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 1
-    0x529b04b82632f1a9, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 2
-    0xe05f8c5f0cd8b5d2, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 3
-    0x03fc77a4dadde968, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 1
-    0xab1ca98467f033dc, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 2
-    0x1860c156fec5bb92, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 3
-    0x9343b76cb152343f, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 1
-    0xd5c53a3c26081e50, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 2
-    0x37288fa3bf8ecbca, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 3
-    0xe8770ddcc462c570, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 1
-    0xdd62259e4a5b5050, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 2
-    0x1899addb5203cb79, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 3
-    0xa7235871ef31ce7b, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 1
-    0xa79342977795042b, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 2
-    0x6c5137f5eef4df4f, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 3
-    0x63cba967ff9f36f5, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 1
-    0x6860aec7b15b4696, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 2
-    0x31ab5926e8c65233, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 3
-    0x6a284b45060b36ab, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 1
-    0xf7aa2172403c7b81, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 2
-    0x260d7ed08d9b2ae6, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 3
-    0x5a9f7aade131bf74, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 1
-    0x364151cdd5f9e817, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 2
-    0xd37d2e2f048e56fa, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 3
-    0x778d6c39c0152efd, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 1
-    0x3d8ba6d48603bc5e, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 2
-    0x593a8098fbd2f79f, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 3
-    0xeacc84a3026b6752, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 1
-    0x66b27939bcaa774b, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 2
-    0xf100abdba8ffc79c, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 3
-    0xe0c56b25ef8854f3, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 1
-    0x5b3773dee66566f4, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 2
-    0xd0581ed96687d182, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 3
-    0xf608f8b8402c5c81, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 1
-    0x0da1397d35d6d5d6, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 2
-    0xee2ef6d8d57358df, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 3
-    0x329cce31c40e09f7, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 1
-    0x5c5cb37f9bad37fb, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 2
-    0xafc2bb85b81837cf, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 3
+    0x06d437f206673768, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 1
+    0xa1d5b77c7e18471c, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 2
+    0x7fa40c1d848f60a2, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 3
+    0xbedcf1fb5e372f5d, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 1
+    0x637bdfe3206c28de, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 2
+    0xe0e55ca9025516ba, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 3
+    0xbbcc1bc37d1ee435, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 1
+    0x594449306e670d2d, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 2
+    0x1b0507e185cd66f6, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 3
+    0x4ecfcc34d9e921d3, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 1
+    0xab9c939b41238cf5, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 2
+    0xeb2b2b6f3df3a58b, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 3
+    0x7649777ff4126f79, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 1
+    0x034182eb7c120668, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 2
+    0x88b47acbaf0ff968, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 3
+    0x879284c85540a9a4, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 1
+    0xfc448012c95ca331, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 2
+    0xd683142890f7d33f, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 3
+    0x6ef25e41d10e6186, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 1
+    0x3aff672afad946dc, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 2
+    0x1ae251b8f9d1389a, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 3
+    0x43fc5ea17e2eec40, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 1
+    0x7beaa8f4d1ac14a1, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 2
+    0x2d21865acff2b5b6, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 3
+    0x2ff77dfb5e4dbc3a, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 1
+    0x7cbc4cd1d0e937f0, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 2
+    0x830b23c103644d85, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 3
+    0x24ec540657de5980, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 1
+    0x68aac48e5478d7db, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 2
+    0x060e308b24183d21, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 3
+    0x138c79460d6580a0, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 1
+    0xea57fc2705b1895f, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 2
+    0x1769f22967ac23e3, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 3
+    0xef6f2cd4204c5f26, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 1
+    0xe889e0ef0a978012, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 2
+    0x2227637d44eb5ac5, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 3
+    0x8431528d5fa748e9, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 1
+    0x673ceda2f85b4949, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 2
+    0x4af0d2b69160e150, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 3
+    0xa06b8c978cb5f66c, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 1
+    0x1995abbfd2b54049, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 2
+    0x7a7b386b42627123, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 3
+    0x030f3ca7ec626fc2, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 1
+    0x125c8355283300b3, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 2
+    0x8b0accfc714fb58e, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 3
+    0x70c93f9b47dca5ae, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 1
+    0x594194d71dedc1da, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 2
+    0x7f727577f14d94a9, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 3
+    0xb7718ae671051a75, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 1
+    0xd21db8e3206cb387, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 2
+    0xb55da88aa68ec133, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 3
+    0xae4169a3baf6d816, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 1
+    0xaee578fcd25c1586, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 2
+    0xb9744ae912f4eec0, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 3
 ];
 
 fn configurations() -> impl Iterator<Item = (Setting, u64)> {
@@ -610,7 +614,6 @@ fn engine_cfg() -> EngineConfig {
     cfg.paging = PagingConfig::new(8, 4, KvPrecision::Fp16);
     cfg.prefill_tile = 8;
     cfg.dynamic_budget = Some(24);
-    cfg.demote_after_chunks = Some(1);
     cfg.reuse_interval = 2;
     cfg
 }
