@@ -223,8 +223,8 @@ pub fn prefill(
 }
 
 /// Largest batch of `seq`-token sequences whose KV fits device memory next to the
-/// weights (used by the Figure 10 throughput harness; systems that cannot fit even
-/// one sequence are "OOM").
+/// weights (Figure 10's throughput batch; systems that cannot fit even one
+/// sequence are "OOM").
 pub fn max_batch(gpu: &GpuSpec, model: &ModelConfig, sys: &SystemModel, seq: usize) -> usize {
     let weight_bytes = model.approx_params() * sys.weight_bytes_per_param;
     let activations_headroom = 4e9;

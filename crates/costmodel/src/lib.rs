@@ -1,7 +1,10 @@
 //! Analytical GPU cost model calibrated to the LServe paper's A100/L40S measurements.
 //!
-//! We reproduce the paper's *efficiency* experiments (Figures 2, 10, 11, 14, 15, 16;
-//! Tables 1, 5, 7) without a GPU by modeling what those kernels are bound by:
+//! We reproduce the paper's *efficiency* experiments (Figures 2, 10, 11, 12, 14, 15,
+//! 16; Tables 1, 5, 7) without a GPU by modeling what those kernels are bound by.
+//! Each of their sentences is a row of `tests/paper_figures.rs`: the paper's band
+//! where the model reproduces it, a pinned gap (DESIGN.md "Paper figures") where
+//! it does not.
 //!
 //! * **Decode attention** is memory-bound: time = KV bytes moved / (HBM bandwidth ×
 //!   a page-size-dependent efficiency). The efficiency curve `s/(s+c)` (bytes of

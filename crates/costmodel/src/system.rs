@@ -47,7 +47,7 @@ pub enum PrefillSparsity {
 /// Full description of one serving system for the cost model.
 ///
 /// Presets encode the paper's five systems plus LServe's ablations; all fields are
-/// public so benches can build sweeps (e.g. Table 1 varies `page_size`).
+/// public so callers can build sweeps (e.g. Table 1 varies `page_size`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemModel {
     /// Display name.

@@ -56,15 +56,16 @@ fn max(v: &[f64]) -> f64 {
     v.iter().copied().fold(f64::MIN, f64::max)
 }
 
+fn min(v: &[f64]) -> f64 {
+    v.iter().copied().fold(f64::MAX, f64::min)
+}
+
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * b.abs()
 }
 
 /// Figure 10's four panels: GPU, model and context lengths.
 fn fig10_panels() -> [(GpuSpec, ModelConfig, [usize; 8]); 4] {
-    let a100_llama3 = [
-        65_536, 98_304, 131_072, 163_840, 196_608, 229_376, 262_144, 327_680,
-    ];
     let llama2 = [
         16_384, 32_768, 65_536, 98_304, 131_072, 163_840, 196_608, 229_376,
     ];
@@ -75,7 +76,7 @@ fn fig10_panels() -> [(GpuSpec, ModelConfig, [usize; 8]); 4] {
         32_768, 65_536, 98_304, 131_072, 163_840, 196_608, 229_376, 262_144,
     ];
     [
-        (a100(), ModelConfig::llama3_8b(), a100_llama3),
+        (a100(), ModelConfig::llama3_8b(), TABLE07_LENGTHS),
         (a100(), ModelConfig::llama2_7b(), llama2),
         (a100(), ModelConfig::minitron_4b(), minitron),
         (GpuSpec::l40s(), ModelConfig::llama3_8b(), l40s),
@@ -139,9 +140,9 @@ fn fig11_row(llama2: bool, sys: &SystemModel) -> Vec<f64> {
 /// Figure 12's sparsity levels.
 const FIG12_SPARSITY: [f64; 6] = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
 
-/// Figure 12: one Llama-3-8B layer's prefill attention at 64K (128-token
-/// tiles, 32 query heads) at sparsity `r`, in ms, for a kernel `penalty`
-/// times slower than LServe's; then the dense time first.
+/// Figure 12's prefill attention of one Llama-3-8B layer at 64K (128-token
+/// tiles, 32 query heads), in ms: dense, then at each sparsity for a kernel
+/// `penalty` times slower than LServe's.
 fn fig12_ms(penalty: f64) -> Vec<f64> {
     let nb = 65_536.0 / 128.0;
     let dense_tiles = nb * (nb + 1.0) / 2.0 * 32.0;
@@ -237,47 +238,26 @@ fn table01_slowdown(attention_only: bool) -> Vec<f64> {
 /// Table 5's context lengths (Llama-2-7B).
 const TABLE05_LENGTHS: [usize; 5] = [4_096, 8_192, 16_384, 32_768, 65_536];
 
-/// Table 5: Quest's latency over LServe's, prefill or decode.
-fn table05_speedup(decode: bool) -> Vec<f64> {
-    let model = ModelConfig::llama2_7b();
-    let time = |sys: &SystemModel, s: usize| {
-        if decode {
-            decode_step(&a100(), &model, sys, s, 1).total()
-        } else {
-            prefill(&a100(), &model, sys, s).total()
-        }
-    };
-    TABLE05_LENGTHS
-        .iter()
-        .map(|&s| time(&SystemModel::quest(), s) / time(&SystemModel::lserve(), s))
-        .collect()
-}
-
-/// Table 5: decode ms per step of `sys`.
-fn table05_decode_ms(sys: &SystemModel) -> Vec<f64> {
-    let model = ModelConfig::llama2_7b();
-    TABLE05_LENGTHS
-        .iter()
-        .map(|&s| decode_step(&a100(), &model, sys, s, 1).total() * 1e3)
-        .collect()
-}
-
-/// Table 7's context lengths (Llama-3-8B).
+/// Table 7's context lengths (Llama-3-8B), and Figure 10's on its panel.
 const TABLE07_LENGTHS: [usize; 8] = [
     65_536, 98_304, 131_072, 163_840, 196_608, 229_376, 262_144, 327_680,
 ];
 
-/// Table 7: decode ms per step of `sys`.
-fn table07_ms(sys: &SystemModel) -> Vec<f64> {
-    let model = ModelConfig::llama3_8b();
-    TABLE07_LENGTHS
+/// Batch-1 decode ms per step of `sys` on A100 at each length (Tables 5, 7).
+fn decode_ms(model: &ModelConfig, sys: &SystemModel, lengths: &[usize]) -> Vec<f64> {
+    lengths
         .iter()
-        .map(|&s| decode_step(&a100(), &model, sys, s, 1).total() * 1e3)
+        .map(|&s| decode_step(&a100(), model, sys, s, 1).total() * 1e3)
         .collect()
 }
 
+/// `a[i] / b[i]`.
+fn ratios(a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter().zip(b).map(|(a, b)| a / b).collect()
+}
+
 fn rows() -> Vec<Row> {
-    vec![
+    Vec::from([
         Row {
             id: "fig02.prefill_attention_share",
             paper: "attention >= 50 % of dense prefill from 64K, ~75 % at 128K (8K…128K, %)",
@@ -344,8 +324,7 @@ fn rows() -> Vec<Row> {
                     .flat_map(|p| {
                         let [minference, rest @ ..] = fig10_baselines();
                         let others: Vec<f64> = rest.iter().map(|s| fig10_geomean(p, s)).collect();
-                        let lowest = others.iter().copied().fold(f64::MAX, f64::min);
-                        [fig10_geomean(p, &minference), lowest]
+                        [fig10_geomean(p, &minference), min(&others)]
                     })
                     .collect()
             },
@@ -355,12 +334,15 @@ fn rows() -> Vec<Row> {
         },
         Row {
             id: "fig10.fp16_oom",
-            paper: "FP16 baselines OOM at the longest contexts: vLLM's, then MInference's OOM cells per panel",
+            // OOM cells per panel: vLLM's, then MInference's.
+            paper: "FP16 baselines OOM at the longest contexts",
             modeled: || {
                 [SystemModel::vllm(), SystemModel::minference()]
                     .iter()
                     .flat_map(|sys| {
-                        (0..4).map(|p| fig10_cells(p, sys).iter().filter(|c| c.is_none()).count() as f64)
+                        (0..4).map(|p| {
+                            fig10_cells(p, sys).iter().filter(|c| c.is_none()).count() as f64
+                        })
                     })
                     .collect()
             },
@@ -370,23 +352,43 @@ fn rows() -> Vec<Row> {
             claim: Claim::Holds(|v| v.chunks(4).all(|sys| sys[1..].iter().all(|&n| n > 0.0))),
         },
         Row {
+            id: "fig11.lserve_fastest",
+            paper: "LServe fastest: best baseline cell on Llama-3-8B, then Llama-2-7B, < 1.00",
+            modeled: || {
+                [false, true]
+                    .iter()
+                    .map(|&llama2| {
+                        let cells: Vec<f64> = fig10_baselines()
+                            .iter()
+                            .flat_map(|sys| fig11_row(llama2, sys)[..6].to_vec())
+                            .collect();
+                        max(&cells)
+                    })
+                    .collect()
+            },
+            pinned: &[0.84, 0.86],
+            decimals: 2,
+            claim: Claim::Holds(|v| v.iter().all(|&x| x < 1.0)),
+        },
+        Row {
             id: "fig11.vllm_llama2",
-            paper: "LServe avg 1.8x over vLLM on Llama-2-7B, up to 2.9x (cells 16K…160K, geomean)",
+            // vLLM's cells, 16K…160K, then their geomean.
+            paper: "LServe 1.8x over vLLM on Llama-2-7B on average, up to 2.9x",
             modeled: || fig11_row(true, &SystemModel::vllm()),
             pinned: &[0.80, 0.71, 0.63, 0.59, 0.57, 0.39, 0.60],
             decimals: 2,
             claim: Claim::Holds(|v| {
-                let peak = 1.0 / v[..6].iter().copied().fold(f64::MAX, f64::min);
+                let peak = 1.0 / min(&v[..6]);
                 (1.5..=2.1).contains(&(1.0 / v[6])) && (2.4..=3.2).contains(&peak)
             }),
         },
         Row {
             id: "fig11.qserve_equals_vllm",
-            paper: "QServe ahead of vLLM (quantized GEMM): QServe's Llama-3-8B, then Llama-2-7B cells",
+            // QServe's cells and geomean on Llama-3-8B, then Llama-2-7B: vLLM's, cell for cell.
+            paper: "QServe ahead of vLLM (quantized GEMM)",
             modeled: || {
-                let mut v = fig11_row(false, &SystemModel::qserve());
-                v.extend(fig11_row(true, &SystemModel::qserve()));
-                v
+                let qserve = SystemModel::qserve();
+                [fig11_row(false, &qserve), fig11_row(true, &qserve)].concat()
             },
             pinned: &[
                 0.65, 0.61, 0.59, 0.38, 0.36, 0.35, 0.47, 0.80, 0.71, 0.63, 0.59, 0.57, 0.39, 0.60,
@@ -396,7 +398,8 @@ fn rows() -> Vec<Row> {
         },
         Row {
             id: "fig11.qserve_closest_short",
-            paper: "QServe closest at short contexts, behind once attention dominates: Llama-2-7B QServe / DuoAttention / MInference at 16K, then at 160K",
+            // Llama-2-7B: QServe / DuoAttention / MInference at 16K, then at 160K.
+            paper: "QServe closest at short contexts, behind once attention dominates",
             modeled: || {
                 let rows = [
                     SystemModel::qserve(),
@@ -415,7 +418,8 @@ fn rows() -> Vec<Row> {
         },
         Row {
             id: "fig11.minference_long_only",
-            paper: "MInference competitive only at very long contexts: Llama-2-7B MInference and the best other baseline at 16K, then at 128K",
+            // Llama-2-7B: MInference and the best other baseline at 16K, then at 128K.
+            paper: "MInference competitive only at very long contexts",
             modeled: || {
                 let minference = fig11_row(true, &SystemModel::minference());
                 let others = [
@@ -433,7 +437,8 @@ fn rows() -> Vec<Row> {
         },
         Row {
             id: "fig12.lserve_tracks_oracle",
-            paper: "LServe's kernel = the oracle dense x (1 - r): dense, then 40 %…90 % sparsity (ms)",
+            // ms: dense, then at 40 %…90 % sparsity.
+            paper: "LServe's kernel tracks the oracle, dense x (1 - sparsity)",
             modeled: || fig12_ms(1.0),
             pinned: &[226.0, 135.6, 113.0, 90.4, 67.8, 45.2, 22.6],
             decimals: 1,
@@ -446,7 +451,8 @@ fn rows() -> Vec<Row> {
         },
         Row {
             id: "fig12.minference_1_3x",
-            paper: "MInference's kernel ~1.3x slower at equal sparsity: dense, then 40 %…90 % (ms)",
+            // ms: dense, then at 40 %…90 % sparsity.
+            paper: "MInference's kernel ~1.3x slower at equal sparsity",
             modeled: || fig12_ms(1.3),
             pinned: &[226.0, 176.3, 146.9, 117.5, 88.1, 58.8, 29.4],
             decimals: 1,
@@ -459,7 +465,8 @@ fn rows() -> Vec<Row> {
         },
         Row {
             id: "fig14.selector_crossover",
-            paper: "vanilla selector passes the paper's 0.12 ms sparse attention past ~64K, 0.24 ms at 128K (8K…256K, ms/layer)",
+            // ms per layer, 8K…256K; 0.12 ms is the paper's sparse attention.
+            paper: "the vanilla selector passes 0.12 ms past ~64K, 0.24 ms at 128K",
             modeled: || fig14_selector_ms(1),
             pinned: &[0.015, 0.030, 0.060, 0.120, 0.240, 0.480],
             decimals: 3,
@@ -471,11 +478,16 @@ fn rows() -> Vec<Row> {
             modeled: || fig14_selector_ms(4),
             pinned: &[0.004, 0.008, 0.015, 0.030, 0.060, 0.120],
             decimals: 3,
-            claim: Claim::Holds(|v| v.iter().zip(fig14_selector_ms(1)).all(|(&c4, c1)| close(4.0 * c4, c1))),
+            claim: Claim::Holds(|v| {
+                v.iter()
+                    .zip(fig14_selector_ms(1))
+                    .all(|(&c4, c1)| close(4.0 * c4, c1))
+            }),
         },
         Row {
             id: "fig14.sparse_attention_flat",
-            paper: "sparse attention flat in context: LServe's, Llama-3-8B, batch 1 (8K…256K, µs/layer)",
+            // LServe's, Llama-3-8B at batch 1, µs per layer, 8K…256K.
+            paper: "sparse attention itself is flat in context length",
             modeled: || {
                 let model = ModelConfig::llama3_8b();
                 FIG14_LENGTHS
@@ -492,7 +504,8 @@ fn rows() -> Vec<Row> {
         },
         Row {
             id: "fig15.baseline_linear",
-            paper: "baseline grows linearly, 87 µs at 4K -> 3492 µs at 256K (4K…256K, µs/layer)",
+            // µs per layer, 4K…256K.
+            paper: "the baseline grows linearly, 87 µs at 4K -> 3492 µs at 256K",
             modeled: || fig15_us(&SystemModel::lserve_dense_baseline()),
             pinned: &[10.0, 20.0, 41.0, 81.0, 162.0, 325.0, 650.0],
             decimals: 0,
@@ -506,16 +519,18 @@ fn rows() -> Vec<Row> {
             decimals: 0,
             claim: Claim::Holds(|v| {
                 let base = fig15_us(&SystemModel::lserve_dense_baseline());
-                v.iter().zip(base).all(|(&s, b)| (1.3..=2.0).contains(&(b / s)))
+                v.iter()
+                    .zip(base)
+                    .all(|(&s, b)| (1.3..=2.0).contains(&(b / s)))
             }),
         },
         Row {
             id: "fig15.sparse_flat",
-            paper: "dynamic-only and LServe flat, ~118 / ~82 µs: dynamic-only, then LServe (4K…256K, µs/layer)",
+            // µs per layer, 4K…256K: dynamic-only, then LServe.
+            paper: "dynamic-only and LServe flat, ~118 / ~82 µs",
             modeled: || {
-                let mut v = fig15_us(&SystemModel::lserve_dynamic_only());
-                v.extend(fig15_us(&SystemModel::lserve()));
-                v
+                let dynamic = fig15_us(&SystemModel::lserve_dynamic_only());
+                [dynamic, fig15_us(&SystemModel::lserve())].concat()
             },
             pinned: &[
                 12.0, 14.0, 18.0, 25.0, 40.0, 70.0, 130.0, 8.0, 10.0, 14.0, 22.0, 37.0, 67.0, 127.0,
@@ -525,10 +540,14 @@ fn rows() -> Vec<Row> {
         },
         Row {
             id: "fig15.gain_256k",
-            paper: "baseline over LServe at 256K: ~30x in the text, 3492 / 82 = 42x from its endpoints",
+            // The baseline over LServe at 256K.
+            paper: "~30x in the text; 3492 / 82 µs = 42x",
             modeled: || {
                 let at_256k = |sys: &SystemModel| fig15_us(sys)[6];
-                vec![at_256k(&SystemModel::lserve_dense_baseline()) / at_256k(&SystemModel::lserve())]
+                vec![
+                    at_256k(&SystemModel::lserve_dense_baseline())
+                        / at_256k(&SystemModel::lserve()),
+                ]
             },
             pinned: &[5.1],
             decimals: 1,
@@ -536,7 +555,8 @@ fn rows() -> Vec<Row> {
         },
         Row {
             id: "fig16.static_bounded",
-            paper: "static sparsity a bounded gain (up to ~1.7x e2e), ahead of dynamic at the shortest context (4K…256K)",
+            // 4K…256K; ahead of dynamic sparsity at 4K.
+            paper: "static sparsity a bounded gain, dominant at short contexts, <= ~1.7x",
             modeled: || fig16_speedup(1),
             pinned: &[1.01, 1.02, 1.05, 1.09, 1.17, 1.30, 1.46],
             decimals: 2,
@@ -571,7 +591,8 @@ fn rows() -> Vec<Row> {
         },
         Row {
             id: "table01.attention_slowdown",
-            paper: "max slowdown 1.52 / 1.25 / 1.01 / 1.00x at pages 16 / 32 / 64 / 128, within 0.07",
+            // Pages 16 / 32 / 64 / 128, each within 0.07.
+            paper: "max slowdown 1.52 / 1.25 / 1.01 / 1.00x",
             modeled: || table01_slowdown(true),
             pinned: &[1.52, 1.22, 1.07, 1.00],
             decimals: 2,
@@ -592,7 +613,19 @@ fn rows() -> Vec<Row> {
         Row {
             id: "table05.prefill_speedup",
             paper: "LServe 1.5-2.1x faster prefill than Quest (4K…64K)",
-            modeled: || table05_speedup(false),
+            modeled: || {
+                let prefill_s = |sys: &SystemModel| -> Vec<f64> {
+                    let model = ModelConfig::llama2_7b();
+                    TABLE05_LENGTHS
+                        .iter()
+                        .map(|&s| prefill(&a100(), &model, sys, s).total())
+                        .collect()
+                };
+                ratios(
+                    &prefill_s(&SystemModel::quest()),
+                    &prefill_s(&SystemModel::lserve()),
+                )
+            },
             pinned: &[1.82, 1.83, 1.85, 1.89, 1.92],
             decimals: 2,
             claim: Claim::Holds(|v| v.iter().all(|x| (1.5..=2.1).contains(x))),
@@ -600,7 +633,10 @@ fn rows() -> Vec<Row> {
         Row {
             id: "table05.decode_speedup",
             paper: "LServe 1.3-1.5x faster decode than Quest (4K…64K)",
-            modeled: || table05_speedup(true),
+            modeled: || {
+                let ms = |sys| decode_ms(&ModelConfig::llama2_7b(), sys, &TABLE05_LENGTHS);
+                ratios(&ms(&SystemModel::quest()), &ms(&SystemModel::lserve()))
+            },
             pinned: &[1.16, 1.17, 1.20, 1.26, 1.37],
             decimals: 2,
             claim: Claim::Gap,
@@ -608,7 +644,10 @@ fn rows() -> Vec<Row> {
         Row {
             id: "table05.quest_decode_ms",
             paper: "Quest decode ~13-15 ms (4K…32K)",
-            modeled: || table05_decode_ms(&SystemModel::quest())[..4].to_vec(),
+            modeled: || {
+                let model = ModelConfig::llama2_7b();
+                decode_ms(&model, &SystemModel::quest(), &TABLE05_LENGTHS[..4])
+            },
             pinned: &[13.04, 13.28, 13.76, 14.72],
             decimals: 2,
             claim: Claim::Holds(|v| v.iter().all(|x| (13.0..=15.0).contains(x))),
@@ -616,16 +655,28 @@ fn rows() -> Vec<Row> {
         Row {
             id: "table05.lserve_decode_ms",
             paper: "LServe decode ~10 ms (4K…64K)",
-            modeled: || table05_decode_ms(&SystemModel::lserve()),
+            modeled: || {
+                decode_ms(
+                    &ModelConfig::llama2_7b(),
+                    &SystemModel::lserve(),
+                    &TABLE05_LENGTHS,
+                )
+            },
             pinned: &[11.28, 11.34, 11.46, 11.70, 12.18],
             decimals: 2,
             claim: Claim::Gap,
         },
         Row {
             id: "table05.quest_fits_64k",
-            paper: "Quest OOMs at 64K (FP16 MHA KV): sequences that fit",
+            // Quest sequences that fit at 64K.
+            paper: "Quest OOMs at 64K (FP16 MHA KV)",
             modeled: || {
-                vec![max_batch(&a100(), &ModelConfig::llama2_7b(), &SystemModel::quest(), 65_536) as f64]
+                vec![max_batch(
+                    &a100(),
+                    &ModelConfig::llama2_7b(),
+                    &SystemModel::quest(),
+                    65_536,
+                ) as f64]
             },
             pinned: &[1.0],
             decimals: 0,
@@ -635,8 +686,8 @@ fn rows() -> Vec<Row> {
             id: "table07.speedup_grows",
             paper: "speedup over vLLM grows from 1.09x at 64K to 1.82x at 320K",
             modeled: || {
-                let (v, l) = (table07_ms(&SystemModel::vllm()), table07_ms(&SystemModel::lserve()));
-                v.iter().zip(l).map(|(v, l)| v / l).collect()
+                let ms = |sys| decode_ms(&ModelConfig::llama3_8b(), sys, &TABLE07_LENGTHS);
+                ratios(&ms(&SystemModel::vllm()), &ms(&SystemModel::lserve()))
             },
             pinned: &[1.15, 1.30, 1.43, 1.56, 1.68, 1.79, 1.90, 2.09],
             decimals: 2,
@@ -644,11 +695,11 @@ fn rows() -> Vec<Row> {
         },
         Row {
             id: "table07.latency",
-            paper: "vLLM 12.51…27.45 ms, LServe 11.49…15.10 ms: vLLM's, then LServe's (64K…320K)",
+            // ms, 64K…320K: vLLM's, then LServe's.
+            paper: "vLLM 12.51…27.45 ms, LServe 11.49…15.10 ms",
             modeled: || {
-                let mut v = table07_ms(&SystemModel::vllm());
-                v.extend(table07_ms(&SystemModel::lserve()));
-                v
+                let ms = |sys| decode_ms(&ModelConfig::llama3_8b(), sys, &TABLE07_LENGTHS);
+                [ms(&SystemModel::vllm()), ms(&SystemModel::lserve())].concat()
             },
             pinned: &[
                 14.27, 16.74, 19.20, 21.67, 24.13, 26.60, 29.07, 34.00, 12.43, 12.91, 13.39, 13.87,
@@ -657,7 +708,7 @@ fn rows() -> Vec<Row> {
             decimals: 2,
             claim: Claim::Gap,
         },
-    ]
+    ])
 }
 
 #[test]

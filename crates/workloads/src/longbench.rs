@@ -5,8 +5,9 @@
 //! (multi-hop QA needs several spans, summarization needs broad coverage, few-shot
 //! tasks need sharp recall of specific demonstrations). The measured quantity is
 //! retrieval **fidelity** in `[0, 1]` (mean salient-span recall of the sparse
-//! policy); the harness multiplies it by the paper's dense score to present
-//! paper-comparable numbers, and reports the dense baseline's own fidelity as 1.0.
+//! policy); Table 2's row in `tests/quality_gates.rs` multiplies it by the paper's
+//! dense score to present paper-comparable numbers, the dense baseline's own
+//! fidelity being 1.0.
 
 use crate::niah::NiahConfig;
 use crate::ruler::MultiNeedleCase;

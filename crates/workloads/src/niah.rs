@@ -28,7 +28,7 @@ pub struct NiahConfig {
 }
 
 impl NiahConfig {
-    /// The default pressure-test geometry used by the Figure 6/9/13 harnesses.
+    /// The default pressure-test geometry of Figures 6, 9 and 13.
     ///
     /// The spike is deliberately moderate (2.3): strong enough that 16-token page
     /// statistics rank the needle page reliably, weak enough that the channelwise

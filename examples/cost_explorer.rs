@@ -1,5 +1,6 @@
 //! Cost-model explorer: ask "what would this configuration cost on an A100?" for
-//! any context length — the question every table/figure harness automates.
+//! any context length — the question every row of
+//! `crates/costmodel/tests/paper_figures.rs` asks of a figure.
 //!
 //! ```text
 //! cargo run --release --example cost_explorer [seq_len_tokens]

@@ -25,7 +25,9 @@ use lserve::kvcache::PagingConfig;
 use lserve::model::{greedy_next_token, ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
 use lserve::selector::{FlatSelector, HierarchicalSelector, PageSelector, ReusableSelector};
-use lserve::workloads::{longbench_tasks, DriftingQueries, MultiNeedleCase, NiahCase, NiahConfig};
+use lserve::workloads::{
+    longbench_tasks, DriftingQueries, LongBenchTask, MultiNeedleCase, NiahCase, NiahConfig,
+};
 
 const SEQ: usize = 16_384;
 const BUDGET: usize = 4096;
@@ -393,19 +395,16 @@ fn table02_longbench_proxy_loses_a_point_on_average() {
             total / cases.len() as f64
         })
         .collect();
-    let average = |dense: fn(&_) -> f64, scale: bool| {
-        let sum: f64 = tasks
-            .iter()
-            .zip(&fidelity)
-            .map(|(t, f)| dense(t) * if scale { *f } else { 1.0 })
-            .sum();
-        sum / tasks.len() as f64
+    let average = |score: fn(&LongBenchTask) -> f64, fidelity: &[f64]| {
+        let total: f64 = tasks.iter().zip(fidelity).map(|(t, f)| score(t) * f).sum();
+        total / tasks.len() as f64
     };
+    let dense = vec![1.0; tasks.len()];
     let averages = [
-        average(|t| t.dense_llama3, false),
-        average(|t| t.dense_llama3, true),
-        average(|t| t.dense_llama2, false),
-        average(|t| t.dense_llama2, true),
+        average(|t| t.dense_llama3, &dense),
+        average(|t| t.dense_llama3, &fidelity),
+        average(|t| t.dense_llama2, &dense),
+        average(|t| t.dense_llama2, &fidelity),
     ];
     println!("fidelity per task: {:?}", shown(&fidelity, 3));
     println!(
