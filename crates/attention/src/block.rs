@@ -45,11 +45,20 @@ impl RowState {
     };
 }
 
+/// A causal mask over a block: row `r` of a fold is the query at position
+/// `q0 + r / rows_per_position` (a query tile has one row a position, a run of
+/// decode rows a GQA group's), and the block's first key is at position `k0`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Causal {
+    pub q0: usize,
+    pub k0: usize,
+    pub rows_per_position: usize,
+}
+
 /// Folds `block` into `rows` (one per `D`-long row of `q` and of `acc`, which
-/// starts zeroed). Every row attends the whole block, or under
-/// `causal = Some((q0, k0))` — row `r` is the query at position `q0 + r`, the
-/// block's first key is at position `k0` — only the keys at positions up to
-/// its own. `acc` holds unnormalized sums until [`finish_rows`].
+/// starts zeroed). Every row attends the whole block, or under a [`Causal`]
+/// mask only the keys at positions up to its own. `acc` holds unnormalized
+/// sums until [`finish_rows`].
 ///
 /// # Panics
 ///
@@ -59,7 +68,7 @@ pub(crate) fn fold_block(
     q: &[f32],
     scale: f32,
     block: KvBlock<'_>,
-    causal: Option<(usize, usize)>,
+    causal: Option<Causal>,
     rows: &mut [RowState],
     acc: &mut [f32],
 ) {
@@ -85,7 +94,7 @@ fn fold_block_avx2(
     q: &[f32],
     scale: f32,
     block: KvBlock<'_>,
-    causal: Option<(usize, usize)>,
+    causal: Option<Causal>,
     rows: &mut [RowState],
     acc: &mut [f32],
 ) {
@@ -101,7 +110,7 @@ fn fold_block_with(
     q: &[f32],
     scale: f32,
     block: KvBlock<'_>,
-    causal: Option<(usize, usize)>,
+    causal: Option<Causal>,
     rows: &mut [RowState],
     acc: &mut [f32],
 ) {
@@ -262,7 +271,7 @@ fn fold_block_d<const D: usize>(
     q: &[f32],
     scale: f32,
     block: KvBlock<'_>,
-    causal: Option<(usize, usize)>,
+    causal: Option<Causal>,
     rows: &mut [RowState],
     acc: &mut [f32],
 ) {
@@ -285,7 +294,11 @@ fn fold_block_d<const D: usize>(
     for ((start, group), values) in (0..n).step_by(KEY_LANES).zip(groups).zip(values) {
         // Lanes of this group that row `r` attends.
         let visible = |r: usize| {
-            let keys = causal.map_or(n, |(q0, k0)| (q0 + r + 1).saturating_sub(k0).min(n));
+            let keys = causal.map_or(n, |c| {
+                (c.q0 + r / c.rows_per_position + 1)
+                    .saturating_sub(c.k0)
+                    .min(n)
+            });
             keys.saturating_sub(start).min(KEY_LANES)
         };
         // Rows two at a time (a GQA group, a query tile): what fits the
@@ -388,6 +401,7 @@ mod tests {
                         &pool,
                         &cache,
                         d,
+                        group,
                         queries.as_slice(),
                         scale,
                         selection,
@@ -427,8 +441,15 @@ mod tests {
                 .collect();
             each_copy(|copy| {
                 let mut out = vec![f32::NAN; group * d];
-                let stats =
-                    decode_streaming_group(&pool, &cache, d, queries.as_slice(), scale, &mut out);
+                let stats = decode_streaming_group(
+                    &pool,
+                    &cache,
+                    d,
+                    group,
+                    queries.as_slice(),
+                    scale,
+                    &mut out,
+                );
                 assert!(stats.pages_visited <= (group * 3) as u64);
                 assert_eq!(
                     bits(&out),

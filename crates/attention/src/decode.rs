@@ -14,7 +14,7 @@
 
 use lserve_kvcache::{DenseHeadCache, PageId, PagePool, StreamingHeadCache};
 
-use crate::block::{finish_rows, fold_block, KvBlock, RowState};
+use crate::block::{finish_rows, fold_block, Causal, KvBlock, RowState};
 
 /// Work counters for one decode-attention call (one head, one step).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -27,33 +27,44 @@ pub struct DecodeStats {
     pub pages_total: u64,
 }
 
-/// Query rows of one GQA group whose softmax states [`attend_pages`] keeps on
-/// the stack.
-const INLINE_GROUP: usize = 8;
+/// Query rows whose softmax states [`attend_pages`] keeps on the stack.
+const INLINE_ROWS: usize = 8;
 
-/// Attends the `d`-long rows of `queries` (one GQA group: they share the KV
-/// head) to `pages` in order, writing one output row each into `out`. Counters
-/// are per query head, so a page visited for the group counts once per row, as
-/// do the `table_pages` a dense kernel over the full history would visit.
+/// Attends the `d`-long rows of `queries` to `pages` in order, writing one
+/// output row each into `out`. The rows are `group` query heads (one GQA
+/// group: they share the KV head) for each of the head's last
+/// `queries.len() / (group * d)` positions, position-major. Several positions
+/// are the rows of a run whose attention was deferred until they all read the
+/// same pages: each page is folded once for all of them, and the tail page —
+/// `tail`, holding every one of their keys — under a causal mask, so each row
+/// sees the keys it saw when it was appended. No rows at all is a row whose
+/// attention a later call does: only its work is counted.
+///
+/// Counters are for the head's last position and per query head, so a page
+/// visited for the group counts once per head, as do the `table_pages` a
+/// dense kernel over the full history would visit.
 ///
 /// # Panics
 ///
-/// Panics if `queries`/`out` are not the same whole number of `d`-long rows, if
-/// `d` is not the pages' head dimension, or if a page is not hot.
+/// Panics if `queries`/`out` are not the same whole number of `group × d`
+/// rows, if `d` is not the pages' head dimension, or if a page is not hot.
+#[allow(clippy::too_many_arguments)]
 fn attend_pages(
     pool: &PagePool,
     pages: impl Iterator<Item = PageId>,
-    table_pages: usize,
+    (table_pages, tokens, tail): (usize, usize, Option<PageId>),
     d: usize,
+    group: usize,
     queries: &[f32],
     scale: f32,
     out: &mut [f32],
 ) -> DecodeStats {
     assert_eq!(out.len(), queries.len(), "group output mismatch");
-    assert_eq!(queries.len() % d, 0, "ragged query group");
-    // A GQA group's softmax states live on the stack; only a group wider
-    // than any model here runs takes a heap buffer.
-    let mut inline = [RowState::EMPTY; INLINE_GROUP];
+    assert_eq!(queries.len() % (group * d), 0, "ragged query group");
+    let positions = queries.len() / (group * d);
+    // The softmax states live on the stack; only a run of rows takes a heap
+    // buffer.
+    let mut inline = [RowState::EMPTY; INLINE_ROWS];
     let mut spilled = Vec::new();
     let rows: &mut [RowState] = match inline.get_mut(..queries.len() / d) {
         Some(rows) => rows,
@@ -62,7 +73,7 @@ fn attend_pages(
             &mut spilled
         }
     };
-    let group = rows.len() as u64;
+    let group = group as u64;
     out.fill(0.0);
     let mut stats = DecodeStats {
         pages_total: group * table_pages as u64,
@@ -80,30 +91,42 @@ fn attend_pages(
         );
         let page = pool.page(id);
         assert_eq!(page.head_dim(), d, "query dimension mismatch");
+        stats.pages_visited += group;
+        stats.tokens_visited += group * page.len() as u64;
+        if positions == 0 {
+            continue;
+        }
+        let causal = (positions > 1 && Some(id) == tail).then(|| Causal {
+            q0: tokens - positions,
+            k0: tokens - page.len(),
+            rows_per_position: group as usize,
+        });
         let block = KvBlock {
             keys: page.key_lanes(),
             values: page.value_rows(),
         };
-        fold_block(d, queries, scale, block, None, rows, out);
-        stats.pages_visited += group;
-        stats.tokens_visited += group * page.len() as u64;
+        fold_block(d, queries, scale, block, causal, rows, out);
     }
     finish_rows(d, rows, out);
     stats
 }
 
-/// Decode attention of one GQA group against a dense head: see
-/// [`decode_dense_head`], which is the group of one.
+/// Decode attention of `group` query heads against a dense head, for its
+/// last `queries.len() / (group * d)` positions (see [`attend_pages`]);
+/// [`decode_dense_head`] is one head at one position.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn decode_dense_group(
     pool: &PagePool,
     cache: &DenseHeadCache,
     d: usize,
+    group: usize,
     queries: &[f32],
     scale: f32,
     selected_pages: Option<&[usize]>,
     out: &mut [f32],
 ) -> DecodeStats {
     let table = cache.page_table();
+    let head = (table.len(), cache.tokens(), table.last().copied());
     match selected_pages {
         Some(sel) => {
             let pages = sel.iter().map(|&p| {
@@ -114,28 +137,30 @@ pub(crate) fn decode_dense_group(
                 );
                 table[p]
             });
-            attend_pages(pool, pages, table.len(), d, queries, scale, out)
+            attend_pages(pool, pages, head, d, group, queries, scale, out)
         }
         None => {
             let pages = table.iter().copied();
-            attend_pages(pool, pages, table.len(), d, queries, scale, out)
+            attend_pages(pool, pages, head, d, group, queries, scale, out)
         }
     }
 }
 
-/// Decode attention of one GQA group against a streaming head: see
-/// [`decode_streaming_head`], which is the group of one.
+/// Decode attention of `group` query heads against a streaming head: see
+/// [`decode_dense_group`]; [`decode_streaming_head`] is one head at one
+/// position.
 pub(crate) fn decode_streaming_group(
     pool: &PagePool,
     cache: &StreamingHeadCache,
     d: usize,
+    group: usize,
     queries: &[f32],
     scale: f32,
     out: &mut [f32],
 ) -> DecodeStats {
-    let pages = cache.page_ids();
     let full_pages = pool.config().pages_for(cache.tokens());
-    attend_pages(pool, pages, full_pages, d, queries, scale, out)
+    let head = (full_pages, cache.tokens(), cache.page_ids().last());
+    attend_pages(pool, cache.page_ids(), head, d, group, queries, scale, out)
 }
 
 /// Decode attention for a dense head.
@@ -156,7 +181,7 @@ pub fn decode_dense_head(
     selected_pages: Option<&[usize]>,
 ) -> (Vec<f32>, DecodeStats) {
     let mut out = vec![0.0; q.len()];
-    let stats = decode_dense_group(pool, cache, q.len(), q, scale, selected_pages, &mut out);
+    let stats = decode_dense_group(pool, cache, q.len(), 1, q, scale, selected_pages, &mut out);
     (out, stats)
 }
 
@@ -173,7 +198,7 @@ pub fn decode_streaming_head(
     scale: f32,
 ) -> (Vec<f32>, DecodeStats) {
     let mut out = vec![0.0; q.len()];
-    let stats = decode_streaming_group(pool, cache, q.len(), q, scale, &mut out);
+    let stats = decode_streaming_group(pool, cache, q.len(), 1, q, scale, &mut out);
     (out, stats)
 }
 

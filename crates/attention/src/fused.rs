@@ -323,6 +323,7 @@ mod tests {
         let mut shard = DecodeShard {
             head: &cache[kv],
             queries: &q[kv * width..(kv + 1) * width],
+            group: c.group_size(),
             selection: None,
             head_dim: c.head_dim,
             scale: c.scale(),

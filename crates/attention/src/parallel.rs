@@ -265,8 +265,14 @@ pub fn run_placed<T: Send, F: Fn(&mut T) + Sync>(
 pub struct DecodeShard<'a> {
     /// The KV head's cache (dense or streaming).
     pub head: &'a HeadCache,
-    /// Query rows of every query head in this KV head's group, concatenated.
+    /// Query rows of every query head in this KV head's group, concatenated,
+    /// for each position the shard attends, position-major: one position, or
+    /// a run's deferred rows and then its current one, whose attention is one
+    /// pass over pages they all read. Empty for a row whose attention is
+    /// deferred to a later shard: the shard then only counts its work.
     pub queries: &'a [f32],
+    /// Query heads per KV head.
+    pub group: usize,
     /// Selected physical-page indices for a dense head (`None` = full history;
     /// ignored for streaming heads, whose page table *is* the selection).
     pub selection: Option<&'a [usize]>,
@@ -290,10 +296,12 @@ pub struct DecodeShard<'a> {
 /// Panics if `queries`/`out` lengths disagree or are not a multiple of
 /// `head_dim`, or on the underlying kernels' shape checks.
 pub fn run_decode_shard(pool: &PagePool, shard: &mut DecodeShard<'_>) {
-    let (d, q, scale) = (shard.head_dim, shard.queries, shard.scale);
+    let (d, g, q, scale) = (shard.head_dim, shard.group, shard.queries, shard.scale);
     shard.stats = match shard.head {
-        HeadCache::Dense(c) => decode_dense_group(pool, c, d, q, scale, shard.selection, shard.out),
-        HeadCache::Streaming(c) => decode_streaming_group(pool, c, d, q, scale, shard.out),
+        HeadCache::Dense(c) => {
+            decode_dense_group(pool, c, d, g, q, scale, shard.selection, shard.out)
+        }
+        HeadCache::Streaming(c) => decode_streaming_group(pool, c, d, g, q, scale, shard.out),
     };
 }
 

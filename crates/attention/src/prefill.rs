@@ -10,7 +10,7 @@
 use lserve_kvcache::{key_lane_offset, KEY_LANES};
 use lserve_tensor::Matrix;
 
-use crate::block::{finish_rows, fold_block, KvBlock, RowState};
+use crate::block::{finish_rows, fold_block, Causal, KvBlock, RowState};
 use crate::pattern::{BlockDecision, BlockPattern};
 
 /// Work counters for one prefill call.
@@ -154,7 +154,11 @@ pub(crate) fn prefill_head(
                 values: &v.as_slice()[k_start * d..k_end * d],
             };
             // Elementwise mask only on the diagonal tile.
-            let causal = (decision == BlockDecision::Causal).then_some((q_start, k_start));
+            let causal = (decision == BlockDecision::Causal).then_some(Causal {
+                q0: q_start,
+                k0: k_start,
+                rows_per_position: 1,
+            });
             fold_block(
                 d,
                 &q.as_slice()[tile.clone()],

@@ -118,6 +118,44 @@ impl ModelExecutor {
         }
     }
 
+    /// True when the next row of a run through layer `l` — the row after the
+    /// one at `(pos, step)`, which `plan` was made for — will read the pages
+    /// this row reads, so this row's attention can wait and fold them once
+    /// with it: the next append takes no page (an allocation can grow a
+    /// table, evict a streaming head's middle page or fork a shared tail),
+    /// and every selecting head keeps what it reads, staying under the
+    /// budget or inside one reuse chunk (a rescore demotes the pages it
+    /// stops picking).
+    pub(super) fn next_row_reads_the_same_pages(
+        &self,
+        state: &SequenceState,
+        pool: &PagePool,
+        l: usize,
+        plan: &RowPlan,
+        (pos, step): (usize, usize),
+    ) -> bool {
+        let heads = &state.layers[l];
+        if heads.iter().any(|h| h.needs_page_for_next_append(pool)) {
+            return false;
+        }
+        let budget = state
+            .sparsity
+            .effective_budget(self.cfg.dynamic_budget, pos + 1);
+        heads
+            .iter()
+            .zip(&state.selectors[l])
+            .enumerate()
+            .all(|(kv, pair)| {
+                let (HeadCache::Dense(cache), Some(selector)) = pair else {
+                    return true;
+                };
+                // What `select_pages` and the selector will decide for the next row.
+                let selects = budget.is_some_and(|b| cache.tokens() + 1 > b);
+                let reuses = selector.next_fresh_step().is_some_and(|s| step + 1 < s);
+                selects == plan.selections[kv].is_some() && (!selects || reuses)
+            })
+    }
+
     /// The residency pass of the tiered KV memory, run per layer between page
     /// selection and the attention kernels:
     ///

@@ -140,6 +140,17 @@ impl ModelExecutor {
     /// makes finishing a layer's rows before the next layer starts
     /// bit-identical to finishing a token's layers before the next token.
     ///
+    /// **Run folding.** A row's attention is arithmetic the pool never sees,
+    /// so it may wait: while the next row of the same run will read the same
+    /// pages ([`ModelExecutor::next_row_reads_the_same_pages`] — every row
+    /// under the budget, the rows of one reuse chunk above it), the row's
+    /// shard only counts its work, and the row that ends the wait — one
+    /// whose successor rescores or allocates a page, or the run's last —
+    /// folds each page once for all the waiting rows, the tail page under a
+    /// causal mask. Each row still folds exactly its keys in the same order,
+    /// so the bits are the per-row ones; the serial phase, the shards'
+    /// costs, placement, stats and trace stay per round.
+    ///
     /// What does see the order is the pool: free slots, the copy engine's
     /// in-flight set (drained once per call, by `rows` tokens of compute) and
     /// `reserved` are shared by all layers, so *which* promotions exchange
@@ -193,10 +204,16 @@ impl ModelExecutor {
         // Token-wide speculative-transfer allowance per row, spent by
         // issue_prefetches across all layers (async migration only).
         let mut prefetch_budget: Vec<usize> = vec![Self::PREFETCH_PER_SEQ; rows];
+        // Per entry: rows of its run whose attention waits for a later row
+        // that reads the same pages, and whether this round's row folds them.
+        let mut deferred = vec![0usize; batch.len()];
+        let mut flush = vec![false; batch.len()];
+        // This round's shards' query rows and outputs, gathered per shard.
+        let (mut queries, mut outs) = (Vec::new(), Vec::new());
         for (l, lw) in self.weights.layers.iter().enumerate() {
             let acts = pre_attention(model, lw, &x, &angles);
             let mut attn = Matrix::zeros(rows, width);
-            let mut attn_rows: Vec<&mut [f32]> = attn.as_mut_slice().chunks_mut(width).collect();
+            deferred.fill(0);
             for r in 0..rounds {
                 // Phase 1 (serial, batch order): KV writeback, dynamic page
                 // selection, residency. A failed append kills only that
@@ -246,6 +263,13 @@ impl ModelExecutor {
                         continue;
                     }
                     plans[i].row = Some(row);
+                    // Run folding: the row's attention waits while the next
+                    // row of its run reads the same pages, and the row that
+                    // ends the wait folds each page once for all of them.
+                    // The pool sees the serial phase in round order either
+                    // way, and the work is costed and counted per round.
+                    flush[i] = r + 1 == run.len()
+                        || !self.next_row_reads_the_same_pages(state, pool, l, &plans[i], at);
                     // Overlap window: promotions issued above ride the rest of
                     // this call's compute; prefetches below start a step early.
                     if pool.migration_mode() == MigrationMode::Async {
@@ -264,36 +288,59 @@ impl ModelExecutor {
                     &[("layer", l as u64)],
                 );
                 let par_start = tracer.now();
-                // Phase 2 (parallel): sharded attention into disjoint
-                // per-(sequence × KV-head) slices of the round's output rows.
+                // Phase 2 (parallel): sharded attention, one shard per
+                // (sequence × KV-head), each into its own gathered slice.
                 table.clear();
+                queries.clear();
+                for (i, fed) in plans.iter().enumerate() {
+                    let Some(row) = fed.row else { continue };
+                    let folded = if flush[i] {
+                        row - deferred[i]..row + 1
+                    } else {
+                        0..0
+                    };
+                    for kv in 0..model.num_kv_heads {
+                        for row in folded.clone() {
+                            queries
+                                .extend_from_slice(&acts.q.row(row)[kv * group * d..][..group * d]);
+                        }
+                    }
+                }
+                outs.clear();
+                outs.resize(queries.len(), 0.0);
                 {
                     let pool_ref: &PagePool = pool;
                     let scale = self.attn_cfg.scale();
+                    let (mut q_left, mut out_left) = (&queries[..], &mut outs[..]);
                     let mut shards: Vec<DecodeShard<'_>> = Vec::new();
                     for (i, ((state, _), fed)) in batch.iter().zip(&plans).enumerate() {
-                        let Some(row) = fed.row else { continue };
-                        let q = acts.q.row(row);
-                        let heads = &state.layers[l];
-                        let out = std::mem::take(&mut attn_rows[row]);
-                        for (kv, out_chunk) in out.chunks_mut(group * d).enumerate() {
+                        if fed.row.is_none() {
+                            continue;
+                        }
+                        let folded = if flush[i] { deferred[i] + 1 } else { 0 };
+                        for (kv, head) in state.layers[l].iter().enumerate() {
                             let selection = fed.selections[kv].as_deref();
                             let cost = decode_shard_cost(
                                 pool_ref,
-                                &heads[kv],
+                                head,
                                 selection,
                                 fed.hints[kv],
                                 fed.fetch_units[kv],
                                 group,
                             );
                             table.push(i, kv, cost);
+                            let (q, rest) = q_left.split_at(folded * group * d);
+                            let (out, out_rest) =
+                                std::mem::take(&mut out_left).split_at_mut(q.len());
+                            (q_left, out_left) = (rest, out_rest);
                             shards.push(DecodeShard {
-                                head: &heads[kv],
-                                queries: &q[kv * group * d..(kv + 1) * group * d],
+                                head,
+                                queries: q,
+                                group,
                                 selection,
                                 head_dim: d,
                                 scale,
-                                out: out_chunk,
+                                out,
                                 stats: DecodeStats::default(),
                             });
                         }
@@ -312,6 +359,22 @@ impl ModelExecutor {
                     table.trace(&tracer, par_start, l, threads, &placed, charged);
                     table.stats.extend(shards.iter().map(|s| s.stats));
                 }
+                // Scatter the folded rows' outputs back, in gather order.
+                let mut out_rows = outs.chunks_exact(group * d);
+                for (i, fed) in plans.iter().enumerate() {
+                    let Some(row) = fed.row else { continue };
+                    if !flush[i] {
+                        deferred[i] += 1;
+                        continue;
+                    }
+                    for kv in 0..model.num_kv_heads {
+                        for row in row - deferred[i]..=row {
+                            let out = out_rows.next().expect("one output per gathered row");
+                            attn.row_mut(row)[kv * group * d..][..group * d].copy_from_slice(out);
+                        }
+                    }
+                    deferred[i] = 0;
+                }
                 // Work counters attributed per sequence in shard-construction
                 // order, so stats stay deterministic too.
                 for ((&i, &kv), &stats) in table.seq.iter().zip(&table.kv).zip(&table.stats) {
@@ -320,7 +383,6 @@ impl ModelExecutor {
                     state.stats.add_decode(streaming, stats);
                 }
             }
-            drop(attn_rows);
             // Phase 3 (stacked): output projection + FFN over every row.
             post_attention(lw, &mut x, &attn);
             ffn_block(lw, &mut x);
