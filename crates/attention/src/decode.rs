@@ -14,7 +14,7 @@
 
 use lserve_kvcache::{DenseHeadCache, PageId, PagePool, StreamingHeadCache};
 
-use crate::block::{finish_rows, fold_block, Causal, KvBlock, RowState};
+use crate::block::{finish_rows, fold_block, Causal, RowState};
 
 /// Work counters for one decode-attention call (one head, one step).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -101,11 +101,7 @@ fn attend_pages(
             k0: tokens - page.len(),
             rows_per_position: group as usize,
         });
-        let block = KvBlock {
-            keys: page.key_lanes(),
-            values: page.value_rows(),
-        };
-        fold_block(d, queries, scale, block, causal, rows, out);
+        fold_block(d, queries, scale, page.data(), causal, rows, out);
     }
     finish_rows(d, rows, out);
     stats

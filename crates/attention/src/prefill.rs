@@ -149,7 +149,7 @@ pub(crate) fn prefill_head(
             stats.tiles_visited += 1;
             let k_start = kb * tk;
             let k_end = ((kb + 1) * tk).min(n);
-            let block = KvBlock {
+            let block = KvBlock::Rows {
                 keys: keys.tile(kb),
                 values: &v.as_slice()[k_start * d..k_end * d],
             };

@@ -92,7 +92,7 @@ pub(crate) mod scalar {
         for id in pages {
             let page = pool.page(id);
             for t in 0..page.len() {
-                fold_key(&mut acc, q, &page.key_row(t), page.value_row(t), scale);
+                fold_key(&mut acc, q, &page.key_row(t), &page.value_row(t), scale);
             }
         }
         acc.finish()

@@ -455,8 +455,7 @@ mod tests {
 
     /// Selection-driven demotion (tiered KV memory): selector-stale dense
     /// pages migrate to the cold tier and come back when a selection re-picks
-    /// them — a quantized page dropping its rows and rebuilding them, into
-    /// rows another page dropped — and the emitted logits are bit-identical
+    /// them, and the emitted logits are bit-identical
     /// at every step to a run whose pages all stay hot. That run is off by
     /// construction: before every step each of its pages gets a second
     /// owner, and the pool demotes no co-owned page.
@@ -815,10 +814,10 @@ mod tests {
     /// The memory bound (§3.5: a selecting head keeps a constant number of
     /// pages live whatever the context). A solo INT4 run at budget `B`
     /// decoded to past `4·B` tokens: after every step, no dense head holds
-    /// rows in more pages than the cap `sequence_pages_estimate` charges it,
+    /// more hot pages than the cap `sequence_pages_estimate` charges it,
     /// while its history grows past that cap. A count, so it holds on any box.
     #[test]
-    fn a_selecting_heads_pages_with_rows_stay_under_the_estimate_cap() {
+    fn a_selecting_heads_hot_pages_stay_under_the_estimate_cap() {
         const BUDGET: usize = 32;
         let cfg = EngineConfig {
             paging: lserve_kvcache::PagingConfig::new(8, 4, KvPrecision::Int4),
@@ -839,22 +838,19 @@ mod tests {
             let cap = dense_head_pages(&cfg, s.context_len(), 0, Some(BUDGET));
             for head in s.layers.iter().flatten() {
                 let HeadCache::Dense(c) = head else { continue };
-                let with_rows = c
-                    .page_table()
-                    .iter()
-                    .filter(|&&id| pool.page(id).has_rows());
-                let with_rows = with_rows.count();
+                let hot = c.page_table().iter().filter(|&&id| pool.is_hot(id));
+                let hot = hot.count();
                 assert!(
-                    with_rows <= cap,
-                    "{with_rows} pages with rows over a cap of {cap} at {} tokens",
+                    hot <= cap,
+                    "{hot} hot pages over a cap of {cap} at {} tokens",
                     s.context_len()
                 );
-                peak = peak.max(with_rows);
+                peak = peak.max(hot);
                 longest = longest.max(c.num_pages());
             }
         }
         let cap = dense_head_pages(&cfg, s.context_len(), 0, Some(BUDGET));
-        println!("pages with rows: peak {peak} of a cap of {cap}; history {longest} pages");
+        println!("hot pages: peak {peak} of a cap of {cap}; history {longest} pages");
         assert!(longest > cap, "the history must outgrow the cap");
         assert!(s.stats().pages_demoted > 0 && s.stats().pages_promoted > 0);
     }

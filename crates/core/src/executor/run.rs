@@ -819,13 +819,13 @@ mod tests {
             if cfg.dynamic_budget.is_some_and(|budget| budget < start) {
                 assert!(s.stats().pages_demoted > 0, "the sweep never demoted");
             }
-            // Below the hot tier a quantized page holds codes only: read the
-            // rows of a copy of the pool brought wholly hot.
-            let mut hot = pool.clone();
-            hot.ensure_resident(s.page_ids())
-                .expect("room for every page");
-            let pages = s.page_ids().map(|id| hot.page(id));
-            let pages = pages.map(|p| (p.len(), bits(p.key_lanes()), bits(p.value_rows())));
+            // Every stored row, read element by element on whatever tier.
+            let pages = s.page_ids().map(|id| pool.page(id));
+            let pages = pages.map(|p| {
+                let keys = (0..p.len()).flat_map(|t| bits(&p.key_row(t)));
+                let values = (0..p.len()).flat_map(|t| bits(&p.value_row(t)));
+                (p.len(), keys.collect(), values.collect())
+            });
             let pages = pages.collect();
             let work = EngineStats {
                 pages_demoted: 0,

@@ -75,8 +75,7 @@ impl DenseHeadCache {
     ///
     /// # Panics
     ///
-    /// Panics if `t >= tokens()`, or if the token's page is a quantized page
-    /// below the hot tier, which holds codes only ([`crate::KvPage::key_row`]).
+    /// Panics if `t >= tokens()`.
     pub fn key(&self, pool: &PagePool, t: usize) -> Vec<f32> {
         let np = pool.config().physical_page_size();
         pool.page(self.pages[t / np]).key_row(t % np)
@@ -86,11 +85,10 @@ impl DenseHeadCache {
     ///
     /// # Panics
     ///
-    /// Panics if `t >= tokens()`, or if the token's page is a quantized page
-    /// below the hot tier, which holds codes only ([`crate::KvPage::key_row`]).
+    /// Panics if `t >= tokens()`.
     pub fn value(&self, pool: &PagePool, t: usize) -> Vec<f32> {
         let np = pool.config().physical_page_size();
-        pool.page(self.pages[t / np]).value_row(t % np).to_vec()
+        pool.page(self.pages[t / np]).value_row(t % np)
     }
 
     /// Frees every page back to the pool and clears the table.

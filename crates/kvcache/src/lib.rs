@@ -49,7 +49,7 @@ pub use config::PagingConfig;
 pub use copy_engine::{MigrationDir, MigrationMode, MigrationStats, COPY_CHANNEL_DEPTH};
 pub use dense::DenseHeadCache;
 pub use layer::{append_token, HeadCache};
-pub use page::{key_lane_offset, KvPage, KEY_LANES};
+pub use page::{key_lane_offset, CodeLanes, KvPage, PageCodes, PageData, KEY_LANES};
 pub use pool::tiers::{Moved, Residency, TierConfig};
 pub use pool::{AppendedTo, PageId, PagePool};
 pub use stats::{

@@ -1,7 +1,7 @@
 //! One physical KV page: its key lane layout, code packing and per-logical-page
 //! key statistics.
 
-use lserve_quant::{quantize_codes, KvPrecision};
+use lserve_quant::{quantize_codes, KvPrecision, QuantParams};
 
 use crate::{config::PagingConfig, stats::LogicalPageStats};
 
@@ -25,14 +25,13 @@ const STAT_LANES: usize = 4;
 /// stored at the configured precision, plus per-logical-page key statistics.
 ///
 /// A quantized page stores codes plus per-token-row scale/zero (QServe
-/// layout), and the codes are its storage: the f32 *rows* the kernels read
-/// are the codes dequantized, held only while the page has a readable hot
-/// copy. Below the hot tier the pool drops them ([`KvPage::has_rows`] turns
-/// false) and rebuilds them, bit for bit, when the page lands hot again; the
-/// key bounds stay, so the selector scores the page wherever it is. An FP16
-/// page's rows are its storage and never leave. Key statistics are computed
-/// from the *stored* (dequantized) representation, matching what the device
-/// kernel could reconstruct.
+/// layout), and the codes are its storage on every tier: the decode kernel
+/// reads them ([`KvPage::data`]) and dequantizes in registers, so a page
+/// holds no f32 copy anywhere and nothing is rebuilt when it lands hot. The
+/// key bounds stay with the codes, so the selector scores the page wherever
+/// it is. An FP16 page's storage is its f32 rows. Key statistics are
+/// computed from the *stored* (dequantized) representation, matching what
+/// the device kernel reconstructs.
 ///
 /// Every buffer is allocated whole when the page is (pages are device pages:
 /// fixed size), so an append writes in place and never allocates.
@@ -43,20 +42,21 @@ pub struct KvPage {
     /// `config.logical_per_physical()`, kept: the append path indexes by it.
     logical: usize,
     len: usize,
-    // The effective (post-quantization) rows in f32. `None` on a quantized
-    // page below the hot tier.
-    rows: Option<Rows>,
-    // Codes, empty on the FP16 path, in runs: keys d-major like their rows
-    // (one run of `KEY_LANES` codes per dimension of a lane group), values
-    // one run of `head_dim` codes per token row. See `code_slot`.
+    // An FP16 page's rows, empty on a quantized page: keys d-major in lane
+    // groups (`key_lane_offset`), values row-major.
+    keys_f: Vec<f32>,
+    values_f: Vec<f32>,
+    // Codes, empty on the FP16 path, in runs: keys d-major (one run of
+    // `KEY_LANES` codes per dimension of a lane group), values one run of
+    // `head_dim` codes per token row. See `code_slot`.
     keys_q: Vec<u8>,
     values_q: Vec<u8>,
     // Per-token-row params as four arrays, key zeros, key scales, value zeros
-    // and value scales (`KvPage::params`), so a rebuild is
+    // and value scales (`KvPage::params`), so a lane group dequantizes as
     // `zero + code * scale` over whole vectors. One buffer, not one an array
     // or one a kind: those cost `long_prefill` 0.8 MB of `peak_rss_mb` in
     // allocator layout. Each array covers whole lane groups; slots never
-    // appended keep 0/0 and rebuild to 0.
+    // appended keep 0/0 and dequantize to 0.
     params: Vec<f32>,
     // Channelwise key bounds of every logical page in one buffer, logical
     // pages side by side: dimension `i` of logical page `l` at `i * g + l`.
@@ -64,22 +64,166 @@ pub struct KvPage {
     kmax: Vec<f32>,
 }
 
-/// A page's f32 rows. Keys are d-major in lane groups (`key_lane_offset`),
-/// so the kernel loads one dimension of `KEY_LANES` neighbouring keys as one
-/// contiguous run; values are row-major. Every page of a pool has rows of
-/// one size, so the rows one page gives up fit any other.
-#[derive(Debug, Clone)]
-pub(crate) struct Rows {
-    keys: Vec<f32>,
-    values: Vec<f32>,
+/// What the attention kernel reads of a page: its storage.
+#[derive(Debug, Clone, Copy)]
+pub enum PageData<'a> {
+    /// An FP16 page's rows: keys d-major in whole lane groups
+    /// ([`key_lane_offset`]; slots past `len` are zero), values row-major,
+    /// `len x head_dim`.
+    Rows { keys: &'a [f32], values: &'a [f32] },
+    /// A quantized page's codes.
+    Codes(PageCodes<'a>),
 }
 
-impl Rows {
-    fn zeroed(config: PagingConfig, head_dim: usize) -> Self {
-        let slots = config.physical_page_size();
-        Self {
-            keys: vec![0.0; slots.next_multiple_of(KEY_LANES) * head_dim],
-            values: vec![0.0; slots * head_dim],
+/// A quantized page's codes and params, read lane group by lane group.
+#[derive(Debug, Clone, Copy)]
+pub struct PageCodes<'a> {
+    len: usize,
+    head_dim: usize,
+    int4: bool,
+    keys: &'a [u8],
+    values: &'a [u8],
+    params: [&'a [f32]; 4],
+}
+
+impl<'a> PageCodes<'a> {
+    /// Tokens stored.
+    pub fn len(self) -> usize {
+        self.len
+    }
+
+    /// True if no token has been appended yet.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// True for INT4 codes, false for INT8.
+    pub fn is_int4(self) -> bool {
+        self.int4
+    }
+
+    /// The occupied lane groups, in slot order: group `g` holds slots
+    /// `g * KEY_LANES..` and the value rows of those below `len`.
+    #[inline(always)]
+    pub fn lane_groups(self) -> impl Iterator<Item = CodeLanes<'a>> {
+        let d = self.head_dim;
+        let key_run = if self.int4 { KEY_LANES / 2 } else { KEY_LANES };
+        let value_run = if self.int4 { d.div_ceil(2) } else { d };
+        let [zero, scale, value_zero, value_scale] = self.params;
+        let (zero, _) = zero.as_chunks::<KEY_LANES>();
+        let (scale, _) = scale.as_chunks::<KEY_LANES>();
+        let values = &self.values[..self.len * value_run];
+        let value_params = value_zero[..self.len]
+            .chunks(KEY_LANES)
+            .zip(value_scale.chunks(KEY_LANES));
+        self.keys
+            .chunks_exact(d * key_run)
+            .zip(zero.iter().zip(scale))
+            .zip(values.chunks(KEY_LANES * value_run).zip(value_params))
+            .map(
+                move |((keys, key_params), (values, value_params))| CodeLanes {
+                    head_dim: d,
+                    keys,
+                    key_params,
+                    values,
+                    value_params,
+                },
+            )
+    }
+}
+
+/// One lane group of a quantized page: `KEY_LANES` key slots, d-major, and
+/// the value rows of those holding a token. Everything it hands out is
+/// `zero + code as f32 * scale`, the f32 operations of
+/// [`lserve_quant::QuantParams::dequantize`], so the bits the appends
+/// quantized.
+#[derive(Debug, Clone, Copy)]
+pub struct CodeLanes<'a> {
+    head_dim: usize,
+    keys: &'a [u8],
+    key_params: (&'a [f32; KEY_LANES], &'a [f32; KEY_LANES]),
+    values: &'a [u8],
+    value_params: (&'a [f32], &'a [f32]),
+}
+
+impl CodeLanes<'_> {
+    /// Dimension `i` of the group's keys, lane by lane: for INT4 one 8-byte
+    /// run, lanes 0..8 in the low nibbles and 8..16 in the high ones.
+    #[inline(always)]
+    pub fn key_column<const INT4: bool>(self, i: usize) -> [f32; KEY_LANES] {
+        let (zero, scale) = self.key_params;
+        let mut out = [0.0; KEY_LANES];
+        if INT4 {
+            let run = self.keys[i * (KEY_LANES / 2)..][..KEY_LANES / 2].try_into();
+            dequantize_lanes(split_run(run.expect("a key run")), zero, scale, &mut out);
+        } else {
+            let run = self.keys[i * KEY_LANES..][..KEY_LANES].try_into();
+            dequantize_lanes(run.expect("a key run"), zero, scale, &mut out);
+        }
+        out
+    }
+
+    /// `acc += w * value` for the value row of `lane`, one product per
+    /// dimension in order. For INT4 the row's first `ceil(d / 2)` codes are
+    /// the low nibbles of its bytes and the rest the high ones, so it
+    /// unpacks in two whole-vector passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `acc` is `head_dim` long.
+    #[inline(always)]
+    pub fn add_value<const INT4: bool>(self, lane: usize, w: f32, acc: &mut [f32]) {
+        // The length of `acc`, not the field: a caller's known head
+        // dimension then sizes the loops.
+        let d = acc.len();
+        assert_eq!(d, self.head_dim, "one sum per dimension");
+        let (zero, scale) = (self.value_params.0[lane], self.value_params.1[lane]);
+        if INT4 {
+            let run = &self.values[lane * d.div_ceil(2)..][..d.div_ceil(2)];
+            let (lo, hi) = acc.split_at_mut(run.len());
+            for (a, &b) in lo.iter_mut().zip(run) {
+                *a += w * (zero + (b & 0x0F) as f32 * scale);
+            }
+            for (a, &b) in hi.iter_mut().zip(run) {
+                *a += w * (zero + (b >> 4) as f32 * scale);
+            }
+        } else {
+            let run = &self.values[lane * d..][..d];
+            for (a, &b) in acc.iter_mut().zip(run) {
+                *a += w * (zero + b as f32 * scale);
+            }
+        }
+    }
+
+    /// The value row of `lane`, dequantized into `out` (`head_dim` long).
+    #[inline(always)]
+    pub fn value_row<const INT4: bool>(self, lane: usize, out: &mut [f32]) {
+        let d = out.len();
+        let (zero, scale) = (self.value_params.0[lane], self.value_params.1[lane]);
+        if INT4 {
+            let codes = &self.values[lane * d.div_ceil(2)..][..d.div_ceil(2)];
+            let (lo, hi) = out.split_at_mut(codes.len());
+            dequantize_row(codes, 0, 0x0F, zero, scale, lo);
+            dequantize_row(codes, 4, 0x0F, zero, scale, hi);
+        } else {
+            dequantize_row(&self.values[lane * d..][..d], 0, 0xFF, zero, scale, out);
+        }
+    }
+
+    /// The group dequantized whole: `keys` gets its lane group d-major
+    /// (`head_dim x KEY_LANES`), `values` its value rows (`KEY_LANES x
+    /// head_dim`, rows past `len` untouched) — what an FP16 page stores,
+    /// for a fold of many query rows to read at f32 speed.
+    #[inline(always)]
+    pub fn dequantize_into<const INT4: bool>(self, keys: &mut [f32], values: &mut [f32]) {
+        let d = self.head_dim;
+        let (keys, _) = keys.as_chunks_mut::<KEY_LANES>();
+        for (i, out) in keys[..d].iter_mut().enumerate() {
+            *out = self.key_column::<INT4>(i);
+        }
+        let rows = values.chunks_exact_mut(d).take(self.value_params.0.len());
+        for (lane, out) in rows.enumerate() {
+            self.value_row::<INT4>(lane, out);
         }
     }
 }
@@ -91,16 +235,17 @@ impl KvPage {
         let key_slots = slots.next_multiple_of(KEY_LANES);
         let logical = config.logical_per_physical();
         let precision = config.precision();
-        let params = match precision {
-            KvPrecision::Fp16 => 0,
-            _ => 4 * key_slots,
+        let (rows, params) = match precision {
+            KvPrecision::Fp16 => (slots, 0),
+            _ => (0, 4 * key_slots),
         };
         Self {
             config,
             head_dim,
             logical,
             len: 0,
-            rows: Some(Rows::zeroed(config, head_dim)),
+            keys_f: vec![0.0; rows.next_multiple_of(KEY_LANES) * head_dim],
+            values_f: vec![0.0; rows * head_dim],
             keys_q: vec![0; key_slots / KEY_LANES * head_dim * run_bytes(precision, KEY_LANES)],
             values_q: vec![0; slots * run_bytes(precision, head_dim)],
             params: vec![0.0; params],
@@ -129,89 +274,27 @@ impl KvPage {
         self.head_dim
     }
 
-    /// True while the page holds its f32 rows: always for FP16, and for a
-    /// quantized page exactly while it has a readable hot copy.
-    pub fn has_rows(&self) -> bool {
-        self.rows.is_some()
-    }
-
-    /// Gives up the rows of a quantized page, whose codes are its storage,
-    /// and returns them for another page's rebuild. An FP16 page keeps them:
-    /// they are its storage.
-    pub(crate) fn take_rows(&mut self) -> Option<Rows> {
-        if self.config.precision().is_quantized() {
-            self.rows.take()
-        } else {
-            None
-        }
-    }
-
-    /// Rebuilds the rows of a quantized page from its codes into `spare` —
-    /// rows another page gave up — or into fresh ones: bit for bit the rows
-    /// the appends wrote, everything past `len()` zero. The rebuild writes
-    /// every occupied lane group whole (slots never appended have 0/0
-    /// params), so only a partial page has a tail to clear.
-    pub(crate) fn restore_rows(&mut self, spare: Option<Rows>) {
-        debug_assert!(self.rows.is_none(), "restore of a page that holds its rows");
-        let mut rows = spare.unwrap_or_else(|| Rows::zeroed(self.config, self.head_dim));
-        let d = self.head_dim;
-        let groups = self.len.div_ceil(KEY_LANES) * KEY_LANES * d;
-        let (keys, key_tail) = rows.keys.split_at_mut(groups);
-        let (values, value_tail) = rows.values.split_at_mut(self.len * d);
-        key_tail.fill(0.0);
-        value_tail.fill(0.0);
+    /// The page's storage, as the attention kernel reads it.
+    #[inline]
+    pub fn data(&self) -> PageData<'_> {
         match self.config.precision() {
-            KvPrecision::Int4 => self.rebuild::<true>(keys, values),
-            KvPrecision::Int8 => self.rebuild::<false>(keys, values),
-            KvPrecision::Fp16 => unreachable!("an FP16 page never drops its rows"),
-        }
-        self.rows = Some(rows);
-    }
-
-    /// [`KvPage::restore_rows`] of the occupied lane groups and value rows,
-    /// for one code width, 16 codes at a time.
-    #[inline(always)]
-    fn rebuild<const INT4: bool>(&self, keys: &mut [f32], values: &mut [f32]) {
-        let d = self.head_dim;
-        // Run `r` of the key codes is dimension `r % d` of lane group `r / d`.
-        let (nibbles, _) = self.keys_q.as_chunks::<{ KEY_LANES / 2 }>();
-        let (bytes, _) = self.keys_q.as_chunks::<KEY_LANES>();
-        let [zero, scale, value_zero, value_scale] = self.params();
-        let (zero, _) = zero.as_chunks::<KEY_LANES>();
-        let (scale, _) = scale.as_chunks::<KEY_LANES>();
-        let (out, _) = keys.as_chunks_mut::<KEY_LANES>();
-        for (g, out) in out.chunks_exact_mut(d).enumerate() {
-            let (zero, scale) = (&zero[g], &scale[g]);
-            let runs = g * d..(g + 1) * d;
-            if INT4 {
-                for (out, run) in out.iter_mut().zip(&nibbles[runs]) {
-                    dequantize_lanes(split_run(run), zero, scale, out);
-                }
-            } else {
-                for (out, run) in out.iter_mut().zip(&bytes[runs]) {
-                    dequantize_lanes(*run, zero, scale, out);
-                }
-            }
-        }
-        let value_run = run_bytes(self.config.precision(), d);
-        let rows = values
-            .chunks_exact_mut(d)
-            .zip(self.values_q.chunks_exact(value_run));
-        for (t, (out, codes)) in rows.enumerate() {
-            let (zero, scale) = (value_zero[t], value_scale[t]);
-            if INT4 {
-                let (lo, hi) = out.split_at_mut(value_run);
-                dequantize_row(codes, 0, 0x0F, zero, scale, lo);
-                dequantize_row(codes, 4, 0x0F, zero, scale, hi);
-            } else {
-                dequantize_row(codes, 0, 0xFF, zero, scale, out);
-            }
+            KvPrecision::Fp16 => PageData::Rows {
+                keys: &self.keys_f,
+                values: &self.values_f[..self.len * self.head_dim],
+            },
+            precision => PageData::Codes(PageCodes {
+                len: self.len,
+                head_dim: self.head_dim,
+                int4: precision == KvPrecision::Int4,
+                keys: &self.keys_q,
+                values: &self.values_q,
+                params: self.params(),
+            }),
         }
     }
 
-    /// Appends one `(key, value)` token row, writing codes, params, key
-    /// bounds and — if the page holds them — rows straight into the page's
-    /// buffers.
+    /// Appends one `(key, value)` token row, writing codes and params (or an
+    /// FP16 page's rows) and key bounds straight into the page's buffers.
     ///
     /// # Panics
     ///
@@ -224,17 +307,7 @@ impl KvPage {
         let (t, d) = (self.len, self.head_dim);
         let g = self.logical;
         let l = t / self.config.logical_page_size();
-        // A page without rows gets empty row slices, and the `get_mut` writes
-        // below fall off them: the check the index would make anyway, not a
-        // second branch per element.
-        let (keys_f, values_f): (&mut [f32], &mut [f32]) = match self.rows.as_mut() {
-            Some(rows) => (&mut rows.keys, &mut rows.values[t * d..(t + 1) * d]),
-            None => (&mut [], &mut []),
-        };
-        let mut store_key = |i: usize, k: f32| {
-            if let Some(slot) = keys_f.get_mut(key_lane_offset(d, t, i)) {
-                *slot = k;
-            }
+        let mut bound_key = |i: usize, k: f32| {
             // Selects, not branches: on a young logical page every other key
             // sets a bound, which no predictor follows.
             let (lo, hi) = (&mut self.kmin[i * g + l], &mut self.kmax[i * g + l]);
@@ -249,7 +322,7 @@ impl KvPage {
             let (kp, codes) = quantize_codes(key, precision);
             for (i, c) in codes.enumerate() {
                 key_codes[i * key_run + byte] |= c << shift;
-                store_key(i, kp.dequantize(c));
+                bound_key(i, kp.dequantize(c));
             }
             let value_run = run_bytes(precision, d);
             let value_codes = &mut self.values_q[t * value_run..][..value_run];
@@ -257,18 +330,16 @@ impl KvPage {
             for (i, c) in codes.enumerate() {
                 let (byte, shift) = code_slot(precision, d, i);
                 value_codes[byte] |= c << shift;
-                if let Some(slot) = values_f.get_mut(i) {
-                    *slot = vp.dequantize(c);
-                }
             }
             let n = self.params.len() / 4;
             (self.params[t], self.params[n + t]) = (kp.zero, kp.scale);
             (self.params[2 * n + t], self.params[3 * n + t]) = (vp.zero, vp.scale);
         } else {
             for (i, &k) in key.iter().enumerate() {
-                store_key(i, k);
+                self.keys_f[key_lane_offset(d, t, i)] = k;
+                bound_key(i, k);
             }
-            values_f.copy_from_slice(value);
+            self.values_f[t * d..(t + 1) * d].copy_from_slice(value);
         }
         self.len += 1;
     }
@@ -281,63 +352,64 @@ impl KvPage {
         std::array::from_fn(|a| &self.params[a * n..(a + 1) * n])
     }
 
-    /// The rows, which a kernel may read only on a page that holds them.
-    #[inline]
-    fn rows(&self) -> &Rows {
-        self.rows.as_ref().unwrap_or_else(|| {
-            panic!("read of the rows of a quantized page below the hot tier: promote it first")
-        })
-    }
-
-    /// The effective (dequantized) keys, d-major in lane groups: dimension `i`
-    /// of token slot `t` is at [`key_lane_offset`]`(head_dim, t, i)`. Slots at
-    /// and past `len()` hold zeros.
+    /// The effective (dequantized) key row for token slot `t` within this
+    /// page, element by element: gathered from an FP16 page's lanes, or each
+    /// code unpacked through `code_slot` and dequantized by
+    /// [`QuantParams::dequantize`] — the slow, independent read tests hold
+    /// the kernel's to.
     ///
     /// # Panics
     ///
-    /// Panics if the page does not hold its rows ([`KvPage::has_rows`]).
-    #[inline]
-    pub fn key_lanes(&self) -> &[f32] {
-        &self.rows().keys
-    }
-
-    /// The effective (dequantized) values of the stored tokens, row-major
-    /// (`len() x head_dim`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page does not hold its rows ([`KvPage::has_rows`]).
-    #[inline]
-    pub fn value_rows(&self) -> &[f32] {
-        &self.rows().values[..self.len * self.head_dim]
-    }
-
-    /// The effective (dequantized) key row for token slot `t` within this page,
-    /// gathered from the d-major store (tests and debugging; kernels read
-    /// [`KvPage::key_lanes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= len()` or the page does not hold its rows
-    /// ([`KvPage::has_rows`]).
+    /// Panics if `t >= len()`.
     pub fn key_row(&self, t: usize) -> Vec<f32> {
         assert!(t < self.len, "token slot {t} out of bounds ({})", self.len);
-        let keys = self.key_lanes();
-        (0..self.head_dim)
-            .map(|i| keys[key_lane_offset(self.head_dim, t, i)])
+        let (d, precision) = (self.head_dim, self.config.precision());
+        if !precision.is_quantized() {
+            return (0..d)
+                .map(|i| self.keys_f[key_lane_offset(d, t, i)])
+                .collect();
+        }
+        let [zero, scale, ..] = self.params();
+        let params = QuantParams {
+            zero: zero[t],
+            scale: scale[t],
+        };
+        let run = run_bytes(precision, KEY_LANES);
+        let group = &self.keys_q[t / KEY_LANES * d * run..];
+        (0..d)
+            .map(|i| {
+                params.dequantize(code_at(
+                    &group[i * run..][..run],
+                    precision,
+                    KEY_LANES,
+                    t % KEY_LANES,
+                ))
+            })
             .collect()
     }
 
-    /// The effective (dequantized) value row for token slot `t` within this page.
+    /// The effective (dequantized) value row for token slot `t` within this
+    /// page, element by element (see [`KvPage::key_row`]).
     ///
     /// # Panics
     ///
-    /// Panics if `t >= len()` or the page does not hold its rows
-    /// ([`KvPage::has_rows`]).
-    #[inline]
-    pub fn value_row(&self, t: usize) -> &[f32] {
+    /// Panics if `t >= len()`.
+    pub fn value_row(&self, t: usize) -> Vec<f32> {
         assert!(t < self.len, "token slot {t} out of bounds ({})", self.len);
-        &self.value_rows()[t * self.head_dim..(t + 1) * self.head_dim]
+        let (d, precision) = (self.head_dim, self.config.precision());
+        if !precision.is_quantized() {
+            return self.values_f[t * d..(t + 1) * d].to_vec();
+        }
+        let [.., zero, scale] = self.params();
+        let params = QuantParams {
+            zero: zero[t],
+            scale: scale[t],
+        };
+        let run = run_bytes(precision, d);
+        let codes = &self.values_q[t * run..][..run];
+        (0..d)
+            .map(|i| params.dequantize(code_at(codes, precision, d, i)))
+            .collect()
     }
 
     /// Key statistics of logical sub-page `l` (in `0..logical_per_physical()`),
@@ -464,12 +536,23 @@ fn code_slot(precision: KvPrecision, n: usize, k: usize) -> (usize, u32) {
     }
 }
 
+/// Code `k` of a run of `n` codes.
+fn code_at(run: &[u8], precision: KvPrecision, n: usize, k: usize) -> u8 {
+    let (byte, shift) = code_slot(precision, n, k);
+    let mask = if precision == KvPrecision::Int4 {
+        0x0F
+    } else {
+        0xFF
+    };
+    run[byte] >> shift & mask
+}
+
 /// One row's codes, `byte >> shift & mask` of the first `out.len()` bytes,
 /// dequantized with one `zero` / `scale` pair into `out`: 16 at a time,
 /// then the rest one by one.
 #[inline(always)]
 fn dequantize_row(bytes: &[u8], shift: u32, mask: u8, zero: f32, scale: f32, out: &mut [f32]) {
-    // `chunks_exact`, not `as_chunks`: the latter costs the rebuild 5 %.
+    // `chunks_exact`, not `as_chunks`: the latter measured 5 % slower.
     let bytes = &bytes[..out.len()];
     let (zeros, scales) = ([zero; KEY_LANES], [scale; KEY_LANES]);
     let mut blocks = out.chunks_exact_mut(KEY_LANES);
@@ -485,13 +568,20 @@ fn dequantize_row(bytes: &[u8], shift: u32, mask: u8, zero: f32, scale: f32, out
 }
 
 /// The codes of a key run: 8 bytes, lanes 0..8 in the low nibbles and 8..16
-/// in the high ones.
+/// in the high ones. A loop over the bytes, which compiles to two vector
+/// masks: split as one 64-bit word, LLVM rebuilt the high half byte by byte
+/// and the INT4 fold ran a third slower.
 #[inline(always)]
 fn split_run(bytes: &[u8; KEY_LANES / 2]) -> [u8; KEY_LANES] {
-    std::array::from_fn(|k| bytes[k % 8] >> (k / 8 * 4) & 0x0F)
+    let mut codes = [0; KEY_LANES];
+    for (k, &b) in bytes.iter().enumerate() {
+        codes[k] = b & 0x0F;
+        codes[k + KEY_LANES / 2] = b >> 4;
+    }
+    codes
 }
 
-/// The rebuild's step: 16 one-byte codes become `zero + code * scale`, lane
+/// The unpack's step: 16 one-byte codes become `zero + code * scale`, lane
 /// by lane — the f32 operations of [`lserve_quant::QuantParams::dequantize`],
 /// so the same bits. Whole arrays, so the compiler vectorizes across the
 /// lanes rather than across blocks, which would gather each lane's bytes one
@@ -566,36 +656,82 @@ mod tests {
         }
     }
 
-    /// The rebuild gives back the rows the appends wrote, bit for bit and
-    /// zero past `len()`, into fresh rows and into the rows another page
-    /// dropped — a full page's into a partial page's and the other way
-    /// round — over {INT4, INT8} × d {5, 32} × fills {1, 15, 16, 17, 63, 64}.
+    /// A lane group dequantized whole is the rows an FP16 page with the
+    /// same effective keys and values stores, bit for bit, zero past
+    /// `len()`, and the in-register reads (`key_column`, `add_value` with
+    /// `w` = 1 into zeros) agree with it — over {INT4, INT8} × d {5, 32} ×
+    /// fills {1, 15, 16, 17, 63, 64}.
     #[test]
-    fn the_rebuild_restores_the_appended_rows_into_any_buffer() {
+    fn a_lane_group_dequantizes_to_the_appended_rows() {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        let store = |page: &KvPage| (bits(&page.rows().keys), bits(&page.rows().values));
         for precision in [KvPrecision::Int4, KvPrecision::Int8] {
             for d in [5, 32] {
                 for fill in [1, 15, 16, 17, 63, 64] {
-                    let mut p = PagePool::new(PagingConfig::new(64, 16, precision), 2, d);
-                    let (full, part) = (p.allocate().unwrap(), p.allocate().unwrap());
-                    let rows = varied_rows(64, d);
+                    let case = format!("{precision:?} d {d} fill {fill}");
+                    let mut p = PagePool::new(PagingConfig::new(64, 16, precision), 1, d);
+                    let id = p.allocate().unwrap();
+                    let rows = varied_rows(fill, d);
                     for (t, row) in rows.iter().enumerate() {
-                        p.page_mut(full).append(row, &rows[63 - t]);
-                        if t < fill {
-                            p.page_mut(part).append(&rows[63 - t], row);
-                        }
+                        p.page_mut(id).append(row, &rows[fill - 1 - t]);
                     }
-                    let (full, part) = (p.page(full), p.page(part));
-                    for (dropped, rebuilt) in [(full, part), (part, full)] {
-                        let case = format!("{precision:?} d {d} fill {fill}");
-                        let mut page = rebuilt.clone();
-                        page.take_rows();
-                        page.restore_rows(dropped.clone().take_rows());
-                        assert!(store(&page) == store(rebuilt), "{case}: into dropped rows");
-                        page.take_rows();
-                        page.restore_rows(None);
-                        assert!(store(&page) == store(rebuilt), "{case}: into fresh rows");
+                    let page = p.page(id);
+                    let PageData::Codes(codes) = page.data() else {
+                        panic!("{case}: a quantized page reads as codes");
+                    };
+                    let int4 = precision == KvPrecision::Int4;
+                    assert_eq!(codes.is_int4(), int4);
+                    let groups: Vec<CodeLanes<'_>> = codes.lane_groups().collect();
+                    assert_eq!(groups.len(), fill.div_ceil(KEY_LANES), "{case}");
+                    for (g, lanes) in groups.into_iter().enumerate() {
+                        let (mut keys, mut values) =
+                            (vec![0.0; d * KEY_LANES], vec![0.0; d * KEY_LANES]);
+                        let mut summed = vec![0.0; d * KEY_LANES];
+                        if int4 {
+                            lanes.dequantize_into::<true>(&mut keys, &mut values);
+                        } else {
+                            lanes.dequantize_into::<false>(&mut keys, &mut values);
+                        }
+                        for lane in 0..KEY_LANES {
+                            let t = g * KEY_LANES + lane;
+                            let column = |i| {
+                                if int4 {
+                                    lanes.key_column::<true>(i)
+                                } else {
+                                    lanes.key_column::<false>(i)
+                                }
+                            };
+                            for i in 0..d {
+                                let want = if t < fill { page.key_row(t)[i] } else { 0.0 };
+                                assert_eq!(
+                                    keys[i * KEY_LANES + lane].to_bits(),
+                                    want.to_bits(),
+                                    "{case}: key ({t}, {i})"
+                                );
+                                assert_eq!(
+                                    column(i)[lane].to_bits(),
+                                    want.to_bits(),
+                                    "{case}: column ({t}, {i})"
+                                );
+                            }
+                            if t < fill {
+                                let acc = &mut summed[lane * d..][..d];
+                                if int4 {
+                                    lanes.add_value::<true>(lane, 1.0, acc);
+                                } else {
+                                    lanes.add_value::<false>(lane, 1.0, acc);
+                                }
+                                assert_eq!(
+                                    bits(&values[lane * d..][..d]),
+                                    bits(&page.value_row(t)),
+                                    "{case}: value {t}"
+                                );
+                                assert_eq!(
+                                    bits(acc),
+                                    bits(&page.value_row(t)),
+                                    "{case}: added value {t}"
+                                );
+                            }
+                        }
                     }
                 }
             }

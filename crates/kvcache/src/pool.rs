@@ -10,7 +10,7 @@ use lserve_trace::Tracer;
 use crate::{
     config::PagingConfig,
     copy_engine::{CopyEngine, MigrationMode, MigrationStats},
-    page::{KvPage, Rows},
+    page::KvPage,
     stats::TierStats,
 };
 use tiers::{Residency, TierConfig};
@@ -99,10 +99,6 @@ pub struct PagePool {
     /// speculative, issued by the prefetcher. Cleared on the first demand
     /// touch (a hit) or when the page is demoted/freed first (wasted).
     prefetched: Vec<bool>,
-    /// Row buffers quantized pages dropped on leaving the hot tier since the
-    /// last [`PagePool::advance_transfer_units`], for the next rebuilds to
-    /// write into instead of allocating.
-    spare_rows: Vec<Rows>,
     /// Trace handle for copy-engine events; disabled (free) by default.
     /// Riding on the pool puts transfer events in reach of everything that
     /// moves pages — scheduler, executor, selector hooks — without new
@@ -154,7 +150,6 @@ impl PagePool {
             engine: CopyEngine::default(),
             mig: MigrationStats::default(),
             prefetched: Vec::new(),
-            spare_rows: Vec::new(),
             tracer: Tracer::disabled(),
         }
     }
@@ -841,43 +836,12 @@ mod tests {
         p.page_mut(id).append(&[1.0; 4], &[2.0; 4]);
         p.demote(id).unwrap();
         p.advance_transfer_units(4);
-        assert!(!p.page(id).has_rows(), "landed on host: codes only");
         assert!(p.prefetch(id));
         assert_eq!(p.residency(id), Residency::Migrating(MigrationDir::ToHot));
-        // `free` is `vacate` then the drop; between them the page is still
-        // there to look at.
+        // `free` is `vacate` then the drop.
         p.vacate(id);
-        assert!(!p.pages[id.index()].as_ref().unwrap().has_rows());
         assert_eq!(p.in_flight_transfers(), 0, "aborted, not landed");
         assert_eq!(p.migration_stats().cancelled_token_units, 4);
-    }
-
-    /// The pool keeps a dropped page's row buffers for the step's rebuilds
-    /// and no longer: what no promotion took is freed at the next
-    /// `advance_transfer_units`, the executor's step boundary. Under Async a
-    /// demotion drops its rows when it lands, at that boundary, and they
-    /// wait one step.
-    #[test]
-    fn dropped_rows_wait_one_step_for_a_rebuild() {
-        for mode in [MigrationMode::Sync, MigrationMode::Async] {
-            let paging = PagingConfig::new(4, 2, KvPrecision::Int4);
-            let mut p = PagePool::new_with_tiers(paging, 4, 4, mode, TierConfig::default());
-            let ids: Vec<PageId> = (0..3).map(|_| p.allocate().unwrap()).collect();
-            for &id in &ids {
-                p.page_mut(id).append(&[1.0; 4], &[2.0; 4]);
-                p.demote(id).unwrap();
-            }
-            if mode == MigrationMode::Async {
-                assert!(p.spare_rows.is_empty(), "{mode:?}: in flight, rows kept");
-                p.advance_transfer_units(u64::MAX / 2);
-            }
-            assert_eq!(p.spare_rows.len(), 3, "{mode:?}: three pages dropped rows");
-            p.ensure_hot(ids[0]).unwrap();
-            assert!(p.page(ids[0]).has_rows());
-            assert_eq!(p.spare_rows.len(), 2, "{mode:?}: one rebuilt into them");
-            p.advance_transfer_units(u64::MAX / 2);
-            assert!(p.spare_rows.is_empty(), "{mode:?}: the other two freed");
-        }
     }
 
     #[test]

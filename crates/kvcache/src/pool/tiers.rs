@@ -300,7 +300,7 @@ impl PagePool {
     }
 
     /// [`PagePool::cancel`] short of placing the page, for a page that is
-    /// leaving the pool: it would rebuild rows only to drop them.
+    /// leaving the pool.
     fn abort(&mut self, hop: Hop, dir: MigrationDir, id: PageId) {
         let remaining = self
             .engine
@@ -323,21 +323,11 @@ impl PagePool {
         self.land(hop, dir, id);
     }
 
-    /// Marks `id` resident on `tier`: the one residency write. A quantized
-    /// page keeps its f32 rows only on the hot tier — they are rebuilt from
-    /// its codes when it lands there, into the buffers of rows dropped this
-    /// step where there are any, and dropped when it lands below — and a
-    /// page (re-)entering the host goes to the back of its FIFO spill order.
+    /// Marks `id` resident on `tier`: the one residency write. A page's
+    /// storage is the same on every tier, so only a page (re-)entering the
+    /// host moves: to the back of its FIFO spill order.
     fn place(&mut self, id: PageId, tier: Tier) {
         self.residency[id.index()] = Residency::resident(tier);
-        let page = self.pages[id.index()].as_mut().expect("a live page");
-        if tier == Tier::Hot {
-            if !page.has_rows() {
-                page.restore_rows(self.spare_rows.pop());
-            }
-        } else if let Some(rows) = page.take_rows() {
-            self.spare_rows.push(rows);
-        }
         if tier == Tier::Host {
             self.host_clock += 1;
             self.host_stamp[id.index()] = self.host_clock;
@@ -357,8 +347,7 @@ impl PagePool {
         }
     }
 
-    /// A page enters the pool: it takes a hot slot the caller has reclaimed,
-    /// with rows (a fork of a page below the hot tier rebuilds them).
+    /// A page enters the pool: it takes a hot slot the caller has reclaimed.
     pub(super) fn occupy_hot(&mut self, id: PageId) {
         self.place(id, Tier::Hot);
         self.prefetched[id.index()] = false;
@@ -398,14 +387,7 @@ impl PagePool {
     /// (independent modeled DMA links), landing finished transfers and
     /// crediting the drained traffic as hidden. In [`MigrationMode::Sync`]
     /// nothing is ever queued.
-    ///
-    /// The executor calls this once at the end of every call, so it is also
-    /// the pool's step boundary: the buffers of dropped rows no rebuild has
-    /// taken since the last call are freed first. What a rebuild can recycle
-    /// is therefore bounded by what one step drops (the rows of the pages
-    /// this call lands below the hot tier are kept for the next step).
     pub fn advance_transfer_units(&mut self, units: u64) {
-        self.spare_rows.clear();
         let (landed, drained) = self.engine.advance(units);
         self.mig.hidden_token_units += drained;
         for (hop, dir, page) in landed {

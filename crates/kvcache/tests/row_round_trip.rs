@@ -1,27 +1,23 @@
-//! Below the hot tier a quantized page keeps its codes, params and key
-//! bounds only; these tests pin that the rows it gets back when it lands hot
-//! again are the rows it had, bit for bit.
+//! A quantized page's codes, params and key bounds are its storage on every
+//! tier; these tests pin that what the kernel reads of a page after a trip
+//! through the tiers is what it read before, bit for bit.
 //!
 //! Over {INT4, INT8} × {Sync, Async} × {host, host then nvme} × last-page
 //! fills {1, 15, 16, 17, 63, 64} × head dimension {5, 32}, a two-page table
 //! (one full page, then the fill) is demoted, spilled on the nvme route, and
 //! brought back with `ensure_hot`:
 //!
-//! * every page's `key_lanes()` / `value_rows()` bits equal those before the
-//!   trip, and key lanes past `len()` read 0;
-//! * forking a shared page below the hot tier gives the rows a fork of it
-//!   made while hot gives;
+//! * every page's dequantized lane groups equal those before the trip, and
+//!   key lanes past `len()` read 0;
+//! * forking a shared page below the hot tier gives what a fork of it made
+//!   while hot gives;
 //! * an append into the last page after its trip down (through `page_mut`,
 //!   which forces an in-flight spill first), then promotion, leaves what the
-//!   same append made while hot leaves;
-//! * a page promoted right after another page landed below the hot tier is
-//!   rebuilt into that page's row buffers — a full page's into a partial
-//!   page's and the other way round — and its rows are its own, bit for bit,
-//!   with zeros past `len()`.
+//!   same append made while hot leaves.
 
 use lserve_kvcache::{
-    key_lane_offset, DenseHeadCache, MigrationMode, PageId, PagePool, PagingConfig, Residency,
-    TierConfig,
+    key_lane_offset, DenseHeadCache, MigrationMode, PageData, PageId, PagePool, PagingConfig,
+    Residency, TierConfig, KEY_LANES,
 };
 use lserve_quant::KvPrecision;
 
@@ -49,11 +45,26 @@ fn row(t: usize, d: usize, salt: usize) -> Vec<f32> {
         .collect()
 }
 
-/// What a kernel would read of a page: its key lanes and value rows, as bits.
+/// What the kernel reads of a page, as bits: every lane group dequantized
+/// whole, the keys d-major in lane groups and the value rows.
 fn rows(pool: &PagePool, id: PageId) -> (Vec<u32>, Vec<u32>) {
     let page = pool.page(id);
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect();
-    (bits(page.key_lanes()), bits(page.value_rows()))
+    let PageData::Codes(codes) = page.data() else {
+        panic!("a quantized page reads as codes");
+    };
+    let d = page.head_dim();
+    let (mut keys, mut values) = (Vec::new(), Vec::new());
+    for lanes in codes.lane_groups() {
+        let (mut k, mut v) = (vec![0.0; d * KEY_LANES], vec![0.0; d * KEY_LANES]);
+        if codes.is_int4() {
+            lanes.dequantize_into::<true>(&mut k, &mut v);
+        } else {
+            lanes.dequantize_into::<false>(&mut k, &mut v);
+        }
+        keys.extend(k.iter().map(|x| x.to_bits()));
+        values.extend(v.iter().map(|x| x.to_bits()));
+    }
+    (keys, values)
 }
 
 /// Everything a page holds that a reader can see, rows included.
@@ -68,11 +79,11 @@ fn contents(pool: &PagePool, id: PageId) -> (usize, (Vec<u32>, Vec<u32>), Vec<St
 fn assert_lanes_past_len_are_zero(pool: &PagePool, id: PageId, case: &str) {
     let page = pool.page(id);
     let d = page.head_dim();
-    let lanes = page.key_lanes();
+    let (lanes, _) = rows(pool, id);
     for t in page.len()..lanes.len() / d {
         for i in 0..d {
             let lane = lanes[key_lane_offset(d, t, i)];
-            assert_eq!(lane.to_bits(), 0, "{case}: slot {t} dimension {i}");
+            assert_eq!(lane, 0, "{case}: slot {t} dimension {i}");
         }
     }
 }
@@ -157,7 +168,6 @@ impl Case {
                 };
                 assert_eq!(pool.residency(id), below, "{}", self.name());
             }
-            assert!(!pool.page(id).has_rows(), "{}: rows below hot", self.name());
         }
     }
 }
@@ -175,49 +185,8 @@ fn rows_rebuilt_on_promotion_are_the_rows_before_demotion() {
         pool.ensure_resident(ids.iter().copied())
             .expect("room to promote");
         for (&id, before) in ids.iter().zip(&before) {
-            assert!(
-                pool.page(id).has_rows(),
-                "{name}: rows back on the hot tier"
-            );
             assert!(rows(&pool, id) == *before, "{name}: page {id:?} rows moved");
             assert_lanes_past_len_are_zero(&pool, id, &name);
-        }
-    }
-}
-
-#[test]
-fn a_promotion_rebuilds_into_the_rows_a_demotion_just_dropped() {
-    for case in Case::all() {
-        let name = case.name();
-        let (mut pool, ids) = case.filled();
-        let before: Vec<_> = ids.iter().map(|&id| rows(&pool, id)).collect();
-        // Demote A, then promote B: B is the full page and A the partial
-        // one, then the other way round.
-        for (a, b) in [(1, 0), (0, 1)] {
-            case.take_down(&mut pool, &ids[b..=b], false);
-            let page = pool.page(ids[a]);
-            let dropped = (page.key_lanes().as_ptr(), page.value_rows().as_ptr());
-            pool.demote(ids[a]).expect("a sole-owned hot page demotes");
-            if case.mode == MigrationMode::Async {
-                // The step boundary: the demotion lands and drops A's rows.
-                pool.advance_transfer_units(u64::MAX / 2);
-            }
-            assert!(!pool.page(ids[a]).has_rows(), "{name}: A dropped its rows");
-            pool.ensure_resident([ids[b]]).expect("room to promote");
-            let page = pool.page(ids[b]);
-            let rebuilt = (page.key_lanes().as_ptr(), page.value_rows().as_ptr());
-            assert_eq!(rebuilt, dropped, "{name}: page {b} took page {a}'s rows");
-            assert!(
-                rows(&pool, ids[b]) == before[b],
-                "{name}: page {b} rows moved"
-            );
-            assert_lanes_past_len_are_zero(&pool, ids[b], &name);
-            pool.ensure_resident([ids[a]]).expect("room to promote");
-            assert!(
-                rows(&pool, ids[a]) == before[a],
-                "{name}: page {a} rows moved"
-            );
-            assert_lanes_past_len_are_zero(&pool, ids[a], &name);
         }
     }
 }
@@ -239,7 +208,7 @@ fn a_fork_of_a_shared_page_below_hot_has_the_rows_of_a_fork_made_hot() {
                 rows(&cold, from_cold) == rows(&hot, from_hot),
                 "{name}: fork of {id:?}"
             );
-            assert!(!cold.page(id).has_rows(), "{name}: the source stays below");
+            assert!(!cold.is_hot(id), "{name}: the source stays below");
             assert_lanes_past_len_are_zero(&cold, from_cold, &name);
             hot.free(from_hot);
             cold.free(from_cold);
@@ -258,7 +227,7 @@ fn an_append_below_hot_then_promotion_is_the_append_made_hot() {
         hot.page_mut(last).append(&key, &value);
         case.take_down(&mut cold, &ids, true);
         cold.page_mut(last).append(&key, &value);
-        assert!(!cold.page(last).has_rows(), "{name}: written below hot");
+        assert!(!cold.is_hot(last), "{name}: written below hot");
         cold.ensure_resident(ids.iter().copied())
             .expect("room to promote");
         for &id in &ids {

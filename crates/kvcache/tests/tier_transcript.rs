@@ -41,8 +41,8 @@
 //!   moves down a tier or dies;
 //! * after a final drain, Σ `TierStats` units == hidden + unhidden +
 //!   cancelled: every issued unit reached exactly one bucket;
-//! * a live quantized page holds its f32 rows iff it has a readable hot copy
-//!   (`Hot` or `Migrating(ToCold)`), and an FP16 page always does.
+//! * no quantized page holds f32 rows on any tier — its codes are what the
+//!   kernel reads — and an FP16 page's rows are its storage.
 //!
 //! Each configuration runs twice, over FP16 pages and over INT4 pages. No
 //! call's outcome depends on the precision, so both runs must reproduce the
@@ -51,7 +51,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use lserve_kvcache::{
-    MigrationDir, MigrationMode, PageId, PagePool, PagingConfig, Residency, TierConfig,
+    MigrationDir, MigrationMode, PageData, PageId, PagePool, PagingConfig, Residency, TierConfig,
 };
 use lserve_quant::KvPrecision;
 
@@ -268,14 +268,10 @@ impl Driver {
                 Residency::Nvme => 2,
             };
             census[tier] += 1;
-            let readable = matches!(
-                residency,
-                Residency::Hot | Residency::Migrating(MigrationDir::ToCold)
-            );
             assert_eq!(
-                pool.page(id).has_rows(),
-                readable || !quantized,
-                "{context}: rows of {id:?}, {residency:?}"
+                matches!(pool.page(id).data(), PageData::Codes(_)),
+                quantized,
+                "{context}: a quantized page holds f32 rows: {id:?}, {residency:?}"
             );
             in_flight += usize::from(matches!(
                 residency,
