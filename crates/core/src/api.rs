@@ -12,6 +12,7 @@ use lserve_costmodel::PlacementPolicy;
 use lserve_kvcache::MigrationMode;
 use lserve_trace::Tracer;
 
+use crate::config::{check, ConfigError};
 use crate::dag::{SparsityOverride, SparsitySchedule};
 
 /// Service-level-objective class of a request. Scheduling is strict-priority
@@ -530,28 +531,21 @@ impl SchedulerConfig {
 
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `chunk_tokens`, `max_batch`, `pool_pages`, `decode_threads`
-    /// or `no_deadline_slack` is zero.
-    pub fn validate(&self) {
-        assert!(self.pool_pages > 0, "pool must hold at least one page");
-        assert!(self.chunk_tokens > 0, "chunk must be at least one token");
-        assert!(self.max_batch > 0, "batch must admit at least one sequence");
-        assert!(self.decode_threads > 0, "need at least one decode worker");
-        assert!(self.devices > 0, "need at least one device");
-        assert!(
-            self.rebalance_interval > 0,
-            "rebalance interval must be at least one step"
-        );
-        assert!(
-            self.rebalance_threshold >= 1.0,
-            "rebalance threshold is a max-over-mean ratio (>= 1.0)"
-        );
-        assert!(
-            self.no_deadline_slack > 0,
-            "aging horizon must be positive for starvation-freedom"
-        );
+    /// Returns the first inconsistency found: `pool_pages`, `chunk_tokens`,
+    /// `max_batch`, `decode_threads`, `devices`, `rebalance_interval` or
+    /// `no_deadline_slack` zero, or `rebalance_threshold` below 1.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        use ConfigError::*;
+        check(self.pool_pages > 0, PoolPages)?;
+        check(self.chunk_tokens > 0, ChunkTokens)?;
+        check(self.max_batch > 0, MaxBatch)?;
+        check(self.decode_threads > 0, DecodeThreads)?;
+        check(self.devices > 0, Devices)?;
+        check(self.rebalance_interval > 0, RebalanceInterval)?;
+        check(self.rebalance_threshold >= 1.0, RebalanceThreshold)?;
+        check(self.no_deadline_slack > 0, NoDeadlineSlack)
     }
 }
 
@@ -579,5 +573,33 @@ mod tests {
         assert_eq!((plain.deadline_work_tokens, plain.session), (None, None));
         assert!(plain.stop_tokens.is_empty() && plain.stop_sequences.is_empty());
         assert!(plain.sparsity.is_empty());
+    }
+
+    /// One case per scheduler variant: the defaults with one field broken.
+    #[test]
+    fn each_scheduler_inconsistency_has_its_error() {
+        let broken = |edit: fn(&mut SchedulerConfig)| {
+            let mut c = SchedulerConfig::new(64);
+            edit(&mut c);
+            c.validate()
+        };
+        assert_eq!(SchedulerConfig::new(64).validate(), Ok(()));
+        assert_eq!(broken(|c| c.pool_pages = 0), Err(ConfigError::PoolPages));
+        assert_eq!(
+            broken(|c| c.chunk_tokens = 0),
+            Err(ConfigError::ChunkTokens)
+        );
+        assert_eq!(broken(|c| c.max_batch = 0), Err(ConfigError::MaxBatch));
+        assert_eq!(
+            broken(|c| c.decode_threads = 0),
+            Err(ConfigError::DecodeThreads)
+        );
+        assert_eq!(broken(|c| c.devices = 0), Err(ConfigError::Devices));
+        let interval = broken(|c| c.rebalance_interval = 0);
+        assert_eq!(interval, Err(ConfigError::RebalanceInterval));
+        let threshold = broken(|c| c.rebalance_threshold = 0.5);
+        assert_eq!(threshold, Err(ConfigError::RebalanceThreshold));
+        let slack = broken(|c| c.no_deadline_slack = 0);
+        assert_eq!(slack, Err(ConfigError::NoDeadlineSlack));
     }
 }

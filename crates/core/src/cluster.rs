@@ -27,6 +27,7 @@ use std::sync::Arc;
 use lserve_trace::Json;
 
 use crate::api::{RequestHandle, RequestSpec, SchedulerConfig};
+use crate::config::{check, ConfigError};
 use crate::dag::{BranchSpec, ForkError, ForkOutcome, JoinPolicy, JoinStatus};
 use crate::executor::ModelExecutor;
 use crate::metrics::MetricsSnapshot;
@@ -64,16 +65,14 @@ impl Default for ClusterConfig {
 impl ClusterConfig {
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `replicas` is 0 or exceeds the metrics naming budget (8).
-    pub fn validate(&self) {
-        assert!(self.replicas >= 1, "cluster needs at least one replica");
-        assert!(
-            self.replicas <= REPLICA_NAMES.len(),
-            "at most {} replicas supported",
-            REPLICA_NAMES.len()
-        );
+    /// Returns an error if `replicas` is 0 or exceeds the metrics naming
+    /// budget (8).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let max = REPLICA_NAMES.len();
+        check(self.replicas >= 1, ConfigError::NoReplicas)?;
+        check(self.replicas <= max, ConfigError::TooManyReplicas { max })
     }
 }
 
@@ -201,7 +200,9 @@ impl Cluster {
     /// Panics if either config is inconsistent (see
     /// [`ClusterConfig::validate`] / `SchedulerConfig::validate`).
     pub fn new(exec: Arc<ModelExecutor>, scfg: SchedulerConfig, ccfg: ClusterConfig) -> Self {
-        ccfg.validate();
+        if let Err(error) = ccfg.validate() {
+            panic!("{error}");
+        }
         let replicas = (0..ccfg.replicas)
             .map(|_| Scheduler::new(Arc::clone(&exec), scfg.clone()))
             .collect();
@@ -512,13 +513,33 @@ mod tests {
         assert!(rendered.contains("\"fork_affinity\""));
     }
 
+    /// The cluster still panics on a bad config, with the message the
+    /// assertion had.
     #[test]
     #[should_panic(expected = "at least one replica")]
     fn zero_replicas_is_rejected() {
-        ClusterConfig {
+        let w = lserve_model::ModelWeights::random(&lserve_model::ModelConfig::tiny(), 1);
+        let exec = ModelExecutor::new(Arc::new(w), crate::EngineConfig::lserve_fp16());
+        let ccfg = ClusterConfig {
             replicas: 0,
             affinity_tokens: 8,
-        }
-        .validate();
+        };
+        Cluster::new(Arc::new(exec), SchedulerConfig::new(64), ccfg);
+    }
+
+    #[test]
+    fn each_cluster_inconsistency_has_its_error() {
+        let replicas = |replicas| {
+            let config = ClusterConfig {
+                replicas,
+                affinity_tokens: 8,
+            };
+            config.validate()
+        };
+        assert_eq!(replicas(0), Err(ConfigError::NoReplicas));
+        assert_eq!(replicas(8), Ok(()));
+        let too_many = replicas(9).unwrap_err();
+        assert_eq!(too_many, ConfigError::TooManyReplicas { max: 8 });
+        assert_eq!(too_many.to_string(), "at most 8 replicas supported");
     }
 }

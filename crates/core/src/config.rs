@@ -149,29 +149,109 @@ impl EngineConfig {
 
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a selector is configured without a budget or vice versa, or the
-    /// reuse interval is zero.
-    pub fn validate(&self) {
-        assert!(self.reuse_interval >= 1, "reuse interval must be >= 1");
-        assert!(
+    /// Returns the first inconsistency found: a zero reuse interval, a
+    /// streaming sparsity outside `[0, 1]`, a selector without a budget or
+    /// the other way round, a zero prefill tile or dynamic-prefill budget.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        use ConfigError::*;
+        check(self.reuse_interval >= 1, ReuseInterval)?;
+        check(
             (0.0..=1.0).contains(&self.streaming_sparsity),
-            "streaming sparsity must be in [0,1]"
-        );
+            StreamingSparsity,
+        )?;
         match (self.dynamic_budget, self.selector) {
-            (Some(_), SelectorKind::None) => panic!("budget set but selector is None"),
+            (Some(_), SelectorKind::None) => return Err(BudgetWithoutSelector),
             (None, SelectorKind::Flat | SelectorKind::Hierarchical) => {
-                panic!("selector set but no budget")
+                return Err(SelectorWithoutBudget)
             }
             _ => {}
         }
-        assert!(self.prefill_tile > 0, "prefill tile must be positive");
-        if let Some(keep) = self.dynamic_prefill_keep {
-            assert!(keep > 0, "dynamic prefill keep budget must be positive");
+        check(self.prefill_tile > 0, PrefillTile)?;
+        check(self.dynamic_prefill_keep != Some(0), DynamicPrefillKeep)
+    }
+}
+
+/// `Err(error)` unless `holds`.
+pub(crate) fn check(holds: bool, error: ConfigError) -> Result<(), ConfigError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(error)
+    }
+}
+
+/// Why [`EngineConfig::validate`], [`crate::SchedulerConfig::validate`] or
+/// [`crate::ClusterConfig::validate`] rejected a configuration. The
+/// constructors that take one (`ModelExecutor::new`, `Scheduler::new`,
+/// `Cluster::new`) panic with its message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `EngineConfig::reuse_interval` is 0.
+    ReuseInterval,
+    /// `EngineConfig::streaming_sparsity` is outside `[0, 1]`.
+    StreamingSparsity,
+    /// A dynamic budget with `SelectorKind::None`.
+    BudgetWithoutSelector,
+    /// A page selector with no dynamic budget.
+    SelectorWithoutBudget,
+    /// `EngineConfig::prefill_tile` is 0.
+    PrefillTile,
+    /// `EngineConfig::dynamic_prefill_keep` is `Some(0)`.
+    DynamicPrefillKeep,
+    /// `SchedulerConfig::pool_pages` is 0.
+    PoolPages,
+    /// `SchedulerConfig::chunk_tokens` is 0.
+    ChunkTokens,
+    /// `SchedulerConfig::max_batch` is 0.
+    MaxBatch,
+    /// `SchedulerConfig::decode_threads` is 0.
+    DecodeThreads,
+    /// `SchedulerConfig::devices` is 0.
+    Devices,
+    /// `SchedulerConfig::rebalance_interval` is 0.
+    RebalanceInterval,
+    /// `SchedulerConfig::rebalance_threshold` is below 1.
+    RebalanceThreshold,
+    /// `SchedulerConfig::no_deadline_slack` is 0.
+    NoDeadlineSlack,
+    /// `ClusterConfig::replicas` is 0.
+    NoReplicas,
+    /// `ClusterConfig::replicas` exceeds the metrics naming budget.
+    TooManyReplicas {
+        /// The most replicas a cluster names.
+        max: usize,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use ConfigError::*;
+        match self {
+            ReuseInterval => f.write_str("reuse interval must be >= 1"),
+            StreamingSparsity => f.write_str("streaming sparsity must be in [0,1]"),
+            BudgetWithoutSelector => f.write_str("budget set but selector is None"),
+            SelectorWithoutBudget => f.write_str("selector set but no budget"),
+            PrefillTile => f.write_str("prefill tile must be positive"),
+            DynamicPrefillKeep => f.write_str("dynamic prefill keep budget must be positive"),
+            PoolPages => f.write_str("pool must hold at least one page"),
+            ChunkTokens => f.write_str("chunk must be at least one token"),
+            MaxBatch => f.write_str("batch must admit at least one sequence"),
+            DecodeThreads => f.write_str("need at least one decode worker"),
+            Devices => f.write_str("need at least one device"),
+            RebalanceInterval => f.write_str("rebalance interval must be at least one step"),
+            RebalanceThreshold => {
+                f.write_str("rebalance threshold is a max-over-mean ratio (>= 1.0)")
+            }
+            NoDeadlineSlack => f.write_str("aging horizon must be positive for starvation-freedom"),
+            NoReplicas => f.write_str("cluster needs at least one replica"),
+            TooManyReplicas { max } => write!(f, "at most {max} replicas supported"),
         }
     }
 }
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -179,13 +259,17 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        EngineConfig::lserve().validate();
-        EngineConfig::lserve_fp16().validate();
-        EngineConfig::dense().validate();
-        EngineConfig::qserve_like().validate();
-        EngineConfig::quest_like(4096).validate();
-        EngineConfig::duo_like().validate();
-        EngineConfig::lserve_with_budget(8192).validate();
+        for c in [
+            EngineConfig::lserve(),
+            EngineConfig::lserve_fp16(),
+            EngineConfig::dense(),
+            EngineConfig::qserve_like(),
+            EngineConfig::quest_like(4096),
+            EngineConfig::duo_like(),
+            EngineConfig::lserve_with_budget(8192),
+        ] {
+            assert_eq!(c.validate(), Ok(()));
+        }
     }
 
     #[test]
@@ -198,11 +282,43 @@ mod tests {
         assert_eq!(c.streaming_sparsity, 0.5);
     }
 
+    /// The executor still panics on a bad config, with the message the
+    /// assertion had.
     #[test]
     #[should_panic(expected = "selector set but no budget")]
     fn inconsistent_config_rejected() {
         let mut c = EngineConfig::lserve();
         c.dynamic_budget = None;
-        c.validate();
+        let w = lserve_model::ModelWeights::random(&lserve_model::ModelConfig::tiny(), 1);
+        crate::ModelExecutor::new(std::sync::Arc::new(w), c);
+    }
+
+    /// One case per engine variant: the preset with one field broken.
+    #[test]
+    fn each_engine_inconsistency_has_its_error() {
+        let broken = |edit: fn(&mut EngineConfig)| {
+            let mut c = EngineConfig::lserve();
+            edit(&mut c);
+            c.validate()
+        };
+        use ConfigError::*;
+        assert_eq!(broken(|c| c.reuse_interval = 0), Err(ReuseInterval));
+        assert_eq!(
+            broken(|c| c.streaming_sparsity = 1.5),
+            Err(StreamingSparsity)
+        );
+        assert_eq!(
+            broken(|c| c.selector = SelectorKind::None),
+            Err(BudgetWithoutSelector)
+        );
+        assert_eq!(
+            broken(|c| c.dynamic_budget = None),
+            Err(SelectorWithoutBudget)
+        );
+        assert_eq!(broken(|c| c.prefill_tile = 0), Err(PrefillTile));
+        assert_eq!(
+            broken(|c| c.dynamic_prefill_keep = Some(0)),
+            Err(DynamicPrefillKeep)
+        );
     }
 }

@@ -132,7 +132,9 @@ impl ModelExecutor {
     /// Panics if `cfg` is internally inconsistent (see
     /// [`EngineConfig::validate`]).
     pub fn new(weights: Arc<ModelWeights>, cfg: EngineConfig) -> Self {
-        cfg.validate();
+        if let Err(error) = cfg.validate() {
+            panic!("{error}");
+        }
         let model = &weights.config;
         let gates = duo_gates(model.num_layers, model.num_kv_heads, cfg.gate_seed);
         let masks = streaming_masks_from_gates(&gates, cfg.streaming_sparsity);

@@ -54,7 +54,7 @@ pub use api::{
     RequestStatus, SchedulerConfig, ServingEvent, SloClass,
 };
 pub use cluster::{Cluster, ClusterConfig, ClusterForkOutcome, ClusterReport, RouterStats};
-pub use config::{EngineConfig, SelectorKind};
+pub use config::{ConfigError, EngineConfig, SelectorKind};
 pub use dag::{
     BranchSpec, DagStats, DagStore, ForkError, ForkOutcome, JoinPolicy, JoinStatus,
     SparsityOverride, SparsitySchedule,

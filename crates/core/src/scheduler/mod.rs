@@ -304,7 +304,9 @@ impl Scheduler {
     ///
     /// Panics if `scfg` is inconsistent (see [`SchedulerConfig::validate`]).
     pub fn new(exec: Arc<ModelExecutor>, scfg: SchedulerConfig) -> Self {
-        scfg.validate();
+        if let Err(error) = scfg.validate() {
+            panic!("{error}");
+        }
         let mut pool = PagePool::new_with_tiers(
             exec.config().paging,
             scfg.pool_pages,
