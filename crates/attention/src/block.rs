@@ -18,10 +18,12 @@
 //! dequantizes each key column and value row as it reads them, `zero + code
 //! as f32 * scale`, the f32 operations the scalar reference reads through
 //! `QuantParams::dequantize`, so the operands — and the bits — are those of
-//! an f32 copy. A fold of more than a pair of rows (a run's deferred rows, a
-//! GQA group of four) dequantizes each lane group once onto the stack and
-//! reads it there, so the unpacking is paid once a lane group, not once a
-//! pair.
+//! an f32 copy. A pair of rows that both take a lane group straight through
+//! dequantize each value row once for both, and a fold of more than a pair
+//! (a run's deferred rows, a GQA group of four) dequantizes each lane group
+//! once onto the stack and reads it there, so the unpacking is paid once a
+//! lane group, not once a pair. Both measured faster than the plain
+//! in-register read (DESIGN.md "Codes in registers").
 
 use lserve_kvcache::{CodeLanes, PageCodes, PageData, KEY_LANES};
 
@@ -79,20 +81,31 @@ pub(crate) fn fold_block(
     // One body, compiled twice. The AVX2+FMA copy differs only in its lane
     // operations, which make the scalar loop's decisions and have libm's
     // bits (`exp.rs`); Rust never contracts `a * b + c` into an FMA, so the
-    // rest of the body keeps its bits too.
+    // rest of the body keeps its bits too. Each copy is compiled once for
+    // f32 rows and once for codes: in one function with the unpacking, the
+    // f32 fold ran about 10 % slower.
+    let codes = matches!(block, PageData::Codes(_));
     #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
     if let Some(ops) = Avx2Fma::detect() {
         // SAFETY: `detect` returned `ops`, so the host has AVX2 and FMA.
-        return unsafe { fold_block_avx2(ops, d, q, scale, block, causal, rows, acc) };
+        return unsafe {
+            match codes {
+                false => fold_block_avx2::<false>(ops, d, q, scale, block, causal, rows, acc),
+                true => fold_block_avx2::<true>(ops, d, q, scale, block, causal, rows, acc),
+            }
+        };
     }
-    fold_block_with(Libm, d, q, scale, block, causal, rows, acc);
+    match codes {
+        false => fold_block_with::<false>(Libm, d, q, scale, block, causal, rows, acc),
+        true => fold_block_with::<true>(Libm, d, q, scale, block, causal, rows, acc),
+    }
 }
 
-/// [`fold_block`] compiled for AVX2 and FMA.
+/// [`fold_block`] compiled for AVX2 and FMA, for f32 rows or for `CODES`.
 #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-fn fold_block_avx2(
+fn fold_block_avx2<const CODES: bool>(
     ops: Avx2Fma,
     d: usize,
     q: &[f32],
@@ -102,13 +115,14 @@ fn fold_block_avx2(
     rows: &mut [RowState],
     acc: &mut [f32],
 ) {
-    fold_block_with(ops, d, q, scale, block, causal, rows, acc);
+    fold_block_with::<CODES>(ops, d, q, scale, block, causal, rows, acc);
 }
 
-/// [`fold_block`] with `ops` as its lane operations.
+/// [`fold_block`] with `ops` as its lane operations, for f32 rows or for
+/// `CODES`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn fold_block_with(
+fn fold_block_with<const CODES: bool>(
     ops: impl LaneOps,
     d: usize,
     q: &[f32],
@@ -122,250 +136,155 @@ fn fold_block_with(
     // with `D` known (loops unroll, a row's sums stay in registers); any other
     // dimension runs the same body with `D` read at run time.
     match d {
-        32 => fold_block_d::<32>(ops, d, q, scale, block, causal, rows, acc),
-        64 => fold_block_d::<64>(ops, d, q, scale, block, causal, rows, acc),
-        128 => fold_block_d::<128>(ops, d, q, scale, block, causal, rows, acc),
-        _ => fold_block_d::<0>(ops, d, q, scale, block, causal, rows, acc),
+        32 => fold_block_d::<32, CODES>(ops, d, q, scale, block, causal, rows, acc),
+        64 => fold_block_d::<64, CODES>(ops, d, q, scale, block, causal, rows, acc),
+        128 => fold_block_d::<128, CODES>(ops, d, q, scale, block, causal, rows, acc),
+        _ => fold_block_d::<0, CODES>(ops, d, q, scale, block, causal, rows, acc),
     }
 }
 
-/// One lane group of a block as the fold reads it: [`KEY_LANES`] key slots
-/// and the value rows of those holding a token.
-trait LaneGroup: Copy {
-    /// True when reading a value row dequantizes it.
-    const DEQUANTIZES: bool;
-    /// Scores of `R` query rows against the group's `d`-long keys: lanes
-    /// across keys, each lane summing dimensions in order, each key column
-    /// read once for all rows.
-    fn scores<const R: usize>(self, d: usize, q: [&[f32]; R]) -> [[f32; KEY_LANES]; R];
-    /// `acc[r] += w[r] * value` for the value row of `lane`, dimension by
-    /// dimension, the row read once for all `R` (of head dimension `D`, or
-    /// the sums' length when `D` is 0).
-    fn add_values<const D: usize, const R: usize>(
-        self,
-        lane: usize,
-        w: [f32; R],
-        acc: [&mut [f32]; R],
-    );
-
-    /// A whole lane group folded straight through into one row: `sum +=
-    /// w` and `acc += w * value`, key by key.
-    #[inline(always)]
-    fn add_straight<const D: usize>(
-        self,
-        weight: &[f32; KEY_LANES],
-        sum: &mut f32,
-        acc: &mut [f32],
-    ) {
-        for (lane, &w) in weight.iter().enumerate() {
-            *sum += w;
-            self.add_values::<D, 1>(lane, [w], [&mut *acc]);
-        }
-    }
-}
-
-/// A lane group of f32 rows: `d x KEY_LANES` keys, up to `KEY_LANES x d`
-/// values.
-#[derive(Clone, Copy)]
-struct RowLanes<'a> {
-    keys: &'a [f32],
-    values: &'a [f32],
-}
-
-impl LaneGroup for RowLanes<'_> {
-    const DEQUANTIZES: bool = false;
-
-    #[inline(always)]
-    fn add_straight<const D: usize>(
-        self,
-        weight: &[f32; KEY_LANES],
-        sum: &mut f32,
-        acc: &mut [f32],
-    ) {
-        // The value rows zipped, not indexed: no bounds check per key.
-        for (&w, value) in weight.iter().zip(self.values.chunks_exact(acc.len())) {
-            *sum += w;
-            for (a, &v) in acc.iter_mut().zip(value) {
-                *a += w * v;
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn scores<const R: usize>(self, _d: usize, q: [&[f32]; R]) -> [[f32; KEY_LANES]; R] {
-        let mut s = [[0.0f32; KEY_LANES]; R];
-        let q = q.map(|q| &q[..self.keys.len() / KEY_LANES]);
-        for (i, column) in self.keys.chunks_exact(KEY_LANES).enumerate() {
-            for (s, q) in s.iter_mut().zip(q) {
-                for (s, &k) in s.iter_mut().zip(column) {
-                    *s += q[i] * k;
-                }
-            }
-        }
-        s
-    }
-
-    #[inline(always)]
-    fn add_values<const D: usize, const R: usize>(
-        self,
-        lane: usize,
-        w: [f32; R],
-        acc: [&mut [f32]; R],
-    ) {
-        let d = if D == 0 { acc[0].len() } else { D };
-        let value = &self.values[lane * d..][..d];
-        for (acc, w) in acc.into_iter().zip(w) {
-            for (a, &v) in acc.iter_mut().zip(value) {
-                *a += w * v;
-            }
-        }
-    }
-}
-
-/// A lane group of INT4 (`INT4`) or INT8 codes, dequantized as it is read.
-#[derive(Clone, Copy)]
-struct CodeGroup<'a, const INT4: bool>(CodeLanes<'a>);
-
-impl<const INT4: bool> LaneGroup for CodeGroup<'_, INT4> {
-    const DEQUANTIZES: bool = true;
-
-    #[inline(always)]
-    fn scores<const R: usize>(self, d: usize, q: [&[f32]; R]) -> [[f32; KEY_LANES]; R] {
-        let mut s = [[0.0f32; KEY_LANES]; R];
-        let q = q.map(|q| &q[..d]);
-        for i in 0..d {
-            let column = self.0.key_column::<INT4>(i);
-            for (s, q) in s.iter_mut().zip(q) {
-                for (s, &k) in s.iter_mut().zip(&column) {
-                    *s += q[i] * k;
-                }
-            }
-        }
-        s
-    }
-
-    #[inline(always)]
-    fn add_values<const D: usize, const R: usize>(
-        self,
-        lane: usize,
-        w: [f32; R],
-        acc: [&mut [f32]; R],
-    ) {
-        if D == 0 || R == 1 {
-            for (acc, w) in acc.into_iter().zip(w) {
-                self.0.add_value::<INT4>(lane, w, acc);
-            }
-            return;
-        }
-        let mut value = [0.0f32; D];
-        self.0.value_row::<INT4>(lane, &mut value);
-        for (acc, w) in acc.into_iter().zip(w) {
-            for (a, &v) in acc.iter_mut().zip(&value) {
-                *a += w * v;
-            }
-        }
-    }
-}
-
-/// Passes one and two of a row's fold over one lane group: the running max
-/// over the first `lanes` scores of `s` and the exps of the weights and
-/// corrections. `max` goes in as the row's and comes out raised.
+/// [`fold_block`] for head dimension `D`, or `d` when `D` is 0.
 #[inline(always)]
-fn weigh(
+#[allow(clippy::too_many_arguments)]
+fn fold_block_d<const D: usize, const CODES: bool>(
     ops: impl LaneOps,
-    s: &[f32; KEY_LANES],
-    lanes: usize,
+    d: usize,
+    q: &[f32],
     scale: f32,
-    max: &mut f32,
-) -> Folds {
-    // The max/normalizer recurrence in three passes over the lane group: the
-    // same operations on the same operands, in the same order, as one key at
-    // a time. The exps get a pass of their own (one lane `exp` for all of
-    // them) and no call interrupts the sums of the last. First the running
-    // max ([`Folds::running_max`]).
-    let mut folds = ops.running_max(s, lanes, scale, max);
-    // Then the exps: every weight lane at once (an unfolded lane's argument
-    // is 0 and its weight unused), the rare corrections one by one.
-    ops.exp(&mut folds.weight);
-    let mut corrections = folds.corrected;
-    while corrections != 0 {
-        let lane = corrections.trailing_zeros() as usize;
-        folds.correction[lane] = folds.correction[lane].exp();
-        corrections &= corrections - 1;
+    block: KvBlock<'_>,
+    causal: Option<Causal>,
+    rows: &mut [RowState],
+    acc: &mut [f32],
+) {
+    let d = if D == 0 { d } else { D };
+    assert_eq!(q.len(), rows.len() * d, "one query row per state");
+    assert_eq!(acc.len(), q.len(), "one output row per query row");
+    match block {
+        PageData::Rows { keys, values } if !CODES => {
+            assert_eq!(values.len() % d, 0, "ragged value rows");
+            assert_eq!(keys.len() % (d * KEY_LANES), 0, "ragged key lane groups");
+            assert!(values.len() <= keys.len(), "more values than key slots");
+            let n = values.len() / d;
+            let groups = keys
+                .chunks_exact(d * KEY_LANES)
+                .zip(values.chunks(d * KEY_LANES));
+            for (start, group) in (0..n).step_by(KEY_LANES).zip(groups) {
+                fold_rows::<D>(ops, d, q, scale, (n, start), group, causal, rows, acc);
+            }
+        }
+        PageData::Codes(codes) if CODES && codes.is_int4() => {
+            fold_codes::<D, true>(ops, d, q, scale, codes, causal, rows, acc)
+        }
+        PageData::Codes(codes) if CODES => {
+            fold_codes::<D, false>(ops, d, q, scale, codes, causal, rows, acc)
+        }
+        _ => unreachable!("`fold_block` picks the instantiation by the block's kind"),
     }
-    folds
 }
 
-/// Pass three of a row's fold: the normalizer and the weighted value sums,
-/// key by key, the sums in registers for a known `D`.
+/// Keys of the lane group at slots `start..` of a block of `n` that row `r`
+/// attends.
 #[inline(always)]
-fn apply_row<const D: usize>(folds: &Folds, group: impl LaneGroup, sum: &mut f32, acc: &mut [f32]) {
-    if D == 0 {
-        folds.apply::<D>(group, sum, acc);
-    } else {
-        let mut sums = [0.0f32; D];
-        sums.copy_from_slice(acc);
-        folds.apply::<D>(group, sum, &mut sums);
-        acc.copy_from_slice(&sums);
+fn visible(causal: Option<Causal>, (n, start): (usize, usize), r: usize) -> usize {
+    let keys = causal.map_or(n, |c| {
+        // A query tile's rows are one a position: no division there.
+        let position = match c.rows_per_position {
+            1 => c.q0 + r,
+            per => c.q0 + r / per,
+        };
+        (position + 1).saturating_sub(c.k0).min(n)
+    });
+    keys.saturating_sub(start).min(KEY_LANES)
+}
+
+/// Folds one lane group of f32 rows — `d x KEY_LANES` keys, up to
+/// `KEY_LANES x d` values — slots `start..` of a block of `n`, into every
+/// row.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn fold_rows<const D: usize>(
+    ops: impl LaneOps,
+    d: usize,
+    q: &[f32],
+    scale: f32,
+    at: (usize, usize),
+    (keys, values): (&[f32], &[f32]),
+    causal: Option<Causal>,
+    rows: &mut [RowState],
+    acc: &mut [f32],
+) {
+    // Rows two at a time (a GQA group, a query tile): what fits the
+    // register file next to the lanes. Later rows see no fewer keys.
+    let visible = |r: usize| visible(causal, at, r);
+    let pairs = rows
+        .chunks_mut(2)
+        .zip(q.chunks(2 * d).zip(acc.chunks_mut(2 * d)));
+    for (pair, (states, (q, acc))) in pairs.enumerate() {
+        let r = 2 * pair;
+        match states {
+            [state0, state1] if visible(r + 1) > 0 => {
+                let ((q0, q1), (acc0, acc1)) = (q.split_at(d), acc.split_at_mut(d));
+                let [s0, s1] = scores([q0, q1], keys);
+                fold_row::<D>(ops, &s0, visible(r), scale, values, state0, acc0);
+                fold_row::<D>(ops, &s1, visible(r + 1), scale, values, state1, acc1);
+            }
+            [state0] if visible(r) > 0 => {
+                let [s0] = scores([q], keys);
+                fold_row::<D>(ops, &s0, visible(r), scale, values, state0, acc);
+            }
+            _ => {}
+        }
     }
+}
+
+/// Scores of `R` query rows against one lane group of f32 keys: lanes across
+/// keys, each lane summing dimensions in order, each key column loaded once
+/// for all rows.
+#[inline(always)]
+fn scores<const R: usize>(q: [&[f32]; R], group: &[f32]) -> [[f32; KEY_LANES]; R] {
+    let mut s = [[0.0f32; KEY_LANES]; R];
+    let q = q.map(|q| &q[..group.len() / KEY_LANES]);
+    for (i, column) in group.chunks_exact(KEY_LANES).enumerate() {
+        for (s, q) in s.iter_mut().zip(q) {
+            for (s, &k) in s.iter_mut().zip(column) {
+                *s += q[i] * k;
+            }
+        }
+    }
+    s
 }
 
 /// Folds the first `lanes` keys of one lane group — their scores in `s`, their
-/// value rows in `group` — into one row's state and sums.
+/// `d`-long value rows leading `values` — into one row's state and sums.
 #[inline(always)]
 fn fold_row<const D: usize>(
     ops: impl LaneOps,
     s: &[f32; KEY_LANES],
     lanes: usize,
     scale: f32,
-    group: impl LaneGroup,
+    values: &[f32],
     state: &mut RowState,
     acc: &mut [f32],
 ) {
+    // The max/normalizer recurrence in three passes over the lane group: the
+    // same operations on the same operands, in the same order, as one key at
+    // a time. The exps get a pass of their own (one lane `exp` for all of
+    // them) and no call interrupts the sums of the last. First the running
+    // max ([`Folds::running_max`]), then the exps.
     let RowState { mut max, mut sum } = *state;
-    let folds = weigh(ops, s, lanes, scale, &mut max);
-    apply_row::<D>(&folds, group, &mut sum, acc);
+    let mut folds = ops.running_max(s, lanes, scale, &mut max);
+    folds.exps(ops);
+    // Then the normalizer and the weighted value sums, key by key, the sums
+    // in registers for a known `D`.
+    if D == 0 {
+        folds.apply(values, &mut sum, acc);
+    } else {
+        let mut sums = [0.0f32; D];
+        sums.copy_from_slice(acc);
+        folds.apply(values, &mut sum, &mut sums);
+        acc.copy_from_slice(&sums);
+    }
     *state = RowState { max, sum };
-}
-
-/// [`fold_row`] for a pair of rows, except that where both take a lane
-/// group of codes straight through (the common group) each value row is
-/// dequantized once for both. Each row's operations are its own, so the
-/// bits are [`fold_row`]'s. (Rows of f32 gain nothing from it: a value row
-/// is a load.)
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn fold_pair<const D: usize, G: LaneGroup>(
-    ops: impl LaneOps,
-    [s0, s1]: [&[f32; KEY_LANES]; 2],
-    [lanes0, lanes1]: [usize; 2],
-    scale: f32,
-    group: G,
-    [state0, state1]: [&mut RowState; 2],
-    [acc0, acc1]: [&mut [f32]; 2],
-) {
-    if D == 0 || !G::DEQUANTIZES {
-        fold_row::<D>(ops, s0, lanes0, scale, group, state0, acc0);
-        fold_row::<D>(ops, s1, lanes1, scale, group, state1, acc1);
-        return;
-    }
-    let folds0 = weigh(ops, s0, lanes0, scale, &mut state0.max);
-    let folds1 = weigh(ops, s1, lanes1, scale, &mut state1.max);
-    if !folds0.straight() || !folds1.straight() {
-        apply_row::<D>(&folds0, group, &mut state0.sum, acc0);
-        apply_row::<D>(&folds1, group, &mut state1.sum, acc1);
-        return;
-    }
-    let (mut sums0, mut sums1) = ([0.0f32; D], [0.0f32; D]);
-    sums0.copy_from_slice(acc0);
-    sums1.copy_from_slice(acc1);
-    for (lane, (&w0, &w1)) in folds0.weight.iter().zip(&folds1.weight).enumerate() {
-        state0.sum += w0;
-        state1.sum += w1;
-        group.add_values::<D, 2>(lane, [w0, w1], [&mut sums0, &mut sums1]);
-    }
-    acc0.copy_from_slice(&sums0);
-    acc1.copy_from_slice(&sums1);
 }
 
 /// The [`Folds`] mask of a whole lane group.
@@ -417,6 +336,19 @@ impl Folds {
         folds
     }
 
+    /// Pass two: the exps, every weight lane at once (an unfolded lane's
+    /// argument is 0 and its weight unused), the rare corrections one by one.
+    #[inline(always)]
+    fn exps(&mut self, ops: impl LaneOps) {
+        ops.exp(&mut self.weight);
+        let mut corrections = self.corrected;
+        while corrections != 0 {
+            let lane = corrections.trailing_zeros() as usize;
+            self.correction[lane] = self.correction[lane].exp();
+            corrections &= corrections - 1;
+        }
+    }
+
     /// True when every lane is folded and none raised the max: the group
     /// goes straight through.
     #[inline(always)]
@@ -424,74 +356,51 @@ impl Folds {
         self.folded == ALL_LANES && self.rescaled == 0
     }
 
-    /// The normalizer `sum` and the weighted value sums, in key order.
+    /// Where key `lane` raised the max, rescales `sum` and `acc` by its
+    /// correction before the key is added.
     #[inline(always)]
-    fn apply<const D: usize>(&self, group: impl LaneGroup, sum: &mut f32, acc: &mut [f32]) {
+    fn correct(&self, lane: usize, sum: &mut f32, acc: &mut [f32]) {
+        if self.rescaled & (1 << lane) != 0 {
+            *sum *= self.correction[lane];
+            for a in acc.iter_mut() {
+                *a *= self.correction[lane];
+            }
+        }
+    }
+
+    /// The normalizer `sum` and the weighted value sums over f32 value rows,
+    /// in key order.
+    #[inline(always)]
+    fn apply(&self, values: &[f32], sum: &mut f32, acc: &mut [f32]) {
+        // The value rows zipped, not indexed: no bounds check per key.
         if self.straight() {
             // The common group, straight through: the same operations in the
             // same order as below, with no test per key.
-            group.add_straight::<D>(&self.weight, sum, acc);
-            return;
-        }
-        let mut folded = self.folded;
-        while folded != 0 {
-            let lane = folded.trailing_zeros() as usize;
-            folded &= folded - 1;
-            if self.rescaled & (1 << lane) != 0 {
-                *sum *= self.correction[lane];
-                for a in acc.iter_mut() {
-                    *a *= self.correction[lane];
+            for (&w, value) in self.weight.iter().zip(values.chunks_exact(acc.len())) {
+                *sum += w;
+                for (a, &v) in acc.iter_mut().zip(value) {
+                    *a += w * v;
                 }
             }
-            *sum += self.weight[lane];
-            group.add_values::<D, 1>(lane, [self.weight[lane]], [acc]);
+            return;
         }
-    }
-}
-
-/// [`fold_block`] for head dimension `D`, or `d` when `D` is 0.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn fold_block_d<const D: usize>(
-    ops: impl LaneOps,
-    d: usize,
-    q: &[f32],
-    scale: f32,
-    block: KvBlock<'_>,
-    causal: Option<Causal>,
-    rows: &mut [RowState],
-    acc: &mut [f32],
-) {
-    let d = if D == 0 { d } else { D };
-    assert_eq!(q.len(), rows.len() * d, "one query row per state");
-    assert_eq!(acc.len(), q.len(), "one output row per query row");
-    match block {
-        PageData::Rows { keys, values } => {
-            assert_eq!(values.len() % d, 0, "ragged value rows");
-            assert_eq!(keys.len() % (d * KEY_LANES), 0, "ragged key lane groups");
-            assert!(values.len() <= keys.len(), "more values than key slots");
-            let n = values.len() / d;
-            let groups = keys
-                .chunks_exact(d * KEY_LANES)
-                .zip(values.chunks(d * KEY_LANES));
-            for (start, (keys, values)) in (0..n).step_by(KEY_LANES).zip(groups) {
-                let group = RowLanes { keys, values };
-                fold_group::<D>(ops, d, q, scale, (n, start), group, causal, rows, acc);
+        for (lane, value) in values.chunks_exact(acc.len()).enumerate() {
+            if self.folded & (1 << lane) == 0 {
+                continue;
             }
-        }
-        PageData::Codes(codes) if codes.is_int4() => {
-            fold_codes::<D, true>(ops, d, q, scale, codes, causal, rows, acc)
-        }
-        PageData::Codes(codes) => {
-            fold_codes::<D, false>(ops, d, q, scale, codes, causal, rows, acc)
+            self.correct(lane, sum, acc);
+            *sum += self.weight[lane];
+            for (a, &v) in acc.iter_mut().zip(value) {
+                *a += self.weight[lane] * v;
+            }
         }
     }
 }
 
 /// [`fold_block_d`] over a quantized page's codes. A pair of rows or fewer
-/// reads each lane group in registers; more rows would unpack it once a
-/// pair, so then the lane group is dequantized once onto the stack and read
-/// as f32 rows (for a known `D`).
+/// reads each lane group in registers ([`CodeGroup`]). More rows would
+/// unpack it once a pair, so then each lane group is dequantized once onto
+/// the stack and folded as f32 rows (for a known `D`).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn fold_codes<const D: usize, const INT4: bool>(
@@ -505,73 +414,182 @@ fn fold_codes<const D: usize, const INT4: bool>(
     acc: &mut [f32],
 ) {
     let n = codes.len();
-    let stacked = D != 0 && rows.len() > 2;
+    let groups = (0..n).step_by(KEY_LANES).zip(codes.lane_groups());
+    if D == 0 || rows.len() <= 2 {
+        for (start, lanes) in groups {
+            let group = CodeGroup::<INT4>(lanes);
+            group.fold::<D>(ops, d, q, scale, (n, start), causal, rows, acc);
+        }
+        return;
+    }
     // One lane group's keys and value rows, rewritten by every group: the
     // values past a last group's tokens are never read.
     let (mut keys, mut values) = ([[0.0f32; KEY_LANES]; D], [[0.0f32; D]; KEY_LANES]);
-    for (start, lanes) in (0..n).step_by(KEY_LANES).zip(codes.lane_groups()) {
-        if stacked {
-            lanes.dequantize_into::<INT4>(keys.as_flattened_mut(), values.as_flattened_mut());
-            let values = &values.as_flattened()[..(n - start).min(KEY_LANES) * D];
-            let group = RowLanes {
-                keys: keys.as_flattened(),
-                values,
-            };
-            fold_group::<D>(ops, d, q, scale, (n, start), group, causal, rows, acc);
-        } else {
-            let group = CodeGroup::<INT4>(lanes);
-            fold_group::<D>(ops, d, q, scale, (n, start), group, causal, rows, acc);
-        }
+    for (start, lanes) in groups {
+        lanes.dequantize_into::<INT4>(keys.as_flattened_mut(), values.as_flattened_mut());
+        let group = (
+            keys.as_flattened(),
+            &values.as_flattened()[..(n - start).min(KEY_LANES) * D],
+        );
+        fold_rows::<D>(ops, d, q, scale, (n, start), group, causal, rows, acc);
     }
 }
 
-/// Folds one lane group, slots `start..` of a block of `n`, into every row.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn fold_group<const D: usize>(
-    ops: impl LaneOps,
-    d: usize,
-    q: &[f32],
-    scale: f32,
-    (n, start): (usize, usize),
-    group: impl LaneGroup,
-    causal: Option<Causal>,
-    rows: &mut [RowState],
-    acc: &mut [f32],
-) {
-    // Lanes of this group that row `r` attends.
-    let visible = |r: usize| {
-        let keys = causal.map_or(n, |c| {
-            // A query tile's rows are one a position: no division there.
-            let position = match c.rows_per_position {
-                1 => c.q0 + r,
-                per => c.q0 + r / per,
-            };
-            (position + 1).saturating_sub(c.k0).min(n)
-        });
-        keys.saturating_sub(start).min(KEY_LANES)
-    };
-    // Rows two at a time (a GQA group, a query tile): what fits the
-    // register file next to the lanes. Later rows see no fewer keys.
-    let pairs = rows
-        .chunks_mut(2)
-        .zip(q.chunks(2 * d).zip(acc.chunks_mut(2 * d)));
-    for (pair, (states, (q, acc))) in pairs.enumerate() {
-        let r = 2 * pair;
-        match states {
-            [state0, state1] if visible(r + 1) > 0 => {
-                let ((q0, q1), (acc0, acc1)) = (q.split_at(d), acc.split_at_mut(d));
-                let [s0, s1] = group.scores(d, [q0, q1]);
-                let lanes = [visible(r), visible(r + 1)];
-                let (states, acc) = ([state0, state1], [acc0, acc1]);
-                fold_pair::<D, _>(ops, [&s0, &s1], lanes, scale, group, states, acc);
+/// A lane group of INT4 (`INT4`) or INT8 codes, dequantized as it is read.
+#[derive(Clone, Copy)]
+struct CodeGroup<'a, const INT4: bool>(CodeLanes<'a>);
+
+impl<const INT4: bool> CodeGroup<'_, INT4> {
+    /// [`fold_rows`] for this lane group, slots `start..` of a block of `n`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn fold<const D: usize>(
+        self,
+        ops: impl LaneOps,
+        d: usize,
+        q: &[f32],
+        scale: f32,
+        at: (usize, usize),
+        causal: Option<Causal>,
+        rows: &mut [RowState],
+        acc: &mut [f32],
+    ) {
+        let visible = |r: usize| visible(causal, at, r);
+        let pairs = rows
+            .chunks_mut(2)
+            .zip(q.chunks(2 * d).zip(acc.chunks_mut(2 * d)));
+        for (pair, (states, (q, acc))) in pairs.enumerate() {
+            let r = 2 * pair;
+            match states {
+                [state0, state1] if visible(r + 1) > 0 => {
+                    let ((q0, q1), (acc0, acc1)) = (q.split_at(d), acc.split_at_mut(d));
+                    let [s0, s1] = self.scores(d, [q0, q1]);
+                    let (lanes, states) = ([visible(r), visible(r + 1)], [state0, state1]);
+                    self.fold_pair::<D>(ops, [&s0, &s1], lanes, scale, states, [acc0, acc1]);
+                }
+                [state0] if visible(r) > 0 => {
+                    let [s0] = self.scores(d, [q]);
+                    self.fold_row::<D>(ops, &s0, visible(r), scale, state0, acc);
+                }
+                _ => {}
             }
-            [state0] if visible(r) > 0 => {
-                let [s0] = group.scores(d, [q]);
-                fold_row::<D>(ops, &s0, visible(r), scale, group, state0, acc);
-            }
-            _ => {}
         }
+    }
+
+    /// [`scores`] against the group's keys, each key column unpacked once
+    /// for all rows.
+    #[inline(always)]
+    fn scores<const R: usize>(self, d: usize, q: [&[f32]; R]) -> [[f32; KEY_LANES]; R] {
+        let mut s = [[0.0f32; KEY_LANES]; R];
+        let q = q.map(|q| &q[..d]);
+        for i in 0..d {
+            let column = self.0.key_column::<INT4>(i);
+            for (s, q) in s.iter_mut().zip(q) {
+                for (s, &k) in s.iter_mut().zip(&column) {
+                    *s += q[i] * k;
+                }
+            }
+        }
+        s
+    }
+
+    /// [`fold_row`] over the group's value rows, each unpacked as it is
+    /// added.
+    #[inline(always)]
+    fn fold_row<const D: usize>(
+        self,
+        ops: impl LaneOps,
+        s: &[f32; KEY_LANES],
+        lanes: usize,
+        scale: f32,
+        state: &mut RowState,
+        acc: &mut [f32],
+    ) {
+        let RowState { mut max, mut sum } = *state;
+        let mut folds = ops.running_max(s, lanes, scale, &mut max);
+        folds.exps(ops);
+        self.apply_row::<D>(&folds, &mut sum, acc);
+        *state = RowState { max, sum };
+    }
+
+    /// [`Folds::apply`] over the group's value rows, the sums in registers
+    /// for a known `D`.
+    #[inline(always)]
+    fn apply_row<const D: usize>(self, folds: &Folds, sum: &mut f32, acc: &mut [f32]) {
+        if D == 0 {
+            self.apply(folds, sum, acc);
+        } else {
+            let mut sums = [0.0f32; D];
+            sums.copy_from_slice(acc);
+            self.apply(folds, sum, &mut sums);
+            acc.copy_from_slice(&sums);
+        }
+    }
+
+    /// [`Folds::apply`] over the group's value rows.
+    #[inline(always)]
+    fn apply(self, folds: &Folds, sum: &mut f32, acc: &mut [f32]) {
+        if folds.straight() {
+            for (lane, &w) in folds.weight.iter().enumerate() {
+                *sum += w;
+                self.0.add_value::<INT4>(lane, w, acc);
+            }
+            return;
+        }
+        let mut folded = folds.folded;
+        while folded != 0 {
+            let lane = folded.trailing_zeros() as usize;
+            folded &= folded - 1;
+            folds.correct(lane, sum, acc);
+            *sum += folds.weight[lane];
+            self.0.add_value::<INT4>(lane, folds.weight[lane], acc);
+        }
+    }
+
+    /// [`Self::fold_row`] for a pair of rows, except that where both take
+    /// the group straight through (the common group) each value row is
+    /// dequantized once for both. Each row's operations are its own, so the
+    /// bits are [`Self::fold_row`]'s.
+    #[inline(always)]
+    fn fold_pair<const D: usize>(
+        self,
+        ops: impl LaneOps,
+        [s0, s1]: [&[f32; KEY_LANES]; 2],
+        [lanes0, lanes1]: [usize; 2],
+        scale: f32,
+        [state0, state1]: [&mut RowState; 2],
+        [acc0, acc1]: [&mut [f32]; 2],
+    ) {
+        if D == 0 {
+            self.fold_row::<D>(ops, s0, lanes0, scale, state0, acc0);
+            self.fold_row::<D>(ops, s1, lanes1, scale, state1, acc1);
+            return;
+        }
+        let mut folds0 = ops.running_max(s0, lanes0, scale, &mut state0.max);
+        let mut folds1 = ops.running_max(s1, lanes1, scale, &mut state1.max);
+        folds0.exps(ops);
+        folds1.exps(ops);
+        if !folds0.straight() || !folds1.straight() {
+            self.apply_row::<D>(&folds0, &mut state0.sum, acc0);
+            self.apply_row::<D>(&folds1, &mut state1.sum, acc1);
+            return;
+        }
+        let (mut sums0, mut sums1, mut value) = ([0.0f32; D], [0.0f32; D], [0.0f32; D]);
+        sums0.copy_from_slice(acc0);
+        sums1.copy_from_slice(acc1);
+        for (lane, (&w0, &w1)) in folds0.weight.iter().zip(&folds1.weight).enumerate() {
+            state0.sum += w0;
+            state1.sum += w1;
+            self.0.value_row::<INT4>(lane, &mut value);
+            for (a, &v) in sums0.iter_mut().zip(&value) {
+                *a += w0 * v;
+            }
+            for (a, &v) in sums1.iter_mut().zip(&value) {
+                *a += w1 * v;
+            }
+        }
+        acc0.copy_from_slice(&sums0);
+        acc1.copy_from_slice(&sums1);
     }
 }
 
