@@ -18,6 +18,14 @@ use super::{ModelExecutor, OutOfPagesError, SequenceState};
 /// 21.6 MB instead of 19.1, and bought no measurable time.
 pub(crate) const DEMOTE_AFTER_CHUNKS: usize = 2;
 
+/// True when a selecting dense head whose history holds `tokens` tokens
+/// selects pages under `budget` rather than reading its history whole — the
+/// offline-profiled "no slowdown at short contexts" rule (§5.5). Page
+/// selection, the step's page demand and run folding all ask this.
+fn selects(budget: usize, tokens: usize) -> bool {
+    tokens > budget
+}
+
 impl ModelExecutor {
     /// Free hot pages one more token of `state` can claim: the pages its
     /// append allocates plus the promotions its residency pass cannot pay for
@@ -39,7 +47,7 @@ impl ModelExecutor {
         for (layer, selectors) in state.layers.iter().zip(&state.selectors) {
             for (kv, selector) in selectors.iter().enumerate() {
                 need += match (&layer[kv], selector, budget) {
-                    (HeadCache::Dense(c), Some(_), Some(b)) if c.tokens() + 1 > b => {
+                    (HeadCache::Dense(c), Some(_), Some(b)) if selects(b, c.tokens() + 1) => {
                         // The most pages one selection reads, so the most it
                         // promotes; each exchangeable page pays for one.
                         let mut unpaid = (b / np).max(lserve_selector::MAX_FORCED_PAGES);
@@ -97,10 +105,8 @@ impl ModelExecutor {
             let HeadCache::Dense(cache) = &state.layers[l][kv] else {
                 continue;
             };
-            // Skip selection entirely while the history fits the budget —
-            // the offline-profiled "no slowdown at short contexts" rule
-            // (§5.5).
-            if cache.tokens() <= budget {
+            // Skip selection entirely while the history fits the budget.
+            if !selects(budget, cache.tokens()) {
                 continue;
             }
             queries.clear();
@@ -125,7 +131,8 @@ impl ModelExecutor {
     /// table, evict a streaming head's middle page or fork a shared tail),
     /// and every selecting head keeps what it reads, staying under the
     /// budget or inside one reuse chunk (a rescore demotes the pages it
-    /// stops picking).
+    /// stops picking). Both rules are asked where they live, `selects` and
+    /// `ReusableSelector::reuses_at`, so this cannot drift from them.
     pub(super) fn next_row_reads_the_same_pages(
         &self,
         state: &SequenceState,
@@ -150,9 +157,9 @@ impl ModelExecutor {
                     return true;
                 };
                 // What `select_pages` and the selector will decide for the next row.
-                let selects = budget.is_some_and(|b| cache.tokens() + 1 > b);
-                let reuses = selector.next_fresh_step().is_some_and(|s| step + 1 < s);
-                selects == plan.selections[kv].is_some() && (!selects || reuses)
+                let selecting = budget.is_some_and(|b| selects(b, cache.tokens() + 1));
+                selecting == plan.selections[kv].is_some()
+                    && (!selecting || selector.reuses_at(step + 1))
             })
     }
 

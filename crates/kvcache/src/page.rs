@@ -274,6 +274,12 @@ impl KvPage {
         self.head_dim
     }
 
+    /// Floats of f32 rows the page holds: an FP16 page's storage, and none
+    /// on a quantized page, whose codes are its storage on every tier.
+    pub fn f32_rows_len(&self) -> usize {
+        self.keys_f.len() + self.values_f.len()
+    }
+
     /// The page's storage, as the attention kernel reads it.
     #[inline]
     pub fn data(&self) -> PageData<'_> {

@@ -9,6 +9,7 @@
 //!
 //! * every page's dequantized lane groups equal those before the trip, and
 //!   key lanes past `len()` read 0;
+//! * no page holds f32 rows below the hot tier or back on it;
 //! * forking a shared page below the hot tier gives what a fork of it made
 //!   while hot gives;
 //! * an append into the last page after its trip down (through `page_mut`,
@@ -168,6 +169,8 @@ impl Case {
                 };
                 assert_eq!(pool.residency(id), below, "{}", self.name());
             }
+            let rows = pool.page(id).f32_rows_len();
+            assert_eq!(rows, 0, "{}: f32 rows below hot", self.name());
         }
     }
 }
@@ -185,6 +188,8 @@ fn rows_rebuilt_on_promotion_are_the_rows_before_demotion() {
         pool.ensure_resident(ids.iter().copied())
             .expect("room to promote");
         for (&id, before) in ids.iter().zip(&before) {
+            let f32_rows = pool.page(id).f32_rows_len();
+            assert_eq!(f32_rows, 0, "{name}: f32 rows back on the hot tier");
             assert!(rows(&pool, id) == *before, "{name}: page {id:?} rows moved");
             assert_lanes_past_len_are_zero(&pool, id, &name);
         }

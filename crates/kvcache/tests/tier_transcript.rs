@@ -51,7 +51,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use lserve_kvcache::{
-    MigrationDir, MigrationMode, PageData, PageId, PagePool, PagingConfig, Residency, TierConfig,
+    MigrationDir, MigrationMode, PageId, PagePool, PagingConfig, Residency, TierConfig,
 };
 use lserve_quant::KvPrecision;
 
@@ -269,9 +269,9 @@ impl Driver {
             };
             census[tier] += 1;
             assert_eq!(
-                matches!(pool.page(id).data(), PageData::Codes(_)),
+                pool.page(id).f32_rows_len() == 0,
                 quantized,
-                "{context}: a quantized page holds f32 rows: {id:?}, {residency:?}"
+                "{context}: f32 rows of {id:?}, {residency:?}"
             );
             in_flight += usize::from(matches!(
                 residency,

@@ -143,6 +143,18 @@ impl<S: PageSelector> ReusableSelector<S> {
         self.last_scored_step.map(|s| s + self.reuse_interval)
     }
 
+    /// True when a [`select`] call at decode step `step` would replay the
+    /// cached selection rather than score afresh: the rule `select` itself
+    /// applies, for callers that must know before the call.
+    ///
+    /// [`select`]: PageSelector::select
+    pub fn reuses_at(&self, step: usize) -> bool {
+        match (self.last_scored_step, &self.cached) {
+            (Some(last), Some(_)) => step >= last && step - last < self.reuse_interval,
+            _ => false,
+        }
+    }
+
     /// Prefetch candidates for the next fresh selection: physical page
     /// indices the last fresh scoring did **not** pick, ranked most recently
     /// selected first — decode queries' temporal locality makes a page that
@@ -180,11 +192,7 @@ impl<S: PageSelector> PageSelector for ReusableSelector<S> {
         budget_tokens: usize,
         step: usize,
     ) -> Selection {
-        let due = match (self.last_scored_step, &self.cached) {
-            (Some(last), Some(_)) => step < last || step - last >= self.reuse_interval,
-            _ => true,
-        };
-        if due {
+        if !self.reuses_at(step) {
             let sel = self.inner.select(pool, cache, queries, budget_tokens, step);
             self.last_scored_step = Some(step);
             self.invocations += 1;
@@ -384,6 +392,7 @@ mod tests {
             // Under a monotone step cadence the prediction is exact: a step
             // scores afresh iff it has reached the predicted fresh step.
             let predicted_fresh = sel.next_fresh_step().is_none_or(|s| step >= s);
+            assert_eq!(sel.reuses_at(step), !predicted_fresh, "step {step}");
             let s = sel.select(&pool, &cache, &[&q], 8, step);
             assert_eq!(!s.reused, predicted_fresh, "step {step}");
         }
