@@ -1,0 +1,146 @@
+//! The executor's decode counters and resident spans, pinned: for one fixed
+//! generation, every field of the sequence's `EngineStats` (which carries the
+//! dense / streaming split of the decode pages and the pages a dense kernel
+//! would have visited), `kv_head_resident_tokens` of every (layer, KV head)
+//! and a hash of the generated tokens, over {`EngineConfig::lserve()` (INT4),
+//! `lserve_fp16()`} × streaming windows {(0, 1), (1, 2)}.
+//!
+//! The prompt is past the selection budget and the generation long enough
+//! that every streaming window evicts and every selector rescores, so the
+//! rows see selected, whole-table and windowed reads. [`LEDGER`] holds what
+//! the code produced while a streaming head was a type of its own beside the
+//! dense table: a change that only merges the two reproduces every row.
+
+use std::sync::Arc;
+
+use lserve::core::{EngineConfig, EngineStats, ModelExecutor};
+use lserve::kvcache::{PagingConfig, StreamingWindow};
+use lserve::model::{ModelConfig, ModelWeights};
+
+const WINDOWS: [(usize, usize); 2] = [(0, 1), (1, 2)];
+const PAGE: usize = 8;
+const BUDGET: usize = 32;
+const PROMPT: usize = 48;
+const NEW_TOKENS: usize = 85;
+
+/// One row: the [`EngineStats`] fields in declaration order, the resident
+/// tokens of every (layer, KV head) layer-major, and the FNV-1a hash of the
+/// generated tokens.
+type Row = ([u64; 15], [u64; 4], u64);
+
+/// One row per `(preset, window)`, in the order [`cells`] yields.
+#[rustfmt::skip]
+const LEDGER: [Row; 4] = [
+    ([84, 24, 168, 1360, 340, 8040, 11160, 1056, 44, 126, 85, 61, 38, 792, 792], [5, 133, 5, 133], 0x0d0092857821af1b), // lserve, window (0, 1)
+    ([84, 60, 168, 1360, 1020, 8040, 16600, 1056, 44, 126, 85, 56, 33, 712, 712], [21, 133, 21, 133], 0xa2b513a529d30d26), // lserve, window (1, 2)
+    ([84, 24, 168, 1360, 340, 8040, 11160, 1056, 44, 126, 85, 57, 35, 736, 736], [5, 133, 5, 133], 0xbf07d5b433682c33), // lserve_fp16, window (0, 1)
+    ([84, 60, 168, 1360, 1020, 8040, 16600, 1056, 44, 126, 85, 53, 30, 664, 664], [21, 133, 21, 133], 0xc19752589153b140), // lserve_fp16, window (1, 2)
+];
+
+fn cells() -> impl Iterator<Item = (&'static str, (usize, usize))> {
+    ["lserve", "lserve_fp16"]
+        .into_iter()
+        .flat_map(|preset| WINDOWS.into_iter().map(move |window| (preset, window)))
+}
+
+fn config(preset: &str, (sink, local): (usize, usize)) -> EngineConfig {
+    let base = match preset {
+        "lserve" => EngineConfig::lserve(),
+        _ => EngineConfig::lserve_fp16(),
+    };
+    EngineConfig {
+        paging: PagingConfig::new(PAGE, 4, base.paging.precision()),
+        streaming_window: StreamingWindow::new(sink, local),
+        dynamic_budget: Some(BUDGET),
+        prefill_tile: PAGE,
+        ..base
+    }
+}
+
+fn fields(s: EngineStats) -> [u64; 15] {
+    let EngineStats {
+        prefill_dense_tiles,
+        prefill_streaming_tiles,
+        prefill_total_causal_tiles,
+        decode_dense_pages,
+        decode_streaming_pages,
+        decode_total_pages,
+        decode_tokens_visited,
+        selector_logical_scored,
+        selector_invocations,
+        selector_reuses,
+        decode_steps,
+        pages_demoted,
+        pages_promoted,
+        migrated_token_units,
+        unhidden_token_units,
+    } = s;
+    [
+        prefill_dense_tiles,
+        prefill_streaming_tiles,
+        prefill_total_causal_tiles,
+        decode_dense_pages,
+        decode_streaming_pages,
+        decode_total_pages,
+        decode_tokens_visited,
+        selector_logical_scored,
+        selector_invocations,
+        selector_reuses,
+        decode_steps,
+        pages_demoted,
+        pages_promoted,
+        migrated_token_units,
+        unhidden_token_units,
+    ]
+}
+
+fn run(preset: &str, window: (usize, usize)) -> Row {
+    let w = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 17));
+    let cfg = config(preset, window);
+    let mut pool = cfg.make_pool_for(&w.config, PROMPT + NEW_TOKENS);
+    let exec = ModelExecutor::new(Arc::clone(&w), cfg);
+    let mut seq = exec.new_sequence();
+    let prompt: Vec<u32> = (0..PROMPT).map(|t| ((t * 13 + 5) % 90) as u32).collect();
+    let tokens = exec
+        .generate(&mut seq, &mut pool, &prompt, NEW_TOKENS)
+        .expect("the pool holds the generation");
+    let stats = seq.stats();
+    assert!(stats.selector_invocations > 1, "the selectors rescore");
+    let heads = w.config.num_kv_heads;
+    assert_eq!(w.config.num_layers * heads, 4, "one resident span per head");
+    let resident: [u64; 4] =
+        std::array::from_fn(|i| seq.kv_head_resident_tokens(&pool, i / heads, i % heads));
+    let hash = tokens.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &t| {
+        t.to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    });
+    seq.release(&mut pool);
+    assert_eq!(pool.total_in_use(), 0, "pages leaked");
+    (fields(stats), resident, hash)
+}
+
+#[test]
+fn decode_counters_and_resident_spans_reproduce_the_ledger() {
+    let got: Vec<Row> = cells()
+        .map(|(preset, window)| run(preset, window))
+        .collect();
+    if got == LEDGER {
+        return;
+    }
+    let rows: Vec<String> = cells()
+        .zip(&got)
+        .zip(&LEDGER)
+        .map(|(((preset, window), got), want)| {
+            let mark = if got == want { "" } else { " *" };
+            format!(
+                "    ({:?}, {:?}, {:#018x}), // {preset}, window {window:?}{mark}",
+                got.0, got.1, got.2
+            )
+        })
+        .collect();
+    panic!(
+        "head-table ledger moved (rows marked *):\n{}",
+        rows.join("\n")
+    );
+}
