@@ -609,13 +609,11 @@ pub(crate) fn finish_rows(d: usize, rows: &[RowState], acc: &mut [f32]) {
 
 #[cfg(test)]
 mod tests {
-    use lserve_kvcache::{
-        DenseHeadCache, PagePool, PagingConfig, StreamingHeadCache, StreamingWindow,
-    };
+    use lserve_kvcache::{DenseHeadCache, PagePool, PagingConfig, StreamingWindow};
     use lserve_quant::KvPrecision;
     use lserve_tensor::{Matrix, SeededGaussian};
 
-    use crate::decode::{decode_dense_group, decode_streaming_group};
+    use crate::decode::decode_group;
     use crate::exp::each_copy;
     use crate::pattern::{BlockPattern, DensePattern, MaskPattern, StreamingPattern};
     use crate::prefill::prefill_attention;
@@ -660,12 +658,12 @@ mod tests {
             for selection in [None, Some(&[2usize, 0][..])] {
                 let want: Vec<f32> = (0..group)
                     .flat_map(|r| {
-                        scalar::decode_dense_head(&pool, &cache, queries.row(r), scale, selection)
+                        scalar::attend_pages(&pool, &cache, queries.row(r), scale, selection)
                     })
                     .collect();
                 each_copy(|copy| {
                     let mut out = vec![f32::NAN; group * d];
-                    let stats = decode_dense_group(
+                    let stats = decode_group(
                         &pool,
                         &cache,
                         d,
@@ -720,13 +718,13 @@ mod tests {
                         .flat_map(|r| {
                             let (pool, cache) = &alone[5 - m + r / group];
                             let q = queries.row(r);
-                            scalar::decode_dense_head(pool, cache, q, scale, selection)
+                            scalar::attend_pages(pool, cache, q, scale, selection)
                         })
                         .collect();
                     each_copy(|copy| {
                         let mut out = vec![f32::NAN; m * group * d];
                         let q = queries.as_slice();
-                        decode_dense_group(pool, cache, d, group, q, scale, selection, &mut out);
+                        decode_group(pool, cache, d, group, q, scale, selection, &mut out);
                         assert_eq!(
                             bits(&out),
                             bits(&want),
@@ -744,7 +742,7 @@ mod tests {
         for (d, tokens, precision, group) in decode_cases(5) {
             let mut g = SeededGaussian::new((d * 2000 + tokens) as u64);
             let mut pool = PagePool::new(PagingConfig::new(64, 16, precision), 8, d);
-            let mut cache = StreamingHeadCache::new(StreamingWindow::new(1, 2));
+            let mut cache = DenseHeadCache::with_window(Some(StreamingWindow::new(1, 2)));
             for _ in 0..tokens {
                 let (k, v) = (g.matrix(1, d, 1.0), g.matrix(1, d, 1.0));
                 assert!(cache.append(&mut pool, k.row(0), v.row(0)));
@@ -752,17 +750,18 @@ mod tests {
             let queries = g.matrix(group, d, 1.0);
             let scale = 1.0 / (d as f32).sqrt();
             let want: Vec<f32> = (0..group)
-                .flat_map(|r| scalar::decode_streaming_head(&pool, &cache, queries.row(r), scale))
+                .flat_map(|r| scalar::attend_pages(&pool, &cache, queries.row(r), scale, None))
                 .collect();
             each_copy(|copy| {
                 let mut out = vec![f32::NAN; group * d];
-                let stats = decode_streaming_group(
+                let stats = decode_group(
                     &pool,
                     &cache,
                     d,
                     group,
                     queries.as_slice(),
                     scale,
+                    None,
                     &mut out,
                 );
                 assert!(stats.pages_visited <= (group * 3) as u64);

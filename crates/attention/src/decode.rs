@@ -1,18 +1,19 @@
 //! Paged decode attention kernel (`TQ = 1`, §3.1 and §3.6).
 //!
-//! The query rows of one GQA group attend a page table through the [`PagePool`],
-//! page by page through the shared block routine. Dense heads may be
-//! restricted to a selected subset of physical pages (the dynamic sparsity of
-//! Figure 4(d): "a dense attention kernel with shorter page tables", §3.2);
-//! streaming heads iterate their resident sink+local pages, which *is* their whole
-//! page table ("streaming heads are treated as dynamic sparse heads with index table
-//! only containing the sink and local pages", §3.6).
+//! The query rows of one GQA group attend a head's page table through the
+//! [`PagePool`], page by page through the shared block routine, either whole
+//! or restricted to a selected subset of its physical pages (the dynamic
+//! sparsity of Figure 4(d): "a dense attention kernel with shorter page
+//! tables", §3.2). A streaming head's table holds only its sink and local
+//! pages, so reading it whole is reading its window ("streaming heads are
+//! treated as dynamic sparse heads with index table only containing the sink
+//! and local pages", §3.6).
 //!
 //! Pages are folded in the order given and that order is part of the result:
 //! the same pages in another order agree to rounding, not to the bit (see
 //! `block.rs`).
 
-use lserve_kvcache::{DenseHeadCache, PageId, PagePool, StreamingHeadCache};
+use lserve_kvcache::{DenseHeadCache, PageId, PagePool};
 
 use crate::block::{finish_rows, fold_block, Causal, RowState};
 
@@ -27,7 +28,7 @@ pub struct DecodeStats {
     pub pages_total: u64,
 }
 
-/// Query rows whose softmax states [`attend_pages`] keeps on the stack.
+/// Query rows whose softmax states [`fold_pages`] keeps on the stack.
 const INLINE_ROWS: usize = 8;
 
 /// Attends the `d`-long rows of `queries` to `pages` in order, writing one
@@ -41,7 +42,7 @@ const INLINE_ROWS: usize = 8;
 /// attention a later call does: only its work is counted.
 ///
 /// Counters are for the head's last position and per query head, so a page
-/// visited for the group counts once per head, as do the `table_pages` a
+/// visited for the group counts once per head, as do the `history_pages` a
 /// dense kernel over the full history would visit.
 ///
 /// # Panics
@@ -49,10 +50,10 @@ const INLINE_ROWS: usize = 8;
 /// Panics if `queries`/`out` are not the same whole number of `group × d`
 /// rows, if `d` is not the pages' head dimension, or if a page is not hot.
 #[allow(clippy::too_many_arguments)]
-fn attend_pages(
+fn fold_pages(
     pool: &PagePool,
     pages: impl Iterator<Item = PageId>,
-    (table_pages, tokens, tail): (usize, usize, Option<PageId>),
+    (history_pages, tokens, tail): (usize, usize, Option<PageId>),
     d: usize,
     group: usize,
     queries: &[f32],
@@ -76,7 +77,7 @@ fn attend_pages(
     let group = group as u64;
     out.fill(0.0);
     let mut stats = DecodeStats {
-        pages_total: group * table_pages as u64,
+        pages_total: group * history_pages as u64,
         ..DecodeStats::default()
     };
     for id in pages {
@@ -107,11 +108,13 @@ fn attend_pages(
     stats
 }
 
-/// Decode attention of `group` query heads against a dense head, for its
-/// last `queries.len() / (group * d)` positions (see [`attend_pages`]);
-/// [`decode_dense_head`] is one head at one position.
+/// Decode attention of `group` query heads against a head's table, whole or
+/// its `selected_pages`, for its last `queries.len() / (group * d)`
+/// positions (see [`fold_pages`]); [`attend_pages`] is one head at one
+/// position. A table holds `ceil(tokens / N_P)` pages of history, whether or
+/// not its window freed some.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn decode_dense_group(
+pub(crate) fn decode_group(
     pool: &PagePool,
     cache: &DenseHeadCache,
     d: usize,
@@ -122,7 +125,8 @@ pub(crate) fn decode_dense_group(
     out: &mut [f32],
 ) -> DecodeStats {
     let table = cache.page_table();
-    let head = (table.len(), cache.tokens(), table.last().copied());
+    let history = pool.config().pages_for(cache.tokens());
+    let head = (history, cache.tokens(), table.last().copied());
     match selected_pages {
         Some(sel) => {
             let pages = sel.iter().map(|&p| {
@@ -133,43 +137,27 @@ pub(crate) fn decode_dense_group(
                 );
                 table[p]
             });
-            attend_pages(pool, pages, head, d, group, queries, scale, out)
+            fold_pages(pool, pages, head, d, group, queries, scale, out)
         }
         None => {
             let pages = table.iter().copied();
-            attend_pages(pool, pages, head, d, group, queries, scale, out)
+            fold_pages(pool, pages, head, d, group, queries, scale, out)
         }
     }
 }
 
-/// Decode attention of `group` query heads against a streaming head: see
-/// [`decode_dense_group`]; [`decode_streaming_head`] is one head at one
-/// position.
-pub(crate) fn decode_streaming_group(
-    pool: &PagePool,
-    cache: &StreamingHeadCache,
-    d: usize,
-    group: usize,
-    queries: &[f32],
-    scale: f32,
-    out: &mut [f32],
-) -> DecodeStats {
-    let full_pages = pool.config().pages_for(cache.tokens());
-    let head = (full_pages, cache.tokens(), cache.page_ids().last());
-    attend_pages(pool, cache.page_ids(), head, d, group, queries, scale, out)
-}
-
-/// Decode attention for a dense head.
+/// Decode attention of one query row against a head's page table.
 ///
 /// `selected_pages`, when given, lists indices into `cache.page_table()` to visit
 /// (the shorter page table produced by the page selector), in visiting order;
-/// `None` means dense attention over the full history.
+/// `None` reads the whole table: a dense head's full history, a streaming
+/// head's sink and local pages.
 ///
 /// # Panics
 ///
 /// Panics if `q.len()` differs from the cache's head dimension, or a selected page
 /// index is out of range.
-pub fn decode_dense_head(
+pub fn attend_pages(
     pool: &PagePool,
     cache: &DenseHeadCache,
     q: &[f32],
@@ -177,25 +165,31 @@ pub fn decode_dense_head(
     selected_pages: Option<&[usize]>,
 ) -> (Vec<f32>, DecodeStats) {
     let mut out = vec![0.0; q.len()];
-    let stats = decode_dense_group(pool, cache, q.len(), 1, q, scale, selected_pages, &mut out);
+    let stats = decode_group(pool, cache, q.len(), 1, q, scale, selected_pages, &mut out);
     (out, stats)
 }
 
-/// Decode attention for a streaming head: visits exactly the resident sink and local
-/// pages.
-///
-/// # Panics
-///
-/// Panics if `q.len()` differs from the cache's head dimension.
+/// [`attend_pages`] under its old name, kept for the benchmark's pinned
+/// surface. ROADMAP 1(f) deletes it.
+pub fn decode_dense_head(
+    pool: &PagePool,
+    cache: &DenseHeadCache,
+    q: &[f32],
+    scale: f32,
+    selected_pages: Option<&[usize]>,
+) -> (Vec<f32>, DecodeStats) {
+    attend_pages(pool, cache, q, scale, selected_pages)
+}
+
+/// [`attend_pages`] over the whole table, under its old name, kept for the
+/// benchmark's pinned surface. ROADMAP 1(f) deletes it.
 pub fn decode_streaming_head(
     pool: &PagePool,
-    cache: &StreamingHeadCache,
+    cache: &DenseHeadCache,
     q: &[f32],
     scale: f32,
 ) -> (Vec<f32>, DecodeStats) {
-    let mut out = vec![0.0; q.len()];
-    let stats = decode_streaming_group(pool, cache, q.len(), 1, q, scale, &mut out);
-    (out, stats)
+    attend_pages(pool, cache, q, scale, None)
 }
 
 #[cfg(test)]
@@ -223,7 +217,7 @@ mod tests {
         fill_dense(&mut pool, &mut cache, &k, &v);
         let q = g.matrix(1, 8, 1.0);
         let scale = 1.0 / (8f32).sqrt();
-        let (got, stats) = decode_dense_head(&pool, &cache, q.row(0), scale, None);
+        let (got, stats) = attend_pages(&pool, &cache, q.row(0), scale, None);
         let want = masked_attention_reference(&q, &k, &v, scale, |_, _| true);
         for (a, b) in got.iter().zip(want.row(0)) {
             assert!((a - b).abs() < 1e-4);
@@ -243,7 +237,7 @@ mod tests {
         fill_dense(&mut pool, &mut cache, &k, &v);
         let q = g.matrix(1, 4, 1.0);
         let sel = [0usize, 3];
-        let (got, stats) = decode_dense_head(&pool, &cache, q.row(0), 0.5, Some(&sel));
+        let (got, stats) = attend_pages(&pool, &cache, q.row(0), 0.5, Some(&sel));
         let want = masked_attention_reference(&q, &k, &v, 0.5, |_, j| j / 4 == 0 || j / 4 == 3);
         for (a, b) in got.iter().zip(want.row(0)) {
             assert!((a - b).abs() < 1e-4);
@@ -262,13 +256,13 @@ mod tests {
         let v = g.matrix(20, 4, 1.0);
         fill_dense(&mut pool, &mut cache, &k, &v);
         let q: Vec<f32> = g.matrix(1, 4, 1.0).as_slice().to_vec();
-        let (a, _) = decode_dense_head(&pool, &cache, &q, 0.5, Some(&[0, 2, 4]));
-        let (b, _) = decode_dense_head(&pool, &cache, &q, 0.5, Some(&[4, 0, 2]));
+        let (a, _) = attend_pages(&pool, &cache, &q, 0.5, Some(&[0, 2, 4]));
+        let (b, _) = attend_pages(&pool, &cache, &q, 0.5, Some(&[4, 0, 2]));
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-5);
         }
         // The same order again is the same bits.
-        let (c, _) = decode_dense_head(&pool, &cache, &q, 0.5, Some(&[0, 2, 4]));
+        let (c, _) = attend_pages(&pool, &cache, &q, 0.5, Some(&[0, 2, 4]));
         assert_eq!(a, c);
     }
 
@@ -276,7 +270,7 @@ mod tests {
     fn streaming_decode_matches_lambda_mask() {
         let cfg = PagingConfig::new(4, 4, KvPrecision::Fp16);
         let mut pool = PagePool::new(cfg, 64, 4);
-        let mut cache = StreamingHeadCache::new(StreamingWindow::new(1, 2));
+        let mut cache = DenseHeadCache::with_window(Some(StreamingWindow::new(1, 2)));
         let mut g = SeededGaussian::new(31);
         let n = 30;
         let k = g.matrix(n, 4, 1.0);
@@ -285,12 +279,11 @@ mod tests {
             assert!(cache.append(&mut pool, k.row(t), v.row(t)));
         }
         let q = g.matrix(1, 4, 1.0);
-        let (got, stats) = decode_streaming_head(&pool, &cache, q.row(0), 0.5);
+        let (got, stats) = attend_pages(&pool, &cache, q.row(0), 0.5, None);
         // Resident tokens: sink page [0,4) + the local pages the cache retained.
         let resident: Vec<usize> = cache
-            .page_table(&pool)
-            .iter()
-            .flat_map(|&(start, id)| (start..start + pool.page(id).len()).collect::<Vec<_>>())
+            .page_starts(&pool)
+            .flat_map(|(start, id)| start..start + pool.page(id).len())
             .collect();
         let want = masked_attention_reference(&q, &k, &v, 0.5, |_, j| resident.contains(&j));
         for (a, b) in got.iter().zip(want.row(0)) {
@@ -311,7 +304,7 @@ mod tests {
         fill_dense(&mut pool, &mut cache, &k, &v);
         let q = g.matrix(1, 8, 1.0);
         let scale = 1.0 / (8f32).sqrt();
-        let (got, _) = decode_dense_head(&pool, &cache, q.row(0), scale, None);
+        let (got, _) = attend_pages(&pool, &cache, q.row(0), scale, None);
         let want = masked_attention_reference(&q, &k, &v, scale, |_, _| true);
         for (a, b) in got.iter().zip(want.row(0)) {
             assert!((a - b).abs() < 0.05, "int8 decode drifted: {a} vs {b}");
@@ -330,7 +323,7 @@ mod tests {
         // Page 0 moves to the cold tier; attending it must trip the residency
         // precondition rather than silently reading host memory.
         pool.demote(cache.page_table()[0]).unwrap();
-        let _ = decode_dense_head(&pool, &cache, &[1.0; 4], 0.5, Some(&[0]));
+        let _ = attend_pages(&pool, &cache, &[1.0; 4], 0.5, Some(&[0]));
     }
 
     #[test]
@@ -343,10 +336,10 @@ mod tests {
         let v = g.matrix(10, 4, 1.0);
         fill_dense(&mut pool, &mut cache, &k, &v);
         let q = g.matrix(1, 4, 1.0);
-        let (want, _) = decode_dense_head(&pool, &cache, q.row(0), 0.5, Some(&[1, 2]));
+        let (want, _) = attend_pages(&pool, &cache, q.row(0), 0.5, Some(&[1, 2]));
         // A cold page that the selection does not visit is harmless.
         pool.demote(cache.page_table()[0]).unwrap();
-        let (got, _) = decode_dense_head(&pool, &cache, q.row(0), 0.5, Some(&[1, 2]));
+        let (got, _) = attend_pages(&pool, &cache, q.row(0), 0.5, Some(&[1, 2]));
         assert_eq!(got, want);
     }
 
@@ -357,6 +350,6 @@ mod tests {
         let mut pool = PagePool::new(cfg, 8, 4);
         let mut cache = DenseHeadCache::new();
         cache.append(&mut pool, &[0.0; 4], &[0.0; 4]);
-        let _ = decode_dense_head(&pool, &cache, &[0.0; 4], 1.0, Some(&[5]));
+        let _ = attend_pages(&pool, &cache, &[0.0; 4], 1.0, Some(&[5]));
     }
 }

@@ -219,10 +219,10 @@ pub fn fused_prefill_layer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::{decode_dense_head, decode_streaming_head, DecodeStats};
+    use crate::decode::{attend_pages, DecodeStats};
     use crate::parallel::{run_decode_shard, DecodeShard};
     use crate::reference::causal_attention_reference;
-    use lserve_kvcache::{append_token, HeadCache, PagePool, PagingConfig, StreamingWindow};
+    use lserve_kvcache::{append_token, DenseHeadCache, PagePool, PagingConfig, StreamingWindow};
     use lserve_quant::KvPrecision;
     use lserve_tensor::SeededGaussian;
 
@@ -292,11 +292,13 @@ mod tests {
         c: &LayerAttnConfig,
         n: usize,
         seed: u64,
-    ) -> (PagePool, Vec<HeadCache>, Vec<f32>) {
+    ) -> (PagePool, Vec<DenseHeadCache>, Vec<f32>) {
         let pcfg = PagingConfig::new(4, 4, KvPrecision::Fp16);
         let mut pool = PagePool::new(pcfg, 1024, c.head_dim);
         let window = StreamingWindow::new(1, 2);
-        let mut cache: Vec<HeadCache> = [false, true].map(|s| HeadCache::new(s, window)).into();
+        let mut cache: Vec<DenseHeadCache> = [false, true]
+            .map(|s| DenseHeadCache::with_window(s.then_some(window)))
+            .into();
         let mut g = SeededGaussian::new(seed);
         let mut row = |width: usize| -> Vec<f32> { (0..width).map(|_| g.sample()).collect() };
         for _ in 0..n {
@@ -314,7 +316,7 @@ mod tests {
     fn decode_shard(
         c: &LayerAttnConfig,
         pool: &PagePool,
-        cache: &[HeadCache],
+        cache: &[DenseHeadCache],
         q: &[f32],
         kv: usize,
     ) -> (Vec<f32>, DecodeStats) {
@@ -346,10 +348,7 @@ mod tests {
         assert!(dstats.tokens_visited > 0 && sstats.tokens_visited > 0);
         for (h, got) in dense.chunks(d).chain(stream.chunks(d)).enumerate() {
             let qh = &q[h * d..(h + 1) * d];
-            let (want, _) = match &cache[c.kv_head_of(h)] {
-                HeadCache::Dense(head) => decode_dense_head(&pool, head, qh, c.scale(), None),
-                HeadCache::Streaming(head) => decode_streaming_head(&pool, head, qh, c.scale()),
-            };
+            let (want, _) = attend_pages(&pool, &cache[c.kv_head_of(h)], qh, c.scale(), None);
             assert_eq!(got, want, "query head {h}");
         }
     }

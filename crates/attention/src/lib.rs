@@ -43,7 +43,7 @@ pub mod pattern;
 pub mod prefill;
 pub mod reference;
 
-pub use decode::{decode_dense_head, decode_streaming_head, DecodeStats};
+pub use decode::{attend_pages, decode_dense_head, decode_streaming_head, DecodeStats};
 pub use dynamic::build_dynamic_prefill_mask;
 pub use fused::{fused_prefill_layer, HeadKind, LayerAttnConfig};
 pub use parallel::{

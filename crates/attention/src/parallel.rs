@@ -39,9 +39,9 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
 
-use lserve_kvcache::{HeadCache, PagePool};
+use lserve_kvcache::{DenseHeadCache, PagePool};
 
-use crate::decode::{decode_dense_group, decode_streaming_group, DecodeStats};
+use crate::decode::{decode_group, DecodeStats};
 
 /// Measured and estimated balance of one parallel phase, per worker and per
 /// simulated device. Workers are listed device-major: device 0's first.
@@ -263,8 +263,8 @@ pub fn run_placed<T: Send, F: Fn(&mut T) + Sync>(
 /// heads of one GQA group are contiguous, so the output region is too).
 #[derive(Debug)]
 pub struct DecodeShard<'a> {
-    /// The KV head's cache (dense or streaming).
-    pub head: &'a HeadCache,
+    /// The KV head's page table (a streaming head's holds its window).
+    pub head: &'a DenseHeadCache,
     /// Query rows of every query head in this KV head's group, concatenated,
     /// for each position the shard attends, position-major: one position, or
     /// a run's deferred rows and then its current one, whose attention is one
@@ -273,8 +273,8 @@ pub struct DecodeShard<'a> {
     pub queries: &'a [f32],
     /// Query heads per KV head.
     pub group: usize,
-    /// Selected physical-page indices for a dense head (`None` = full history;
-    /// ignored for streaming heads, whose page table *is* the selection).
+    /// Selected physical-page indices (`None` = the whole table: a dense
+    /// head's full history, a streaming head's window).
     pub selection: Option<&'a [usize]>,
     /// Per-head feature dimension `D`.
     pub head_dim: usize,
@@ -282,8 +282,7 @@ pub struct DecodeShard<'a> {
     pub scale: f32,
     /// Preallocated output slice, same length as `queries`.
     pub out: &'a mut [f32],
-    /// Work counters of the group's pass over the head (the head is of one
-    /// kind, so they are dense-head *or* streaming-head work).
+    /// Work counters of the group's pass over the head.
     pub stats: DecodeStats,
 }
 
@@ -297,12 +296,7 @@ pub struct DecodeShard<'a> {
 /// `head_dim`, or on the underlying kernels' shape checks.
 pub fn run_decode_shard(pool: &PagePool, shard: &mut DecodeShard<'_>) {
     let (d, g, q, scale) = (shard.head_dim, shard.group, shard.queries, shard.scale);
-    shard.stats = match shard.head {
-        HeadCache::Dense(c) => {
-            decode_dense_group(pool, c, d, g, q, scale, shard.selection, shard.out)
-        }
-        HeadCache::Streaming(c) => decode_streaming_group(pool, c, d, g, q, scale, shard.out),
-    };
+    shard.stats = decode_group(pool, shard.head, d, g, q, scale, shard.selection, shard.out);
 }
 
 #[cfg(test)]

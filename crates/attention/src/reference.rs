@@ -69,7 +69,7 @@ where
 /// obviously in order — the bits [`crate::block`] must reproduce exactly.
 #[cfg(test)]
 pub(crate) mod scalar {
-    use lserve_kvcache::{DenseHeadCache, PageId, PagePool, StreamingHeadCache};
+    use lserve_kvcache::{DenseHeadCache, PagePool};
     use lserve_tensor::{Matrix, OnlineSoftmax};
 
     use crate::pattern::{BlockDecision, BlockPattern};
@@ -82,24 +82,8 @@ pub(crate) mod scalar {
         acc.update(s * scale, value);
     }
 
-    fn attend_pages(
-        pool: &PagePool,
-        pages: impl Iterator<Item = PageId>,
-        q: &[f32],
-        scale: f32,
-    ) -> Vec<f32> {
-        let mut acc = OnlineSoftmax::new(q.len());
-        for id in pages {
-            let page = pool.page(id);
-            for t in 0..page.len() {
-                fold_key(&mut acc, q, &page.key_row(t), &page.value_row(t), scale);
-            }
-        }
-        acc.finish()
-    }
-
-    /// One query row against a dense head's full or selected page table.
-    pub fn decode_dense_head(
+    /// One query row against a head's whole or selected page table.
+    pub fn attend_pages(
         pool: &PagePool,
         cache: &DenseHeadCache,
         q: &[f32],
@@ -107,21 +91,15 @@ pub(crate) mod scalar {
         selected_pages: Option<&[usize]>,
     ) -> Vec<f32> {
         let table = cache.page_table();
-        match selected_pages {
-            Some(sel) => attend_pages(pool, sel.iter().map(|&p| table[p]), q, scale),
-            None => attend_pages(pool, table.iter().copied(), q, scale),
+        let all: Vec<usize> = (0..table.len()).collect();
+        let mut acc = OnlineSoftmax::new(q.len());
+        for &p in selected_pages.unwrap_or(&all) {
+            let page = pool.page(table[p]);
+            for t in 0..page.len() {
+                fold_key(&mut acc, q, &page.key_row(t), &page.value_row(t), scale);
+            }
         }
-    }
-
-    /// One query row against a streaming head's resident pages.
-    pub fn decode_streaming_head(
-        pool: &PagePool,
-        cache: &StreamingHeadCache,
-        q: &[f32],
-        scale: f32,
-    ) -> Vec<f32> {
-        let pages = cache.page_table(pool).into_iter().map(|(_, id)| id);
-        attend_pages(pool, pages, q, scale)
+        acc.finish()
     }
 
     /// Block-sparse prefill for one head, row by row and key by key.

@@ -65,7 +65,8 @@ pub enum FinishReason {
 pub enum RejectReason {
     /// The spec is degenerate: an empty (resolved) prompt, a zero
     /// `max_new_tokens` budget, or a streaming-window override scheduled past
-    /// position 0 (the ring is built at sequence creation). Rejected at
+    /// position 0 (a streaming head's table takes its window at sequence
+    /// creation). Rejected at
     /// `submit` so a degenerate sequence never reaches admission.
     Invalid,
     /// The estimated full footprint can never fit the pool.

@@ -32,8 +32,9 @@ pub struct SparsityOverride {
     /// Composes with `selection_budget` (the smaller wins).
     pub retention_permille: Option<u32>,
     /// Replace the Λ-mask geometry of streaming heads. Only valid from
-    /// position 0 (the ring is built at sequence creation); a fork rejects
-    /// window overrides because children inherit the parent's ring.
+    /// position 0 (a streaming head's table takes its window at sequence
+    /// creation); a fork rejects window overrides because children inherit
+    /// the parent's tables, windows included.
     pub streaming_window: Option<StreamingWindow>,
 }
 
@@ -140,7 +141,8 @@ impl SparsitySchedule {
     }
 
     /// The streaming-window override, which is only honoured when scheduled
-    /// from position 0 (the ring is built at sequence creation).
+    /// from position 0 (a streaming head's table takes its window at sequence
+    /// creation).
     pub fn window_override(&self) -> Option<StreamingWindow> {
         self.phases
             .iter()
@@ -149,8 +151,8 @@ impl SparsitySchedule {
     }
 
     /// True if any phase past position 0 tries to change the streaming
-    /// window — invalid, because the per-sequence ring cannot be rebuilt
-    /// mid-flight.
+    /// window — invalid, because a table that has evicted under one window
+    /// cannot take another mid-flight.
     pub fn has_late_window_override(&self) -> bool {
         self.phases
             .iter()
@@ -239,8 +241,8 @@ pub enum ForkError {
     /// A branch id collides with an existing request.
     DuplicateId(u64),
     /// A branch asked for `max_new_tokens == 0` or a window override —
-    /// the streaming ring is inherited from the parent and cannot be rebuilt
-    /// at the fork point.
+    /// a branch inherits the parent's tables, windows included, and a table
+    /// cannot take another window at the fork point.
     InvalidBranch(u64),
 }
 

@@ -40,7 +40,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use lserve_attention::{fused_prefill_layer, HeadKind, LayerAttnConfig};
-use lserve_kvcache::{append_token, HeadCache, PagePool, StreamingWindow, HOST_TRANSFER_SPEEDUP};
+use lserve_kvcache::{
+    append_token, DenseHeadCache, PagePool, StreamingWindow, HOST_TRANSFER_SPEEDUP,
+};
 use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention};
 use lserve_model::{greedy_next_token, ModelWeights};
 use lserve_selector::{FlatSelector, HierarchicalSelector, ReusableSelector};
@@ -158,8 +160,8 @@ impl ModelExecutor {
             num_kv_heads: model.num_kv_heads,
             head_dim: model.head_dim,
             tile: cfg.prefill_tile,
-            sink_blocks: cfg.streaming_window.sink_pages,
-            local_blocks: cfg.streaming_window.local_pages,
+            sink_blocks: cfg.streaming_window.sink_pages(),
+            local_blocks: cfg.streaming_window.local_pages(),
         };
         let rope = RopeTable::new(model.head_dim, model.rope_base);
         Self {
@@ -195,16 +197,19 @@ impl ModelExecutor {
     }
 
     /// [`ModelExecutor::new_sequence`] with a per-request streaming-window
-    /// override (`None` inherits the engine config). The window shapes each
-    /// streaming head's sink/local ring, which is built here and never resized
-    /// — which is why window overrides are admission-time-only and rejected at
-    /// fork (children inherit the parent's ring).
+    /// override (`None` inherits the engine config). The window is set on each
+    /// streaming head's table here and never changed — which is why window
+    /// overrides are admission-time-only and rejected at fork (children
+    /// inherit the parent's tables, windows included).
     pub fn new_sequence_with_window(&self, window: Option<StreamingWindow>) -> SequenceState {
         let window = window.unwrap_or(self.cfg.streaming_window);
         let layers = self
             .masks
             .iter()
-            .map(|mask| mask.iter().map(|&s| HeadCache::new(s, window)).collect())
+            .map(|mask| {
+                let head = |&s: &bool| DenseHeadCache::with_window(s.then_some(window));
+                mask.iter().map(head).collect()
+            })
             .collect();
         let selectors = self
             .masks

@@ -4,7 +4,7 @@
 //! plus [`ModelExecutor::step_page_demand`], the reservation that makes the
 //! pass unable to fail short of a bounded host refusing a demotion.
 
-use lserve_kvcache::{HeadCache, Moved, PageId, PagePool};
+use lserve_kvcache::{Moved, PageId, PagePool};
 use lserve_selector::PageSelector;
 use lserve_trace::lane;
 
@@ -47,7 +47,7 @@ impl ModelExecutor {
         for (layer, selectors) in state.layers.iter().zip(&state.selectors) {
             for (kv, selector) in selectors.iter().enumerate() {
                 need += match (&layer[kv], selector, budget) {
-                    (HeadCache::Dense(c), Some(_), Some(b)) if selects(b, c.tokens() + 1) => {
+                    (c, Some(_), Some(b)) if selects(b, c.tokens() + 1) => {
                         // The most pages one selection reads, so the most it
                         // promotes; each exchangeable page pays for one.
                         let mut unpaid = (b / np).max(lserve_selector::MAX_FORCED_PAGES);
@@ -102,9 +102,7 @@ impl ModelExecutor {
             let Some(selector) = state.selectors[l][kv].as_mut() else {
                 continue;
             };
-            let HeadCache::Dense(cache) = &state.layers[l][kv] else {
-                continue;
-            };
+            let cache = &state.layers[l][kv];
             // Skip selection entirely while the history fits the budget.
             if !selects(budget, cache.tokens()) {
                 continue;
@@ -152,8 +150,8 @@ impl ModelExecutor {
             .iter()
             .zip(&state.selectors[l])
             .enumerate()
-            .all(|(kv, pair)| {
-                let (HeadCache::Dense(cache), Some(selector)) = pair else {
+            .all(|(kv, (cache, selector))| {
+                let Some(selector) = selector else {
                     return true;
                 };
                 // What `select_pages` and the selector will decide for the next row.
@@ -242,10 +240,7 @@ impl ModelExecutor {
                     fetch_units[kv] += moved.unhidden;
                     continue;
                 };
-                let HeadCache::Dense(cache) = &state.layers[l][kv] else {
-                    continue;
-                };
-                let table = cache.page_table();
+                let table = state.layers[l][kv].page_table();
                 if let (true, Some(selector)) = (fresh[kv], state.selectors[l][kv].as_ref()) {
                     // Never demote the append target (the table's final
                     // page) or anything the current selection reads.
@@ -314,14 +309,12 @@ impl ModelExecutor {
     ) -> Option<(usize, PageId, Moved)> {
         let heads = std::iter::once(kv).chain((0..selections.len()).filter(|&h| h != kv));
         for head in heads {
-            let (Some(sel), HeadCache::Dense(cache), Some(selector)) = (
-                selections[head].as_ref(),
-                &state.layers[l][head],
-                state.selectors[l][head].as_ref(),
-            ) else {
+            let (Some(sel), Some(selector)) =
+                (selections[head].as_ref(), state.selectors[l][head].as_ref())
+            else {
                 continue;
             };
-            let table = cache.page_table();
+            let table = state.layers[l][head].page_table();
             let stalest = (0..table.len().saturating_sub(1))
                 .filter(|p| {
                     !sel.contains(p) && pool.holds_slot(table[*p]) && pool.refcount(table[*p]) == 1
@@ -387,10 +380,7 @@ impl ModelExecutor {
             if selector.next_fresh_step() != Some(next_step) {
                 continue;
             }
-            let HeadCache::Dense(cache) = &state.layers[l][kv] else {
-                continue;
-            };
-            let table = cache.page_table();
+            let table = state.layers[l][kv].page_table();
             let mut issued = 0;
             for p in selector.prefetch_candidates(Self::PREFETCH_RECENCY_WINDOW) {
                 // Speculation never takes a slot the batch has reserved.
@@ -447,7 +437,7 @@ mod tests {
     use std::sync::Arc;
 
     use lserve_attention::HeadKind;
-    use lserve_kvcache::{MigrationMode, Residency, TierConfig};
+    use lserve_kvcache::{DenseHeadCache, MigrationMode, Residency, TierConfig};
     use lserve_model::{greedy_next_token, ModelConfig, ModelWeights};
     use lserve_quant::KvPrecision;
     use lserve_trace::Tracer;
@@ -571,13 +561,8 @@ mod tests {
     /// Selections that read the first and the last page of every dense head
     /// of layer `l` (streaming heads are read whole).
     fn first_and_last(s: &SequenceState, l: usize) -> Vec<Option<Vec<usize>>> {
-        s.layers[l]
-            .iter()
-            .map(|head| match head {
-                HeadCache::Dense(c) => Some(vec![0, c.num_pages() - 1]),
-                HeadCache::Streaming(_) => None,
-            })
-            .collect()
+        let pick = |c: &DenseHeadCache| c.window().is_none().then(|| vec![0, c.num_pages() - 1]);
+        s.layers[l].iter().map(pick).collect()
     }
 
     #[test]
@@ -589,13 +574,14 @@ mod tests {
         let (s, _) = past_budget(&exec, &mut pool);
         let (l, kv, peer) = dense_pair(&exec);
         let mut selections = first_and_last(&s, l);
-        let table = s.layers[l][kv].as_dense().page_table().to_vec();
+        let table = s.layers[l][kv].page_table().to_vec();
         let selector = s.selectors[l][kv].as_ref().unwrap();
         // The sweep has already demoted the stalest pages of every head; what
         // the exchanges below may touch of other layers is nothing.
         let other_layers = |pool: &PagePool| -> Vec<Residency> {
             let heads = s.layers.iter().enumerate().filter(|&(o, _)| o != l);
-            let pages = heads.flat_map(|(_, layer)| layer.iter().flat_map(HeadCache::page_ids));
+            let pages =
+                heads.flat_map(|(_, layer)| layer.iter().flat_map(DenseHeadCache::page_ids));
             pages.map(|id| pool.residency(id)).collect()
         };
         let untouched = other_layers(&pool);
@@ -643,7 +629,7 @@ mod tests {
         let (head, lent, _) =
             ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).unwrap();
         assert_eq!(head, peer);
-        let peer_table = s.layers[l][peer].as_dense().page_table();
+        let peer_table = s.layers[l][peer].page_table();
         let lent_at = peer_table.iter().position(|&id| id == lent).unwrap();
         assert!(lent_at != 0 && lent_at + 1 < peer_table.len());
 
@@ -652,7 +638,7 @@ mod tests {
         while ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).is_some() {}
         for (h, selection) in selections.iter().enumerate().filter(|&(h, _)| h != kv) {
             match (&s.layers[l][h], selection) {
-                (HeadCache::Dense(c), Some(sel)) => {
+                (c, Some(sel)) => {
                     for (p, &id) in c.page_table().iter().enumerate() {
                         let read = sel.contains(&p) || p + 1 == c.num_pages();
                         assert!(pool.is_hot(id) || !read, "head {h} page {p}");
@@ -683,7 +669,7 @@ mod tests {
         plan.selections = first_and_last(&s, l);
 
         // One cold page selected, and not one free hot slot.
-        let table = s.layers[l][kv].as_dense().page_table();
+        let table = s.layers[l][kv].page_table();
         let p = (1..table.len() - 1)
             .find(|&p| pool.holds_slot(table[p]))
             .expect("a hot page between the sink and the append target");
@@ -742,11 +728,10 @@ mod tests {
             let mut demoted = 0;
             if tight.is_some() {
                 // Every other page starts cold, so selections keep finding some.
-                for head in s.layers.iter().flatten() {
-                    if let HeadCache::Dense(c) = head {
-                        for &id in c.page_table().iter().skip(1).step_by(2) {
-                            demoted += u64::from(pool.demote(id).is_some());
-                        }
+                let dense = s.layers.iter().flatten().filter(|c| c.window().is_none());
+                for c in dense {
+                    for &id in c.page_table().iter().skip(1).step_by(2) {
+                        demoted += u64::from(pool.demote(id).is_some());
                     }
                 }
             }
@@ -843,8 +828,7 @@ mod tests {
         while s.context_len() <= 4 * BUDGET + 16 {
             next = greedy_next_token(&exec.decode_step(&mut s, &mut pool, next).unwrap().logits);
             let cap = dense_head_pages(&cfg, s.context_len(), 0, Some(BUDGET));
-            for head in s.layers.iter().flatten() {
-                let HeadCache::Dense(c) = head else { continue };
+            for c in s.layers.iter().flatten().filter(|c| c.window().is_none()) {
                 let hot = c.page_table().iter().filter(|&&id| pool.is_hot(id));
                 let hot = hot.count();
                 assert!(

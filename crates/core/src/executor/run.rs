@@ -7,7 +7,9 @@ use lserve_attention::{
     placed_queues, run_decode_shard, run_placed, DecodeShard, DecodeStats, PlacedBalance,
 };
 use lserve_costmodel::{PlacementPolicy, Topology};
-use lserve_kvcache::{append_token, HeadCache, MigrationMode, PagePool, HOST_TRANSFER_SPEEDUP};
+use lserve_kvcache::{
+    append_token, DenseHeadCache, MigrationMode, PagePool, HOST_TRANSFER_SPEEDUP,
+};
 use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention};
 use lserve_tensor::Matrix;
 use lserve_trace::{lane, Tracer, CONTROL_TID};
@@ -379,8 +381,7 @@ impl ModelExecutor {
                 // order, so stats stay deterministic too.
                 for ((&i, &kv), &stats) in table.seq.iter().zip(&table.kv).zip(&table.stats) {
                     let state = &mut *batch[i].0;
-                    let streaming = state.layers[l][kv].is_streaming();
-                    state.stats.add_decode(streaming, stats);
+                    state.stats.add_decode(&state.layers[l][kv], stats);
                 }
             }
             // Phase 3 (stacked): output projection + FFN over every row.
@@ -579,29 +580,28 @@ impl ShardTable {
 /// visited KV tokens times query heads served (the work the kernel actually
 /// does):
 ///
-/// * streaming head → resident sink+local window tokens (constant-bounded);
-/// * selected dense head → the selector's cost hint (its selected page set),
+/// * selected head → the selector's cost hint (its selected page set),
 ///   clamped to the real history;
-/// * unselected dense head → the full history;
+/// * unselected head → the tokens its table holds: a dense head's full
+///   history, a streaming head's window (constant-bounded);
 /// * plus the modeled host-link fetch cost of any cold pages the residency
 ///   pass just promoted for this shard — a shard whose pages crossed the host
 ///   link is genuinely slower this step, and the LPT balancer should know.
 fn decode_shard_cost(
     pool: &PagePool,
-    head: &HeadCache,
+    head: &DenseHeadCache,
     selection: Option<&[usize]>,
     hint: Option<u64>,
     fetch_units: u64,
     group: usize,
 ) -> u64 {
-    let tokens = match head {
-        HeadCache::Streaming(c) => c.resident_tokens(pool) as u64,
-        HeadCache::Dense(c) => match (selection, hint) {
-            (Some(_), Some(h)) => h.min(c.tokens() as u64),
-            (Some(sel), None) => (sel.len() as u64 * pool.config().physical_page_size() as u64)
-                .min(c.tokens() as u64),
-            _ => c.tokens() as u64,
-        },
+    let history = head.tokens() as u64;
+    let tokens = match (selection, hint) {
+        (Some(_), Some(h)) => h.min(history),
+        (Some(sel), None) => {
+            (sel.len() as u64 * pool.config().physical_page_size() as u64).min(history)
+        }
+        _ => head.resident_tokens(pool) as u64,
     };
     (tokens * group as u64).max(1) + lserve_kvcache::transfer_cost_tokens(fetch_units)
 }
@@ -748,9 +748,9 @@ mod tests {
             let mut dense = None;
             let mut stream = None;
             for (kv, head) in layer.iter().enumerate() {
-                match head {
-                    HeadCache::Dense(_) => dense = Some(kv),
-                    HeadCache::Streaming(_) => stream = Some(kv),
+                match head.window() {
+                    None => dense = Some(kv),
+                    Some(_) => stream = Some(kv),
                 }
             }
             (dense.expect("mixed layer"), stream.expect("mixed layer"))

@@ -1,8 +1,8 @@
 //! [`SequenceState`]: everything that belongs to one request — per-layer
-//! two-way KV caches, per-head reusable-selector state, position counters,
+//! head tables, per-head reusable-selector state, position counters,
 //! work stats — and what a serving layer asks of it between steps.
 
-use lserve_kvcache::{DenseHeadCache, HeadCache, PageId, PagePool};
+use lserve_kvcache::{DenseHeadCache, PageId, PagePool};
 use lserve_selector::{
     FlatSelector, HierarchicalSelector, PageSelector, ReusableSelector, Selection,
 };
@@ -54,8 +54,8 @@ pub(super) type SelectorBox = ReusableSelector<Scorer>;
 /// on every exit path (completion, rejection, preemption).
 #[derive(Debug, Clone)]
 pub struct SequenceState {
-    /// One head cache per KV head, per layer.
-    pub(super) layers: Vec<Vec<HeadCache>>,
+    /// One page table per KV head, per layer; a streaming head's has a window.
+    pub(super) layers: Vec<Vec<DenseHeadCache>>,
     pub(super) selectors: Vec<Vec<Option<SelectorBox>>>,
     pub(super) tokens_processed: usize,
     pub(super) decode_step_idx: usize,
@@ -117,7 +117,10 @@ impl SequenceState {
     /// [`PagePool::promote_all`] behind a [`PagePool::swap_in_demand`]
     /// reservation, and prefix sharing [`PagePool::retain_all`].
     pub fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.layers.iter().flatten().flat_map(HeadCache::page_ids)
+        self.layers
+            .iter()
+            .flatten()
+            .flat_map(DenseHeadCache::page_ids)
     }
 
     /// Total pool pages this sequence currently references, across all layers and
@@ -127,14 +130,11 @@ impl SequenceState {
     }
 
     /// Resident KV tokens one layer's KV head currently reads (a streaming
-    /// head's sink+local window, a dense head's full history) — the token
-    /// volume the rebalancer must move across the interconnect when it
-    /// migrates that head to another device.
+    /// head's window, a dense head's full history) — the token volume the
+    /// rebalancer must move across the interconnect when it migrates that
+    /// head to another device.
     pub fn kv_head_resident_tokens(&self, pool: &PagePool, layer: usize, kv: usize) -> u64 {
-        match &self.layers[layer][kv] {
-            HeadCache::Streaming(c) => c.resident_tokens(pool) as u64,
-            HeadCache::Dense(c) => c.tokens() as u64,
-        }
+        self.layers[layer][kv].resident_tokens(pool) as u64
     }
 
     /// Deep-copies this state for prefix caching and seeding: page tables,

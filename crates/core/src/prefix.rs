@@ -4,8 +4,8 @@
 //! [`lserve_prefixcache::PrefixCache`] radix tree and what a cache hit seeds a new
 //! sequence from. It wraps a [`SequenceState`] captured at the exact moment the
 //! donor had absorbed the cached token sequence — per-layer page tables for dense
-//! *and* streaming heads (sink + local ring at this position), reusable-selector
-//! history, context length, and decode-step index. That positional exactness is
+//! *and* streaming heads (a streaming head's holds its window at this position),
+//! reusable-selector history, context length, and decode-step index. That positional exactness is
 //! what upgrades "some shared pages" into the scheduler's determinism guarantee: a
 //! sequence seeded from the snapshot continues through bit-identical computation
 //! to a cold run that prefilled the same tokens itself.

@@ -233,7 +233,7 @@ impl Scheduler {
 
     /// Seeds a sequence from the deepest usable cached prefix of `core`'s
     /// prompt, or creates a fresh one on a miss — where a position-0 window
-    /// override is honoured: the streaming rings are built here.
+    /// override is honoured: the streaming heads' tables take it here.
     fn seeded_state(&mut self, core: &SeqCore) -> (usize, SequenceState) {
         if let Some((min, max)) = self.match_bounds(core) {
             if let Some((depth, hit)) = self.prefix.lookup(&core.prompt, min, max) {

@@ -13,8 +13,8 @@ impl Scheduler {
     /// every page up to the fork point.
     ///
     /// Each branch gets a [`crate::SequenceState::clone_shared`] snapshot of the
-    /// parent — page tables, streaming rings, selector history, position
-    /// counters — with one extra reference taken on every page and **zero
+    /// parent — page tables (streaming windows included), selector history,
+    /// position counters — with one extra reference taken on every page and **zero
     /// pages copied** (copy-on-write happens lazily when either side appends
     /// into a shared page). The branch's effective prompt is the parent's
     /// full token history at the fork point (`prompt ++ generated`) followed
@@ -39,7 +39,7 @@ impl Scheduler {
     /// empty branch list, [`ForkError::DuplicateId`] for a branch id the
     /// scheduler already knows (or repeated within the call), and
     /// [`ForkError::InvalidBranch`] for a zero decode budget or a
-    /// streaming-window override (children inherit the parent's rings —
+    /// streaming-window override (children inherit the parent's windows —
     /// windows are admission-time-only).
     pub fn fork(
         &mut self,
@@ -83,7 +83,7 @@ impl Scheduler {
         let group = self.dag.fork(parent, policy, &members);
         let mut handles = Vec::with_capacity(branches.len());
         for b in branches {
-            // The CoW snapshot: clone the parent's tables/rings/selectors and
+            // The CoW snapshot: clone the parent's tables/selectors and
             // take one extra reference per page — refcounts rise, `in_use`
             // does not (pinned by the pool-accounting test).
             let mut snapshot = self.running[pi].feed.state.clone_shared();

@@ -419,8 +419,8 @@ impl Scheduler {
         // Degenerate specs are rejected here, before they consume an arrival
         // slot — an empty (resolved) prompt has nothing to prefill, a zero
         // decode budget has nothing to generate, and a streaming-window
-        // override past position 0 can never be honoured (the ring is built
-        // at sequence creation).
+        // override past position 0 can never be honoured (a streaming head's
+        // table takes its window at sequence creation).
         if prompt.is_empty() || spec.max_new_tokens == 0 || spec.sparsity.has_late_window_override()
         {
             self.index.insert(spec.id, Phase::Rejected);

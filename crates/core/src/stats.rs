@@ -1,7 +1,7 @@
 //! Aggregate work counters reported by the engine.
 
 use lserve_attention::{DecodeStats, PlacedBalance, PrefillStats};
-use lserve_kvcache::Moved;
+use lserve_kvcache::{DenseHeadCache, Moved};
 
 /// Cumulative work counters across an engine's lifetime.
 ///
@@ -55,10 +55,10 @@ impl EngineStats {
         self.prefill_total_causal_tiles += dense.tiles_total_causal + streaming.tiles_total_causal;
     }
 
-    /// Folds one decode shard's counters in: one KV head's pass, dense or
-    /// `streaming`.
-    pub fn add_decode(&mut self, streaming: bool, head: DecodeStats) {
-        if streaming {
+    /// Folds one decode shard's counters in: one pass over `table`, counted
+    /// as streaming-head work when the table has a window.
+    pub fn add_decode(&mut self, table: &DenseHeadCache, head: DecodeStats) {
+        if table.window().is_some() {
             self.decode_streaming_pages += head.pages_visited;
         } else {
             self.decode_dense_pages += head.pages_visited;
@@ -231,6 +231,7 @@ impl ParallelExecStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lserve_kvcache::StreamingWindow;
 
     #[test]
     fn sparsity_zero_when_empty() {
@@ -270,8 +271,9 @@ mod tests {
             tokens_visited: 32,
             pages_total: 10,
         };
-        s.add_decode(false, dense);
-        s.add_decode(true, streaming);
+        let window = StreamingWindow::paper_default();
+        s.add_decode(&DenseHeadCache::new(), dense);
+        s.add_decode(&DenseHeadCache::with_window(Some(window)), streaming);
         assert_eq!((s.decode_dense_pages, s.decode_streaming_pages), (4, 2));
         assert_eq!(s.decode_tokens_visited, 96);
         assert!((s.decode_sparsity() - 0.7).abs() < 1e-12);

@@ -1,9 +1,17 @@
-//! Page table of a dense (retrieval) head: full KV history with `K_stats`.
+//! The page table of one KV head: its full history, or, with a streaming
+//! window, only the sink and local pages of it.
 
-use crate::{AppendedTo, PageId, PagePool};
+use crate::{AppendedTo, PageId, PagePool, StreamingWindow};
 
-/// The KV history of one dense head: a page table over the full context, every page
-/// carrying key statistics for dynamic page selection (Figure 5, "Dense Head Pages").
+/// The KV history of one head: a page table over the context, every page
+/// carrying key statistics for dynamic page selection (Figure 5, "Dense Head
+/// Pages").
+///
+/// A streaming head is the same table with a [`StreamingWindow`]: it frees
+/// the page after its sink whenever more than `local_pages` pages follow the
+/// sink, so it holds "Only Sink & Local Pages" (Figure 5) — §3.6's "dynamic
+/// sparse head with index table only containing the sink and local pages".
+/// Evicted tokens stay counted in [`DenseHeadCache::tokens`].
 ///
 /// Pages are owned through the pool: the cache allocates on demand as tokens are
 /// appended and frees all pages on [`DenseHeadCache::release`].
@@ -11,20 +19,43 @@ use crate::{AppendedTo, PageId, PagePool};
 pub struct DenseHeadCache {
     pages: Vec<PageId>,
     tokens: usize,
+    window: Option<StreamingWindow>,
+    /// Pages freed from between the sink and the local window.
+    evicted: usize,
 }
 
 impl DenseHeadCache {
-    /// Creates an empty cache.
+    /// Creates an empty cache that keeps its full history.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Total tokens appended.
+    /// Creates an empty cache that keeps only `window`'s pages, if given.
+    pub fn with_window(window: Option<StreamingWindow>) -> Self {
+        Self {
+            window,
+            ..Self::default()
+        }
+    }
+
+    /// The streaming window, or `None` for a head that keeps its history.
+    pub fn window(&self) -> Option<StreamingWindow> {
+        self.window
+    }
+
+    /// Total tokens appended (evicted ones included).
     pub fn tokens(&self) -> usize {
         self.tokens
     }
 
-    /// The page table (ordered physical pages covering tokens `0..tokens`).
+    /// Tokens the table still holds, i.e. the attention span of the head:
+    /// every token but the evicted pages' (which were full).
+    pub fn resident_tokens(&self, pool: &PagePool) -> usize {
+        self.tokens - self.evicted * pool.config().physical_page_size()
+    }
+
+    /// The page table: physical pages in token order (sink pages, then local
+    /// pages oldest first, for a windowed head).
     pub fn page_table(&self) -> &[PageId] {
         &self.pages
     }
@@ -40,9 +71,20 @@ impl DenseHeadCache {
         self.pages.iter().copied()
     }
 
+    /// The table's pages, each with the global index of its first token.
+    pub fn page_starts(&self, pool: &PagePool) -> impl Iterator<Item = (usize, PageId)> + '_ {
+        let np = pool.config().physical_page_size();
+        let sink = self.window.map_or(0, |w| w.sink_pages());
+        let page = move |i: usize| if i < sink { i } else { i + self.evicted };
+        self.page_ids()
+            .enumerate()
+            .map(move |(i, id)| (page(i) * np, id))
+    }
+
     /// True when appending the next token takes a fresh pool page
     /// ([`PagePool::tail_needs_page`]). Schedulers use this for exact
-    /// page-demand reservation before a decode step.
+    /// page-demand reservation before a decode step. A windowed head evicts
+    /// only after allocating, so it transiently needs the page too.
     pub fn needs_page_for_next_append(&self, pool: &PagePool) -> bool {
         pool.tail_needs_page(self.pages.last().copied())
     }
@@ -50,7 +92,9 @@ impl DenseHeadCache {
     /// Appends one `(key, value)` row behind the last page
     /// ([`PagePool::append_row`]: a full tail gets a fresh page, a shared one
     /// is copy-on-write forked first, so shared prefix pages are never
-    /// mutated).
+    /// mutated). A windowed head then frees the page after its sink while
+    /// more than `local_pages` pages follow the sink, so its allocation
+    /// pressure is bounded by `window.max_pages() + 1`.
     ///
     /// Returns `false` (leaving the cache unchanged) if the pool is exhausted.
     pub fn append(&mut self, pool: &mut PagePool, key: &[f32], value: &[f32]) -> bool {
@@ -61,42 +105,54 @@ impl DenseHeadCache {
             Some(AppendedTo::Fresh(id)) => self.pages.push(id),
         }
         self.tokens += 1;
+        if let Some(w) = self.window {
+            while self.pages.len() > w.max_pages() {
+                pool.free(self.pages.remove(w.sink_pages()));
+                self.evicted += 1;
+            }
+        }
         true
-    }
-
-    /// Frees table page `i` and drops it from the table; the tokens on it
-    /// stay counted. A streaming head evicts the page after its sink this
-    /// way.
-    pub(crate) fn evict(&mut self, pool: &mut PagePool, i: usize) {
-        pool.free(self.pages.remove(i));
     }
 
     /// Reads the (dequantized) key row of global token `t`.
     ///
     /// # Panics
     ///
-    /// Panics if `t >= tokens()`.
+    /// Panics if `t >= tokens()` or `t` was evicted.
     pub fn key(&self, pool: &PagePool, t: usize) -> Vec<f32> {
-        let np = pool.config().physical_page_size();
-        pool.page(self.pages[t / np]).key_row(t % np)
+        let (id, row) = self.locate(pool, t);
+        pool.page(id).key_row(row)
     }
 
     /// Reads the (dequantized) value row of global token `t`.
     ///
     /// # Panics
     ///
-    /// Panics if `t >= tokens()`.
+    /// Panics if `t >= tokens()` or `t` was evicted.
     pub fn value(&self, pool: &PagePool, t: usize) -> Vec<f32> {
-        let np = pool.config().physical_page_size();
-        pool.page(self.pages[t / np]).value_row(t % np)
+        let (id, row) = self.locate(pool, t);
+        pool.page(id).value_row(row)
     }
 
-    /// Frees every page back to the pool and clears the table.
+    /// The page holding global token `t`, and its row there.
+    fn locate(&self, pool: &PagePool, t: usize) -> (PageId, usize) {
+        let np = pool.config().physical_page_size();
+        let (page, sink) = (t / np, self.window.map_or(0, |w| w.sink_pages()));
+        if page < sink {
+            return (self.pages[page], t % np);
+        }
+        assert!(page >= sink + self.evicted, "token {t} was evicted");
+        (self.pages[page - self.evicted], t % np)
+    }
+
+    /// Frees every page back to the pool and clears the table (the window
+    /// stays).
     pub fn release(&mut self, pool: &mut PagePool) {
         for id in self.pages.drain(..) {
             pool.free(id);
         }
         self.tokens = 0;
+        self.evicted = 0;
     }
 }
 

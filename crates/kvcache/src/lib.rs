@@ -19,17 +19,16 @@
 //!   token row exactly like QServe's layout) plus the per-*logical*-page channelwise
 //!   key min/max statistics (`K_stats` in Figure 5) that the dynamic page selector
 //!   consumes.
-//! * [`DenseHeadCache`] — the page table of a dense (retrieval) head: full history,
-//!   every page carrying `K_stats`. Its append is the pool's one append rule
+//! * [`DenseHeadCache`] — the page table of one KV head, every page carrying
+//!   `K_stats`. Its append is the pool's one append rule
 //!   ([`PagePool::append_row`]: write into the tail, its copy-on-write fork,
-//!   or a fresh page).
-//! * [`StreamingHeadCache`] — a streaming head: the same table, which frees the
-//!   page after its sink pages whenever more than the local window follows
-//!   them ("Only Sink & Local Pages" in Figure 5); evicted pages return to the
-//!   pool, which is where LServe's memory saving on streaming heads comes from.
-//! * [`HeadCache`] — either kind, one per KV head of a layer, split by the
-//!   static head classification; [`append_token`] feeds one token to a
-//!   layer's heads.
+//!   or a fresh page). A dense (retrieval) head keeps its full history; a
+//!   streaming head is the same table with a [`StreamingWindow`], which frees
+//!   the page after its sink pages whenever more than the local window
+//!   follows them ("Only Sink & Local Pages" in Figure 5). Evicted pages
+//!   return to the pool, which is where LServe's memory saving on streaming
+//!   heads comes from. A layer is one table per KV head, windowed by the
+//!   static head classification; [`append_token`] feeds it one token.
 //!
 //! Hierarchical paging (paper §3.5.2) lives here as data: each physical page of
 //! `N_P` tokens records min/max key statistics per logical page of `N_L` tokens
@@ -48,7 +47,7 @@ pub mod streaming;
 pub use config::PagingConfig;
 pub use copy_engine::{MigrationDir, MigrationMode, MigrationStats, COPY_CHANNEL_DEPTH};
 pub use dense::DenseHeadCache;
-pub use layer::{append_token, HeadCache};
+pub use layer::append_token;
 pub use page::{key_lane_offset, CodeLanes, KvPage, PageCodes, PageData, KEY_LANES};
 pub use pool::tiers::{Moved, Residency, TierConfig};
 pub use pool::{AppendedTo, PageId, PagePool};

@@ -17,7 +17,8 @@
 //! sequence or a held copy references, and the pool's and the cache's
 //! counters are folded into one hash per configuration. [`TRANSCRIPT`] holds
 //! those hashes as the head caches produced them while a streaming head still
-//! kept its sink and local pages in two containers of its own: a change that
+//! kept its sink and local pages in two containers of its own (and, later,
+//! while it was a type of its own around the dense table): a change that
 //! only regroups the page-table code reproduces them, and one that moves a
 //! row has allocated, forked or freed some page in another order — say
 //! which, and why, in the commit that edits the row.
@@ -39,8 +40,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use lserve_kvcache::{
-    DenseHeadCache, HeadCache, MigrationMode, Moved, PageId, PagePool, PagingConfig,
-    StreamingHeadCache, StreamingWindow, TierConfig,
+    DenseHeadCache, MigrationMode, Moved, PageId, PagePool, PagingConfig, StreamingWindow,
+    TierConfig,
 };
 use lserve_prefixcache::{PageRunPrefix, PrefixCache};
 use lserve_quant::KvPrecision;
@@ -177,13 +178,13 @@ impl Hash {
 /// One sequence: its heads and the tokens they absorbed (the cache key).
 #[derive(Clone)]
 struct Seq {
-    heads: Vec<HeadCache>,
+    heads: Vec<DenseHeadCache>,
     stream: Vec<u32>,
 }
 
 impl Seq {
     fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.heads.iter().flat_map(HeadCache::page_ids)
+        self.heads.iter().flat_map(DenseHeadCache::page_ids)
     }
 
     fn release(&mut self, pool: &mut PagePool) {
@@ -191,24 +192,6 @@ impl Seq {
             head.release(pool);
         }
     }
-}
-
-/// The page-aligned table of a head: `(first token, page)` in table order.
-fn table(head: &HeadCache, pool: &PagePool) -> Vec<(usize, PageId)> {
-    match head {
-        HeadCache::Dense(c) => dense_table(c, pool),
-        HeadCache::Streaming(c) => streaming_table(c, pool),
-    }
-}
-
-fn dense_table(c: &DenseHeadCache, pool: &PagePool) -> Vec<(usize, PageId)> {
-    let np = pool.config().physical_page_size();
-    let ids = c.page_table().iter().copied();
-    ids.enumerate().map(|(i, id)| (i * np, id)).collect()
-}
-
-fn streaming_table(c: &StreamingHeadCache, pool: &PagePool) -> Vec<(usize, PageId)> {
-    c.page_table(pool)
 }
 
 struct Driver {
@@ -229,10 +212,7 @@ impl Driver {
     fn new_seq(&self) -> Seq {
         let heads = HEADS
             .iter()
-            .map(|&streaming| match streaming {
-                true => HeadCache::Streaming(StreamingHeadCache::new(self.window)),
-                false => HeadCache::Dense(DenseHeadCache::new()),
-            })
+            .map(|&streaming| DenseHeadCache::with_window(streaming.then_some(self.window)))
             .collect();
         Seq {
             heads,
@@ -439,7 +419,7 @@ impl Driver {
                 self.hash.word(tokens as u64);
                 let needs = head.needs_page_for_next_append(pool);
                 self.hash.word(u64::from(needs));
-                let rows = table(head, pool);
+                let rows: Vec<(usize, PageId)> = head.page_starts(pool).collect();
                 assert!(
                     rows.iter().map(|&(_, id)| id).eq(head.page_ids()),
                     "{at}: page_table and page_ids disagree"
@@ -451,14 +431,13 @@ impl Driver {
                     *shadow.entry(id).or_insert(0) += 1;
                 }
                 let held: usize = rows.iter().map(|&(_, id)| pool.page(id).len()).sum();
-                match head {
-                    HeadCache::Dense(_) => {
+                match head.window() {
+                    None => {
                         assert_eq!(held, tokens, "{at}: a dense table holds every token");
                         assert_eq!(rows.len(), tokens.div_ceil(np), "{at}: dense pages");
                     }
-                    HeadCache::Streaming(c) => {
-                        let w = self.window;
-                        assert_eq!(c.resident_tokens(pool), held, "{at}: resident tokens");
+                    Some(w) => {
+                        assert_eq!(head.resident_tokens(pool), held, "{at}: resident tokens");
                         self.hash.word(held as u64);
                         assert!(rows.len() <= w.max_pages(), "{at}: window overrun");
                         for (i, pair) in rows.windows(2).enumerate() {
@@ -466,7 +445,7 @@ impl Driver {
                         }
                         for (i, &(start, _)) in rows.iter().enumerate() {
                             assert_eq!(start % np, 0, "{at}: start {start} unaligned");
-                            if i < w.sink_pages {
+                            if i < w.sink_pages() {
                                 assert_eq!(start, i * np, "{at}: sink page {i}");
                             }
                         }
@@ -574,7 +553,7 @@ fn random_page_table_traffic_reproduces_the_transcript_and_audits_clean() {
         .map(|(((window, paging, mode, seed), got), want)| {
             let mark = if got == want { ' ' } else { '*' };
             let (w, p) = (
-                (window.sink_pages, window.local_pages),
+                (window.sink_pages(), window.local_pages()),
                 (paging.physical_page_size(), paging.precision()),
             );
             format!("  {mark} {got:#018x}, // window {w:?}, pages {p:?}, {mode:?}, seed {seed}")

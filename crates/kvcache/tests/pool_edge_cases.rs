@@ -4,10 +4,7 @@
 //! forks of full pages, and the *exact* shared-page demand accounting the
 //! scheduler's reservation logic trusts.
 
-use lserve_kvcache::{
-    append_token, DenseHeadCache, HeadCache, PagePool, PagingConfig, StreamingHeadCache,
-    StreamingWindow,
-};
+use lserve_kvcache::{append_token, DenseHeadCache, PagePool, PagingConfig, StreamingWindow};
 use lserve_quant::KvPrecision;
 
 fn pool(precision: KvPrecision, capacity: usize) -> PagePool {
@@ -141,13 +138,13 @@ fn shared_page_demand_accounting_is_exact() {
     assert_eq!(p.fork_count(), 1);
 }
 
-/// Streaming heads have the same CoW demand rule on their ring tail, plus the
+/// Streaming heads have the same CoW demand rule on their window tail, plus the
 /// transient evict-after-alloc demand; the shared partial tail must be
 /// reported and resolved by a fork exactly once.
 #[test]
 fn streaming_shared_tail_demand_and_fork() {
     let mut p = pool(KvPrecision::Fp16, 32);
-    let mut c = StreamingHeadCache::new(StreamingWindow::new(1, 2));
+    let mut c = DenseHeadCache::with_window(Some(StreamingWindow::new(1, 2)));
     for i in 0..10 {
         assert!(c.append(&mut p, &row(i as f32), &row(0.0)));
     }
@@ -172,15 +169,15 @@ fn layer_demand_matches_actual_allocation_under_sharing() {
     let cfg = PagingConfig::new(4, 2, KvPrecision::Fp16);
     let mut p = PagePool::new(cfg, 128, 2);
     let window = StreamingWindow::new(1, 2);
-    let mut layer: Vec<HeadCache> = [false, true, false]
-        .map(|streaming| HeadCache::new(streaming, window))
+    let mut layer: Vec<DenseHeadCache> = [false, true, false]
+        .map(|streaming| DenseHeadCache::with_window(streaming.then_some(window)))
         .into();
     let keys = vec![0.25f32; 6];
     let values = vec![0.75f32; 6];
     for _ in 0..6 {
         assert!(append_token(&mut layer, &mut p, &keys, &values));
     }
-    p.retain_all(layer.iter().flat_map(HeadCache::page_ids));
+    p.retain_all(layer.iter().flat_map(DenseHeadCache::page_ids));
     let predicted = layer
         .iter()
         .filter(|h| h.needs_page_for_next_append(&p))
@@ -198,7 +195,7 @@ fn layer_demand_matches_actual_allocation_under_sharing() {
     );
     // Releasing the sequence's copy leaves exactly the donated (retained)
     // pages alive; releasing those too empties the pool: conservation.
-    let donated = layer.iter().flat_map(HeadCache::page_ids).count();
+    let donated = layer.iter().flat_map(DenseHeadCache::page_ids).count();
     assert!(donated > 0);
     for head in &mut layer {
         head.release(&mut p);

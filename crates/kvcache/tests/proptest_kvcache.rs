@@ -1,8 +1,6 @@
-//! Property tests for the page pool and the two-way caches.
+//! Property tests for the page pool and the head tables.
 
-use lserve_kvcache::{
-    DenseHeadCache, LogicalPageStats, PagePool, PagingConfig, StreamingHeadCache, StreamingWindow,
-};
+use lserve_kvcache::{DenseHeadCache, LogicalPageStats, PagePool, PagingConfig, StreamingWindow};
 use lserve_quant::KvPrecision;
 use proptest::prelude::*;
 
@@ -72,15 +70,14 @@ proptest! {
     ) {
         let cfg = PagingConfig::new(4, 4, KvPrecision::Fp16);
         let mut pool = PagePool::new(cfg, 64, 2);
-        let mut cache = StreamingHeadCache::new(StreamingWindow::new(sink, local));
+        let mut cache = DenseHeadCache::with_window(Some(StreamingWindow::new(sink, local)));
         for t in 0..tokens {
             prop_assert!(cache.append(&mut pool, &[t as f32, 0.0], &[0.0, 0.0]));
         }
-        prop_assert!(cache.table().num_pages() <= sink + local + 1);
+        prop_assert!(cache.num_pages() <= sink + local + 1);
         prop_assert_eq!(cache.tokens(), tokens);
         // The newest token is always resident.
-        let table = cache.page_table(&pool);
-        let (start, id) = *table.last().unwrap();
+        let (start, id) = cache.page_starts(&pool).last().unwrap();
         prop_assert_eq!(start + pool.page(id).len(), tokens);
         cache.release(&mut pool);
         prop_assert_eq!(pool.in_use(), 0);

@@ -1,11 +1,11 @@
 //! Demote/promote edge cases of the two-tier page pool as the head caches
-//! drive it: shared CoW pages, partial last pages, streaming rings, the
+//! drive it: shared CoW pages, partial last pages, streaming windows, the
 //! exactness of cold-page demand accounting, and what a swap resume costs
 //! against a replay.
 
 use lserve_kvcache::{
-    append_token, transfer_cost_tokens, DenseHeadCache, HeadCache, Moved, PageId, PagePool,
-    PagingConfig, StreamingHeadCache, StreamingWindow, HOST_TRANSFER_SPEEDUP,
+    append_token, transfer_cost_tokens, DenseHeadCache, Moved, PageId, PagePool, PagingConfig,
+    StreamingWindow, HOST_TRANSFER_SPEEDUP,
 };
 use lserve_quant::KvPrecision;
 
@@ -20,13 +20,14 @@ fn cold_pages(pool: &PagePool, ids: impl Iterator<Item = PageId>) -> usize {
 }
 
 /// One layer's heads, streaming where `mask` says so.
-fn layer(mask: &[bool], window: StreamingWindow) -> Vec<HeadCache> {
-    mask.iter().map(|&s| HeadCache::new(s, window)).collect()
+fn layer(mask: &[bool], window: StreamingWindow) -> Vec<DenseHeadCache> {
+    let head = |&s: &bool| DenseHeadCache::with_window(s.then_some(window));
+    mask.iter().map(head).collect()
 }
 
 /// Every page of a layer's heads.
-fn layer_pages(heads: &[HeadCache]) -> impl Iterator<Item = PageId> + '_ {
-    heads.iter().flat_map(HeadCache::page_ids)
+fn layer_pages(heads: &[DenseHeadCache]) -> impl Iterator<Item = PageId> + '_ {
+    heads.iter().flat_map(DenseHeadCache::page_ids)
 }
 
 fn fill_dense(pool: &mut PagePool, cache: &mut DenseHeadCache, n: usize) {
@@ -91,22 +92,22 @@ fn shared_cow_pages_stay_hot_through_demote_all() {
 fn streaming_ring_swaps_whole_and_keeps_evicting() {
     let cfg = PagingConfig::new(4, 4, KvPrecision::Fp16);
     let mut p = PagePool::new(cfg, 16, 2);
-    let mut c = StreamingHeadCache::new(StreamingWindow::new(1, 2));
+    let mut c = DenseHeadCache::with_window(Some(StreamingWindow::new(1, 2)));
     for i in 0..20 {
         assert!(c.append(&mut p, &[i as f32, 0.0], &[0.0, 0.0]));
     }
-    let resident = c.table().num_pages();
+    let resident = c.num_pages();
     let pages = p.demote_all(c.page_ids()).pages;
-    assert_eq!(pages as usize, resident, "sink + local ring all swap out");
+    assert_eq!(pages as usize, resident, "sink + local window all swap out");
     assert_eq!(cold_pages(&p, c.page_ids()), resident);
     p.promote_all(c.page_ids()).unwrap();
     assert_eq!(cold_pages(&p, c.page_ids()), 0);
-    // The ring keeps rolling after the round trip: eviction still frees the
+    // The window keeps sliding after the round trip: eviction still frees the
     // oldest local page and the pool's hot accounting stays consistent.
     for i in 20..40 {
         assert!(c.append(&mut p, &[i as f32, 0.0], &[0.0, 0.0]));
     }
-    assert!(c.table().num_pages() <= c.window().max_pages());
+    assert!(c.num_pages() <= c.window().unwrap().max_pages());
     assert_eq!(p.cold_in_use(), 0);
     c.release(&mut p);
     assert_eq!(p.total_in_use(), 0);
@@ -179,7 +180,7 @@ fn swap_resume_models_at_least_5x_cheaper_than_replaying_a_32k_victim() {
     const LAYERS: usize = 4;
     let paging = PagingConfig::new(32, 16, KvPrecision::Fp16);
     let mut p = PagePool::new(paging, 2 * LAYERS * VICTIM_TOKENS / 32 + 64, 4);
-    let layers: Vec<Vec<HeadCache>> = (0..LAYERS)
+    let layers: Vec<Vec<DenseHeadCache>> = (0..LAYERS)
         .map(|_| {
             let mut l = layer(
                 &[false, true, false, true],

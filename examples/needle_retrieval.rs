@@ -52,6 +52,6 @@ fn main() {
             case.recall(&s.pages, 64)
         );
     }
-    println!("The selected pages feed lserve::attention::decode_dense_head as a");
+    println!("The selected pages feed lserve::attention::attend_pages as a");
     println!("shorter page table — the kernel never touches the skipped pages.");
 }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use lserve::attention::{decode_dense_head, masked_attention_reference};
+use lserve::attention::{attend_pages, masked_attention_reference};
 use lserve::core::{EngineConfig, ModelExecutor};
 use lserve::kvcache::{DenseHeadCache, PagePool, PagingConfig};
 use lserve::model::{ModelConfig, ModelWeights};
@@ -44,7 +44,7 @@ proptest! {
         let q: Vec<f32> = (0..8).map(|_| g.sample()).collect();
         let mut sel = HierarchicalSelector::new(true);
         let s = sel.select(&pool, &cache, &[&q], budget * np, 0);
-        let (got, _) = decode_dense_head(&pool, &cache, &q, 0.35, Some(&s.pages));
+        let (got, _) = attend_pages(&pool, &cache, &q, 0.35, Some(&s.pages));
 
         let k_all = Matrix::from_vec(tokens, 8, (0..tokens).flat_map(|t| cache.key(&pool, t)).collect());
         let v_all = Matrix::from_vec(tokens, 8, (0..tokens).flat_map(|t| cache.value(&pool, t)).collect());

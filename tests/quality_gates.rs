@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use lserve::attention::decode_dense_head;
+use lserve::attention::attend_pages;
 use lserve::core::{EngineConfig, ModelExecutor};
 use lserve::costmodel::{bandwidth_efficiency, page_bytes, selector_time};
 use lserve::kvcache::PagingConfig;
@@ -120,8 +120,8 @@ fn niah_selected_attention_matches_full_gate() {
         // needle tokens, the regime where page selection must be lossless.
         let probe: Vec<f32> = case.query().iter().map(|x| 4.0 * x).collect();
         let scale = 1.0 / (cfg.head_dim as f32).sqrt();
-        let (full, _) = decode_dense_head(&pool, &cache, &probe, scale, None);
-        let (selected, _) = decode_dense_head(&pool, &cache, &probe, scale, Some(&s.pages));
+        let (full, _) = attend_pages(&pool, &cache, &probe, scale, None);
+        let (selected, _) = attend_pages(&pool, &cache, &probe, scale, Some(&s.pages));
         let err: f32 = full
             .iter()
             .zip(&selected)
