@@ -3,13 +3,18 @@
 //! dense / streaming split of the decode pages and the pages a dense kernel
 //! would have visited), `kv_head_resident_tokens` of every (layer, KV head)
 //! and a hash of the generated tokens, over {`EngineConfig::lserve()` (INT4),
-//! `lserve_fp16()`} × streaming windows {(0, 1), (1, 2)}.
+//! `lserve_fp16()`} × streaming windows {(0, 1), (1, 2)} × prefill {causal,
+//! dynamic}.
 //!
 //! The prompt is past the selection budget and the generation long enough
 //! that every streaming window evicts and every selector rescores, so the
-//! rows see selected, whole-table and windowed reads. [`LEDGER`] holds what
-//! the code produced while a streaming head was a type of its own beside the
-//! dense table: a change that only merges the two reproduces every row.
+//! rows see selected, whole-table and windowed reads. The dynamic rows put
+//! the prompt past `dynamic_prefill_after`, so a dense head's prefill mask is
+//! the query-aware one, whose sink is the engine window's: they pin that
+//! coupling. [`LEDGER`]'s causal rows hold what the code produced while a
+//! streaming head was a type of its own beside the dense table, its dynamic
+//! rows what it produced while prefill still classified heads by kind: a
+//! change that only regroups either reproduces every row.
 
 use std::sync::Arc;
 
@@ -22,37 +27,59 @@ const PAGE: usize = 8;
 const BUDGET: usize = 32;
 const PROMPT: usize = 48;
 const NEW_TOKENS: usize = 85;
+/// `dynamic_prefill_after` of the dynamic rows: below [`PROMPT`].
+const DYNAMIC_AFTER: usize = 16;
 
 /// One row: the [`EngineStats`] fields in declaration order, the resident
 /// tokens of every (layer, KV head) layer-major, and the FNV-1a hash of the
 /// generated tokens.
 type Row = ([u64; 15], [u64; 4], u64);
 
-/// One row per `(preset, window)`, in the order [`cells`] yields.
+/// One row per `(preset, window, dynamic)`, in the order [`cells`] yields.
 #[rustfmt::skip]
-const LEDGER: [Row; 4] = [
+const LEDGER: [Row; 8] = [
     ([84, 24, 168, 1360, 340, 8040, 11160, 1056, 44, 126, 85, 61, 38, 792, 792], [5, 133, 5, 133], 0x0d0092857821af1b), // lserve, window (0, 1)
     ([84, 60, 168, 1360, 1020, 8040, 16600, 1056, 44, 126, 85, 56, 33, 712, 712], [21, 133, 21, 133], 0xa2b513a529d30d26), // lserve, window (1, 2)
     ([84, 24, 168, 1360, 340, 8040, 11160, 1056, 44, 126, 85, 57, 35, 736, 736], [5, 133, 5, 133], 0xbf07d5b433682c33), // lserve_fp16, window (0, 1)
     ([84, 60, 168, 1360, 1020, 8040, 16600, 1056, 44, 126, 85, 53, 30, 664, 664], [21, 133, 21, 133], 0xc19752589153b140), // lserve_fp16, window (1, 2)
+    ([44, 24, 168, 1360, 340, 8040, 11160, 1056, 44, 126, 85, 58, 35, 744, 744], [5, 133, 5, 133], 0x926196adbcbb30cf), // lserve, window (0, 1), dynamic prefill
+    ([60, 60, 168, 1360, 1020, 8040, 16600, 1056, 44, 126, 85, 55, 32, 696, 696], [21, 133, 21, 133], 0xd09a0e353cd275c5), // lserve, window (1, 2), dynamic prefill
+    ([44, 24, 168, 1360, 340, 8040, 11160, 1056, 44, 126, 85, 59, 36, 760, 760], [5, 133, 5, 133], 0x63008c72f9d0cfe0), // lserve_fp16, window (0, 1), dynamic prefill
+    ([60, 60, 168, 1360, 1020, 8040, 16600, 1056, 44, 126, 85, 53, 30, 664, 664], [21, 133, 21, 133], 0xc19752589153b140), // lserve_fp16, window (1, 2), dynamic prefill
 ];
 
-fn cells() -> impl Iterator<Item = (&'static str, (usize, usize))> {
-    ["lserve", "lserve_fp16"]
-        .into_iter()
-        .flat_map(|preset| WINDOWS.into_iter().map(move |window| (preset, window)))
+/// A cell: the preset, the engine window and whether prefill is dynamic.
+type Cell = (&'static str, (usize, usize), bool);
+
+fn cells() -> impl Iterator<Item = Cell> {
+    [false, true].into_iter().flat_map(|dynamic| {
+        ["lserve", "lserve_fp16"]
+            .into_iter()
+            .flat_map(move |preset| {
+                WINDOWS
+                    .into_iter()
+                    .map(move |window| (preset, window, dynamic))
+            })
+    })
 }
 
-fn config(preset: &str, (sink, local): (usize, usize)) -> EngineConfig {
+fn config((preset, (sink, local), dynamic): Cell) -> EngineConfig {
     let base = match preset {
         "lserve" => EngineConfig::lserve(),
         _ => EngineConfig::lserve_fp16(),
+    };
+    let (dynamic_prefill_keep, dynamic_prefill_after) = if dynamic {
+        (Some(1), DYNAMIC_AFTER)
+    } else {
+        (base.dynamic_prefill_keep, base.dynamic_prefill_after)
     };
     EngineConfig {
         paging: PagingConfig::new(PAGE, 4, base.paging.precision()),
         streaming_window: StreamingWindow::new(sink, local),
         dynamic_budget: Some(BUDGET),
         prefill_tile: PAGE,
+        dynamic_prefill_keep,
+        dynamic_prefill_after,
         ..base
     }
 }
@@ -94,9 +121,9 @@ fn fields(s: EngineStats) -> [u64; 15] {
     ]
 }
 
-fn run(preset: &str, window: (usize, usize)) -> Row {
+fn run(cell: Cell) -> Row {
     let w = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 17));
-    let cfg = config(preset, window);
+    let cfg = config(cell);
     let mut pool = cfg.make_pool_for(&w.config, PROMPT + NEW_TOKENS);
     let exec = ModelExecutor::new(Arc::clone(&w), cfg);
     let mut seq = exec.new_sequence();
@@ -122,19 +149,18 @@ fn run(preset: &str, window: (usize, usize)) -> Row {
 
 #[test]
 fn decode_counters_and_resident_spans_reproduce_the_ledger() {
-    let got: Vec<Row> = cells()
-        .map(|(preset, window)| run(preset, window))
-        .collect();
+    let got: Vec<Row> = cells().map(run).collect();
     if got == LEDGER {
         return;
     }
     let rows: Vec<String> = cells()
         .zip(&got)
         .zip(&LEDGER)
-        .map(|(((preset, window), got), want)| {
+        .map(|(((preset, window, dynamic), got), want)| {
             let mark = if got == want { "" } else { " *" };
+            let prefill = if dynamic { ", dynamic prefill" } else { "" };
             format!(
-                "    ({:?}, {:?}, {:#018x}), // {preset}, window {window:?}{mark}",
+                "    ({:?}, {:?}, {:#018x}), // {preset}, window {window:?}{prefill}{mark}",
                 got.0, got.1, got.2
             )
         })
