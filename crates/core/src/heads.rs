@@ -26,8 +26,6 @@ pub fn classify_heads(alphas: &[f32], target_sparsity: f64) -> Vec<bool> {
         (0.0..=1.0).contains(&target_sparsity),
         "sparsity must be in [0,1]"
     );
-    let mut sorted: Vec<f32> = alphas.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let cutoff_count = (target_sparsity * alphas.len() as f64).round() as usize;
     if cutoff_count == 0 {
         return vec![false; alphas.len()];
@@ -35,9 +33,8 @@ pub fn classify_heads(alphas: &[f32], target_sparsity: f64) -> Vec<bool> {
     if cutoff_count >= alphas.len() {
         return vec![true; alphas.len()];
     }
-    let tau = sorted[cutoff_count]; // α < τ → streaming
-                                    // Guard against ties at τ pushing the count over target: mark the lowest
-                                    // `cutoff_count` heads streaming, breaking ties by index.
+    // Mark the lowest `cutoff_count` heads streaming, breaking ties at the
+    // threshold by index so that they cannot push the count over target.
     let mut idx: Vec<usize> = (0..alphas.len()).collect();
     idx.sort_by(|&a, &b| {
         alphas[a]
@@ -50,7 +47,6 @@ pub fn classify_heads(alphas: &[f32], target_sparsity: f64) -> Vec<bool> {
         mask[i] = true;
     }
     debug_assert!(mask.iter().filter(|&&m| m).count() == cutoff_count);
-    let _ = tau;
     mask
 }
 
