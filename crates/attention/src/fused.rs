@@ -1,27 +1,20 @@
 //! Fused layer-level hybrid prefill attention (§3.2 prefill dataflow).
 //!
-//! One call processes every head of a layer: dense (retrieval) heads with full causal
-//! or dynamically masked attention and streaming heads with the Λ pattern, mirroring the
-//! single fused CUDA kernel that "enables different sparsity patterns to be applied
-//! independently on each head". GQA's query→KV head mapping (`h_kv = h / n`, Eq. 1)
-//! is applied here. The decode side of the same kernel is one
-//! [`crate::parallel::DecodeShard`] per KV head, which the executor builds itself.
+//! One call processes every head of a layer, mirroring the single fused CUDA kernel
+//! that "enables different sparsity patterns to be applied independently on each
+//! head": a KV head whose table has a streaming window gets the Λ pattern of that
+//! window, every other head full causal or dynamically masked attention. GQA's
+//! query→KV head mapping (`h_kv = h / n`, Eq. 1) is applied here. The decode side of
+//! the same kernel is one [`crate::parallel::DecodeShard`] per KV head, which the
+//! executor builds itself.
 
+use lserve_kvcache::StreamingWindow;
 use lserve_tensor::Matrix;
 
 use crate::dynamic::build_dynamic_prefill_mask;
 use crate::parallel::{run_placed, PlacedBalance};
 use crate::pattern::{BlockPattern, DensePattern, StreamingPattern};
 use crate::prefill::{prefill_head, KeyTiles, PrefillStats};
-
-/// Static classification of one KV head (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeadKind {
-    /// Retrieval head: full history, eligible for dynamic page sparsity.
-    Dense,
-    /// Streaming head: Λ mask (sink + local blocks).
-    Streaming,
-}
 
 /// Geometry of a layer's attention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,11 +27,9 @@ pub struct LayerAttnConfig {
     pub head_dim: usize,
     /// Square tile size (`TQ = TK`) for prefill block sparsity.
     pub tile: usize,
-    /// Streaming pattern for streaming heads (in blocks of `tile` tokens for
-    /// prefill; in physical pages for decode).
+    /// Sink blocks (of `tile` tokens) a head without a window keeps in its
+    /// dynamic prefill mask.
     pub sink_blocks: usize,
-    /// Local blocks of the streaming pattern.
-    pub local_blocks: usize,
 }
 
 impl LayerAttnConfig {
@@ -80,7 +71,8 @@ fn head_slice(m: &Matrix, h: usize, d: usize) -> Matrix {
 /// One KV head's keys and values as the prefill kernel reads them, built once
 /// and shared by the query heads of its group.
 struct PrefillKv {
-    kind: HeadKind,
+    /// The Λ pattern of a head with a streaming window.
+    streaming: Option<StreamingPattern>,
     keys: KeyTiles,
     values: Matrix,
     /// Row-major keys, which only the dynamic mask of a dense head reads.
@@ -98,13 +90,14 @@ struct PrefillShard<'a> {
 
 /// Fused block-sparse prefill over all heads of one layer.
 ///
-/// `q` is `(N x H·D)`; `k`, `v` are `(N x Ĥ·D)`; `kinds` classifies each **KV** head
-/// (query heads inherit their KV head's kind, since streaming heads drop the KV that
-/// grouped query heads would need). Dense heads run full causal attention
-/// (`dynamic_keep: None`) or MInference-style *dynamic* block sparsity
-/// (`Some(keep)`): each head builds its own query-aware mask keeping the diagonal,
-/// the sink blocks, and `keep` top-affinity past blocks per query tile (§4.3,
-/// activated for very long prompts).
+/// `q` is `(N x H·D)`; `k`, `v` are `(N x Ĥ·D)`; `windows` holds each **KV** head's
+/// streaming window, as its table has it (query heads inherit their KV head's, since
+/// streaming heads drop the KV that grouped query heads would need). A head with a
+/// window runs the Λ pattern of its sink and local pages, one block per page. A
+/// head without one runs full causal attention (`dynamic_keep: None`) or
+/// MInference-style *dynamic* block sparsity (`Some(keep)`): it builds its own
+/// query-aware mask keeping the diagonal, `cfg.sink_blocks`, and `keep`
+/// top-affinity past blocks per query tile (§4.3, activated for very long prompts).
 ///
 /// Each query head is one shard of a one-device phase ([`run_placed`]): up to
 /// `threads` scoped workers, LPT-assigned by estimated tile cost (dense heads grow
@@ -114,39 +107,39 @@ struct PrefillShard<'a> {
 /// with the same kernel on the same inputs, and the scatter into the layer output
 /// runs serially in head order.
 ///
-/// Returns the `(N x H·D)` attention output, aggregate tile counters split by
-/// head kind (dense, streaming), and the phase's balance.
+/// Returns the `(N x H·D)` attention output, the tile counters of each KV head
+/// (summed over its query heads), and the phase's balance.
 ///
 /// # Panics
 ///
-/// Panics on shape mismatches or if `kinds.len() != num_kv_heads`.
+/// Panics on shape mismatches or if `windows.len() != num_kv_heads`.
 pub fn fused_prefill_layer(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
     cfg: &LayerAttnConfig,
-    kinds: &[HeadKind],
+    windows: &[Option<StreamingWindow>],
     dynamic_keep: Option<usize>,
     threads: usize,
-) -> (Matrix, PrefillStats, PrefillStats, PlacedBalance) {
+) -> (Matrix, Vec<PrefillStats>, PlacedBalance) {
     let n = q.rows();
     let d = cfg.head_dim;
     assert_eq!(q.cols(), cfg.num_q_heads * d, "Q width mismatch");
     assert_eq!(k.cols(), cfg.num_kv_heads * d, "K width mismatch");
     assert_eq!(v.cols(), cfg.num_kv_heads * d, "V width mismatch");
     assert_eq!(k.rows(), n, "K rows mismatch");
-    assert_eq!(kinds.len(), cfg.num_kv_heads, "kinds length mismatch");
+    assert_eq!(windows.len(), cfg.num_kv_heads, "windows length mismatch");
 
-    let streaming = StreamingPattern::new(cfg.sink_blocks, cfg.local_blocks);
     let nt = n.div_ceil(cfg.tile) as u64;
     let causal_tiles = nt * (nt + 1) / 2;
-    let kv_heads: Vec<PrefillKv> = (0..cfg.num_kv_heads)
-        .map(|kv| PrefillKv {
-            kind: kinds[kv],
+    let kv_heads: Vec<PrefillKv> = windows
+        .iter()
+        .enumerate()
+        .map(|(kv, window)| PrefillKv {
+            streaming: window.map(|w| StreamingPattern::new(w.sink_pages(), w.local_pages())),
             keys: KeyTiles::new(k, kv * d, d, cfg.tile),
             values: head_slice(v, kv, d),
-            key_rows: (kinds[kv] == HeadKind::Dense && dynamic_keep.is_some())
-                .then(|| head_slice(k, kv, d)),
+            key_rows: (window.is_none() && dynamic_keep.is_some()).then(|| head_slice(k, kv, d)),
         })
         .collect();
     let mut shards: Vec<PrefillShard<'_>> = Vec::with_capacity(cfg.num_q_heads);
@@ -155,14 +148,12 @@ pub fn fused_prefill_layer(
         let kv = cfg.kv_head_of(h);
         // Estimated tiles the shard will visit: the sparsity-aware signal the
         // LPT assignment balances on.
-        let cost = match (kinds[kv], dynamic_keep) {
-            (HeadKind::Streaming, _) => {
-                (nt * (cfg.sink_blocks + cfg.local_blocks + 1) as u64).min(causal_tiles)
+        let cost = match (&kv_heads[kv].streaming, dynamic_keep) {
+            (Some(lambda), _) => {
+                (nt * (lambda.sink_blocks() + lambda.local_blocks() + 1) as u64).min(causal_tiles)
             }
-            (HeadKind::Dense, Some(keep)) => {
-                (nt * (keep + cfg.sink_blocks + 1) as u64).min(causal_tiles)
-            }
-            (HeadKind::Dense, None) => causal_tiles,
+            (None, Some(keep)) => (nt * (keep + cfg.sink_blocks + 1) as u64).min(causal_tiles),
+            (None, None) => causal_tiles,
         };
         costs.push(cost.max(1));
         shards.push(PrefillShard {
@@ -186,10 +177,10 @@ pub fn fused_prefill_layer(
                 pattern,
             )
         };
-        (s.out, s.stats) = match (s.kv.kind, &s.kv.key_rows) {
-            (HeadKind::Streaming, _) => attend(&streaming),
-            (HeadKind::Dense, None) => attend(&DensePattern),
-            (HeadKind::Dense, Some(kh)) => attend(&build_dynamic_prefill_mask(
+        (s.out, s.stats) = match (&s.kv.streaming, &s.kv.key_rows) {
+            (Some(lambda), _) => attend(lambda),
+            (None, None) => attend(&DensePattern),
+            (None, Some(kh)) => attend(&build_dynamic_prefill_mask(
                 &s.qh,
                 kh,
                 cfg.tile,
@@ -200,20 +191,16 @@ pub fn fused_prefill_layer(
     });
 
     let mut out = Matrix::zeros(n, cfg.num_q_heads * d);
-    let mut dense_stats = PrefillStats::default();
-    let mut stream_stats = PrefillStats::default();
+    let mut stats = vec![PrefillStats::default(); cfg.num_kv_heads];
     for s in &shards {
-        let agg = match s.kv.kind {
-            HeadKind::Dense => &mut dense_stats,
-            HeadKind::Streaming => &mut stream_stats,
-        };
+        let agg = &mut stats[cfg.kv_head_of(s.h)];
         agg.tiles_visited += s.stats.tiles_visited;
         agg.tiles_total_causal += s.stats.tiles_total_causal;
         for r in 0..n {
             out.row_mut(r)[s.h * d..(s.h + 1) * d].copy_from_slice(s.out.row(r));
         }
     }
-    (out, dense_stats, stream_stats, balance)
+    (out, stats, balance)
 }
 
 #[cfg(test)]
@@ -233,8 +220,13 @@ mod tests {
             head_dim: 8,
             tile: 4,
             sink_blocks: 1,
-            local_blocks: 2,
         }
+    }
+
+    /// KV head 0 without a window, KV head 1 with a window of one sink and
+    /// two local pages.
+    fn mixed() -> [Option<StreamingWindow>; 2] {
+        [None, Some(StreamingWindow::new(1, 2))]
     }
 
     #[test]
@@ -255,10 +247,11 @@ mod tests {
         let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        let kinds = [HeadKind::Dense, HeadKind::Dense];
-        let (out, dense, stream, _) = fused_prefill_layer(&q, &k, &v, &c, &kinds, None, 1);
-        assert_eq!(stream.tiles_visited, 0);
-        assert!(dense.tiles_visited > 0);
+        let (out, stats, _) = fused_prefill_layer(&q, &k, &v, &c, &[None, None], None, 1);
+        for head in stats {
+            assert!(head.tiles_visited > 0);
+            assert_eq!(head.tiles_visited, head.tiles_total_causal);
+        }
         for h in 0..c.num_q_heads {
             let kv = c.kv_head_of(h);
             let qh = head_slice(&q, h, c.head_dim);
@@ -278,8 +271,10 @@ mod tests {
         let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        let kinds = [HeadKind::Dense, HeadKind::Streaming];
-        let (_, dense, stream, _) = fused_prefill_layer(&q, &k, &v, &c, &kinds, None, 1);
+        let (_, stats, _) = fused_prefill_layer(&q, &k, &v, &c, &mixed(), None, 1);
+        let [dense, stream] = stats[..] else {
+            panic!("one counter per KV head")
+        };
         assert!(dense.tiles_visited > 0 && stream.tiles_visited > 0);
         // Streaming heads must visit strictly fewer tiles than their causal total.
         assert!(stream.tiles_visited < stream.tiles_total_causal);
@@ -361,14 +356,16 @@ mod tests {
         let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        let kinds = [HeadKind::Dense, HeadKind::Dense];
-        let (out, dense, ..) = fused_prefill_layer(&q, &k, &v, &c, &kinds, Some(2), 1);
+        let windows = [None, None];
+        let (out, stats, _) = fused_prefill_layer(&q, &k, &v, &c, &windows, Some(2), 1);
         assert_eq!(out.shape(), (n, c.num_q_heads * c.head_dim));
-        assert!(dense.tiles_visited < dense.tiles_total_causal);
+        assert!(stats.iter().all(|s| s.tiles_visited < s.tiles_total_causal));
         // Enormous keep budget == dense attention exactly.
-        let (full, stats_full, ..) = fused_prefill_layer(&q, &k, &v, &c, &kinds, Some(1000), 1);
-        let (want, ..) = fused_prefill_layer(&q, &k, &v, &c, &kinds, None, 1);
-        assert_eq!(stats_full.tiles_visited, stats_full.tiles_total_causal);
+        let (full, stats_full, _) = fused_prefill_layer(&q, &k, &v, &c, &windows, Some(1000), 1);
+        let (want, ..) = fused_prefill_layer(&q, &k, &v, &c, &windows, None, 1);
+        assert!(stats_full
+            .iter()
+            .all(|s| s.tiles_visited == s.tiles_total_causal));
         assert!(full.max_abs_diff(&want) < 1e-5);
     }
 
@@ -380,14 +377,14 @@ mod tests {
         let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        let kinds = [HeadKind::Dense, HeadKind::Streaming];
         for dynamic_keep in [None, Some(2)] {
-            let (want, wd, ws, _) = fused_prefill_layer(&q, &k, &v, &c, &kinds, dynamic_keep, 1);
+            let (want, want_stats, _) =
+                fused_prefill_layer(&q, &k, &v, &c, &mixed(), dynamic_keep, 1);
             for threads in [2, 3, 8] {
-                let (got, gd, gs, balance) =
-                    fused_prefill_layer(&q, &k, &v, &c, &kinds, dynamic_keep, threads);
+                let (got, stats, balance) =
+                    fused_prefill_layer(&q, &k, &v, &c, &mixed(), dynamic_keep, threads);
                 assert_eq!(got.max_abs_diff(&want), 0.0, "threads {threads}");
-                assert_eq!((gd, gs), (wd, ws));
+                assert_eq!(stats, want_stats);
                 assert_eq!(balance.shards, c.num_q_heads as u64);
                 assert!(balance.workers() <= threads);
             }
@@ -407,14 +404,16 @@ mod tests {
         let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        let kinds = [HeadKind::Dense, HeadKind::Streaming];
-        let (out, ..) = fused_prefill_layer(&q, &k, &v, &c, &kinds, None, 1);
-        let streaming = StreamingPattern::new(c.sink_blocks, c.local_blocks);
+        // The windowed head's sink is not `c.sink_blocks`: its Λ pattern is
+        // its own window's.
+        let windows = [None, Some(StreamingWindow::new(2, 1))];
+        let (out, ..) = fused_prefill_layer(&q, &k, &v, &c, &windows, None, 1);
+        let streaming = StreamingPattern::new(2, 1);
         for h in 0..c.num_q_heads {
             let kv = c.kv_head_of(h);
-            let pattern: &dyn BlockPattern = match kinds[kv] {
-                HeadKind::Dense => &DensePattern,
-                HeadKind::Streaming => &streaming,
+            let pattern: &dyn BlockPattern = match windows[kv] {
+                None => &DensePattern,
+                Some(_) => &streaming,
             };
             let (want, _) = prefill_attention(
                 &head_slice(&q, h, c.head_dim),

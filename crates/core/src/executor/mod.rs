@@ -39,7 +39,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use lserve_attention::{fused_prefill_layer, HeadKind, LayerAttnConfig};
+use lserve_attention::{fused_prefill_layer, LayerAttnConfig};
 use lserve_kvcache::{
     append_token, DenseHeadCache, PagePool, StreamingWindow, HOST_TRANSFER_SPEEDUP,
 };
@@ -120,7 +120,6 @@ pub struct ModelExecutor {
     attn_cfg: LayerAttnConfig,
     rope: RopeTable,
     masks: Vec<Vec<bool>>,
-    kinds: Vec<Vec<HeadKind>>,
 }
 
 impl ModelExecutor {
@@ -140,28 +139,12 @@ impl ModelExecutor {
         let model = &weights.config;
         let gates = duo_gates(model.num_layers, model.num_kv_heads, cfg.gate_seed);
         let masks = streaming_masks_from_gates(&gates, cfg.streaming_sparsity);
-        let kinds: Vec<Vec<HeadKind>> = masks
-            .iter()
-            .map(|layer| {
-                layer
-                    .iter()
-                    .map(|&s| {
-                        if s {
-                            HeadKind::Streaming
-                        } else {
-                            HeadKind::Dense
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
         let attn_cfg = LayerAttnConfig {
             num_q_heads: model.num_q_heads,
             num_kv_heads: model.num_kv_heads,
             head_dim: model.head_dim,
             tile: cfg.prefill_tile,
             sink_blocks: cfg.streaming_window.sink_pages(),
-            local_blocks: cfg.streaming_window.local_pages(),
         };
         let rope = RopeTable::new(model.head_dim, model.rope_base);
         Self {
@@ -170,7 +153,6 @@ impl ModelExecutor {
             attn_cfg,
             rope,
             masks,
-            kinds,
         }
     }
 
@@ -184,9 +166,10 @@ impl ModelExecutor {
         &self.weights
     }
 
-    /// Per-layer streaming masks decided at construction.
-    pub fn head_kinds(&self) -> &[Vec<HeadKind>] {
-        &self.kinds
+    /// Per-layer streaming masks decided at construction: `true` for a KV
+    /// head whose table gets a streaming window.
+    pub fn streaming_masks(&self) -> &[Vec<bool>] {
+        &self.masks
     }
 
     /// Creates an empty per-request state (the selector factory): per-layer two-way
@@ -318,12 +301,13 @@ impl ModelExecutor {
                 &[("layer", l as u64)],
             );
             let par_start = tracer.now();
-            let (attn, dense_stats, stream_stats, balance) = fused_prefill_layer(
+            let windows: Vec<_> = state.layers[l].iter().map(DenseHeadCache::window).collect();
+            let (attn, head_stats, balance) = fused_prefill_layer(
                 &acts.q,
                 &acts.k,
                 &acts.v,
                 &self.attn_cfg,
-                &self.kinds[l],
+                &windows,
                 dynamic_keep,
                 threads,
             );
@@ -355,7 +339,9 @@ impl ModelExecutor {
                     }
                 }
             }
-            state.stats.add_prefill(dense_stats, stream_stats);
+            for (table, head) in state.layers[l].iter().zip(head_stats) {
+                state.stats.add_prefill(table, head);
+            }
             post_attention(lw, &mut x, &attn);
             ffn_block(lw, &mut x);
         }

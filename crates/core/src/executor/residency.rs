@@ -436,7 +436,6 @@ impl RowPlan {
 mod tests {
     use std::sync::Arc;
 
-    use lserve_attention::HeadKind;
     use lserve_kvcache::{DenseHeadCache, MigrationMode, Residency, TierConfig};
     use lserve_model::{greedy_next_token, ModelConfig, ModelWeights};
     use lserve_quant::KvPrecision;
@@ -548,11 +547,11 @@ mod tests {
 
     /// A layer with two dense heads, as `(layer, head, peer)`.
     fn dense_pair(exec: &ModelExecutor) -> (usize, usize, usize) {
-        exec.head_kinds()
+        exec.streaming_masks()
             .iter()
             .enumerate()
-            .find_map(|(l, kinds)| {
-                let mut dense = (0..kinds.len()).filter(|&h| kinds[h] == HeadKind::Dense);
+            .find_map(|(l, mask)| {
+                let mut dense = (0..mask.len()).filter(|&h| !mask[h]);
                 Some((l, dense.next()?, dense.next()?))
             })
             .expect("a layer with two dense heads")

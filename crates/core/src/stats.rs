@@ -48,11 +48,15 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Folds one layer's prefill counters in.
-    pub fn add_prefill(&mut self, dense: PrefillStats, streaming: PrefillStats) {
-        self.prefill_dense_tiles += dense.tiles_visited;
-        self.prefill_streaming_tiles += streaming.tiles_visited;
-        self.prefill_total_causal_tiles += dense.tiles_total_causal + streaming.tiles_total_causal;
+    /// Folds one KV head's prefill counters in, counted as streaming-head
+    /// work when `table` has a window.
+    pub fn add_prefill(&mut self, table: &DenseHeadCache, head: PrefillStats) {
+        if table.window().is_some() {
+            self.prefill_streaming_tiles += head.tiles_visited;
+        } else {
+            self.prefill_dense_tiles += head.tiles_visited;
+        }
+        self.prefill_total_causal_tiles += head.tiles_total_causal;
     }
 
     /// Folds one decode shard's counters in: one pass over `table`, counted
@@ -243,11 +247,16 @@ mod tests {
     #[test]
     fn add_prefill_accumulates() {
         let mut s = EngineStats::default();
+        let window = StreamingWindow::paper_default();
         s.add_prefill(
+            &DenseHeadCache::new(),
             PrefillStats {
                 tiles_visited: 10,
                 tiles_total_causal: 20,
             },
+        );
+        s.add_prefill(
+            &DenseHeadCache::with_window(Some(window)),
             PrefillStats {
                 tiles_visited: 5,
                 tiles_total_causal: 20,

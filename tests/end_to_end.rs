@@ -4,10 +4,10 @@
 use std::sync::Arc;
 
 use lserve::core::{
-    AdmissionPolicy, EngineConfig, ModelExecutor, RequestSpec, Scheduler, SchedulerConfig,
-    SelectorKind,
+    AdmissionPolicy, EngineConfig, EngineStats, ModelExecutor, RequestSpec, Scheduler,
+    SchedulerConfig, SelectorKind, SparsityOverride,
 };
-use lserve::kvcache::PagingConfig;
+use lserve::kvcache::{PagingConfig, StreamingWindow};
 use lserve::model::{greedy_next_token, reference_forward_full, ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
 
@@ -160,16 +160,91 @@ fn quantized_kv_bounded_logit_drift() {
     assert!(decode_diff < 0.5, "int8 drift too large: {decode_diff}");
 }
 
+/// Ten 64-token tiles: enough that a (1, 1) and the presets' (1, 2) window
+/// give different prefill masks.
+fn long_prompt() -> Vec<u32> {
+    (0..640).map(|i| ((i + 3) % 90) as u32).collect()
+}
+
 #[test]
 fn serving_matches_a_solo_sequence_for_every_policy() {
-    for cfg in [EngineConfig::dense(), EngineConfig::lserve_fp16()] {
+    // The last input serves a window override on a default engine; its solo
+    // sequence runs on an engine whose own window is the override's, over a
+    // prompt long enough that the two windows' prefill masks differ.
+    let window = StreamingWindow::new(1, 1);
+    let windowed = EngineConfig {
+        streaming_window: window,
+        ..EngineConfig::lserve_fp16()
+    };
+    let none = SparsityOverride::none();
+    let short: Vec<u32> = (0..20).map(|i| (i % 90) as u32).collect();
+    let inputs = [
+        (
+            EngineConfig::dense(),
+            none,
+            EngineConfig::dense(),
+            short.clone(),
+        ),
+        (
+            EngineConfig::lserve_fp16(),
+            none,
+            EngineConfig::lserve_fp16(),
+            short,
+        ),
+        (
+            EngineConfig::lserve_fp16(),
+            none.with_window(window),
+            windowed,
+            long_prompt(),
+        ),
+    ];
+    for (served, over, solo, prompt) in inputs {
         let w = weights(6);
-        let prompt: Vec<u32> = (0..20).map(|i| (i % 90) as u32).collect();
-        let standalone = generate(cfg.clone(), &w, &prompt, 10);
-        let mut srv = fcfs(&w, cfg, 4096);
-        srv.submit(RequestSpec::new(9, prompt.clone()).max_new_tokens(10));
+        let standalone = generate(solo, &w, &prompt, 10);
+        let mut srv = fcfs(&w, served, 4096);
+        srv.submit(
+            RequestSpec::new(9, prompt.clone())
+                .max_new_tokens(10)
+                .sparsity(over),
+        );
         let report = srv.run_to_completion(10_000);
-        assert_eq!(report.completed[0].1, standalone);
+        assert_eq!(report.completed[0].1, standalone, "{over:?}");
+    }
+}
+
+/// A per-request window override is the engine window for that sequence in
+/// every phase: prefill's Λ mask included, not only the table and decode.
+#[test]
+fn a_window_override_reaches_prefill() {
+    let w = weights(3);
+    let window = StreamingWindow::new(1, 1);
+    let prompt = long_prompt();
+    for base in [EngineConfig::lserve(), EngineConfig::lserve_fp16()] {
+        let run = |cfg: EngineConfig, over: Option<StreamingWindow>| {
+            let mut pool = cfg.make_pool_for(&w.config, prompt.len() + 8);
+            let exec = ModelExecutor::new(Arc::clone(&w), cfg);
+            let mut seq = exec.new_sequence_with_window(over);
+            let mut logits = vec![exec.prefill(&mut seq, &mut pool, &prompt).unwrap().logits];
+            let prefill_stats = seq.stats();
+            for _ in 0..4 {
+                let next = greedy_next_token(logits.last().unwrap());
+                logits.push(exec.decode_step(&mut seq, &mut pool, next).unwrap().logits);
+            }
+            let stats: [EngineStats; 2] = [prefill_stats, seq.stats()];
+            seq.release(&mut pool);
+            (logits, stats)
+        };
+        let engine = run(
+            EngineConfig {
+                streaming_window: window,
+                ..base.clone()
+            },
+            None,
+        );
+        let overridden = run(base.clone(), Some(window));
+        assert_eq!(overridden.1, engine.1, "{:?}", base.paging.precision());
+        assert_eq!(overridden.0, engine.0, "{:?}", base.paging.precision());
+        assert_ne!(run(base, None).0[0], engine.0[0], "the windows differ");
     }
 }
 
@@ -194,9 +269,9 @@ fn streaming_masks_are_deterministic_per_seed() {
     let w = weights(8);
     let a = ModelExecutor::new(Arc::clone(&w), EngineConfig::lserve_fp16());
     let b = ModelExecutor::new(Arc::clone(&w), EngineConfig::lserve_fp16());
-    assert_eq!(a.head_kinds(), b.head_kinds());
+    assert_eq!(a.streaming_masks(), b.streaming_masks());
     let mut other = EngineConfig::lserve_fp16();
     other.gate_seed = 999;
     let c = ModelExecutor::new(w, other);
-    assert_ne!(a.head_kinds(), c.head_kinds());
+    assert_ne!(a.streaming_masks(), c.streaming_masks());
 }
