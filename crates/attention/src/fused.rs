@@ -148,10 +148,8 @@ pub fn fused_prefill_layer(
         let kv = cfg.kv_head_of(h);
         // Estimated tiles the shard will visit: the sparsity-aware signal the
         // LPT assignment balances on.
-        let cost = match (&kv_heads[kv].streaming, dynamic_keep) {
-            (Some(lambda), _) => {
-                (nt * (lambda.sink_blocks() + lambda.local_blocks() + 1) as u64).min(causal_tiles)
-            }
+        let cost = match (windows[kv], dynamic_keep) {
+            (Some(w), _) => (nt * (w.sink_pages() + w.local_pages() + 1) as u64).min(causal_tiles),
             (None, Some(keep)) => (nt * (keep + cfg.sink_blocks + 1) as u64).min(causal_tiles),
             (None, None) => causal_tiles,
         };

@@ -98,8 +98,8 @@ impl BlockPattern for DensePattern {
 }
 
 /// Streaming (Λ-shaped) attention at block granularity (Figure 4(c)): each query tile
-/// attends the first `sink_blocks` KV blocks and the `local_blocks` most recent
-/// blocks up to the diagonal.
+/// attends the first `sink` KV blocks and the `local` most recent blocks up to the
+/// diagonal.
 ///
 /// # Example
 ///
@@ -115,32 +115,20 @@ impl BlockPattern for DensePattern {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamingPattern {
-    sink_blocks: usize,
-    local_blocks: usize,
+    sink: usize,
+    local: usize,
 }
 
 impl StreamingPattern {
-    /// Creates the pattern.
+    /// Creates the pattern of `sink` sink blocks and `local` local blocks
+    /// (the diagonal one included).
     ///
     /// # Panics
     ///
-    /// Panics if `local_blocks == 0` (the diagonal block must always be attended).
-    pub fn new(sink_blocks: usize, local_blocks: usize) -> Self {
-        assert!(local_blocks > 0, "streaming pattern needs >= 1 local block");
-        Self {
-            sink_blocks,
-            local_blocks,
-        }
-    }
-
-    /// Number of sink blocks.
-    pub fn sink_blocks(&self) -> usize {
-        self.sink_blocks
-    }
-
-    /// Number of local blocks (including the diagonal one).
-    pub fn local_blocks(&self) -> usize {
-        self.local_blocks
+    /// Panics if `local == 0` (the diagonal block must always be attended).
+    pub fn new(sink: usize, local: usize) -> Self {
+        assert!(local > 0, "streaming pattern needs >= 1 local block");
+        Self { sink, local }
     }
 }
 
@@ -151,10 +139,10 @@ impl BlockPattern for StreamingPattern {
         if causal == BlockDecision::Skip {
             return BlockDecision::Skip;
         }
-        let is_sink = kb < self.sink_blocks;
+        let is_sink = kb < self.sink;
         // With square tiles the diagonal block of tile qt is kb == qt; local window
-        // covers (qt - local_blocks, qt].
-        let is_local = kb + self.local_blocks > qt && kb <= qt;
+        // covers (qt - local, qt].
+        let is_local = kb + self.local > qt && kb <= qt;
         if is_sink || is_local {
             causal
         } else {
