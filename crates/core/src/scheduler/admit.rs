@@ -399,6 +399,78 @@ mod tests {
         );
     }
 
+    /// The admission estimate of the tiny model, pinned: one row per preset
+    /// and schedule, over tokens {48, 640, 8192} × fused {0, 64}. A moved row
+    /// means admission reserves another hot footprint for that policy.
+    #[test]
+    fn pages_estimate_table() {
+        use crate::dag::SparsityOverride;
+        use lserve_kvcache::StreamingWindow;
+        let model = weights().config.clone();
+        let presets = [
+            ("lserve", EngineConfig::lserve()),
+            ("lserve_fp16", EngineConfig::lserve_fp16()),
+            ("dense", EngineConfig::dense()),
+            ("duo_like", EngineConfig::duo_like()),
+            ("quest_like(64)", EngineConfig::quest_like(64)),
+        ];
+        let none = SparsityOverride::none();
+        let schedules = [
+            ("empty", 0, none),
+            (
+                "window (0, 1)",
+                0,
+                none.with_window(StreamingWindow::new(0, 1)),
+            ),
+            ("budget 8", 0, none.with_budget(8)),
+            ("retention 500", 0, none.with_retention_permille(500)),
+            ("budget 8 from 150", 150, none.with_budget(8)),
+        ];
+        let mut got = Vec::new();
+        for (preset, cfg) in &presets {
+            for &(schedule, from, over) in &schedules {
+                let mut sparsity = SparsitySchedule::new();
+                sparsity.push(from, over);
+                let mut row = [0; 6];
+                for (i, tokens) in [48, 640, 8192].into_iter().enumerate() {
+                    for (j, fused) in [0, 64].into_iter().enumerate() {
+                        row[2 * i + j] = pages_estimate(cfg, &model, tokens, fused, &sparsity);
+                    }
+                }
+                got.push((*preset, schedule, row));
+            }
+        }
+        #[rustfmt::skip]
+        let want = [
+            ("lserve", "empty", [14, 14, 32, 32, 268, 268]),
+            ("lserve", "window (0, 1)", [10, 10, 28, 28, 264, 264]),
+            ("lserve", "budget 8", [14, 14, 18, 20, 18, 20]),
+            ("lserve", "retention 500", [14, 14, 32, 32, 268, 268]),
+            ("lserve", "budget 8 from 150", [14, 14, 18, 20, 18, 20]),
+            ("lserve_fp16", "empty", [14, 14, 32, 32, 268, 268]),
+            ("lserve_fp16", "window (0, 1)", [10, 10, 28, 28, 264, 264]),
+            ("lserve_fp16", "budget 8", [14, 14, 18, 20, 18, 20]),
+            ("lserve_fp16", "retention 500", [14, 14, 32, 32, 268, 268]),
+            ("lserve_fp16", "budget 8 from 150", [14, 14, 18, 20, 18, 20]),
+            ("dense", "empty", [8, 8, 44, 44, 516, 516]),
+            ("dense", "window (0, 1)", [8, 8, 44, 44, 516, 516]),
+            ("dense", "budget 8", [8, 8, 44, 44, 516, 516]),
+            ("dense", "retention 500", [8, 8, 44, 44, 516, 516]),
+            ("dense", "budget 8 from 150", [8, 8, 44, 44, 516, 516]),
+            ("duo_like", "empty", [14, 14, 32, 32, 268, 268]),
+            ("duo_like", "window (0, 1)", [10, 10, 28, 28, 264, 264]),
+            ("duo_like", "budget 8", [14, 14, 32, 32, 268, 268]),
+            ("duo_like", "retention 500", [14, 14, 32, 32, 268, 268]),
+            ("duo_like", "budget 8 from 150", [14, 14, 32, 32, 268, 268]),
+            ("quest_like(64)", "empty", [16, 16, 48, 48, 48, 48]),
+            ("quest_like(64)", "window (0, 1)", [16, 16, 48, 48, 48, 48]),
+            ("quest_like(64)", "budget 8", [16, 16, 20, 32, 20, 32]),
+            ("quest_like(64)", "retention 500", [16, 16, 48, 48, 48, 48]),
+            ("quest_like(64)", "budget 8 from 150", [16, 16, 20, 32, 20, 32]),
+        ];
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn interactive_class_jumps_queue_and_batch_still_completes() {
         // Serialized admission (max_batch 1): under class-aware scheduling the
