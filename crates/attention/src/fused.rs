@@ -2,9 +2,10 @@
 //!
 //! One call processes every head of a layer, mirroring the single fused CUDA kernel
 //! that "enables different sparsity patterns to be applied independently on each
-//! head": a KV head whose table has a streaming window gets the Λ pattern of that
-//! window, every other head full causal or dynamically masked attention. GQA's
-//! query→KV head mapping (`h_kv = h / n`, Eq. 1) is applied here. The decode side of
+//! head": each KV head brings its own [`PrefillMask`] — the Λ pattern of its
+//! streaming window, full causal attention, or a dynamic query-aware mask — which
+//! is its head policy as the kernel reads it. GQA's query→KV head mapping
+//! (`h_kv = h / n`, Eq. 1) is applied here. The decode side of
 //! the same kernel is one [`crate::parallel::DecodeShard`] per KV head, which the
 //! executor builds itself.
 
@@ -27,9 +28,27 @@ pub struct LayerAttnConfig {
     pub head_dim: usize,
     /// Square tile size (`TQ = TK`) for prefill block sparsity.
     pub tile: usize,
-    /// Sink blocks (of `tile` tokens) a head without a window keeps in its
-    /// dynamic prefill mask.
-    pub sink_blocks: usize,
+}
+
+/// What one KV head's prefill visits, tile by tile (query heads inherit their
+/// KV head's, since streaming heads drop the KV that grouped query heads would
+/// need).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrefillMask {
+    /// Full causal attention.
+    Causal,
+    /// The Λ pattern of a streaming window: its sink and local pages, one
+    /// block per page.
+    Window(StreamingWindow),
+    /// MInference-style dynamic block sparsity (§4.3): each query head builds
+    /// its own query-aware mask keeping the diagonal, `sink` sink blocks and
+    /// `keep` top-affinity past blocks per query tile.
+    Dynamic {
+        /// Past blocks kept per query tile beyond the diagonal and the sinks.
+        keep: usize,
+        /// Leading blocks every query tile keeps.
+        sink: usize,
+    },
 }
 
 impl LayerAttnConfig {
@@ -71,11 +90,10 @@ fn head_slice(m: &Matrix, h: usize, d: usize) -> Matrix {
 /// One KV head's keys and values as the prefill kernel reads them, built once
 /// and shared by the query heads of its group.
 struct PrefillKv {
-    /// The Λ pattern of a head with a streaming window.
-    streaming: Option<StreamingPattern>,
+    mask: PrefillMask,
     keys: KeyTiles,
     values: Matrix,
-    /// Row-major keys, which only the dynamic mask of a dense head reads.
+    /// Row-major keys, which only a dynamic mask reads.
     key_rows: Option<Matrix>,
 }
 
@@ -90,14 +108,8 @@ struct PrefillShard<'a> {
 
 /// Fused block-sparse prefill over all heads of one layer.
 ///
-/// `q` is `(N x H·D)`; `k`, `v` are `(N x Ĥ·D)`; `windows` holds each **KV** head's
-/// streaming window, as its table has it (query heads inherit their KV head's, since
-/// streaming heads drop the KV that grouped query heads would need). A head with a
-/// window runs the Λ pattern of its sink and local pages, one block per page. A
-/// head without one runs full causal attention (`dynamic_keep: None`) or
-/// MInference-style *dynamic* block sparsity (`Some(keep)`): it builds its own
-/// query-aware mask keeping the diagonal, `cfg.sink_blocks`, and `keep`
-/// top-affinity past blocks per query tile (§4.3, activated for very long prompts).
+/// `q` is `(N x H·D)`; `k`, `v` are `(N x Ĥ·D)`; `masks` holds each **KV** head's
+/// [`PrefillMask`].
 ///
 /// Each query head is one shard of a one-device phase ([`run_placed`]): up to
 /// `threads` scoped workers, LPT-assigned by estimated tile cost (dense heads grow
@@ -112,14 +124,13 @@ struct PrefillShard<'a> {
 ///
 /// # Panics
 ///
-/// Panics on shape mismatches or if `windows.len() != num_kv_heads`.
+/// Panics on shape mismatches or if `masks.len() != num_kv_heads`.
 pub fn fused_prefill_layer(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
     cfg: &LayerAttnConfig,
-    windows: &[Option<StreamingWindow>],
-    dynamic_keep: Option<usize>,
+    masks: &[PrefillMask],
     threads: usize,
 ) -> (Matrix, Vec<PrefillStats>, PlacedBalance) {
     let n = q.rows();
@@ -128,18 +139,18 @@ pub fn fused_prefill_layer(
     assert_eq!(k.cols(), cfg.num_kv_heads * d, "K width mismatch");
     assert_eq!(v.cols(), cfg.num_kv_heads * d, "V width mismatch");
     assert_eq!(k.rows(), n, "K rows mismatch");
-    assert_eq!(windows.len(), cfg.num_kv_heads, "windows length mismatch");
+    assert_eq!(masks.len(), cfg.num_kv_heads, "masks length mismatch");
 
     let nt = n.div_ceil(cfg.tile) as u64;
     let causal_tiles = nt * (nt + 1) / 2;
-    let kv_heads: Vec<PrefillKv> = windows
+    let kv_heads: Vec<PrefillKv> = masks
         .iter()
         .enumerate()
-        .map(|(kv, window)| PrefillKv {
-            streaming: window.map(|w| StreamingPattern::new(w.sink_pages(), w.local_pages())),
+        .map(|(kv, &mask)| PrefillKv {
+            mask,
             keys: KeyTiles::new(k, kv * d, d, cfg.tile),
             values: head_slice(v, kv, d),
-            key_rows: (window.is_none() && dynamic_keep.is_some()).then(|| head_slice(k, kv, d)),
+            key_rows: matches!(mask, PrefillMask::Dynamic { .. }).then(|| head_slice(k, kv, d)),
         })
         .collect();
     let mut shards: Vec<PrefillShard<'_>> = Vec::with_capacity(cfg.num_q_heads);
@@ -148,12 +159,12 @@ pub fn fused_prefill_layer(
         let kv = cfg.kv_head_of(h);
         // Estimated tiles the shard will visit: the sparsity-aware signal the
         // LPT assignment balances on.
-        let cost = match (windows[kv], dynamic_keep) {
-            (Some(w), _) => (nt * (w.sink_pages() + w.local_pages() + 1) as u64).min(causal_tiles),
-            (None, Some(keep)) => (nt * (keep + cfg.sink_blocks + 1) as u64).min(causal_tiles),
-            (None, None) => causal_tiles,
+        let cost = match masks[kv] {
+            PrefillMask::Causal => causal_tiles,
+            PrefillMask::Window(w) => nt * (w.sink_pages() + w.local_pages() + 1) as u64,
+            PrefillMask::Dynamic { keep, sink } => nt * (keep + sink + 1) as u64,
         };
-        costs.push(cost.max(1));
+        costs.push(cost.min(causal_tiles).max(1));
         shards.push(PrefillShard {
             h,
             qh: head_slice(q, h, d),
@@ -175,16 +186,15 @@ pub fn fused_prefill_layer(
                 pattern,
             )
         };
-        (s.out, s.stats) = match (&s.kv.streaming, &s.kv.key_rows) {
-            (Some(lambda), _) => attend(lambda),
-            (None, None) => attend(&DensePattern),
-            (None, Some(kh)) => attend(&build_dynamic_prefill_mask(
-                &s.qh,
-                kh,
-                cfg.tile,
-                dynamic_keep.expect("row-major keys are kept for the dynamic mask only"),
-                cfg.sink_blocks,
-            )),
+        (s.out, s.stats) = match s.kv.mask {
+            PrefillMask::Causal => attend(&DensePattern),
+            PrefillMask::Window(w) => {
+                attend(&StreamingPattern::new(w.sink_pages(), w.local_pages()))
+            }
+            PrefillMask::Dynamic { keep, sink } => {
+                let kh = s.kv.key_rows.as_ref().expect("kept for a dynamic mask");
+                attend(&build_dynamic_prefill_mask(&s.qh, kh, cfg.tile, keep, sink))
+            }
         };
     });
 
@@ -217,14 +227,18 @@ mod tests {
             num_kv_heads: 2,
             head_dim: 8,
             tile: 4,
-            sink_blocks: 1,
         }
     }
 
-    /// KV head 0 without a window, KV head 1 with a window of one sink and
-    /// two local pages.
-    fn mixed() -> [Option<StreamingWindow>; 2] {
-        [None, Some(StreamingWindow::new(1, 2))]
+    /// KV head 0 under `dense`, KV head 1 with a window of one sink and two
+    /// local pages.
+    fn mixed(dense: PrefillMask) -> [PrefillMask; 2] {
+        [dense, PrefillMask::Window(StreamingWindow::new(1, 2))]
+    }
+
+    /// A dynamic mask keeping `keep` past blocks and one sink block.
+    fn dynamic(keep: usize) -> PrefillMask {
+        PrefillMask::Dynamic { keep, sink: 1 }
     }
 
     #[test]
@@ -245,7 +259,7 @@ mod tests {
         let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        let (out, stats, _) = fused_prefill_layer(&q, &k, &v, &c, &[None, None], None, 1);
+        let (out, stats, _) = fused_prefill_layer(&q, &k, &v, &c, &[PrefillMask::Causal; 2], 1);
         for head in stats {
             assert!(head.tiles_visited > 0);
             assert_eq!(head.tiles_visited, head.tiles_total_causal);
@@ -269,7 +283,7 @@ mod tests {
         let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        let (_, stats, _) = fused_prefill_layer(&q, &k, &v, &c, &mixed(), None, 1);
+        let (_, stats, _) = fused_prefill_layer(&q, &k, &v, &c, &mixed(PrefillMask::Causal), 1);
         let [dense, stream] = stats[..] else {
             panic!("one counter per KV head")
         };
@@ -354,13 +368,12 @@ mod tests {
         let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        let windows = [None, None];
-        let (out, stats, _) = fused_prefill_layer(&q, &k, &v, &c, &windows, Some(2), 1);
+        let (out, stats, _) = fused_prefill_layer(&q, &k, &v, &c, &[dynamic(2); 2], 1);
         assert_eq!(out.shape(), (n, c.num_q_heads * c.head_dim));
         assert!(stats.iter().all(|s| s.tiles_visited < s.tiles_total_causal));
         // Enormous keep budget == dense attention exactly.
-        let (full, stats_full, _) = fused_prefill_layer(&q, &k, &v, &c, &windows, Some(1000), 1);
-        let (want, ..) = fused_prefill_layer(&q, &k, &v, &c, &windows, None, 1);
+        let (full, stats_full, _) = fused_prefill_layer(&q, &k, &v, &c, &[dynamic(1000); 2], 1);
+        let (want, ..) = fused_prefill_layer(&q, &k, &v, &c, &[PrefillMask::Causal; 2], 1);
         assert!(stats_full
             .iter()
             .all(|s| s.tiles_visited == s.tiles_total_causal));
@@ -375,12 +388,11 @@ mod tests {
         let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        for dynamic_keep in [None, Some(2)] {
-            let (want, want_stats, _) =
-                fused_prefill_layer(&q, &k, &v, &c, &mixed(), dynamic_keep, 1);
+        for dense in [PrefillMask::Causal, dynamic(2)] {
+            let (want, want_stats, _) = fused_prefill_layer(&q, &k, &v, &c, &mixed(dense), 1);
             for threads in [2, 3, 8] {
                 let (got, stats, balance) =
-                    fused_prefill_layer(&q, &k, &v, &c, &mixed(), dynamic_keep, threads);
+                    fused_prefill_layer(&q, &k, &v, &c, &mixed(dense), threads);
                 assert_eq!(got.max_abs_diff(&want), 0.0, "threads {threads}");
                 assert_eq!(stats, want_stats);
                 assert_eq!(balance.shards, c.num_q_heads as u64);
@@ -402,16 +414,18 @@ mod tests {
         let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        // The windowed head's sink is not `c.sink_blocks`: its Λ pattern is
-        // its own window's.
-        let windows = [None, Some(StreamingWindow::new(2, 1))];
-        let (out, ..) = fused_prefill_layer(&q, &k, &v, &c, &windows, None, 1);
+        // The windowed head's Λ pattern is its own window's.
+        let masks = [
+            PrefillMask::Causal,
+            PrefillMask::Window(StreamingWindow::new(2, 1)),
+        ];
+        let (out, ..) = fused_prefill_layer(&q, &k, &v, &c, &masks, 1);
         let streaming = StreamingPattern::new(2, 1);
         for h in 0..c.num_q_heads {
             let kv = c.kv_head_of(h);
-            let pattern: &dyn BlockPattern = match windows[kv] {
-                None => &DensePattern,
-                Some(_) => &streaming,
+            let pattern: &dyn BlockPattern = match masks[kv] {
+                PrefillMask::Window(_) => &streaming,
+                _ => &DensePattern,
             };
             let (want, _) = prefill_attention(
                 &head_slice(&q, h, c.head_dim),

@@ -7,8 +7,9 @@
 //! construction.
 //!
 //! [`SequenceState`] owns everything that belongs to one request: the per-layer
-//! two-way KV caches, the per-head reusable-selector state, the position counters,
-//! and the work stats. It is created by [`ModelExecutor::new_sequence`], costs no
+//! two-way KV caches, the head policy beside each (its prefill mask, selection
+//! budget and reusable-selector state), the position counters, and the work
+//! stats. It is created by [`ModelExecutor::new_sequence`], costs no
 //! pool pages until tokens are appended, and releases all its pages with
 //! [`SequenceState::release`].
 //!
@@ -29,10 +30,11 @@
 //! [`ModelExecutor::decode_step`] and [`ModelExecutor::decode_batch_sharded`]
 //! are the one-token-per-sequence wrappers over that body.
 //!
-//! The files: `state` is [`SequenceState`]; this one holds the executor, its
-//! sequence factory and the fused first chunk; `run` is the row-feeding body
-//! and its wrappers; `residency` is what a row does between its KV append and
-//! its attention — page selection, the tiered-memory residency pass with
+//! The files: `state` is [`SequenceState`]; `policy` is `HeadPolicy`, what a
+//! head reads in both phases; this one holds the executor, its sequence
+//! factory and the fused first chunk; `run` is the row-feeding body and its
+//! wrappers; `residency` is what a row does between its KV append and its
+//! attention — page selection, the tiered-memory residency pass with
 //! promotion by exchange, prefetch — and the page demand that reserves for it.
 
 use std::error::Error;
@@ -45,22 +47,22 @@ use lserve_kvcache::{
 };
 use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention};
 use lserve_model::{greedy_next_token, ModelWeights};
-use lserve_selector::{FlatSelector, HierarchicalSelector, ReusableSelector};
 use lserve_tensor::rope::RopeTable;
 use lserve_trace::{lane, CONTROL_TID};
 use lserve_workloads::duo_gates;
 
 use crate::dag::SparsitySchedule;
 use crate::stats::ParallelExecStats;
-use crate::{streaming_masks_from_gates, EngineConfig, EngineStats, SelectorKind};
+use crate::{streaming_masks_from_gates, EngineConfig, EngineStats};
 
+mod policy;
 mod residency;
 mod run;
 mod state;
 
+pub(crate) use policy::HeadPolicy;
 pub(crate) use residency::DEMOTE_AFTER_CHUNKS;
 pub(crate) use run::Run;
-use state::Scorer;
 pub use state::SequenceState;
 
 /// The KV page pool is exhausted; the sequence cannot grow.
@@ -144,7 +146,6 @@ impl ModelExecutor {
             num_kv_heads: model.num_kv_heads,
             head_dim: model.head_dim,
             tile: cfg.prefill_tile,
-            sink_blocks: cfg.streaming_window.sink_pages(),
         };
         let rope = RopeTable::new(model.head_dim, model.rope_base);
         Self {
@@ -172,52 +173,40 @@ impl ModelExecutor {
         &self.masks
     }
 
-    /// Creates an empty per-request state (the selector factory): per-layer two-way
-    /// KV caches plus one reusable selector per dense head when dynamic sparsity is
-    /// configured. Holds no pool pages until tokens are appended.
+    /// Creates an empty per-request state: per-layer two-way KV caches, each
+    /// beside its head policy (with a reusable selector for a dense head
+    /// when dynamic sparsity is configured). Holds no pool pages until tokens
+    /// are appended.
     pub fn new_sequence(&self) -> SequenceState {
         self.new_sequence_with_window(None)
     }
 
     /// [`ModelExecutor::new_sequence`] with a per-request streaming-window
     /// override (`None` inherits the engine config). The window is set on each
-    /// streaming head's table here and never changed — which is why window
-    /// overrides are admission-time-only and rejected at fork (children
-    /// inherit the parent's tables, windows included).
+    /// streaming head's table and policy here and never changed — which is
+    /// why window overrides are admission-time-only and rejected at fork
+    /// (children inherit the parent's tables, windows included). A dense
+    /// head's dynamic prefill mask keeps this window's sink too.
     pub fn new_sequence_with_window(&self, window: Option<StreamingWindow>) -> SequenceState {
         let window = window.unwrap_or(self.cfg.streaming_window);
-        let layers = self
-            .masks
-            .iter()
-            .map(|mask| {
-                let head = |&s: &bool| DenseHeadCache::with_window(s.then_some(window));
-                mask.iter().map(head).collect()
-            })
-            .collect();
-        let selectors = self
-            .masks
-            .iter()
+        let policies: Vec<Vec<HeadPolicy>> = (self.masks.iter())
             .map(|mask| {
                 mask.iter()
-                    .map(|&streaming| {
-                        if streaming || self.cfg.dynamic_budget.is_none() {
-                            return None;
-                        }
-                        let scorer = match self.cfg.selector {
-                            SelectorKind::Flat => Scorer::Flat(FlatSelector::new(true)),
-                            SelectorKind::Hierarchical => {
-                                Scorer::Hierarchical(HierarchicalSelector::new(true))
-                            }
-                            SelectorKind::None => unreachable!("validated"),
-                        };
-                        Some(ReusableSelector::new(scorer, self.cfg.reuse_interval))
-                    })
+                    .map(|&s| HeadPolicy::new(&self.cfg, window, s))
+                    .collect()
+            })
+            .collect();
+        let layers = (policies.iter())
+            .map(|layer| {
+                layer
+                    .iter()
+                    .map(|p| DenseHeadCache::with_window(p.window()))
                     .collect()
             })
             .collect();
         SequenceState {
             layers,
-            selectors,
+            policies,
             tokens_processed: 0,
             decode_step_idx: 0,
             sparsity: SparsitySchedule::new(),
@@ -272,12 +261,6 @@ impl ModelExecutor {
         assert!(!tokens.is_empty(), "empty prompt");
         assert_eq!(state.tokens_processed, 0, "prefill on a non-empty sequence");
         let model = &self.weights.config;
-        // MInference-style dynamic prefill on retrieval heads, only past the
-        // activation threshold (§4.3: "activated after 128K").
-        let dynamic_keep = self
-            .cfg
-            .dynamic_prefill_keep
-            .filter(|_| tokens.len() > self.cfg.dynamic_prefill_after);
         let tracer = pool.tracer().clone();
         let angles = self.rope.angles(0..tokens.len());
         let mut x = self.weights.embed_tokens(tokens);
@@ -301,16 +284,11 @@ impl ModelExecutor {
                 &[("layer", l as u64)],
             );
             let par_start = tracer.now();
-            let windows: Vec<_> = state.layers[l].iter().map(DenseHeadCache::window).collect();
-            let (attn, head_stats, balance) = fused_prefill_layer(
-                &acts.q,
-                &acts.k,
-                &acts.v,
-                &self.attn_cfg,
-                &windows,
-                dynamic_keep,
-                threads,
-            );
+            let masks: Vec<_> = (state.policies[l].iter())
+                .map(|p| p.prefill_mask(tokens.len()))
+                .collect();
+            let (attn, head_stats, balance) =
+                fused_prefill_layer(&acts.q, &acts.k, &acts.v, &self.attn_cfg, &masks, threads);
             exec_stats.absorb(&balance, 0);
             if tracer.is_enabled() {
                 // The parallel phase costs its modeled critical path; worker

@@ -18,14 +18,6 @@ use super::{ModelExecutor, OutOfPagesError, SequenceState};
 /// 21.6 MB instead of 19.1, and bought no measurable time.
 pub(crate) const DEMOTE_AFTER_CHUNKS: usize = 2;
 
-/// True when a selecting dense head whose history holds `tokens` tokens
-/// selects pages under `budget` rather than reading its history whole — the
-/// offline-profiled "no slowdown at short contexts" rule (§5.5). Page
-/// selection, the step's page demand and run folding all ask this.
-fn selects(budget: usize, tokens: usize) -> bool {
-    tokens > budget
-}
-
 impl ModelExecutor {
     /// Free hot pages one more token of `state` can claim: the pages its
     /// append allocates plus the promotions its residency pass cannot pay for
@@ -41,32 +33,29 @@ impl ModelExecutor {
             return need; // nothing below the hot tier or on its way there
         }
         let np = pool.config().physical_page_size();
-        let budget = state
-            .sparsity
-            .effective_budget(self.cfg.dynamic_budget, state.tokens_processed);
-        for (layer, selectors) in state.layers.iter().zip(&state.selectors) {
-            for (kv, selector) in selectors.iter().enumerate() {
-                need += match (&layer[kv], selector, budget) {
-                    (c, Some(_), Some(b)) if selects(b, c.tokens() + 1) => {
-                        // The most pages one selection reads, so the most it
-                        // promotes; each exchangeable page pays for one.
-                        let mut unpaid = (b / np).max(lserve_selector::MAX_FORCED_PAGES);
-                        let mut slotless = 0;
-                        for &id in c.page_table() {
-                            if !pool.holds_slot(id) {
-                                slotless += 1;
-                            } else if pool.refcount(id) == 1 {
-                                unpaid -= 1;
-                                if unpaid == 0 {
-                                    break;
-                                }
+        let pos = state.tokens_processed;
+        let heads = state.layers.iter().flatten();
+        for (c, policy) in heads.zip(state.policies.iter().flatten()) {
+            need += match policy.budget_at(&state.sparsity, pos, c.tokens() + 1) {
+                Some(b) => {
+                    // The most pages one selection reads, so the most it
+                    // promotes; each exchangeable page pays for one.
+                    let mut unpaid = (b / np).max(lserve_selector::MAX_FORCED_PAGES);
+                    let mut slotless = 0;
+                    for &id in c.page_table() {
+                        if !pool.holds_slot(id) {
+                            slotless += 1;
+                        } else if pool.refcount(id) == 1 {
+                            unpaid -= 1;
+                            if unpaid == 0 {
+                                break;
                             }
                         }
-                        slotless.min(unpaid)
                     }
-                    (head, ..) => pool.swap_in_demand(head.page_ids()),
-                };
-            }
+                    slotless.min(unpaid)
+                }
+                None => pool.swap_in_demand(c.page_ids()),
+            };
         }
         need
     }
@@ -89,24 +78,14 @@ impl ModelExecutor {
         let d = model.head_dim;
         let group = model.gqa_group_size();
         plan.reset(model.num_kv_heads);
-        // The per-sequence schedule may tighten (or replace) the engine-wide
-        // budget from a given position onward — the per-branch sparsity dial.
-        let Some(budget) = state
-            .sparsity
-            .effective_budget(self.cfg.dynamic_budget, pos)
-        else {
-            return;
-        };
         let mut queries: Vec<&[f32]> = Vec::with_capacity(group);
         for kv in 0..model.num_kv_heads {
-            let Some(selector) = state.selectors[l][kv].as_mut() else {
+            let cache = &state.layers[l][kv];
+            let policy = &mut state.policies[l][kv];
+            let Some((selector, budget)) = policy.selecting(&state.sparsity, pos, cache.tokens())
+            else {
                 continue;
             };
-            let cache = &state.layers[l][kv];
-            // Skip selection entirely while the history fits the budget.
-            if !selects(budget, cache.tokens()) {
-                continue;
-            }
             queries.clear();
             queries.extend(q_row[kv * group * d..(kv + 1) * group * d].chunks_exact(d));
             let sel = selector.select(pool, cache, &queries, budget, step);
@@ -129,8 +108,9 @@ impl ModelExecutor {
     /// table, evict a streaming head's middle page or fork a shared tail),
     /// and every selecting head keeps what it reads, staying under the
     /// budget or inside one reuse chunk (a rescore demotes the pages it
-    /// stops picking). Both rules are asked where they live, `selects` and
-    /// `ReusableSelector::reuses_at`, so this cannot drift from them.
+    /// stops picking). Both rules are asked where they live,
+    /// [`HeadPolicy::budget_at`] and `ReusableSelector::reuses_at`, so this
+    /// cannot drift from them.
     pub(super) fn next_row_reads_the_same_pages(
         &self,
         state: &SequenceState,
@@ -143,21 +123,17 @@ impl ModelExecutor {
         if heads.iter().any(|h| h.needs_page_for_next_append(pool)) {
             return false;
         }
-        let budget = state
-            .sparsity
-            .effective_budget(self.cfg.dynamic_budget, pos + 1);
+        let policies = state.policies[l].iter();
         heads
             .iter()
-            .zip(&state.selectors[l])
+            .zip(policies)
             .enumerate()
-            .all(|(kv, (cache, selector))| {
-                let Some(selector) = selector else {
-                    return true;
-                };
+            .all(|(kv, (cache, policy))| {
                 // What `select_pages` and the selector will decide for the next row.
-                let selecting = budget.is_some_and(|b| selects(b, cache.tokens() + 1));
+                let selecting =
+                    (policy.budget_at(&state.sparsity, pos + 1, cache.tokens() + 1)).is_some();
                 selecting == plan.selections[kv].is_some()
-                    && (!selecting || selector.reuses_at(step + 1))
+                    && (!selecting || policy.selector().is_some_and(|s| s.reuses_at(step + 1)))
             })
     }
 
@@ -241,7 +217,7 @@ impl ModelExecutor {
                     continue;
                 };
                 let table = state.layers[l][kv].page_table();
-                if let (true, Some(selector)) = (fresh[kv], state.selectors[l][kv].as_ref()) {
+                if let (true, Some(selector)) = (fresh[kv], state.policies[l][kv].selector()) {
                     // Never demote the append target (the table's final
                     // page) or anything the current selection reads.
                     let stale = selector.stale_pages(DEMOTE_AFTER_CHUNKS).into_iter();
@@ -309,9 +285,10 @@ impl ModelExecutor {
     ) -> Option<(usize, PageId, Moved)> {
         let heads = std::iter::once(kv).chain((0..selections.len()).filter(|&h| h != kv));
         for head in heads {
-            let (Some(sel), Some(selector)) =
-                (selections[head].as_ref(), state.selectors[l][head].as_ref())
-            else {
+            let (Some(sel), Some(selector)) = (
+                selections[head].as_ref(),
+                state.policies[l][head].selector(),
+            ) else {
                 continue;
             };
             let table = state.layers[l][head].page_table();
@@ -370,11 +347,11 @@ impl ModelExecutor {
         reserved: usize,
     ) {
         let next_step = step + 1;
-        for kv in 0..state.selectors[l].len() {
+        for (kv, policy) in state.policies[l].iter().enumerate() {
             if *budget == 0 {
                 return;
             }
-            let Some(selector) = state.selectors[l][kv].as_ref() else {
+            let Some(selector) = policy.selector() else {
                 continue;
             };
             if selector.next_fresh_step() != Some(next_step) {
@@ -442,7 +419,6 @@ mod tests {
     use lserve_trace::Tracer;
 
     use super::*;
-    use crate::scheduler::dense_head_pages;
     use crate::EngineConfig;
 
     fn tiny_weights() -> Arc<ModelWeights> {
@@ -574,7 +550,7 @@ mod tests {
         let (l, kv, peer) = dense_pair(&exec);
         let mut selections = first_and_last(&s, l);
         let table = s.layers[l][kv].page_table().to_vec();
-        let selector = s.selectors[l][kv].as_ref().unwrap();
+        let selector = s.policies[l][kv].selector().unwrap();
         // The sweep has already demoted the stalest pages of every head; what
         // the exchanges below may touch of other layers is nothing.
         let other_layers = |pool: &PagePool| -> Vec<Residency> {
@@ -802,6 +778,14 @@ mod tests {
         }
     }
 
+    /// The hot-page cap the policy of `s`'s dense heads charges one of them
+    /// at `tokens` tokens, none fused.
+    fn dense_cap(exec: &ModelExecutor, s: &SequenceState, tokens: usize) -> usize {
+        let policy = s.policies.iter().flatten().find(|p| p.window().is_none());
+        let paging = &exec.config().paging;
+        policy.unwrap().hot_pages(paging, &s.sparsity, tokens, 0)
+    }
+
     /// The memory bound (§3.5: a selecting head keeps a constant number of
     /// pages live whatever the context). A solo INT4 run at budget `B`
     /// decoded to past `4·B` tokens: after every step, no dense head holds
@@ -826,7 +810,7 @@ mod tests {
         let (mut peak, mut longest) = (0, 0);
         while s.context_len() <= 4 * BUDGET + 16 {
             next = greedy_next_token(&exec.decode_step(&mut s, &mut pool, next).unwrap().logits);
-            let cap = dense_head_pages(&cfg, s.context_len(), 0, Some(BUDGET));
+            let cap = dense_cap(&exec, &s, s.context_len());
             for c in s.layers.iter().flatten().filter(|c| c.window().is_none()) {
                 let hot = c.page_table().iter().filter(|&&id| pool.is_hot(id));
                 let hot = hot.count();
@@ -839,7 +823,7 @@ mod tests {
                 longest = longest.max(c.num_pages());
             }
         }
-        let cap = dense_head_pages(&cfg, s.context_len(), 0, Some(BUDGET));
+        let cap = dense_cap(&exec, &s, s.context_len());
         println!("hot pages: peak {peak} of a cap of {cap}; history {longest} pages");
         assert!(longest > cap, "the history must outgrow the cap");
         assert!(s.stats().pages_demoted > 0 && s.stats().pages_promoted > 0);
@@ -858,15 +842,15 @@ mod tests {
             ..EngineConfig::lserve()
         };
         let (prompt_len, new_tokens) = (200, 40);
-        let cap = dense_head_pages(&cfg, prompt_len, 0, cfg.dynamic_budget);
-        assert!(
-            cfg.paging.pages_for(prompt_len) > cap,
-            "the prompt outgrows the cap"
-        );
         let w = tiny_weights();
         let mut pool = cfg.make_pool_for(&w.config, prompt_len + new_tokens);
         let exec = ModelExecutor::new(w, cfg);
         let mut s = exec.new_sequence();
+        let cap = dense_cap(&exec, &s, prompt_len);
+        assert!(
+            exec.config().paging.pages_for(prompt_len) > cap,
+            "the prompt outgrows the cap"
+        );
         let prompt: Vec<u32> = (0..prompt_len).map(|t| (t * 7 % 90) as u32).collect();
         let out = exec.generate(&mut s, &mut pool, &prompt, new_tokens);
         assert_eq!(out.map(|t| t.len()), Ok(new_tokens));

@@ -1,52 +1,14 @@
 //! [`SequenceState`]: everything that belongs to one request — per-layer
-//! head tables, per-head reusable-selector state, position counters,
-//! work stats — and what a serving layer asks of it between steps.
+//! head tables and the head policy beside each, position counters, work
+//! stats — and what a serving layer asks of it between steps.
 
 use lserve_kvcache::{DenseHeadCache, PageId, PagePool};
-use lserve_selector::{
-    FlatSelector, HierarchicalSelector, PageSelector, ReusableSelector, Selection,
-};
 
+use super::HeadPolicy;
 use crate::dag::SparsitySchedule;
 use crate::EngineStats;
 
-/// The scoring policy under a head's reusable selector, chosen by
-/// [`crate::SelectorKind`] (an enum rather than a trait object so sequence
-/// state stays `Debug` + `Clone` + cheap).
-#[derive(Debug, Clone)]
-pub(super) enum Scorer {
-    Flat(FlatSelector),
-    Hierarchical(HierarchicalSelector),
-}
-
-impl PageSelector for Scorer {
-    fn select(
-        &mut self,
-        pool: &PagePool,
-        cache: &DenseHeadCache,
-        queries: &[&[f32]],
-        budget: usize,
-        step: usize,
-    ) -> Selection {
-        match self {
-            Scorer::Flat(s) => s.select(pool, cache, queries, budget, step),
-            Scorer::Hierarchical(s) => s.select(pool, cache, queries, budget, step),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Scorer::Flat(s) => s.reset(),
-            Scorer::Hierarchical(s) => s.reset(),
-        }
-    }
-}
-
-/// A dense head's selector: reuse, last-use tracking and prefetch ranking
-/// over its [`Scorer`].
-pub(super) type SelectorBox = ReusableSelector<Scorer>;
-
-/// Per-request mutable state: KV caches, selector state, position, stats.
+/// Per-request mutable state: KV caches, head policies, position, stats.
 ///
 /// Created by [`crate::ModelExecutor::new_sequence`]; every compute method on the executor
 /// takes the state it operates on explicitly. Dropping a state without calling
@@ -56,7 +18,8 @@ pub(super) type SelectorBox = ReusableSelector<Scorer>;
 pub struct SequenceState {
     /// One page table per KV head, per layer; a streaming head's has a window.
     pub(super) layers: Vec<Vec<DenseHeadCache>>,
-    pub(super) selectors: Vec<Vec<Option<SelectorBox>>>,
+    /// The policy of each table in `layers`, selector state included.
+    pub(super) policies: Vec<Vec<HeadPolicy>>,
     pub(super) tokens_processed: usize,
     pub(super) decode_step_idx: usize,
     pub(super) sparsity: SparsitySchedule,
@@ -103,10 +66,8 @@ impl SequenceState {
         }
         self.tokens_processed = 0;
         self.decode_step_idx = 0;
-        for layer in &mut self.selectors {
-            for s in layer.iter_mut().flatten() {
-                s.reset();
-            }
+        for policy in self.policies.iter_mut().flatten() {
+            policy.reset();
         }
     }
 

@@ -8,7 +8,7 @@ use lserve_trace::lane;
 use super::{Feed, Phase, QueuedSeq, RequestProgress, SchedSeq, Scheduler, SeqCore};
 use crate::api::{AdmissionPolicy, RejectReason, RequestSpec, ServingEvent};
 use crate::dag::SparsitySchedule;
-use crate::executor::{SequenceState, DEMOTE_AFTER_CHUNKS};
+use crate::executor::{HeadPolicy, SequenceState};
 use crate::EngineConfig;
 
 impl Scheduler {
@@ -251,35 +251,26 @@ impl Scheduler {
 /// uses; tests and benches that want to size a pool relative to "N sequences"
 /// should use it instead of re-deriving the formula.
 ///
-/// The estimate is of the **hot** footprint. A dense head with a page
-/// selector keeps hot what its selections read: once history outgrows the
-/// selection budget the selector reads about `budget` tokens, and the
-/// residency pass demotes every page it has left unpicked for `k` = 2 fresh
-/// scorings (the executor's `DEMOTE_AFTER_CHUNKS`). The bound has to cover that
-/// *lag*: in the worst case (the top-k churning completely every rescore) up
-/// to `k` selections' worth of pages plus `k × reuse_interval` freshly
-/// appended tokens are hot at once, on top of the append page and the forced
-/// sink page. That caps the per-head hot set at `k × (budget +
-/// reuse_interval) + 2 pages` — constant in context length — instead of the
-/// whole history. Without a selector (or while the context still fits inside
-/// that cap) the full-residency formula stands.
+/// The estimate is of the **hot** footprint, each head's as its policy
+/// charges it: a selecting dense head's is capped by its budget and the
+/// demotion lag, constant in context length, instead of its whole history.
 ///
 /// No residency pass runs inside a fused prefill tile, so a prompt prefilled
 /// as one tile is hot whole until its first sweeps. This estimate is for a
-/// sequence fed in chunks no longer than `k × budget` tokens, which the cap
-/// covers: what a [`crate::Scheduler`] with such a `chunk_tokens` admits by
-/// (it counts a longer chunk itself). [`EngineConfig::make_pool_for`] sizes
-/// for a whole prompt as one tile, which is what
-/// [`crate::ModelExecutor::generate`] prefills.
+/// sequence fed in chunks no longer than `k × budget` tokens (`k` = 2, the
+/// executor's `DEMOTE_AFTER_CHUNKS`), which the cap covers: what a
+/// [`crate::Scheduler`] with such a `chunk_tokens` admits by (it counts a
+/// longer chunk itself). [`EngineConfig::make_pool_for`] sizes for a whole
+/// prompt as one tile, which is what [`crate::ModelExecutor::generate`]
+/// prefills.
 pub fn sequence_pages_estimate(cfg: &EngineConfig, model: &ModelConfig, tokens: usize) -> usize {
     pages_estimate(cfg, model, tokens, 0, &SparsitySchedule::new())
 }
 
 /// [`sequence_pages_estimate`] of a sequence whose first `fused` tokens are
 /// prefilled as one tile, under a per-request [`SparsitySchedule`]: the
-/// effective selection budget at position `tokens` replaces the engine-wide
-/// budget in the cap, and a position-0 window override replaces the
-/// streaming-head window.
+/// policies its heads would be built with charge their hot pages, a
+/// position-0 window override included.
 pub(crate) fn pages_estimate(
     cfg: &EngineConfig,
     model: &ModelConfig,
@@ -288,37 +279,13 @@ pub(crate) fn pages_estimate(
     sparsity: &SparsitySchedule,
 ) -> usize {
     let window = sparsity.window_override().unwrap_or(cfg.streaming_window);
-    let streaming_heads =
-        (cfg.streaming_sparsity * (model.num_layers * model.num_kv_heads) as f64).round() as usize;
-    let dense_heads = model.num_layers * model.num_kv_heads - streaming_heads;
-    let budget = sparsity.effective_budget(cfg.dynamic_budget, tokens);
-    dense_heads * dense_head_pages(cfg, tokens, fused, budget)
-        + streaming_heads * (window.max_pages() + 2)
-}
-
-/// Hot pages of one dense head `tokens` tokens long whose first `fused`
-/// tokens were one prefill tile, selecting within `budget` (`None`: it reads,
-/// and keeps, its whole history). The fused tile is hot whole, and stays so
-/// for the `k × reuse_interval` appended tokens it takes the first sweep to
-/// come round; after that the churn cap of [`sequence_pages_estimate`] holds.
-pub(crate) fn dense_head_pages(
-    cfg: &EngineConfig,
-    tokens: usize,
-    fused: usize,
-    budget: Option<usize>,
-) -> usize {
-    let hot_tokens = match budget {
-        Some(budget) => {
-            let lag = DEMOTE_AFTER_CHUNKS * cfg.reuse_interval.max(1);
-            let churn = budget
-                .saturating_mul(DEMOTE_AFTER_CHUNKS)
-                .saturating_add(lag);
-            let peak = churn.max(fused.saturating_add(lag));
-            tokens.min(peak.saturating_add(2 * cfg.paging.physical_page_size()))
-        }
-        None => tokens,
+    let heads = model.num_layers * model.num_kv_heads;
+    let streaming_heads = (cfg.streaming_sparsity * heads as f64).round() as usize;
+    let pages = |streaming| {
+        let policy = HeadPolicy::new(cfg, window, streaming);
+        policy.hot_pages(&cfg.paging, sparsity, tokens, fused)
     };
-    cfg.paging.pages_for(hot_tokens) + 1
+    (heads - streaming_heads) * pages(false) + streaming_heads * pages(true)
 }
 
 #[cfg(test)]

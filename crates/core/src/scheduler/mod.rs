@@ -725,9 +725,6 @@ impl Scheduler {
 }
 
 #[cfg(test)]
-pub(crate) use admit::dense_head_pages;
-
-#[cfg(test)]
 mod tests {
     use super::test_support::*;
     use super::*;
