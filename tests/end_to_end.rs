@@ -213,13 +213,27 @@ fn serving_matches_a_solo_sequence_for_every_policy() {
 }
 
 /// A per-request window override is the engine window for that sequence in
-/// every phase: prefill's Λ mask included, not only the table and decode.
+/// every phase: prefill's Λ mask included, not only the table and decode, and
+/// the sink of a dense head's dynamic prefill mask too.
 #[test]
 fn a_window_override_reaches_prefill() {
     let w = weights(3);
-    let window = StreamingWindow::new(1, 1);
     let prompt = long_prompt();
-    for base in [EngineConfig::lserve(), EngineConfig::lserve_fp16()] {
+    let dynamic = |cfg: EngineConfig| EngineConfig {
+        dynamic_prefill_keep: Some(1),
+        dynamic_prefill_after: 16,
+        ..cfg
+    };
+    let inputs = [
+        (EngineConfig::lserve(), StreamingWindow::new(1, 1)),
+        (EngineConfig::lserve_fp16(), StreamingWindow::new(1, 1)),
+        (dynamic(EngineConfig::lserve()), StreamingWindow::new(0, 1)),
+        (
+            dynamic(EngineConfig::lserve_fp16()),
+            StreamingWindow::new(0, 1),
+        ),
+    ];
+    for (base, window) in inputs {
         let run = |cfg: EngineConfig, over: Option<StreamingWindow>| {
             let mut pool = cfg.make_pool_for(&w.config, prompt.len() + 8);
             let exec = ModelExecutor::new(Arc::clone(&w), cfg);
@@ -242,8 +256,9 @@ fn a_window_override_reaches_prefill() {
             None,
         );
         let overridden = run(base.clone(), Some(window));
-        assert_eq!(overridden.1, engine.1, "{:?}", base.paging.precision());
-        assert_eq!(overridden.0, engine.0, "{:?}", base.paging.precision());
+        let case = format!("{:?} {window:?}", base.paging.precision());
+        assert_eq!(overridden.1, engine.1, "{case}");
+        assert_eq!(overridden.0, engine.0, "{case}");
         assert_ne!(run(base, None).0[0], engine.0[0], "the windows differ");
     }
 }
