@@ -135,6 +135,19 @@ impl HeadPolicy {
         self.budget(sparsity, pos).filter(|&b| tokens > b)
     }
 
+    /// The largest selection budget in force at any position up to `tokens`:
+    /// a budget changes only where a phase starts, and a retention cap only
+    /// grows within one, so each phase's last position and `tokens` itself
+    /// are the candidates.
+    fn largest_budget(&self, sparsity: &SparsitySchedule, tokens: usize) -> Option<usize> {
+        let starts = sparsity.phases().iter().map(|p| p.from);
+        let ends = starts
+            .filter(|from| (1..=tokens).contains(from))
+            .map(|from| from - 1);
+        let at = |pos| self.budget(sparsity, pos);
+        ends.chain([tokens]).filter_map(at).max()
+    }
+
     /// [`HeadPolicy::budget_at`] with the selector that selects under it.
     pub(super) fn selecting(
         &mut self,
@@ -172,8 +185,10 @@ impl HeadPolicy {
     /// append page and the forced sink page — a cap constant in context
     /// length. The fused tile is hot whole, and stays so for the `k ×
     /// reuse_interval` appended tokens it takes the first sweep to come
-    /// round. A head without a selector (or whose context still fits inside
-    /// the cap) keeps its whole history.
+    /// round. A schedule that tightens the budget leaves the larger budget's
+    /// hot set behind, so the cap is of the largest budget so far. A head
+    /// without a selector (or whose context still fits inside the cap) keeps
+    /// its whole history.
     pub(crate) fn hot_pages(
         &self,
         paging: &PagingConfig,
@@ -184,7 +199,7 @@ impl HeadPolicy {
         if let Some(w) = self.window() {
             return w.max_pages() + 2;
         }
-        let hot_tokens = match (&self.selector, self.budget(sparsity, tokens)) {
+        let hot_tokens = match (&self.selector, self.largest_budget(sparsity, tokens)) {
             (Some(selector), Some(budget)) => {
                 let lag = DEMOTE_AFTER_CHUNKS * selector.reuse_interval();
                 let churn = budget

@@ -413,12 +413,12 @@ mod tests {
             ("lserve", "window (0, 1)", [10, 10, 28, 28, 264, 264]),
             ("lserve", "budget 8", [14, 14, 18, 20, 18, 20]),
             ("lserve", "retention 500", [14, 14, 32, 32, 268, 268]),
-            ("lserve", "budget 8 from 150", [14, 14, 18, 20, 18, 20]),
+            ("lserve", "budget 8 from 150", [14, 14, 32, 32, 268, 268]),
             ("lserve_fp16", "empty", [14, 14, 32, 32, 268, 268]),
             ("lserve_fp16", "window (0, 1)", [10, 10, 28, 28, 264, 264]),
             ("lserve_fp16", "budget 8", [14, 14, 18, 20, 18, 20]),
             ("lserve_fp16", "retention 500", [14, 14, 32, 32, 268, 268]),
-            ("lserve_fp16", "budget 8 from 150", [14, 14, 18, 20, 18, 20]),
+            ("lserve_fp16", "budget 8 from 150", [14, 14, 32, 32, 268, 268]),
             ("dense", "empty", [8, 8, 44, 44, 516, 516]),
             ("dense", "window (0, 1)", [8, 8, 44, 44, 516, 516]),
             ("dense", "budget 8", [8, 8, 44, 44, 516, 516]),
@@ -433,9 +433,41 @@ mod tests {
             ("quest_like(64)", "window (0, 1)", [16, 16, 48, 48, 48, 48]),
             ("quest_like(64)", "budget 8", [16, 16, 20, 32, 20, 32]),
             ("quest_like(64)", "retention 500", [16, 16, 48, 48, 48, 48]),
-            ("quest_like(64)", "budget 8 from 150", [16, 16, 20, 32, 20, 32]),
+            ("quest_like(64)", "budget 8 from 150", [16, 16, 48, 48, 48, 48]),
         ];
         assert_eq!(got, want);
+    }
+
+    /// A schedule that tightens the budget mid-sequence leaves the hot set
+    /// of the larger budget behind it: the estimate must still bound the
+    /// measured peak of a solo run fed in chunks.
+    #[test]
+    fn pages_estimate_bounds_the_peak_of_a_tightening_schedule() {
+        use crate::dag::SparsityOverride;
+        use lserve_kvcache::PagingConfig;
+        use lserve_quant::KvPrecision;
+        let mut cfg = EngineConfig::lserve_fp16();
+        cfg.paging = PagingConfig::new(8, 4, KvPrecision::Fp16);
+        cfg.prefill_tile = 8;
+        cfg.dynamic_budget = Some(64);
+        cfg.reuse_interval = 2;
+        let (prompt, new_tokens) = (200, 16);
+        for from in [100, 150] {
+            let tighten = SparsityOverride::none().with_budget(8);
+            let spec = request(1, prompt, new_tokens).sparsity_from(from, tighten);
+            let mut scfg = SchedulerConfig::new(1024);
+            scfg.chunk_tokens = 8;
+            let mut sched = scheduler(cfg.clone(), scfg);
+            let est = sched.pages_estimate_spec(&spec, prompt + new_tokens);
+            sched.submit(spec);
+            let report = sched.run_to_completion(100_000);
+            assert_eq!(report.completed.len(), 1);
+            assert!(
+                report.peak_pages <= est,
+                "from {from}: estimate {est} must bound measured peak {}",
+                report.peak_pages
+            );
+        }
     }
 
     #[test]
