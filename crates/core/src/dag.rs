@@ -142,10 +142,11 @@ impl SparsitySchedule {
 
     /// The streaming-window override, which is only honoured when scheduled
     /// from position 0 (a streaming head's table takes its window at sequence
-    /// creation).
+    /// creation). Of several, the last pushed wins, as for every other knob.
     pub fn window_override(&self) -> Option<StreamingWindow> {
         self.phases
             .iter()
+            .rev()
             .filter(|p| p.from == 0)
             .find_map(|p| p.over.streaming_window)
     }
@@ -528,6 +529,12 @@ mod tests {
             SparsityOverride::none().with_window(StreamingWindow::new(2, 3)),
         );
         assert_eq!(s.window_override(), Some(StreamingWindow::new(2, 3)));
+        // A later push at position 0 overrides the earlier one.
+        s.push(
+            0,
+            SparsityOverride::none().with_window(StreamingWindow::new(1, 2)),
+        );
+        assert_eq!(s.window_override(), Some(StreamingWindow::new(1, 2)));
         assert!(!s.has_late_window_override());
         s.push(
             5,
