@@ -2,12 +2,10 @@
 //!
 //! One call processes every head of a layer, mirroring the single fused CUDA kernel
 //! that "enables different sparsity patterns to be applied independently on each
-//! head": each KV head brings its own [`PrefillMask`] — the Λ pattern of its
-//! streaming window, full causal attention, or a dynamic query-aware mask — which
-//! is its head policy as the kernel reads it. GQA's query→KV head mapping
-//! (`h_kv = h / n`, Eq. 1) is applied here. The decode side of
-//! the same kernel is one [`crate::parallel::DecodeShard`] per KV head, which the
-//! executor builds itself.
+//! head": each KV head brings its own [`PrefillMask`] (its streaming window's Λ
+//! pattern, causal, or a dynamic query-aware mask). GQA's query→KV head mapping
+//! (`h_kv = h / n`, Eq. 1) is applied here. The decode side of the same kernel is
+//! one [`crate::parallel::DecodeShard`] per KV head, which the executor builds.
 
 use lserve_kvcache::StreamingWindow;
 use lserve_tensor::Matrix;
@@ -30,25 +28,17 @@ pub struct LayerAttnConfig {
     pub tile: usize,
 }
 
-/// What one KV head's prefill visits, tile by tile (query heads inherit their
-/// KV head's, since streaming heads drop the KV that grouped query heads would
-/// need).
+/// What one KV head's prefill visits, tile by tile; its query heads inherit it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefillMask {
     /// Full causal attention.
     Causal,
-    /// The Λ pattern of a streaming window: its sink and local pages, one
-    /// block per page.
+    /// The Λ pattern of a streaming window, one block per page.
     Window(StreamingWindow),
-    /// MInference-style dynamic block sparsity (§4.3): each query head builds
-    /// its own query-aware mask keeping the diagonal, `sink` sink blocks and
-    /// `keep` top-affinity past blocks per query tile.
-    Dynamic {
-        /// Past blocks kept per query tile beyond the diagonal and the sinks.
-        keep: usize,
-        /// Leading blocks every query tile keeps.
-        sink: usize,
-    },
+    /// MInference-style query-aware block sparsity (§4.3), built per query
+    /// head: each query tile keeps its diagonal, the first `sink` blocks and
+    /// the `keep` past blocks of highest affinity.
+    Dynamic { keep: usize, sink: usize },
 }
 
 impl LayerAttnConfig {

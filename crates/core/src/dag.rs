@@ -140,9 +140,9 @@ impl SparsitySchedule {
         Some(budget.max(1))
     }
 
-    /// The streaming-window override, which is only honoured when scheduled
-    /// from position 0 (a streaming head's table takes its window at sequence
-    /// creation). Of several, the last pushed wins, as for every other knob.
+    /// The streaming-window override: the last one pushed at position 0, the
+    /// only position it is honoured from (a streaming head's table takes its
+    /// window at sequence creation).
     pub fn window_override(&self) -> Option<StreamingWindow> {
         self.phases
             .iter()

@@ -7,11 +7,10 @@
 //! construction.
 //!
 //! [`SequenceState`] owns everything that belongs to one request: the per-layer
-//! two-way KV caches, the head policy beside each (its prefill mask, selection
-//! budget and reusable-selector state), the position counters, and the work
-//! stats. It is created by [`ModelExecutor::new_sequence`], costs no
-//! pool pages until tokens are appended, and releases all its pages with
-//! [`SequenceState::release`].
+//! two-way KV caches and the head policy beside each (with its reusable
+//! selector), the position counters, and the work stats. It is created by
+//! [`ModelExecutor::new_sequence`], costs no pool pages until tokens are
+//! appended, and releases all its pages with [`SequenceState::release`].
 //!
 //! This split is what makes a real serving loop possible: a scheduler holds one
 //! executor and N sequence states, batches decode across states, and can drop
@@ -30,12 +29,11 @@
 //! [`ModelExecutor::decode_step`] and [`ModelExecutor::decode_batch_sharded`]
 //! are the one-token-per-sequence wrappers over that body.
 //!
-//! The files: `state` is [`SequenceState`]; `policy` is `HeadPolicy`, what a
-//! head reads in both phases; this one holds the executor, its sequence
-//! factory and the fused first chunk; `run` is the row-feeding body and its
-//! wrappers; `residency` is what a row does between its KV append and its
-//! attention — page selection, the tiered-memory residency pass with
-//! promotion by exchange, prefetch — and the page demand that reserves for it.
+//! The files: `state` is [`SequenceState`], `policy` a head's policy; this one
+//! holds the executor, its sequence factory and the fused first chunk; `run`
+//! the row-feeding body; `residency` what a row does between its KV append
+//! and its attention — page selection, the residency pass with promotion by
+//! exchange, prefetch — and the page demand that reserves for it.
 
 use std::error::Error;
 use std::fmt;
@@ -174,9 +172,8 @@ impl ModelExecutor {
     }
 
     /// Creates an empty per-request state: per-layer two-way KV caches, each
-    /// beside its head policy (with a reusable selector for a dense head
-    /// when dynamic sparsity is configured). Holds no pool pages until tokens
-    /// are appended.
+    /// beside its head policy (a dense head's with a reusable selector under
+    /// dynamic sparsity). Holds no pool pages until tokens are appended.
     pub fn new_sequence(&self) -> SequenceState {
         self.new_sequence_with_window(None)
     }
@@ -189,20 +186,16 @@ impl ModelExecutor {
     /// head's dynamic prefill mask keeps this window's sink too.
     pub fn new_sequence_with_window(&self, window: Option<StreamingWindow>) -> SequenceState {
         let window = window.unwrap_or(self.cfg.streaming_window);
-        let policies: Vec<Vec<HeadPolicy>> = (self.masks.iter())
-            .map(|mask| {
-                mask.iter()
-                    .map(|&s| HeadPolicy::new(&self.cfg, window, s))
-                    .collect()
-            })
+        let policy = |&s: &bool| HeadPolicy::new(&self.cfg, window, s);
+        let policies: Vec<Vec<_>> = self
+            .masks
+            .iter()
+            .map(|m| m.iter().map(policy).collect())
             .collect();
-        let layers = (policies.iter())
-            .map(|layer| {
-                layer
-                    .iter()
-                    .map(|p| DenseHeadCache::with_window(p.window()))
-                    .collect()
-            })
+        let table = |p: &HeadPolicy| DenseHeadCache::with_window(p.window());
+        let layers = policies
+            .iter()
+            .map(|l| l.iter().map(table).collect())
             .collect();
         SequenceState {
             layers,

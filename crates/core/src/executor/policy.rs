@@ -1,6 +1,5 @@
-//! [`HeadPolicy`]: one KV head's sparsity in both phases — its prefill mask,
-//! the budget its decode selects pages under, and what of it stays hot —
-//! decided once per (sequence, layer, KV head), beside the head's table.
+//! [`HeadPolicy`]: one KV head's sparsity in both phases, decided once per
+//! (sequence, layer, KV head) beside the head's table.
 
 use lserve_attention::PrefillMask;
 use lserve_kvcache::{DenseHeadCache, PagePool, PagingConfig, StreamingWindow};
@@ -12,14 +11,11 @@ use super::DEMOTE_AFTER_CHUNKS;
 use crate::dag::SparsitySchedule;
 use crate::{EngineConfig, SelectorKind};
 
-/// The scoring policy under a head's reusable selector, chosen by
-/// [`crate::SelectorKind`] (an enum rather than a trait object so sequence
-/// state stays `Debug` + `Clone` + cheap).
+/// The scoring policy under a head's reusable selector, the engine's
+/// [`crate::SelectorKind`] (a kind rather than a trait object so sequence
+/// state stays `Debug` + `Clone` + cheap; both scorers are stateless).
 #[derive(Debug, Clone)]
-pub(super) enum Scorer {
-    Flat(FlatSelector),
-    Hierarchical(HierarchicalSelector),
-}
+pub(super) struct Scorer(SelectorKind);
 
 impl PageSelector for Scorer {
     fn select(
@@ -30,74 +26,51 @@ impl PageSelector for Scorer {
         budget: usize,
         step: usize,
     ) -> Selection {
-        match self {
-            Scorer::Flat(s) => s.select(pool, cache, queries, budget, step),
-            Scorer::Hierarchical(s) => s.select(pool, cache, queries, budget, step),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Scorer::Flat(s) => s.reset(),
-            Scorer::Hierarchical(s) => s.reset(),
+        match self.0 {
+            SelectorKind::Flat => {
+                FlatSelector::new(true).select(pool, cache, queries, budget, step)
+            }
+            SelectorKind::Hierarchical => {
+                HierarchicalSelector::new(true).select(pool, cache, queries, budget, step)
+            }
+            SelectorKind::None => unreachable!("validated: a budget needs a selector"),
         }
     }
 }
 
-/// A dense head's selector: reuse, last-use tracking and prefetch ranking
-/// over its [`Scorer`].
-pub(super) type SelectorBox = ReusableSelector<Scorer>;
-
-/// What one KV head reads, in prefill and decode, and what of it stays hot.
-///
-/// A streaming head reads its window in both phases. A dense head prefills
-/// causally, or under a dynamic mask past the engine's activation length
-/// (§4.3) whose sink is the sequence's window's; it decodes its whole history
-/// until that outgrows its selection budget, then the pages its selector
-/// picks. Every site that needs a head's sparsity — prefill, page selection,
-/// run folding, the step's page demand and admission's estimate — asks this.
+/// What one KV head reads in prefill and decode, and what of it stays hot:
+/// a streaming head its window; a dense head its history, prefilled under a
+/// dynamic mask past `dynamic_after` tokens (§4.3) and decoded through its
+/// selector once the history outgrows the budget.
 #[derive(Debug, Clone)]
 pub(crate) struct HeadPolicy {
-    /// The mask of a prompt longer than `dynamic_after` tokens (a streaming
-    /// head's is its window).
     prefill: PrefillMask,
     dynamic_after: usize,
     /// The engine's selection budget, which the sequence's schedule may
     /// override; `None` for a head without a selector.
     budget: Option<usize>,
-    selector: Option<SelectorBox>,
+    /// A dense head's selector: reuse, last-use tracking and prefetch ranking.
+    pub(super) selector: Option<ReusableSelector<Scorer>>,
 }
 
 impl HeadPolicy {
     /// The policy of a head under `cfg` in a sequence whose streaming window
     /// is `window`; a `streaming` head reads that window.
     pub(crate) fn new(cfg: &EngineConfig, window: StreamingWindow, streaming: bool) -> Self {
-        if streaming {
-            return Self {
-                prefill: PrefillMask::Window(window),
-                dynamic_after: 0,
-                budget: None,
-                selector: None,
-            };
-        }
-        let scorer = || match cfg.selector {
-            SelectorKind::Flat => Scorer::Flat(FlatSelector::new(true)),
-            SelectorKind::Hierarchical => Scorer::Hierarchical(HierarchicalSelector::new(true)),
-            SelectorKind::None => unreachable!("validated"),
-        };
         let sink = window.sink_pages();
+        let prefill = match cfg.dynamic_prefill_keep {
+            _ if streaming => PrefillMask::Window(window),
+            Some(keep) => PrefillMask::Dynamic { keep, sink },
+            None => PrefillMask::Causal,
+        };
+        let budget = cfg.dynamic_budget.filter(|_| !streaming);
+        let selector =
+            budget.map(|_| ReusableSelector::new(Scorer(cfg.selector), cfg.reuse_interval));
         Self {
-            prefill: cfg
-                .dynamic_prefill_keep
-                .map_or(PrefillMask::Causal, |keep| PrefillMask::Dynamic {
-                    keep,
-                    sink,
-                }),
+            prefill,
             dynamic_after: cfg.dynamic_prefill_after,
-            budget: cfg.dynamic_budget,
-            selector: cfg
-                .dynamic_budget
-                .map(|_| ReusableSelector::new(scorer(), cfg.reuse_interval)),
+            budget,
+            selector,
         }
     }
 
@@ -117,78 +90,22 @@ impl HeadPolicy {
         }
     }
 
-    /// The selection budget in force at position `pos` under `sparsity`.
-    fn budget(&self, sparsity: &SparsitySchedule, pos: usize) -> Option<usize> {
-        sparsity.effective_budget(self.budget, pos)
-    }
-
-    /// The budget this head selects pages under at position `pos` with
-    /// `tokens` tokens of history, or `None` while it reads them whole: a
-    /// head without a selector, or history within the budget (the
+    /// The budget this head selects pages under at position `pos` with `len`
+    /// tokens of history under schedule `s`, or `None` while it reads them
+    /// whole: a head without a selector, or history within the budget (the
     /// offline-profiled "no slowdown at short contexts" rule, §5.5).
-    pub(crate) fn budget_at(
-        &self,
-        sparsity: &SparsitySchedule,
-        pos: usize,
-        tokens: usize,
-    ) -> Option<usize> {
-        self.budget(sparsity, pos).filter(|&b| tokens > b)
+    pub(super) fn budget_at(&self, s: &SparsitySchedule, pos: usize, len: usize) -> Option<usize> {
+        s.effective_budget(self.budget, pos).filter(|&b| len > b)
     }
 
-    /// The largest selection budget in force at any position up to `tokens`:
-    /// a budget changes only where a phase starts, and a retention cap only
-    /// grows within one, so each phase's last position and `tokens` itself
-    /// are the candidates.
-    fn largest_budget(&self, sparsity: &SparsitySchedule, tokens: usize) -> Option<usize> {
-        let starts = sparsity.phases().iter().map(|p| p.from);
-        let ends = starts
-            .filter(|from| (1..=tokens).contains(from))
-            .map(|from| from - 1);
-        let at = |pos| self.budget(sparsity, pos);
-        ends.chain([tokens]).filter_map(at).max()
-    }
-
-    /// [`HeadPolicy::budget_at`] with the selector that selects under it.
-    pub(super) fn selecting(
-        &mut self,
-        sparsity: &SparsitySchedule,
-        pos: usize,
-        tokens: usize,
-    ) -> Option<(&mut SelectorBox, usize)> {
-        let budget = self.budget_at(sparsity, pos, tokens)?;
-        Some((self.selector.as_mut()?, budget))
-    }
-
-    /// The head's page selector, if it has one.
-    pub(super) fn selector(&self) -> Option<&SelectorBox> {
-        self.selector.as_ref()
-    }
-
-    /// Forgets the selector's history (the sequence restarts from scratch).
-    pub(super) fn reset(&mut self) {
-        if let Some(s) = &mut self.selector {
-            s.reset();
-        }
-    }
-
-    /// Hot pages of this head `tokens` tokens long whose first `fused`
-    /// tokens were one prefill tile.
-    ///
-    /// A streaming head holds its window, the append page and a page on its
-    /// way out. A selecting head keeps hot what its selections read: once
-    /// history outgrows the budget the selector reads about `budget` tokens,
-    /// and the residency pass demotes every page it has left unpicked for
-    /// `k` = [`DEMOTE_AFTER_CHUNKS`] fresh scorings. The bound covers that
-    /// *lag*: in the worst case (the top-k churning completely every
-    /// rescore) up to `k` selections' worth of pages plus `k ×
-    /// reuse_interval` freshly appended tokens are hot at once, on top of the
-    /// append page and the forced sink page — a cap constant in context
-    /// length. The fused tile is hot whole, and stays so for the `k ×
-    /// reuse_interval` appended tokens it takes the first sweep to come
-    /// round. A schedule that tightens the budget leaves the larger budget's
-    /// hot set behind, so the cap is of the largest budget so far. A head
-    /// without a selector (or whose context still fits inside the cap) keeps
-    /// its whole history.
+    /// Hot pages of this head `tokens` tokens long whose first `fused` were one
+    /// prefill tile. A streaming head: its window, the append page and one on
+    /// its way out. A selecting head, whose unpicked pages go cold after `k` =
+    /// [`DEMOTE_AFTER_CHUNKS`] fresh scorings: at worst `k` budgets (or the
+    /// tile) plus `k × reuse_interval` new tokens, the append and sink pages.
+    /// Its budget is the largest so far, since a tightened one leaves the
+    /// larger one's hot set behind: each phase's last position is a candidate
+    /// (a retention cap only grows within a phase). Any other head: its history.
     pub(crate) fn hot_pages(
         &self,
         paging: &PagingConfig,
@@ -199,17 +116,21 @@ impl HeadPolicy {
         if let Some(w) = self.window() {
             return w.max_pages() + 2;
         }
-        let hot_tokens = match (&self.selector, self.largest_budget(sparsity, tokens)) {
-            (Some(selector), Some(budget)) => {
-                let lag = DEMOTE_AFTER_CHUNKS * selector.reuse_interval();
-                let churn = budget
-                    .saturating_mul(DEMOTE_AFTER_CHUNKS)
-                    .saturating_add(lag);
-                let peak = churn.max(fused.saturating_add(lag));
-                tokens.min(peak.saturating_add(2 * paging.physical_page_size()))
-            }
-            _ => tokens,
+        let starts = sparsity.phases().iter().map(|p| p.from);
+        let phase_ends = starts
+            .filter(|from| (1..=tokens).contains(from))
+            .map(|from| from - 1);
+        let budgets = phase_ends
+            .chain([tokens])
+            .map(|pos| sparsity.effective_budget(self.budget, pos));
+        let (Some(budget), Some(selector)) = (budgets.max().flatten(), &self.selector) else {
+            return paging.pages_for(tokens) + 1;
         };
-        paging.pages_for(hot_tokens) + 1
+        let lag = DEMOTE_AFTER_CHUNKS * selector.reuse_interval();
+        let peak = budget
+            .saturating_mul(DEMOTE_AFTER_CHUNKS)
+            .max(fused)
+            .saturating_add(lag);
+        paging.pages_for(tokens.min(peak.saturating_add(2 * paging.physical_page_size()))) + 1
     }
 }

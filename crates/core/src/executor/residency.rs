@@ -82,8 +82,8 @@ impl ModelExecutor {
         for kv in 0..model.num_kv_heads {
             let cache = &state.layers[l][kv];
             let policy = &mut state.policies[l][kv];
-            let Some((selector, budget)) = policy.selecting(&state.sparsity, pos, cache.tokens())
-            else {
+            let budget = policy.budget_at(&state.sparsity, pos, cache.tokens());
+            let (Some(budget), Some(selector)) = (budget, policy.selector.as_mut()) else {
                 continue;
             };
             queries.clear();
@@ -130,10 +130,11 @@ impl ModelExecutor {
             .enumerate()
             .all(|(kv, (cache, policy))| {
                 // What `select_pages` and the selector will decide for the next row.
-                let selecting =
-                    (policy.budget_at(&state.sparsity, pos + 1, cache.tokens() + 1)).is_some();
-                selecting == plan.selections[kv].is_some()
-                    && (!selecting || policy.selector().is_some_and(|s| s.reuses_at(step + 1)))
+                let budget = policy.budget_at(&state.sparsity, pos + 1, cache.tokens() + 1);
+                match (budget, &policy.selector) {
+                    (Some(_), Some(s)) => plan.selections[kv].is_some() && s.reuses_at(step + 1),
+                    _ => plan.selections[kv].is_none(),
+                }
             })
     }
 
@@ -217,7 +218,7 @@ impl ModelExecutor {
                     continue;
                 };
                 let table = state.layers[l][kv].page_table();
-                if let (true, Some(selector)) = (fresh[kv], state.policies[l][kv].selector()) {
+                if let (true, Some(selector)) = (fresh[kv], &state.policies[l][kv].selector) {
                     // Never demote the append target (the table's final
                     // page) or anything the current selection reads.
                     let stale = selector.stale_pages(DEMOTE_AFTER_CHUNKS).into_iter();
@@ -285,10 +286,9 @@ impl ModelExecutor {
     ) -> Option<(usize, PageId, Moved)> {
         let heads = std::iter::once(kv).chain((0..selections.len()).filter(|&h| h != kv));
         for head in heads {
-            let (Some(sel), Some(selector)) = (
-                selections[head].as_ref(),
-                state.policies[l][head].selector(),
-            ) else {
+            let (Some(sel), Some(selector)) =
+                (&selections[head], &state.policies[l][head].selector)
+            else {
                 continue;
             };
             let table = state.layers[l][head].page_table();
@@ -351,7 +351,7 @@ impl ModelExecutor {
             if *budget == 0 {
                 return;
             }
-            let Some(selector) = policy.selector() else {
+            let Some(selector) = &policy.selector else {
                 continue;
             };
             if selector.next_fresh_step() != Some(next_step) {
@@ -550,7 +550,7 @@ mod tests {
         let (l, kv, peer) = dense_pair(&exec);
         let mut selections = first_and_last(&s, l);
         let table = s.layers[l][kv].page_table().to_vec();
-        let selector = s.policies[l][kv].selector().unwrap();
+        let selector = s.policies[l][kv].selector.as_ref().unwrap();
         // The sweep has already demoted the stalest pages of every head; what
         // the exchanges below may touch of other layers is nothing.
         let other_layers = |pool: &PagePool| -> Vec<Residency> {

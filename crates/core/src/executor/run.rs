@@ -325,7 +325,6 @@ impl ModelExecutor {
                             let cost = decode_shard_cost(
                                 pool_ref,
                                 head,
-                                selection,
                                 fed.hints[kv],
                                 fed.fetch_units[kv],
                                 group,
@@ -590,19 +589,12 @@ impl ShardTable {
 fn decode_shard_cost(
     pool: &PagePool,
     head: &DenseHeadCache,
-    selection: Option<&[usize]>,
     hint: Option<u64>,
     fetch_units: u64,
     group: usize,
 ) -> u64 {
-    let history = head.tokens() as u64;
-    let tokens = match (selection, hint) {
-        (Some(_), Some(h)) => h.min(history),
-        (Some(sel), None) => {
-            (sel.len() as u64 * pool.config().physical_page_size() as u64).min(history)
-        }
-        _ => head.resident_tokens(pool) as u64,
-    };
+    let resident = head.resident_tokens(pool) as u64;
+    let tokens = hint.map_or(resident, |h| h.min(head.tokens() as u64));
     (tokens * group as u64).max(1) + lserve_kvcache::transfer_cost_tokens(fetch_units)
 }
 
@@ -755,9 +747,9 @@ mod tests {
             }
             (dense.expect("mixed layer"), stream.expect("mixed layer"))
         };
-        let full = decode_shard_cost(&pool, &layer[dense_kv], None, None, 0, 2);
-        let selected = decode_shard_cost(&pool, &layer[dense_kv], Some(&[0, 1]), Some(128), 0, 2);
-        let streaming = decode_shard_cost(&pool, &layer[stream_kv], None, None, 0, 2);
+        let full = decode_shard_cost(&pool, &layer[dense_kv], None, 0, 2);
+        let selected = decode_shard_cost(&pool, &layer[dense_kv], Some(128), 0, 2);
+        let streaming = decode_shard_cost(&pool, &layer[stream_kv], None, 0, 2);
         assert!(
             full > selected && full > streaming,
             "full {full}, selected {selected}, streaming {streaming}"
@@ -769,7 +761,7 @@ mod tests {
         let np = pool.config().physical_page_size();
         assert!(streaming <= (window.max_pages() * np * 2) as u64);
         // A shard whose pages just crossed the host link costs strictly more.
-        let fetched = decode_shard_cost(&pool, &layer[dense_kv], Some(&[0, 1]), Some(128), 256, 2);
+        let fetched = decode_shard_cost(&pool, &layer[dense_kv], Some(128), 256, 2);
         assert!(fetched > selected, "fetch cost must surface in the shard");
         s.release(&mut pool);
     }

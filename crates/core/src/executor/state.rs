@@ -3,6 +3,7 @@
 //! stats — and what a serving layer asks of it between steps.
 
 use lserve_kvcache::{DenseHeadCache, PageId, PagePool};
+use lserve_selector::PageSelector;
 
 use super::HeadPolicy;
 use crate::dag::SparsitySchedule;
@@ -66,8 +67,9 @@ impl SequenceState {
         }
         self.tokens_processed = 0;
         self.decode_step_idx = 0;
-        for policy in self.policies.iter_mut().flatten() {
-            policy.reset();
+        let policies = self.policies.iter_mut().flatten();
+        for selector in policies.filter_map(|p| p.selector.as_mut()) {
+            selector.reset();
         }
     }
 

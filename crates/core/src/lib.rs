@@ -12,8 +12,8 @@
 //!   accuracy comparisons isolate the *policy*, exactly like the paper's setup.
 //! * [`executor`] — the engine split into its shared and per-request halves:
 //!   [`ModelExecutor`] (weights, policy, RoPE, head classification; immutable and
-//!   `Arc`-shared) and [`SequenceState`] (per-layer two-way KV caches, selector
-//!   state, position, stats). The executor runs block-sparse fused prefill (§3.4),
+//!   `Arc`-shared) and [`SequenceState`] (per-layer two-way KV caches, each
+//!   beside its head policy and selector state, position, stats). The executor runs block-sparse fused prefill (§3.4),
 //!   two-way paged KV writeback, and decode with hierarchical + reusable page
 //!   selection feeding the fused decode kernel (§3.5–3.6) — including
 //!   [`ModelExecutor::decode_batch_sharded`], the layer-outer batched decode

@@ -246,23 +246,18 @@ impl Scheduler {
 }
 
 /// Pages needed to hold `tokens` tokens of context for one sequence under
-/// `cfg` — dense heads grow with context, streaming heads are bounded by their
-/// window. This is the footprint estimate the scheduler's admission control
-/// uses; tests and benches that want to size a pool relative to "N sequences"
-/// should use it instead of re-deriving the formula.
-///
-/// The estimate is of the **hot** footprint, each head's as its policy
-/// charges it: a selecting dense head's is capped by its budget and the
-/// demotion lag, constant in context length, instead of its whole history.
+/// `cfg`: the **hot** footprint the scheduler's admission control reserves,
+/// and what tests and benches should size a pool of "N sequences" by. Each
+/// head charges what its policy keeps hot — a streaming head its window, a
+/// selecting head a cap set by its budget and the demotion lag, constant in
+/// context length, any other dense head its history.
 ///
 /// No residency pass runs inside a fused prefill tile, so a prompt prefilled
-/// as one tile is hot whole until its first sweeps. This estimate is for a
-/// sequence fed in chunks no longer than `k × budget` tokens (`k` = 2, the
-/// executor's `DEMOTE_AFTER_CHUNKS`), which the cap covers: what a
-/// [`crate::Scheduler`] with such a `chunk_tokens` admits by (it counts a
-/// longer chunk itself). [`EngineConfig::make_pool_for`] sizes for a whole
-/// prompt as one tile, which is what [`crate::ModelExecutor::generate`]
-/// prefills.
+/// as one tile is hot whole until its first sweeps. The cap covers chunks of
+/// up to twice the budget, which is what a [`crate::Scheduler`] with such a
+/// `chunk_tokens` admits by (it counts a longer chunk itself).
+/// [`EngineConfig::make_pool_for`] sizes for a whole prompt as one tile, as
+/// [`crate::ModelExecutor::generate`] prefills it.
 pub fn sequence_pages_estimate(cfg: &EngineConfig, model: &ModelConfig, tokens: usize) -> usize {
     pages_estimate(cfg, model, tokens, 0, &SparsitySchedule::new())
 }
@@ -280,12 +275,9 @@ pub(crate) fn pages_estimate(
 ) -> usize {
     let window = sparsity.window_override().unwrap_or(cfg.streaming_window);
     let heads = model.num_layers * model.num_kv_heads;
-    let streaming_heads = (cfg.streaming_sparsity * heads as f64).round() as usize;
-    let pages = |streaming| {
-        let policy = HeadPolicy::new(cfg, window, streaming);
-        policy.hot_pages(&cfg.paging, sparsity, tokens, fused)
-    };
-    (heads - streaming_heads) * pages(false) + streaming_heads * pages(true)
+    let streaming = (cfg.streaming_sparsity * heads as f64).round() as usize;
+    let pages = |s| HeadPolicy::new(cfg, window, s).hot_pages(&cfg.paging, sparsity, tokens, fused);
+    (heads - streaming) * pages(false) + streaming * pages(true)
 }
 
 #[cfg(test)]
