@@ -37,8 +37,8 @@ pub struct EngineConfig {
     /// Square tile size for block-sparse prefill.
     pub prefill_tile: usize,
     /// MInference-style dynamic prefill sparsity on retrieval heads: `Some(keep)`
-    /// retains `keep` top-affinity past blocks per query tile (plus diagonal and
-    /// sinks) once the prompt exceeds [`EngineConfig::dynamic_prefill_after`].
+    /// retains `keep` top-affinity past blocks per query tile (plus the diagonal
+    /// and the sequence window's sinks) past [`EngineConfig::dynamic_prefill_after`].
     pub dynamic_prefill_keep: Option<usize>,
     /// Prompt length (tokens) beyond which dynamic prefill activates (§4.3 uses
     /// 128K).

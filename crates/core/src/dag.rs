@@ -31,10 +31,10 @@ pub struct SparsityOverride {
     /// Cap the selection budget at `ceil(retention_permille/1000 * context)`.
     /// Composes with `selection_budget` (the smaller wins).
     pub retention_permille: Option<u32>,
-    /// Replace the Λ-mask geometry of streaming heads. Only valid from
-    /// position 0 (a streaming head's table takes its window at sequence
-    /// creation); a fork rejects window overrides because children inherit
-    /// the parent's tables, windows included.
+    /// Replace the sequence's streaming window: its streaming heads' Λ masks
+    /// and its dense heads' dynamic prefill sink. Position 0 only (tables and
+    /// policies take it at creation); a fork rejects window overrides because
+    /// children inherit the parent's tables, windows included.
     pub streaming_window: Option<StreamingWindow>,
 }
 

@@ -11,9 +11,8 @@ use super::DEMOTE_AFTER_CHUNKS;
 use crate::dag::SparsitySchedule;
 use crate::{EngineConfig, SelectorKind};
 
-/// The scoring policy under a head's reusable selector, the engine's
-/// [`crate::SelectorKind`] (a kind rather than a trait object so sequence
-/// state stays `Debug` + `Clone` + cheap; both scorers are stateless).
+/// The scoring policy under a head's reusable selector: the engine's
+/// [`crate::SelectorKind`], whose scorers are stateless.
 #[derive(Debug, Clone)]
 pub(super) struct Scorer(SelectorKind);
 
