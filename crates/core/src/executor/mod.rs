@@ -31,9 +31,10 @@
 //!
 //! The files: `state` is [`SequenceState`], `policy` a head's policy; this one
 //! holds the executor, its sequence factory and the fused first chunk; `run`
-//! the row-feeding body; `residency` what a row does between its KV append
-//! and its attention — page selection, the residency pass with promotion by
-//! exchange, prefetch — and the page demand that reserves for it.
+//! is the row-feeding body and its wrappers; `residency` is what a row does
+//! between its KV append and its attention — page selection, the tiered-memory
+//! residency pass with promotion by exchange, prefetch — and the page demand
+//! that reserves for it.
 
 use std::error::Error;
 use std::fmt;
