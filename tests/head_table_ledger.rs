@@ -4,7 +4,8 @@
 //! would have visited), `kv_head_resident_tokens` of every (layer, KV head)
 //! and a hash of the generated tokens, over {`EngineConfig::lserve()` (INT4),
 //! `lserve_fp16()`} × streaming windows {(0, 1), (1, 2)} × prefill {causal,
-//! dynamic}.
+//! dynamic}, and over {`lserve`, `lserve_fp16`} × three per-request
+//! schedules under the engine window (1, 2) with causal prefill.
 //!
 //! The prompt is past the selection budget and the generation long enough
 //! that every streaming window evicts and every selector rescores, so the
@@ -14,15 +15,23 @@
 //! coupling. [`LEDGER`]'s causal rows hold what the code produced while a
 //! streaming head was a type of its own beside the dense table, its dynamic
 //! rows what it produced while prefill still classified heads by kind: a
-//! change that only regroups either reproduces every row.
+//! change that only regroups either reproduces every row. The scheduled rows
+//! build the sequence under its schedule: a window override from position 0
+//! (whose rows read what the engine window (0, 1) rows of their preset read),
+//! a budget cut from inside the generation and a retention ratio from
+//! position 0.
 
 use std::sync::Arc;
 
-use lserve::core::{EngineConfig, EngineStats, ModelExecutor};
+use lserve::core::{EngineConfig, EngineStats, ModelExecutor, SparsityOverride, SparsitySchedule};
 use lserve::kvcache::{PagingConfig, StreamingWindow};
 use lserve::model::{ModelConfig, ModelWeights};
 
+const PRESETS: [&str; 2] = ["lserve", "lserve_fp16"];
 const WINDOWS: [(usize, usize); 2] = [(0, 1), (1, 2)];
+/// The per-request schedules of the scheduled rows, by name; [`schedule`]
+/// builds each.
+const SCHEDULES: [&str; 3] = ["window (0, 1)", "budget 16 from 64", "retention 500‰"];
 const PAGE: usize = 8;
 const BUDGET: usize = 32;
 const PROMPT: usize = 48;
@@ -35,9 +44,10 @@ const DYNAMIC_AFTER: usize = 16;
 /// generated tokens.
 type Row = ([u64; 15], [u64; 4], u64);
 
-/// One row per `(preset, window, dynamic)`, in the order [`cells`] yields.
+/// One row per `(preset, window, dynamic, schedule)`, in the order [`cells`]
+/// yields.
 #[rustfmt::skip]
-const LEDGER: [Row; 8] = [
+const LEDGER: [Row; 14] = [
     ([84, 24, 168, 1360, 340, 8040, 11160, 1056, 44, 126, 85, 61, 38, 792, 792], [5, 133, 5, 133], 0x0d0092857821af1b), // lserve, window (0, 1)
     ([84, 60, 168, 1360, 1020, 8040, 16600, 1056, 44, 126, 85, 56, 33, 712, 712], [21, 133, 21, 133], 0xa2b513a529d30d26), // lserve, window (1, 2)
     ([84, 24, 168, 1360, 340, 8040, 11160, 1056, 44, 126, 85, 57, 35, 736, 736], [5, 133, 5, 133], 0xbf07d5b433682c33), // lserve_fp16, window (0, 1)
@@ -46,24 +56,49 @@ const LEDGER: [Row; 8] = [
     ([60, 60, 168, 1360, 1020, 8040, 16600, 1056, 44, 126, 85, 55, 32, 696, 696], [21, 133, 21, 133], 0xd09a0e353cd275c5), // lserve, window (1, 2), dynamic prefill
     ([44, 24, 168, 1360, 340, 8040, 11160, 1056, 44, 126, 85, 59, 36, 760, 760], [5, 133, 5, 133], 0x63008c72f9d0cfe0), // lserve_fp16, window (0, 1), dynamic prefill
     ([60, 60, 168, 1360, 1020, 8040, 16600, 1056, 44, 126, 85, 53, 30, 664, 664], [21, 133, 21, 133], 0xc19752589153b140), // lserve_fp16, window (1, 2), dynamic prefill
+    ([84, 24, 168, 1360, 340, 8040, 11160, 1056, 44, 126, 85, 61, 38, 792, 792], [5, 133, 5, 133], 0x0d0092857821af1b), // lserve, window (1, 2), schedule window (0, 1)
+    ([84, 60, 168, 808, 1020, 8040, 12184, 1056, 44, 126, 85, 32, 2, 272, 272], [21, 133, 21, 133], 0xc2b39853f4b66029), // lserve, window (1, 2), schedule budget 16 from 64
+    ([84, 60, 168, 1296, 1020, 8040, 16088, 1056, 44, 126, 85, 55, 33, 704, 704], [21, 133, 21, 133], 0xee2082331adb9b88), // lserve, window (1, 2), schedule retention 500‰
+    ([84, 24, 168, 1360, 340, 8040, 11160, 1056, 44, 126, 85, 57, 35, 736, 736], [5, 133, 5, 133], 0xbf07d5b433682c33), // lserve_fp16, window (1, 2), schedule window (0, 1)
+    ([84, 60, 168, 808, 1020, 8040, 12184, 1056, 44, 126, 85, 32, 2, 272, 272], [21, 133, 21, 133], 0x1198f0e363af88c2), // lserve_fp16, window (1, 2), schedule budget 16 from 64
+    ([84, 60, 168, 1296, 1020, 8040, 16088, 1056, 44, 126, 85, 54, 30, 672, 672], [21, 133, 21, 133], 0x6c7aeff879525fef), // lserve_fp16, window (1, 2), schedule retention 500‰
 ];
 
-/// A cell: the preset, the engine window and whether prefill is dynamic.
-type Cell = (&'static str, (usize, usize), bool);
+/// A cell: the preset, the engine window, whether prefill is dynamic and the
+/// name of the sequence's schedule (`""` for the empty one).
+type Cell = (&'static str, (usize, usize), bool, &'static str);
 
 fn cells() -> impl Iterator<Item = Cell> {
-    [false, true].into_iter().flat_map(|dynamic| {
-        ["lserve", "lserve_fp16"]
+    let unscheduled = [false, true].into_iter().flat_map(|dynamic| {
+        PRESETS.into_iter().flat_map(move |preset| {
+            WINDOWS
+                .into_iter()
+                .map(move |window| (preset, window, dynamic, ""))
+        })
+    });
+    let scheduled = PRESETS.into_iter().flat_map(|preset| {
+        SCHEDULES
             .into_iter()
-            .flat_map(move |preset| {
-                WINDOWS
-                    .into_iter()
-                    .map(move |window| (preset, window, dynamic))
-            })
-    })
+            .map(move |name| (preset, (1, 2), false, name))
+    });
+    unscheduled.chain(scheduled)
 }
 
-fn config((preset, (sink, local), dynamic): Cell) -> EngineConfig {
+fn schedule(name: &str) -> SparsitySchedule {
+    let none = SparsityOverride::none();
+    let (from, over) = match name {
+        "" => (0, none),
+        "window (0, 1)" => (0, none.with_window(StreamingWindow::new(0, 1))),
+        "budget 16 from 64" => (64, none.with_budget(16)),
+        "retention 500‰" => (0, none.with_retention_permille(500)),
+        _ => unreachable!("unknown schedule {name}"),
+    };
+    let mut schedule = SparsitySchedule::new();
+    schedule.push(from, over);
+    schedule
+}
+
+fn config((preset, (sink, local), dynamic, _): Cell) -> EngineConfig {
     let base = match preset {
         "lserve" => EngineConfig::lserve(),
         _ => EngineConfig::lserve_fp16(),
@@ -126,7 +161,9 @@ fn run(cell: Cell) -> Row {
     let cfg = config(cell);
     let mut pool = cfg.make_pool_for(&w.config, PROMPT + NEW_TOKENS);
     let exec = ModelExecutor::new(Arc::clone(&w), cfg);
-    let mut seq = exec.new_sequence();
+    let schedule = schedule(cell.3);
+    let mut seq = exec.new_sequence_with_window(schedule.window_override());
+    seq.set_sparsity_schedule(schedule);
     let prompt: Vec<u32> = (0..PROMPT).map(|t| ((t * 13 + 5) % 90) as u32).collect();
     let tokens = exec
         .generate(&mut seq, &mut pool, &prompt, NEW_TOKENS)
@@ -156,11 +193,16 @@ fn decode_counters_and_resident_spans_reproduce_the_ledger() {
     let rows: Vec<String> = cells()
         .zip(&got)
         .zip(&LEDGER)
-        .map(|(((preset, window, dynamic), got), want)| {
+        .map(|(((preset, window, dynamic, name), got), want)| {
             let mark = if got == want { "" } else { " *" };
             let prefill = if dynamic { ", dynamic prefill" } else { "" };
+            let schedule = if name.is_empty() {
+                String::new()
+            } else {
+                format!(", schedule {name}")
+            };
             format!(
-                "    ({:?}, {:?}, {:#018x}), // {preset}, window {window:?}{prefill}{mark}",
+                "    ({:?}, {:?}, {:#018x}), // {preset}, window {window:?}{prefill}{schedule}{mark}",
                 got.0, got.1, got.2
             )
         })
