@@ -8,9 +8,11 @@
 //!
 //! [`SequenceState`] owns everything that belongs to one request: the per-layer
 //! two-way KV caches and the head policy beside each (with its reusable
-//! selector), the position counters, and the work stats. It is created by
-//! [`ModelExecutor::new_sequence`], costs no pool pages until tokens are
-//! appended, and releases all its pages with [`SequenceState::release`].
+//! selector), the request's sparsity schedule, the position counters, and
+//! the work stats. It is created by [`ModelExecutor::new_sequence`], or
+//! [`ModelExecutor::new_sequence_under`] a per-request schedule, costs no
+//! pool pages until tokens are appended, and releases all its pages with
+//! [`SequenceState::release`].
 //!
 //! This split is what makes a real serving loop possible: a scheduler holds one
 //! executor and N sequence states, batches decode across states, and can drop
@@ -41,9 +43,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use lserve_attention::{fused_prefill_layer, LayerAttnConfig};
-use lserve_kvcache::{
-    append_token, DenseHeadCache, PagePool, StreamingWindow, HOST_TRANSFER_SPEEDUP,
-};
+use lserve_kvcache::{append_token, DenseHeadCache, PagePool, HOST_TRANSFER_SPEEDUP};
 use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention};
 use lserve_model::{greedy_next_token, ModelWeights};
 use lserve_tensor::rope::RopeTable;
@@ -176,17 +176,20 @@ impl ModelExecutor {
     /// beside its head policy (a dense head's with a reusable selector under
     /// dynamic sparsity). Holds no pool pages until tokens are appended.
     pub fn new_sequence(&self) -> SequenceState {
-        self.new_sequence_with_window(None)
+        self.new_sequence_under(&SparsitySchedule::new())
     }
 
-    /// [`ModelExecutor::new_sequence`] with a per-request streaming-window
-    /// override (`None` inherits the engine config). The window is set on each
-    /// streaming head's table and policy here and never changed — which is
-    /// why window overrides are admission-time-only and rejected at fork
-    /// (children inherit the parent's tables, windows included). A dense
-    /// head's dynamic prefill mask keeps this window's sink too.
-    pub fn new_sequence_with_window(&self, window: Option<StreamingWindow>) -> SequenceState {
-        let window = window.unwrap_or(self.cfg.streaming_window);
+    /// [`ModelExecutor::new_sequence`] under a per-request sparsity
+    /// schedule, which the state keeps for the budget of every later row.
+    /// The schedule's window override (none inherits the engine config) is
+    /// set on each streaming head's table and policy here and never changed
+    /// — which is why window overrides are admission-time-only and rejected
+    /// at fork (children inherit the parent's tables, windows included). A
+    /// dense head's dynamic prefill mask keeps this window's sink too.
+    pub fn new_sequence_under(&self, schedule: &SparsitySchedule) -> SequenceState {
+        let window = schedule
+            .window_override()
+            .unwrap_or(self.cfg.streaming_window);
         let policy = |&s: &bool| HeadPolicy::new(&self.cfg, window, s);
         let policies: Vec<Vec<_>> = self
             .masks
@@ -203,7 +206,7 @@ impl ModelExecutor {
             policies,
             tokens_processed: 0,
             decode_step_idx: 0,
-            sparsity: SparsitySchedule::new(),
+            sparsity: schedule.clone(),
             stats: EngineStats::default(),
         }
     }

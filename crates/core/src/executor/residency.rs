@@ -63,8 +63,7 @@ impl ModelExecutor {
     /// Runs dynamic page selection for every dense head of layer `l` (§3.5)
     /// for the row at absolute position `pos` and decode step `step`, whose
     /// post-RoPE queries are `q_row`: fills `plan` with the per-KV-head
-    /// selections plus the selector's sparsity-aware cost hints (estimated
-    /// visited tokens per selected head) that feed the parallel shard balancer.
+    /// selections, which also cost each head's decode shard.
     pub(super) fn select_pages(
         &self,
         state: &mut SequenceState,
@@ -96,7 +95,6 @@ impl ModelExecutor {
                 state.stats.selector_invocations += 1;
                 plan.fresh[kv] = true;
             }
-            plan.hints[kv] = Some(sel.estimated_cost_tokens(pool, cache));
             plan.selections[kv] = Some(sel.pages);
         }
     }
@@ -383,14 +381,13 @@ impl ModelExecutor {
 /// One batch entry's plan for the row it feeds through a layer, refilled row
 /// after row: the stacked-matrix row (`None` when the entry has none this
 /// round — its run is shorter, or it ran out of pages), and per KV head the
-/// selected page set, the selector's cost hint for LPT balancing, whether the
-/// selection was freshly scored (the demotion sweep runs only then), and the
-/// unhidden transfer units its promotions stalled the shard for.
+/// selected page set, whether the selection was freshly scored (the demotion
+/// sweep runs only then), and the unhidden transfer units its promotions
+/// stalled the shard for.
 #[derive(Debug, Default)]
 pub(super) struct RowPlan {
     pub(super) row: Option<usize>,
     pub(super) selections: Vec<Option<Vec<usize>>>,
-    pub(super) hints: Vec<Option<u64>>,
     pub(super) fresh: Vec<bool>,
     pub(super) fetch_units: Vec<u64>,
 }
@@ -400,8 +397,6 @@ impl RowPlan {
     fn reset(&mut self, heads: usize) {
         self.selections.clear();
         self.selections.resize(heads, None);
-        self.hints.clear();
-        self.hints.resize(heads, None);
         self.fresh.clear();
         self.fresh.resize(heads, false);
         self.fetch_units.clear();

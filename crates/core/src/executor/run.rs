@@ -325,7 +325,7 @@ impl ModelExecutor {
                             let cost = decode_shard_cost(
                                 pool_ref,
                                 head,
-                                fed.hints[kv],
+                                selection,
                                 fed.fetch_units[kv],
                                 group,
                             );
@@ -579,8 +579,9 @@ impl ShardTable {
 /// visited KV tokens times query heads served (the work the kernel actually
 /// does):
 ///
-/// * selected head → the selector's cost hint (its selected page set),
-///   clamped to the real history;
+/// * selected head → the tokens of its selected pages: every page but the
+///   table's final one is full, so that is exact (a page's length is
+///   metadata, readable on every tier);
 /// * unselected head → the tokens its table holds: a dense head's full
 ///   history, a streaming head's window (constant-bounded);
 /// * plus the modeled host-link fetch cost of any cold pages the residency
@@ -589,13 +590,18 @@ impl ShardTable {
 fn decode_shard_cost(
     pool: &PagePool,
     head: &DenseHeadCache,
-    hint: Option<u64>,
+    selection: Option<&[usize]>,
     fetch_units: u64,
     group: usize,
 ) -> u64 {
-    let resident = head.resident_tokens(pool) as u64;
-    let tokens = hint.map_or(resident, |h| h.min(head.tokens() as u64));
-    (tokens * group as u64).max(1) + lserve_kvcache::transfer_cost_tokens(fetch_units)
+    let tokens = match selection {
+        Some(pages) => {
+            let table = head.page_table();
+            pages.iter().map(|&p| pool.page(table[p]).len()).sum()
+        }
+        None => head.resident_tokens(pool),
+    };
+    (tokens as u64 * group as u64).max(1) + lserve_kvcache::transfer_cost_tokens(fetch_units)
 }
 
 #[cfg(test)]
@@ -748,20 +754,25 @@ mod tests {
             (dense.expect("mixed layer"), stream.expect("mixed layer"))
         };
         let full = decode_shard_cost(&pool, &layer[dense_kv], None, 0, 2);
-        let selected = decode_shard_cost(&pool, &layer[dense_kv], Some(128), 0, 2);
+        let selected = decode_shard_cost(&pool, &layer[dense_kv], Some(&[0, 1]), 0, 2);
         let streaming = decode_shard_cost(&pool, &layer[stream_kv], None, 0, 2);
         assert!(
             full > selected && full > streaming,
             "full {full}, selected {selected}, streaming {streaming}"
         );
         assert_eq!(full, 200 * 2, "unselected dense head costed by history");
-        assert_eq!(selected, 128 * 2, "selected head costed by selector hint");
+        assert_eq!(selected, 128 * 2, "selected head costed by its pages");
+        // The final page holds 200 - 3 * 64 = 8 tokens: costed by its
+        // occupancy, not a full page.
+        let np = pool.config().physical_page_size();
+        assert_eq!(np, 64);
+        let last = decode_shard_cost(&pool, &layer[dense_kv], Some(&[0, 3]), 0, 2);
+        assert_eq!(last, (64 + 8) * 2, "a partial final page costs its tokens");
         // Streaming heads are window-bounded no matter how long the context.
         let window = exec.config().streaming_window;
-        let np = pool.config().physical_page_size();
         assert!(streaming <= (window.max_pages() * np * 2) as u64);
         // A shard whose pages just crossed the host link costs strictly more.
-        let fetched = decode_shard_cost(&pool, &layer[dense_kv], Some(128), 256, 2);
+        let fetched = decode_shard_cost(&pool, &layer[dense_kv], Some(&[0, 1]), 256, 2);
         assert!(fetched > selected, "fetch cost must surface in the shard");
         s.release(&mut pool);
     }

@@ -1,6 +1,7 @@
 //! [`SequenceState`]: everything that belongs to one request — per-layer
-//! head tables and the head policy beside each, position counters, work
-//! stats — and what a serving layer asks of it between steps.
+//! head tables and the head policy beside each, the sparsity schedule,
+//! position counters, work stats — and what a serving layer asks of it
+//! between steps.
 
 use lserve_kvcache::{DenseHeadCache, PageId, PagePool};
 use lserve_selector::PageSelector;
@@ -23,7 +24,9 @@ pub struct SequenceState {
     pub(super) policies: Vec<Vec<HeadPolicy>>,
     pub(super) tokens_processed: usize,
     pub(super) decode_step_idx: usize,
-    pub(super) sparsity: SparsitySchedule,
+    /// The per-request sparsity schedule every head's budget is asked under
+    /// (empty = engine defaults); a fork snapshot extends its parent's.
+    pub(crate) sparsity: SparsitySchedule,
     pub(super) stats: EngineStats,
 }
 
@@ -36,20 +39,6 @@ impl SequenceState {
     /// Cumulative work counters for this sequence.
     pub fn stats(&self) -> EngineStats {
         self.stats
-    }
-
-    /// The positional sparsity-override schedule governing this sequence's
-    /// selection budget (empty = engine defaults). Cloned by
-    /// [`SequenceState::clone_shared`], so a fork snapshot replays the exact
-    /// budget timeline the parent lived under.
-    pub fn sparsity_schedule(&self) -> &SparsitySchedule {
-        &self.sparsity
-    }
-
-    /// Installs the sparsity-override schedule (serving layer, at admission or
-    /// fork time).
-    pub fn set_sparsity_schedule(&mut self, schedule: SparsitySchedule) {
-        self.sparsity = schedule;
     }
 
     /// Exact number of fresh pool pages one more token will allocate across all
@@ -101,7 +90,8 @@ impl SequenceState {
     }
 
     /// Deep-copies this state for prefix caching and seeding: page tables,
-    /// selector state, position, and decode-step counter are cloned (page *ids*
+    /// selector state, schedule, position, and decode-step counter are cloned
+    /// (page *ids*
     /// are copied — callers manage pool refcounts via
     /// [`PagePool::retain_all`]), while work counters restart at zero so a
     /// seeded consumer reports only its own work.

@@ -159,8 +159,7 @@ impl Scheduler {
                 break; // wait for running sequences to finish or be preempted
             }
             let mut q = self.queue.pop_front().expect("front checked");
-            let (cached, mut state) = self.seeded_state(&q.core);
-            state.set_sparsity_schedule(q.core.spec.sparsity.clone());
+            let (cached, state) = self.seeded_state(&q.core);
             let id = q.core.spec.id;
             q.progress.cached_tokens = q.progress.cached_tokens.max(cached);
             let fresh = Feed {
@@ -232,16 +231,17 @@ impl Scheduler {
     }
 
     /// Seeds a sequence from the deepest usable cached prefix of `core`'s
-    /// prompt, or creates a fresh one on a miss — where a position-0 window
-    /// override is honoured: the streaming heads' tables take it here.
+    /// prompt (only an unscheduled request shares, so the hit's empty
+    /// schedule is its own), or creates a fresh one under the request's
+    /// schedule on a miss — where a position-0 window override is honoured:
+    /// the streaming heads' tables take it here.
     fn seeded_state(&mut self, core: &SeqCore) -> (usize, SequenceState) {
         if let Some((min, max)) = self.match_bounds(core) {
             if let Some((depth, hit)) = self.prefix.lookup(&core.prompt, min, max) {
                 return (depth, hit.seed(&mut self.pool));
             }
         }
-        let window = core.spec.sparsity.window_override();
-        (0, self.exec.new_sequence_with_window(window))
+        (0, self.exec.new_sequence_under(&core.spec.sparsity))
     }
 }
 

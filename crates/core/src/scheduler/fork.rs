@@ -68,10 +68,14 @@ impl Scheduler {
             (
                 full,
                 p.feed.state.context_len(),
-                p.feed.state.sparsity_schedule().clone(),
+                p.core.spec.sparsity.clone(),
             )
         };
         debug_assert!(absorbed <= full.len(), "snapshot never ahead of history");
+        debug_assert_eq!(
+            parent_schedule, self.running[pi].feed.state.sparsity,
+            "a sequence lives under its request's schedule"
+        );
         self.scfg.tracer.instant(
             "fork",
             "dag",
@@ -94,7 +98,7 @@ impl Scheduler {
             // budget the parent itself would have used).
             let mut schedule = parent_schedule.clone();
             schedule.push(full.len(), b.sparsity);
-            snapshot.set_sparsity_schedule(schedule.clone());
+            snapshot.sparsity = schedule.clone();
             let mut prompt = full.clone();
             prompt.extend_from_slice(&b.suffix);
             let mut spec = RequestSpec::new(b.id, prompt.clone())

@@ -45,33 +45,6 @@ pub struct Selection {
     pub reused: bool,
 }
 
-impl Selection {
-    /// Tokens covered by the selection.
-    pub fn token_coverage(&self, pool: &PagePool, cache: &DenseHeadCache) -> usize {
-        self.pages
-            .iter()
-            .map(|&p| pool.page(cache.page_table()[p]).len())
-            .sum()
-    }
-
-    /// Sparsity-aware decode cost signal: the exact KV tokens a decode kernel
-    /// restricted to this selection will visit — [`Selection::token_coverage`]
-    /// in the `u64` unit the LPT shard balancer consumes. (Every dense page
-    /// except the table's final one is full by construction, so the only
-    /// partial contribution is the final page's occupancy; page lengths are
-    /// metadata and stay readable even for pages demoted to the cold tier.)
-    /// Parallel executors feed this into the LPT shard assignment so a
-    /// selected dense head is costed by its *selected* page set, not its full
-    /// history.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a selected index is out of `cache`'s page-table range.
-    pub fn estimated_cost_tokens(&self, pool: &PagePool, cache: &DenseHeadCache) -> u64 {
-        self.token_coverage(pool, cache) as u64
-    }
-}
-
 /// A page-selection policy for one dense head.
 ///
 /// `queries` holds the query rows of every query head mapped onto this KV head (one
@@ -168,39 +141,6 @@ mod tests {
     #[test]
     fn finalize_empty_table() {
         assert!(finalize_selection(&[], 0, 4, true).is_empty());
-    }
-
-    #[test]
-    fn cost_signal_counts_exact_last_page_occupancy() {
-        use lserve_kvcache::PagingConfig;
-        use lserve_quant::KvPrecision;
-        let cfg = PagingConfig::new(4, 2, KvPrecision::Fp16);
-        let mut pool = PagePool::new(cfg, 64, 2);
-        let mut cache = DenseHeadCache::new();
-        // 10 tokens over 4-token pages: pages 0 and 1 full, page 2 holds 2.
-        for i in 0..10 {
-            assert!(cache.append(&mut pool, &[i as f32, 0.0], &[0.0, 0.0]));
-        }
-        let sel = Selection {
-            pages: vec![0, 2],
-            logical_pages_scored: 12,
-            reused: false,
-        };
-        // Exact: 4 (full page 0) + 2 (partial last page), not the 8-token
-        // full-page upper bound.
-        assert_eq!(sel.estimated_cost_tokens(&pool, &cache), 4 + 2);
-        assert_eq!(
-            sel.estimated_cost_tokens(&pool, &cache),
-            sel.token_coverage(&pool, &cache) as u64,
-            "middle pages are always full, so the estimate is exact"
-        );
-        let full = Selection {
-            pages: vec![0, 1],
-            logical_pages_scored: 0,
-            reused: false,
-        };
-        assert_eq!(full.estimated_cost_tokens(&pool, &cache), 8);
-        assert_eq!(Selection::default().estimated_cost_tokens(&pool, &cache), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use lserve::core::{
     AdmissionPolicy, EngineConfig, EngineStats, ModelExecutor, RequestSpec, Scheduler,
-    SchedulerConfig, SelectorKind, SparsityOverride,
+    SchedulerConfig, SelectorKind, SparsityOverride, SparsitySchedule,
 };
 use lserve::kvcache::{PagingConfig, StreamingWindow};
 use lserve::model::{greedy_next_token, reference_forward_full, ModelConfig, ModelWeights};
@@ -237,7 +237,11 @@ fn a_window_override_reaches_prefill() {
         let run = |cfg: EngineConfig, over: Option<StreamingWindow>| {
             let mut pool = cfg.make_pool_for(&w.config, prompt.len() + 8);
             let exec = ModelExecutor::new(Arc::clone(&w), cfg);
-            let mut seq = exec.new_sequence_with_window(over);
+            let mut schedule = SparsitySchedule::new();
+            if let Some(window) = over {
+                schedule.push(0, SparsityOverride::none().with_window(window));
+            }
+            let mut seq = exec.new_sequence_under(&schedule);
             let mut logits = vec![exec.prefill(&mut seq, &mut pool, &prompt).unwrap().logits];
             let prefill_stats = seq.stats();
             for _ in 0..4 {

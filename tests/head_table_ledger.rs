@@ -161,9 +161,7 @@ fn run(cell: Cell) -> Row {
     let cfg = config(cell);
     let mut pool = cfg.make_pool_for(&w.config, PROMPT + NEW_TOKENS);
     let exec = ModelExecutor::new(Arc::clone(&w), cfg);
-    let schedule = schedule(cell.3);
-    let mut seq = exec.new_sequence_with_window(schedule.window_override());
-    seq.set_sparsity_schedule(schedule);
+    let mut seq = exec.new_sequence_under(&schedule(cell.3));
     let prompt: Vec<u32> = (0..PROMPT).map(|t| ((t * 13 + 5) % 90) as u32).collect();
     let tokens = exec
         .generate(&mut seq, &mut pool, &prompt, NEW_TOKENS)
