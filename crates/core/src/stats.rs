@@ -148,9 +148,6 @@ pub struct ParallelExecStats {
     /// Modeled interconnect tokens charged for cross-device gathers (a
     /// sequence's shards produced on a non-home device).
     pub interconnect_tokens: u64,
-    /// Sum over phases of total modeled cost landed across devices (gather
-    /// charges included).
-    pub device_cost_total: u64,
     /// Sum over phases of the busiest device's modeled cost — the
     /// device-level critical path (devices run concurrently in the model).
     pub device_cost_critical: u64,
@@ -175,7 +172,6 @@ impl ParallelExecStats {
         self.cost_critical += p.cost_critical();
         self.devices = self.devices.max(p.devices);
         self.interconnect_tokens += gather_tokens;
-        self.device_cost_total += p.cost_total();
         self.device_cost_critical += p.device_cost_critical();
         self.device_cost_capacity += p.devices as u64 * p.device_cost_critical();
     }
@@ -210,13 +206,14 @@ impl ParallelExecStats {
     }
 
     /// Modeled mean device utilization in `(0, 1]`: cost landed across the
-    /// mesh divided by the device-seconds the mesh was open. Deterministic
+    /// mesh (`cost_total`, gather charges included) divided by the
+    /// device-seconds the mesh was open. Deterministic
     /// (pure placement arithmetic, no wall clock). 1.0 when nothing ran.
     pub fn device_utilization(&self) -> f64 {
         if self.device_cost_capacity == 0 {
             return 1.0;
         }
-        self.device_cost_total as f64 / self.device_cost_capacity as f64
+        self.cost_total as f64 / self.device_cost_capacity as f64
     }
 
     /// Modeled device imbalance `>= 1`: how much longer the busiest device
@@ -320,11 +317,7 @@ mod tests {
         // One device is a balanced mesh of one: its ledger is the phase's cost.
         assert_eq!(p.devices, 1);
         assert_eq!(
-            (
-                p.device_cost_total,
-                p.device_cost_critical,
-                p.device_cost_capacity
-            ),
+            (p.cost_total, p.device_cost_critical, p.device_cost_capacity),
             (100, 100, 100)
         );
         assert_eq!(p.device_imbalance(), 1.0);
@@ -347,7 +340,7 @@ mod tests {
         );
         assert_eq!(p.devices, 2);
         assert_eq!(p.interconnect_tokens, 8);
-        assert_eq!(p.device_cost_total, 40);
+        assert_eq!(p.cost_total, 40);
         assert_eq!(p.device_cost_critical, 30);
         assert_eq!(p.device_cost_capacity, 60);
         assert!((p.device_imbalance() - 1.5).abs() < 1e-12);
@@ -355,7 +348,7 @@ mod tests {
         p.absorb(&one_device(vec![5], vec![20], 1, 0), 0);
         assert_eq!(p.devices, 2);
         assert_eq!(p.interconnect_tokens, 8);
-        assert_eq!(p.device_cost_total, 60);
+        assert_eq!(p.cost_total, 60);
         assert_eq!(p.device_cost_critical, 50);
         assert_eq!(p.device_cost_capacity, 80);
     }

@@ -37,9 +37,9 @@ const POLICIES: [PlacementPolicy; 2] =
 
 /// The pinned fields of one cell, in [`FIELDS`] order, then the FNV-1a hash
 /// of its Chrome trace.
-type Row = ([u64; 13], u64);
+type Row = ([u64; 12], u64);
 
-const FIELDS: [&str; 13] = [
+const FIELDS: [&str; 12] = [
     "phases",
     "shards",
     "workers",
@@ -47,7 +47,6 @@ const FIELDS: [&str; 13] = [
     "cost_critical",
     "devices",
     "interconnect_tokens",
-    "device_cost_total",
     "device_cost_critical",
     "device_cost_capacity",
     "rebalances",
@@ -58,18 +57,18 @@ const FIELDS: [&str; 13] = [
 /// One row per `(devices, threads, policy)`, in the order [`cells`] yields.
 #[rustfmt::skip]
 const LEDGER: [Row; 12] = [
-    ([222, 480, 1, 17058, 17058, 1, 0, 17058, 17058, 17058, 0, 0, 0], 0x3be86269788dfa2b), // devices 1, threads 1, SparsityAware
-    ([222, 480, 1, 17058, 17058, 1, 0, 17058, 17058, 17058, 0, 0, 0], 0x3be86269788dfa2b), // devices 1, threads 1, RoundRobin
-    ([222, 480, 4, 17058, 8050, 1, 0, 17058, 17058, 17058, 0, 0, 0], 0xf1674bfae151614e), // devices 1, threads 8, SparsityAware
-    ([222, 480, 4, 17058, 8050, 1, 0, 17058, 17058, 17058, 0, 0, 0], 0xf1674bfae151614e), // devices 1, threads 8, RoundRobin
-    ([222, 480, 2, 17970, 9447, 2, 912, 17970, 9447, 18870, 0, 0, 0], 0xb48fdbe9a92d8e4e), // devices 2, threads 1, SparsityAware
-    ([222, 480, 2, 17970, 9447, 2, 912, 17970, 9447, 18870, 0, 0, 0], 0xb48fdbe9a92d8e4e), // devices 2, threads 1, RoundRobin
-    ([222, 480, 4, 17970, 8908, 2, 912, 17970, 9447, 18870, 0, 0, 0], 0xd0dc415a12039d96), // devices 2, threads 8, SparsityAware
-    ([222, 480, 4, 17970, 8908, 2, 912, 17970, 9447, 18870, 0, 0, 0], 0xd0dc415a12039d96), // devices 2, threads 8, RoundRobin
-    ([222, 480, 2, 17970, 9447, 4, 912, 17970, 9447, 37716, 1, 4, 18], 0x56c8b6957e26095c), // devices 4, threads 1, SparsityAware
-    ([222, 480, 2, 17970, 9447, 4, 912, 17970, 9447, 37716, 0, 0, 0], 0x536e88072fc7130e), // devices 4, threads 1, RoundRobin
-    ([222, 480, 4, 17970, 8908, 4, 912, 17970, 9447, 37716, 1, 4, 18], 0xa6268ad3666d6b85), // devices 4, threads 8, SparsityAware
-    ([222, 480, 4, 17970, 8908, 4, 912, 17970, 9447, 37716, 0, 0, 0], 0xf69f20a00e10494e), // devices 4, threads 8, RoundRobin
+    ([222, 480, 1, 17058, 17058, 1, 0, 17058, 17058, 0, 0, 0], 0x3be86269788dfa2b), // devices 1, threads 1, SparsityAware
+    ([222, 480, 1, 17058, 17058, 1, 0, 17058, 17058, 0, 0, 0], 0x3be86269788dfa2b), // devices 1, threads 1, RoundRobin
+    ([222, 480, 4, 17058, 8050, 1, 0, 17058, 17058, 0, 0, 0], 0xf1674bfae151614e), // devices 1, threads 8, SparsityAware
+    ([222, 480, 4, 17058, 8050, 1, 0, 17058, 17058, 0, 0, 0], 0xf1674bfae151614e), // devices 1, threads 8, RoundRobin
+    ([222, 480, 2, 17970, 9447, 2, 912, 9447, 18870, 0, 0, 0], 0xb48fdbe9a92d8e4e), // devices 2, threads 1, SparsityAware
+    ([222, 480, 2, 17970, 9447, 2, 912, 9447, 18870, 0, 0, 0], 0xb48fdbe9a92d8e4e), // devices 2, threads 1, RoundRobin
+    ([222, 480, 4, 17970, 8908, 2, 912, 9447, 18870, 0, 0, 0], 0xd0dc415a12039d96), // devices 2, threads 8, SparsityAware
+    ([222, 480, 4, 17970, 8908, 2, 912, 9447, 18870, 0, 0, 0], 0xd0dc415a12039d96), // devices 2, threads 8, RoundRobin
+    ([222, 480, 2, 17970, 9447, 4, 912, 9447, 37716, 1, 4, 18], 0x56c8b6957e26095c), // devices 4, threads 1, SparsityAware
+    ([222, 480, 2, 17970, 9447, 4, 912, 9447, 37716, 0, 0, 0], 0x536e88072fc7130e), // devices 4, threads 1, RoundRobin
+    ([222, 480, 4, 17970, 8908, 4, 912, 9447, 37716, 1, 4, 18], 0xa6268ad3666d6b85), // devices 4, threads 8, SparsityAware
+    ([222, 480, 4, 17970, 8908, 4, 912, 9447, 37716, 0, 0, 0], 0xf69f20a00e10494e), // devices 4, threads 8, RoundRobin
 ];
 
 fn cells() -> impl Iterator<Item = (usize, usize, PlacementPolicy)> {
@@ -150,7 +149,6 @@ fn row(report: &ServingReport, trace: &str) -> Row {
         p.cost_critical,
         p.devices as u64,
         p.interconnect_tokens,
-        p.device_cost_total,
         p.device_cost_critical,
         p.device_cost_capacity,
         report.rebalances,

@@ -121,7 +121,7 @@ fn device_matrix_preserves_outputs_and_charges_interconnect() {
             multi.parallel.interconnect_tokens > 0,
             "multi-device batches must charge cross-device gathers"
         );
-        assert!(multi.parallel.device_cost_capacity >= multi.parallel.device_cost_total);
+        assert!(multi.parallel.device_cost_capacity >= multi.parallel.cost_total);
         assert!(multi.parallel.device_imbalance() >= 1.0);
     }
 }

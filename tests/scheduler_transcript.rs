@@ -350,7 +350,6 @@ fn counters(r: &ServingReport) -> Vec<u64> {
         cost_critical,
         devices: placed_devices,
         interconnect_tokens,
-        device_cost_total,
         device_cost_critical,
         device_cost_capacity,
     } = parallel;
@@ -398,7 +397,9 @@ fn counters(r: &ServingReport) -> Vec<u64> {
         *cost_critical,
         n(*placed_devices),
         *interconnect_tokens,
-        *device_cost_total,
+        // Twice: this slot held a device-level copy that always equalled
+        // it, and keeping the slot keeps every row's hash.
+        *cost_total,
         *device_cost_critical,
         *device_cost_capacity,
         n(*devices),
