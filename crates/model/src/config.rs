@@ -3,9 +3,8 @@
 /// Transformer architecture shapes.
 ///
 /// The presets reproduce the published architectures of the three models the paper
-/// evaluates; [`ModelConfig::tiny`] and [`ModelConfig::scaled_down`] keep the
-/// attention geometry while shrinking everything orthogonal to it, for CPU-runnable
-/// tests and examples.
+/// evaluates; [`ModelConfig::tiny`] is a minimal one for CPU-runnable tests and
+/// examples.
 ///
 /// # Example
 ///
@@ -100,28 +99,6 @@ impl ModelConfig {
         }
     }
 
-    /// Shrinks a preset for CPU execution while keeping the per-layer *attention
-    /// geometry* (head counts and head dim) intact, which is what the paper's
-    /// sparsity mechanisms act on. Layer count, FFN and vocab shrink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layers == 0`.
-    pub fn scaled_down(&self, layers: usize) -> Self {
-        assert!(layers > 0, "need at least one layer");
-        Self {
-            name: format!("{}-mini{}", self.name, layers),
-            num_layers: layers,
-            hidden: self.num_q_heads * self.head_dim,
-            num_q_heads: self.num_q_heads,
-            num_kv_heads: self.num_kv_heads,
-            head_dim: self.head_dim,
-            ffn_hidden: 2 * self.num_q_heads * self.head_dim,
-            vocab: 1024,
-            rope_base: self.rope_base,
-        }
-    }
-
     /// Query heads per KV head.
     ///
     /// # Panics
@@ -190,17 +167,6 @@ mod tests {
         // 2 (K,V) * 32 layers * 1024 width * 2 bytes = 128 KiB/token at FP16.
         let c = ModelConfig::llama3_8b();
         assert_eq!(2 * c.num_layers * c.kv_width() * 2, 128 * 1024);
-    }
-
-    #[test]
-    fn scaled_down_keeps_attention_geometry() {
-        let full = ModelConfig::llama3_8b();
-        let mini = full.scaled_down(2);
-        assert_eq!(mini.num_q_heads, full.num_q_heads);
-        assert_eq!(mini.num_kv_heads, full.num_kv_heads);
-        assert_eq!(mini.head_dim, full.head_dim);
-        assert_eq!(mini.num_layers, 2);
-        assert!(mini.approx_params() < full.approx_params() / 10.0);
     }
 
     #[test]

@@ -295,11 +295,6 @@ impl Matrix {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
 }
 
 /// Whether [`Matrix::matmul`] runs its AVX2 copy: the one CPU-feature check
@@ -585,12 +580,6 @@ mod tests {
         let b = Matrix::full(2, 2, 0.5);
         a.add_assign(&b);
         assert!(a.as_slice().iter().all(|&x| x == 3.5));
-    }
-
-    #[test]
-    fn frobenius_norm_of_unit_rows() {
-        let a = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -164,24 +164,6 @@ pub mod online_softmax {
             }
         }
 
-        /// Folds a whole block of scores/values; `values.len()` must equal
-        /// `scores.len() * dim`, laid out row-major (one value row per score).
-        ///
-        /// # Panics
-        ///
-        /// Panics on any length mismatch.
-        pub fn update_block(&mut self, scores: &[f32], values: &[f32]) {
-            let dim = self.acc.len();
-            assert_eq!(
-                values.len(),
-                scores.len() * dim,
-                "block values length mismatch"
-            );
-            for (i, &s) in scores.iter().enumerate() {
-                self.update(s, &values[i * dim..(i + 1) * dim]);
-            }
-        }
-
         /// Number of value dimensions.
         pub fn dim(&self) -> usize {
             self.acc.len()
@@ -297,22 +279,6 @@ mod tests {
         let acc = OnlineSoftmax::new(3);
         assert!(acc.is_empty());
         assert_eq!(acc.finish(), vec![0.0; 3]);
-    }
-
-    #[test]
-    fn update_block_matches_scalar_updates() {
-        let scores = [1.0f32, 2.0, 3.0];
-        let values = [0.1f32, 0.2, 0.3, 0.4, 0.5, 0.6];
-        let mut a = OnlineSoftmax::new(2);
-        a.update_block(&scores, &values);
-        let mut b = OnlineSoftmax::new(2);
-        for i in 0..3 {
-            b.update(scores[i], &values[i * 2..i * 2 + 2]);
-        }
-        let (x, y) = (a.finish(), b.finish());
-        for (p, q) in x.iter().zip(&y) {
-            assert!((p - q).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -86,23 +86,6 @@ impl RopeTable {
             rotate_pair(pair, angle);
         }
     }
-
-    /// Applies [`RopeTable::apply`] to each row of a row-major `(tokens x head_dim)`
-    /// buffer, where row `t` gets position `start_pos + t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer length is not a multiple of `head_dim`.
-    pub fn apply_rows(&self, rows: &mut [f32], start_pos: usize) {
-        assert_eq!(
-            rows.len() % self.head_dim,
-            0,
-            "buffer not a whole number of rows"
-        );
-        for (t, row) in rows.chunks_mut(self.head_dim).enumerate() {
-            self.apply(row, start_pos + t);
-        }
-    }
 }
 
 /// Rotates one `(2i, 2i+1)` pair by the angle with the given `(sin, cos)`.
@@ -172,19 +155,6 @@ mod tests {
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "position {pos}");
         }
-    }
-
-    #[test]
-    fn apply_rows_offsets_positions() {
-        let rope = RopeTable::new(4, 10_000.0);
-        let mut rows = vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0];
-        rope.apply_rows(&mut rows, 3);
-        let mut single = vec![1.0, 0.0, 1.0, 0.0];
-        rope.apply(&mut single, 4);
-        assert!(rows[4..8]
-            .iter()
-            .zip(&single)
-            .all(|(a, b)| (a - b).abs() < 1e-6));
     }
 
     #[test]
