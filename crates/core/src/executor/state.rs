@@ -91,8 +91,7 @@ impl SequenceState {
 
     /// Deep-copies this state for prefix caching and seeding: page tables,
     /// selector state, schedule, position, and decode-step counter are cloned
-    /// (page *ids*
-    /// are copied — callers manage pool refcounts via
+    /// (page *ids* are copied — callers manage pool refcounts via
     /// [`PagePool::retain_all`]), while work counters restart at zero so a
     /// seeded consumer reports only its own work.
     ///

@@ -207,8 +207,8 @@ impl ParallelExecStats {
 
     /// Modeled mean device utilization in `(0, 1]`: cost landed across the
     /// mesh (`cost_total`, gather charges included) divided by the
-    /// device-seconds the mesh was open. Deterministic
-    /// (pure placement arithmetic, no wall clock). 1.0 when nothing ran.
+    /// device-seconds the mesh was open. Deterministic (pure placement
+    /// arithmetic, no wall clock). 1.0 when nothing ran.
     pub fn device_utilization(&self) -> f64 {
         if self.device_cost_capacity == 0 {
             return 1.0;
