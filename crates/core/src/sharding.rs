@@ -231,6 +231,88 @@ impl ShardingPlan {
 mod tests {
     use super::*;
 
+    /// The exact head → device vector placement returns, one line per cost
+    /// vector × policy × device count (`costs policy devices: device of
+    /// each head`). Pins LPT's tie-breaking — equal costs in head order,
+    /// each to the least-loaded device, ties to the lower id — and the
+    /// weighting of zero-cost heads as 1, which no end-to-end row pins
+    /// exactly.
+    #[test]
+    fn placement_vectors_are_pinned() {
+        let costs: [Vec<u64>; 5] = [
+            vec![100, 1, 100, 1, 100, 1, 100, 1],
+            vec![0; 8],
+            vec![5, 0, 9],
+            vec![7, 3],
+            (0..32).map(|i| (i * 37) % 11).collect(),
+        ];
+        let mut table = String::new();
+        for (c, costs) in costs.iter().enumerate() {
+            for policy in [PlacementPolicy::SparsityAware, PlacementPolicy::RoundRobin] {
+                for devices in [1, 2, 3, 4, 8] {
+                    let assign = Placement::compute(costs, devices, policy);
+                    let digits: String =
+                        assign.assignment().iter().map(|d| d.to_string()).collect();
+                    table += &format!("{c} {policy:?} {devices}: {digits}\n");
+                }
+            }
+        }
+        assert_eq!(table, PINNED_PLACEMENTS, "placement moved; now:\n{table}");
+    }
+
+    const PINNED_PLACEMENTS: &str = "\
+0 SparsityAware 1: 00000000
+0 SparsityAware 2: 00110011
+0 SparsityAware 3: 01122102
+0 SparsityAware 4: 00112233
+0 SparsityAware 8: 04152637
+0 RoundRobin 1: 00000000
+0 RoundRobin 2: 01010101
+0 RoundRobin 3: 01201201
+0 RoundRobin 4: 01230123
+0 RoundRobin 8: 01234567
+1 SparsityAware 1: 00000000
+1 SparsityAware 2: 01010101
+1 SparsityAware 3: 01201201
+1 SparsityAware 4: 01230123
+1 SparsityAware 8: 01234567
+1 RoundRobin 1: 00000000
+1 RoundRobin 2: 01010101
+1 RoundRobin 3: 01201201
+1 RoundRobin 4: 01230123
+1 RoundRobin 8: 01234567
+2 SparsityAware 1: 000
+2 SparsityAware 2: 110
+2 SparsityAware 3: 120
+2 SparsityAware 4: 120
+2 SparsityAware 8: 120
+2 RoundRobin 1: 000
+2 RoundRobin 2: 010
+2 RoundRobin 3: 012
+2 RoundRobin 4: 012
+2 RoundRobin 8: 012
+3 SparsityAware 1: 00
+3 SparsityAware 2: 01
+3 SparsityAware 3: 01
+3 SparsityAware 4: 01
+3 SparsityAware 8: 01
+3 RoundRobin 1: 00
+3 RoundRobin 2: 01
+3 RoundRobin 3: 01
+3 RoundRobin 4: 01
+3 RoundRobin 8: 01
+4 SparsityAware 1: 00000000000000000000000000000000
+4 SparsityAware 2: 10101111000100001111101110100000
+4 SparsityAware 3: 00001012020101211121210121222020
+4 SparsityAware 4: 10123330002112213301133210300222
+4 SparsityAware 8: 02621364077347424651035560157023
+4 RoundRobin 1: 00000000000000000000000000000000
+4 RoundRobin 2: 01010101010101010101010101010101
+4 RoundRobin 3: 01201201201201201201201201201201
+4 RoundRobin 4: 01230123012301230123012301230123
+4 RoundRobin 8: 01234567012345670123456701234567
+";
+
     #[test]
     fn single_device_plan_never_rebalances() {
         let mut plan = ShardingPlan::new(Topology::single(), PlacementPolicy::SparsityAware, 2, 4);
