@@ -8,12 +8,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use lserve_costmodel::PlacementPolicy;
 use lserve_kvcache::MigrationMode;
 use lserve_trace::Tracer;
 
 use crate::config::{check, ConfigError};
 use crate::dag::{SparsityOverride, SparsitySchedule};
+use crate::sharding::PlacementPolicy;
 
 /// Service-level-objective class of a request. Scheduling is strict-priority
 /// across classes (admission ordering and preemption victim selection both

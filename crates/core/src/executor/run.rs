@@ -1,12 +1,12 @@
 //! The row-feeding body every token goes through after a sequence's fused
 //! first chunk ([`ModelExecutor::decode_batch_reserved`]), its one-token
 //! wrappers, and the sharded attention phase: its shards' cost estimate,
-//! their placement ([`ShardTable`]) and the phase's trace.
+//! the [`ShardTable`] the plan places them from
+//! ([`ShardingPlan::place`]) and the phase's trace.
 
 use lserve_attention::{
     placed_queues, run_decode_shard, run_placed, DecodeShard, DecodeStats, PlacedBalance,
 };
-use lserve_costmodel::{PlacementPolicy, Topology};
 use lserve_kvcache::{
     append_token, DenseHeadCache, MigrationMode, PagePool, HOST_TRANSFER_SPEEDUP,
 };
@@ -16,7 +16,7 @@ use lserve_trace::{lane, Tracer, CONTROL_TID};
 
 use super::residency::RowPlan;
 use super::{DecodeOutput, ModelExecutor, OutOfPagesError, SequenceState};
-use crate::sharding::ShardingPlan;
+use crate::sharding::{PlacementPolicy, ShardingPlan, Topology};
 use crate::stats::ParallelExecStats;
 
 impl ModelExecutor {
@@ -54,7 +54,7 @@ impl ModelExecutor {
     fn transient_plan(&self) -> ShardingPlan {
         let model = &self.weights.config;
         ShardingPlan::new(
-            Topology::single(),
+            Topology::symmetric(1, 0),
             PlacementPolicy::SparsityAware,
             model.num_layers,
             model.num_kv_heads,
@@ -201,7 +201,7 @@ impl ModelExecutor {
         let mut x = self.weights.embed_tokens(&tokens);
         let mut live = vec![true; batch.len()];
         let mut plans: Vec<RowPlan> = batch.iter().map(|_| RowPlan::default()).collect();
-        let mut table = ShardTable::new(batch.len(), plan.devices(), model.num_kv_heads);
+        let mut table = ShardTable::default();
         let tracer = pool.tracer().clone();
         // Token-wide speculative-transfer allowance per row, spent by
         // issue_prefetches across all layers (async migration only).
@@ -346,7 +346,8 @@ impl ModelExecutor {
                             });
                         }
                     }
-                    let gather_tokens = table.place(plan, l);
+                    let gather_tokens =
+                        plan.place(l, &table.seq, &table.kv, &mut table.cost, &mut table.device);
                     let placed = run_placed(
                         threads,
                         plan.devices(),
@@ -424,8 +425,9 @@ impl ModelExecutor {
 pub(crate) type Run<'a> = (&'a mut SequenceState, &'a [u32]);
 
 /// One round's shards as parallel arrays, in construction order (batch order,
-/// then KV head), plus the scratch their placement needs: allocated once per
-/// call beside the [`RowPlan`]s and refilled every round.
+/// then KV head): allocated once per call beside the [`RowPlan`]s and
+/// refilled every round.
+#[derive(Default)]
 struct ShardTable {
     /// Batch entry of each shard.
     seq: Vec<usize>,
@@ -437,74 +439,21 @@ struct ShardTable {
     device: Vec<usize>,
     /// Work counters of each shard, once run.
     stats: Vec<DecodeStats>,
-    /// This round's cost per KV head: the signal placement acts on.
-    head_costs: Vec<u64>,
-    /// This round's cost per `(batch entry, device)`, entry-major.
-    seq_loads: Vec<u64>,
 }
 
 impl ShardTable {
-    fn new(entries: usize, devices: usize, kv_heads: usize) -> Self {
-        Self {
-            seq: Vec::new(),
-            kv: Vec::new(),
-            cost: Vec::new(),
-            device: Vec::new(),
-            stats: Vec::new(),
-            head_costs: vec![0; kv_heads],
-            seq_loads: vec![0; entries * devices],
-        }
-    }
-
     fn clear(&mut self) {
         self.seq.clear();
         self.kv.clear();
         self.cost.clear();
         self.device.clear();
         self.stats.clear();
-        self.head_costs.fill(0);
-        self.seq_loads.fill(0);
     }
 
     fn push(&mut self, seq: usize, kv: usize, cost: u64) {
         self.seq.push(seq);
         self.kv.push(kv);
         self.cost.push(cost);
-        self.head_costs[kv] += cost;
-    }
-
-    /// Places every shard on its KV head's device under layer `l`'s
-    /// assignment — seeded from, and accumulating, this round's per-head
-    /// costs: exactly what the worker-level LPT balances — and charges the
-    /// cross-device gathers; returns the charge.
-    ///
-    /// A sequence's home device is where the plurality of its shard cost
-    /// lives (ties to the lower device id): its other shards' outputs must
-    /// cross the mesh before the serial output projection, and each such
-    /// gather costs the topology's modeled interconnect tokens — onto the
-    /// shard (the gather delays it) and into the interconnect ledger. On one
-    /// device every shard is at home.
-    fn place(&mut self, plan: &mut ShardingPlan, l: usize) -> u64 {
-        let devices = plan.devices();
-        let gather = plan.topology().gather_cost_tokens();
-        let assign = plan.layer_assignment(l, &self.head_costs);
-        for s in 0..self.cost.len() {
-            let dev = assign[self.kv[s]];
-            self.device.push(dev);
-            self.seq_loads[self.seq[s] * devices + dev] += self.cost[s];
-        }
-        let mut gather_tokens = 0;
-        for s in 0..self.cost.len() {
-            let loads = &self.seq_loads[self.seq[s] * devices..][..devices];
-            let home = (0..devices)
-                .max_by_key(|&dev| (loads[dev], std::cmp::Reverse(dev)))
-                .expect("devices > 0");
-            if self.device[s] != home {
-                self.cost[s] += gather;
-                gather_tokens += gather;
-            }
-        }
-        gather_tokens
     }
 
     /// Emits one decode layer's parallel-phase trace: advances the

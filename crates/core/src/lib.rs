@@ -61,12 +61,11 @@ pub use dag::{
 };
 pub use executor::{DecodeOutput, ModelExecutor, OutOfPagesError, PrefillOutput, SequenceState};
 pub use heads::{classify_heads, streaming_masks_from_gates};
-pub use lserve_costmodel::{Placement, PlacementPolicy, Topology};
 pub use lserve_kvcache::{MigrationMode, MigrationStats};
 pub use lserve_prefixcache::PrefixCacheStats;
 pub use metrics::MetricsSnapshot;
 pub use prefix::CachedPrefix;
 pub use report::{RequestMetrics, ServingReport};
 pub use scheduler::{sequence_pages_estimate, tile_grid_boundary, Scheduler};
-pub use sharding::{RebalanceOutcome, ShardingPlan, ShardingStats};
+pub use sharding::{PlacementPolicy, RebalanceOutcome, ShardingPlan, ShardingStats, Topology};
 pub use stats::{EngineStats, ParallelExecStats};

@@ -79,7 +79,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use lserve_costmodel::{Topology, DEFAULT_GATHER_COST_TOKENS};
 use lserve_kvcache::{PagePool, TierConfig};
 use lserve_prefixcache::{PrefixCache, PrefixCacheStats};
 use lserve_trace::lane;
@@ -91,7 +90,7 @@ use crate::dag::DagStore;
 use crate::executor::{ModelExecutor, SequenceState};
 use crate::prefix::CachedPrefix;
 use crate::report::ServingReport;
-use crate::sharding::ShardingPlan;
+use crate::sharding::{ShardingPlan, Topology, DEFAULT_GATHER_COST_TOKENS};
 
 mod admit;
 mod cancel;

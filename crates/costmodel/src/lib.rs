@@ -33,7 +33,6 @@ pub mod e2e;
 pub mod gpu;
 pub mod kernels;
 pub mod system;
-pub mod topology;
 
 pub use e2e::{
     decode_step, decode_throughput, max_batch, prefill, DecodeBreakdown, PrefillBreakdown,
@@ -44,6 +43,3 @@ pub use kernels::{
     ITERATION_OVERHEAD_BYTES, SELECTOR_SECONDS_PER_LOGICAL_PAGE,
 };
 pub use system::{PrefillSparsity, SystemModel};
-pub use topology::{
-    Placement, PlacementPolicy, Topology, DEFAULT_GATHER_COST_TOKENS, INTERCONNECT_SPEEDUP,
-};

@@ -24,9 +24,8 @@ use std::sync::Arc;
 
 use lserve::core::{
     sequence_pages_estimate, AdmissionPolicy, EngineConfig, MigrationMode, ModelExecutor,
-    PreemptionPolicy, RequestSpec, Scheduler, SchedulerConfig, ServingReport,
+    PlacementPolicy, PreemptionPolicy, RequestSpec, Scheduler, SchedulerConfig, ServingReport,
 };
-use lserve::costmodel::PlacementPolicy;
 use lserve::kvcache::PagingConfig;
 use lserve::model::{ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;

@@ -219,7 +219,7 @@ fn lpt_schedule_models_at_least_2x_decode_speedup_at_4_threads() {
         let (mut pool, mut states) = (pool.clone(), states.clone());
         let mut batch: Vec<_> = states.iter_mut().zip(tokens.iter().copied()).collect();
         let mut plan = ShardingPlan::new(
-            Topology::single(),
+            Topology::symmetric(1, 0),
             PlacementPolicy::SparsityAware,
             model.num_layers,
             model.num_kv_heads,
