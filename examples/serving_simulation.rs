@@ -11,12 +11,11 @@ use std::sync::Arc;
 
 use lserve::core::{
     sequence_pages_estimate, AdmissionPolicy, EngineConfig, ModelExecutor, PreemptionPolicy,
-    RequestSpec, Scheduler, SchedulerConfig, ServingReport, SloClass,
+    RequestSpec, Scheduler, SchedulerConfig, ServingReport,
 };
 use lserve::model::{ModelConfig, ModelWeights};
 use lserve::workloads::{
-    overcommit_workload, shared_prefix_workload, slo_mix_workload, OvercommitConfig,
-    SharedPrefixConfig, SloMixConfig,
+    overcommit_workload, shared_prefix_workload, OvercommitConfig, SharedPrefixConfig,
 };
 
 fn engine_cfg(mut cfg: EngineConfig) -> EngineConfig {
@@ -338,76 +337,6 @@ fn run_oversubscription_demo() {
     );
 }
 
-/// SLO-mix scene: the same mixed Interactive+Batch workload under class-blind
-/// FCFS and class-aware scheduling. Admission rank and victim selection are
-/// the only difference — outputs are bit-identical — yet interactive p95 TTFT
-/// collapses while batch throughput is unchanged.
-fn run_slo_mix_demo() {
-    let wl = SloMixConfig::small();
-    let weights = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 11));
-    let cfg = engine_cfg(EngineConfig::lserve_fp16());
-    let per_batch = sequence_pages_estimate(
-        &cfg,
-        &weights.config,
-        wl.batch_prompt_tokens + wl.batch_new_tokens,
-    );
-    let exec = Arc::new(ModelExecutor::new(weights, cfg));
-    println!(
-        "\nSLO mix: {} waves of {} batch ({}-token) + {} interactive ({}-token) requests\n\
-         on a pool sized for ~1.5 batch sequences:\n",
-        wl.waves,
-        wl.batch_per_wave,
-        wl.batch_prompt_tokens,
-        wl.interactive_per_wave,
-        wl.interactive_prompt_tokens,
-    );
-    let requests = slo_mix_workload(&wl);
-    let mut p95s = Vec::new();
-    for class_aware in [false, true] {
-        let mut scfg = SchedulerConfig::new(per_batch + per_batch / 2);
-        scfg.chunk_tokens = 16;
-        scfg.admission = AdmissionPolicy::FirstChunk;
-        scfg.class_aware = class_aware;
-        let mut sched = Scheduler::new(Arc::clone(&exec), scfg);
-        for (i, r) in requests.iter().enumerate() {
-            let mut spec = RequestSpec::new(i as u64, r.spec.prompt.clone())
-                .max_new_tokens(r.spec.max_new_tokens);
-            if r.interactive {
-                spec = spec.class(SloClass::Interactive);
-            }
-            sched.submit(spec);
-        }
-        let report = sched.run_to_completion(1_000_000);
-        let name = if class_aware {
-            "class-aware"
-        } else {
-            "class-blind FCFS"
-        };
-        println!("{name}:");
-        println!("{}", indent(&report.summary()));
-        println!(
-            "  classes:   interactive ttft p50 {} / p95 {} work-tokens; batch p95 {}\n",
-            report.ttft_work_percentile_class(SloClass::Interactive, 0.5),
-            report.ttft_work_percentile_class(SloClass::Interactive, 0.95),
-            report.ttft_work_percentile_class(SloClass::Batch, 0.95),
-        );
-        assert_eq!(report.completed.len(), requests.len());
-        p95s.push(report.ttft_work_percentile_class(SloClass::Interactive, 0.95));
-    }
-    println!(
-        "\nClass-aware admission lets interactive requests jump queued batch prompts and\n\
-         spares them at victim selection; outputs are bit-identical either way, so the\n\
-         {:.1}x interactive p95 win is pure scheduling.",
-        p95s[0] as f64 / p95s[1].max(1) as f64
-    );
-    assert!(
-        p95s[1] * 2 <= p95s[0],
-        "class-aware must improve interactive p95 TTFT >= 2x (got {} -> {})",
-        p95s[0],
-        p95s[1]
-    );
-}
-
 fn main() {
     println!("1 long prompt (400 tokens) + 7 short prompts, 24 generated tokens each\n");
     // Monolithic prefill: the long prompt's admission stalls everyone behind it.
@@ -438,7 +367,6 @@ fn main() {
     run_parallel_decode_demo();
     run_prefix_cache_demo();
     run_oversubscription_demo();
-    run_slo_mix_demo();
     println!(
         "\nChunked prefill bounds per-iteration prefill work, so short requests keep\n\
          decoding while a long prompt streams in (no head-of-line blocking); under\n\
