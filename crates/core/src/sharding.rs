@@ -21,7 +21,7 @@
 //!   when it has gone stale. The executor is immutable (`&self`) by design,
 //!   so the scheduler (or a test) threads the plan into
 //!   `ModelExecutor::decode_batch_sharded`, and every decode round hands it
-//!   the round's shards ([`ShardingPlan::place`]) to get back each shard's
+//!   the round's shards (`ShardingPlan::place`) to get back each shard's
 //!   device and the round's gather charge.
 //!
 //! Placement is lazy and signal-driven: the first decode round of each layer
@@ -225,7 +225,7 @@ impl ShardingPlan {
     /// gather costs the topology's modeled interconnect tokens — onto the
     /// shard (the gather delays it) and into the returned charge. On one
     /// device every shard is at home.
-    pub fn place(
+    pub(crate) fn place(
         &mut self,
         l: usize,
         seq: &[usize],
