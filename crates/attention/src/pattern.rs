@@ -193,7 +193,7 @@ impl MaskPattern {
 
     /// Builds the mask that keeps the diagonal plus `keep_per_row` random causally
     /// valid blocks per query tile — a stand-in for MInference's offline pattern
-    /// search, used by benches.
+    /// search, used by the kernel and mask tests.
     pub fn random_causal(
         num_q_tiles: usize,
         num_k_blocks: usize,

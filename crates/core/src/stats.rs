@@ -116,7 +116,7 @@ impl EngineStats {
 /// * **Modeled** (`cost_*`): the sparsity-aware shard cost estimates the LPT
 ///   assignment balanced. `cost_total / cost_critical` is the speedup a
 ///   perfectly parallel machine would get from this schedule — deterministic,
-///   so tests and benches can assert on it regardless of host core count.
+///   so tests can assert on it regardless of host core count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParallelExecStats {
     /// Largest worker count used by any phase.
@@ -219,7 +219,7 @@ impl ParallelExecStats {
     /// Modeled device imbalance `>= 1`: how much longer the busiest device
     /// ran than a perfectly balanced placement would have (the reciprocal of
     /// [`ParallelExecStats::device_utilization`]). This is the number the
-    /// sparsity-aware-vs-round-robin placement bench asserts on.
+    /// sparsity-aware-vs-round-robin placement claim test asserts on.
     pub fn device_imbalance(&self) -> f64 {
         let u = self.device_utilization();
         if u == 0.0 {
