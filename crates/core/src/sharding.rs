@@ -481,11 +481,16 @@ mod tests {
     }
 
     #[test]
-    fn mesh_charges_gathers_and_migrations() {
+    fn single_device_topology_charges_nothing() {
+        // One device never gathers or migrates, whatever price is stored.
         let one = Topology::symmetric(1, 4);
         assert_eq!(one.devices(), 1);
         assert_eq!(one.gather_cost_tokens(), 0);
         assert_eq!(one.migration_cost_tokens(1000), 0);
+    }
+
+    #[test]
+    fn mesh_charges_gathers_and_migrations() {
         let mesh = Topology::symmetric(4, 4);
         assert_eq!(mesh.gather_cost_tokens(), 4);
         assert_eq!(mesh.migration_cost_tokens(0), 0);
