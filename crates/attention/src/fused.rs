@@ -399,35 +399,52 @@ mod tests {
             tile: 8,
             ..cfg()
         };
+        let d = c.head_dim;
         let mut g = SeededGaussian::new(61);
         let n = 45;
-        let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
-        let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        // The windowed head's Λ pattern is its own window's.
-        let masks = [
-            PrefillMask::Causal,
-            PrefillMask::Window(StreamingWindow::new(2, 1)),
+        let q = g.matrix(n, c.num_q_heads * d, 1.0);
+        let k = g.matrix(n, c.num_kv_heads * d, 1.0);
+        let v = g.matrix(n, c.num_kv_heads * d, 1.0);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let layers = [
+            [
+                PrefillMask::Causal,
+                PrefillMask::Window(StreamingWindow::new(2, 1)),
+            ],
+            [
+                PrefillMask::Dynamic { keep: 2, sink: 1 },
+                PrefillMask::Window(StreamingWindow::new(1, 2)),
+            ],
         ];
-        let (out, ..) = fused_prefill_layer(&q, &k, &v, &c, &masks, 1);
-        let streaming = StreamingPattern::new(2, 1);
-        for h in 0..c.num_q_heads {
-            let kv = c.kv_head_of(h);
-            let pattern: &dyn BlockPattern = match masks[kv] {
-                PrefillMask::Window(_) => &streaming,
-                _ => &DensePattern,
-            };
-            let (want, _) = prefill_attention(
-                &head_slice(&q, h, c.head_dim),
-                &head_slice(&k, kv, c.head_dim),
-                &head_slice(&v, kv, c.head_dim),
-                c.scale(),
-                c.tile,
-                c.tile,
-                pattern,
-            );
-            let got = head_slice(&out, h, c.head_dim);
-            assert_eq!(got.max_abs_diff(&want), 0.0, "head {h}");
+        for masks in layers {
+            for threads in [1, 2, 3, 8] {
+                let (out, ..) = fused_prefill_layer(&q, &k, &v, &c, &masks, threads);
+                for h in 0..c.num_q_heads {
+                    let kv = c.kv_head_of(h);
+                    let qh = head_slice(&q, h, d);
+                    let kh = head_slice(&k, kv, d);
+                    // A windowed head's Λ pattern is its own window's; a
+                    // dynamic head's mask is the one its own queries build.
+                    let pattern: Box<dyn BlockPattern> = match masks[kv] {
+                        PrefillMask::Causal => Box::new(DensePattern),
+                        PrefillMask::Window(w) => {
+                            Box::new(StreamingPattern::new(w.sink_pages(), w.local_pages()))
+                        }
+                        PrefillMask::Dynamic { keep, sink } => {
+                            Box::new(build_dynamic_prefill_mask(&qh, &kh, c.tile, keep, sink))
+                        }
+                    };
+                    let vh = head_slice(&v, kv, d);
+                    let (want, _) =
+                        prefill_attention(&qh, &kh, &vh, c.scale(), c.tile, c.tile, &*pattern);
+                    let got = head_slice(&out, h, d);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{masks:?} threads {threads} head {h}"
+                    );
+                }
+            }
         }
     }
 
