@@ -7,6 +7,8 @@
 //! (`h_kv = h / n`, Eq. 1) is applied here. The decode side of the same kernel is
 //! one [`crate::parallel::DecodeShard`] per KV head, which the executor builds.
 
+use std::sync::Mutex;
+
 use lserve_kvcache::StreamingWindow;
 use lserve_tensor::Matrix;
 
@@ -90,24 +92,26 @@ struct PrefillKv {
 /// One query head's unit of prefill work inside the sharded layer kernel.
 struct PrefillShard<'a> {
     h: usize,
-    qh: Matrix,
     kv: &'a PrefillKv,
-    out: Matrix,
     stats: PrefillStats,
 }
 
 /// Fused block-sparse prefill over all heads of one layer.
 ///
 /// `q` is `(N x H·D)`; `k`, `v` are `(N x Ĥ·D)`; `masks` holds each **KV** head's
-/// [`PrefillMask`].
+/// [`PrefillMask`]. Each activation is held once: every KV head's keys are
+/// regrouped into K tiles before `k` is dropped, its values sliced out before
+/// `v` is, and `q` becomes the attention output in place.
 ///
 /// Each query head is one shard of a one-device phase ([`run_placed`]): up to
 /// `threads` scoped workers, LPT-assigned by estimated tile cost (dense heads grow
 /// quadratically with the prompt, streaming heads linearly — the per-head
-/// sparsity asymmetry that makes naive partitioning unbalanced). Outputs are
-/// bit-identical for every thread count: each shard computes into its own buffer
-/// with the same kernel on the same inputs, and the scatter into the layer output
-/// runs serially in head order.
+/// sparsity asymmetry that makes naive partitioning unbalanced). Shard `h` is
+/// the only reader and writer of `q`'s columns `h·D..(h+1)·D`, and writes each
+/// finished query tile over the queries it has just read, so outputs are
+/// bit-identical for every thread count: the same kernel runs on the same
+/// inputs whichever worker runs it. `q` sits behind one lock, taken per tile
+/// outside the fold.
 ///
 /// Returns the `(N x H·D)` attention output, the tile counters of each KV head
 /// (summed over its query heads), and the phase's balance.
@@ -116,9 +120,9 @@ struct PrefillShard<'a> {
 ///
 /// Panics on shape mismatches or if `masks.len() != num_kv_heads`.
 pub fn fused_prefill_layer(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
+    q: Matrix,
+    k: Matrix,
+    v: Matrix,
     cfg: &LayerAttnConfig,
     masks: &[PrefillMask],
     threads: usize,
@@ -133,16 +137,21 @@ pub fn fused_prefill_layer(
 
     let nt = n.div_ceil(cfg.tile) as u64;
     let causal_tiles = nt * (nt + 1) / 2;
-    let kv_heads: Vec<PrefillKv> = masks
+    let mut kv_heads: Vec<PrefillKv> = masks
         .iter()
         .enumerate()
         .map(|(kv, &mask)| PrefillKv {
             mask,
-            keys: KeyTiles::new(k, kv * d, d, cfg.tile),
-            values: head_slice(v, kv, d),
-            key_rows: matches!(mask, PrefillMask::Dynamic { .. }).then(|| head_slice(k, kv, d)),
+            keys: KeyTiles::new(&k, kv * d, d, cfg.tile),
+            values: Matrix::default(),
+            key_rows: matches!(mask, PrefillMask::Dynamic { .. }).then(|| head_slice(&k, kv, d)),
         })
         .collect();
+    drop(k);
+    for (kv, head) in kv_heads.iter_mut().enumerate() {
+        head.values = head_slice(&v, kv, d);
+    }
+    drop(v);
     let mut shards: Vec<PrefillShard<'_>> = Vec::with_capacity(cfg.num_q_heads);
     let mut costs: Vec<u64> = Vec::with_capacity(cfg.num_q_heads);
     for h in 0..cfg.num_q_heads {
@@ -157,18 +166,18 @@ pub fn fused_prefill_layer(
         costs.push(cost.min(causal_tiles).max(1));
         shards.push(PrefillShard {
             h,
-            qh: head_slice(q, h, d),
             kv: &kv_heads[kv],
-            out: Matrix::zeros(0, 0),
             stats: PrefillStats::default(),
         });
     }
 
+    let qo = Mutex::new(q);
     let on_one_device = vec![0; shards.len()];
     let balance = run_placed(threads, 1, &on_one_device, &costs, &mut shards, |s| {
         let attend = |pattern: &dyn BlockPattern| {
             prefill_head(
-                &s.qh,
+                &qo,
+                s.h * d,
                 &s.kv.keys,
                 &s.kv.values,
                 cfg.scale(),
@@ -176,28 +185,30 @@ pub fn fused_prefill_layer(
                 pattern,
             )
         };
-        (s.out, s.stats) = match s.kv.mask {
+        s.stats = match s.kv.mask {
             PrefillMask::Causal => attend(&DensePattern),
             PrefillMask::Window(w) => {
                 attend(&StreamingPattern::new(w.sink_pages(), w.local_pages()))
             }
             PrefillMask::Dynamic { keep, sink } => {
+                // The mask reads every query of the head: take them all
+                // before the first tile's output lands over them.
+                let qh = head_slice(&qo.lock().expect("query buffer poisoned"), s.h, d);
                 let kh = s.kv.key_rows.as_ref().expect("kept for a dynamic mask");
-                attend(&build_dynamic_prefill_mask(&s.qh, kh, cfg.tile, keep, sink))
+                let mask = build_dynamic_prefill_mask(&qh, kh, cfg.tile, keep, sink);
+                drop(qh);
+                attend(&mask)
             }
         };
     });
 
-    let mut out = Matrix::zeros(n, cfg.num_q_heads * d);
     let mut stats = vec![PrefillStats::default(); cfg.num_kv_heads];
     for s in &shards {
         let agg = &mut stats[cfg.kv_head_of(s.h)];
         agg.tiles_visited += s.stats.tiles_visited;
         agg.tiles_total_causal += s.stats.tiles_total_causal;
-        for r in 0..n {
-            out.row_mut(r)[s.h * d..(s.h + 1) * d].copy_from_slice(s.out.row(r));
-        }
     }
+    let out = qo.into_inner().expect("query buffer poisoned");
     (out, stats, balance)
 }
 
@@ -218,6 +229,18 @@ mod tests {
             head_dim: 8,
             tile: 4,
         }
+    }
+
+    /// [`fused_prefill_layer`] on copies of activations the test reuses.
+    fn fused(
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        c: &LayerAttnConfig,
+        masks: &[PrefillMask],
+        threads: usize,
+    ) -> (Matrix, Vec<PrefillStats>, PlacedBalance) {
+        fused_prefill_layer(q.clone(), k.clone(), v.clone(), c, masks, threads)
     }
 
     /// KV head 0 under `dense`, KV head 1 with a window of one sink and two
@@ -249,7 +272,7 @@ mod tests {
         let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        let (out, stats, _) = fused_prefill_layer(&q, &k, &v, &c, &[PrefillMask::Causal; 2], 1);
+        let (out, stats, _) = fused(&q, &k, &v, &c, &[PrefillMask::Causal; 2], 1);
         for head in stats {
             assert!(head.tiles_visited > 0);
             assert_eq!(head.tiles_visited, head.tiles_total_causal);
@@ -273,7 +296,7 @@ mod tests {
         let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        let (_, stats, _) = fused_prefill_layer(&q, &k, &v, &c, &mixed(PrefillMask::Causal), 1);
+        let (_, stats, _) = fused(&q, &k, &v, &c, &mixed(PrefillMask::Causal), 1);
         let [dense, stream] = stats[..] else {
             panic!("one counter per KV head")
         };
@@ -358,12 +381,12 @@ mod tests {
         let q = g.matrix(n, c.num_q_heads * c.head_dim, 1.0);
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
-        let (out, stats, _) = fused_prefill_layer(&q, &k, &v, &c, &[dynamic(2); 2], 1);
+        let (out, stats, _) = fused(&q, &k, &v, &c, &[dynamic(2); 2], 1);
         assert_eq!(out.shape(), (n, c.num_q_heads * c.head_dim));
         assert!(stats.iter().all(|s| s.tiles_visited < s.tiles_total_causal));
         // Enormous keep budget == dense attention exactly.
-        let (full, stats_full, _) = fused_prefill_layer(&q, &k, &v, &c, &[dynamic(1000); 2], 1);
-        let (want, ..) = fused_prefill_layer(&q, &k, &v, &c, &[PrefillMask::Causal; 2], 1);
+        let (full, stats_full, _) = fused(&q, &k, &v, &c, &[dynamic(1000); 2], 1);
+        let (want, ..) = fused(&q, &k, &v, &c, &[PrefillMask::Causal; 2], 1);
         assert!(stats_full
             .iter()
             .all(|s| s.tiles_visited == s.tiles_total_causal));
@@ -379,10 +402,9 @@ mod tests {
         let k = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         let v = g.matrix(n, c.num_kv_heads * c.head_dim, 1.0);
         for dense in [PrefillMask::Causal, dynamic(2)] {
-            let (want, want_stats, _) = fused_prefill_layer(&q, &k, &v, &c, &mixed(dense), 1);
+            let (want, want_stats, _) = fused(&q, &k, &v, &c, &mixed(dense), 1);
             for threads in [2, 3, 8] {
-                let (got, stats, balance) =
-                    fused_prefill_layer(&q, &k, &v, &c, &mixed(dense), threads);
+                let (got, stats, balance) = fused(&q, &k, &v, &c, &mixed(dense), threads);
                 assert_eq!(got.max_abs_diff(&want), 0.0, "threads {threads}");
                 assert_eq!(stats, want_stats);
                 assert_eq!(balance.shards, c.num_q_heads as u64);
@@ -418,7 +440,7 @@ mod tests {
         ];
         for masks in layers {
             for threads in [1, 2, 3, 8] {
-                let (out, ..) = fused_prefill_layer(&q, &k, &v, &c, &masks, threads);
+                let (out, ..) = fused(&q, &k, &v, &c, &masks, threads);
                 for h in 0..c.num_q_heads {
                     let kv = c.kv_head_of(h);
                     let qh = head_slice(&q, h, d);

@@ -7,6 +7,8 @@
 //! yields them and that order is part of the result: a fixed order gives fixed
 //! bits, a different order agrees to rounding only (see `block.rs`).
 
+use std::sync::Mutex;
+
 use lserve_kvcache::{key_lane_offset, KEY_LANES};
 use lserve_tensor::Matrix;
 
@@ -112,35 +114,56 @@ pub fn prefill_attention(
     assert_eq!(k.rows(), q.rows(), "K rows mismatch");
     assert_eq!(k.cols(), q.cols(), "K dim mismatch");
     let keys = KeyTiles::new(k, 0, k.cols(), tk);
-    prefill_head(q, &keys, v, scale, tq, pattern)
+    let out = Mutex::new(q.clone());
+    let stats = prefill_head(&out, 0, &keys, v, scale, tq, pattern);
+    (out.into_inner().expect("query buffer poisoned"), stats)
 }
 
-/// [`prefill_attention`] on keys already regrouped into K tiles.
+/// [`prefill_attention`] on keys already regrouped into K tiles, in place:
+/// the query head in columns `col..col + D` of `qo` becomes its attention
+/// output.
+///
+/// Query tile by query tile, the tile's queries are copied into a `tq x D`
+/// scratch, folded against the visited K tiles into a second one, and the
+/// finished rows are written back over the same rows and columns. No later
+/// tile reads them, so the caller only has to be the one reader and writer of
+/// these columns while the call runs; the lock is taken twice a tile, outside
+/// the fold.
 pub(crate) fn prefill_head(
-    q: &Matrix,
+    qo: &Mutex<Matrix>,
+    col: usize,
     keys: &KeyTiles,
     v: &Matrix,
     scale: f32,
     tq: usize,
     pattern: &dyn BlockPattern,
-) -> (Matrix, PrefillStats) {
-    let n = q.rows();
-    let d = q.cols();
-    let tk = keys.tk;
+) -> PrefillStats {
+    let KeyTiles { d, tk, n, .. } = *keys;
     assert!(tq > 0, "tile sizes must be positive");
-    assert_eq!(keys.n, n, "K rows mismatch");
+    {
+        let qo = qo.lock().expect("query buffer poisoned");
+        assert_eq!(qo.rows(), n, "K rows mismatch");
+        assert!(col + d <= qo.cols(), "query head out of range");
+    }
     assert_eq!(v.rows(), n, "V rows mismatch");
-    assert_eq!(keys.d, d, "K dim mismatch");
     assert_eq!(v.cols(), d, "V dim mismatch");
 
-    let mut out = Matrix::zeros(n, d);
     let mut stats = PrefillStats::default();
     let mut rows = Vec::with_capacity(tq);
+    let (mut queries, mut out) = (vec![0.0f32; tq * d], vec![0.0f32; tq * d]);
 
     for qt in 0..n.div_ceil(tq) {
         let q_start = qt * tq;
         let q_end = ((qt + 1) * tq).min(n);
-        let tile = q_start * d..q_end * d;
+        let len = (q_end - q_start) * d;
+        let (queries, out) = (&mut queries[..len], &mut out[..len]);
+        {
+            let qo = qo.lock().expect("query buffer poisoned");
+            for (r, dst) in (q_start..q_end).zip(queries.chunks_exact_mut(d)) {
+                dst.copy_from_slice(&qo.row(r)[col..col + d]);
+            }
+        }
+        out.fill(0.0);
         rows.clear();
         rows.resize(q_end - q_start, RowState::EMPTY);
 
@@ -159,21 +182,17 @@ pub(crate) fn prefill_head(
                 k0: k_start,
                 rows_per_position: 1,
             });
-            fold_block(
-                d,
-                &q.as_slice()[tile.clone()],
-                scale,
-                block,
-                causal,
-                &mut rows,
-                &mut out.as_mut_slice()[tile.clone()],
-            );
+            fold_block(d, queries, scale, block, causal, &mut rows, out);
         }
-        finish_rows(d, &rows, &mut out.as_mut_slice()[tile]);
+        finish_rows(d, &rows, out);
+        let mut qo = qo.lock().expect("query buffer poisoned");
+        for (r, src) in (q_start..q_end).zip(out.chunks_exact(d)) {
+            qo.row_mut(r)[col..col + d].copy_from_slice(src);
+        }
     }
     let (_, total) = crate::pattern::DensePattern.tile_counts(tq, tk, n);
     stats.tiles_total_causal = total;
-    (out, stats)
+    stats
 }
 
 #[cfg(test)]

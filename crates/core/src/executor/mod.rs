@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use lserve_attention::{fused_prefill_layer, LayerAttnConfig};
 use lserve_kvcache::{append_token, DenseHeadCache, PagePool, HOST_TRANSFER_SPEEDUP};
-use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention};
+use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention, LayerActivations};
 use lserve_model::{greedy_next_token, ModelWeights};
 use lserve_tensor::rope::RopeTable;
 use lserve_trace::{lane, CONTROL_TID};
@@ -263,9 +263,9 @@ impl ModelExecutor {
         let mut x = self.weights.embed_tokens(tokens);
         for (l, lw) in self.weights.layers.iter().enumerate() {
             let serial_start = tracer.now();
-            let acts = pre_attention(model, lw, &x, &angles);
+            let LayerActivations { q, k, v } = pre_attention(model, lw, &x, &angles);
             for t in 0..tokens.len() {
-                if !append_token(&mut state.layers[l], pool, acts.k.row(t), acts.v.row(t)) {
+                if !append_token(&mut state.layers[l], pool, k.row(t), v.row(t)) {
                     return Err(OutOfPagesError);
                 }
             }
@@ -284,8 +284,10 @@ impl ModelExecutor {
             let masks: Vec<_> = (state.policies[l].iter())
                 .map(|p| p.prefill_mask(tokens.len()))
                 .collect();
+            // The layer's activations go in by value: K and V leave as tiles,
+            // and Q comes back as the attention output.
             let (attn, head_stats, balance) =
-                fused_prefill_layer(&acts.q, &acts.k, &acts.v, &self.attn_cfg, &masks, threads);
+                fused_prefill_layer(q, k, v, &self.attn_cfg, &masks, threads);
             exec_stats.absorb(&balance, 0);
             if tracer.is_enabled() {
                 // The parallel phase costs its modeled critical path; worker
@@ -318,6 +320,7 @@ impl ModelExecutor {
                 state.stats.add_prefill(table, head);
             }
             post_attention(lw, &mut x, &attn);
+            drop(attn);
             ffn_block(lw, &mut x);
         }
         state.tokens_processed = tokens.len();

@@ -5,6 +5,8 @@
 //! attention naively over the whole sequence and is the ground truth that engine
 //! tests compare against.
 
+use std::ops::Range;
+
 use lserve_tensor::rope::RopeTable;
 use lserve_tensor::{argmax, rms_norm, silu, softmax_in_place, Matrix};
 
@@ -60,24 +62,62 @@ pub fn pre_attention(
     LayerActivations { q, k, v }
 }
 
+/// Rows the layer tail ([`post_attention`], [`ffn_block`]) works on at a
+/// time, so that its temporaries (the projections, the FFN's gate and up
+/// rows) cover one block of a prefill chunk rather than all of it. Every op
+/// there is row-local and [`Matrix::matmul`] sums each element in the same
+/// order however many rows it is given, so the blocks move no bit.
+const TAIL_ROWS: usize = 64;
+
+/// Runs `f` on `x` one block of at most [`TAIL_ROWS`] rows at a time, with the
+/// block's row range; each block is a copy written back after `f`. An `x` of
+/// one block is handed over whole.
+fn by_row_blocks(x: &mut Matrix, mut f: impl FnMut(&mut Matrix, Range<usize>)) {
+    let n = x.rows();
+    if n <= TAIL_ROWS {
+        return f(x, 0..n);
+    }
+    let cols = x.cols();
+    for start in (0..n).step_by(TAIL_ROWS) {
+        let rows = start..(start + TAIL_ROWS).min(n);
+        let mut block = x.slice_rows(rows.start, rows.end);
+        f(&mut block, rows.clone());
+        x.as_mut_slice()[rows.start * cols..rows.end * cols].copy_from_slice(block.as_slice());
+    }
+}
+
 /// Post-attention block: output projection plus residual connection, in place:
 /// `x += attn_out · W_o`.
+///
+/// # Panics
+///
+/// Panics if `x` and `attn_out` differ in rows.
 pub fn post_attention(lw: &LayerWeights, x: &mut Matrix, attn_out: &Matrix) {
-    x.add_assign(&attn_out.matmul(&lw.wo));
+    assert_eq!(x.rows(), attn_out.rows(), "attention rows mismatch");
+    by_row_blocks(x, |x, rows| {
+        let proj = if rows.len() == attn_out.rows() {
+            attn_out.matmul(&lw.wo)
+        } else {
+            attn_out.slice_rows(rows.start, rows.end).matmul(&lw.wo)
+        };
+        x.add_assign(&proj);
+    });
 }
 
 /// SwiGLU FFN block with pre-norm and residual, in place:
 /// `x += W_down(SiLU(xW_gate) ⊙ xW_up)`.
 pub fn ffn_block(lw: &LayerWeights, x: &mut Matrix) {
-    let mut normed = x.clone();
-    rms_norm(&mut normed, &lw.ffn_norm, RMS_EPS);
-    let mut gate = normed.matmul(&lw.w_gate);
-    let up = normed.matmul(&lw.w_up);
-    silu(gate.as_mut_slice());
-    for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
-        *g *= u;
-    }
-    x.add_assign(&gate.matmul(&lw.w_down));
+    by_row_blocks(x, |x, _| {
+        let mut normed = x.clone();
+        rms_norm(&mut normed, &lw.ffn_norm, RMS_EPS);
+        let mut gate = normed.matmul(&lw.w_gate);
+        let up = normed.matmul(&lw.w_up);
+        silu(gate.as_mut_slice());
+        for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
+            *g *= u;
+        }
+        x.add_assign(&gate.matmul(&lw.w_down));
+    });
 }
 
 /// Final norm + LM head over the given hidden rows, returning `(N x vocab)` logits.
