@@ -63,10 +63,10 @@ pub enum FinishReason {
 /// Why a request was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
-    /// The spec is degenerate: an empty (resolved) prompt, a zero
-    /// `max_new_tokens` budget, or a streaming-window override scheduled past
-    /// position 0 (a streaming head's table takes its window at sequence
-    /// creation). Rejected at
+    /// The spec is degenerate: an empty (resolved) prompt, a prompt token
+    /// outside the model's vocabulary, a zero `max_new_tokens` budget, or a
+    /// streaming-window override scheduled past position 0 (a streaming
+    /// head's table takes its window at sequence creation). Rejected at
     /// `submit` so a degenerate sequence never reaches admission.
     Invalid,
     /// The estimated full footprint can never fit the pool.

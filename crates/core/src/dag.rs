@@ -241,9 +241,10 @@ pub enum ForkError {
     NoBranches,
     /// A branch id collides with an existing request.
     DuplicateId(u64),
-    /// A branch asked for `max_new_tokens == 0` or a window override —
-    /// a branch inherits the parent's tables, windows included, and a table
-    /// cannot take another window at the fork point.
+    /// A branch asked for `max_new_tokens == 0`, has a suffix token outside
+    /// the vocabulary, or asked for a window override — a branch inherits
+    /// the parent's tables, windows included, and a table cannot take
+    /// another window at the fork point.
     InvalidBranch(u64),
 }
 

@@ -38,9 +38,9 @@ impl Scheduler {
     /// parents have no snapshot to share), [`ForkError::NoBranches`] for an
     /// empty branch list, [`ForkError::DuplicateId`] for a branch id the
     /// scheduler already knows (or repeated within the call), and
-    /// [`ForkError::InvalidBranch`] for a zero decode budget or a
-    /// streaming-window override (children inherit the parent's windows —
-    /// windows are admission-time-only).
+    /// [`ForkError::InvalidBranch`] for a zero decode budget, a suffix token
+    /// outside the vocabulary or a streaming-window override (children
+    /// inherit the parent's windows — windows are admission-time-only).
     pub fn fork(
         &mut self,
         parent: u64,
@@ -57,7 +57,10 @@ impl Scheduler {
             if self.index.contains_key(&b.id) || branches[..bi].iter().any(|o| o.id == b.id) {
                 return Err(ForkError::DuplicateId(b.id));
             }
-            if b.max_new_tokens == 0 || b.sparsity.streaming_window.is_some() {
+            if b.max_new_tokens == 0
+                || !self.in_vocabulary(&b.suffix)
+                || b.sparsity.streaming_window.is_some()
+            {
                 return Err(ForkError::InvalidBranch(b.id));
             }
         }
@@ -450,6 +453,14 @@ mod tests {
                 .unwrap_err(),
             ForkError::InvalidBranch(2),
             "window overrides are admission-time-only"
+        );
+        let vocab = sched.executor().weights().config.vocab as u32;
+        assert_eq!(
+            sched
+                .fork(1, JoinPolicy::All, &[BranchSpec::new(2, vec![1, vocab])])
+                .unwrap_err(),
+            ForkError::InvalidBranch(2),
+            "a suffix token without an embedding is rejected"
         );
         // A failed fork leaves no trace: the scheduler still drains cleanly.
         let r = sched.run_to_completion(100_000);

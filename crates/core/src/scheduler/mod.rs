@@ -407,7 +407,8 @@ impl Scheduler {
     /// arrival), so an interactive or tight-deadline request enters ahead of
     /// queued batch traffic. A spec whose id the scheduler already knows is
     /// rejected immediately with [`RejectReason::DuplicateId`] (the earlier
-    /// request is untouched).
+    /// request is untouched), and a degenerate one (see
+    /// [`RejectReason::Invalid`]) with `Invalid`.
     pub fn submit(&mut self, spec: RequestSpec) -> RequestHandle {
         if self.index.contains_key(&spec.id) {
             return self.reject_at_submit(spec.id, RejectReason::DuplicateId);
@@ -416,11 +417,16 @@ impl Scheduler {
         let mut prompt = history.cloned().unwrap_or_default();
         prompt.extend_from_slice(&spec.prompt);
         // Degenerate specs are rejected here, before they consume an arrival
-        // slot — an empty (resolved) prompt has nothing to prefill, a zero
-        // decode budget has nothing to generate, and a streaming-window
-        // override past position 0 can never be honoured (a streaming head's
-        // table takes its window at sequence creation).
-        if prompt.is_empty() || spec.max_new_tokens == 0 || spec.sparsity.has_late_window_override()
+        // slot — an empty (resolved) prompt has nothing to prefill, a token
+        // outside the vocabulary has no embedding (the step that fed it would
+        // panic, taking every other request down with it), a zero decode
+        // budget has nothing to generate, and a streaming-window override
+        // past position 0 can never be honoured (a streaming head's table
+        // takes its window at sequence creation).
+        if prompt.is_empty()
+            || !self.in_vocabulary(&prompt)
+            || spec.max_new_tokens == 0
+            || spec.sparsity.has_late_window_override()
         {
             self.index.insert(spec.id, Phase::Rejected);
             self.report.rejected.push(spec.id);
@@ -435,6 +441,12 @@ impl Scheduler {
             ],
         );
         self.enqueue_new(spec, prompt, None)
+    }
+
+    /// Whether every token of `tokens` has an embedding in the model.
+    fn in_vocabulary(&self, tokens: &[u32]) -> bool {
+        let vocab = self.exec.weights().config.vocab;
+        tokens.iter().all(|&t| (t as usize) < vocab)
     }
 
     /// A rejection made before the request owned a queue slot: the terminal
@@ -817,6 +829,25 @@ mod tests {
         );
         assert_eq!(r.completed.len(), 1);
         assert!(r.scheduler_steps < 100, "must not spin to the step cap");
+    }
+
+    #[test]
+    fn a_prompt_token_outside_the_vocabulary_is_rejected_at_submit() {
+        let mut srv = fcfs(weights(), EngineConfig::lserve_fp16(), 2048);
+        let vocab = srv.executor().weights().config.vocab as u32;
+        srv.submit(request(1, 4, 3));
+        let h = srv.submit(RequestSpec::new(2, vec![1, vocab]).max_new_tokens(3));
+        assert_eq!(
+            h.drain_events(),
+            vec![ServingEvent::Rejected {
+                reason: RejectReason::Invalid
+            }]
+        );
+        // No step embeds it, so its neighbour runs to the end.
+        let r = srv.run_to_completion(1000);
+        assert_eq!(r.rejections, vec![(2, RejectReason::Invalid)]);
+        assert_eq!(r.completed.len(), 1);
+        assert_eq!(srv.pool_in_use(), 0);
     }
 
     #[test]
