@@ -1,6 +1,6 @@
 #!/bin/sh
 # Alternating wall-clock pairs of the benchmark: revision <rev> against the
-# checkout, on one workload. This box drifts between speed levels for
+# checkout, on one workload. A shared host drifts between speed levels for
 # seconds or minutes at a time, so two builds compare only in interleaved
 # runs; a claimed gain is read from ten such pairs.
 #
