@@ -269,8 +269,14 @@ impl Cluster {
 
     /// Routes and enqueues a request: to the replica holding its prefix when
     /// one is recorded, else to the least-loaded replica (which then becomes
-    /// the prefix's home). Returns the request's lifecycle handle.
+    /// the prefix's home). Returns the request's lifecycle handle. An id the
+    /// cluster already knows goes to its home replica, which rejects it
+    /// [`crate::RejectReason::DuplicateId`] and leaves the first request (and
+    /// where its forks go) alone; that is no routing decision.
     pub fn submit(&mut self, spec: RequestSpec) -> RequestHandle {
+        if let Some(&home) = self.homes.get(&spec.id) {
+            return self.replicas[home].submit(spec);
+        }
         let (replica, hit) = self.route(&spec);
         self.router.routed += 1;
         if hit {
@@ -296,8 +302,9 @@ impl Cluster {
     /// # Errors
     ///
     /// [`ForkError::ParentNotRunning`] when the parent was never submitted
-    /// here (no home replica); otherwise whatever the home replica's
-    /// [`Scheduler::fork`] returns.
+    /// here (no home replica), [`ForkError::DuplicateId`] for a branch id the
+    /// cluster already knows on any replica; otherwise whatever the home
+    /// replica's [`Scheduler::fork`] returns.
     pub fn fork(
         &mut self,
         parent: u64,
@@ -307,6 +314,9 @@ impl Cluster {
         let Some(&replica) = self.homes.get(&parent) else {
             return Err(ForkError::ParentNotRunning(parent));
         };
+        if let Some(b) = branches.iter().find(|b| self.homes.contains_key(&b.id)) {
+            return Err(ForkError::DuplicateId(b.id));
+        }
         let outcome = self.replicas[replica].fork(parent, policy, branches)?;
         for b in branches {
             self.homes.insert(b.id, replica);
@@ -511,6 +521,70 @@ mod tests {
         let rendered = report.rollup().render();
         validate_json(&rendered).unwrap();
         assert!(rendered.contains("\"fork_affinity\""));
+    }
+
+    #[test]
+    fn a_known_id_goes_to_its_home_replica_and_is_rejected_there() {
+        use crate::api::{RejectReason, RequestStatus, ServingEvent};
+        use crate::dag::{BranchSpec, JoinPolicy};
+
+        // Without affinity the second request would go to the idle replica 1.
+        let mut cluster = tiny_cluster(2, 0);
+        let first = family(0, 1, 24).remove(0);
+        cluster.submit(RequestSpec::new(5, first.clone()).max_new_tokens(20));
+        let dup = cluster.submit(RequestSpec::new(5, family(500, 1, 24).remove(0)));
+        assert_eq!(
+            dup.drain_events(),
+            vec![ServingEvent::Rejected {
+                reason: RejectReason::DuplicateId
+            }]
+        );
+        assert_eq!(cluster.replica(1).queued() + cluster.replica(1).running(), 0);
+        assert_eq!(cluster.router_stats().routed, 1, "a duplicate is not routed");
+        for _ in 0..8 {
+            cluster.step();
+        }
+        // The first request is untouched, and its forks still land beside it.
+        let out = cluster
+            .fork(5, JoinPolicy::All, &[BranchSpec::new(6, vec![60]).max_new_tokens(2)])
+            .unwrap();
+        assert_eq!(out.replica, 0);
+        let report = cluster.run_to_completion(10_000);
+        assert_eq!(report.completed(), 2);
+        let solo = {
+            let mut one = tiny_cluster(1, 0);
+            one.submit(RequestSpec::new(5, first).max_new_tokens(20));
+            one.run_to_completion(10_000).completions()
+        };
+        assert_eq!(
+            cluster.replica(0).status(5),
+            Some(RequestStatus::Finished(solo[0].1.clone()))
+        );
+    }
+
+    #[test]
+    fn a_branch_id_known_on_another_replica_is_a_duplicate() {
+        use crate::dag::{BranchSpec, ForkError, JoinPolicy};
+
+        let mut cluster = tiny_cluster(2, 0);
+        cluster.submit(RequestSpec::new(1, family(0, 1, 24).remove(0)).max_new_tokens(20));
+        cluster.submit(RequestSpec::new(2, family(500, 1, 24).remove(0)).max_new_tokens(20));
+        for _ in 0..8 {
+            cluster.step();
+        }
+        assert!(cluster.replica(1).running() > 0, "request 2 lives on replica 1");
+        // Replica 0's scheduler has never seen id 2, so only the cluster can
+        // tell that the branch would shadow request 2.
+        assert_eq!(
+            cluster
+                .fork(1, JoinPolicy::All, &[BranchSpec::new(2, vec![60])])
+                .unwrap_err(),
+            ForkError::DuplicateId(2)
+        );
+        assert_eq!(cluster.router_stats().fork_affinity, 0);
+        let report = cluster.run_to_completion(10_000);
+        assert_eq!(report.completed(), 2);
+        assert_eq!(report.replicas[0].dag.forks, 0, "the failed fork left no trace");
     }
 
     /// The cluster still panics on a bad config, with the message the
