@@ -1,10 +1,15 @@
 #!/bin/sh
 # Alternating wall-clock pairs of the benchmark: revision <rev> against the
-# checkout, on one workload. A shared host drifts between speed levels for
-# seconds or minutes at a time, so two builds compare only in interleaved
-# runs; a claimed gain is read from ten such pairs.
+# checkout, on one workload or on each in turn. A shared host drifts between
+# speed levels for seconds or minutes at a time, so two builds compare only in
+# interleaved runs; a claimed gain is read from ten such pairs.
 #
 #   scripts/perf-pairs.sh <rev> <workload> [pairs]   pairs defaults to 10
+#   scripts/perf-pairs.sh <rev> all [pairs]
+#
+# `all` runs the pairs on every workload BENCHMARK.json declares, one
+# workload after the other, and prints each workload's lines and table under
+# a `== <workload>` header: "no workload got worse" in one command.
 #
 # Builds `perf` twice through the benchmark's own manifest
 # (crates/bench/src/bin/perf/Cargo.toml): from <rev>, exported with
@@ -26,7 +31,7 @@
 # Needs jq; run from anywhere inside the repository.
 set -eu
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    echo "usage: scripts/perf-pairs.sh <rev> <workload> [pairs=10]" >&2
+    echo "usage: scripts/perf-pairs.sh <rev> <workload>|all [pairs=10]" >&2
     exit 2
 fi
 rev=$1
@@ -51,24 +56,6 @@ CARGO_TARGET_DIR="$PWD/crates/bench/src/bin/perf/target" \
 cp crates/bench/src/bin/perf/target/release/perf "$tmp/perf-change"
 
 names=$(jq -c '[.end_to_end[].name]' BENCHMARK.json)
-i=1
-while [ "$i" -le "$pairs" ]; do
-    for side in rev change; do
-        if ! "$tmp/perf-$side" --workload "$workload" --seed 7 --seconds 30 --trace 0 \
-            >"$tmp/out" 2>&1; then
-            echo "perf-pairs.sh: pair $i, $side: perf failed" >&2
-            cat "$tmp/out" >&2
-            exit 1
-        fi
-        # The result object is the last line perf prints.
-        tail -n 1 "$tmp/out" >"$tmp/$side.$i.json"
-        jq -r --argjson names "$names" --arg pair "$i" --arg side "$side" '
-            [("pair " + $pair), $side]
-            + [$names[] as $m | "\($m)=\(.metrics[$m].value)"]
-            + ["failed=\(.failed)/\(.attempted)"] | join(" ")' "$tmp/$side.$i.json"
-    done
-    i=$((i + 1))
-done
 
 # values side metric: one value per pair, in pair order.
 values() {
@@ -91,18 +78,50 @@ quartiles() {
         END { printf "%.6g [%.6g .. %.6g]", q(0.5), q(0.25), q(0.75) }'
 }
 
-echo
-printf '%-18s %-44s %-12s %s\n' metric "$rev median [quartiles]" change better
-jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json | while read -r metric better; do
-    values rev "$metric" >"$tmp/r"
-    values change "$metric" >"$tmp/c"
-    if grep -qv '^[-0-9.eE+]*$' "$tmp/r" "$tmp/c"; then
-        printf '%-18s not reported by %s\n' "$metric" "$workload"
-        continue
-    fi
-    wins=$(paste "$tmp/r" "$tmp/c" | awk -v b="$better" '
-        (b == "lower" && $2 < $1) || (b == "higher" && $2 > $1) { n++ }
-        END { print n + 0 }')
-    printf '%-18s %-44s %-12s %s/%s\n' "$metric" "$(quartiles <"$tmp/r")" \
-        "$(quartiles <"$tmp/c" | cut -d' ' -f1)" "$wins" "$pairs"
-done
+# pairs_of workload: the alternating runs of one workload, then its table.
+pairs_of() {
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        for side in rev change; do
+            if ! "$tmp/perf-$side" --workload "$1" --seed 7 --seconds 30 --trace 0 \
+                >"$tmp/out" 2>&1; then
+                echo "perf-pairs.sh: $1, pair $i, $side: perf failed" >&2
+                cat "$tmp/out" >&2
+                exit 1
+            fi
+            # The result object is the last line perf prints.
+            tail -n 1 "$tmp/out" >"$tmp/$side.$i.json"
+            jq -r --argjson names "$names" --arg pair "$i" --arg side "$side" '
+                [("pair " + $pair), $side]
+                + [$names[] as $m | "\($m)=\(.metrics[$m].value)"]
+                + ["failed=\(.failed)/\(.attempted)"] | join(" ")' "$tmp/$side.$i.json"
+        done
+        i=$((i + 1))
+    done
+
+    echo
+    printf '%-18s %-44s %-12s %s\n' metric "$rev median [quartiles]" change better
+    jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json | while read -r metric better; do
+        values rev "$metric" >"$tmp/r"
+        values change "$metric" >"$tmp/c"
+        if grep -qv '^[-0-9.eE+]*$' "$tmp/r" "$tmp/c"; then
+            printf '%-18s not reported by %s\n' "$metric" "$1"
+            continue
+        fi
+        wins=$(paste "$tmp/r" "$tmp/c" | awk -v b="$better" '
+            (b == "lower" && $2 < $1) || (b == "higher" && $2 > $1) { n++ }
+            END { print n + 0 }')
+        printf '%-18s %-44s %-12s %s/%s\n' "$metric" "$(quartiles <"$tmp/r")" \
+            "$(quartiles <"$tmp/c" | cut -d' ' -f1)" "$wins" "$pairs"
+    done
+}
+
+if [ "$workload" = all ]; then
+    for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
+        echo "== $w"
+        pairs_of "$w"
+        echo
+    done
+else
+    pairs_of "$workload"
+fi
