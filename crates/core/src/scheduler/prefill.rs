@@ -250,6 +250,47 @@ mod tests {
         );
     }
 
+    /// Mixed-class traffic under `class_aware = false`, arriving over three
+    /// steps: the report's step and work counts and each request's
+    /// `(id, ttft_iters, decode_span_iters)`.
+    fn class_blind_run(mixed: bool) -> (u64, u64, Vec<(u64, u64, u64)>, Vec<(u64, Vec<u32>)>) {
+        let mut scfg = SchedulerConfig::new(4096);
+        scfg.chunk_tokens = 8;
+        scfg.class_aware = false;
+        let mut sched = scheduler(EngineConfig::lserve_fp16(), scfg);
+        let classes = [SloClass::Batch, SloClass::Interactive, SloClass::BestEffort];
+        for id in 0..6u64 {
+            let class = if mixed {
+                classes[id as usize % 3]
+            } else {
+                SloClass::Batch
+            };
+            sched.submit(request(id, 20 + 6 * id as usize, 6).class(class));
+            if id % 2 == 1 {
+                sched.step();
+            }
+        }
+        let r = sched.run_to_completion(10_000);
+        let timing = r
+            .request_metrics
+            .iter()
+            .map(|m| (m.id, m.ttft_iters, m.decode_span_iters))
+            .collect();
+        (r.scheduler_steps, sched.work_tokens(), timing, r.completed)
+    }
+
+    #[test]
+    fn class_blind_scheduling_ignores_the_classes() {
+        // With `class_aware` off every rank has class 0, so no class rule
+        // (admission order, victim choice, the interactive feed shield)
+        // can tell the classes apart: a mixed-class run takes the steps of
+        // the same traffic in one class, request by request, and the counts
+        // this scene took before the shield existed.
+        let mixed = class_blind_run(true);
+        assert_eq!(mixed, class_blind_run(false));
+        assert_eq!((mixed.0, mixed.1), (13, 240));
+    }
+
     #[test]
     fn chunked_prefill_output_matches_monolithic_prefill() {
         // With FP16 paging and no sparsity interference, feeding the prompt in

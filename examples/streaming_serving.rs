@@ -12,9 +12,9 @@
 //!    the prefix cache, and the survivor's output is untouched.
 //! 3. **SLO mix** — the `slo_mix` workload (long batch prompts with short
 //!    interactive requests arriving behind them) under class-aware scheduling
-//!    vs class-blind FCFS: per-class p50/p95 TTFT in work tokens, asserting
-//!    the interactive-class p95 improves at least 2x at equal total
-//!    throughput.
+//!    vs class-blind FCFS: per-class p50/p95 TTFT in work tokens. That the
+//!    interactive-class p95 improves at least 2x at equal outputs is a test
+//!    of the same scene (`tests/proptest_scheduler.rs`).
 //!
 //! ```text
 //! cargo run --release --example streaming_serving
@@ -224,21 +224,12 @@ fn slo_mix_demo() {
         reports.push(report);
     }
     let (blind, aware) = (&reports[0], &reports[1]);
-    // Equal total throughput: both runs complete every request with the same
-    // outputs (determinism: scheduling order never changes tokens).
-    assert_eq!(aware.completed.len(), requests.len());
-    assert_eq!(aware.completed, blind.completed, "outputs must not change");
     let blind_p95 = blind.ttft_work_percentile_class(SloClass::Interactive, 0.95);
     let aware_p95 = aware.ttft_work_percentile_class(SloClass::Interactive, 0.95);
     println!(
         "  interactive p95 TTFT: {blind_p95} -> {aware_p95} work tokens \
          ({:.1}x better)\n",
         blind_p95 as f64 / aware_p95.max(1) as f64
-    );
-    assert!(
-        aware_p95 * 2 <= blind_p95,
-        "class-aware scheduling must improve interactive p95 TTFT >= 2x \
-         (aware {aware_p95}, blind {blind_p95})"
     );
 }
 

@@ -9,17 +9,24 @@
 //! also pins the thread-count axis: for any worker count, chunk size, pool
 //! pressure (preemption/resume included), and KV precision, the scheduler's
 //! outputs are bit-identical to the single-threaded run.
+//!
+//! It also holds the SLO-class claim: on the SLO-mix scene, class-aware
+//! scheduling gives interactive requests a p95 TTFT at least 2x better than
+//! class-blind FCFS at equal outputs.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use lserve::core::{
     sequence_pages_estimate, AdmissionPolicy, EngineConfig, ModelExecutor, ParallelExecStats,
-    PlacementPolicy, PreemptionPolicy, RequestSpec, Scheduler, SchedulerConfig, ServingEvent,
-    ShardingPlan, Topology,
+    PlacementPolicy, PreemptionPolicy, RequestHandle, RequestSpec, Scheduler, SchedulerConfig,
+    ServingEvent, ServingReport, ShardingPlan, SloClass, Topology,
 };
 use lserve::kvcache::{PagePool, PagingConfig};
 use lserve::model::{greedy_next_token, ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
+use lserve::trace::Tracer;
+use lserve::workloads::{slo_mix_workload, SloMixConfig};
 use proptest::prelude::*;
 
 fn weights(seed: u64) -> Arc<ModelWeights> {
@@ -122,6 +129,93 @@ fn forced_preemption_and_chunked_prefill_match_solo_runs() {
             assert!(preempted as u64 >= report.preemptions);
         }
     }
+}
+
+/// One run of the SLO-mix scene (`SloMixConfig::small`: long unshared batch
+/// prompts with short interactive requests right behind them, each
+/// interactive one with a TTFT deadline of four batch prompts, in a pool of
+/// about 1.5 batch sequences), and its interference count: the steps in
+/// which an interactive request got a token while a lower-class feed
+/// advanced, read from the `prefill.chunk` spans of a ring tracer.
+fn slo_mix_run(class_aware: bool) -> (ServingReport, usize) {
+    let wl = SloMixConfig::small();
+    let cfg = small_page_cfg();
+    let exec = Arc::new(ModelExecutor::new(weights(11), cfg.clone()));
+    let per_batch = estimate(
+        &cfg,
+        &exec.weights().config,
+        wl.batch_prompt_tokens + wl.batch_new_tokens,
+    );
+    let mut scfg = SchedulerConfig::new(per_batch + per_batch / 2);
+    scfg.chunk_tokens = 16;
+    scfg.class_aware = class_aware;
+    let tracer = Tracer::ring(1 << 16);
+    scfg.tracer = tracer.clone();
+    let mut sched = Scheduler::new(exec, scfg);
+    let mut interactive: Vec<RequestHandle> = Vec::new();
+    let mut lower = HashSet::new();
+    for (i, r) in slo_mix_workload(&wl).iter().enumerate() {
+        let mut spec = RequestSpec::new(i as u64, r.spec.prompt.clone())
+            .max_new_tokens(r.spec.max_new_tokens);
+        if r.interactive {
+            spec = spec
+                .class(SloClass::Interactive)
+                .deadline_work_tokens(4 * wl.batch_prompt_tokens as u64);
+            interactive.push(sched.submit(spec));
+        } else {
+            lower.insert(i as u64);
+            sched.submit(spec);
+        }
+    }
+    let mut interference = 0;
+    for _ in 0..1_000_000 {
+        if sched.queued() + sched.running() == 0 {
+            break;
+        }
+        sched.step();
+        let (events, dropped) = tracer.drain();
+        assert_eq!(dropped, 0, "the ring holds a step's events");
+        let fed_lower = events
+            .iter()
+            .any(|e| e.name == "prefill.chunk" && lower.contains(&e.tid));
+        // Drain every handle, so that no event is left for a later step.
+        let served = interactive.iter().fold(false, |served, h| {
+            let events = h.drain_events();
+            served
+                || events.iter().any(|e| {
+                    matches!(
+                        e,
+                        ServingEvent::FirstToken { .. } | ServingEvent::Token { .. }
+                    )
+                })
+        });
+        interference += usize::from(fed_lower && served);
+    }
+    (sched.run_to_completion(0), interference)
+}
+
+/// The SLO-class claim (formerly asserted by `examples/streaming_serving.rs`
+/// at run time): class-aware scheduling improves the interactive p95 TTFT at
+/// least 2x over class-blind FCFS on the SLO-mix scene, at equal outputs.
+#[test]
+fn class_aware_scheduling_improves_interactive_p95_ttft_at_least_2x() {
+    let (blind, _) = slo_mix_run(false);
+    let (aware, interference) = slo_mix_run(true);
+    assert_eq!(aware.completed.len(), SloMixConfig::small().total_requests());
+    assert_eq!(aware.completed, blind.completed, "outputs must not change");
+    let blind_p95 = blind.ttft_work_percentile_class(SloClass::Interactive, 0.95);
+    let aware_p95 = aware.ttft_work_percentile_class(SloClass::Interactive, 0.95);
+    println!(
+        "interactive p95 TTFT {blind_p95} -> {aware_p95} work tokens ({:.1}x); \
+         interference steps {interference}",
+        blind_p95 as f64 / aware_p95.max(1) as f64
+    );
+    assert!(
+        aware_p95 * 2 <= blind_p95,
+        "class-aware scheduling must improve interactive p95 TTFT >= 2x \
+         (aware {aware_p95}, blind {blind_p95})"
+    );
+    assert_eq!(interference, 5, "steps serving interactive tokens beside a lower-class feed");
 }
 
 /// Deterministic anchor for the parallel-decode acceptance criterion: a mixed
