@@ -293,6 +293,63 @@ mod tests {
     }
 
     #[test]
+    fn an_interactive_parents_branches_wait_for_it_and_match_their_solo_runs() {
+        // Branches race as `BestEffort`, so the interactive shield holds
+        // their feeds (the parent's pending token and the suffix) while
+        // their interactive parent runs: no branch gets a token before the
+        // parent finishes. Then the group resolves under either policy, and
+        // every surviving branch equals its solo run.
+        let cfg = EngineConfig::lserve_fp16();
+        let mk = || {
+            let mut scfg = SchedulerConfig::new(4096);
+            scfg.chunk_tokens = 8;
+            scfg
+        };
+        for policy in [JoinPolicy::All, JoinPolicy::FirstFinished] {
+            let mut sched = scheduler(cfg.clone(), mk());
+            let hp = sched.submit(request(1, 16, 12).class(SloClass::Interactive));
+            let gen_at_fork = run_until_generated(&mut sched, &hp, 3);
+            let branches = [(2u64, vec![60, 61], 4), (3, vec![62], 6)];
+            let specs: Vec<BranchSpec> = branches
+                .iter()
+                .map(|(id, suffix, n)| BranchSpec::new(*id, suffix.clone()).max_new_tokens(*n))
+                .collect();
+            let out = sched.fork(1, policy, &specs).unwrap();
+            while sched.status(1) == Some(RequestStatus::Running) {
+                sched.step();
+                for h in &out.handles {
+                    assert!(
+                        drained_tokens(&h.drain_events()).is_empty(),
+                        "a branch got a token while its interactive parent ran ({policy:?})"
+                    );
+                }
+            }
+            let r = sched.run_to_completion(100_000);
+            let js = sched.join_status(out.group).unwrap();
+            assert!(js.resolved, "{policy:?}");
+            let mut history = request(1, 16, 0).prompt;
+            history.extend_from_slice(&gen_at_fork);
+            let survivors: Vec<_> = branches
+                .iter()
+                .filter_map(|(id, suffix, n)| {
+                    let got = r.completed.iter().find(|(i, _)| i == id)?;
+                    Some((got.1.clone(), suffix, *n))
+                })
+                .collect();
+            let want_survivors = if policy == JoinPolicy::All { 2 } else { 1 };
+            assert_eq!(survivors.len(), want_survivors, "{policy:?}");
+            for (got, suffix, n) in survivors {
+                let mut solo = scheduler(cfg.clone(), mk());
+                let mut prompt = history.clone();
+                prompt.extend_from_slice(suffix);
+                solo.submit(RequestSpec::new(9, prompt).max_new_tokens(n));
+                let want = solo.run_to_completion(100_000).completed[0].1.clone();
+                assert_eq!(got, want, "{policy:?}: a branch diverged from its solo run");
+            }
+        }
+    }
+
+    #[test]
     fn first_finished_join_cancels_losers_with_donation() {
         let mut scfg = SchedulerConfig::new(4096);
         scfg.chunk_tokens = 8;

@@ -8,13 +8,24 @@ use lserve_model::greedy_next_token;
 use lserve_trace::lane;
 
 use super::{Scheduler, SloKey};
-use crate::api::RejectReason;
+use crate::api::{RejectReason, SloClass};
 
 impl Scheduler {
     /// Feeds prompt (and resume) tokens, up to `chunk_tokens` per sequence per
     /// iteration, in rank order (interactive sequences feed before batch ones).
+    ///
+    /// The interactive shield: while an `Interactive` sequence is running
+    /// (feeding or decoding) at the start of the phase, a `Batch` or
+    /// `BestEffort` sequence feeds nothing, so no lower-class chunk lands in
+    /// a step that serves an interactive token. A held sequence feeds again
+    /// once no interactive one runs, or once the work clock passes its
+    /// virtual deadline (`deadline_work_tokens`, else `no_deadline_slack`),
+    /// so nothing starves. With `class_aware` off every rank has class 0 and
+    /// nothing is held.
     pub(super) fn prefill_phase(&mut self, now: u64) {
         let exec = Arc::clone(&self.exec);
+        let interactive = SloClass::Interactive.rank();
+        let shielded = self.running.iter().any(|s| s.core.key.class == interactive);
         let order: Vec<u64> = self.running.iter().map(|s| s.core.arrival).collect();
         for ar in order {
             // Re-locate: earlier work in this phase may have preempted sequences.
@@ -25,6 +36,9 @@ impl Scheduler {
                 continue;
             }
             let my_key = self.running[i].core.key;
+            if shielded && my_key.class > interactive && self.work_tokens <= my_key.vdeadline {
+                continue;
+            }
             let mut budget = self.scfg.chunk_tokens;
             // First grid cell: fused tile prefill over the fixed tile grid (a pure
             // function of absolute token position), so replays after preemption and
@@ -248,6 +262,48 @@ mod tests {
             short_done_at <= 6,
             "short request head-of-line blocked until iteration {short_done_at}"
         );
+    }
+
+    #[test]
+    fn a_held_batch_feed_ages_in_at_its_deadline() {
+        // One interactive request decodes through the whole scene, so some
+        // interactive sequence runs in every step. Request 2 (batch, a
+        // 40-work-token deadline) is held until the work clock passes its
+        // virtual deadline, then feeds while the interactive one still runs;
+        // request 3 (batch, no deadline: 2^20 tokens of slack) is held until
+        // the interactive one finishes.
+        let mut scfg = SchedulerConfig::new(4096);
+        scfg.chunk_tokens = 8;
+        let mut sched = scheduler(EngineConfig::lserve_fp16(), scfg);
+        sched.submit(request(1, 8, 120).class(SloClass::Interactive));
+        sched.step();
+        let submitted = sched.work_tokens();
+        let aged = sched.submit(request(2, 24, 4).deadline_work_tokens(40));
+        let held = sched.submit(request(3, 24, 4));
+        let first_token = |h: &RequestHandle| {
+            h.drain_events()
+                .iter()
+                .any(|e| matches!(e, ServingEvent::FirstToken { .. }))
+        };
+        let (mut aged_at, mut held_at) = (None, None);
+        while sched.queued() + sched.running() > 0 {
+            sched.step();
+            let interactive_running = sched.status(1) == Some(RequestStatus::Running);
+            if first_token(&aged) {
+                aged_at = Some((sched.work_tokens(), interactive_running));
+            }
+            if first_token(&held) {
+                held_at = Some(interactive_running);
+            }
+        }
+        let (aged_work, beside_interactive) = aged_at.expect("request 2 got a first token");
+        assert!(
+            aged_work > submitted + 40,
+            "request 2 fed before its deadline passed (clock {aged_work}, submitted at {submitted})"
+        );
+        assert!(beside_interactive, "request 2 waited for the interactive request to finish");
+        assert_eq!(held_at, Some(false), "request 3 fed beside the interactive request");
+        assert_eq!(sched.report_snapshot().completed.len(), 3);
     }
 
     /// Mixed-class traffic under `class_aware = false`, arriving over three

@@ -39,9 +39,9 @@ overcommit_swap overcommit
     kvcache.pages_promoted == 3195
     kvcache.pages_spilled == 114
 serve_mix_open serve-mix
-    scheduler.steps == 1281
-    scheduler.work_tokens == 20570
-    prefixcache.insertions == 144
+    scheduler.steps == 1481
+    scheduler.work_tokens == 20058
+    prefixcache.insertions == 142
 long_decode long-decode
     scheduler.steps == 2054
     scheduler.work_tokens == 16380

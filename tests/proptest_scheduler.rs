@@ -215,7 +215,7 @@ fn class_aware_scheduling_improves_interactive_p95_ttft_at_least_2x() {
         "class-aware scheduling must improve interactive p95 TTFT >= 2x \
          (aware {aware_p95}, blind {blind_p95})"
     );
-    assert_eq!(interference, 5, "steps serving interactive tokens beside a lower-class feed");
+    assert_eq!(interference, 0, "steps serving interactive tokens beside a lower-class feed");
 }
 
 /// Deterministic anchor for the parallel-decode acceptance criterion: a mixed

@@ -15,10 +15,14 @@
 //! FNV-1a hash per row; `parallel.stolen` and the `busy_ns_*` fields are
 //! wall-clock and stay out. [`TRANSCRIPT`] holds the hashes as the scheduler
 //! produced them while `SchedulerConfig::new` still read its defaults from
-//! the process environment, regenerated once since: when selection-driven
+//! the process environment, regenerated twice since. When selection-driven
 //! demotion became the one path at a staleness of two chunks (this traffic
 //! had run at one), every row moved, to what the code before that change
-//! produced with the staleness forced to two. Every `SchedulerConfig` field
+//! produced with the staleness forced to two. When running interactive
+//! sequences began to hold lower-class feeds (the interactive shield of
+//! `prefill_phase`), every row moved again: the traffic mixes the classes,
+//! so some step of each row feeds a batch or best-effort prompt beside an
+//! interactive sequence. Every `SchedulerConfig` field
 //! is set here, so no default reaches a row: a change that only moves
 //! configuration reproduces every row, and a change that moves one has
 //! changed what some call returns or books — say which, and why, in the
@@ -89,60 +93,60 @@ impl Setting {
 
 /// One hash per `(setting, seed)`, in the order [`configurations`] yields.
 const TRANSCRIPT: [u64; 54] = [
-    0x06d437f206673768, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 1
-    0xa1d5b77c7e18471c, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 2
-    0x7fa40c1d848f60a2, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 3
-    0xbedcf1fb5e372f5d, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 1
-    0x637bdfe3206c28de, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 2
-    0xe0e55ca9025516ba, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 3
-    0xbbcc1bc37d1ee435, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 1
-    0x594449306e670d2d, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 2
-    0x1b0507e185cd66f6, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 3
-    0x4ecfcc34d9e921d3, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 1
-    0xab9c939b41238cf5, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 2
-    0xeb2b2b6f3df3a58b, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 3
-    0x7649777ff4126f79, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 1
-    0x034182eb7c120668, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 2
-    0x88b47acbaf0ff968, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 3
-    0x879284c85540a9a4, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 1
-    0xfc448012c95ca331, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 2
-    0xd683142890f7d33f, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 3
-    0x6ef25e41d10e6186, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 1
-    0x3aff672afad946dc, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 2
-    0x1ae251b8f9d1389a, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 3
-    0x43fc5ea17e2eec40, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 1
-    0x7beaa8f4d1ac14a1, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 2
-    0x2d21865acff2b5b6, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 3
-    0x2ff77dfb5e4dbc3a, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 1
-    0x7cbc4cd1d0e937f0, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 2
-    0x830b23c103644d85, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 3
-    0x24ec540657de5980, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 1
-    0x68aac48e5478d7db, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 2
-    0x060e308b24183d21, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 3
-    0x138c79460d6580a0, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 1
-    0xea57fc2705b1895f, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 2
-    0x1769f22967ac23e3, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 3
-    0xef6f2cd4204c5f26, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 1
-    0xe889e0ef0a978012, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 2
-    0x2227637d44eb5ac5, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 3
-    0x8431528d5fa748e9, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 1
-    0x673ceda2f85b4949, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 2
-    0x4af0d2b69160e150, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 3
-    0xa06b8c978cb5f66c, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 1
-    0x1995abbfd2b54049, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 2
-    0x7a7b386b42627123, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 3
-    0x030f3ca7ec626fc2, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 1
-    0x125c8355283300b3, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 2
-    0x8b0accfc714fb58e, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 3
-    0x70c93f9b47dca5ae, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 1
-    0x594194d71dedc1da, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 2
-    0x7f727577f14d94a9, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 3
-    0xb7718ae671051a75, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 1
-    0xd21db8e3206cb387, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 2
-    0xb55da88aa68ec133, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 3
-    0xae4169a3baf6d816, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 1
-    0xaee578fcd25c1586, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 2
-    0xb9744ae912f4eec0, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 3
+    0x6c18bef9138fd493, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 1
+    0xc3fd261609cd8acd, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 2
+    0x8ad3215a71de89ae, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 3
+    0x6a81a75f19158f8b, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 1
+    0xcd7f2c7f7913d882, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 2
+    0x942020efd10019fc, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 3
+    0xcd9e19da964c561a, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 1
+    0x29ab7e8f132e735d, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 2
+    0x381c1bd69e514841, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 3
+    0xeb0fc66c3bd3e529, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 1
+    0x1fad364fa283bfa4, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 2
+    0x5f674c3b16e9f3a3, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 3
+    0x759a966004ff692c, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 1
+    0x391cb66224d4183b, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 2
+    0x2de4d1a46472ac5c, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 3
+    0x464ae45fe9f19d0d, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 1
+    0x84a75ef713892f5e, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 2
+    0x5d07a70e24f662d4, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 3
+    0x5d0e3bdf1d60591a, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 1
+    0x36b3ba586c91b3bb, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 2
+    0xc1e9efeef9d16c61, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 3
+    0x169009c9c9933336, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 1
+    0xe874816fac4f8198, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 2
+    0x6d04018adcace819, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 3
+    0x62cd4b446e92b630, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 1
+    0xd94a5bbaa66ee196, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 2
+    0xef30304c366515a3, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 3
+    0x54844e4785716f38, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 1
+    0xea04631e211882b5, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 2
+    0x41171bca739d8ac0, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 3
+    0x12ebe38792af8124, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 1
+    0x41ce8cf6cd2ece36, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 2
+    0xc1a6256805d0844d, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 3
+    0x2af7d280ae8e25f1, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 1
+    0x2309f2a4e5b40809, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 2
+    0x901a0d2165455cf7, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 3
+    0xe3e9f3ba8efd59ab, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 1
+    0x7df78c6217a144ac, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 2
+    0xba6c533b820e28cc, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 3
+    0xf0a0a714f9e5bb72, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 1
+    0xc59670a38de011cc, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 2
+    0xf02d11203b7f25b8, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 3
+    0xa9be3e792496c6a5, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 1
+    0xc086bfe70370f694, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 2
+    0x6a8d643cee8e219b, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 3
+    0xa8f4bd2d68a6dc16, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 1
+    0xf02d1dcc1494a021, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 2
+    0x8c2080a2fc1446f6, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 3
+    0x901bc8044b369d1a, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 1
+    0xfd538e12fa680d86, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 2
+    0x0381ad529506c21c, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 3
+    0x37face4e1d516406, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 1
+    0x6a71ecaaf49f5427, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 2
+    0x2107816c1247cd1d, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 3
 ];
 
 fn configurations() -> impl Iterator<Item = (Setting, u64)> {
