@@ -21,8 +21,11 @@ use crate::sharding::PlacementPolicy;
 /// deadlines whose no-deadline fallback ages with the work clock).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SloClass {
-    /// Latency-sensitive traffic: admitted ahead of other classes and shielded
-    /// from preemption while any lower class is running.
+    /// Latency-sensitive traffic: admitted ahead of other classes, shielded
+    /// from preemption while any lower class is running, and from
+    /// lower-class prompt feeds: while one runs, `Batch` and `BestEffort`
+    /// sequences feed no prompt tokens until the work clock passes their
+    /// virtual deadline, so its decode steps carry no lower-class chunk.
     Interactive,
     /// Throughput traffic with ordinary guarantees — the default, and the
     /// behaviour of the pre-SLO scheduler when every request uses it.
@@ -482,11 +485,16 @@ pub struct SchedulerConfig {
     /// NVME_TRANSFER_SPEEDUP`], an order of magnitude slower per hop than
     /// the host link). Defaults to off. Outputs are bit-identical either way.
     pub nvme: bool,
-    /// Enables SLO-class- and deadline-aware scheduling (the default). When
-    /// `false`, admission and victim selection fall back to class-blind FCFS
-    /// arrival order — the baseline the interactive-class win is measured
-    /// against. Outputs per request are bit-identical either way; only
-    /// ordering (and therefore latency) changes.
+    /// Enables SLO-class- and deadline-aware scheduling (the default):
+    /// class-first admission and victim choice, and the interactive shield,
+    /// which holds `Batch` and `BestEffort` prompt feeds while an
+    /// `Interactive` sequence runs, each until the work clock passes its
+    /// virtual deadline (so a lower-class first token can be that much
+    /// later). When `false`, admission and victim selection fall back to
+    /// class-blind FCFS arrival order and nothing is held — the baseline the
+    /// interactive-class win is measured against. Outputs per request are
+    /// bit-identical either way; only ordering (and therefore latency)
+    /// changes.
     pub class_aware: bool,
     /// Virtual-deadline slack, in work tokens, assigned to requests that carry
     /// no explicit deadline. Within a class the scheduler orders by virtual

@@ -526,7 +526,6 @@ mod tests {
     #[test]
     fn a_known_id_goes_to_its_home_replica_and_is_rejected_there() {
         use crate::api::{RejectReason, RequestStatus, ServingEvent};
-        use crate::dag::{BranchSpec, JoinPolicy};
 
         // Without affinity the second request would go to the idle replica 1.
         let mut cluster = tiny_cluster(2, 0);
@@ -539,14 +538,25 @@ mod tests {
                 reason: RejectReason::DuplicateId
             }]
         );
-        assert_eq!(cluster.replica(1).queued() + cluster.replica(1).running(), 0);
-        assert_eq!(cluster.router_stats().routed, 1, "a duplicate is not routed");
+        assert_eq!(
+            cluster.replica(1).queued() + cluster.replica(1).running(),
+            0
+        );
+        assert_eq!(
+            cluster.router_stats().routed,
+            1,
+            "a duplicate is not routed"
+        );
         for _ in 0..8 {
             cluster.step();
         }
         // The first request is untouched, and its forks still land beside it.
         let out = cluster
-            .fork(5, JoinPolicy::All, &[BranchSpec::new(6, vec![60]).max_new_tokens(2)])
+            .fork(
+                5,
+                JoinPolicy::All,
+                &[BranchSpec::new(6, vec![60]).max_new_tokens(2)],
+            )
             .unwrap();
         assert_eq!(out.replica, 0);
         let report = cluster.run_to_completion(10_000);
@@ -564,15 +574,16 @@ mod tests {
 
     #[test]
     fn a_branch_id_known_on_another_replica_is_a_duplicate() {
-        use crate::dag::{BranchSpec, ForkError, JoinPolicy};
-
         let mut cluster = tiny_cluster(2, 0);
         cluster.submit(RequestSpec::new(1, family(0, 1, 24).remove(0)).max_new_tokens(20));
         cluster.submit(RequestSpec::new(2, family(500, 1, 24).remove(0)).max_new_tokens(20));
         for _ in 0..8 {
             cluster.step();
         }
-        assert!(cluster.replica(1).running() > 0, "request 2 lives on replica 1");
+        assert!(
+            cluster.replica(1).running() > 0,
+            "request 2 lives on replica 1"
+        );
         // Replica 0's scheduler has never seen id 2, so only the cluster can
         // tell that the branch would shadow request 2.
         assert_eq!(
@@ -584,7 +595,10 @@ mod tests {
         assert_eq!(cluster.router_stats().fork_affinity, 0);
         let report = cluster.run_to_completion(10_000);
         assert_eq!(report.completed(), 2);
-        assert_eq!(report.replicas[0].dag.forks, 0, "the failed fork left no trace");
+        assert_eq!(
+            report.replicas[0].dag.forks, 0,
+            "the failed fork left no trace"
+        );
     }
 
     /// The cluster still panics on a bad config, with the message the

@@ -29,7 +29,10 @@
 //!   in work tokens; requests without a deadline age via
 //!   [`SchedulerConfig::no_deadline_slack`], so nothing starves within its
 //!   class), and — under [`crate::PreemptionPolicy::Swap`] — the per-victim swap cost
-//!   (fewest sole-owned hot pages).
+//!   (fewest sole-owned hot pages). While an interactive sequence runs,
+//!   lower-class sequences feed no prompt tokens until their virtual
+//!   deadline passes (the interactive shield), so interactive decode steps
+//!   carry no batch prefill chunk.
 //! * **Iteration-level continuous batching** (Orca): every scheduler iteration
 //!   advances all running sequences by one token through the executor's
 //!   row-feeding body, which walks layers in the outer loop with the batch's

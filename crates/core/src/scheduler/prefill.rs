@@ -12,7 +12,7 @@ use crate::api::{RejectReason, SloClass};
 
 impl Scheduler {
     /// Feeds prompt (and resume) tokens, up to `chunk_tokens` per sequence per
-    /// iteration, in rank order (interactive sequences feed before batch ones).
+    /// iteration, in rank order.
     ///
     /// The interactive shield: while an `Interactive` sequence is running
     /// (feeding or decoding) at the start of the phase, a `Batch` or
@@ -20,8 +20,9 @@ impl Scheduler {
     /// a step that serves an interactive token. A held sequence feeds again
     /// once no interactive one runs, or once the work clock passes its
     /// virtual deadline (`deadline_work_tokens`, else `no_deadline_slack`),
-    /// so nothing starves. With `class_aware` off every rank has class 0 and
-    /// nothing is held.
+    /// so nothing starves: a lower-class first token waits on the shield at
+    /// most until that deadline. With `class_aware` off every rank has
+    /// class 0 and nothing is held.
     pub(super) fn prefill_phase(&mut self, now: u64) {
         let exec = Arc::clone(&self.exec);
         let interactive = SloClass::Interactive.rank();
@@ -301,15 +302,22 @@ mod tests {
             aged_work > submitted + 40,
             "request 2 fed before its deadline passed (clock {aged_work}, submitted at {submitted})"
         );
-        assert!(beside_interactive, "request 2 waited for the interactive request to finish");
-        assert_eq!(held_at, Some(false), "request 3 fed beside the interactive request");
+        assert!(
+            beside_interactive,
+            "request 2 waited for the interactive request to finish"
+        );
+        assert_eq!(
+            held_at,
+            Some(false),
+            "request 3 fed beside the interactive request"
+        );
         assert_eq!(sched.report_snapshot().completed.len(), 3);
     }
 
     /// Mixed-class traffic under `class_aware = false`, arriving over three
     /// steps: the report's step and work counts and each request's
     /// `(id, ttft_iters, decode_span_iters)`.
-    fn class_blind_run(mixed: bool) -> (u64, u64, Vec<(u64, u64, u64)>, Vec<(u64, Vec<u32>)>) {
+    fn class_blind_run(mixed: bool) -> (u64, u64, Vec<(u64, u64, u64)>) {
         let mut scfg = SchedulerConfig::new(4096);
         scfg.chunk_tokens = 8;
         scfg.class_aware = false;
@@ -332,7 +340,7 @@ mod tests {
             .iter()
             .map(|m| (m.id, m.ttft_iters, m.decode_span_iters))
             .collect();
-        (r.scheduler_steps, sched.work_tokens(), timing, r.completed)
+        (r.scheduler_steps, sched.work_tokens(), timing)
     }
 
     #[test]

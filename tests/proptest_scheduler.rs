@@ -155,8 +155,8 @@ fn slo_mix_run(class_aware: bool) -> (ServingReport, usize) {
     let mut interactive: Vec<RequestHandle> = Vec::new();
     let mut lower = HashSet::new();
     for (i, r) in slo_mix_workload(&wl).iter().enumerate() {
-        let mut spec = RequestSpec::new(i as u64, r.spec.prompt.clone())
-            .max_new_tokens(r.spec.max_new_tokens);
+        let mut spec =
+            RequestSpec::new(i as u64, r.spec.prompt.clone()).max_new_tokens(r.spec.max_new_tokens);
         if r.interactive {
             spec = spec
                 .class(SloClass::Interactive)
@@ -201,7 +201,10 @@ fn slo_mix_run(class_aware: bool) -> (ServingReport, usize) {
 fn class_aware_scheduling_improves_interactive_p95_ttft_at_least_2x() {
     let (blind, _) = slo_mix_run(false);
     let (aware, interference) = slo_mix_run(true);
-    assert_eq!(aware.completed.len(), SloMixConfig::small().total_requests());
+    assert_eq!(
+        aware.completed.len(),
+        SloMixConfig::small().total_requests()
+    );
     assert_eq!(aware.completed, blind.completed, "outputs must not change");
     let blind_p95 = blind.ttft_work_percentile_class(SloClass::Interactive, 0.95);
     let aware_p95 = aware.ttft_work_percentile_class(SloClass::Interactive, 0.95);
@@ -215,7 +218,10 @@ fn class_aware_scheduling_improves_interactive_p95_ttft_at_least_2x() {
         "class-aware scheduling must improve interactive p95 TTFT >= 2x \
          (aware {aware_p95}, blind {blind_p95})"
     );
-    assert_eq!(interference, 0, "steps serving interactive tokens beside a lower-class feed");
+    assert_eq!(
+        interference, 0,
+        "steps serving interactive tokens beside a lower-class feed"
+    );
 }
 
 /// Deterministic anchor for the parallel-decode acceptance criterion: a mixed
