@@ -746,3 +746,94 @@ fn random_serving_traffic_reproduces_the_transcript_and_audits_clean() {
         );
     }
 }
+
+/// Pool sizes of [`tight_pool_row`]'s scene around one, 32 pages, where a
+/// first chunk ran short of pages and was thrown away five times under
+/// Swap while the scheduler still ran a first chunk on an estimate.
+const TIGHT_POOLS: [usize; 3] = [30, 32, 34];
+
+/// Per `(pool, preemption)` of [`tight_pool_rows`]: steps, work tokens,
+/// preemptions, completions, rejections and the peak of hot pages, as the
+/// code produced them while it ran a first chunk on an estimate.
+#[rustfmt::skip]
+const TIGHT_ROWS: [[u64; 6]; 6] = [
+    [28, 386, 7, 6, 0, 30], // pool 30, Replay
+    [30, 270, 4, 6, 0, 30], // pool 30, Swap
+    [24, 400, 9, 6, 0, 32], // pool 32, Replay
+    [26, 270, 4, 6, 0, 32], // pool 32, Swap
+    [23, 368, 6, 6, 0, 34], // pool 34, Replay
+    [25, 271, 5, 6, 0, 33], // pool 34, Swap
+];
+
+fn tight_pool_rows() -> impl Iterator<Item = (usize, PreemptionPolicy)> {
+    TIGHT_POOLS
+        .into_iter()
+        .flat_map(|pool| [PreemptionPolicy::Replay, PreemptionPolicy::Swap].map(|p| (pool, p)))
+}
+
+/// Six batch requests arriving over five steps into a pool of `pool_pages`,
+/// fed 16 tokens a step, the first two long enough to feed for several
+/// steps. A late arrival is admitted on the pool it sees before the step's
+/// feeds and is ranked below every feed that runs before its first chunk,
+/// so that chunk can find the pool short with nothing ranked below it to
+/// preempt.
+fn tight_pool_row(pool_pages: usize, preemption: PreemptionPolicy) -> [u64; 6] {
+    let w = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 29));
+    let scfg = SchedulerConfig {
+        pool_pages,
+        chunk_tokens: 16,
+        max_batch: 4,
+        admission: AdmissionPolicy::FirstChunk,
+        prefix_cache: false,
+        decode_threads: 1,
+        devices: 1,
+        placement: PlacementPolicy::SparsityAware,
+        rebalance_interval: 4,
+        rebalance_threshold: 1.5,
+        preemption,
+        migration: MigrationMode::Sync,
+        host_pages: 0,
+        nvme: false,
+        class_aware: true,
+        no_deadline_slack: 512,
+        tracer: Tracer::disabled(),
+    };
+    let mut sched = Scheduler::new(Arc::new(ModelExecutor::new(w, engine_cfg())), scfg);
+    // (step, prompt length) per request.
+    let arrivals = [(0, 64), (0, 56), (1, 20), (2, 30), (3, 24), (5, 40)];
+    for step in 0..10_000 {
+        for (id, &(at, len)) in arrivals.iter().enumerate() {
+            if at == step {
+                let prompt = (0..len).map(|t| ((t * 13 + id * 7) % 90) as u32).collect();
+                sched.submit(RequestSpec::new(id as u64, prompt).max_new_tokens(6));
+            }
+        }
+        if step > 5 && sched.queued() + sched.running() == 0 {
+            break;
+        }
+        sched.step();
+    }
+    let r = sched.report_snapshot();
+    [
+        r.scheduler_steps,
+        sched.work_tokens(),
+        r.preemptions,
+        r.completed.len() as u64,
+        r.rejected.len() as u64,
+        r.peak_pages as u64,
+    ]
+}
+
+#[test]
+fn tight_pools_reproduce_the_first_chunk_rows() {
+    let got: Vec<[u64; 6]> = tight_pool_rows()
+        .map(|(p, s)| tight_pool_row(p, s))
+        .collect();
+    if got != TIGHT_ROWS {
+        let rows: Vec<String> = tight_pool_rows()
+            .zip(&got)
+            .map(|((pool, s), row)| format!("    {row:?}, // pool {pool}, {s:?}"))
+            .collect();
+        panic!("tight-pool rows moved:\n{}", rows.join("\n"));
+    }
+}
