@@ -211,14 +211,32 @@ impl ModelExecutor {
         }
     }
 
+    /// Free hot pages the fused first chunk of `tokens` tokens takes in the
+    /// empty `state`, exactly: per head, the pages its table holds after the
+    /// chunk — all of them for a dense head, at most its window's for a
+    /// streaming one. A windowed head takes its next page before it frees
+    /// its oldest, so when the last head the chunk appends to (the last
+    /// layer's last) is one whose window overflows, the chunk's peak is one
+    /// page above what it keeps. A fresh table shares no page and moves
+    /// nothing between tiers, so that is all of it.
+    pub fn prefill_page_demand(&self, state: &SequenceState, tokens: usize) -> usize {
+        let pages = self.cfg.paging.pages_for(tokens);
+        let kept = |p: &HeadPolicy| p.window().map_or(pages, |w| pages.min(w.max_pages()));
+        let last = state.policies.last().and_then(|l| l.last());
+        let overflows = last
+            .and_then(HeadPolicy::window)
+            .is_some_and(|w| pages > w.max_pages());
+        state.policies.iter().flatten().map(kept).sum::<usize>() + usize::from(overflows)
+    }
+
     /// Processes a whole prompt (or the first chunk of one) with the fused
     /// block-sparse prefill pipeline and writes KV into the two-way paged
     /// cache, on one worker thread.
     ///
     /// # Errors
     ///
-    /// Returns [`OutOfPagesError`] if the pool cannot hold the prompt's KV; the
-    /// state holds a partial cache and should then be [`SequenceState::release`]d.
+    /// Returns [`OutOfPagesError`], with nothing written, if the pool's free
+    /// pages are fewer than the chunk's [`ModelExecutor::prefill_page_demand`].
     ///
     /// # Panics
     ///
@@ -257,6 +275,9 @@ impl ModelExecutor {
     ) -> Result<PrefillOutput, OutOfPagesError> {
         assert!(!tokens.is_empty(), "empty prompt");
         assert_eq!(state.tokens_processed, 0, "prefill on a non-empty sequence");
+        if self.prefill_page_demand(state, tokens.len()) > pool.free_pages() {
+            return Err(OutOfPagesError);
+        }
         let model = &self.weights.config;
         let tracer = pool.tracer().clone();
         let angles = self.rope.angles(0..tokens.len());
@@ -265,9 +286,8 @@ impl ModelExecutor {
             let serial_start = tracer.now();
             let LayerActivations { q, k, v } = pre_attention(model, lw, &x, &angles);
             for t in 0..tokens.len() {
-                if !append_token(&mut state.layers[l], pool, k.row(t), v.row(t)) {
-                    return Err(OutOfPagesError);
-                }
+                let fits = append_token(&mut state.layers[l], pool, k.row(t), v.row(t));
+                assert!(fits, "the chunk's pages were free");
             }
             // The serial phase costs one clock tick per prompt token (QKV,
             // RoPE, KV writeback all scale with the chunk).

@@ -2,13 +2,13 @@
 //! selection (§3.5), the tiered-memory residency pass — selection-driven
 //! demotion, promotion, promotion by exchange — and selector-driven prefetch;
 //! plus [`ModelExecutor::step_page_demand`], the reservation that makes the
-//! pass unable to fail short of a bounded host refusing a demotion.
+//! pass unable to fail.
 
 use lserve_kvcache::{Moved, PageId, PagePool};
 use lserve_selector::PageSelector;
 use lserve_trace::lane;
 
-use super::{ModelExecutor, OutOfPagesError, SequenceState};
+use super::{ModelExecutor, SequenceState};
 
 /// Fresh selection chunks a page of a selecting dense head may go unpicked
 /// before the residency pass demotes it. Two is the least that lets a page
@@ -26,7 +26,8 @@ impl ModelExecutor {
     /// selecting head promotes at most a budget of pages and can exchange one
     /// of its own sole-owned slot-holding pages for each, so it needs slots
     /// only while it holds fewer of those than a budget. Reserve this much
-    /// and the step cannot fail, short of a bounded host refusing a demotion.
+    /// and the step cannot fail: an exchange is one pool step that no full
+    /// bounded host refuses ([`PagePool::exchange`]).
     pub fn step_page_demand(&self, state: &SequenceState, pool: &PagePool) -> usize {
         let mut need = state.pages_needed_for_next_token(pool);
         if pool.total_in_use() == pool.in_use() && pool.in_flight_transfers() == 0 {
@@ -156,8 +157,9 @@ impl ModelExecutor {
     ///    more are free than `reserved` — the slots this batch's appends and
     ///    unexchangeable promotions still need (see
     ///    [`ModelExecutor::step_page_demand`]) — and otherwise pays for its
-    ///    slot by **exchange** ([`ModelExecutor::exchange_out`]): one modeled
-    ///    transfer each way, zero net hot pages.
+    ///    slot by **exchange** ([`ModelExecutor::exchange_candidate`],
+    ///    [`PagePool::exchange`]): one modeled transfer each way, zero net
+    ///    hot pages.
     ///
     /// Migrations move data, never mutate it, so outputs are bit-identical to
     /// a run whose pages all stay hot — and, because the async copy engine only
@@ -174,15 +176,18 @@ impl ModelExecutor {
     /// is exactly the pre-engine baseline.
     ///
     /// All migration accounting funnels through one
-    /// [`EngineStats::add_migration`] call per pass, on success and failure
-    /// alike.
+    /// [`EngineStats::add_migration`] call per pass.
     ///
-    /// # Errors
+    /// `reserved` is drawn down by every free slot the pass takes that the
+    /// reservation counted: a whole-read head's promotions, and a selected
+    /// page with nothing to exchange for it. A debug build asserts that no
+    /// draw exceeds what is left, so a short [`ModelExecutor::step_page_demand`]
+    /// fails at the step that spent past it.
     ///
-    /// Returns [`OutOfPagesError`] when a required promotion finds neither a
-    /// free hot slot nor a page of this sequence to exchange for one; the
-    /// scheduler treats this like any other out-of-memory decode failure
-    /// (release and replay).
+    /// # Panics
+    ///
+    /// Panics if a promotion finds no free slot and nothing to exchange: the
+    /// caller reserved less than the step's demand.
     pub(super) fn apply_residency(
         &self,
         state: &mut SequenceState,
@@ -190,7 +195,7 @@ impl ModelExecutor {
         l: usize,
         plan: &mut RowPlan,
         reserved: &mut usize,
-    ) -> Result<(), OutOfPagesError> {
+    ) {
         let (mut demoted, mut promoted) = (Moved::default(), Moved::default());
         let RowPlan {
             selections,
@@ -198,112 +203,99 @@ impl ModelExecutor {
             fetch_units,
             ..
         } = plan;
-        let result = 'pass: {
-            for (kv, selection) in selections.iter().enumerate() {
-                let Some(sel) = selection else {
-                    // No selection this step: the kernel reads this head's
-                    // whole page table (full-history dense attention, or a
-                    // streaming window), so every page must be readable
-                    // first. Non-resident pages appear here only on sequences
-                    // seeded from a prefix snapshot captured after demotion —
-                    // the common case is a no-op scan.
-                    let Some(moved) = pool.ensure_resident(state.layers[l][kv].page_ids()) else {
-                        break 'pass Err(OutOfPagesError);
-                    };
-                    *reserved = reserved.saturating_sub(moved.pages as usize);
-                    promoted += moved;
-                    fetch_units[kv] += moved.unhidden;
-                    continue;
-                };
-                let table = state.layers[l][kv].page_table();
-                if let (true, Some(selector)) = (fresh[kv], &state.policies[l][kv].selector) {
-                    // Never demote the append target (the table's final
-                    // page) or anything the current selection reads.
-                    let stale = selector.stale_pages(DEMOTE_AFTER_CHUNKS).into_iter();
-                    let stale = stale.filter(|p| p + 1 < table.len() && !sel.contains(p));
-                    demoted += pool.demote_all(stale.map(|p| table[p]));
-                }
-                for &p in sel {
-                    let id = table[p];
-                    let mut moved = None;
-                    if pool.holds_slot(id) || pool.free_pages() > *reserved {
-                        moved = pool.ensure_resident([id]);
-                    }
-                    if moved.is_none() {
-                        match Self::exchange_out(state, pool, l, selections, kv) {
-                            Some((head, out, given_up)) => {
-                                demoted += given_up;
-                                pool.tracer().instant(
-                                    "exchange",
-                                    "kvcache",
-                                    lane::COPY,
-                                    1,
-                                    &[
-                                        ("layer", l as u64),
-                                        ("head", head as u64),
-                                        ("page_out", out.index() as u64),
-                                        ("page_in", id.index() as u64),
-                                    ],
-                                );
-                            }
-                            // Nothing to exchange: the slot, if one is free,
-                            // is one this promotion had reserved.
-                            None => *reserved = reserved.saturating_sub(1),
-                        }
-                        moved = pool.ensure_resident([id]);
-                    }
-                    let Some(moved) = moved else {
-                        break 'pass Err(OutOfPagesError);
-                    };
-                    promoted += moved;
-                    fetch_units[kv] += moved.unhidden;
-                }
+        for (kv, selection) in selections.iter().enumerate() {
+            let Some(sel) = selection else {
+                // No selection this step: the kernel reads this head's whole
+                // page table (full-history dense attention, or a streaming
+                // window), so every page must be readable first. Non-resident
+                // pages appear here only on sequences seeded from a prefix
+                // snapshot captured after demotion — the common case is a
+                // no-op scan.
+                let moved = pool.ensure_resident(state.layers[l][kv].page_ids());
+                let moved = moved.expect("a whole-read head's promotions are reserved");
+                debug_assert!(moved.pages as usize <= *reserved, "reservation overdrawn");
+                *reserved = reserved.saturating_sub(moved.pages as usize);
+                promoted += moved;
+                fetch_units[kv] += moved.unhidden;
+                continue;
+            };
+            let table = state.layers[l][kv].page_table();
+            if let (true, Some(selector)) = (fresh[kv], &state.policies[l][kv].selector) {
+                // Never demote the append target (the table's final
+                // page) or anything the current selection reads.
+                let stale = selector.stale_pages(DEMOTE_AFTER_CHUNKS).into_iter();
+                let stale = stale.filter(|p| p + 1 < table.len() && !sel.contains(p));
+                demoted += pool.demote_all(stale.map(|p| table[p]));
             }
-            Ok(())
-        };
+            for &p in sel {
+                let id = table[p];
+                let moved = if pool.holds_slot(id) || pool.free_pages() > *reserved {
+                    pool.ensure_resident([id])
+                } else if let Some((head, out)) =
+                    Self::exchange_candidate(state, pool, l, selections, kv)
+                {
+                    let (given_up, moved) = pool.exchange(out, id).expect("a demotable page");
+                    demoted += given_up;
+                    pool.tracer().instant(
+                        "exchange",
+                        "kvcache",
+                        lane::COPY,
+                        1,
+                        &[
+                            ("layer", l as u64),
+                            ("head", head as u64),
+                            ("page_out", out.index() as u64),
+                            ("page_in", id.index() as u64),
+                        ],
+                    );
+                    Some(moved)
+                } else {
+                    // Nothing to exchange: the slot is one this promotion
+                    // reserved.
+                    debug_assert!(*reserved > 0, "reservation overdrawn");
+                    *reserved = reserved.saturating_sub(1);
+                    pool.ensure_resident([id])
+                };
+                let moved = moved.expect("a free slot, an exchange or a reserved slot");
+                promoted += moved;
+                fetch_units[kv] += moved.unhidden;
+            }
+        }
         state.stats.add_migration(demoted, promoted);
-        result
     }
 
-    /// Promotion by exchange: frees one hot slot for a page that head `kv` of
-    /// layer `l` selected, by demoting one of the same sequence's own pages
-    /// that no kernel reads this step — `kv`'s own first, then the layer's
-    /// other dense heads', each longest unselected first (the selector's
-    /// last-use order; oldest page on ties, unranked pages last). Never a
-    /// page in this step's selections, a table's final page (the append
-    /// target), a head read whole, or a co-owned page ([`PagePool::demote`]
-    /// refuses those: a batch peer may be about to read it). Returns `(head,
-    /// page, what its demotion moved)` given up, or `None` when nothing is
-    /// exchangeable.
-    pub(super) fn exchange_out(
+    /// The page an exchange gives up so that head `kv` of layer `l` can
+    /// promote a page it selected: one of the same sequence's own pages that
+    /// no kernel reads this step — `kv`'s own first, then the layer's other
+    /// dense heads', each longest unselected first (the selector's last-use
+    /// order; oldest page on ties, unranked pages last). Never a page in
+    /// this step's selections, a table's final page (the append target), a
+    /// head read whole, or a co-owned page ([`PagePool::exchange`] refuses
+    /// those: a batch peer may be about to read it). Returns `(head, page)`,
+    /// or `None` when nothing is exchangeable.
+    pub(super) fn exchange_candidate(
         state: &SequenceState,
-        pool: &mut PagePool,
+        pool: &PagePool,
         l: usize,
         selections: &[Option<Vec<usize>>],
         kv: usize,
-    ) -> Option<(usize, PageId, Moved)> {
+    ) -> Option<(usize, PageId)> {
         let heads = std::iter::once(kv).chain((0..selections.len()).filter(|&h| h != kv));
-        for head in heads {
+        heads.into_iter().find_map(|head| {
             let (Some(sel), Some(selector)) =
                 (&selections[head], &state.policies[l][head].selector)
             else {
-                continue;
+                return None;
             };
             let table = state.layers[l][head].page_table();
-            let stalest = (0..table.len().saturating_sub(1))
+            (0..table.len().saturating_sub(1))
                 .filter(|p| {
                     !sel.contains(p) && pool.holds_slot(table[*p]) && pool.refcount(table[*p]) == 1
                 })
                 // A page the selector has not ranked yet sorts last.
-                .min_by_key(|&p| selector.last_selected_chunk(p).unwrap_or(u64::MAX));
-            if let Some(p) = stalest {
-                // Sole-owned and holding a slot: only a full bounded host
-                // with no nvme below it refuses, and it refuses every page.
-                let moved = pool.demote_all([table[p]]);
-                return (moved.pages > 0).then_some((head, table[p], moved));
-            }
-        }
-        None
+                .min_by_key(|&p| selector.last_selected_chunk(p).unwrap_or(u64::MAX))
+                .map(|p| (head, table[p]))
+        })
     }
 
     /// Transfers issued per head per step: only the single most recently
@@ -555,6 +547,11 @@ mod tests {
             pages.map(|id| pool.residency(id)).collect()
         };
         let untouched = other_layers(&pool);
+        // The candidate, given up as an exchange gives it up.
+        let exchange_out = |pool: &mut PagePool, selections: &[Option<Vec<usize>>]| {
+            let (head, out) = ModelExecutor::exchange_candidate(&s, pool, l, selections, kv)?;
+            Some((head, out, pool.demote_all([out])))
+        };
 
         // Its own head first, and there, of the pages holding a slot, the one
         // unselected the longest.
@@ -570,8 +567,7 @@ mod tests {
                 (!eligible.is_empty()).then_some(eligible)
             })
             .expect("a head past its budget has unselected hot pages");
-        let (head, out, moved) =
-            ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).unwrap();
+        let (head, out, moved) = exchange_out(&mut pool, &selections).unwrap();
         assert_eq!(head, kv);
         assert!(stalest.contains(&out), "{out:?} is not among {stalest:?}");
         assert_eq!(pool.residency(out), Residency::Cold);
@@ -586,8 +582,7 @@ mod tests {
         for &id in &candidates[1..] {
             pool.retain(id);
         }
-        let (head, sole, _) =
-            ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).unwrap();
+        let (head, sole, _) = exchange_out(&mut pool, &selections).unwrap();
         assert_eq!((head, sole), (kv, candidates[0]));
         for &id in &candidates[1..] {
             pool.free(id);
@@ -596,8 +591,7 @@ mod tests {
         // Never a selected page, and another head's only when its own has
         // nothing left: with all of `kv` selected, the peer gives one up.
         selections[kv] = Some((0..table.len()).collect());
-        let (head, lent, _) =
-            ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).unwrap();
+        let (head, lent, _) = exchange_out(&mut pool, &selections).unwrap();
         assert_eq!(head, peer);
         let peer_table = s.layers[l][peer].page_table();
         let lent_at = peer_table.iter().position(|&id| id == lent).unwrap();
@@ -605,7 +599,7 @@ mod tests {
 
         // Exhaust the layer: no peer gave up a page a kernel reads or an
         // append writes, streaming heads and other layers were never touched.
-        while ModelExecutor::exchange_out(&s, &mut pool, l, &selections, kv).is_some() {}
+        while exchange_out(&mut pool, &selections).is_some() {}
         for (h, selection) in selections.iter().enumerate().filter(|&(h, _)| h != kv) {
             match (&s.layers[l][h], selection) {
                 (c, Some(sel)) => {
@@ -627,7 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn residency_fails_only_when_nothing_is_exchangeable() {
+    fn a_promotion_exchanges_or_takes_its_reserved_slot() {
         let cfg = exchange_cfg();
         let w = wide_weights();
         let mut pool = PagePool::new(cfg.paging, 4096, w.config.head_dim);
@@ -648,28 +642,20 @@ mod tests {
         plan.selections[kv].as_mut().unwrap().insert(1, p);
         while pool.allocate().is_some() {}
         let hot = pool.in_use();
-        let before = s.stats();
-        let moved = |s: &SequenceState| {
+        let mut before = s.stats();
+        let mut moved = |s: &SequenceState| {
             let now = s.stats();
             let units = now.migrated_token_units - before.migrated_token_units;
             let pages = (
                 now.pages_demoted - before.pages_demoted,
                 now.pages_promoted - before.pages_promoted,
             );
+            before = now;
             (pages, units)
         };
 
-        // Every page co-owned: nothing to exchange, the pass fails clean.
-        pool.retain_all(s.page_ids());
-        let failed = exec.apply_residency(&mut s, &mut pool, l, &mut plan, &mut 0);
-        assert_eq!(failed, Err(OutOfPagesError));
-        assert_eq!(pool.residency(wanted), Residency::Cold);
-        assert_eq!(moved(&s), ((0, 0), 0));
-
-        // Sole-owned again: one transfer each way, zero net hot pages.
-        s.clone().release(&mut pool);
-        exec.apply_residency(&mut s, &mut pool, l, &mut plan, &mut 0)
-            .unwrap();
+        // Nothing reserved: one transfer each way, zero net hot pages.
+        exec.apply_residency(&mut s, &mut pool, l, &mut plan, &mut 0);
         assert!(pool.is_hot(wanted));
         assert_eq!(pool.in_use(), hot);
         assert_eq!(moved(&s), ((1, 1), 16));
@@ -677,6 +663,17 @@ mod tests {
             plan.fetch_units[kv], 8,
             "the promotion stalls its own shard"
         );
+
+        // Every page co-owned, so nothing to exchange: the promotion takes
+        // the one free slot, which was reserved for it.
+        pool.demote(wanted).unwrap();
+        pool.retain_all(s.page_ids());
+        let mut reserved = 1;
+        exec.apply_residency(&mut s, &mut pool, l, &mut plan, &mut reserved);
+        assert!(pool.is_hot(wanted));
+        assert_eq!((pool.in_use(), reserved), (hot, 0));
+        assert_eq!(moved(&s), ((0, 1), 8));
+        s.clone().release(&mut pool);
     }
 
     /// A hot tier with exactly the reserved pages free before every step —

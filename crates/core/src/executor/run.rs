@@ -28,9 +28,9 @@ impl ModelExecutor {
     ///
     /// # Errors
     ///
-    /// Returns [`OutOfPagesError`] when the pool cannot hold the new token's KV;
-    /// the sequence's cache is then partially written and the state must be
-    /// released (and, in a serving loop, replayed) rather than advanced.
+    /// Returns [`OutOfPagesError`], with nothing written, when the pool's
+    /// free pages are fewer than the step's
+    /// [`ModelExecutor::step_page_demand`].
     ///
     /// # Panics
     ///
@@ -96,12 +96,14 @@ impl ModelExecutor {
     /// property the scheduler's determinism guarantee, `tests/proptest_*.rs`
     /// and the golden suite rest on.
     ///
-    /// Returns one result per sequence, in input order. A sequence that runs out of
-    /// pages mid-step gets `Err(OutOfPagesError)` and is left partially written
-    /// (release/replay it); the other sequences are unaffected. `exec_stats`
-    /// accumulates one [`ParallelExecStats`] phase per layer and token:
-    /// measured worker busy time (utilization/imbalance) plus the
-    /// deterministic cost-model critical path (modeled speedup).
+    /// Returns one result per sequence, in input order. Before anything is
+    /// written, each sequence's [`ModelExecutor::step_page_demand`] is
+    /// reserved in batch order: one whose demand no longer fits in the free
+    /// pages gets `Err(OutOfPagesError)` and is left untouched, and the
+    /// others step as if it were not in the batch. `exec_stats` accumulates
+    /// one [`ParallelExecStats`] phase per layer and token: measured worker
+    /// busy time (utilization/imbalance) plus the deterministic cost-model
+    /// critical path (modeled speedup).
     ///
     /// # Panics
     ///
@@ -115,15 +117,31 @@ impl ModelExecutor {
         plan: &mut ShardingPlan,
         exec_stats: &mut ParallelExecStats,
     ) -> Vec<Result<DecodeOutput, OutOfPagesError>> {
-        let reserved = batch
+        // In batch order, each sequence whose demand still fits is reserved
+        // for; the others are left as they are.
+        let mut reserved = 0;
+        let fits: Vec<bool> = batch
             .iter()
-            .map(|(state, _)| self.step_page_demand(state, pool))
-            .sum();
+            .map(|(state, _)| {
+                let need = self.step_page_demand(state, pool);
+                let fits = reserved + need <= pool.free_pages();
+                reserved += if fits { need } else { 0 };
+                fits
+            })
+            .collect();
         let mut runs: Vec<Run<'_>> = batch
             .iter_mut()
-            .map(|(state, token)| (&mut **state, std::slice::from_ref(&*token)))
+            .zip(&fits)
+            .filter(|(_, &fits)| fits)
+            .map(|((state, token), _)| (&mut **state, std::slice::from_ref(&*token)))
             .collect();
-        self.decode_batch_reserved(pool, &mut runs, threads, plan, exec_stats, reserved)
+        let out = self.decode_batch_reserved(pool, &mut runs, threads, plan, exec_stats, reserved);
+        let mut out = out.into_iter().map(Ok);
+        let result = |fits| match fits {
+            true => out.next().expect("one output per reserved sequence"),
+            false => Err(OutOfPagesError),
+        };
+        fits.into_iter().map(result).collect()
     }
 
     /// The one body every token goes through after a sequence's fused first
@@ -160,15 +178,22 @@ impl ModelExecutor {
     /// can differ from a token-by-token feed.
     ///
     /// `reserved` is the sum of the entries' [`ModelExecutor::step_page_demand`],
-    /// just checked against the pool by the caller (the scheduler): the free
-    /// hot slots the runs' first tokens still need for their appends and
-    /// unexchangeable promotions. Exchangeable promotions and prefetches leave
-    /// them alone. That covers a run that stays inside one physical page: its
-    /// later tokens append without allocating, so its demand is its first
-    /// token's. (A run that crosses a page computes the same bits; it is only
-    /// not reserved for.)
+    /// just checked against the pool by the caller: the free hot slots the
+    /// runs' first tokens still need for their appends and unexchangeable
+    /// promotions. Exchangeable promotions and prefetches leave them alone.
+    /// That covers a run that stays inside one physical page: its later
+    /// tokens append without allocating, so its demand is its first token's.
+    /// (A run that crosses a page computes the same bits; it is only not
+    /// reserved for.) A debug build asserts that no draw the demand counted
+    /// exceeds what is left of `reserved`, so a demand that falls short
+    /// fails at its own step.
     ///
     /// Returns, per entry, the logits after its run's last token.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool runs out of pages: the caller reserved less than
+    /// the runs take.
     pub(crate) fn decode_batch_reserved(
         &self,
         pool: &mut PagePool,
@@ -177,7 +202,7 @@ impl ModelExecutor {
         plan: &mut ShardingPlan,
         exec_stats: &mut ParallelExecStats,
         mut reserved: usize,
-    ) -> Vec<Result<DecodeOutput, OutOfPagesError>> {
+    ) -> Vec<DecodeOutput> {
         let model = &self.weights.config;
         let d = model.head_dim;
         let group = model.gqa_group_size();
@@ -199,7 +224,6 @@ impl ModelExecutor {
             .flat_map(|(_, run)| run.iter().copied())
             .collect();
         let mut x = self.weights.embed_tokens(&tokens);
-        let mut live = vec![true; batch.len()];
         let mut plans: Vec<RowPlan> = batch.iter().map(|_| RowPlan::default()).collect();
         let mut table = ShardTable::default();
         let tracer = pool.tracer().clone();
@@ -218,12 +242,11 @@ impl ModelExecutor {
             deferred.fill(0);
             for r in 0..rounds {
                 // Phase 1 (serial, batch order): KV writeback, dynamic page
-                // selection, residency. A failed append kills only that
-                // sequence.
+                // selection, residency.
                 let serial_start = tracer.now();
                 for (i, (state, run)) in batch.iter_mut().enumerate() {
                     plans[i].row = None;
-                    if !live[i] || r >= run.len() {
+                    if r >= run.len() {
                         continue;
                     }
                     let row = first[i] + r;
@@ -232,10 +255,11 @@ impl ModelExecutor {
                         .iter()
                         .filter(|h| h.needs_page_for_next_append(pool))
                         .count();
-                    if !append_token(heads, pool, acts.k.row(row), acts.v.row(row)) {
-                        live[i] = false;
-                        continue;
-                    }
+                    let fits = append_token(heads, pool, acts.k.row(row), acts.v.row(row));
+                    assert!(fits, "an append's pages are reserved");
+                    // The demand counted a run's first row; a later row
+                    // allocates only in a run that crosses a page.
+                    debug_assert!(r > 0 || appended <= reserved, "reservation overdrawn");
                     reserved = reserved.saturating_sub(appended);
                     let at = (state.tokens_processed + r, state.decode_step_idx + r);
                     self.select_pages(state, pool, l, acts.q.row(row), at, &mut plans[i]);
@@ -254,16 +278,7 @@ impl ModelExecutor {
                     }
                     // Residency pass: demote selector-stale pages, promote any
                     // cold page the selection wants, before the kernels read.
-                    // A required promotion that finds no slot and nothing to
-                    // exchange fails the sequence like any other OOM; the
-                    // serving layer replays it.
-                    if self
-                        .apply_residency(state, pool, l, &mut plans[i], &mut reserved)
-                        .is_err()
-                    {
-                        live[i] = false;
-                        continue;
-                    }
+                    self.apply_residency(state, pool, l, &mut plans[i], &mut reserved);
                     plans[i].row = Some(row);
                     // Run folding: the row's attention waits while the next
                     // row of its run reads the same pages, and the row that
@@ -279,7 +294,7 @@ impl ModelExecutor {
                         self.issue_prefetches(state, pool, l, at.1, budget, reserved);
                     }
                 }
-                // The serial phase costs one clock tick per live row.
+                // The serial phase costs one clock tick per row this round.
                 tracer.advance(plans.iter().filter(|p| p.row.is_some()).count() as u64);
                 tracer.span(
                     "decode.serial",
@@ -394,26 +409,23 @@ impl ModelExecutor {
         // these advances cost the call nothing — that is the overlap the async
         // engine models. (Nothing is in flight in sync mode.)
         pool.advance_transfer_units(rows as u64 * HOST_TRANSFER_SPEEDUP);
-        // Logits of each surviving run's last row, one stacked GEMM.
+        // Logits of each run's last row, one stacked GEMM.
         let mut last = Vec::new();
-        for i in (0..batch.len()).filter(|&i| live[i]) {
+        for i in 0..batch.len() {
             last.extend_from_slice(x.row(first[i + 1] - 1));
         }
-        let last = Matrix::from_vec(last.len() / model.hidden, model.hidden, last);
+        let last = Matrix::from_vec(batch.len(), model.hidden, last);
         let out = logits(&self.weights, &last);
-        let mut out_rows = (0..out.rows()).map(|r| out.row(r).to_vec());
         batch
             .iter_mut()
-            .zip(live)
-            .map(|((state, run), live)| {
-                if !live {
-                    return Err(OutOfPagesError);
-                }
+            .enumerate()
+            .map(|(i, (state, run))| {
                 state.tokens_processed += run.len();
                 state.decode_step_idx += run.len();
                 state.stats.decode_steps += run.len() as u64;
-                let logits = out_rows.next().expect("one logits row per live run");
-                Ok(DecodeOutput { logits })
+                DecodeOutput {
+                    logits: out.row(i).to_vec(),
+                }
             })
             .collect()
     }
@@ -755,7 +767,7 @@ mod tests {
                 let mut batch = [(s, &run[..])];
                 let mut out =
                     exec.decode_batch_reserved(pool, &mut batch, 1, &mut plan, &mut stats, need);
-                bits(&out.pop().unwrap().unwrap().logits)
+                bits(&out.pop().unwrap().logits)
             };
             for t in 3 * PAGE..start {
                 feed(&mut s, &mut pool, t, t + 1);
@@ -830,8 +842,8 @@ mod tests {
         let w = tiny_weights();
         let exec = ModelExecutor::new(Arc::clone(&w), cfg.clone());
         // Both sequences start on one page per head (2 * lh pages). At the first
-        // 64-token page boundary each wants `lh` more; capacity 3*lh + 2 lets the
-        // first sequence allocate all of its pages and strands the second partway.
+        // 64-token page boundary each wants `lh` more; capacity 3*lh + 2 holds
+        // the first sequence's pages and leaves the second short.
         let m = &w.config;
         let lh = m.num_layers * m.num_kv_heads;
         let mut pool = lserve_kvcache::PagePool::new(cfg.paging, 3 * lh + 2, m.head_dim);
@@ -852,8 +864,10 @@ mod tests {
             }
         }
         assert!(!results.is_empty(), "pool should exhaust");
-        // Exactly the failing sequence errored; at least one other succeeded.
+        // Exactly the failing sequence errored, before writing anything; at
+        // least one other succeeded.
         assert!(results.iter().any(|r| r.is_ok()));
+        assert_eq!(a.context_len(), b.context_len() + 1);
         a.release(&mut pool);
         b.release(&mut pool);
         assert_eq!(pool.in_use(), 0);

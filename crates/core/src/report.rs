@@ -78,10 +78,6 @@ pub struct ServingReport {
     pub peak_pages: usize,
     /// Total preemption events across the run.
     pub preemptions: u64,
-    /// Preemptions no victim choice made: a feed or decode step failed
-    /// part-way (its reservation fell short) and the sequence was dropped
-    /// and replayed from scratch. Zero is the work-conserving invariant.
-    pub unclean_replays: u64,
     /// Per-request latency metrics for completed requests, sorted by request
     /// id on completion.
     pub request_metrics: Vec<RequestMetrics>,

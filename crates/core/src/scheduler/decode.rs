@@ -80,7 +80,7 @@ impl Scheduler {
         if batch.is_empty() {
             return;
         }
-        let results = exec.decode_batch_reserved(
+        let outputs = exec.decode_batch_reserved(
             &mut self.pool,
             &mut batch,
             self.scfg.decode_threads,
@@ -89,25 +89,12 @@ impl Scheduler {
             reserved,
         );
         drop(batch);
-        // Walk results in reverse index order so removals (completion, fallback
-        // preemption) do not shift the indices still to be visited.
-        for (&i, result) in batch_idx.iter().zip(results.iter()).rev() {
-            match result {
-                Ok(out) => {
-                    self.report.decode_steps += 1;
-                    self.work_tokens += 1;
-                    let next = greedy_next_token(&out.logits);
-                    self.emit_token(i, next, now);
-                }
-                Err(_) => {
-                    // The batch's `step_page_demand` was reserved above and
-                    // the executor spends free slots only within it: only an
-                    // exchange a full bounded host (no nvme) refused reaches
-                    // this arm. Replay, never swap: the state is unclean.
-                    self.report.unclean_replays += 1;
-                    self.preempt_index_replay(i);
-                }
-            }
+        // Walk outputs in reverse index order so completions do not shift
+        // the indices still to be visited.
+        for (&i, out) in batch_idx.iter().zip(&outputs).rev() {
+            self.report.decode_steps += 1;
+            self.work_tokens += 1;
+            self.emit_token(i, greedy_next_token(&out.logits), now);
         }
     }
 

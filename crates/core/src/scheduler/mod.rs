@@ -170,9 +170,8 @@ struct SeqCore {
 /// pointing at hot, cold or shared pages, selector history, position
 /// counters) plus the bookkeeping needed to continue exactly from it. A
 /// running sequence advances one; a swap-preempted sequence's — and a fork
-/// branch's CoW snapshot of its parent's — waits parked in the queue. Only
-/// clean states are parked (nothing half-written); the unclean OOM fallbacks
-/// always take the replay path.
+/// branch's CoW snapshot of its parent's — waits parked in the queue. Every
+/// executor call runs on a reservation, so a state is never half-written.
 #[derive(Debug)]
 struct Feed {
     state: SequenceState,

@@ -57,9 +57,7 @@ impl Scheduler {
         victim.map(|v| self.preempt_index(v)).is_some()
     }
 
-    /// Preempts running sequence `i` under the configured policy. The sequence
-    /// must be at a clean step boundary (nothing half-written) — the unclean
-    /// OOM fallbacks call [`Scheduler::preempt_index_replay`] directly.
+    /// Preempts running sequence `i` under the configured policy.
     pub(super) fn preempt_index(&mut self, i: usize) {
         match self.scfg.preemption {
             PreemptionPolicy::Replay => self.preempt_index_replay(i),

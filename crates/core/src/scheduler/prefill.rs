@@ -48,54 +48,49 @@ impl Scheduler {
             if self.running[i].feed.fed == 0 {
                 let boundary =
                     tile_grid_boundary(self.scfg.chunk_tokens, self.running[i].core.prompt.len());
-                let need = self.pages_estimate_spec(&self.running[i].core.spec, boundary);
+                let need = exec.prefill_page_demand(&self.running[i].feed.state, boundary);
                 while need > self.pool.free_pages() && self.relieve_feed(need, my_key) {}
+                if need > self.pool.free_pages() {
+                    // Wait for a later iteration — unless this sequence is
+                    // alone, in which case it can never fit and must fail.
+                    if self.running.len() == 1 && self.queue.is_empty() {
+                        let seq = self.running.remove(i);
+                        self.finish_rejected(seq.core, RejectReason::TooLarge);
+                    }
+                    continue;
+                }
                 let tokens: Vec<u32> = (0..boundary)
                     .map(|t| self.running[i].feed_token(t))
                     .collect();
                 let chunk_start = self.scfg.tracer.now();
-                match exec.prefill_threads(
-                    &mut self.running[i].feed.state,
-                    &mut self.pool,
-                    &tokens,
-                    self.scfg.decode_threads,
-                    &mut self.report.parallel,
-                ) {
-                    Ok(out) => {
-                        self.scfg.tracer.span(
-                            "prefill.chunk",
-                            "scheduler",
-                            lane::SCHEDULER,
-                            self.running[i].core.spec.id,
-                            chunk_start,
-                            &[("tokens", boundary as u64)],
-                        );
-                        self.running[i].feed.fed = boundary;
-                        self.work_tokens += boundary as u64;
-                        if self.scfg.prefix_cache {
-                            self.report.prefix_recomputed_tokens += boundary as u64;
-                        }
-                        budget = budget.saturating_sub(boundary);
-                        self.maybe_donate(i);
-                        if self.running[i].feed.fed == self.running[i].feed_len() {
-                            // The feed is consumed: its last logits are the next token.
-                            self.emit_token(i, greedy_next_token(&out.logits), now);
-                            continue;
-                        }
-                    }
-                    Err(_) => {
-                        // The estimate was optimistic and no lower-rank victim
-                        // is left. Give the partial pages back and retry on a later
-                        // iteration — unless this sequence is alone, in which case
-                        // it can never fit and must fail.
-                        self.running[i].feed.state.release(&mut self.pool);
-                        self.running[i].feed.fed = 0;
-                        if self.running.len() == 1 && self.queue.is_empty() {
-                            let seq = self.running.remove(i);
-                            self.finish_rejected(seq.core, RejectReason::TooLarge);
-                        }
-                        continue;
-                    }
+                let out = exec
+                    .prefill_threads(
+                        &mut self.running[i].feed.state,
+                        &mut self.pool,
+                        &tokens,
+                        self.scfg.decode_threads,
+                        &mut self.report.parallel,
+                    )
+                    .expect("the chunk's pages are free");
+                self.scfg.tracer.span(
+                    "prefill.chunk",
+                    "scheduler",
+                    lane::SCHEDULER,
+                    self.running[i].core.spec.id,
+                    chunk_start,
+                    &[("tokens", boundary as u64)],
+                );
+                self.running[i].feed.fed = boundary;
+                self.work_tokens += boundary as u64;
+                if self.scfg.prefix_cache {
+                    self.report.prefix_recomputed_tokens += boundary as u64;
+                }
+                budget = budget.saturating_sub(boundary);
+                self.maybe_donate(i);
+                if self.running[i].feed.fed == self.running[i].feed_len() {
+                    // The feed is consumed: its last logits are the next token.
+                    self.emit_token(i, greedy_next_token(&out.logits), now);
+                    continue;
                 }
             }
             // Continuation: runs of rows through the decode path. A run ends
@@ -129,7 +124,7 @@ impl Scheduler {
                     end = end.min(plen);
                 }
                 let run: Vec<u32> = (fed..end).map(|t| seq.feed_token(t)).collect();
-                let result = exec
+                let out = exec
                     .decode_batch_reserved(
                         &mut self.pool,
                         &mut [(&mut seq.feed.state, &run)],
@@ -139,33 +134,19 @@ impl Scheduler {
                         need,
                     )
                     .pop()
-                    .expect("one result per input sequence");
-                match result {
-                    Ok(out) => {
-                        seq.feed.fed = end;
-                        self.work_tokens += run.len() as u64;
-                        cont_fed += run.len() as u64;
-                        if self.scfg.prefix_cache && fed < plen {
-                            self.report.prefix_recomputed_tokens += run.len() as u64;
-                        }
-                        budget -= run.len();
-                        self.maybe_donate(i);
-                        if self.running[i].feed.fed == self.running[i].feed_len() {
-                            // The feed is consumed: its last logits are the next token.
-                            self.emit_token(i, greedy_next_token(&out.logits), now);
-                            break;
-                        }
-                    }
-                    Err(_) => {
-                        // `step_page_demand` was reserved above, so only an
-                        // exchange whose demotion a full bounded host (no nvme
-                        // below it) refused reaches this arm. Self-preempt to
-                        // discard the partially-written run; always by
-                        // replay: an unclean state must not be parked.
-                        self.report.unclean_replays += 1;
-                        self.preempt_index_replay(i);
-                        break;
-                    }
+                    .expect("one output per input sequence");
+                seq.feed.fed = end;
+                self.work_tokens += run.len() as u64;
+                cont_fed += run.len() as u64;
+                if self.scfg.prefix_cache && fed < plen {
+                    self.report.prefix_recomputed_tokens += run.len() as u64;
+                }
+                budget -= run.len();
+                self.maybe_donate(i);
+                if self.running[i].feed.fed == self.running[i].feed_len() {
+                    // The feed is consumed: its last logits are the next token.
+                    self.emit_token(i, greedy_next_token(&out.logits), now);
+                    break;
                 }
             }
             if cont_fed > 0 {

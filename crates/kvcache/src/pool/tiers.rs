@@ -13,9 +13,10 @@
 //! > both directions.** An outbound page keeps its upper slot until it lands;
 //! > an inbound page claims one when it is issued.
 //!
-//! Everything public here — [`PagePool::demote`], [`PagePool::spill`],
-//! [`PagePool::promote`], [`PagePool::ensure_hot`], [`PagePool::prefetch`] —
-//! is *policy*: who may move, and where the room comes from.
+//! Everything public here — [`PagePool::demote`], [`PagePool::exchange`],
+//! [`PagePool::spill`], [`PagePool::promote`], [`PagePool::ensure_hot`],
+//! [`PagePool::prefetch`] — is *policy*: who may move, and where the room
+//! comes from.
 //! [`MigrationMode::Sync`] is not a second path: it is `issue` followed at
 //! once by `land`, with the units charged unhidden, inside `issue`.
 
@@ -550,24 +551,62 @@ impl PagePool {
     ///
     /// Panics if the page is not allocated.
     pub fn demote(&mut self, id: PageId) -> Option<u64> {
-        let idx = id.index();
-        assert!(
-            self.pages[idx].is_some(),
-            "demote of unallocated page {id:?}"
-        );
-        if self.refcounts[idx] > 1 || !self.holds_slot(id) {
-            return None;
-        }
         // Make host room *before* touching the page, so a refused demotion
         // (bounded host, nothing spillable) leaves it exactly as it was.
-        if !self.reclaim_host_slot() {
+        if !self.demotable(id) || !self.reclaim_host_slot() {
             return None;
         }
-        if self.residency[idx] == Residency::Migrating(ToHot) {
+        Some(self.demote_now(id))
+    }
+
+    /// Promotion by exchange, as one step: demotes `out` and makes `into`
+    /// kernel-readable in the hot slot that frees (see
+    /// [`PagePool::ensure_hot`]). Returns what each move moved, or `None`,
+    /// with nothing changed, when `out` is co-owned or holds no hot slot.
+    ///
+    /// A full bounded host does not refuse the exchange. `into` leaves the
+    /// host on its way up (or only passes through it, from the nvme tier),
+    /// so `out` takes the slot `into` gives up; when `into` gave none back,
+    /// there is an nvme tier below, and `out` goes on down to it. The host
+    /// is over its bound only inside this call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either page is not allocated.
+    pub fn exchange(&mut self, out: PageId, into: PageId) -> Option<(Moved, Moved)> {
+        if !self.demotable(out) {
+            return None;
+        }
+        let host_full = !self.reclaim_host_slot();
+        let units = self.demote_now(out);
+        let down = Moved::page(units, self.waited_for(out, units));
+        let (units, unhidden) = self.ensure_hot(into).expect("`out` gave its hot slot up");
+        if host_full && self.host_used() > self.tiers.host_pages {
+            if let Some((hop, dir)) = self.residency[out.index()].in_flight() {
+                self.force(hop, dir, out);
+            }
+            self.spill(out)
+                .expect("a host that gets no slot back has an nvme tier below");
+        }
+        Some((down, Moved::page(units, unhidden)))
+    }
+
+    /// True when `id` may be demoted: sole-owned, and holding a hot slot.
+    fn demotable(&self, id: PageId) -> bool {
+        assert!(
+            self.pages[id.index()].is_some(),
+            "demote of unallocated page {id:?}"
+        );
+        self.refcounts[id.index()] <= 1 && self.holds_slot(id)
+    }
+
+    /// Starts a [`PagePool::demotable`] page down, the host having room.
+    fn demote_now(&mut self, id: PageId) -> u64 {
+        if self.residency[id.index()] == Residency::Migrating(ToHot) {
             // Wanted cold again before it ever became readable.
             self.cancel(Hop::Host, ToHot, id);
         }
-        Some(self.issue(Hop::Host, ToCold, id, Cause::Policy))
+        self.issue(Hop::Host, ToCold, id, Cause::Policy)
     }
 
     /// Spills a cold (host-resident) page down to the nvme tier, freeing one
@@ -884,6 +923,62 @@ mod tests {
         assert!(p.prefetch(id), "a second guess is a second journey");
         assert_eq!(p.ensure_hot(id).map(|(issued, _)| issued), Some(4));
         assert_eq!(prefetch_ledger(p.migration_stats()), (2, 1, 1));
+    }
+
+    /// A full bounded host with no nvme below refuses a lone demotion, but
+    /// not an exchange: the page going down takes the host slot of the page
+    /// coming up, and both tiers end as full as they began.
+    #[test]
+    fn an_exchange_on_a_full_host_swaps_the_two_pages() {
+        for mode in [MigrationMode::Sync, MigrationMode::Async] {
+            let paging = PagingConfig::new(4, 2, KvPrecision::Fp16);
+            let tiers = TierConfig {
+                host_pages: 1,
+                nvme: false,
+            };
+            let mut p = PagePool::new_with_tiers(paging, 1, 4, mode, tiers);
+            let into = p.allocate().unwrap();
+            p.demote(into).unwrap();
+            p.advance_transfer_units(4);
+            let out = p.allocate().unwrap();
+            assert!(p.demote(out).is_none(), "{mode:?}: the host is full");
+            let (down, up) = p.exchange(out, into).unwrap();
+            assert_eq!((down.pages, up.pages), (1, 1), "{mode:?}");
+            assert!(p.is_hot(into), "{mode:?}: readable on return");
+            p.advance_transfer_units(4);
+            assert_eq!(p.residency(out), Residency::Cold, "{mode:?}");
+            assert_eq!((p.in_use(), p.host_used()), (1, 1), "{mode:?}");
+        }
+    }
+
+    /// An exchange whose page comes up from the nvme tier frees no host
+    /// slot. On a host full of a demotion still in flight — nothing settled
+    /// there to spill — the page going down goes on to the nvme tier.
+    #[test]
+    fn an_exchange_from_nvme_on_a_full_host_spills_what_it_gives_up() {
+        let paging = PagingConfig::new(4, 2, KvPrecision::Fp16);
+        let tiers = TierConfig {
+            host_pages: 1,
+            nvme: true,
+        };
+        let mut p = PagePool::new_with_tiers(paging, 3, 4, MigrationMode::Async, tiers);
+        let into = p.allocate().unwrap();
+        p.demote(into).unwrap();
+        p.advance_transfer_units(4);
+        p.spill(into).unwrap();
+        p.advance_transfer_units(nvme_ledger_units(4));
+        let (a, out) = (p.allocate().unwrap(), p.allocate().unwrap());
+        p.demote(a).unwrap();
+        assert!(
+            p.demote(out).is_none(),
+            "nothing settled on the host to spill"
+        );
+        p.exchange(out, into).unwrap();
+        assert!(p.is_hot(into), "readable on return");
+        assert_eq!(p.host_used(), 1, "a bounded host stays within its bound");
+        p.advance_transfer_units(nvme_ledger_units(4));
+        assert_eq!(p.residency(out), Residency::Nvme);
+        assert_eq!(p.in_use(), 1);
     }
 
     /// A spill gives its host slot up when it is issued. A write into the

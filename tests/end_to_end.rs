@@ -294,3 +294,63 @@ fn streaming_masks_are_deterministic_per_seed() {
     let c = ModelExecutor::new(w, other);
     assert_ne!(a.streaming_masks(), c.streaming_masks());
 }
+
+/// KV rows visited per generated token in each turn of a session that
+/// keeps one cache across four turns of a 48-token prompt (prefilled on the
+/// first turn, absorbed token by token after) and 96 generated tokens, at
+/// toy geometry: 8-token pages, a 96-token budget where `cfg` has one.
+fn visited_per_step_by_turn(mut cfg: EngineConfig) -> Vec<u64> {
+    const TURNS: usize = 4;
+    const PROMPT: usize = 48;
+    const GEN: usize = 96;
+    cfg.paging = PagingConfig::new(8, 4, KvPrecision::Fp16);
+    cfg.prefill_tile = 8;
+    cfg.dynamic_budget = cfg.dynamic_budget.map(|_| 96);
+    let w = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 77));
+    let mut pool = cfg.make_pool_for(&w.config, TURNS * (PROMPT + GEN) + 8);
+    let exec = ModelExecutor::new(w, cfg);
+    let mut s = exec.new_sequence();
+    let mut per_turn = Vec::new();
+    for turn in 0..TURNS {
+        let prompt: Vec<u32> = (0..PROMPT)
+            .map(|i| ((turn * 31 + i * 7) % 90) as u32)
+            .collect();
+        let mut logits = if turn == 0 {
+            exec.prefill(&mut s, &mut pool, &prompt).unwrap().logits
+        } else {
+            let mut last = Vec::new();
+            for &t in &prompt {
+                last = exec.decode_step(&mut s, &mut pool, t).unwrap().logits;
+            }
+            last
+        };
+        let before = s.stats().decode_tokens_visited;
+        for _ in 0..GEN {
+            let next = greedy_next_token(&logits);
+            logits = exec.decode_step(&mut s, &mut pool, next).unwrap().logits;
+        }
+        per_turn.push((s.stats().decode_tokens_visited - before) / GEN as u64);
+    }
+    per_turn
+}
+
+/// The long-generation claim (§1: decoding dominates a reasoning-style
+/// trace): over a session whose context grows turn by turn, the dense
+/// engine's KV reads per generated token grow every turn, while LServe's
+/// stop growing once the context is past the budget (from the second turn
+/// on), and stay below the dense engine's throughout.
+#[test]
+fn decode_work_per_token_stays_bounded_under_lserve_and_grows_under_dense() {
+    let dense = visited_per_step_by_turn(EngineConfig::dense());
+    let lserve = visited_per_step_by_turn(EngineConfig::lserve_fp16());
+    println!("KV rows visited per generated token, by turn: dense {dense:?}, lserve {lserve:?}");
+    assert!(dense.windows(2).all(|w| w[1] > w[0]), "dense {dense:?}");
+    assert!(
+        lserve[1..].windows(2).all(|w| w[1] <= w[0]),
+        "lserve {lserve:?}"
+    );
+    assert!(
+        lserve.iter().zip(&dense).all(|(l, d)| l < d),
+        "{lserve:?} against {dense:?}"
+    );
+}

@@ -8,6 +8,10 @@
 //! token below, at and one above a page, and past four pages (past every
 //! window, so each streaming head evicts). The rows hold what the code
 //! produced before the scheduler reserved anything for a first chunk.
+//!
+//! `ModelExecutor::prefill_page_demand` must equal every row's peak, and a
+//! pool with exactly that many free pages must take the chunk while one
+//! page fewer refuses it before writing anything.
 
 use std::sync::Arc;
 
@@ -119,28 +123,42 @@ fn schedule(name: &str) -> SparsitySchedule {
     schedule
 }
 
-/// A fresh sequence's first chunk of `boundary` tokens in a fresh pool:
-/// what the pool holds after it, and its peak.
+/// A fresh sequence's first chunk of `boundary` tokens in a fresh pool of
+/// `capacity` pages: what the pool holds after it and its peak, or `None`
+/// when the chunk was refused — having written nothing.
 fn first_chunk(
     exec: &ModelExecutor,
     schedule: &SparsitySchedule,
     boundary: usize,
-) -> (usize, usize) {
+    capacity: usize,
+) -> Option<(usize, usize)> {
     let head_dim = exec.weights().config.head_dim;
-    let mut pool = PagePool::new(exec.config().paging, 1024, head_dim);
+    let mut pool = PagePool::new(exec.config().paging, capacity, head_dim);
     let mut state = exec.new_sequence_under(schedule);
     let tokens: Vec<u32> = (0..boundary).map(|t| (t * 7 % 90) as u32).collect();
     let mut stats = ParallelExecStats::default();
-    exec.prefill_threads(&mut state, &mut pool, &tokens, 1, &mut stats)
-        .expect("an ample pool");
-    (pool.in_use(), pool.peak_in_use())
+    match exec.prefill_threads(&mut state, &mut pool, &tokens, 1, &mut stats) {
+        Ok(_) => Some((pool.in_use(), pool.peak_in_use())),
+        Err(_) => {
+            assert_eq!((pool.peak_in_use(), state.context_len()), (0, 0));
+            None
+        }
+    }
 }
 
-fn run((preset, schedule_name, page): (&str, &str, usize)) -> Row {
+fn executor(
+    (preset, schedule_name, page): (&str, &str, usize),
+) -> (ModelExecutor, SparsitySchedule) {
     let w = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 5));
-    let exec = ModelExecutor::new(w, config(preset, page));
-    let schedule = schedule(schedule_name);
-    boundaries(page).map(|b| first_chunk(&exec, &schedule, b))
+    (
+        ModelExecutor::new(w, config(preset, page)),
+        schedule(schedule_name),
+    )
+}
+
+fn run(cell: (&str, &str, usize)) -> Row {
+    let (exec, schedule) = executor(cell);
+    boundaries(cell.2).map(|b| first_chunk(&exec, &schedule, b, 1024).expect("an ample pool"))
 }
 
 #[test]
@@ -154,5 +172,20 @@ fn first_chunk_pages_reproduce_the_ledger() {
             })
             .collect();
         panic!("first-chunk pages moved:\n{}", rows.join("\n"));
+    }
+}
+
+#[test]
+fn the_first_chunk_demand_is_its_peak_and_an_exact_pool_takes_it() {
+    for (cell, row) in cells().zip(LEDGER) {
+        let (exec, schedule) = executor(cell);
+        for (b, (held, peak)) in boundaries(cell.2).into_iter().zip(row) {
+            let demand = exec.prefill_page_demand(&exec.new_sequence_under(&schedule), b);
+            assert_eq!(demand, peak, "{cell:?}, {b} tokens");
+            let exact = first_chunk(&exec, &schedule, b, demand);
+            assert_eq!(exact, Some((held, peak)), "{cell:?}, {b} tokens");
+            let short = first_chunk(&exec, &schedule, b, demand - 1);
+            assert_eq!(short, None, "{cell:?}, {b} tokens");
+        }
     }
 }
