@@ -280,8 +280,8 @@ impl ModelExecutor {
         selections: &[Option<Vec<usize>>],
         kv: usize,
     ) -> Option<(usize, PageId)> {
-        let heads = std::iter::once(kv).chain((0..selections.len()).filter(|&h| h != kv));
-        heads.into_iter().find_map(|head| {
+        let mut heads = std::iter::once(kv).chain((0..selections.len()).filter(|&h| h != kv));
+        heads.find_map(|head| {
             let (Some(sel), Some(selector)) =
                 (&selections[head], &state.policies[l][head].selector)
             else {

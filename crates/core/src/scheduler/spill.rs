@@ -87,8 +87,8 @@ mod tests {
     /// The work-conserving invariant on a tiny copy of the benchmark's
     /// overcommitted scene — twelve unshared prompts into a pool of 2.5
     /// sequences over a bounded host and nvme, selection-driven demotion on:
-    /// no step fails part-way, nothing a parked victim computed is thrown
-    /// away, and every output equals its solo run, cache off and on.
+    /// nothing a parked victim computed is thrown away, and every output
+    /// equals its solo run, cache off and on.
     #[test]
     fn overcommit_recomputes_nothing_and_never_replays_unclean() {
         let (cfg, specs, one) = overcommit_scene();
