@@ -462,6 +462,70 @@ mod tests {
         }
     }
 
+    /// What admission starts, pinned on two scenes under `Swap` and `Replay`:
+    /// a burst of eight equal 96-token prompts into a pool of about 2.5
+    /// sequences (a scaled-down `overcommit_workload`), and the head-of-line
+    /// scene of `examples/serving_simulation.rs` — one 400-token prompt, then
+    /// seven short ones, in a 170-page pool. Per row: steps, work tokens,
+    /// preemptions, peak hot pages, and each request's TTFT in work tokens.
+    #[test]
+    fn admission_scenes_are_pinned() {
+        use lserve_workloads::{overcommit_workload, OvercommitConfig};
+        let (burst_cfg, _, _) = overcommit_scene();
+        let wl = OvercommitConfig {
+            bursts: 1,
+            requests_per_burst: 8,
+            context_tokens: 96,
+            context_jitter: 0,
+            ..OvercommitConfig::small()
+        };
+        let burst: Vec<RequestSpec> = overcommit_workload(&wl)
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| RequestSpec::new(i as u64, s.prompt).max_new_tokens(s.max_new_tokens))
+            .collect();
+        let one = sequence_pages_estimate(&burst_cfg, &weights().config, 96 + 16);
+        let mut hol_cfg = EngineConfig::lserve_fp16();
+        hol_cfg.paging = lserve_kvcache::PagingConfig::new(8, 4, lserve_quant::KvPrecision::Fp16);
+        hol_cfg.prefill_tile = 8;
+        let head_of_line: Vec<RequestSpec> = std::iter::once(request(0, 400, 24))
+            .chain((1..8).map(|id| request(id, 8 + 2 * id as usize, 24)))
+            .collect();
+        let scenes = [
+            ("burst", &burst_cfg, &burst, one * 5 / 2),
+            ("head of line", &hol_cfg, &head_of_line, 170),
+        ];
+        let mut got = Vec::new();
+        for (scene, cfg, specs, pool) in scenes {
+            for preemption in [PreemptionPolicy::Swap, PreemptionPolicy::Replay] {
+                let mut scfg = SchedulerConfig::new(pool);
+                scfg.chunk_tokens = 16;
+                scfg.preemption = preemption;
+                let mut sched = scheduler(cfg.clone(), scfg);
+                for spec in specs {
+                    sched.submit(spec.clone());
+                }
+                let r = sched.run_to_completion(100_000);
+                assert_eq!(r.completed.len(), specs.len(), "{scene}, {preemption:?}");
+                let mut ttft = [0; 8];
+                for (t, m) in ttft.iter_mut().zip(&r.request_metrics) {
+                    *t = m.ttft_work_tokens;
+                }
+                let ledger = (r.scheduler_steps, sched.work_tokens(), r.preemptions);
+                got.push((scene, preemption, ledger, r.peak_pages, ttft));
+            }
+        }
+        use PreemptionPolicy::{Replay, Swap};
+        #[rustfmt::skip]
+        let want = [
+            ("burst", Swap, (39, 895, 4), 84, [456, 472, 488, 504, 651, 806, 822, 838]),
+            ("burst", Replay, (40, 1112, 15), 85, [456, 472, 488, 504, 860, 1023, 1039, 1055]),
+            ("head of line", Swap, (47, 704, 4), 168, [665, 26, 38, 52, 68, 138, 142, 148]),
+            ("head of line", Replay, (47, 807, 3), 168, [703, 26, 38, 52, 68, 138, 142, 148]),
+        ];
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn interactive_class_jumps_queue_and_batch_still_completes() {
         // Serialized admission (max_batch 1): under class-aware scheduling the
