@@ -430,6 +430,125 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// The estimate admission trusts against what a feed takes: for a fresh
+    /// sequence the scheduler feeds `n` prompt tokens (a fused first chunk of
+    /// 16, then runs through the decode path), `pages_estimate_spec(spec, n)`
+    /// and the hot pages the pool holds after it, over the presets {`lserve`,
+    /// `lserve_fp16`, `dense`, `duo_like`, `quest_like(64)`, `duo_like` with
+    /// every head streaming} × schedules {empty, window (0, 1), budget 8} ×
+    /// physical pages of 8 and 16 tokens, at lengths around the chunk and
+    /// around the selection budgets (8 and 64; the demotion sweep lags them).
+    /// The estimate must never read below what the feed holds; a moved row
+    /// means admission charges, or a feed takes, another footprint.
+    #[test]
+    fn pages_estimate_covers_a_fed_prompt() {
+        use crate::dag::SparsityOverride;
+        use lserve_kvcache::{PagingConfig, StreamingWindow};
+        const LENGTHS: [usize; 8] = [15, 16, 17, 33, 63, 64, 65, 129];
+        let presets = [
+            ("lserve", EngineConfig::lserve()),
+            ("lserve_fp16", EngineConfig::lserve_fp16()),
+            ("dense", EngineConfig::dense()),
+            ("duo_like", EngineConfig::duo_like()),
+            ("quest_like(64)", EngineConfig::quest_like(64)),
+            (
+                "all streaming",
+                EngineConfig {
+                    streaming_sparsity: 1.0,
+                    ..EngineConfig::duo_like()
+                },
+            ),
+        ];
+        let none = SparsityOverride::none();
+        let schedules = [
+            ("empty", none),
+            (
+                "window (0, 1)",
+                none.with_window(StreamingWindow::new(0, 1)),
+            ),
+            ("budget 8", none.with_budget(8)),
+        ];
+        let mut got = Vec::new();
+        for (preset, base) in &presets {
+            for &(schedule, over) in &schedules {
+                for page in [8, 16] {
+                    let logical = base.paging.logical_page_size().min(page);
+                    let cfg = EngineConfig {
+                        paging: PagingConfig::new(page, logical, base.paging.precision()),
+                        ..base.clone()
+                    };
+                    let exec = Arc::new(ModelExecutor::new(weights(), cfg));
+                    let row = LENGTHS.map(|n| {
+                        let mut scfg = SchedulerConfig::new(4096);
+                        scfg.chunk_tokens = 16;
+                        let mut sched = Scheduler::new(Arc::clone(&exec), scfg);
+                        let spec = request(1, n, 2);
+                        let spec = if schedule == "empty" {
+                            spec
+                        } else {
+                            spec.sparsity_from(0, over)
+                        };
+                        let est = sched.pages_estimate_spec(&spec, n);
+                        sched.submit(spec);
+                        sched.admit();
+                        while sched.running[0].feed.fed < n {
+                            sched.prefill_phase(1);
+                        }
+                        (est, sched.pool.in_use())
+                    });
+                    for (n, (est, held)) in LENGTHS.into_iter().zip(row) {
+                        assert!(
+                            est >= held,
+                            "{preset}, {schedule}, page {page}, {n} tokens: \
+                             estimate {est} below the {held} pages the feed holds"
+                        );
+                    }
+                    got.push(format!("{row:?}, // {preset}, {schedule}, page {page}"));
+                }
+            }
+        }
+        #[rustfmt::skip]
+        let want: [&str; 36] = [
+            "[(16, 8), (16, 8), (18, 12), (22, 16), (28, 22), (28, 22), (30, 24), (46, 40)], // lserve, empty, page 8",
+            "[(14, 4), (14, 4), (16, 8), (18, 12), (20, 14), (20, 14), (22, 16), (30, 24)], // lserve, empty, page 16",
+            "[(12, 6), (12, 6), (14, 8), (18, 12), (24, 18), (24, 18), (26, 20), (42, 36)], // lserve, window (0, 1), page 8",
+            "[(10, 4), (10, 4), (12, 6), (14, 8), (16, 10), (16, 10), (18, 12), (26, 20)], // lserve, window (0, 1), page 16",
+            "[(16, 8), (16, 8), (18, 12), (22, 12), (22, 10), (22, 10), (22, 12), (22, 12)], // lserve, budget 8, page 8",
+            "[(14, 4), (14, 4), (16, 8), (18, 12), (20, 10), (20, 10), (20, 12), (20, 12)], // lserve, budget 8, page 16",
+            "[(16, 8), (16, 8), (18, 12), (22, 16), (28, 22), (28, 22), (30, 24), (46, 40)], // lserve_fp16, empty, page 8",
+            "[(14, 4), (14, 4), (16, 8), (18, 12), (20, 14), (20, 14), (22, 16), (30, 24)], // lserve_fp16, empty, page 16",
+            "[(12, 6), (12, 6), (14, 8), (18, 12), (24, 18), (24, 18), (26, 20), (42, 36)], // lserve_fp16, window (0, 1), page 8",
+            "[(10, 4), (10, 4), (12, 6), (14, 8), (16, 10), (16, 10), (18, 12), (26, 20)], // lserve_fp16, window (0, 1), page 16",
+            "[(16, 8), (16, 8), (18, 12), (22, 12), (22, 10), (22, 10), (22, 12), (22, 12)], // lserve_fp16, budget 8, page 8",
+            "[(14, 4), (14, 4), (16, 8), (18, 12), (20, 10), (20, 10), (20, 12), (20, 12)], // lserve_fp16, budget 8, page 16",
+            "[(12, 8), (12, 8), (16, 12), (24, 20), (36, 32), (36, 32), (40, 36), (72, 68)], // dense, empty, page 8",
+            "[(8, 4), (8, 4), (12, 8), (16, 12), (20, 16), (20, 16), (24, 20), (40, 36)], // dense, empty, page 16",
+            "[(12, 8), (12, 8), (16, 12), (24, 20), (36, 32), (36, 32), (40, 36), (72, 68)], // dense, window (0, 1), page 8",
+            "[(8, 4), (8, 4), (12, 8), (16, 12), (20, 16), (20, 16), (24, 20), (40, 36)], // dense, window (0, 1), page 16",
+            "[(12, 8), (12, 8), (16, 12), (24, 20), (36, 32), (36, 32), (40, 36), (72, 68)], // dense, budget 8, page 8",
+            "[(8, 4), (8, 4), (12, 8), (16, 12), (20, 16), (20, 16), (24, 20), (40, 36)], // dense, budget 8, page 16",
+            "[(16, 8), (16, 8), (18, 12), (22, 16), (28, 22), (28, 22), (30, 24), (46, 40)], // duo_like, empty, page 8",
+            "[(14, 4), (14, 4), (16, 8), (18, 12), (20, 14), (20, 14), (22, 16), (30, 24)], // duo_like, empty, page 16",
+            "[(12, 6), (12, 6), (14, 8), (18, 12), (24, 18), (24, 18), (26, 20), (42, 36)], // duo_like, window (0, 1), page 8",
+            "[(10, 4), (10, 4), (12, 6), (14, 8), (16, 10), (16, 10), (18, 12), (26, 20)], // duo_like, window (0, 1), page 16",
+            "[(16, 8), (16, 8), (18, 12), (22, 16), (28, 22), (28, 22), (30, 24), (46, 40)], // duo_like, budget 8, page 8",
+            "[(14, 4), (14, 4), (16, 8), (18, 12), (20, 14), (20, 14), (22, 16), (30, 24)], // duo_like, budget 8, page 16",
+            "[(12, 8), (12, 8), (16, 12), (24, 20), (36, 32), (36, 32), (40, 36), (72, 49)], // quest_like(64), empty, page 8",
+            "[(8, 4), (8, 4), (12, 8), (16, 12), (20, 16), (20, 16), (24, 20), (40, 23)], // quest_like(64), empty, page 16",
+            "[(12, 8), (12, 8), (16, 12), (24, 20), (36, 32), (36, 32), (40, 36), (72, 49)], // quest_like(64), window (0, 1), page 8",
+            "[(8, 4), (8, 4), (12, 8), (16, 12), (20, 16), (20, 16), (24, 20), (40, 23)], // quest_like(64), window (0, 1), page 16",
+            "[(12, 8), (12, 8), (16, 12), (24, 12), (24, 8), (24, 8), (24, 12), (24, 12)], // quest_like(64), budget 8, page 8",
+            "[(8, 4), (8, 4), (12, 8), (16, 12), (20, 8), (20, 8), (20, 12), (20, 12)], // quest_like(64), budget 8, page 16",
+            "[(20, 8), (20, 8), (20, 12), (20, 12), (20, 12), (20, 12), (20, 12), (20, 12)], // all streaming, empty, page 8",
+            "[(20, 4), (20, 4), (20, 8), (20, 12), (20, 12), (20, 12), (20, 12), (20, 12)], // all streaming, empty, page 16",
+            "[(12, 4), (12, 4), (12, 4), (12, 4), (12, 4), (12, 4), (12, 4), (12, 4)], // all streaming, window (0, 1), page 8",
+            "[(12, 4), (12, 4), (12, 4), (12, 4), (12, 4), (12, 4), (12, 4), (12, 4)], // all streaming, window (0, 1), page 16",
+            "[(20, 8), (20, 8), (20, 12), (20, 12), (20, 12), (20, 12), (20, 12), (20, 12)], // all streaming, budget 8, page 8",
+            "[(20, 4), (20, 4), (20, 8), (20, 12), (20, 12), (20, 12), (20, 12), (20, 12)], // all streaming, budget 8, page 16",
+        ];
+        assert!(got == want, "estimates moved:\n{}", got.join("\n"));
+    }
+
     /// A schedule that tightens the budget mid-sequence leaves the hot set
     /// of the larger budget behind it: the estimate must still bound the
     /// measured peak of a solo run fed in chunks.
