@@ -44,9 +44,50 @@ impl Scheduler {
     /// the free hot slots (the demotion-aware estimate) or the bounded
     /// hierarchy's total headroom ([`Scheduler::tier_free_total`]). Callers
     /// size `need` with the per-spec estimate so sparsity overrides are
-    /// charged at their own footprint.
+    /// charged at their own footprint; under `FirstChunk` it already holds
+    /// the pages the feeds ahead of the head will draw from the same free
+    /// figure ([`Scheduler::feed_charge`]), since nothing is allocated
+    /// until a feed runs.
     pub(super) fn admission_blocked(&self, need: usize) -> bool {
         need > self.pool.free_pages() || need > self.tier_free_total()
+    }
+
+    /// The pages a [`AdmissionPolicy::FirstChunk`] admission of `head`, with
+    /// `remaining` tokens left to feed, charges against the pool: its whole
+    /// remaining feed, plus what every running feed that outranks it (in
+    /// [`SloKey`] order, the feeds this same call admitted included) will
+    /// take while the head's feed runs. The head feeds for
+    /// `H = ceil(remaining / chunk_tokens)` steps, and a feed at `fed` of
+    /// `len` grows by `est(min(fed + H · chunk_tokens, len)) − est(fed)` in
+    /// them. A head that would be preempted before its prompt is done waits
+    /// in the queue instead, so a burst of long prompts is admitted one wave
+    /// at a time; a short head behind a long prompt finishes its prompt
+    /// within the horizon, so it is charged only the long prompt's next few
+    /// chunks and still rides along. Decode growth is not charged
+    /// (preemption resolves it). With nothing running ahead of the head, it
+    /// is charged its first chunk only, as a feed that nothing outranks may
+    /// preempt whatever holds the pages it needs.
+    fn feed_charge(&self, head: &SeqCore, remaining: usize) -> usize {
+        let chunk = self.scfg.chunk_tokens;
+        let mut ahead = self
+            .running
+            .iter()
+            .filter(|s| s.core.key < head.key)
+            .peekable();
+        if ahead.peek().is_none() {
+            return self.pages_estimate_spec(&head.spec, chunk.min(remaining));
+        }
+        let horizon = remaining.div_ceil(chunk).saturating_mul(chunk);
+        let growth: usize = ahead
+            .filter(|s| s.feed.fed < s.feed_len())
+            .map(|s| {
+                let (fed, len) = (s.feed.fed, s.feed_len());
+                let until = len.min(fed.saturating_add(horizon));
+                let est = |tokens| self.pages_estimate_spec(&s.core.spec, tokens);
+                est(until).saturating_sub(est(fed))
+            })
+            .sum();
+        self.pages_estimate_spec(&head.spec, remaining) + growth
     }
 
     /// Rank-ordered admission from the queue head, seeding from the prefix
@@ -54,7 +95,10 @@ impl Scheduler {
     /// by [`SloKey`], so the head is always the most entitled request
     /// (interactive before batch before best-effort; EDF within a class);
     /// admission never skips the head, which preserves within-class FCFS
-    /// fairness under pressure.
+    /// fairness under pressure. A fresh or replaying head is charged by
+    /// [`AdmissionPolicy`]: under `FirstChunk` its whole remaining feed plus
+    /// the growth of the feeds ahead of it while it runs
+    /// ([`Scheduler::feed_charge`]); a swap-parked one its exact swap-in.
     pub(super) fn admit(&mut self) {
         while self.running.len() < self.scfg.max_batch {
             let Some(front) = self.queue.front() else {
@@ -134,16 +178,17 @@ impl Scheduler {
             let feed_len = front.core.prompt.len() + front.generated.len();
             // A cached match makes the request cheaper to admit and must survive
             // the eviction loop below, so LRU-protect it before evicting and size
-            // the first-chunk estimate by the uncached remainder.
+            // the feed's charge by the uncached remainder.
             let bounds = self.match_bounds(&front.core);
             let matched = bounds
                 .and_then(|(min, max)| self.prefix.touch(&front.core.prompt, min, max))
                 .unwrap_or(0);
-            let admit_tokens = match self.scfg.admission {
-                AdmissionPolicy::FullFootprint => full_tokens,
-                AdmissionPolicy::FirstChunk => self.scfg.chunk_tokens.min(feed_len - matched),
+            let need = match self.scfg.admission {
+                AdmissionPolicy::FullFootprint => {
+                    self.pages_estimate_spec(&front.core.spec, full_tokens)
+                }
+                AdmissionPolicy::FirstChunk => self.feed_charge(&front.core, feed_len - matched),
             };
-            let need = self.pages_estimate_spec(&front.core.spec, admit_tokens);
             while self.admission_blocked(need) {
                 if !self.evict_prefix_one() {
                     break;
@@ -637,8 +682,8 @@ mod tests {
         use PreemptionPolicy::{Replay, Swap};
         #[rustfmt::skip]
         let want = [
-            ("burst", Swap, (39, 895, 4), 84, [456, 472, 488, 504, 651, 806, 822, 838]),
-            ("burst", Replay, (40, 1112, 15), 85, [456, 472, 488, 504, 860, 1023, 1039, 1055]),
+            ("burst", Swap, (56, 888, 0), 75, [256, 272, 288, 420, 613, 629, 752, 864]),
+            ("burst", Replay, (56, 888, 0), 75, [256, 272, 288, 420, 613, 629, 752, 864]),
             ("head of line", Swap, (47, 704, 4), 168, [665, 26, 38, 52, 68, 138, 142, 148]),
             ("head of line", Replay, (47, 807, 3), 168, [703, 26, 38, 52, 68, 138, 142, 148]),
         ];

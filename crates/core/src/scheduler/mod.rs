@@ -1018,13 +1018,14 @@ mod tests {
         assert_eq!(r.dag, sched.dag.stats());
     }
 
-    /// After every step of the overcommitted scene (cache off and on) and of
-    /// a shared-prefix scene under the same pressure, every report field a
-    /// ledger elsewhere owns equals that ledger.
+    /// After every step of the overcommitted scene with its pressure from
+    /// decode growth (cache off and on) and of a shared-prefix scene under
+    /// the same policy, every report field a ledger elsewhere owns equals
+    /// that ledger.
     #[test]
     fn report_equals_the_ledgers_after_every_step() {
         use lserve_workloads::{shared_prefix_workload, SharedPrefixConfig};
-        let (cfg, unshared, one) = overcommit_scene();
+        let (cfg, unshared, one) = overcommit_decode_scene();
         let exec = Arc::new(ModelExecutor::new(weights(), cfg));
         let shared: Vec<RequestSpec> = shared_prefix_workload(&SharedPrefixConfig::cluster())
             .into_iter()

@@ -85,13 +85,14 @@ mod tests {
     use super::super::test_support::*;
 
     /// The work-conserving invariant on a tiny copy of the benchmark's
-    /// overcommitted scene — twelve unshared prompts into a pool of 2.5
-    /// sequences over a bounded host and nvme, selection-driven demotion on:
-    /// nothing a parked victim computed is thrown away, and every output
-    /// equals its solo run, cache off and on.
+    /// overcommitted scene — twelve unshared prompts into a pool of two
+    /// sequences over a bounded host and nvme, selection-driven demotion on,
+    /// preempting as the admitted batches grow through decode: nothing a
+    /// parked victim computed is thrown away, and every output equals its
+    /// solo run, cache off and on.
     #[test]
     fn overcommit_recomputes_nothing_and_never_replays_unclean() {
-        let (cfg, specs, one) = overcommit_scene();
+        let (cfg, specs, one) = overcommit_decode_scene();
         let exec = Arc::new(ModelExecutor::new(weights(), cfg));
         let floor: usize = specs
             .iter()

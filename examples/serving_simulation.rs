@@ -354,10 +354,14 @@ fn main() {
         4096,
         16,
     );
-    // Tight pool: aggressive first-chunk admission over ~2 sequences of memory.
-    // Preemption evicts the lowest-priority sequence when decode demand exceeds
-    // free pages; it re-prefills later and every request still completes with the
-    // exact tokens of an unconstrained run.
+    // Tight pool: `FirstChunk` admission over ~2 sequences of memory. A short
+    // request is admitted behind the long prompt when its own prompt fits
+    // beside what the long prompt's next chunks take — it finishes feeding
+    // before the long prompt needs those pages — so short-request TTFT stays
+    // at the roomy pool's 87 work tokens. Preemption evicts the
+    // lowest-priority sequence when decode demand exceeds free pages; it
+    // re-prefills later and every request still completes with the exact
+    // tokens of an unconstrained run.
     run(
         "tight pool, preempting",
         EngineConfig::lserve_fp16(),

@@ -24,20 +24,22 @@ cd "$(git rev-parse --show-toplevel)"
 # workload, file stem, then `metric op expected` triples. On `overcommit_swap`
 # work done twice shows as work tokens above the scene's floor (16 884) and
 # swap thrash as preemptions, cache off and on; the copy-engine counts are
-# the pages the tiers moved. On `serve_mix_open` the same steps, work and
-# donated prefixes prove a step feeds the same tokens however the executor
-# batches them. On `long_decode` half the heads are windowed and every
-# selecting dense head demotes. Every `long_prefill` prompt runs whole
-# through the fused prefill layer.
+# the pages the tiers moved, and the steps show when admission starts each
+# request. On `serve_mix_open` the same steps, work and donated prefixes
+# prove a step feeds the same tokens however the executor batches them. On
+# `long_decode` half the heads are windowed and every selecting dense head
+# demotes. Every `long_prefill` prompt runs whole through the fused prefill
+# layer.
 ledgers='
 overcommit_swap overcommit
+    scheduler.steps == 782
     scheduler.work_tokens <= 16884
-    scheduler.preemptions <= 17
+    scheduler.preemptions <= 0
     scheduler.work_tokens_cache_on <= 16884
-    scheduler.preemptions_cache_on <= 16
-    kvcache.pages_demoted == 4447
-    kvcache.pages_promoted == 3195
-    kvcache.pages_spilled == 114
+    scheduler.preemptions_cache_on <= 1
+    kvcache.pages_demoted == 3848
+    kvcache.pages_promoted == 2582
+    kvcache.pages_spilled == 0
 serve_mix_open serve-mix
     scheduler.steps == 1481
     scheduler.work_tokens == 20058

@@ -16,7 +16,11 @@
 //! of two chunks (this scene had run at one): each equals what the code
 //! before that change produced with the staleness forced to two, digit for
 //! digit, and the row recycling and rebuild changes beside it moved none.
-//! `stolen` and every `busy_ns_*`
+//! They moved again when `FirstChunk` admission began to charge a prompt's
+//! whole feed and the growth of the feeds ahead of it: the third prompt now
+//! starts once the first two have finished (step 11 of 22), which leaves the
+//! phases and shards as they were and moves the modeled costs (`cost_total`
+//! 17 058 → 17 053 on one device) and the traces. `stolen` and every `busy_ns_*`
 //! are wall-clock and stay out; the trace lays its worker lanes from the
 //! modeled LPT schedule, never the measured one, so its bytes are in.
 
@@ -56,18 +60,18 @@ const FIELDS: [&str; 12] = [
 /// One row per `(devices, threads, policy)`, in the order [`cells`] yields.
 #[rustfmt::skip]
 const LEDGER: [Row; 12] = [
-    ([222, 480, 1, 17058, 17058, 1, 0, 17058, 17058, 0, 0, 0], 0x3be86269788dfa2b), // devices 1, threads 1, SparsityAware
-    ([222, 480, 1, 17058, 17058, 1, 0, 17058, 17058, 0, 0, 0], 0x3be86269788dfa2b), // devices 1, threads 1, RoundRobin
-    ([222, 480, 4, 17058, 8050, 1, 0, 17058, 17058, 0, 0, 0], 0xf1674bfae151614e), // devices 1, threads 8, SparsityAware
-    ([222, 480, 4, 17058, 8050, 1, 0, 17058, 17058, 0, 0, 0], 0xf1674bfae151614e), // devices 1, threads 8, RoundRobin
-    ([222, 480, 2, 17970, 9447, 2, 912, 9447, 18870, 0, 0, 0], 0xb48fdbe9a92d8e4e), // devices 2, threads 1, SparsityAware
-    ([222, 480, 2, 17970, 9447, 2, 912, 9447, 18870, 0, 0, 0], 0xb48fdbe9a92d8e4e), // devices 2, threads 1, RoundRobin
-    ([222, 480, 4, 17970, 8908, 2, 912, 9447, 18870, 0, 0, 0], 0xd0dc415a12039d96), // devices 2, threads 8, SparsityAware
-    ([222, 480, 4, 17970, 8908, 2, 912, 9447, 18870, 0, 0, 0], 0xd0dc415a12039d96), // devices 2, threads 8, RoundRobin
-    ([222, 480, 2, 17970, 9447, 4, 912, 9447, 37716, 1, 4, 18], 0x56c8b6957e26095c), // devices 4, threads 1, SparsityAware
-    ([222, 480, 2, 17970, 9447, 4, 912, 9447, 37716, 0, 0, 0], 0x536e88072fc7130e), // devices 4, threads 1, RoundRobin
-    ([222, 480, 4, 17970, 8908, 4, 912, 9447, 37716, 1, 4, 18], 0xa6268ad3666d6b85), // devices 4, threads 8, SparsityAware
-    ([222, 480, 4, 17970, 8908, 4, 912, 9447, 37716, 0, 0, 0], 0xf69f20a00e10494e), // devices 4, threads 8, RoundRobin
+    ([222, 480, 1, 17053, 17053, 1, 0, 17053, 17053, 0, 0, 0], 0xe37c1ab6ced1eafd), // devices 1, threads 1, SparsityAware
+    ([222, 480, 1, 17053, 17053, 1, 0, 17053, 17053, 0, 0, 0], 0xe37c1ab6ced1eafd), // devices 1, threads 1, RoundRobin
+    ([222, 480, 4, 17053, 8047, 1, 0, 17053, 17053, 0, 0, 0], 0xe3e811dd6043a0e1), // devices 1, threads 8, SparsityAware
+    ([222, 480, 4, 17053, 8047, 1, 0, 17053, 17053, 0, 0, 0], 0xe3e811dd6043a0e1), // devices 1, threads 8, RoundRobin
+    ([222, 480, 2, 17965, 9445, 2, 912, 9445, 18866, 0, 0, 0], 0x8de5d1f9c800f61b), // devices 2, threads 1, SparsityAware
+    ([222, 480, 2, 17965, 9445, 2, 912, 9445, 18866, 0, 0, 0], 0x8de5d1f9c800f61b), // devices 2, threads 1, RoundRobin
+    ([222, 480, 4, 17965, 8906, 2, 912, 9445, 18866, 0, 0, 0], 0x87443fbfc923f041), // devices 2, threads 8, SparsityAware
+    ([222, 480, 4, 17965, 8906, 2, 912, 9445, 18866, 0, 0, 0], 0x87443fbfc923f041), // devices 2, threads 8, RoundRobin
+    ([222, 480, 2, 17965, 9445, 4, 912, 9445, 37708, 1, 4, 17], 0xf4f7549f61b428c2), // devices 4, threads 1, SparsityAware
+    ([222, 480, 2, 17965, 9445, 4, 912, 9445, 37708, 0, 0, 0], 0x3bfd86519d3ec58f), // devices 4, threads 1, RoundRobin
+    ([222, 480, 4, 17965, 8906, 4, 912, 9445, 37708, 1, 4, 17], 0xa6162da52a44fe3f), // devices 4, threads 8, SparsityAware
+    ([222, 480, 4, 17965, 8906, 4, 912, 9445, 37708, 0, 0, 0], 0xbef8f45601c337e5), // devices 4, threads 8, RoundRobin
 ];
 
 fn cells() -> impl Iterator<Item = (usize, usize, PlacementPolicy)> {

@@ -58,7 +58,9 @@ fn run_solo(cfg: &EngineConfig, w: &Arc<ModelWeights>, chunk: usize, req: Reques
 
 /// Deterministic anchor: a swap-overcommitted scene where the tight host
 /// *must* spill into nvme during the swap-outs and recall on resume, while
-/// outputs stay bit-identical to the unbounded baseline.
+/// outputs stay bit-identical to the unbounded baseline. The swap-out comes
+/// from decode growth: admission charges the prompts, and the sequences' 32
+/// generated tokens outgrow the pool.
 #[test]
 fn tight_host_with_nvme_spills_recalls_and_matches_unbounded() {
     let w = weights(11);
@@ -71,7 +73,7 @@ fn tight_host_with_nvme_spills_recalls_and_matches_unbounded() {
                     .map(|t| ((t * 3 + i as usize * 7) % 90) as u32)
                     .collect(),
             )
-            .max_new_tokens(16)
+            .max_new_tokens(32)
         })
         .collect();
     let single_max = requests

@@ -212,8 +212,9 @@ fn ring_sink_bounds_retention_and_counts_drops() {
 /// costs less than 5 % of an untraced run's wall time. The scene is six
 /// requests of 32–132 prompt tokens on a 4-layer model (trace events come
 /// per step, layer and shard, so a layer must do real arithmetic for the
-/// ratio to mean anything), in a pool of 1.5 sequences that forces replay
-/// preemption. After two warm-up runs the two legs alternate nine times and
+/// ratio to mean anything), generating 32 tokens each in a pool of 1.5
+/// sequences: admission charges the prompts, and their decode growth forces
+/// replay preemption. After two warm-up runs the two legs alternate nine times and
 /// the minimum of each is compared. Timing only: traced ≡ untraced and the
 /// ring bound are `traced_outputs_match_untraced_runs` and
 /// `ring_sink_bounds_retention_and_counts_drops`. When this test was written
@@ -239,7 +240,7 @@ fn ring_tracing_costs_under_5_percent_of_untraced_wall_time() {
     let requests: Vec<RequestSpec> = (0..6u64)
         .map(|i| {
             let prompt = (0..32 + 20 * i as usize).map(|t| ((t * 3 + i as usize) % 90) as u32);
-            RequestSpec::new(i, prompt.collect()).max_new_tokens(8)
+            RequestSpec::new(i, prompt.collect()).max_new_tokens(32)
         })
         .collect();
     let longest = requests
