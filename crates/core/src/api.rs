@@ -418,15 +418,14 @@ pub enum AdmissionPolicy {
     /// tokens) fits the free pool. Conservative: preemption is rare, utilization
     /// lower.
     FullFootprint,
-    /// Admit when the request's whole remaining prompt fits beside what the
-    /// running prompt feeds ranked ahead of it take while it is fed (their
-    /// growth over as many chunks as its prompt needs), or — when nothing
-    /// running outranks it — as soon as its first prefill chunk fits. A burst
-    /// of long prompts starts one wave at a time instead of being fed in
-    /// lockstep and swapped out before its first token, while a short request
-    /// behind a long prompt still starts beside it. Decode growth is not
-    /// reserved: memory oversubscription by decoding is resolved by
-    /// preemption.
+    /// Admit when the request's whole remaining prompt fits beside the rest of
+    /// the running prompt feeds ranked ahead of it, counting as free the hot
+    /// pages of the running sequences it outranks (it may preempt them), or —
+    /// when nothing running outranks it — as soon as its first prefill chunk
+    /// fits. A burst of long prompts starts one wave at a time instead of
+    /// being fed in lockstep and swapped out before its first token. Decode
+    /// growth is not reserved: memory oversubscription by decoding is
+    /// resolved by preemption.
     FirstChunk,
 }
 

@@ -46,48 +46,39 @@ impl Scheduler {
     /// size `need` with the per-spec estimate so sparsity overrides are
     /// charged at their own footprint; under `FirstChunk` it already holds
     /// the pages the feeds ahead of the head will draw from the same free
-    /// figure ([`Scheduler::feed_charge`]), since nothing is allocated
-    /// until a feed runs.
+    /// figure, since nothing is allocated until a feed runs, less the pages
+    /// the head may preempt ([`Scheduler::feed_charge`]).
     pub(super) fn admission_blocked(&self, need: usize) -> bool {
         need > self.pool.free_pages() || need > self.tier_free_total()
     }
 
     /// The pages a [`AdmissionPolicy::FirstChunk`] admission of `head`, with
-    /// `remaining` tokens left to feed, charges against the pool: its whole
-    /// remaining feed, plus what every running feed that outranks it (in
-    /// [`SloKey`] order, the feeds this same call admitted included) will
-    /// take while the head's feed runs. The head feeds for
-    /// `H = ceil(remaining / chunk_tokens)` steps, and a feed at `fed` of
-    /// `len` grows by `est(min(fed + H · chunk_tokens, len)) − est(fed)` in
-    /// them. A head that would be preempted before its prompt is done waits
-    /// in the queue instead, so a burst of long prompts is admitted one wave
-    /// at a time; a short head behind a long prompt finishes its prompt
-    /// within the horizon, so it is charged only the long prompt's next few
-    /// chunks and still rides along. Decode growth is not charged
-    /// (preemption resolves it). With nothing running ahead of the head, it
-    /// is charged its first chunk only, as a feed that nothing outranks may
-    /// preempt whatever holds the pages it needs.
+    /// `remaining` tokens left to feed, charges against the free pool: its
+    /// whole remaining feed, plus the rest of every running prompt feed that
+    /// outranks it (in [`SloKey`] order, the feeds this same call admitted
+    /// included; `est(len) − est(fed)` each), less the hot pages that the
+    /// running sequences it outranks hold alone — a feed may preempt those
+    /// for the pages it needs. A head that would be preempted before its
+    /// prompt is done waits in the queue instead, so a burst of long prompts
+    /// is admitted one wave at a time. The charge is never below the head's
+    /// first chunk, and with nothing running ahead of the head it is that
+    /// first chunk alone: nothing can take the head's pages then. Decode
+    /// growth is not charged (preemption resolves it).
     fn feed_charge(&self, head: &SeqCore, remaining: usize) -> usize {
-        let chunk = self.scfg.chunk_tokens;
-        let mut ahead = self
-            .running
-            .iter()
-            .filter(|s| s.core.key < head.key)
-            .peekable();
-        if ahead.peek().is_none() {
-            return self.pages_estimate_spec(&head.spec, chunk.min(remaining));
+        let first = self.pages_estimate_spec(&head.spec, self.scfg.chunk_tokens.min(remaining));
+        if !self.running.iter().any(|s| s.core.key < head.key) {
+            return first;
         }
-        let horizon = remaining.div_ceil(chunk).saturating_mul(chunk);
-        let growth: usize = ahead
-            .filter(|s| s.feed.fed < s.feed_len())
-            .map(|s| {
-                let (fed, len) = (s.feed.fed, s.feed_len());
-                let until = len.min(fed.saturating_add(horizon));
+        let (mut whole, mut preemptible) = (self.pages_estimate_spec(&head.spec, remaining), 0);
+        for s in &self.running {
+            if s.core.key < head.key {
                 let est = |tokens| self.pages_estimate_spec(&s.core.spec, tokens);
-                est(until).saturating_sub(est(fed))
-            })
-            .sum();
-        self.pages_estimate_spec(&head.spec, remaining) + growth
+                whole += est(s.feed_len()).saturating_sub(est(s.feed.fed));
+            } else {
+                preemptible += self.pool.sole_owned_hot_pages(s.feed.state.page_ids());
+            }
+        }
+        whole.saturating_sub(preemptible).max(first)
     }
 
     /// Rank-ordered admission from the queue head, seeding from the prefix
@@ -97,7 +88,7 @@ impl Scheduler {
     /// admission never skips the head, which preserves within-class FCFS
     /// fairness under pressure. A fresh or replaying head is charged by
     /// [`AdmissionPolicy`]: under `FirstChunk` its whole remaining feed plus
-    /// the growth of the feeds ahead of it while it runs
+    /// the rest of the prompt feeds ahead of it, less what it may preempt
     /// ([`Scheduler::feed_charge`]); a swap-parked one its exact swap-in.
     pub(super) fn admit(&mut self) {
         while self.running.len() < self.scfg.max_batch {
@@ -626,16 +617,21 @@ mod tests {
         }
     }
 
-    /// What admission starts, pinned on two scenes under `Swap` and `Replay`:
-    /// a burst of eight equal 96-token prompts into a pool of about 2.5
-    /// sequences (a scaled-down `overcommit_workload`), and the head-of-line
+    /// What admission starts, pinned on three scenes under `Swap` and
+    /// `Replay`: a burst of eight equal 96-token prompts into a pool of about
+    /// 2.5 sequences (a scaled-down `overcommit_workload`); the head-of-line
     /// scene of `examples/serving_simulation.rs` — one 400-token prompt, then
-    /// seven short ones, in a 170-page pool. Per row: steps, work tokens,
-    /// preemptions, peak hot pages, and each request's TTFT in work tokens.
+    /// seven short ones, in a 170-page pool; and two interactive prompts
+    /// arriving at step 8 over six batch requests that fill a 120-page pool
+    /// (the second is outranked by the first and outranks every batch
+    /// sequence: charged its whole prompt against free pages alone, it waited
+    /// for the first to finish decoding, a TTFT of 285 under `Swap`). Per
+    /// row: steps, work tokens, preemptions, peak hot pages, and each
+    /// request's TTFT in work tokens.
     #[test]
     fn admission_scenes_are_pinned() {
         use lserve_workloads::{overcommit_workload, OvercommitConfig};
-        let (burst_cfg, _, _) = overcommit_scene();
+        let (burst_cfg, _, _) = overcommit_scene(32);
         let wl = OvercommitConfig {
             bursts: 1,
             requests_per_burst: 8,
@@ -643,34 +639,46 @@ mod tests {
             context_jitter: 0,
             ..OvercommitConfig::small()
         };
-        let burst: Vec<RequestSpec> = overcommit_workload(&wl)
+        let burst: Vec<(u64, RequestSpec)> = overcommit_workload(&wl)
             .into_iter()
             .enumerate()
-            .map(|(i, s)| RequestSpec::new(i as u64, s.prompt).max_new_tokens(s.max_new_tokens))
+            .map(|(i, s)| {
+                let spec = RequestSpec::new(i as u64, s.prompt).max_new_tokens(s.max_new_tokens);
+                (0, spec)
+            })
             .collect();
         let one = sequence_pages_estimate(&burst_cfg, &weights().config, 96 + 16);
         let mut hol_cfg = EngineConfig::lserve_fp16();
         hol_cfg.paging = lserve_kvcache::PagingConfig::new(8, 4, lserve_quant::KvPrecision::Fp16);
         hol_cfg.prefill_tile = 8;
-        let head_of_line: Vec<RequestSpec> = std::iter::once(request(0, 400, 24))
+        let head_of_line: Vec<(u64, RequestSpec)> = std::iter::once(request(0, 400, 24))
             .chain((1..8).map(|id| request(id, 8 + 2 * id as usize, 24)))
+            .map(|spec| (0, spec))
+            .collect();
+        let mixed: Vec<(u64, RequestSpec)> = (0..6)
+            .map(|id| (0, request(id, 48, 48)))
+            .chain((6..8).map(|id| (8, request(id, 64, 32).class(SloClass::Interactive))))
             .collect();
         let scenes = [
             ("burst", &burst_cfg, &burst, one * 5 / 2),
             ("head of line", &hol_cfg, &head_of_line, 170),
+            ("interactive over batch", &hol_cfg, &mixed, 120),
         ];
         let mut got = Vec::new();
-        for (scene, cfg, specs, pool) in scenes {
+        for (scene, cfg, arrivals, pool) in scenes {
             for preemption in [PreemptionPolicy::Swap, PreemptionPolicy::Replay] {
                 let mut scfg = SchedulerConfig::new(pool);
                 scfg.chunk_tokens = 16;
                 scfg.preemption = preemption;
                 let mut sched = scheduler(cfg.clone(), scfg);
-                for spec in specs {
+                for (at, spec) in arrivals {
+                    while sched.report.scheduler_steps < *at {
+                        sched.step();
+                    }
                     sched.submit(spec.clone());
                 }
                 let r = sched.run_to_completion(100_000);
-                assert_eq!(r.completed.len(), specs.len(), "{scene}, {preemption:?}");
+                assert_eq!(r.completed.len(), arrivals.len(), "{scene}, {preemption:?}");
                 let mut ttft = [0; 8];
                 for (t, m) in ttft.iter_mut().zip(&r.request_metrics) {
                     *t = m.ttft_work_tokens;
@@ -686,6 +694,8 @@ mod tests {
             ("burst", Replay, (56, 888, 0), 75, [256, 272, 288, 420, 613, 629, 752, 864]),
             ("head of line", Swap, (47, 704, 4), 168, [665, 26, 38, 52, 68, 138, 142, 148]),
             ("head of line", Replay, (47, 807, 3), 168, [703, 26, 38, 52, 68, 138, 142, 148]),
+            ("interactive over batch", Swap, (96, 775, 5), 120, [208, 224, 240, 256, 272, 288, 124, 140]),
+            ("interactive over batch", Replay, (98, 1031, 5), 120, [208, 224, 240, 256, 272, 288, 124, 140]),
         ];
         assert_eq!(got, want);
     }

@@ -1025,7 +1025,7 @@ mod tests {
     #[test]
     fn report_equals_the_ledgers_after_every_step() {
         use lserve_workloads::{shared_prefix_workload, SharedPrefixConfig};
-        let (cfg, unshared, one) = overcommit_decode_scene();
+        let (cfg, unshared, one) = overcommit_scene(96);
         let exec = Arc::new(ModelExecutor::new(weights(), cfg));
         let shared: Vec<RequestSpec> = shared_prefix_workload(&SharedPrefixConfig::cluster())
             .into_iter()

@@ -92,7 +92,7 @@ mod tests {
     /// solo run, cache off and on.
     #[test]
     fn overcommit_recomputes_nothing_and_never_replays_unclean() {
-        let (cfg, specs, one) = overcommit_decode_scene();
+        let (cfg, specs, one) = overcommit_scene(96);
         let exec = Arc::new(ModelExecutor::new(weights(), cfg));
         let floor: usize = specs
             .iter()

@@ -43,13 +43,17 @@ pub(super) fn fcfs(w: Arc<ModelWeights>, cfg: EngineConfig, pool_pages: usize) -
 }
 
 /// A tiny copy of the benchmark's overcommitted scene — twelve unshared
-/// prompts, a selection budget that demotes at toy lengths — as the engine
-/// policy, the requests, and one sequence's page estimate.
-pub(super) fn overcommit_scene() -> (EngineConfig, Vec<RequestSpec>, usize) {
+/// prompts, a selection budget of `budget` tokens — as the engine policy,
+/// the requests, and one sequence's page estimate. At a budget of 32 a
+/// prompt sits at its capped hot set; at 96, about the prompts' length (as
+/// the benchmark's 1024 is about its 1024–1408-token prompts), a sequence's
+/// hot set keeps growing while it decodes, so the batches admission starts
+/// outgrow the pool of [`overcommit_policy`] and preempt.
+pub(super) fn overcommit_scene(budget: usize) -> (EngineConfig, Vec<RequestSpec>, usize) {
     let mut cfg = EngineConfig::lserve_fp16();
     cfg.paging = lserve_kvcache::PagingConfig::new(8, 4, lserve_quant::KvPrecision::Fp16);
     cfg.prefill_tile = 8;
-    cfg.dynamic_budget = Some(32);
+    cfg.dynamic_budget = Some(budget);
     cfg.reuse_interval = 2;
     let specs = (0..12u64)
         .map(|i| {
@@ -58,18 +62,6 @@ pub(super) fn overcommit_scene() -> (EngineConfig, Vec<RequestSpec>, usize) {
             RequestSpec::new(i, prompt.collect()).max_new_tokens(24)
         })
         .collect();
-    let one = crate::sequence_pages_estimate(&cfg, &weights().config, 96 + 36 + 24);
-    (cfg, specs, one)
-}
-
-/// [`overcommit_scene`] with its pressure from decode growth: a selection
-/// budget of 96 tokens, about the prompts' length (as the benchmark's 1024
-/// is about its 1024–1408-token prompts), so a sequence's hot set keeps
-/// growing while it decodes. Admission charges prompts, not decode, so the
-/// batches it starts outgrow the pool of [`overcommit_policy`] and preempt.
-pub(super) fn overcommit_decode_scene() -> (EngineConfig, Vec<RequestSpec>, usize) {
-    let (mut cfg, specs, _) = overcommit_scene();
-    cfg.dynamic_budget = Some(96);
     let one = crate::sequence_pages_estimate(&cfg, &weights().config, 96 + 36 + 24);
     (cfg, specs, one)
 }

@@ -356,8 +356,7 @@ fn main() {
     );
     // Tight pool: `FirstChunk` admission over ~2 sequences of memory. A short
     // request is admitted behind the long prompt when its own prompt fits
-    // beside what the long prompt's next chunks take — it finishes feeding
-    // before the long prompt needs those pages — so short-request TTFT stays
+    // beside the rest of the long prompt's feed, so short-request TTFT stays
     // at the roomy pool's 87 work tokens. Preemption evicts the
     // lowest-priority sequence when decode demand exceeds free pages; it
     // re-prefills later and every request still completes with the exact

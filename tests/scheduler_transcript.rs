@@ -32,7 +32,13 @@
 //! (`Scheduler::feed_charge`), every row moved again: each row admits
 //! prompts behind running feeds, and a prompt that would have been fed
 //! beside them now waits in the queue. Summed over the rows, preemptions
-//! went 424 → 284, demotions 4725 → 4449 and spills 1382 → 951. Every
+//! went 424 → 284, demotions 4725 → 4449 and spills 1382 → 951. 53 rows
+//! moved once more when that charge dropped its horizon (each feed ahead is
+//! charged its whole remainder, not only its growth while the prompt feeds;
+//! the same 53 move for this alone) and began to count as free the hot
+//! pages of the running sequences the prompt outranks, which it may
+//! preempt: 284 → 231 preemptions, 4449 → 4509 demotions, 951 → 977
+//! spills. Every
 //! `SchedulerConfig` field
 //! is set here, so no default reaches a row: a change that only moves
 //! configuration reproduces every row, and a change that moves one has
@@ -104,60 +110,60 @@ impl Setting {
 
 /// One hash per `(setting, seed)`, in the order [`configurations`] yields.
 const TRANSCRIPT: [u64; 54] = [
-    0x476d0aebc5b2572e, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 1
-    0x2bd4a19d440b727c, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 2
-    0xa0f68e835d02ec8b, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 3
-    0xe42f64008df9326c, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 1
-    0x24e4871cd63c2819, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 2
-    0x90babd56538550dc, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 3
-    0xb833cb736b9a2708, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 1
-    0x7922c267cb9045cd, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 2
-    0x2d46f3cb0c3659ea, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 3
-    0x7abf314f9c35dae6, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 1
-    0xa38d2b9fd27eb416, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 2
-    0xe6205d4600434a3c, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 3
-    0xddb4908cf66af3a6, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 1
-    0x896596e310f1645f, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 2
-    0x225a7e9cd5d6c673, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 3
-    0xff164f79afe30792, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 1
-    0xd81275d8f488a8d8, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 2
-    0x53d6961e4a85c803, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 3
-    0x1b84bd363684e70c, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 1
-    0x14a42026bd79fcdb, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 2
-    0x7f92d0d79ac7dc54, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 3
-    0x5d9caa41c45eda6f, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 1
-    0xb62fdfe5d6847f72, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 2
-    0x1f2e4f6a431dad8f, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 3
-    0x6c3103e091126055, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 1
-    0x2fd4e1f99f1e1f05, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 2
-    0x94fac95697d97e31, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 3
-    0x53424fae5ac76ba6, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 1
-    0x489384f30e640d3a, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 2
-    0x403bfde9533667ab, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 3
-    0x842c8c84c8a0c16e, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 1
-    0x9d23b4e8a88e27bd, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 2
-    0x266c2d47084a5b87, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 3
-    0xdc424d43afd7d610, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 1
-    0x953f032442c5b5c4, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 2
-    0x9532e997eb16084d, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 3
-    0x7e81eb5684d33568, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 1
-    0xf58b65536c5aac34, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 2
-    0x48be0031791c96c9, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 3
-    0x25df1466a46655c8, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 1
-    0x6d269bdeec20e896, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 2
-    0xf3a12ce069b3ff20, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 3
-    0xf50a7e46044eab7a, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 1
-    0x5ab63c1821dd1d5e, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 2
+    0xa46a3cd302185a3b, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 1
+    0x46e0e05998167fbf, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 2
+    0x9b8c5e757034846d, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 3
+    0x3c0045208a46b3e8, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 1
+    0x073940231deb75c1, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 2
+    0xdc663a6e4b3e00cc, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 3
+    0xe7695ecabac3256d, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 1
+    0xe89bc49f3451b422, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 2
+    0xc0b04a63ee4ac14c, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 3
+    0xdac87e6c5977b19b, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 1
+    0xe762f4e1d8180f52, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 2
+    0xefe5c3d3509c4f8e, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 3
+    0xb8736cdfa4841d59, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 1
+    0xb5b74783b94ced71, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 2
+    0x2e93b457d9c8ac91, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 3
+    0xd7fe15a7102a02cc, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 1
+    0xcadbde816c7755ee, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 2
+    0x37887cd12fd53a8f, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 3
+    0x167bb27a8fba64a3, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 1
+    0xec576c1c58a2f031, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 2
+    0x8807eb754729b53a, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 3
+    0xe505f0c0893e5145, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 1
+    0xd7eeb7f9b89623c3, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 2
+    0x1db74442ae4f83d0, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 3
+    0x64a4ca3857e7e3ab, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 1
+    0xc2082994291fe28a, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 2
+    0x50b854aeb34e91b1, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 3
+    0x07de8d87fb9d7e2e, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 1
+    0xecf27c3fbaccd315, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 2
+    0x5645ce45851df3d5, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 3
+    0xb9c97e4f545680d5, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 1
+    0x6c8e79e7e937487f, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 2
+    0x8d76ffa081fcb4d3, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 3
+    0xa7aa5141f5d346f7, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 1
+    0x7fda0b64c6606d86, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 2
+    0xe9b2b0a23dabf4a0, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 3
+    0x657f707db3e206cf, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 1
+    0xa08ef2a02ae516e9, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 2
+    0x2a5c68ff4f2dfc5d, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 3
+    0x2667138eee05180a, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 1
+    0x263d9ed49fdc5ee1, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 2
+    0xaf790ccd45217c18, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 3
+    0xe41866bb344921ad, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 1
+    0xabcb1c1e218f12b6, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 2
     0x97619e4f74bf0b84, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 3
-    0xf35c8e59279a9fa5, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 1
-    0xf7a1e5855a241c8e, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 2
-    0x120cc3b7aa963855, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 3
-    0x55f2238e47d24ce5, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 1
-    0xd293271e0c62cc48, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 2
-    0x27d822bea39c9323, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 3
-    0xde41b52a47e68240, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 1
-    0x83b0e34ab54d651d, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 2
-    0xa4ff0d23b8eb467a, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 3
+    0xc19076517ed3638a, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 1
+    0xf51c29185a65e682, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 2
+    0x7429ed612adcc5f3, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 3
+    0x0934865ff6352060, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 1
+    0xb6c2b6bc5422ef4b, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 2
+    0xb891442e665c36f1, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 3
+    0x5a767f3777969bc5, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 1
+    0x08ea94378199505c, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 2
+    0xe0feff9fbe14f951, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 3
 ];
 
 fn configurations() -> impl Iterator<Item = (Setting, u64)> {
@@ -775,14 +781,19 @@ const TIGHT_POOLS: [usize; 3] = [30, 32, 34];
 /// beside them and preempted, so preemptions went 7 / 4 / 9 / 3 / 6 / 4 →
 /// 1 / 2 / 0 / 0 / 1 / 1 and the Replay rows' work tokens 386 / 400 / 368 →
 /// 288 / 264 / 280, for up to six more steps (23 → 29 at 34 pages, Replay).
+/// When that charge dropped its horizon (a feed ahead is charged its whole
+/// remainder, not its growth while the later prompt feeds), the rows at 30
+/// and 34 pages moved: 33 / 288 / 1 → 34 / 323 / 2 and 30 / 268 / 2 →
+/// 34 / 266 / 1 at 30 pages, 29 / 280 / 1 → 29 / 264 / 0 and
+/// 29 / 265 / 1 → 29 / 264 / 0 at 34 (steps / work tokens / preemptions).
 #[rustfmt::skip]
 const TIGHT_ROWS: [[u64; 6]; 6] = [
-    [33, 288, 1, 6, 0, 27], // pool 30, Replay
-    [30, 268, 2, 6, 0, 29], // pool 30, Swap
+    [34, 323, 2, 6, 0, 27], // pool 30, Replay
+    [34, 266, 1, 6, 0, 27], // pool 30, Swap
     [29, 264, 0, 6, 0, 29], // pool 32, Replay
     [29, 264, 0, 6, 0, 29], // pool 32, Swap
-    [29, 280, 1, 6, 0, 32], // pool 34, Replay
-    [29, 265, 1, 6, 0, 32], // pool 34, Swap
+    [29, 264, 0, 6, 0, 29], // pool 34, Replay
+    [29, 264, 0, 6, 0, 29], // pool 34, Swap
 ];
 
 fn tight_pool_rows() -> impl Iterator<Item = (usize, PreemptionPolicy)> {
