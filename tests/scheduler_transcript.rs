@@ -45,6 +45,12 @@
 //! changed what some call returns or books — say which, and why, in the
 //! commit that edits the row.
 //!
+//! Beside its hash each row pins named [`Counts`] (steps, work tokens,
+//! preemptions, pages moved, prefix hits, completions by finish reason,
+//! TTFT), and so do the tight-pool rows below. A moved row prints each
+//! moved field as `pinned → now`, and every run prints the fields summed
+//! over the rows: what a commit that re-pins rows states.
+//!
 //! The same loop audits, after every step:
 //!
 //! * every handle's events arrive in lifecycle order: `Admitted` first,
@@ -108,62 +114,154 @@ impl Setting {
     }
 }
 
-/// One hash per `(setting, seed)`, in the order [`configurations`] yields.
-const TRANSCRIPT: [u64; 54] = [
-    0xa46a3cd302185a3b, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 1
-    0x46e0e05998167fbf, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 2
-    0x9b8c5e757034846d, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 3
-    0x3c0045208a46b3e8, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 1
-    0x073940231deb75c1, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 2
-    0xdc663a6e4b3e00cc, // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 3
-    0xe7695ecabac3256d, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 1
-    0xe89bc49f3451b422, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 2
-    0xc0b04a63ee4ac14c, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 3
-    0xdac87e6c5977b19b, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 1
-    0xe762f4e1d8180f52, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 2
-    0xefe5c3d3509c4f8e, // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 3
-    0xb8736cdfa4841d59, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 1
-    0xb5b74783b94ced71, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 2
-    0x2e93b457d9c8ac91, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 3
-    0xd7fe15a7102a02cc, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 1
-    0xcadbde816c7755ee, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 2
-    0x37887cd12fd53a8f, // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 3
-    0x167bb27a8fba64a3, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 1
-    0xec576c1c58a2f031, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 2
-    0x8807eb754729b53a, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 3
-    0xe505f0c0893e5145, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 1
-    0xd7eeb7f9b89623c3, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 2
-    0x1db74442ae4f83d0, // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 3
-    0x64a4ca3857e7e3ab, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 1
-    0xc2082994291fe28a, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 2
-    0x50b854aeb34e91b1, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 3
-    0x07de8d87fb9d7e2e, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 1
-    0xecf27c3fbaccd315, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 2
-    0x5645ce45851df3d5, // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 3
-    0xb9c97e4f545680d5, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 1
-    0x6c8e79e7e937487f, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 2
-    0x8d76ffa081fcb4d3, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 3
-    0xa7aa5141f5d346f7, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 1
-    0x7fda0b64c6606d86, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 2
-    0xe9b2b0a23dabf4a0, // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 3
-    0x657f707db3e206cf, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 1
-    0xa08ef2a02ae516e9, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 2
-    0x2a5c68ff4f2dfc5d, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 3
-    0x2667138eee05180a, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 1
-    0x263d9ed49fdc5ee1, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 2
-    0xaf790ccd45217c18, // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 3
-    0xe41866bb344921ad, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 1
-    0xabcb1c1e218f12b6, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 2
-    0x97619e4f74bf0b84, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 3
-    0xc19076517ed3638a, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 1
-    0xf51c29185a65e682, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 2
-    0x7429ed612adcc5f3, // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 3
-    0x0934865ff6352060, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 1
-    0xb6c2b6bc5422ef4b, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 2
-    0xb891442e665c36f1, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 3
-    0x5a767f3777969bc5, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 1
-    0x08ea94378199505c, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 2
-    0xe0feff9fbe14f951, // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 3
+/// What every pinned row of this file names beside its hash, in [`Counts`]
+/// order: the ledger, completions by finish reason, rejections, the median
+/// (upper middle) and maximum TTFT in work tokens of the requests that
+/// emitted a token, and the peak of hot pages.
+const FIELDS: [&str; 15] = [
+    "steps",
+    "work tokens",
+    "preemptions",
+    "pages demoted",
+    "pages promoted",
+    "pages spilled",
+    "prefix hit tokens",
+    "length",
+    "stop token",
+    "stop sequence",
+    "truncated",
+    "rejections",
+    "ttft p50",
+    "ttft max",
+    "peak pages",
+];
+
+/// A finished run's counts, named by [`FIELDS`].
+type Counts = [u64; 15];
+
+fn counts(sched: &Scheduler, r: &ServingReport) -> Counts {
+    let finished = |reason| {
+        let m = r.request_metrics.iter().filter(|m| m.finish == reason);
+        m.count() as u64
+    };
+    let mut ttft: Vec<u64> = r
+        .request_metrics
+        .iter()
+        .filter(|m| m.tokens > 0)
+        .map(|m| m.ttft_work_tokens)
+        .collect();
+    ttft.sort_unstable();
+    [
+        r.scheduler_steps,
+        sched.work_tokens(),
+        r.preemptions,
+        r.pages_demoted,
+        r.pages_promoted,
+        r.pages_spilled,
+        r.prefix_hit_tokens,
+        finished(FinishReason::Length),
+        finished(FinishReason::StopToken),
+        finished(FinishReason::StopSequence),
+        finished(FinishReason::Truncated),
+        r.rejections.len() as u64,
+        ttft.get(ttft.len() / 2).copied().unwrap_or(0),
+        ttft.last().copied().unwrap_or(0),
+        r.peak_pages as u64,
+    ]
+}
+
+/// `a` or, when it moved, `a → b`, after its field's name.
+fn field(name: &str, a: u64, b: u64) -> String {
+    if a == b {
+        format!("{name} {a}")
+    } else {
+        format!("{name} {a} → {b}")
+    }
+}
+
+/// What a pinned table says when it moved: each moved row's label with its
+/// moved fields as `pinned → now`, then every field summed over the rows.
+fn moved_counts(labels: &[String], pinned: &[Counts], got: &[Counts]) -> String {
+    let mut lines = Vec::new();
+    for ((label, a), b) in labels.iter().zip(pinned).zip(got) {
+        let fields: Vec<String> = (0..FIELDS.len())
+            .filter(|&f| a[f] != b[f])
+            .map(|f| field(FIELDS[f], a[f], b[f]))
+            .collect();
+        if !fields.is_empty() {
+            lines.push(format!("{label}: {}", fields.join(", ")));
+        }
+    }
+    let sum = |rows: &[Counts], f: usize| rows.iter().map(|r| r[f]).sum::<u64>();
+    let sums: Vec<String> = (0..FIELDS.len())
+        .map(|f| field(FIELDS[f], sum(pinned, f), sum(got, f)))
+        .collect();
+    lines.push(format!(
+        "summed over {} rows: {}",
+        pinned.len(),
+        sums.join(", ")
+    ));
+    lines.join("\n")
+}
+
+/// One row per `(setting, seed)`, in the order [`configurations`] yields:
+/// its hash, then its [`Counts`].
+#[rustfmt::skip]
+const TRANSCRIPT: [(u64, Counts); 54] = [
+    (0xa46a3cd302185a3b, [72, 399, 1, 35, 15, 0, 0, 15, 0, 1, 0, 0, 62, 282, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 1
+    (0x46e0e05998167fbf, [57, 379, 1, 15, 9, 0, 0, 16, 0, 0, 0, 1, 114, 265, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 2
+    (0x9b8c5e757034846d, [55, 393, 4, 24, 10, 0, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 3
+    (0x3c0045208a46b3e8, [61, 478, 8, 11, 1, 0, 136, 16, 0, 1, 0, 0, 59, 345, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 1
+    (0x073940231deb75c1, [54, 342, 2, 13, 1, 0, 48, 16, 0, 0, 0, 1, 114, 258, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 2
+    (0xdc663a6e4b3e00cc, [60, 462, 6, 6, 2, 0, 48, 13, 1, 1, 0, 0, 68, 312, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 3
+    (0xe7695ecabac3256d, [72, 399, 1, 35, 15, 5, 0, 15, 0, 1, 0, 0, 62, 282, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 1
+    (0xe89bc49f3451b422, [57, 379, 1, 15, 9, 0, 0, 16, 0, 0, 0, 1, 114, 265, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 2
+    (0xc0b04a63ee4ac14c, [55, 393, 4, 24, 10, 2, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 3
+    (0xdac87e6c5977b19b, [68, 420, 5, 226, 13, 69, 88, 15, 0, 1, 0, 0, 59, 276, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 1
+    (0xe762f4e1d8180f52, [54, 329, 3, 187, 13, 84, 69, 16, 0, 0, 0, 1, 107, 258, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 2
+    (0xefe5c3d3509c4f8e, [55, 448, 11, 272, 24, 79, 233, 12, 1, 1, 0, 0, 44, 299, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 3
+    (0xb8736cdfa4841d59, [72, 399, 1, 46, 23, 0, 0, 15, 0, 1, 0, 0, 62, 282, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 1
+    (0xb5b74783b94ced71, [58, 379, 1, 19, 10, 0, 0, 16, 0, 0, 0, 1, 114, 265, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 2
+    (0x2e93b457d9c8ac91, [55, 393, 4, 28, 16, 0, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 3
+    (0xd7fe15a7102a02cc, [61, 478, 8, 12, 2, 0, 136, 16, 0, 1, 0, 0, 59, 345, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 1
+    (0xcadbde816c7755ee, [54, 342, 2, 13, 1, 0, 48, 16, 0, 0, 0, 1, 114, 258, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 2
+    (0x37887cd12fd53a8f, [60, 462, 6, 7, 4, 0, 48, 13, 1, 1, 0, 0, 68, 312, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 3
+    (0x167bb27a8fba64a3, [72, 399, 1, 46, 23, 5, 0, 15, 0, 1, 0, 0, 62, 282, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 1
+    (0xec576c1c58a2f031, [58, 379, 1, 19, 10, 0, 0, 16, 0, 0, 0, 1, 114, 265, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 2
+    (0x8807eb754729b53a, [55, 393, 4, 28, 16, 2, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 3
+    (0xe505f0c0893e5145, [68, 415, 5, 202, 10, 25, 88, 15, 0, 1, 0, 0, 59, 271, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 1
+    (0xd7eeb7f9b89623c3, [54, 329, 3, 155, 5, 17, 69, 16, 0, 0, 0, 1, 107, 258, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 2
+    (0x1db74442ae4f83d0, [55, 448, 11, 250, 18, 40, 233, 12, 1, 1, 0, 0, 44, 299, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 3
+    (0x64a4ca3857e7e3ab, [64, 387, 2, 50, 31, 0, 0, 15, 0, 1, 0, 0, 62, 276, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 1
+    (0xc2082994291fe28a, [56, 358, 2, 31, 25, 0, 0, 16, 0, 0, 0, 1, 114, 243, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 2
+    (0x50b854aeb34e91b1, [54, 370, 5, 60, 34, 0, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 3
+    (0x07de8d87fb9d7e2e, [66, 357, 3, 42, 35, 0, 48, 15, 0, 1, 0, 0, 59, 238, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 1
+    (0xecf27c3fbaccd315, [50, 296, 7, 28, 25, 0, 0, 15, 0, 0, 0, 1, 100, 259, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 2
+    (0x5645ce45851df3d5, [56, 400, 9, 71, 57, 0, 40, 13, 1, 1, 0, 0, 60, 257, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 3
+    (0xb9c97e4f545680d5, [64, 401, 2, 50, 31, 22, 0, 15, 0, 1, 0, 0, 62, 280, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 1
+    (0x6c8e79e7e937487f, [56, 368, 2, 31, 25, 14, 0, 16, 0, 0, 0, 1, 114, 253, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 2
+    (0x8d76ffa081fcb4d3, [54, 391, 5, 60, 34, 36, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 3
+    (0xa7aa5141f5d346f7, [66, 391, 3, 222, 35, 77, 48, 15, 0, 1, 0, 0, 59, 256, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 1
+    (0x7fda0b64c6606d86, [50, 316, 7, 163, 25, 90, 0, 15, 0, 0, 0, 1, 112, 275, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 2
+    (0xe9b2b0a23dabf4a0, [59, 456, 9, 283, 65, 140, 40, 13, 1, 1, 0, 0, 67, 297, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 3
+    (0x657f707db3e206cf, [64, 384, 4, 74, 46, 0, 0, 15, 0, 1, 0, 0, 62, 275, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 1
+    (0xa08ef2a02ae516e9, [56, 355, 2, 35, 26, 0, 0, 16, 0, 0, 0, 1, 114, 240, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 2
+    (0x2a5c68ff4f2dfc5d, [54, 367, 5, 64, 40, 0, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 3
+    (0x2667138eee05180a, [66, 352, 3, 43, 36, 0, 48, 15, 0, 1, 0, 0, 59, 235, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 1
+    (0x263d9ed49fdc5ee1, [50, 291, 7, 30, 27, 0, 0, 15, 0, 0, 0, 1, 100, 255, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 2
+    (0xaf790ccd45217c18, [56, 391, 9, 73, 56, 0, 40, 13, 1, 1, 0, 0, 60, 251, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 3
+    (0xe41866bb344921ad, [64, 402, 4, 55, 29, 12, 0, 15, 0, 1, 0, 0, 62, 275, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 1
+    (0xabcb1c1e218f12b6, [58, 379, 1, 23, 10, 0, 0, 16, 0, 0, 0, 1, 114, 265, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 2
+    (0x97619e4f74bf0b84, [55, 377, 4, 42, 20, 9, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 3
+    (0xc19076517ed3638a, [66, 387, 3, 178, 5, 35, 64, 15, 0, 1, 0, 0, 59, 250, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 1
+    (0xf51c29185a65e682, [50, 307, 5, 128, 15, 19, 8, 15, 0, 0, 0, 1, 112, 247, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 2
+    (0x7429ed612adcc5f3, [59, 404, 7, 220, 18, 57, 91, 13, 1, 1, 0, 0, 68, 258, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 3
+    (0x0934865ff6352060, [64, 432, 4, 64, 42, 7, 0, 15, 0, 1, 0, 0, 62, 309, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 1
+    (0xb6c2b6bc5422ef4b, [57, 292, 3, 30, 28, 7, 0, 16, 0, 0, 0, 1, 98, 244, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 2
+    (0xb891442e665c36f1, [54, 446, 5, 63, 40, 19, 0, 11, 1, 1, 0, 0, 68, 277, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 3
+    (0x5a767f3777969bc5, [66, 387, 3, 205, 5, 27, 64, 15, 0, 1, 0, 0, 59, 250, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 1
+    (0x08ea94378199505c, [50, 319, 5, 152, 15, 23, 8, 15, 0, 0, 0, 1, 114, 259, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 2
+    (0xe0feff9fbe14f951, [59, 391, 7, 251, 30, 55, 91, 13, 1, 1, 0, 0, 68, 245, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 3
 ];
 
 fn configurations() -> impl Iterator<Item = (Setting, u64)> {
@@ -641,8 +739,8 @@ fn engine_cfg() -> EngineConfig {
     cfg
 }
 
-/// The final report of a row, for the coverage check.
-fn run(w: &Arc<ModelWeights>, s: Setting, seed: u64) -> (u64, ServingReport) {
+/// A row's hash and [`Counts`], and its final report for the coverage check.
+fn run(w: &Arc<ModelWeights>, s: Setting, seed: u64) -> (u64, Counts, ServingReport) {
     let cfg = engine_cfg();
     let one = sequence_pages_estimate(&cfg, &w.config, 48);
     let scfg = SchedulerConfig {
@@ -704,7 +802,8 @@ fn run(w: &Arc<ModelWeights>, s: Setting, seed: u64) -> (u64, ServingReport) {
         t.sched.pool_nvme_in_use(),
     ];
     assert_eq!(pages, [0; 3], "{row}: hot, cold, nvme pages leaked");
-    (t.hash.0, t.sched.report_snapshot())
+    let r = t.sched.report_snapshot();
+    (t.hash.0, counts(&t.sched, &r), r)
 }
 
 #[test]
@@ -713,7 +812,7 @@ fn random_serving_traffic_reproduces_the_transcript_and_audits_clean() {
     // The rows share nothing, so two threads take half of them each.
     let settings: Vec<(Setting, u64)> = configurations().collect();
     let (first, second) = settings.split_at(settings.len() / 2);
-    let run_each = |rows: &[(Setting, u64)]| -> Vec<(u64, ServingReport)> {
+    let run_each = |rows: &[(Setting, u64)]| -> Vec<(u64, Counts, ServingReport)> {
         rows.iter().map(|&(s, seed)| run(&w, s, seed)).collect()
     };
     let rows = std::thread::scope(|scope| {
@@ -723,7 +822,7 @@ fn random_serving_traffic_reproduces_the_transcript_and_audits_clean() {
         rows
     });
     // The traffic reaches what the transcript claims to pin.
-    let total = |f: &dyn Fn(&ServingReport) -> u64| rows.iter().map(|(_, r)| f(r)).sum::<u64>();
+    let total = |f: &dyn Fn(&ServingReport) -> u64| rows.iter().map(|(_, _, r)| f(r)).sum::<u64>();
     let finished = |reason| {
         total(&|r| {
             let m = r.request_metrics.iter().filter(|m| m.finish == reason);
@@ -748,19 +847,27 @@ fn random_serving_traffic_reproduces_the_transcript_and_audits_clean() {
         println!("{what}: {n}");
         assert!(n > 0, "no row saw any {what}");
     }
-    let got: Vec<u64> = rows.iter().map(|(h, _)| *h).collect();
+    let got: Vec<(u64, Counts)> = rows.iter().map(|&(h, c, _)| (h, c)).collect();
+    let labels: Vec<String> = configurations()
+        .map(|(s, seed)| format!("{}, seed {seed}", s.label()))
+        .collect();
+    let pinned: Vec<Counts> = TRANSCRIPT.iter().map(|&(_, c)| c).collect();
+    let now: Vec<Counts> = got.iter().map(|&(_, c)| c).collect();
+    println!("{}", moved_counts(&labels, &pinned, &now));
     if got != TRANSCRIPT {
-        let rows: Vec<String> = configurations()
+        let rows: Vec<String> = labels
+            .iter()
             .zip(&got)
             .zip(&TRANSCRIPT)
-            .map(|(((s, seed), got), want)| {
+            .map(|((label, got), want)| {
                 let mark = if got == want { ' ' } else { '*' };
-                format!("  {mark} {got:#018x}, // {}, seed {seed}", s.label())
+                format!("  {mark} ({:#018x}, {:?}), // {label}", got.0, got.1)
             })
             .collect();
         panic!(
-            "scheduler transcript moved (rows marked *):\n{}",
-            rows.join("\n")
+            "scheduler transcript moved (rows marked *):\n{}\n{}",
+            rows.join("\n"),
+            moved_counts(&labels, &pinned, &now)
         );
     }
 }
@@ -770,8 +877,7 @@ fn random_serving_traffic_reproduces_the_transcript_and_audits_clean() {
 /// Swap while the scheduler ran a first chunk on an estimate of its pages.
 const TIGHT_POOLS: [usize; 3] = [30, 32, 34];
 
-/// Per `(pool, preemption)` of [`tight_pool_rows`]: steps, work tokens,
-/// preemptions, completions, rejections and the peak of hot pages. Pinned
+/// The [`Counts`] per `(pool, preemption)` of [`tight_pool_rows`]. Pinned
 /// while a first chunk ran on an estimate; once it reserved its exact
 /// demand, the two Swap rows at 32 and 34 pages took one preemption fewer
 /// (4 → 3 and 5 → 4): relief had preempted a sequence for pages the chunk
@@ -787,13 +893,13 @@ const TIGHT_POOLS: [usize; 3] = [30, 32, 34];
 /// 34 / 266 / 1 at 30 pages, 29 / 280 / 1 → 29 / 264 / 0 and
 /// 29 / 265 / 1 → 29 / 264 / 0 at 34 (steps / work tokens / preemptions).
 #[rustfmt::skip]
-const TIGHT_ROWS: [[u64; 6]; 6] = [
-    [34, 323, 2, 6, 0, 27], // pool 30, Replay
-    [34, 266, 1, 6, 0, 27], // pool 30, Swap
-    [29, 264, 0, 6, 0, 29], // pool 32, Replay
-    [29, 264, 0, 6, 0, 29], // pool 32, Swap
-    [29, 264, 0, 6, 0, 29], // pool 34, Replay
-    [29, 264, 0, 6, 0, 29], // pool 34, Swap
+const TIGHT_ROWS: [Counts; 6] = [
+    [34, 323, 2, 62, 34, 0, 0, 6, 0, 0, 0, 0, 150, 252, 27], // pool 30, Replay
+    [34, 266, 1, 75, 48, 0, 0, 6, 0, 0, 0, 0, 150, 195, 27], // pool 30, Swap
+    [29, 264, 0, 60, 33, 0, 0, 6, 0, 0, 0, 0, 161, 193, 29], // pool 32, Replay
+    [29, 264, 0, 60, 33, 0, 0, 6, 0, 0, 0, 0, 161, 193, 29], // pool 32, Swap
+    [29, 264, 0, 60, 33, 0, 0, 6, 0, 0, 0, 0, 152, 193, 29], // pool 34, Replay
+    [29, 264, 0, 60, 33, 0, 0, 6, 0, 0, 0, 0, 152, 193, 29], // pool 34, Swap
 ];
 
 fn tight_pool_rows() -> impl Iterator<Item = (usize, PreemptionPolicy)> {
@@ -809,7 +915,7 @@ fn tight_pool_rows() -> impl Iterator<Item = (usize, PreemptionPolicy)> {
 /// so that chunk can find the pool short with nothing ranked below it to
 /// preempt. (Admission charges the late arrival for those feeds' growth
 /// too, so that happens less often than when the rows were first pinned.)
-fn tight_pool_row(pool_pages: usize, preemption: PreemptionPolicy) -> [u64; 6] {
+fn tight_pool_row(pool_pages: usize, preemption: PreemptionPolicy) -> Counts {
     let w = Arc::new(ModelWeights::random(&ModelConfig::tiny(), 29));
     let scfg = SchedulerConfig {
         pool_pages,
@@ -845,27 +951,27 @@ fn tight_pool_row(pool_pages: usize, preemption: PreemptionPolicy) -> [u64; 6] {
         }
         sched.step();
     }
-    let r = sched.report_snapshot();
-    [
-        r.scheduler_steps,
-        sched.work_tokens(),
-        r.preemptions,
-        r.completed.len() as u64,
-        r.rejected.len() as u64,
-        r.peak_pages as u64,
-    ]
+    counts(&sched, &sched.report_snapshot())
 }
 
 #[test]
 fn tight_pools_reproduce_the_first_chunk_rows() {
-    let got: Vec<[u64; 6]> = tight_pool_rows()
+    let got: Vec<Counts> = tight_pool_rows()
         .map(|(p, s)| tight_pool_row(p, s))
         .collect();
     if got != TIGHT_ROWS {
-        let rows: Vec<String> = tight_pool_rows()
-            .zip(&got)
-            .map(|((pool, s), row)| format!("    {row:?}, // pool {pool}, {s:?}"))
+        let labels: Vec<String> = tight_pool_rows()
+            .map(|(pool, s)| format!("pool {pool}, {s:?}"))
             .collect();
-        panic!("tight-pool rows moved:\n{}", rows.join("\n"));
+        let rows: Vec<String> = labels
+            .iter()
+            .zip(&got)
+            .map(|(label, row)| format!("    {row:?}, // {label}"))
+            .collect();
+        panic!(
+            "tight-pool rows moved:\n{}\n{}",
+            rows.join("\n"),
+            moved_counts(&labels, &TIGHT_ROWS, &got)
+        );
     }
 }
