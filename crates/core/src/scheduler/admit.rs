@@ -617,15 +617,21 @@ mod tests {
         }
     }
 
-    /// What admission starts, pinned on three scenes under `Swap` and
+    /// What admission starts, pinned on five scenes under `Swap` and
     /// `Replay`: a burst of eight equal 96-token prompts into a pool of about
     /// 2.5 sequences (a scaled-down `overcommit_workload`); the head-of-line
     /// scene of `examples/serving_simulation.rs` — one 400-token prompt, then
-    /// seven short ones, in a 170-page pool; and two interactive prompts
+    /// seven short ones, in a 170-page pool; two interactive prompts
     /// arriving at step 8 over six batch requests that fill a 120-page pool
     /// (the second is outranked by the first and outranks every batch
     /// sequence: charged its whole prompt against free pages alone, it waited
-    /// for the first to finish decoding, a TTFT of 285 under `Swap`). Per
+    /// for the first to finish decoding, a TTFT of 285 under `Swap`); and two
+    /// scenes of distinct prompts with the prefix cache on, where a
+    /// swap-parked state's hot pages are its own donated prompt, which the
+    /// cache pins. In "decode short" three 32-token prompts decode 32 tokens
+    /// each in 42 pages, so decode runs short with two sequences running; in
+    /// "head blocked" an interactive 64-token prompt arrives at step 4 over
+    /// three batch ones in 51 pages, and is held back while one runs. Per
     /// row: steps, work tokens, preemptions, peak hot pages, and each
     /// request's TTFT in work tokens.
     #[test]
@@ -659,17 +665,30 @@ mod tests {
             .map(|id| (0, request(id, 48, 48)))
             .chain((6..8).map(|id| (8, request(id, 64, 32).class(SloClass::Interactive))))
             .collect();
+        let distinct = |id: u64, len: usize, gen: usize| {
+            let prompt = (0..len).map(|t| ((t * 7 + id as usize * 13) % 90) as u32);
+            RequestSpec::new(id, prompt.collect()).max_new_tokens(gen)
+        };
+        let decode_short: Vec<(u64, RequestSpec)> =
+            (0..3).map(|id| (0, distinct(id, 32, 32))).collect();
+        let head_blocked: Vec<(u64, RequestSpec)> = (0..3)
+            .map(|id| (0, distinct(id, 64, 32)))
+            .chain([(4, distinct(3, 64, 16).class(SloClass::Interactive))])
+            .collect();
         let scenes = [
-            ("burst", &burst_cfg, &burst, one * 5 / 2),
-            ("head of line", &hol_cfg, &head_of_line, 170),
-            ("interactive over batch", &hol_cfg, &mixed, 120),
+            ("burst", &burst_cfg, &burst, one * 5 / 2, false),
+            ("head of line", &hol_cfg, &head_of_line, 170, false),
+            ("interactive over batch", &hol_cfg, &mixed, 120, false),
+            ("decode short", &hol_cfg, &decode_short, 42, true),
+            ("head blocked", &burst_cfg, &head_blocked, 51, true),
         ];
         let mut got = Vec::new();
-        for (scene, cfg, arrivals, pool) in scenes {
+        for (scene, cfg, arrivals, pool, prefix_cache) in scenes {
             for preemption in [PreemptionPolicy::Swap, PreemptionPolicy::Replay] {
                 let mut scfg = SchedulerConfig::new(pool);
                 scfg.chunk_tokens = 16;
                 scfg.preemption = preemption;
+                scfg.prefix_cache = prefix_cache;
                 let mut sched = scheduler(cfg.clone(), scfg);
                 for (at, spec) in arrivals {
                     while sched.report.scheduler_steps < *at {
@@ -696,6 +715,10 @@ mod tests {
             ("head of line", Replay, (47, 807, 3), 168, [703, 26, 38, 52, 68, 138, 142, 148]),
             ("interactive over batch", Swap, (96, 775, 5), 120, [208, 224, 240, 256, 272, 288, 124, 140]),
             ("interactive over batch", Replay, (98, 1031, 5), 120, [208, 224, 240, 256, 272, 288, 124, 140]),
+            ("decode short", Swap, (70, 197, 5), 42, [64, 80, 140, 0, 0, 0, 0, 0]),
+            ("decode short", Replay, (64, 261, 2), 42, [64, 80, 199, 0, 0, 0, 0, 0]),
+            ("head blocked", Swap, (86, 365, 1), 50, [112, 128, 324, 98, 0, 0, 0, 0]),
+            ("head blocked", Replay, (68, 428, 1), 50, [112, 128, 378, 67, 0, 0, 0, 0]),
         ];
         assert_eq!(got, want);
     }
