@@ -13,9 +13,15 @@ use crate::executor::Run;
 use crate::report::RequestMetrics;
 
 impl Scheduler {
-    /// Reserve pages for one decode token per ready sequence, preempting the
-    /// cost- and class-chosen victim until demand fits, then run the batched
-    /// decode step.
+    /// Reserve pages for one decode token per ready sequence, climbing the
+    /// relief ladder ([`Scheduler::relieve`]) until demand fits, then run the
+    /// batched decode step. The best-ranked running sequence is never
+    /// preempted here, so the most entitled live request always advances —
+    /// without this, the swap-cost choice could ping-pong a cheap victim
+    /// through resume/preempt cycles forever. With more than one sequence
+    /// running the ladder always frees something; once one is left and it
+    /// runs dry, every page the prefix cache holds alone goes, then the lone
+    /// sequence is finished with what it has (bounded-memory truncation).
     pub(super) fn decode_phase(&mut self, now: u64) {
         let exec = Arc::clone(&self.exec);
         let reserved = loop {
@@ -28,45 +34,22 @@ impl Scheduler {
             if demand <= self.pool.free_pages() {
                 break demand;
             }
-            // Cached-but-idle prefixes go first; preemption is the last resort.
-            if self.evict_prefix_one() {
+            let best = self.running.iter().map(|s| s.core.key).min();
+            if self.relieve(demand, best) {
                 continue;
             }
-            if self.running.len() <= 1 {
-                // Before truncating the lone sequence, get swap-parked
-                // states that still hold hot pages out of the hot tier —
-                // what the Replay policy would already have freed at
-                // preemption time — which keeps bounded-memory truncation
-                // policy-independent.
-                if self.spill_swapped_queue(demand) {
-                    continue;
-                }
-                // Then reclaim every page the cache still holds exclusively.
-                if self.evict_prefix_all() {
-                    continue;
-                }
-                // Nothing to preempt in favor of: the lone sequence cannot grow any
-                // further. Finish it with what it has (bounded-memory truncation).
-                if let Some(seq) = self.running.pop() {
-                    self.complete(seq, FinishReason::Truncated);
-                }
-                return;
-            }
-            // Progress guarantee: the best-ranked running sequence is never a
-            // victim here, so the most entitled live request always advances —
-            // without this, the swap-cost choice could ping-pong a cheap
-            // victim through resume/preempt cycles forever.
-            let best = self
-                .running
-                .iter()
-                .map(|s| s.core.key)
-                .min()
-                .expect("running list non-empty");
-            let preempted = self.make_room_below(best);
-            assert!(
-                preempted,
-                "more than one running sequence with unique ranks"
+            debug_assert!(
+                self.running.len() <= 1,
+                "relief failed with {} sequences of unique ranks running",
+                self.running.len()
             );
+            if self.evict_prefix_all() {
+                continue;
+            }
+            if let Some(seq) = self.running.pop() {
+                self.complete(seq, FinishReason::Truncated);
+            }
+            return;
         };
         // Batched decode: one token for every sequence whose feed is complete.
         let mut batch_idx: Vec<usize> = Vec::new();

@@ -1,6 +1,6 @@
 //! The scheduler's side of the cross-request prefix cache: donation of
 //! computed prefixes on tile-grid boundaries, completion and cancellation, and
-//! spill-then-evict pressure relief.
+//! the relief ladder's first rung (spill, else evict).
 
 use lserve_trace::lane;
 
@@ -80,8 +80,8 @@ impl Scheduler {
     /// cold already, or the bounded tiers are full) does it fall back to
     /// real eviction: removing the LRU entry whose removal actually frees
     /// physical pages, skipping entries whose pages are all co-owned
-    /// elsewhere. Returns `false` when neither lever can relieve the pool
-    /// and the caller needs preemption instead.
+    /// elsewhere. Returns `false` when neither lever can relieve the pool,
+    /// and [`Scheduler::relieve`] goes on to its next rung.
     ///
     /// Under the default tier shape (unbounded host, no nvme) spilling is
     /// skipped entirely: an unbounded modeled host would be free fake

@@ -51,7 +51,8 @@ impl Scheduler {
     }
 
     /// Preempts the chosen victim among sequences ranked strictly worse than
-    /// `than`. Returns `false` when no such victim exists.
+    /// `than`, the last rung of [`Scheduler::relieve`]. Returns `false` when
+    /// no such victim exists.
     pub(super) fn make_room_below(&mut self, than: SloKey) -> bool {
         let victim = self.pick_victim(Some(than));
         victim.map(|v| self.preempt_index(v)).is_some()

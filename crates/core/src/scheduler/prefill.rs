@@ -7,7 +7,7 @@ use std::sync::Arc;
 use lserve_model::greedy_next_token;
 use lserve_trace::lane;
 
-use super::{Scheduler, SloKey};
+use super::Scheduler;
 use crate::api::{RejectReason, SloClass};
 
 impl Scheduler {
@@ -49,7 +49,7 @@ impl Scheduler {
                 let boundary =
                     tile_grid_boundary(self.scfg.chunk_tokens, self.running[i].core.prompt.len());
                 let need = exec.prefill_page_demand(&self.running[i].feed.state, boundary);
-                while need > self.pool.free_pages() && self.relieve_feed(need, my_key) {}
+                while need > self.pool.free_pages() && self.relieve(need, Some(my_key)) {}
                 if need > self.pool.free_pages() {
                     // Wait for a later iteration — unless this sequence is
                     // alone, in which case it can never fit and must fail.
@@ -109,7 +109,7 @@ impl Scheduler {
             while budget > 0 && self.running[i].feed.fed < self.running[i].feed_len() {
                 let need = exec.step_page_demand(&self.running[i].feed.state, &self.pool);
                 if need > self.pool.free_pages() {
-                    if self.relieve_feed(need, my_key) {
+                    if self.relieve(need, Some(my_key)) {
                         continue;
                     }
                     break; // wait for a later iteration
@@ -163,16 +163,6 @@ impl Scheduler {
                 );
             }
         }
-    }
-
-    /// One rung of pressure relief for a feed `need` pages short, cheapest
-    /// first: an idle cached prefix goes (spilled or evicted); then a
-    /// swap-parked state that holds hot pages — it may pin the very prefix
-    /// pages the eviction needs, and that victim's relief is finished before
-    /// another is preempted; then a running sequence ranked below `than`.
-    /// `false` when nothing is left to give and the feed has to wait.
-    fn relieve_feed(&mut self, need: usize, than: SloKey) -> bool {
-        self.evict_prefix_one() || self.spill_swapped_queue(need) || self.make_room_below(than)
     }
 }
 

@@ -1,23 +1,37 @@
-//! The last rungs of the swap ladder: getting a swap-parked state out of the
-//! hot tier — its cached prefixes let go first, then it degrades to a replay.
+//! The relief ladder every page shortfall climbs, and its swap rung: getting
+//! a parked state out of the hot tier — its cached prefixes let go first,
+//! then it degrades to a replay.
 
 use std::collections::HashSet;
 
 use lserve_kvcache::PageId;
 
 use super::donate::absorbed_stream;
-use super::Scheduler;
+use super::{Scheduler, SloKey};
 
 impl Scheduler {
-    /// Last-resort pressure relief under [`PreemptionPolicy::Swap`], for a
-    /// caller short of `need` pages: spills the worst-ranked swap-parked
-    /// state whose spill relieves that shortage — one that still holds hot
-    /// pages (kept hot by a co-owner or a refused demotion), or any parked
-    /// state when it is the bounded hierarchy's total that is short. A state
-    /// parked entirely below the hot tier frees no hot slot and is left to
-    /// resume by promotion. Returns `false` when `need` already fits or no
-    /// such state is parked; callers loop over their eviction ladder, so
-    /// states go one at a time and only until the demand fits.
+    /// The relief ladder: one rung of relief for a caller `need` pages short,
+    /// cheapest first, or `false` when no rung frees anything. (1) An idle
+    /// cached prefix spills or goes; (2) a swap-parked state that holds hot
+    /// pages spills — it may pin the very pages rung 1 could not free, and one
+    /// victim's relief is finished before another is preempted; (3) a running
+    /// sequence ranked below `than` is preempted (`None`, admission's ask,
+    /// never preempts). Callers ask until their shortfall fits and keep only
+    /// their own last resort (DESIGN.md "Relief ladder").
+    pub(super) fn relieve(&mut self, need: usize, than: Option<SloKey>) -> bool {
+        self.evict_prefix_one()
+            || self.spill_swapped_queue(need)
+            || than.is_some_and(|than| self.make_room_below(than))
+    }
+
+    /// Rung 2 of [`Scheduler::relieve`], for a caller short of `need` pages:
+    /// spills the worst-ranked swap-parked state whose spill relieves that
+    /// shortage — one that still holds hot pages (kept hot by a co-owner or a
+    /// refused demotion), or any parked state when it is the bounded
+    /// hierarchy's total that is short. A state parked entirely below the hot
+    /// tier frees no hot slot and is left to resume by promotion. Returns
+    /// `false` when `need` already fits or no such state is parked, so states
+    /// go one at a time and only until the demand fits.
     pub(super) fn spill_swapped_queue(&mut self, need: usize) -> bool {
         if !self.admission_blocked(need) {
             return false;

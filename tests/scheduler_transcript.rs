@@ -38,7 +38,14 @@
 //! the same 53 move for this alone) and began to count as free the hot
 //! pages of the running sequences the prompt outranks, which it may
 //! preempt: 284 → 231 preemptions, 4449 → 4509 demotions, 951 → 977
-//! spills. Every
+//! spills. 50 rows moved when every page shortfall began to climb one
+//! relief ladder (`Scheduler::relieve`), which spills a parked state that
+//! holds hot pages before it preempts: decode with more than one sequence
+//! running had preempted first, and admission had spilled only with nothing
+//! running. A fork branch waits parked on its snapshot under either policy,
+//! so Replay rows moved too. Summed: steps 3185 → 3034, work tokens
+//! 20 791 → 21 353, preemptions 231 → 198, demotions 4509 → 4493, spills
+//! 977 → 964, prefix hit tokens 1834 → 2028. Every
 //! `SchedulerConfig` field
 //! is set here, so no default reaches a row: a change that only moves
 //! configuration reproduces every row, and a change that moves one has
@@ -208,60 +215,60 @@ fn moved_counts(labels: &[String], pinned: &[Counts], got: &[Counts]) -> String 
 /// its hash, then its [`Counts`].
 #[rustfmt::skip]
 const TRANSCRIPT: [(u64, Counts); 54] = [
-    (0xa46a3cd302185a3b, [72, 399, 1, 35, 15, 0, 0, 15, 0, 1, 0, 0, 62, 282, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 1
-    (0x46e0e05998167fbf, [57, 379, 1, 15, 9, 0, 0, 16, 0, 0, 0, 1, 114, 265, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 2
+    (0x30be8f65aa038e8d, [58, 402, 1, 34, 15, 0, 0, 15, 0, 1, 0, 0, 62, 274, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 1
+    (0xa9a4786348de10d7, [55, 395, 2, 17, 9, 0, 0, 16, 0, 0, 0, 1, 114, 285, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 2
     (0x9b8c5e757034846d, [55, 393, 4, 24, 10, 0, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix off, seed 3
-    (0x3c0045208a46b3e8, [61, 478, 8, 11, 1, 0, 136, 16, 0, 1, 0, 0, 59, 345, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 1
-    (0x073940231deb75c1, [54, 342, 2, 13, 1, 0, 48, 16, 0, 0, 0, 1, 114, 258, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 2
-    (0xdc663a6e4b3e00cc, [60, 462, 6, 6, 2, 0, 48, 13, 1, 1, 0, 0, 68, 312, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 3
-    (0xe7695ecabac3256d, [72, 399, 1, 35, 15, 5, 0, 15, 0, 1, 0, 0, 62, 282, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 1
-    (0xe89bc49f3451b422, [57, 379, 1, 15, 9, 0, 0, 16, 0, 0, 0, 1, 114, 265, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 2
+    (0xd651938a11266da5, [61, 437, 3, 10, 1, 0, 72, 16, 0, 1, 0, 0, 59, 333, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 1
+    (0xc928655fb5ed49c1, [55, 371, 3, 9, 3, 0, 56, 16, 0, 0, 0, 1, 114, 258, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 2
+    (0xaac1cd7485cf34b3, [59, 414, 5, 8, 2, 0, 99, 13, 1, 1, 0, 0, 68, 271, 36]), // 1 threads, 1 devices, Replay, Sync, unbounded host, prefix on, seed 3
+    (0x5aa06e171ff58a8b, [58, 402, 1, 34, 15, 5, 0, 15, 0, 1, 0, 0, 62, 274, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 1
+    (0xfd701178699d7c42, [55, 395, 2, 17, 9, 3, 0, 16, 0, 0, 0, 1, 114, 285, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 2
     (0xc0b04a63ee4ac14c, [55, 393, 4, 24, 10, 2, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix off, seed 3
-    (0xdac87e6c5977b19b, [68, 420, 5, 226, 13, 69, 88, 15, 0, 1, 0, 0, 59, 276, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 1
-    (0xe762f4e1d8180f52, [54, 329, 3, 187, 13, 84, 69, 16, 0, 0, 0, 1, 107, 258, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 2
-    (0xefe5c3d3509c4f8e, [55, 448, 11, 272, 24, 79, 233, 12, 1, 1, 0, 0, 44, 299, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 3
-    (0xb8736cdfa4841d59, [72, 399, 1, 46, 23, 0, 0, 15, 0, 1, 0, 0, 62, 282, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 1
-    (0xb5b74783b94ced71, [58, 379, 1, 19, 10, 0, 0, 16, 0, 0, 0, 1, 114, 265, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 2
+    (0xc37b581d7ea310ef, [60, 413, 3, 235, 12, 85, 96, 16, 0, 1, 0, 0, 59, 310, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 1
+    (0xdcf844adacef4dc5, [51, 349, 4, 175, 25, 80, 80, 16, 0, 0, 0, 1, 114, 249, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 2
+    (0xe186dfab2a997d23, [57, 377, 6, 224, 10, 66, 168, 13, 1, 1, 0, 0, 44, 226, 36]), // 1 threads, 1 devices, Replay, Sync, host 4 over nvme, prefix on, seed 3
+    (0x76a31087c8a357ea, [58, 402, 1, 44, 22, 0, 0, 15, 0, 1, 0, 0, 62, 274, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 1
+    (0x71d37e8f07540ef5, [55, 395, 2, 23, 12, 0, 0, 16, 0, 0, 0, 1, 114, 285, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 2
     (0x2e93b457d9c8ac91, [55, 393, 4, 28, 16, 0, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix off, seed 3
-    (0xd7fe15a7102a02cc, [61, 478, 8, 12, 2, 0, 136, 16, 0, 1, 0, 0, 59, 345, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 1
-    (0xcadbde816c7755ee, [54, 342, 2, 13, 1, 0, 48, 16, 0, 0, 0, 1, 114, 258, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 2
-    (0x37887cd12fd53a8f, [60, 462, 6, 7, 4, 0, 48, 13, 1, 1, 0, 0, 68, 312, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 3
-    (0x167bb27a8fba64a3, [72, 399, 1, 46, 23, 5, 0, 15, 0, 1, 0, 0, 62, 282, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 1
-    (0xec576c1c58a2f031, [58, 379, 1, 19, 10, 0, 0, 16, 0, 0, 0, 1, 114, 265, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 2
+    (0x13be24b231442ef8, [61, 437, 3, 11, 2, 0, 72, 16, 0, 1, 0, 0, 59, 333, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 1
+    (0x0b894cff10f33b87, [55, 371, 3, 9, 1, 0, 56, 16, 0, 0, 0, 1, 114, 258, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 2
+    (0x78cb7a2ab845232d, [59, 414, 5, 9, 4, 0, 99, 13, 1, 1, 0, 0, 68, 271, 36]), // 1 threads, 1 devices, Replay, Async, unbounded host, prefix on, seed 3
+    (0x8bf3bec081e94cd0, [58, 402, 1, 44, 22, 5, 0, 15, 0, 1, 0, 0, 62, 274, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 1
+    (0x430293e44d75c8c1, [55, 395, 2, 23, 12, 3, 0, 16, 0, 0, 0, 1, 114, 285, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 2
     (0x8807eb754729b53a, [55, 393, 4, 28, 16, 2, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix off, seed 3
-    (0xe505f0c0893e5145, [68, 415, 5, 202, 10, 25, 88, 15, 0, 1, 0, 0, 59, 271, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 1
-    (0xd7eeb7f9b89623c3, [54, 329, 3, 155, 5, 17, 69, 16, 0, 0, 0, 1, 107, 258, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 2
-    (0x1db74442ae4f83d0, [55, 448, 11, 250, 18, 40, 233, 12, 1, 1, 0, 0, 44, 299, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 3
-    (0x64a4ca3857e7e3ab, [64, 387, 2, 50, 31, 0, 0, 15, 0, 1, 0, 0, 62, 276, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 1
-    (0xc2082994291fe28a, [56, 358, 2, 31, 25, 0, 0, 16, 0, 0, 0, 1, 114, 243, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 2
-    (0x50b854aeb34e91b1, [54, 370, 5, 60, 34, 0, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 3
-    (0x07de8d87fb9d7e2e, [66, 357, 3, 42, 35, 0, 48, 15, 0, 1, 0, 0, 59, 238, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 1
-    (0xecf27c3fbaccd315, [50, 296, 7, 28, 25, 0, 0, 15, 0, 0, 0, 1, 100, 259, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 2
-    (0x5645ce45851df3d5, [56, 400, 9, 71, 57, 0, 40, 13, 1, 1, 0, 0, 60, 257, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 3
-    (0xb9c97e4f545680d5, [64, 401, 2, 50, 31, 22, 0, 15, 0, 1, 0, 0, 62, 280, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 1
-    (0x6c8e79e7e937487f, [56, 368, 2, 31, 25, 14, 0, 16, 0, 0, 0, 1, 114, 253, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 2
-    (0x8d76ffa081fcb4d3, [54, 391, 5, 60, 34, 36, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 3
-    (0xa7aa5141f5d346f7, [66, 391, 3, 222, 35, 77, 48, 15, 0, 1, 0, 0, 59, 256, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 1
-    (0x7fda0b64c6606d86, [50, 316, 7, 163, 25, 90, 0, 15, 0, 0, 0, 1, 112, 275, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 2
-    (0xe9b2b0a23dabf4a0, [59, 456, 9, 283, 65, 140, 40, 13, 1, 1, 0, 0, 67, 297, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 3
-    (0x657f707db3e206cf, [64, 384, 4, 74, 46, 0, 0, 15, 0, 1, 0, 0, 62, 275, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 1
-    (0xa08ef2a02ae516e9, [56, 355, 2, 35, 26, 0, 0, 16, 0, 0, 0, 1, 114, 240, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 2
-    (0x2a5c68ff4f2dfc5d, [54, 367, 5, 64, 40, 0, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 3
-    (0x2667138eee05180a, [66, 352, 3, 43, 36, 0, 48, 15, 0, 1, 0, 0, 59, 235, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 1
-    (0x263d9ed49fdc5ee1, [50, 291, 7, 30, 27, 0, 0, 15, 0, 0, 0, 1, 100, 255, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 2
-    (0xaf790ccd45217c18, [56, 391, 9, 73, 56, 0, 40, 13, 1, 1, 0, 0, 60, 251, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 3
-    (0xe41866bb344921ad, [64, 402, 4, 55, 29, 12, 0, 15, 0, 1, 0, 0, 62, 275, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 1
-    (0xabcb1c1e218f12b6, [58, 379, 1, 23, 10, 0, 0, 16, 0, 0, 0, 1, 114, 265, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 2
-    (0x97619e4f74bf0b84, [55, 377, 4, 42, 20, 9, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 3
-    (0xc19076517ed3638a, [66, 387, 3, 178, 5, 35, 64, 15, 0, 1, 0, 0, 59, 250, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 1
-    (0xf51c29185a65e682, [50, 307, 5, 128, 15, 19, 8, 15, 0, 0, 0, 1, 112, 247, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 2
-    (0x7429ed612adcc5f3, [59, 404, 7, 220, 18, 57, 91, 13, 1, 1, 0, 0, 68, 258, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 3
-    (0x0934865ff6352060, [64, 432, 4, 64, 42, 7, 0, 15, 0, 1, 0, 0, 62, 309, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 1
-    (0xb6c2b6bc5422ef4b, [57, 292, 3, 30, 28, 7, 0, 16, 0, 0, 0, 1, 98, 244, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 2
-    (0xb891442e665c36f1, [54, 446, 5, 63, 40, 19, 0, 11, 1, 1, 0, 0, 68, 277, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 3
-    (0x5a767f3777969bc5, [66, 387, 3, 205, 5, 27, 64, 15, 0, 1, 0, 0, 59, 250, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 1
-    (0x08ea94378199505c, [50, 319, 5, 152, 15, 23, 8, 15, 0, 0, 0, 1, 114, 259, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 2
-    (0xe0feff9fbe14f951, [59, 391, 7, 251, 30, 55, 91, 13, 1, 1, 0, 0, 68, 245, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 3
+    (0xc429ac64ccccee81, [60, 413, 3, 209, 5, 44, 96, 16, 0, 1, 0, 0, 59, 310, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 1
+    (0xf45134d8a0d65992, [51, 331, 3, 136, 5, 17, 80, 16, 0, 0, 0, 1, 114, 246, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 2
+    (0x8f031995574ce01e, [57, 377, 6, 199, 12, 23, 168, 13, 1, 1, 0, 0, 44, 226, 36]), // 1 threads, 1 devices, Replay, Async, host 4 over nvme, prefix on, seed 3
+    (0xf79d00b8c5804e30, [59, 397, 1, 38, 19, 0, 0, 15, 0, 1, 0, 0, 62, 270, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 1
+    (0x39b1d071cbd91604, [51, 358, 2, 33, 25, 0, 0, 16, 0, 0, 0, 1, 114, 237, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 2
+    (0x597213980b8e9874, [54, 370, 5, 62, 34, 0, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix off, seed 3
+    (0xf053e7eb2da4d299, [61, 394, 2, 39, 29, 0, 40, 16, 0, 1, 0, 0, 59, 281, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 1
+    (0x78bd9f0ba8638ea4, [51, 360, 5, 36, 31, 0, 0, 16, 0, 0, 0, 1, 114, 263, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 2
+    (0xdb4bc253d0276c26, [54, 378, 10, 63, 52, 0, 128, 12, 1, 1, 0, 0, 60, 240, 36]), // 1 threads, 1 devices, Swap, Sync, unbounded host, prefix on, seed 3
+    (0xafcec6506b9a40ec, [59, 397, 1, 38, 19, 5, 0, 15, 0, 1, 0, 0, 62, 270, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 1
+    (0x31a7b1bad21285f0, [51, 370, 2, 33, 25, 12, 0, 16, 0, 0, 0, 1, 114, 249, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 2
+    (0xafa73af8b013c422, [54, 391, 5, 62, 34, 36, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix off, seed 3
+    (0x0656988508195b63, [60, 408, 2, 226, 33, 96, 48, 16, 0, 1, 0, 0, 59, 295, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 1
+    (0x8d65bfcffcdc2f59, [51, 369, 4, 215, 61, 140, 8, 16, 0, 0, 0, 1, 114, 264, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 2
+    (0xf3abfb52ef796a28, [54, 440, 8, 285, 93, 133, 96, 13, 1, 1, 0, 0, 70, 264, 36]), // 1 threads, 1 devices, Swap, Sync, host 4 over nvme, prefix on, seed 3
+    (0xe47e1ebb1d13154a, [59, 396, 1, 48, 26, 0, 0, 15, 0, 1, 0, 0, 62, 269, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 1
+    (0x1cc23f5908724566, [52, 355, 2, 39, 28, 0, 0, 16, 0, 0, 0, 1, 114, 234, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 2
+    (0x3e76e641d79d127e, [54, 367, 5, 66, 40, 0, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix off, seed 3
+    (0x16b651ff194cdd39, [61, 390, 2, 41, 17, 0, 40, 16, 0, 1, 0, 0, 59, 277, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 1
+    (0xfd68b5beadc03fc6, [51, 355, 5, 36, 32, 0, 0, 16, 0, 0, 0, 1, 114, 259, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 2
+    (0xfdebf4d99179993b, [54, 371, 10, 63, 27, 0, 128, 12, 1, 1, 0, 0, 60, 236, 36]), // 1 threads, 1 devices, Swap, Async, unbounded host, prefix on, seed 3
+    (0xe815375c70407184, [59, 396, 1, 48, 26, 5, 0, 15, 0, 1, 0, 0, 62, 269, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 1
+    (0x26230a4b3e18595c, [53, 379, 4, 35, 20, 0, 0, 16, 0, 0, 0, 1, 114, 256, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 2
+    (0xe635f8b33156dc53, [55, 393, 4, 44, 16, 9, 0, 11, 1, 1, 0, 0, 68, 263, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix off, seed 3
+    (0xe0077e31107f1106, [61, 446, 4, 186, 1, 20, 56, 16, 0, 1, 0, 0, 59, 328, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 1
+    (0xfce365f74f5c824a, [52, 365, 3, 144, 5, 17, 48, 16, 0, 0, 0, 1, 114, 279, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 2
+    (0xbfcc62096c6bea72, [66, 480, 9, 224, 19, 39, 75, 13, 1, 1, 0, 0, 68, 331, 36]), // 1 threads, 1 devices, Swap, Async, host 4 over nvme, prefix on, seed 3
+    (0xf2ad97f526e318ab, [59, 460, 1, 48, 26, 0, 0, 15, 0, 1, 0, 0, 62, 321, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 1
+    (0xbf5c385851ac99e0, [53, 400, 4, 47, 28, 0, 0, 16, 0, 0, 0, 1, 114, 263, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 2
+    (0x9b82a7ced8f5c468, [54, 446, 5, 65, 40, 18, 0, 11, 1, 1, 0, 0, 68, 277, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix off, seed 3
+    (0xbd619fe0efc90085, [61, 446, 4, 223, 1, 28, 56, 16, 0, 1, 0, 0, 59, 328, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 1
+    (0xbc06e1dff71868ef, [52, 368, 3, 183, 13, 36, 48, 16, 0, 0, 0, 1, 114, 292, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 2
+    (0xef85e6b4afceba81, [61, 444, 9, 249, 32, 35, 115, 13, 1, 1, 0, 0, 68, 294, 36]), // 8 threads, 4 devices, Swap, Async, host 8 over nvme, prefix on, seed 3
 ];
 
 fn configurations() -> impl Iterator<Item = (Setting, u64)> {
