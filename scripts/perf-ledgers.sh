@@ -26,7 +26,9 @@ cd "$(git rev-parse --show-toplevel)"
 # swap thrash as preemptions, cache off and on; the copy-engine counts are
 # the pages the tiers moved, and the steps show when admission starts each
 # request. On `serve_mix_open` the same steps, work and donated prefixes
-# prove a step feeds the same tokens however the executor batches them. On
+# prove a step feeds the same tokens however the executor batches them; the
+# prefix evictions count the relief ladder's first rung, and the preemptions
+# and page moves what the pool did besides. On
 # `long_decode` half the heads are windowed and every selecting dense head
 # demotes. Every `long_prefill` prompt runs whole through the fused prefill
 # layer.
@@ -43,7 +45,11 @@ overcommit_swap overcommit
 serve_mix_open serve-mix
     scheduler.steps == 1481
     scheduler.work_tokens == 20058
+    scheduler.preemptions == 0
     prefixcache.insertions == 142
+    prefixcache.evictions == 128
+    kvcache.pages_demoted == 81
+    kvcache.pages_promoted == 61
 long_decode long-decode
     scheduler.steps == 2054
     scheduler.work_tokens == 16380
