@@ -91,9 +91,9 @@ impl Scheduler {
     /// the rest of the prompt feeds ahead of it, less what it may preempt
     /// ([`Scheduler::feed_charge`]); a swap-parked one its exact swap-in. A
     /// head that does not fit climbs the relief ladder
-    /// ([`Scheduler::relieve`]) short of preemption, then waits for running
-    /// sequences to finish or be preempted by their peers; a swap-in that
-    /// cannot fit with nothing running spills its own state and replays.
+    /// ([`Scheduler::relieve`]), which never preempts for admission, then
+    /// waits; a swap-in that cannot fit with nothing running spills its own
+    /// state instead.
     pub(super) fn admit(&mut self) {
         while self.running.len() < self.scfg.max_batch {
             let Some(front) = self.queue.front() else {
