@@ -660,4 +660,98 @@ mod tests {
         let out = exec.prefill(&mut s, &mut pool, &[9, 10, 11]).unwrap();
         assert_eq!(out.logits.len(), 97);
     }
+
+    /// FNV-1a over the bits of `rows`, one row after another.
+    fn bits_hash<'a>(rows: impl IntoIterator<Item = &'a [f32]>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for x in rows.into_iter().flatten() {
+            for b in x.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The bits of a fused first chunk, pinned: per (preset, prompt length),
+    /// the FNV-1a hash of the prefill logits and of the logits of the four
+    /// greedy decode steps after it, which read the pages the chunk wrote.
+    /// The lengths straddle the 64-row prefill tile (one row, a tile less
+    /// one, a tile, a tile and one row, two and a bit, sixteen and a bit);
+    /// the presets run a streaming head beside a dense one (`lserve`), every
+    /// head dense (`dense`) and a dense head under a dynamic mask that keeps
+    /// one past tile (`lserve` from 0 tokens). Every thread count must give
+    /// the same row.
+    #[test]
+    fn prefill_bits_are_pinned() {
+        const LENGTHS: [usize; 6] = [1, 63, 64, 65, 130, 1041];
+        #[rustfmt::skip]
+        const PINNED: [[(u64, u64); 6]; 3] = [
+            // lserve
+            [(0x1c87c138a078a108, 0xaf509c53031b17f5), (0x8b8b390ab591aae5, 0x65818672904d646c), (0xf5919cdea57ab070, 0xd4b0b718b00a0e30), (0x207a5a7675b6462b, 0x79efeb611f126fb0), (0xecf60ba88400a2d1, 0x0320eb2078d2cbc3), (0x52507a74332bf5e2, 0xaa28afb96bb9cd3d)],
+            // dense
+            [(0x1c87c138a078a108, 0x98b9f9ffcd3c159e), (0x8b8b390ab591aae5, 0x029342550e2aaaa0), (0xf5919cdea57ab070, 0x068b1464480c7f94), (0x207a5a7675b6462b, 0x93eddf4784c5da64), (0xecf60ba88400a2d1, 0x1def4b7283bc7d76), (0xd2c8f7b7e71e4e8e, 0xfe427b20985d8df1)],
+            // lserve, dynamic prefill keeping one tile
+            [(0x1c87c138a078a108, 0xaf509c53031b17f5), (0x8b8b390ab591aae5, 0x65818672904d646c), (0xf5919cdea57ab070, 0xd4b0b718b00a0e30), (0x207a5a7675b6462b, 0x79efeb611f126fb0), (0xecf60ba88400a2d1, 0x0320eb2078d2cbc3), (0x3e56d2f27ed79829, 0x4645793bff436791)],
+        ];
+        let presets = [
+            EngineConfig::lserve(),
+            EngineConfig::dense(),
+            EngineConfig {
+                dynamic_prefill_after: 0,
+                dynamic_prefill_keep: Some(1),
+                ..EngineConfig::lserve()
+            },
+        ];
+        let w = tiny_weights();
+        let mut got = [[(0u64, 0u64); 6]; 3];
+        for (p, cfg) in presets.iter().enumerate() {
+            let exec = ModelExecutor::new(Arc::clone(&w), cfg.clone());
+            for (i, &n) in LENGTHS.iter().enumerate() {
+                let prompt: Vec<u32> = (0..n).map(|t| ((t * 37 + 11) % 97) as u32).collect();
+                let rows: Vec<(u64, u64)> = [1, 2, 8]
+                    .into_iter()
+                    .map(|threads| {
+                        let mut pool = cfg.make_pool_for(&w.config, n + 8);
+                        let mut s = exec.new_sequence();
+                        let mut stats = ParallelExecStats::default();
+                        let first = exec
+                            .prefill_threads(&mut s, &mut pool, &prompt, threads, &mut stats)
+                            .unwrap()
+                            .logits;
+                        let mut next = greedy_next_token(&first);
+                        let decoded: Vec<Vec<f32>> = (0..4)
+                            .map(|_| {
+                                let l = exec.decode_step(&mut s, &mut pool, next).unwrap().logits;
+                                next = greedy_next_token(&l);
+                                l
+                            })
+                            .collect();
+                        let decoded = bits_hash(decoded.iter().map(Vec::as_slice));
+                        (bits_hash([first.as_slice()]), decoded)
+                    })
+                    .collect();
+                assert!(
+                    rows.iter().all(|r| *r == rows[0]),
+                    "preset {p}, {n} tokens: threads disagree {rows:x?}"
+                );
+                got[p][i] = rows[0];
+            }
+        }
+        let table: Vec<String> = got
+            .iter()
+            .map(|row| {
+                let cells: Vec<String> = row
+                    .iter()
+                    .map(|(a, b)| format!("({a:#018x}, {b:#018x})"))
+                    .collect();
+                format!("[{}],", cells.join(", "))
+            })
+            .collect();
+        assert_eq!(
+            got,
+            PINNED,
+            "the prefill moved a bit; now:\n{}",
+            table.join("\n")
+        );
+    }
 }
