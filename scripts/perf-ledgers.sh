@@ -31,7 +31,8 @@ cd "$(git rev-parse --show-toplevel)"
 # and page moves what the pool did besides. On
 # `long_decode` half the heads are windowed and every selecting dense head
 # demotes. Every `long_prefill` prompt runs whole through the fused prefill
-# layer.
+# layer, and its peak pool use (272 of 720 pages) shows that the layer keeps
+# every page of the chunk, however it groups the rows.
 ledgers='
 overcommit_swap overcommit
     scheduler.steps == 782
@@ -59,6 +60,7 @@ long_decode long-decode
 long_prefill long-prefill
     scheduler.steps == 6
     scheduler.work_tokens == 8198
+    kvcache.pool_peak_util == 0.37777777777777777
 '
 
 # check workload file metric op expected: one report line; fails on a miss.
