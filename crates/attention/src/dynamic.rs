@@ -51,57 +51,91 @@ pub fn build_dynamic_prefill_mask(
     assert!(tile > 0, "tile must be positive");
     assert_eq!(q.rows(), k.rows(), "Q/K rows mismatch");
     assert_eq!(q.cols(), k.cols(), "Q/K dim mismatch");
-    let n = q.rows();
-    let d = q.cols();
+    let (n, d) = q.shape();
     let nb = n.div_ceil(tile);
+    let rows_of = |b: usize| b * tile * d..((b + 1) * tile).min(n) * d;
 
     // Per-KV-block key statistics (kmin/kmax per channel).
     let block_stats: Vec<LogicalPageStats> = (0..nb)
-        .map(|b| {
-            let mut s = LogicalPageStats::new(d);
-            for t in b * tile..((b + 1) * tile).min(n) {
-                s.update(k.row(t));
-            }
-            s
-        })
+        .map(|b| block_key_stats(k.as_slice()[rows_of(b)].chunks_exact(d), d))
         .collect();
 
     let mut mask = MaskPattern::new(nb, nb);
-    let mut scores: Vec<(usize, f32)> = Vec::with_capacity(nb);
+    let mut row = Vec::with_capacity(nb);
     for qt in 0..nb {
-        // Pooled query for the tile: the mean row. Mean pooling is what MInference's
-        // offline pattern search approximates online; the min/max bound on the key
-        // side compensates for within-tile query variance.
-        let mut q_mean = vec![0.0f32; d];
-        let rows = (qt * tile..((qt + 1) * tile).min(n)).collect::<Vec<_>>();
-        for &r in &rows {
-            for (acc, &x) in q_mean.iter_mut().zip(q.row(r)) {
-                *acc += x;
-            }
-        }
-        let inv = 1.0 / rows.len() as f32;
-        for x in &mut q_mean {
-            *x *= inv;
-        }
-
-        // Always keep the diagonal and the sinks.
-        mask.set(qt, qt.min(nb - 1));
-        for s in 0..sink_blocks.min(nb) {
-            if s <= qt {
-                mask.set(qt, s);
-            }
-        }
-        // Rank strictly-past, non-sink blocks.
-        scores.clear();
-        for (kb, stats) in block_stats.iter().enumerate().take(qt).skip(sink_blocks) {
-            scores.push((kb, stats.importance(&q_mean)));
-        }
-        scores.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        for &(kb, _) in scores.iter().take(keep_per_tile) {
+        let queries = &q.as_slice()[rows_of(qt)];
+        dynamic_mask_row(
+            queries,
+            d,
+            &block_stats[..qt],
+            keep_per_tile,
+            sink_blocks,
+            &mut row,
+        );
+        for kb in (0..=qt).filter(|&kb| row[kb]) {
             mask.set(qt, kb);
         }
     }
     mask
+}
+
+/// The key statistics of one block whose `d`-dimensional keys are `keys`.
+pub(crate) fn block_key_stats<'a>(
+    keys: impl IntoIterator<Item = &'a [f32]>,
+    d: usize,
+) -> LogicalPageStats {
+    let mut s = LogicalPageStats::new(d);
+    for key in keys {
+        s.update(key);
+    }
+    s
+}
+
+/// One query tile's row of the dynamic mask: `row[kb]` for each key block
+/// `0..=qt` of query tile `qt = past.len()`, whose queries are `queries`
+/// (rows of `d`) and whose strictly-past blocks' key statistics are `past`.
+/// The row keeps the diagonal, the first `sink_blocks` blocks and the
+/// `keep_per_tile` past non-sink blocks of highest affinity. It reads
+/// nothing after the tile, so a prefill that takes its rows a tile at a time
+/// builds each row as its tile arrives.
+pub(crate) fn dynamic_mask_row(
+    queries: &[f32],
+    d: usize,
+    past: &[LogicalPageStats],
+    keep_per_tile: usize,
+    sink_blocks: usize,
+    row: &mut Vec<bool>,
+) {
+    let qt = past.len();
+    // Pooled query for the tile: the mean row. Mean pooling is what MInference's
+    // offline pattern search approximates online; the min/max bound on the key
+    // side compensates for within-tile query variance.
+    let mut q_mean = vec![0.0f32; d];
+    for query in queries.chunks_exact(d) {
+        for (acc, &x) in q_mean.iter_mut().zip(query) {
+            *acc += x;
+        }
+    }
+    let inv = 1.0 / (queries.len() / d) as f32;
+    for x in &mut q_mean {
+        *x *= inv;
+    }
+
+    // Always keep the diagonal and the sinks.
+    row.clear();
+    row.resize(qt + 1, false);
+    row[qt] = true;
+    for kept in row.iter_mut().take(sink_blocks) {
+        *kept = true;
+    }
+    // Rank strictly-past, non-sink blocks.
+    let mut scores: Vec<(usize, f32)> = (past.iter().enumerate().skip(sink_blocks))
+        .map(|(kb, stats)| (kb, stats.importance(&q_mean)))
+        .collect();
+    scores.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    for &(kb, _) in scores.iter().take(keep_per_tile) {
+        row[kb] = true;
+    }
 }
 
 #[cfg(test)]

@@ -1,21 +1,22 @@
 //! Fused layer-level hybrid prefill attention (§3.2 prefill dataflow).
 //!
-//! One call processes every head of a layer, mirroring the single fused CUDA kernel
-//! that "enables different sparsity patterns to be applied independently on each
-//! head": each KV head brings its own [`PrefillMask`] (its streaming window's Λ
-//! pattern, causal, or a dynamic query-aware mask). GQA's query→KV head mapping
-//! (`h_kv = h / n`, Eq. 1) is applied here. The decode side of the same kernel is
-//! one [`crate::parallel::DecodeShard`] per KV head, which the executor builds.
+//! One [`LayerPrefill`] processes every head of a layer, mirroring the single
+//! fused CUDA kernel that "enables different sparsity patterns to be applied
+//! independently on each head": each KV head brings its own [`PrefillMask`]
+//! (its streaming window's Λ pattern, causal, or a dynamic query-aware mask).
+//! GQA's query→KV head mapping (`h_kv = h / n`, Eq. 1) is applied here. The
+//! layer takes its chunk one tile of rows at a time, and each KV head keeps
+//! only what later tiles read of it. The decode side of the same kernel is one
+//! [`crate::parallel::DecodeShard`] per KV head, which the executor builds.
 
-use std::sync::Mutex;
-
-use lserve_kvcache::StreamingWindow;
+use lserve_kvcache::{LogicalPageStats, StreamingWindow};
 use lserve_tensor::Matrix;
 
-use crate::dynamic::build_dynamic_prefill_mask;
+use crate::block::RowState;
+use crate::dynamic::{block_key_stats, dynamic_mask_row};
 use crate::parallel::{run_placed, PlacedBalance};
 use crate::pattern::{BlockPattern, DensePattern, StreamingPattern};
-use crate::prefill::{prefill_head, KeyTiles, PrefillStats};
+use crate::prefill::{fold_query_tile, KeyTiles, PrefillStats};
 
 /// Geometry of a layer's attention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,153 +70,271 @@ impl LayerAttnConfig {
     }
 }
 
-/// Extracts head `h`'s column block from a `(N x heads*D)` activation matrix.
-fn head_slice(m: &Matrix, h: usize, d: usize) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), d);
-    for r in 0..m.rows() {
-        out.row_mut(r)
-            .copy_from_slice(&m.row(r)[h * d..(h + 1) * d]);
-    }
-    out
-}
-
-/// One KV head's keys and values as the prefill kernel reads them, built once
-/// and shared by the query heads of its group.
+/// One KV head's keys and values as the prefill kernel reads them, shared by
+/// the query heads of its group and grown one tile at a time. A causal or
+/// dynamic head keeps every tile; a windowed head a ring of its sink and
+/// local tiles, the only ones its Λ pattern reads.
 struct PrefillKv {
     mask: PrefillMask,
     keys: KeyTiles,
-    values: Matrix,
-    /// Row-major keys, which only a dynamic mask reads.
-    key_rows: Option<Matrix>,
+    /// Value rows, `tile x D` a slot (the last tile of the chunk may be short).
+    values: Vec<f32>,
+    /// Each tile's key statistics, which only a dynamic mask reads.
+    stats: Vec<LogicalPageStats>,
 }
 
-/// One query head's unit of prefill work inside the sharded layer kernel.
-struct PrefillShard<'a> {
+impl PrefillKv {
+    /// The slot tile `kb` is kept in.
+    fn slot(&self, kb: usize) -> usize {
+        match self.mask {
+            PrefillMask::Window(w) if kb >= w.sink_pages() => {
+                w.sink_pages() + (kb - w.sink_pages()) % w.local_pages()
+            }
+            _ => kb,
+        }
+    }
+}
+
+/// One query head's unit of prefill work inside the sharded layer kernel: its
+/// columns of the current query tile, their output, and its counters.
+struct PrefillShard {
     h: usize,
-    kv: &'a PrefillKv,
+    kv: usize,
+    queries: Vec<f32>,
+    out: Vec<f32>,
+    rows: Vec<RowState>,
+    /// A dynamic head's mask row of the current tile.
+    kept: Vec<bool>,
     stats: PrefillStats,
 }
 
-/// Fused block-sparse prefill over all heads of one layer.
+/// Fused block-sparse prefill over all heads of one layer, for a chunk of
+/// `n` tokens taken one tile of rows at a time ([`LayerPrefill::attend_tile`]).
 ///
-/// `q` is `(N x H·D)`; `k`, `v` are `(N x Ĥ·D)`; `masks` holds each **KV** head's
-/// [`PrefillMask`]. Each activation is held once: every KV head's keys are
-/// regrouped into K tiles before `k` is dropped, its values sliced out before
-/// `v` is, and `q` becomes the attention output in place.
+/// Query tile `qt` reads only key tiles up to its own, and a dynamic mask
+/// row only its own queries and the key tiles before it, so a tile's output
+/// is complete when its rows arrive: the state holds the KV heads' kept
+/// tiles, never the layer's whole Q, K or V.
 ///
-/// Each query head is one shard of a one-device phase ([`run_placed`]): up to
-/// `threads` scoped workers, LPT-assigned by estimated tile cost (dense heads grow
-/// quadratically with the prompt, streaming heads linearly — the per-head
-/// sparsity asymmetry that makes naive partitioning unbalanced). Shard `h` is
-/// the only reader and writer of `q`'s columns `h·D..(h+1)·D`, and writes each
-/// finished query tile over the queries it has just read, so outputs are
+/// Each query head is one shard of a one-device phase ([`run_placed`]), run
+/// once a tile: up to `threads` scoped workers, LPT-assigned by the shard's
+/// estimated tiles over the whole chunk (dense heads grow quadratically with
+/// the prompt, streaming heads linearly — the per-head sparsity asymmetry that
+/// makes naive partitioning unbalanced). A shard reads its query columns from
+/// its own copy and writes its own output buffer, so outputs are
 /// bit-identical for every thread count: the same kernel runs on the same
-/// inputs whichever worker runs it. `q` sits behind one lock, taken per tile
-/// outside the fold.
-///
-/// Returns the `(N x H·D)` attention output, the tile counters of each KV head
-/// (summed over its query heads), and the phase's balance.
-///
-/// # Panics
-///
-/// Panics on shape mismatches or if `masks.len() != num_kv_heads`.
-pub fn fused_prefill_layer(
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    cfg: &LayerAttnConfig,
-    masks: &[PrefillMask],
-    threads: usize,
-) -> (Matrix, Vec<PrefillStats>, PlacedBalance) {
-    let n = q.rows();
-    let d = cfg.head_dim;
-    assert_eq!(q.cols(), cfg.num_q_heads * d, "Q width mismatch");
-    assert_eq!(k.cols(), cfg.num_kv_heads * d, "K width mismatch");
-    assert_eq!(v.cols(), cfg.num_kv_heads * d, "V width mismatch");
-    assert_eq!(k.rows(), n, "K rows mismatch");
-    assert_eq!(masks.len(), cfg.num_kv_heads, "masks length mismatch");
+/// inputs whichever worker runs it.
+pub struct LayerPrefill {
+    cfg: LayerAttnConfig,
+    n: usize,
+    heads: Vec<PrefillKv>,
+    shards: Vec<PrefillShard>,
+    costs: Vec<u64>,
+    /// Tiles taken so far.
+    tiles: usize,
+    balance: Option<PlacedBalance>,
+}
 
-    let nt = n.div_ceil(cfg.tile) as u64;
-    let causal_tiles = nt * (nt + 1) / 2;
-    let mut kv_heads: Vec<PrefillKv> = masks
-        .iter()
-        .enumerate()
-        .map(|(kv, &mask)| PrefillKv {
-            mask,
-            keys: KeyTiles::new(&k, kv * d, d, cfg.tile),
-            values: Matrix::default(),
-            key_rows: matches!(mask, PrefillMask::Dynamic { .. }).then(|| head_slice(&k, kv, d)),
-        })
-        .collect();
-    drop(k);
-    for (kv, head) in kv_heads.iter_mut().enumerate() {
-        head.values = head_slice(&v, kv, d);
-    }
-    drop(v);
-    let mut shards: Vec<PrefillShard<'_>> = Vec::with_capacity(cfg.num_q_heads);
-    let mut costs: Vec<u64> = Vec::with_capacity(cfg.num_q_heads);
-    for h in 0..cfg.num_q_heads {
-        let kv = cfg.kv_head_of(h);
-        // Estimated tiles the shard will visit: the sparsity-aware signal the
-        // LPT assignment balances on.
-        let cost = match masks[kv] {
-            PrefillMask::Causal => causal_tiles,
-            PrefillMask::Window(w) => nt * (w.sink_pages() + w.local_pages() + 1) as u64,
-            PrefillMask::Dynamic { keep, sink } => nt * (keep + sink + 1) as u64,
-        };
-        costs.push(cost.min(causal_tiles).max(1));
-        shards.push(PrefillShard {
-            h,
-            kv: &kv_heads[kv],
-            stats: PrefillStats::default(),
-        });
+impl LayerPrefill {
+    /// The empty state of a layer whose chunk is `n` tokens, under one
+    /// [`PrefillMask`] per **KV** head.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` or the tile is zero or `masks.len() != num_kv_heads`.
+    pub fn new(cfg: &LayerAttnConfig, masks: &[PrefillMask], n: usize) -> Self {
+        let (d, t) = (cfg.head_dim, cfg.tile);
+        assert!(n > 0 && t > 0, "an empty chunk or tile");
+        assert_eq!(masks.len(), cfg.num_kv_heads, "masks length mismatch");
+        let nt = n.div_ceil(t);
+        let heads = (masks.iter())
+            .map(|&mask| {
+                let slots = match mask {
+                    PrefillMask::Window(w) => nt.min(w.sink_pages() + w.local_pages()),
+                    _ => nt,
+                };
+                let dynamic = matches!(mask, PrefillMask::Dynamic { .. });
+                PrefillKv {
+                    mask,
+                    keys: KeyTiles::with_capacity(d, t, slots),
+                    values: Vec::with_capacity((slots * t).min(n) * d),
+                    stats: Vec::with_capacity(if dynamic { nt } else { 0 }),
+                }
+            })
+            .collect();
+        let causal_tiles = (nt * (nt + 1) / 2) as u64;
+        let nt = nt as u64;
+        let (mut shards, mut costs) = (Vec::new(), Vec::new());
+        for h in 0..cfg.num_q_heads {
+            let kv = cfg.kv_head_of(h);
+            // Estimated tiles the shard will visit: the sparsity-aware signal the
+            // LPT assignment balances on.
+            let cost = match masks[kv] {
+                PrefillMask::Causal => causal_tiles,
+                PrefillMask::Window(w) => nt * (w.sink_pages() + w.local_pages() + 1) as u64,
+                PrefillMask::Dynamic { keep, sink } => nt * (keep + sink + 1) as u64,
+            };
+            costs.push(cost.min(causal_tiles).max(1));
+            shards.push(PrefillShard {
+                h,
+                kv,
+                queries: Vec::with_capacity(t * d),
+                out: Vec::with_capacity(t * d),
+                rows: Vec::with_capacity(t),
+                kept: Vec::new(),
+                stats: PrefillStats::default(),
+            });
+        }
+        Self {
+            cfg: *cfg,
+            n,
+            heads,
+            shards,
+            costs,
+            tiles: 0,
+            balance: None,
+        }
     }
 
-    let qo = Mutex::new(q);
-    let on_one_device = vec![0; shards.len()];
-    let balance = run_placed(threads, 1, &on_one_device, &costs, &mut shards, |s| {
-        let attend = |pattern: &dyn BlockPattern| {
-            prefill_head(
-                &qo,
-                s.h * d,
-                &s.kv.keys,
-                &s.kv.values,
-                cfg.scale(),
-                cfg.tile,
-                pattern,
-            )
-        };
-        s.stats = match s.kv.mask {
-            PrefillMask::Causal => attend(&DensePattern),
-            PrefillMask::Window(w) => {
-                attend(&StreamingPattern::new(w.sink_pages(), w.local_pages()))
+    /// Takes the chunk's next tile of rows: `k` and `v` are its keys and
+    /// values (`rows x Ĥ·D`), which every KV head keeps as its mask needs,
+    /// and `q` its queries (`rows x H·D`), which become the tile's attention
+    /// output in place. A tile is `tile` rows, the chunk's last one up to
+    /// that.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches or rows past the chunk.
+    pub fn attend_tile(&mut self, q: &mut Matrix, k: &Matrix, v: &Matrix, threads: usize) {
+        let (d, t, n) = (self.cfg.head_dim, self.cfg.tile, self.n);
+        let (qt, rows) = (self.tiles, q.rows());
+        let start = qt * t;
+        assert!(
+            rows > 0 && (rows == t && start + t <= n || start + rows == n),
+            "a tile of rows of the chunk"
+        );
+        assert_eq!(q.cols(), self.cfg.num_q_heads * d, "Q width mismatch");
+        assert_eq!(
+            k.shape(),
+            (rows, self.cfg.num_kv_heads * d),
+            "K shape mismatch"
+        );
+        assert_eq!(v.shape(), k.shape(), "V shape mismatch");
+        for (kv, head) in self.heads.iter_mut().enumerate() {
+            let cols = kv * d..(kv + 1) * d;
+            let slot = head.slot(qt);
+            head.keys
+                .put(slot, (0..rows).map(|r| &k.row(r)[cols.clone()]));
+            let at = slot * t * d;
+            if at == head.values.len() {
+                head.values.resize(at + rows * d, 0.0);
             }
-            PrefillMask::Dynamic { keep, sink } => {
-                // The mask reads every query of the head: take them all
-                // before the first tile's output lands over them.
-                let qh = head_slice(&qo.lock().expect("query buffer poisoned"), s.h, d);
-                let kh = s.kv.key_rows.as_ref().expect("kept for a dynamic mask");
-                let mask = build_dynamic_prefill_mask(&qh, kh, cfg.tile, keep, sink);
-                drop(qh);
-                attend(&mask)
+            for (r, dst) in head.values[at..at + rows * d]
+                .chunks_exact_mut(d)
+                .enumerate()
+            {
+                dst.copy_from_slice(&v.row(r)[cols.clone()]);
             }
-        };
-    });
+            if matches!(head.mask, PrefillMask::Dynamic { .. }) {
+                let keys = (0..rows).map(|r| &k.row(r)[cols.clone()]);
+                head.stats.push(block_key_stats(keys, d));
+            }
+        }
+        for s in &mut self.shards {
+            s.queries.clear();
+            for r in 0..rows {
+                s.queries
+                    .extend_from_slice(&q.row(r)[s.h * d..(s.h + 1) * d]);
+            }
+            s.out.resize(rows * d, 0.0);
+        }
 
-    let mut stats = vec![PrefillStats::default(); cfg.num_kv_heads];
-    for s in &shards {
-        let agg = &mut stats[cfg.kv_head_of(s.h)];
-        agg.tiles_visited += s.stats.tiles_visited;
-        agg.tiles_total_causal += s.stats.tiles_total_causal;
+        let (cfg, heads) = (&self.cfg, &self.heads);
+        let on_one_device = vec![0; self.shards.len()];
+        let balance = run_placed(
+            threads,
+            1,
+            &on_one_device,
+            &self.costs,
+            &mut self.shards,
+            |s| {
+                let head = &heads[s.kv];
+                let blocks = match head.mask {
+                    PrefillMask::Causal => DensePattern.blocks_for_tile(qt, t, t, n),
+                    PrefillMask::Window(w) => {
+                        StreamingPattern::new(w.sink_pages(), w.local_pages())
+                            .blocks_for_tile(qt, t, t, n)
+                    }
+                    PrefillMask::Dynamic { keep, sink } => {
+                        dynamic_mask_row(&s.queries, d, &head.stats[..qt], keep, sink, &mut s.kept);
+                        (0..=qt)
+                            .filter(|&kb| s.kept[kb])
+                            .map(|kb| (kb, DensePattern.decide(qt, kb, t, t, n)))
+                            .collect()
+                    }
+                };
+                let blocks = blocks.into_iter().map(|(kb, decision)| {
+                    let slot = head.slot(kb);
+                    let keys = ((kb + 1) * t).min(n) - kb * t;
+                    let values = &head.values[slot * t * d..][..keys * d];
+                    (kb * t, head.keys.tile(slot), values, decision)
+                });
+                s.stats.tiles_visited += fold_query_tile(
+                    d,
+                    &s.queries,
+                    cfg.scale(),
+                    start,
+                    blocks,
+                    &mut s.rows,
+                    &mut s.out,
+                );
+            },
+        );
+        match &mut self.balance {
+            None => self.balance = Some(balance),
+            Some(layer) => {
+                for (total, busy) in layer.busy_ns.iter_mut().zip(&balance.busy_ns) {
+                    *total += busy;
+                }
+                layer.stolen += balance.stolen;
+            }
+        }
+
+        for s in &self.shards {
+            for (r, out) in s.out.chunks_exact(d).enumerate() {
+                q.row_mut(r)[s.h * d..(s.h + 1) * d].copy_from_slice(out);
+            }
+        }
+        self.tiles += 1;
     }
-    let out = qo.into_inner().expect("query buffer poisoned");
-    (out, stats, balance)
+
+    /// Ends the layer: the tile counters of each KV head (summed over its
+    /// query heads), and the balance of its attention phase — one phase of
+    /// a shard per query head, its modeled costs those of the whole chunk and
+    /// its measured busy time summed over the tiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if rows of the chunk were never taken.
+    pub fn finish(self) -> (Vec<PrefillStats>, PlacedBalance) {
+        let t = self.cfg.tile;
+        assert!(self.tiles * t >= self.n, "rows of the chunk never came");
+        let total = DensePattern.tile_counts(t, t, self.n).1;
+        let mut stats = vec![PrefillStats::default(); self.cfg.num_kv_heads];
+        for s in &self.shards {
+            let agg = &mut stats[s.kv];
+            agg.tiles_visited += s.stats.tiles_visited;
+            agg.tiles_total_causal += total;
+        }
+        (stats, self.balance.expect("a chunk has a tile"))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decode::{attend_pages, DecodeStats};
+    use crate::dynamic::build_dynamic_prefill_mask;
     use crate::parallel::{run_decode_shard, DecodeShard};
     use crate::reference::causal_attention_reference;
     use lserve_kvcache::{append_token, DenseHeadCache, PagePool, PagingConfig, StreamingWindow};
@@ -231,7 +350,18 @@ mod tests {
         }
     }
 
-    /// [`fused_prefill_layer`] on copies of activations the test reuses.
+    /// Head `h`'s columns of a `(N x heads*D)` activation matrix.
+    fn columns(m: &Matrix, h: usize, d: usize) -> Matrix {
+        let mut out = Matrix::zeros(m.rows(), d);
+        for r in 0..m.rows() {
+            out.row_mut(r)
+                .copy_from_slice(&m.row(r)[h * d..(h + 1) * d]);
+        }
+        out
+    }
+
+    /// A [`LayerPrefill`] over the whole of `q`, `k` and `v`, fed one tile of
+    /// rows at a time: the attention output and what the layer reports.
     fn fused(
         q: &Matrix,
         k: &Matrix,
@@ -240,7 +370,19 @@ mod tests {
         masks: &[PrefillMask],
         threads: usize,
     ) -> (Matrix, Vec<PrefillStats>, PlacedBalance) {
-        fused_prefill_layer(q.clone(), k.clone(), v.clone(), c, masks, threads)
+        let n = q.rows();
+        let mut layer = LayerPrefill::new(c, masks, n);
+        let mut out = Matrix::zeros(n, q.cols());
+        for start in (0..n).step_by(c.tile) {
+            let end = (start + c.tile).min(n);
+            let mut tile = q.slice_rows(start, end);
+            let (kt, vt) = (k.slice_rows(start, end), v.slice_rows(start, end));
+            layer.attend_tile(&mut tile, &kt, &vt, threads);
+            let width = q.cols();
+            out.as_mut_slice()[start * width..end * width].copy_from_slice(tile.as_slice());
+        }
+        let (stats, balance) = layer.finish();
+        (out, stats, balance)
     }
 
     /// KV head 0 under `dense`, KV head 1 with a window of one sink and two
@@ -279,11 +421,11 @@ mod tests {
         }
         for h in 0..c.num_q_heads {
             let kv = c.kv_head_of(h);
-            let qh = head_slice(&q, h, c.head_dim);
-            let kh = head_slice(&k, kv, c.head_dim);
-            let vh = head_slice(&v, kv, c.head_dim);
+            let qh = columns(&q, h, c.head_dim);
+            let kh = columns(&k, kv, c.head_dim);
+            let vh = columns(&v, kv, c.head_dim);
             let want = causal_attention_reference(&qh, &kh, &vh, c.scale());
-            let got = head_slice(&out, h, c.head_dim);
+            let got = columns(&out, h, c.head_dim);
             assert!(got.max_abs_diff(&want) < 1e-4, "head {h}");
         }
     }
@@ -443,8 +585,8 @@ mod tests {
                 let (out, ..) = fused(&q, &k, &v, &c, &masks, threads);
                 for h in 0..c.num_q_heads {
                     let kv = c.kv_head_of(h);
-                    let qh = head_slice(&q, h, d);
-                    let kh = head_slice(&k, kv, d);
+                    let qh = columns(&q, h, d);
+                    let kh = columns(&k, kv, d);
                     // A windowed head's Λ pattern is its own window's; a
                     // dynamic head's mask is the one its own queries build.
                     let pattern: Box<dyn BlockPattern> = match masks[kv] {
@@ -456,10 +598,10 @@ mod tests {
                             Box::new(build_dynamic_prefill_mask(&qh, &kh, c.tile, keep, sink))
                         }
                     };
-                    let vh = head_slice(&v, kv, d);
+                    let vh = columns(&v, kv, d);
                     let (want, _) =
                         prefill_attention(&qh, &kh, &vh, c.scale(), c.tile, c.tile, &*pattern);
-                    let got = head_slice(&out, h, d);
+                    let got = columns(&out, h, d);
                     assert_eq!(
                         bits(&got),
                         bits(&want),

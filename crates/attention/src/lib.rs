@@ -26,8 +26,9 @@
 //! * [`dynamic`] — MInference-style query-aware prefill block masks (§4.3): the
 //!   Eq. 2 min/max bound lifted to tiles, feeding [`pattern::MaskPattern`].
 //! * [`fused`] — the layer-level hybrid prefill kernel of §3.6: every head of a
-//!   layer in one call, each under its own [`fused::PrefillMask`] (a streaming
-//!   window's Λ pattern, causal, or dynamic), GQA query→KV head mapping included.
+//!   layer, each under its own [`fused::PrefillMask`] (a streaming window's Λ
+//!   pattern, causal, or dynamic), GQA query→KV head mapping included, taking
+//!   its chunk one tile of rows at a time ([`fused::LayerPrefill`]).
 //! * [`parallel`] — the sparsity-aware multi-threaded execution layer: per-head
 //!   attention shards (a GQA group's decode over the two-way KV cache is one), LPT
 //!   cost balancing over simulated devices and their workers, and one scoped-thread
@@ -46,7 +47,7 @@ pub mod reference;
 
 pub use decode::{attend_pages, decode_dense_head, decode_streaming_head, DecodeStats};
 pub use dynamic::build_dynamic_prefill_mask;
-pub use fused::{fused_prefill_layer, LayerAttnConfig, PrefillMask};
+pub use fused::{LayerAttnConfig, LayerPrefill, PrefillMask};
 pub use parallel::{
     lpt_assign, placed_queues, run_decode_shard, run_placed, DecodeShard, PlacedBalance,
 };

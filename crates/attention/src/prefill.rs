@@ -7,8 +7,6 @@
 //! yields them and that order is part of the result: a fixed order gives fixed
 //! bits, a different order agrees to rounding only (see `block.rs`).
 
-use std::sync::Mutex;
-
 use lserve_kvcache::{key_lane_offset, KEY_LANES};
 use lserve_tensor::Matrix;
 
@@ -38,8 +36,8 @@ impl PrefillStats {
 }
 
 /// One head's keys regrouped for the block routine: K tile by K tile, each tile
-/// d-major in lane groups like a KV page. Built once per KV head and shared by
-/// every query head of its group.
+/// d-major in lane groups like a KV page, in numbered slots written one tile
+/// at a time.
 #[derive(Debug)]
 pub(crate) struct KeyTiles {
     data: Vec<f32>,
@@ -47,33 +45,44 @@ pub(crate) struct KeyTiles {
     tile_len: usize,
     d: usize,
     tk: usize,
-    n: usize,
 }
 
 impl KeyTiles {
-    /// Regroups columns `col..col + d` of the `n`-row `k` into tiles of `tk` keys.
-    pub fn new(k: &Matrix, col: usize, d: usize, tk: usize) -> Self {
+    /// A store of `d`-dimensional keys in tiles of `tk`, with room for
+    /// `slots` tiles and none written.
+    pub fn with_capacity(d: usize, tk: usize, slots: usize) -> Self {
         assert!(tk > 0, "tile sizes must be positive");
-        let n = k.rows();
         let tile_len = d * tk.next_multiple_of(KEY_LANES);
-        let mut data = vec![0.0f32; n.div_ceil(tk) * tile_len];
-        for j in 0..n {
-            let tile = &mut data[j / tk * tile_len..];
-            for (i, &x) in k.row(j)[col..col + d].iter().enumerate() {
-                tile[key_lane_offset(d, j % tk, i)] = x;
-            }
-        }
         Self {
-            data,
+            data: Vec::with_capacity(slots * tile_len),
             tile_len,
             d,
             tk,
-            n,
         }
     }
 
-    fn tile(&self, kb: usize) -> &[f32] {
-        &self.data[kb * self.tile_len..(kb + 1) * self.tile_len]
+    /// Writes `keys`, at most `tk` rows of `d`, as the tile in `slot`: the
+    /// slot after the last one written, or one written before, whose old
+    /// keys it replaces.
+    pub fn put<'a>(&mut self, slot: usize, keys: impl ExactSizeIterator<Item = &'a [f32]>) {
+        assert!(keys.len() <= self.tk, "more keys than a tile");
+        let start = slot * self.tile_len;
+        assert!(start <= self.data.len(), "tile slots are written in order");
+        if start == self.data.len() {
+            self.data.resize(start + self.tile_len, 0.0);
+        } else if keys.len() < self.tk {
+            self.data[start..start + self.tile_len].fill(0.0);
+        }
+        let tile = &mut self.data[start..start + self.tile_len];
+        for (j, key) in keys.enumerate() {
+            for (i, &x) in key.iter().enumerate() {
+                tile[key_lane_offset(self.d, j, i)] = x;
+            }
+        }
+    }
+
+    pub fn tile(&self, slot: usize) -> &[f32] {
+        &self.data[slot * self.tile_len..(slot + 1) * self.tile_len]
     }
 }
 
@@ -111,88 +120,83 @@ pub fn prefill_attention(
     tk: usize,
     pattern: &dyn BlockPattern,
 ) -> (Matrix, PrefillStats) {
-    assert_eq!(k.rows(), q.rows(), "K rows mismatch");
-    assert_eq!(k.cols(), q.cols(), "K dim mismatch");
-    let keys = KeyTiles::new(k, 0, k.cols(), tk);
-    let out = Mutex::new(q.clone());
-    let stats = prefill_head(&out, 0, &keys, v, scale, tq, pattern);
-    (out.into_inner().expect("query buffer poisoned"), stats)
-}
-
-/// [`prefill_attention`] on keys already regrouped into K tiles, in place:
-/// the query head in columns `col..col + D` of `qo` becomes its attention
-/// output.
-///
-/// Query tile by query tile, the tile's queries are copied into a `tq x D`
-/// scratch, folded against the visited K tiles into a second one, and the
-/// finished rows are written back over the same rows and columns. No later
-/// tile reads them, so the caller only has to be the one reader and writer of
-/// these columns while the call runs; the lock is taken twice a tile, outside
-/// the fold.
-pub(crate) fn prefill_head(
-    qo: &Mutex<Matrix>,
-    col: usize,
-    keys: &KeyTiles,
-    v: &Matrix,
-    scale: f32,
-    tq: usize,
-    pattern: &dyn BlockPattern,
-) -> PrefillStats {
-    let KeyTiles { d, tk, n, .. } = *keys;
-    assert!(tq > 0, "tile sizes must be positive");
-    {
-        let qo = qo.lock().expect("query buffer poisoned");
-        assert_eq!(qo.rows(), n, "K rows mismatch");
-        assert!(col + d <= qo.cols(), "query head out of range");
-    }
+    let (n, d) = q.shape();
+    assert_eq!(k.rows(), n, "K rows mismatch");
+    assert_eq!(k.cols(), d, "K dim mismatch");
     assert_eq!(v.rows(), n, "V rows mismatch");
     assert_eq!(v.cols(), d, "V dim mismatch");
-
-    let mut stats = PrefillStats::default();
-    let mut rows = Vec::with_capacity(tq);
-    let (mut queries, mut out) = (vec![0.0f32; tq * d], vec![0.0f32; tq * d]);
-
-    for qt in 0..n.div_ceil(tq) {
-        let q_start = qt * tq;
-        let q_end = ((qt + 1) * tq).min(n);
-        let len = (q_end - q_start) * d;
-        let (queries, out) = (&mut queries[..len], &mut out[..len]);
-        {
-            let qo = qo.lock().expect("query buffer poisoned");
-            for (r, dst) in (q_start..q_end).zip(queries.chunks_exact_mut(d)) {
-                dst.copy_from_slice(&qo.row(r)[col..col + d]);
-            }
-        }
-        out.fill(0.0);
-        rows.clear();
-        rows.resize(q_end - q_start, RowState::EMPTY);
-
-        // The §3.4 iterator: only visited blocks, offsets derived from block index.
-        for (kb, decision) in pattern.blocks_for_tile(qt, tq, tk, n) {
-            stats.tiles_visited += 1;
-            let k_start = kb * tk;
-            let k_end = ((kb + 1) * tk).min(n);
-            let block = KvBlock::Rows {
-                keys: keys.tile(kb),
-                values: &v.as_slice()[k_start * d..k_end * d],
-            };
-            // Elementwise mask only on the diagonal tile.
-            let causal = (decision == BlockDecision::Causal).then_some(Causal {
-                q0: q_start,
-                k0: k_start,
-                rows_per_position: 1,
-            });
-            fold_block(d, queries, scale, block, causal, &mut rows, out);
-        }
-        finish_rows(d, &rows, out);
-        let mut qo = qo.lock().expect("query buffer poisoned");
-        for (r, src) in (q_start..q_end).zip(out.chunks_exact(d)) {
-            qo.row_mut(r)[col..col + d].copy_from_slice(src);
-        }
+    assert!(tq > 0 && tk > 0, "tile sizes must be positive");
+    let mut keys = KeyTiles::with_capacity(d, tk, n.div_ceil(tk));
+    for kb in 0..n.div_ceil(tk) {
+        keys.put(kb, (kb * tk..((kb + 1) * tk).min(n)).map(|j| k.row(j)));
     }
-    let (_, total) = crate::pattern::DensePattern.tile_counts(tq, tk, n);
-    stats.tiles_total_causal = total;
-    stats
+    let mut out = Matrix::zeros(n, d);
+    let mut rows = Vec::with_capacity(tq);
+    let mut stats = PrefillStats::default();
+    for qt in 0..n.div_ceil(tq) {
+        let (q_start, q_end) = (qt * tq, ((qt + 1) * tq).min(n));
+        let blocks = pattern
+            .blocks_for_tile(qt, tq, tk, n)
+            .into_iter()
+            .map(|(kb, decision)| {
+                let values = &v.as_slice()[kb * tk * d..((kb + 1) * tk).min(n) * d];
+                (kb * tk, keys.tile(kb), values, decision)
+            });
+        stats.tiles_visited += fold_query_tile(
+            d,
+            &q.as_slice()[q_start * d..q_end * d],
+            scale,
+            q_start,
+            blocks,
+            &mut rows,
+            &mut out.as_mut_slice()[q_start * d..q_end * d],
+        );
+    }
+    stats.tiles_total_causal = crate::pattern::DensePattern.tile_counts(tq, tk, n).1;
+    (out, stats)
+}
+
+/// The attention of one query tile: `queries`, rows of `D` for the positions
+/// from `q_start` on, folded against each visited block in the order `blocks`
+/// yields them — its first key's position, its K tile, its `keys x D` value
+/// rows and its decision — and finished into `out`, which holds as many rows.
+/// `rows` is scratch. Returns the blocks folded.
+///
+/// The §3.4 iterator: only visited blocks, offsets derived from the block's
+/// position; the elementwise mask only on the diagonal tile.
+pub(crate) fn fold_query_tile<'a>(
+    d: usize,
+    queries: &[f32],
+    scale: f32,
+    q_start: usize,
+    blocks: impl IntoIterator<Item = (usize, &'a [f32], &'a [f32], BlockDecision)>,
+    rows: &mut Vec<RowState>,
+    out: &mut [f32],
+) -> u64 {
+    assert_eq!(queries.len(), out.len(), "one output row a query");
+    out.fill(0.0);
+    rows.clear();
+    rows.resize(queries.len() / d, RowState::EMPTY);
+    let mut visited = 0;
+    for (k_start, keys, values, decision) in blocks {
+        visited += 1;
+        let causal = (decision == BlockDecision::Causal).then_some(Causal {
+            q0: q_start,
+            k0: k_start,
+            rows_per_position: 1,
+        });
+        fold_block(
+            d,
+            queries,
+            scale,
+            KvBlock::Rows { keys, values },
+            causal,
+            rows,
+            out,
+        );
+    }
+    finish_rows(d, rows, out);
+    visited
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use lserve_attention::{fused_prefill_layer, LayerAttnConfig};
+use lserve_attention::{LayerAttnConfig, LayerPrefill};
 use lserve_kvcache::{append_token, DenseHeadCache, PagePool, HOST_TRANSFER_SPEEDUP};
 use lserve_model::forward::{ffn_block, logits, post_attention, pre_attention, LayerActivations};
 use lserve_model::{greedy_next_token, ModelWeights};
@@ -280,18 +280,40 @@ impl ModelExecutor {
         }
         let model = &self.weights.config;
         let tracer = pool.tracer().clone();
-        let angles = self.rope.angles(0..tokens.len());
+        let (n, tile, cols) = (tokens.len(), self.attn_cfg.tile, model.hidden);
+        let angles = self.rope.angles(0..n);
+        let per_row = model.head_dim / 2;
         let mut x = self.weights.embed_tokens(tokens);
         for (l, lw) in self.weights.layers.iter().enumerate() {
             let serial_start = tracer.now();
-            let LayerActivations { q, k, v } = pre_attention(model, lw, &x, &angles);
-            for t in 0..tokens.len() {
-                let fits = append_token(&mut state.layers[l], pool, k.row(t), v.row(t));
-                assert!(fits, "the chunk's pages were free");
+            let masks: Vec<_> = (state.policies[l].iter())
+                .map(|p| p.prefill_mask(n))
+                .collect();
+            // The layer runs one tile of rows at a time, in token order: the
+            // rows' K/V go to the pool and to the attention state, which
+            // keeps what later tiles read; their queries become their
+            // attention output, and the layer tail finishes the rows.
+            let mut attention = LayerPrefill::new(&self.attn_cfg, &masks, n);
+            for start in (0..n).step_by(tile) {
+                let end = (start + tile).min(n);
+                let mut rows = x.slice_rows(start, end);
+                let angles = &angles[start * per_row..end * per_row];
+                let LayerActivations { mut q, k, v } = pre_attention(model, lw, &rows, angles);
+                for t in 0..end - start {
+                    let fits = append_token(&mut state.layers[l], pool, k.row(t), v.row(t));
+                    assert!(fits, "the chunk's pages were free");
+                }
+                attention.attend_tile(&mut q, &k, &v, threads);
+                drop((k, v));
+                post_attention(lw, &mut rows, &q);
+                drop(q);
+                ffn_block(lw, &mut rows);
+                x.as_mut_slice()[start * cols..end * cols].copy_from_slice(rows.as_slice());
             }
+            let (head_stats, balance) = attention.finish();
             // The serial phase costs one clock tick per prompt token (QKV,
             // RoPE, KV writeback all scale with the chunk).
-            tracer.advance(tokens.len() as u64);
+            tracer.advance(n as u64);
             tracer.span(
                 "prefill.serial",
                 "executor",
@@ -301,13 +323,6 @@ impl ModelExecutor {
                 &[("layer", l as u64)],
             );
             let par_start = tracer.now();
-            let masks: Vec<_> = (state.policies[l].iter())
-                .map(|p| p.prefill_mask(tokens.len()))
-                .collect();
-            // The layer's activations go in by value: K and V leave as tiles,
-            // and Q comes back as the attention output.
-            let (attn, head_stats, balance) =
-                fused_prefill_layer(q, k, v, &self.attn_cfg, &masks, threads);
             exec_stats.absorb(&balance, 0);
             if tracer.is_enabled() {
                 // The parallel phase costs its modeled critical path; worker
@@ -339,16 +354,13 @@ impl ModelExecutor {
             for (table, head) in state.layers[l].iter().zip(head_stats) {
                 state.stats.add_prefill(table, head);
             }
-            post_attention(lw, &mut x, &attn);
-            drop(attn);
-            ffn_block(lw, &mut x);
         }
-        state.tokens_processed = tokens.len();
+        state.tokens_processed = n;
         // Prefill compute drains in-flight transfers like decode compute does
         // — one prompt token hides `HOST_TRANSFER_SPEEDUP` token-units. This
         // is what lets a swap-resume promotion overlap re-admission prefill.
-        pool.advance_transfer_units(tokens.len() as u64 * HOST_TRANSFER_SPEEDUP);
-        let last = x.slice_rows(tokens.len() - 1, tokens.len());
+        pool.advance_transfer_units(n as u64 * HOST_TRANSFER_SPEEDUP);
+        let last = x.slice_rows(n - 1, n);
         let out = logits(&self.weights, &last);
         Ok(PrefillOutput {
             logits: out.row(0).to_vec(),
