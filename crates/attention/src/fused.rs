@@ -103,8 +103,6 @@ struct PrefillShard {
     queries: Vec<f32>,
     out: Vec<f32>,
     rows: Vec<RowState>,
-    /// A dynamic head's mask row of the current tile.
-    kept: Vec<bool>,
     stats: PrefillStats,
 }
 
@@ -181,7 +179,6 @@ impl LayerPrefill {
                 queries: Vec::with_capacity(t * d),
                 out: Vec::with_capacity(t * d),
                 rows: Vec::with_capacity(t),
-                kept: Vec::new(),
                 stats: PrefillStats::default(),
             });
         }
@@ -266,9 +263,10 @@ impl LayerPrefill {
                             .blocks_for_tile(qt, t, t, n)
                     }
                     PrefillMask::Dynamic { keep, sink } => {
-                        dynamic_mask_row(&s.queries, d, &head.stats[..qt], keep, sink, &mut s.kept);
+                        let mut kept = Vec::new();
+                        dynamic_mask_row(&s.queries, d, &head.stats[..qt], keep, sink, &mut kept);
                         (0..=qt)
-                            .filter(|&kb| s.kept[kb])
+                            .filter(|&kb| kept[kb])
                             .map(|kb| (kb, DensePattern.decide(qt, kb, t, t, n)))
                             .collect()
                     }
@@ -431,6 +429,33 @@ mod tests {
     }
 
     #[test]
+    fn a_windowed_head_keeps_its_sink_and_local_tiles_only() {
+        let c = cfg();
+        let (d, t) = (c.head_dim, c.tile);
+        let mut g = SeededGaussian::new(8);
+        let n = 10 * t + 1;
+        let masks = mixed(PrefillMask::Causal);
+        let mut layer = LayerPrefill::new(&c, &masks, n);
+        for start in (0..n).step_by(t) {
+            let rows = t.min(n - start);
+            let mut q = g.matrix(rows, c.num_q_heads * d, 1.0);
+            let k = g.matrix(rows, c.num_kv_heads * d, 1.0);
+            let v = g.matrix(rows, c.num_kv_heads * d, 1.0);
+            layer.attend_tile(&mut q, &k, &v, 1);
+            // The dense head keeps every row so far; the window (1, 2) three
+            // tiles, in a ring.
+            let [dense, window] = &layer.heads[..] else {
+                panic!("two KV heads")
+            };
+            assert_eq!(dense.values.len(), (start + rows) * d);
+            assert!(window.values.len() <= 3 * t * d);
+            assert!(window.values.capacity() <= 3 * t * d);
+        }
+        let (stats, _) = layer.finish();
+        assert!(stats[1].tiles_visited < stats[0].tiles_visited);
+    }
+
+    #[test]
     fn mixed_kinds_split_tile_counters() {
         let c = cfg();
         let mut g = SeededGaussian::new(4);
@@ -578,6 +603,10 @@ mod tests {
             [
                 PrefillMask::Dynamic { keep: 2, sink: 1 },
                 PrefillMask::Window(StreamingWindow::new(1, 2)),
+            ],
+            [
+                PrefillMask::Window(StreamingWindow::new(0, 3)),
+                PrefillMask::Dynamic { keep: 0, sink: 0 },
             ],
         ];
         for masks in layers {

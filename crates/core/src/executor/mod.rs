@@ -252,11 +252,12 @@ impl ModelExecutor {
     }
 
     /// [`ModelExecutor::prefill`] with an explicit worker-thread count: each
-    /// layer's per-head attention runs as cost-balanced shards on up to
-    /// `threads` scoped worker threads (dense heads cost quadratic tiles,
-    /// streaming heads linear — the LPT assignment balances that asymmetry).
-    /// Outputs are bit-identical for every thread count; `exec_stats`
-    /// accumulates per-phase worker utilization and cost-balance counters.
+    /// layer runs one prefill tile of rows at a time, and a tile's per-head
+    /// attention runs as cost-balanced shards on up to `threads` scoped
+    /// worker threads (dense heads cost quadratic tiles, streaming heads
+    /// linear — the LPT assignment balances that asymmetry). Outputs are
+    /// bit-identical for every thread count; `exec_stats` accumulates one
+    /// phase per layer: worker utilization and cost-balance counters.
     ///
     /// # Errors
     ///
