@@ -74,6 +74,7 @@ impl LayerAttnConfig {
 /// the query heads of its group and grown one tile at a time. A causal or
 /// dynamic head keeps every tile; a windowed head a ring of its sink and
 /// local tiles, the only ones its Λ pattern reads.
+#[derive(Debug)]
 struct PrefillKv {
     mask: PrefillMask,
     keys: KeyTiles,
@@ -97,6 +98,7 @@ impl PrefillKv {
 
 /// One query head's unit of prefill work inside the sharded layer kernel: its
 /// columns of the current query tile, their output, and its counters.
+#[derive(Debug)]
 struct PrefillShard {
     h: usize,
     kv: usize,
@@ -122,6 +124,7 @@ struct PrefillShard {
 /// its own copy and writes its own output buffer, so outputs are
 /// bit-identical for every thread count: the same kernel runs on the same
 /// inputs whichever worker runs it.
+#[derive(Debug)]
 pub struct LayerPrefill {
     cfg: LayerAttnConfig,
     n: usize,
