@@ -610,7 +610,7 @@ mod tests {
     /// What admission starts, pinned on five scenes under `Swap` and
     /// `Replay`: a burst of eight equal 96-token prompts into a pool of about
     /// 2.5 sequences (a scaled-down `overcommit_workload`); the head-of-line
-    /// scene of `examples/serving_simulation.rs` — one 400-token prompt, then
+    /// scene of `examples/serving_tour.rs` — one 400-token prompt, then
     /// seven short ones, in a 170-page pool; two interactive prompts
     /// arriving at step 8 over six batch requests that fill a 120-page pool
     /// (the second is outranked by the first and outranks every batch

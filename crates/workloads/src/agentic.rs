@@ -1,19 +1,18 @@
-//! Agentic request-DAG workloads: map/reduce fan-out, speculative tool-call
-//! branching, and best-of-N candidate panels.
+//! Agentic request-DAG workloads: speculative tool-call branching and
+//! best-of-N candidate panels.
 //!
 //! Agent frameworks turn one user request into a *tree* of model calls: a
-//! planner forks a sub-query per document (map/reduce), a runtime launches
-//! the continuation for every plausible tool result before the tool returns
-//! (speculative tool calls), a ranker samples N candidate answers and keeps
-//! the best (best-of-N). Every branch shares the whole conversation up to
-//! the fork point, which is exactly the shape the scheduler's CoW `fork()`
-//! exploits: zero-copy prefix sharing, per-branch sparsity overrides, and
-//! join policies that cancel the losers.
+//! runtime launches the continuation for every plausible tool result before
+//! the tool returns (speculative tool calls), a ranker samples N candidate
+//! answers and keeps the best (best-of-N). Every branch shares the whole
+//! conversation up to the fork point, which is exactly the shape the
+//! scheduler's CoW `fork()` exploits: zero-copy prefix sharing, per-branch
+//! sparsity overrides, and join policies that cancel the losers.
 //!
 //! Like [`shared_prefix`](crate::shared_prefix), these generators emit plain
 //! token-vec structs rather than serving requests — this crate sits below
-//! `lserve-core`, so the serving example maps [`BranchPrompt`] fields onto
-//! its own `BranchSpec` type.
+//! `lserve-core`, so a caller maps [`BranchPrompt`] fields onto its own
+//! `BranchSpec` type.
 
 use lserve_tensor::SeededGaussian;
 
@@ -46,7 +45,7 @@ pub struct AgentScene {
     pub branches: Vec<BranchPrompt>,
 }
 
-/// Geometry of an agentic fan-out workload.
+/// Geometry of an agentic workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AgenticConfig {
     /// Tokens in the shared root conversation.
@@ -63,45 +62,8 @@ pub struct AgenticConfig {
     pub seed: u64,
 }
 
-impl AgenticConfig {
-    /// A toy-scale default: a 32-token root forking into 4 branches of
-    /// 8-token suffixes.
-    pub fn small() -> Self {
-        Self {
-            root_tokens: 32,
-            branches: 4,
-            suffix_tokens: 8,
-            branch_new_tokens: 8,
-            vocab: 90,
-            seed: 0xA9E7,
-        }
-    }
-}
-
 fn tokens(g: &mut SeededGaussian, n: usize, vocab: u32) -> Vec<u32> {
     (0..n).map(|_| g.index(vocab as usize) as u32).collect()
-}
-
-/// Map/reduce fan-out: a planner forks one sub-query per shard of the task
-/// (distinct suffixes, uniform budgets), waits for *all* of them, and
-/// reduces. Run under an `All` join; every branch's output feeds the reduce
-/// step.
-pub fn map_reduce_fanout(cfg: &AgenticConfig) -> AgentScene {
-    let mut g = SeededGaussian::new(cfg.seed);
-    let root_prompt = tokens(&mut g, cfg.root_tokens, cfg.vocab);
-    let branches = (0..cfg.branches)
-        .map(|_| BranchPrompt {
-            suffix: tokens(&mut g, cfg.suffix_tokens, cfg.vocab),
-            max_new_tokens: cfg.branch_new_tokens,
-            score_bias: 0,
-            stop_tokens: Vec::new(),
-        })
-        .collect();
-    AgentScene {
-        root_prompt,
-        root_new_tokens: cfg.branch_new_tokens,
-        branches,
-    }
 }
 
 /// Speculative tool-call branching: the runtime launches the continuation
@@ -161,53 +123,45 @@ pub fn best_of_n(cfg: &AgenticConfig) -> AgentScene {
 mod tests {
     use super::*;
 
-    #[test]
-    fn scenes_are_deterministic_and_seed_sensitive() {
-        let cfg = AgenticConfig::small();
-        assert_eq!(map_reduce_fanout(&cfg), map_reduce_fanout(&cfg));
-        assert_eq!(tool_call_branches(&cfg), tool_call_branches(&cfg));
-        assert_eq!(best_of_n(&cfg), best_of_n(&cfg));
-        let mut other = cfg;
-        other.seed ^= 1;
-        assert_ne!(map_reduce_fanout(&cfg), map_reduce_fanout(&other));
-    }
+    /// A 32-token root forking into 4 branches of 8-token suffixes.
+    const CFG: AgenticConfig = AgenticConfig {
+        root_tokens: 32,
+        branches: 4,
+        suffix_tokens: 8,
+        branch_new_tokens: 8,
+        vocab: 90,
+        seed: 0xA9E7,
+    };
 
     #[test]
-    fn map_reduce_shards_are_distinct_and_uniform() {
-        let cfg = AgenticConfig::small();
-        let scene = map_reduce_fanout(&cfg);
-        assert_eq!(scene.root_prompt.len(), cfg.root_tokens);
-        assert_eq!(scene.branches.len(), cfg.branches);
-        for (i, b) in scene.branches.iter().enumerate() {
-            assert_eq!(b.suffix.len(), cfg.suffix_tokens);
-            assert_eq!(b.max_new_tokens, cfg.branch_new_tokens);
-            assert!(b.stop_tokens.is_empty());
-            assert!(b.suffix.iter().all(|&t| t < cfg.vocab));
-            for other in &scene.branches[..i] {
-                assert_ne!(b.suffix, other.suffix, "each shard gets its own sub-query");
-            }
-        }
+    fn scenes_are_deterministic_and_seed_sensitive() {
+        assert_eq!(tool_call_branches(&CFG), tool_call_branches(&CFG));
+        assert_eq!(best_of_n(&CFG), best_of_n(&CFG));
+        let other = AgenticConfig {
+            seed: CFG.seed ^ 1,
+            ..CFG
+        };
+        assert_ne!(tool_call_branches(&CFG), tool_call_branches(&other));
+        assert_ne!(best_of_n(&CFG), best_of_n(&other));
     }
 
     #[test]
     fn tool_branches_share_a_terminator_and_stagger_budgets() {
-        let cfg = AgenticConfig::small();
-        let scene = tool_call_branches(&cfg);
+        let scene = tool_call_branches(&CFG);
         let terminator = scene.branches[0].stop_tokens[0];
         for (i, b) in scene.branches.iter().enumerate() {
             assert_eq!(b.stop_tokens, vec![terminator]);
-            assert_eq!(b.max_new_tokens, cfg.branch_new_tokens * (i + 1));
+            assert_eq!(b.max_new_tokens, CFG.branch_new_tokens * (i + 1));
         }
     }
 
     #[test]
     fn best_of_n_scores_break_ties() {
-        let cfg = AgenticConfig::small();
-        let scene = best_of_n(&cfg);
+        let scene = best_of_n(&CFG);
         let mut scores: Vec<i64> = scene.branches.iter().map(|b| b.score_bias).collect();
         scores.sort_unstable();
         scores.dedup();
-        assert_eq!(scores.len(), cfg.branches, "ranker scores are distinct");
+        assert_eq!(scores.len(), CFG.branches, "ranker scores are distinct");
         for w in scene.branches.windows(2) {
             assert_ne!(w[0].suffix, w[1].suffix, "nonces differentiate candidates");
         }

@@ -29,9 +29,9 @@
 //! * [`slo_mix`] — long batch prompts with short interactive requests arriving
 //!   behind them, the traffic shape that makes SLO-class-aware admission and
 //!   victim selection pay off (interactive TTFT vs class-blind FCFS).
-//! * [`agentic`] — request-DAG scenes (map/reduce fan-out, speculative
-//!   tool-call branching, best-of-N panels), the traffic shape that makes
-//!   CoW `fork()`/join and per-branch sparsity overrides pay off.
+//! * [`agentic`] — request-DAG scenes (speculative tool-call branching,
+//!   best-of-N panels), the traffic shape that makes CoW `fork()`/join and
+//!   per-branch sparsity overrides pay off.
 
 pub mod agentic;
 pub mod gates;
@@ -42,9 +42,7 @@ pub mod ruler;
 pub mod shared_prefix;
 pub mod slo_mix;
 
-pub use agentic::{
-    best_of_n, map_reduce_fanout, tool_call_branches, AgentScene, AgenticConfig, BranchPrompt,
-};
+pub use agentic::{best_of_n, tool_call_branches, AgentScene, AgenticConfig, BranchPrompt};
 pub use gates::{duo_gates, HeadProfile};
 pub use longbench::{longbench_tasks, LongBenchTask};
 pub use niah::{NiahCase, NiahConfig};

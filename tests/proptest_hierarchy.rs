@@ -133,6 +133,59 @@ fn tight_host_with_nvme_spills_recalls_and_matches_unbounded() {
     );
 }
 
+/// The tiered-memory claim on an unbounded host (scene 6 of
+/// `examples/serving_tour.rs` prints it): `OvercommitConfig::small`
+/// (two bursts of four 160–208-token prompts, 16 generated tokens each) on a
+/// hot tier of a third of one burst's resident footprint, sync migration.
+/// Swap with selection-driven demotion at budget 32 must sustain more mean
+/// running sequences than resident replay, whose budget above the context
+/// selects, so demotes, nothing. The test below makes the bounded-host claim
+/// on a larger scene, with async migration and a 1.2x margin; it computes
+/// the unbounded swap run there but asserts nothing of it.
+/// When this test was written: mean running 1.37 resident replay, 3.78
+/// tiered (2.75x).
+#[test]
+fn tiered_swap_sustains_more_running_sequences_than_resident_replay() {
+    let w = weights(11);
+    let wl = OvercommitConfig::small();
+    let mut tiered = small_page_cfg();
+    tiered.dynamic_budget = Some(32);
+    let len = wl.max_prompt_len() + wl.max_new_tokens;
+    let resident = EngineConfig {
+        dynamic_budget: Some(len),
+        ..tiered.clone()
+    };
+    let hot_pages = estimate(&resident, &w.config, len) * wl.requests_per_burst / 3 + 16;
+    let run = |cfg: &EngineConfig, policy: PreemptionPolicy| {
+        let mut scfg = SchedulerConfig::new(hot_pages);
+        scfg.chunk_tokens = 16;
+        scfg.admission = AdmissionPolicy::FirstChunk;
+        scfg.preemption = policy;
+        let exec = Arc::new(ModelExecutor::new(Arc::clone(&w), cfg.clone()));
+        let mut sched = Scheduler::new(exec, scfg);
+        for (i, s) in overcommit_workload(&wl).into_iter().enumerate() {
+            sched.submit(RequestSpec::new(i as u64, s.prompt).max_new_tokens(s.max_new_tokens));
+        }
+        let report = sched.run_to_completion(1_000_000);
+        assert_eq!(
+            report.completed.len() + report.rejected.len(),
+            wl.total_requests()
+        );
+        report.mean_running()
+    };
+    let floor = run(&resident, PreemptionPolicy::Replay);
+    let swap = run(&tiered, PreemptionPolicy::Swap);
+    println!(
+        "mean running: resident replay {floor:.2}, tiered swap {swap:.2} ({:.2}x)",
+        swap / floor
+    );
+    assert!(
+        swap > floor,
+        "swap with demotion must sustain more running sequences than resident replay \
+         on the same hot tier (tiered {swap:.2}, resident {floor:.2})"
+    );
+}
+
 /// The hierarchy claim at overcommit scale: `OvercommitConfig::hierarchy_bench`
 /// (three bursts of four 160–208-token prompts, 32 generated tokens each) on
 /// a hot tier of a third of one burst's resident footprint, async migration.

@@ -10,9 +10,10 @@
 //! pressure (preemption/resume included), and KV precision, the scheduler's
 //! outputs are bit-identical to the single-threaded run.
 //!
-//! It also holds the SLO-class claim: on the SLO-mix scene, class-aware
+//! It also holds two latency claims: on the SLO-mix scene, class-aware
 //! scheduling gives interactive requests a p95 TTFT at least 2x better than
-//! class-blind FCFS at equal outputs.
+//! class-blind FCFS at equal outputs; on the persona scene, a warm prefix
+//! cache cuts a second wave's mean TTFT at least 3x.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -26,7 +27,9 @@ use lserve::kvcache::{PagePool, PagingConfig};
 use lserve::model::{greedy_next_token, ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
 use lserve::trace::Tracer;
-use lserve::workloads::{slo_mix_workload, SloMixConfig};
+use lserve::workloads::{
+    shared_prefix_workload, slo_mix_workload, SharedPrefixConfig, SloMixConfig,
+};
 use proptest::prelude::*;
 
 fn weights(seed: u64) -> Arc<ModelWeights> {
@@ -194,9 +197,9 @@ fn slo_mix_run(class_aware: bool) -> (ServingReport, usize) {
     (sched.run_to_completion(0), interference)
 }
 
-/// The SLO-class claim (formerly asserted by `examples/streaming_serving.rs`
-/// at run time): class-aware scheduling improves the interactive p95 TTFT at
-/// least 2x over class-blind FCFS on the SLO-mix scene, at equal outputs.
+/// The SLO-class claim (scene 4 of `examples/serving_tour.rs` prints it):
+/// class-aware scheduling improves the interactive p95 TTFT at least 2x over
+/// class-blind FCFS on the SLO-mix scene, at equal outputs.
 #[test]
 fn class_aware_scheduling_improves_interactive_p95_ttft_at_least_2x() {
     let (blind, _) = slo_mix_run(false);
@@ -338,6 +341,73 @@ fn lpt_schedule_models_at_least_2x_decode_speedup_at_4_threads() {
         curve[2] >= 2.0,
         "LPT at 4 threads must model >= 2x, got {:.2}",
         curve[2]
+    );
+}
+
+/// The warm-cache claim (scene 5 of `examples/serving_tour.rs` prints it): on
+/// the persona scene (`SharedPrefixConfig::small`, 4 personas x 3 queries over
+/// a 96-token system block), a second wave of fresh queries over the prefixes
+/// the first wave donated reaches its first token at least 3x sooner, in mean
+/// work tokens, than the same wave on a cold scheduler. That the cache moves
+/// no output is `prefix_cache_outputs_match_cold_solo_runs`. When this test
+/// was written: warm 104, cold 1448 work tokens (13.9x); 1344 of the second
+/// wave's 1536 prompt tokens hit.
+#[test]
+fn warm_prefix_cache_cuts_the_second_waves_mean_ttft_at_least_3x() {
+    let wl = SharedPrefixConfig::small();
+    let exec = Arc::new(ModelExecutor::new(weights(11), small_page_cfg()));
+    let first: Vec<RequestSpec> = shared_prefix_workload(&wl)
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| RequestSpec::new(i as u64, s.prompt).max_new_tokens(s.max_new_tokens))
+        .collect();
+    // The same system and persona blocks, each with a fresh query.
+    let shared = wl.system_tokens + wl.persona_tokens;
+    let second: Vec<RequestSpec> = first
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let mut prompt = r.prompt[..shared].to_vec();
+            prompt.extend((0..wl.query_tokens).map(|t| ((t * 13 + i * 7 + 5) % 90) as u32));
+            RequestSpec::new(100 + i as u64, prompt).max_new_tokens(wl.max_new_tokens)
+        })
+        .collect();
+    // Runs the waves one after another on one scheduler; the report holds
+    // every wave, so the second wave is read by id.
+    let run = |waves: &[&[RequestSpec]], prefix_cache: bool| {
+        let mut scfg = SchedulerConfig::new(4096);
+        scfg.chunk_tokens = 16;
+        scfg.admission = AdmissionPolicy::FirstChunk;
+        scfg.prefix_cache = prefix_cache;
+        let mut sched = Scheduler::new(Arc::clone(&exec), scfg);
+        let mut report = ServingReport::default();
+        for wave in waves {
+            for r in *wave {
+                sched.submit(r.clone());
+            }
+            report = sched.run_to_completion(1_000_000);
+        }
+        let ttft: Vec<u64> = report
+            .request_metrics
+            .iter()
+            .filter(|m| m.id >= 100)
+            .map(|m| m.ttft_work_tokens)
+            .collect();
+        assert_eq!(ttft.len(), second.len(), "the second wave completes");
+        (ttft.iter().sum::<u64>() as f64 / ttft.len() as f64, report)
+    };
+    let (cold, _) = run(&[&second], false);
+    let (warm, report) = run(&[&first, &second], true);
+    println!(
+        "second wave mean TTFT: cold {cold:.0}, warm {warm:.0} work tokens ({:.1}x); \
+         {} prompt tokens hit, {} recomputed over both waves",
+        cold / warm,
+        report.prefix_hit_tokens,
+        report.prefix_recomputed_tokens,
+    );
+    assert!(
+        warm * 3.0 <= cold,
+        "a warm prefix cache must cut the second wave's TTFT at least 3x (warm {warm}, cold {cold})"
     );
 }
 

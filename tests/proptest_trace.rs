@@ -10,7 +10,7 @@
 //! Chrome trace-event document validates as JSON with monotonic timestamps
 //! per lane, and a tiny ring sink bounds retention while counting drops.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,7 +22,8 @@ use lserve::kvcache::PagingConfig;
 use lserve::model::{ModelConfig, ModelWeights};
 use lserve::quant::KvPrecision;
 use lserve::trace::{
-    chrome_trace_json, lane, validate_json, EventKind, TraceEvent, Tracer, DEFAULT_RING_CAPACITY,
+    chrome_trace_json, lane, validate_json, EventKind, Json, TraceEvent, Tracer,
+    DEFAULT_RING_CAPACITY,
 };
 use proptest::prelude::*;
 
@@ -113,6 +114,15 @@ fn trace_five_layer_scene(capacity: usize) -> (Completed, Vec<TraceEvent>, u64) 
     (completed, events, dropped)
 }
 
+/// The value under `key` of a JSON object; `None` for a missing key or a
+/// value that is not an object.
+fn field<'a>(value: &'a Json, key: &str) -> Option<&'a Json> {
+    match value {
+        Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
 /// The acceptance anchor: all five engine layers emit, the export validates,
 /// and both outputs and the trace itself are bit-reproducible.
 #[test]
@@ -152,10 +162,40 @@ fn five_layer_trace_exports_and_reproduces() {
     }
 
     // The export is valid JSON and carries the lane metadata.
-    let doc = chrome_trace_json(&events, dropped).render();
+    let export = chrome_trace_json(&events, dropped);
+    let doc = export.render();
     validate_json(&doc).expect("chrome export must be valid JSON");
     assert!(doc.contains("\"traceEvents\""));
     assert!(doc.contains("work-token ticks"));
+    // What a trace viewer reads off the document: five process lanes, the
+    // `pages` and `sequences` counter tracks, and no event lost.
+    let Some(Json::Arr(trace_events)) = field(&export, "traceEvents") else {
+        panic!("the document has no traceEvents array");
+    };
+    let pids: HashSet<u64> = trace_events
+        .iter()
+        .filter_map(|e| match field(e, "pid") {
+            Some(Json::Int(pid)) => Some(*pid),
+            _ => None,
+        })
+        .collect();
+    assert!(pids.len() >= 5, "{} distinct pids, want 5", pids.len());
+    let counters: HashSet<&str> = trace_events
+        .iter()
+        .filter(|e| field(e, "ph") == Some(&Json::from("C")))
+        .filter_map(|e| match field(e, "name") {
+            Some(Json::Str(name)) => Some(name.as_str()),
+            _ => None,
+        })
+        .collect();
+    for counter in ["pages", "sequences"] {
+        assert!(
+            counters.contains(counter),
+            "no {counter} counter event in the document"
+        );
+    }
+    let other = field(&export, "otherData").expect("the document has otherData");
+    assert_eq!(field(other, "dropped_events"), Some(&Json::Int(0)));
 
     // Spans are recorded at close, and retrospective spans (e.g. "queued")
     // may start before previously recorded events — but within a (pid, tid)
